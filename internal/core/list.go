@@ -104,11 +104,15 @@ var (
 
 // Stats counts the work performed by the list, in hardware terms.
 // Cycles follows the §5.2 datapath: four cycles per primitive operation.
-// Range dequeues (the hierarchical logical-PIEO path, §4.3) may scan
-// several sublists whose metadata passes the time filter but whose
-// elements all fall outside the requested index range; each extra scanned
-// sublist costs one additional cycle and one additional read, which the
-// model charges explicitly.
+// Range dequeues (the hierarchical logical-PIEO path, §4.3) select on both
+// conjuncts of the predicate in the pointer array: a sublist is read only
+// when its cached smallest send_time passes the time filter and its
+// cached resident-ID bounds intersect the requested index range, and
+// only sublists that are read are charged. The bounds are conservative,
+// so a sublist can still be read in vain — its in-range residents are all
+// ineligible, or removals left its bounds wider than its contents; each
+// such sublist costs one additional cycle and one additional read, which
+// the model charges explicitly.
 //
 // The counters describe the HARDWARE datapath, not the software model:
 // a parallel compare over the pointer array charges all l.active
@@ -272,6 +276,37 @@ type ptr struct {
 	num              int
 }
 
+// idBounds bounds the IDs resident in one sublist — the pointer-array
+// metadata for the second conjunct of the logical-PIEO predicate
+// (start <= f.index <= end, §4.3), as ptr.smallestSendTime is for the
+// first. The bounds are conservative, not exact: every resident ID lies
+// inside them, so a ranged select may skip a sublist whose bounds miss
+// [lo, hi], but a removal never narrows them (that would need a rescan).
+// They widen on every insert, reset when the sublist empties, and are
+// tightened to exact by the ranged scan that reads the whole sublist and
+// misses.
+//
+// In hardware they are two more fields of the Ordered-Sublist-Array
+// entry. The software keeps them in an array of their own, indexed by
+// sublist id: they then neither lengthen the stride of the eligibility
+// scans over order nor ride along when a claim or retire shifts it, so
+// lists that are never dequeued by range pay one store per insert.
+type idBounds struct{ lo, hi uint32 }
+
+// noIDs is the empty bound: an inverted interval that the first insert
+// collapses to a point.
+var noIDs = idBounds{lo: math.MaxUint32, hi: 0}
+
+// admit widens the bounds to cover id.
+func (b *idBounds) admit(id uint32) {
+	if id < b.lo {
+		b.lo = id
+	}
+	if id > b.hi {
+		b.hi = id
+	}
+}
+
 // Packed eligibility summary geometry: one summary word per 32
 // pointer-array positions, holding the block's minimum cached
 // send_time. 32 keeps the summary array a few cache lines even at the
@@ -290,7 +325,8 @@ type List struct {
 	sublists []sublist // backing storage, indexed by sublist id
 	order    []ptr     // Ordered-Sublist-Array; [0:active) non-empty, rest empty
 	active   int
-	posOf    []int // sublist id -> position in order
+	posOf    []int      // sublist id -> position in order
+	ids      []idBounds // sublist id -> resident-ID bounds
 
 	// eligBlk[b] is the minimum order[i].smallestSendTime over the active
 	// positions i in [b·32, (b+1)·32) — the software's packed stand-in
@@ -356,6 +392,7 @@ func NewWithOccupancyHint(n, s, hint int) *List {
 		sublists:    make([]sublist, num),
 		order:       make([]ptr, num),
 		posOf:       make([]int, num),
+		ids:         make([]idBounds, num),
 		eligBlk:     make([]clock.Time, (num+eligBlockMask)>>eligBlockShift),
 		wheel:       timewheel.New(timewheel.Config{Hint: hint}),
 		where:       make(map[uint32]int, hint),
@@ -383,6 +420,7 @@ func NewWithOccupancyHint(n, s, hint int) *List {
 	for i := range l.sublists {
 		l.order[i] = ptr{sublistID: i, smallestSendTime: clock.Never}
 		l.posOf[i] = i
+		l.ids[i] = noIDs
 	}
 	for b := range l.eligBlk {
 		l.eligBlk[b] = clock.Never
@@ -457,8 +495,7 @@ func (l *List) enqueue(elem element) error {
 
 	if l.active == 0 {
 		// Empty list: the first empty sublist becomes the head.
-		sl := &l.sublists[l.order[0].sublistID]
-		l.insertElem(sl, elem)
+		l.insertElem(0, elem)
 		l.active = 1
 		l.refreshMeta(0)
 		l.where[e.ID] = l.order[0].sublistID
@@ -504,7 +541,7 @@ func (l *List) enqueue(elem element) error {
 	// Cycle 3: position via parallel compare + priority encode; cycle 4:
 	// write back.
 	l.stats.ElemCompares += uint64(sl.len())
-	l.insertElem(sl, elem)
+	l.insertElem(pos, elem)
 	l.where[e.ID] = l.order[pos].sublistID
 	l.size++
 
@@ -524,7 +561,7 @@ func (l *List) enqueue(elem element) error {
 		sp := &l.sublists[l.order[spPos].sublistID]
 		l.stats.SublistReads++
 		l.stats.ElemCompares += uint64(sp.len())
-		l.insertElem(sp, tail) // lands at sp's head: tail.key < all of sp
+		l.insertElem(spPos, tail) // lands at sp's head: tail.key < all of sp
 		l.where[tail.ID] = l.order[spPos].sublistID
 		l.refreshMeta(spPos)
 		l.stats.SublistWrites++
@@ -702,34 +739,25 @@ func (l *List) DequeueBelowSeq(now clock.Time, limit uint64) (e Entry, seq uint6
 // DequeueRangeBelowSeq is DequeueBelowSeq restricted to IDs in [lo, hi]
 // (the logical-PIEO filter, §4.3). Extraction charges exactly what
 // DequeueRange would, including the extra cycle and read per sublist
-// whose time filter passed but held no in-range eligible element.
+// that was read and held no in-range eligible element; a peek outcome
+// charges nothing (but keeps the bounds the scan tightened).
 func (l *List) DequeueRangeBelowSeq(now clock.Time, lo, hi uint32, limit uint64) (e Entry, seq uint64, eligible, taken bool) {
-	// Charges for sublists whose time filter passed but which held no
-	// in-range element, deferred until the outcome is known (an
-	// extraction pays them, a peek outcome pays nothing).
-	var missReads, missCompares uint64
-	for pos := l.firstEligible(now, 0); pos != -1; pos = l.firstEligible(now, pos+1) {
-		sl := &l.sublists[l.order[pos].sublistID]
-		for idx := range sl.entries {
-			el := &sl.entries[idx]
-			if el.SendTime <= now && el.ID >= lo && el.ID <= hi {
-				cand := *el
-				if cand.Rank >= limit {
-					return cand.Entry, cand.seq, true, false
-				}
-				l.stats.PtrCompares += uint64(l.active)
-				l.stats.RangeDequeues++
-				l.stats.Cycles += 4 + missReads
-				l.stats.SublistReads += 1 + missReads
-				l.stats.ElemCompares += missCompares + uint64(sl.len())
-				l.extractAt(pos, sl, idx)
-				return cand.Entry, cand.seq, true, true
-			}
-		}
-		missReads++
-		missCompares += uint64(sl.len())
+	pos, idx, missReads, missCompares := l.findInRange(now, lo, hi, true)
+	if pos == -1 {
+		return Entry{}, 0, false, false
 	}
-	return Entry{}, 0, false, false
+	sl := &l.sublists[l.order[pos].sublistID]
+	cand := sl.entries[idx]
+	if cand.Rank >= limit {
+		return cand.Entry, cand.seq, true, false
+	}
+	l.stats.PtrCompares += uint64(l.active)
+	l.stats.RangeDequeues++
+	l.stats.Cycles += 4 + missReads
+	l.stats.SublistReads += 1 + missReads
+	l.stats.ElemCompares += missCompares + uint64(sl.len())
+	l.extractAt(pos, sl, idx)
+	return cand.Entry, cand.seq, true, true
 }
 
 // DequeueFlow extracts the element with the given id regardless of
@@ -765,32 +793,32 @@ func (l *List) DequeueFlow(id uint32) (Entry, bool) {
 // DequeueRange extracts the smallest-ranked element that is eligible at
 // now and whose ID lies in [lo, hi] — the logical-PIEO extraction of
 // hierarchical scheduling (§4.3), where each non-leaf node's predicate is
-// extended with (start <= f.index <= end). Sublists whose time filter
-// passes but which hold no in-range eligible element cost one extra cycle
-// and read each, which Stats records; sublists skipped by the packed
-// summary never passed the time filter and cost nothing, exactly as in
-// the hardware's parallel select.
+// extended with (start <= f.index <= end). The pointer array evaluates
+// both conjuncts on its cached metadata: a sublist is read only when its
+// smallest send_time passes the time filter AND its resident-ID bounds
+// intersect [lo, hi]. Sublists that are read but hold no in-range
+// eligible element cost one extra cycle and read each, which Stats
+// records; sublists the select skipped cost nothing, exactly as in the
+// hardware's parallel select.
 func (l *List) DequeueRange(now clock.Time, lo, hi uint32) (Entry, bool) {
 	l.stats.PtrCompares += uint64(l.active)
-	for pos := l.firstEligible(now, 0); pos != -1; pos = l.firstEligible(now, pos+1) {
-		sl := &l.sublists[l.order[pos].sublistID]
-		l.stats.SublistReads++
-		l.stats.ElemCompares += uint64(sl.len())
-		for idx := range sl.entries {
-			e := &sl.entries[idx]
-			if e.SendTime <= now && e.ID >= lo && e.ID <= hi {
-				l.stats.RangeDequeues++
-				l.stats.Cycles += 4
-				out := e.Entry
-				l.extractAt(pos, sl, idx)
-				return out, true
-			}
-		}
-		l.stats.Cycles++ // in-range miss: scan continues to the next sublist
+	pos, idx, missReads, missCompares := l.findInRange(now, lo, hi, true)
+	l.stats.SublistReads += missReads
+	l.stats.ElemCompares += missCompares
+	l.stats.Cycles += missReads // each miss sends the scan on to the next sublist
+	if pos == -1 {
+		l.stats.EmptyDequeues++
+		l.stats.Cycles++
+		return Entry{}, false
 	}
-	l.stats.EmptyDequeues++
-	l.stats.Cycles++
-	return Entry{}, false
+	sl := &l.sublists[l.order[pos].sublistID]
+	l.stats.RangeDequeues++
+	l.stats.Cycles += 4
+	l.stats.SublistReads++
+	l.stats.ElemCompares += uint64(sl.len())
+	out := sl.entries[idx].Entry
+	l.extractAt(pos, sl, idx)
+	return out, true
 }
 
 // PeekRange returns the element DequeueRange would extract, without
@@ -801,18 +829,73 @@ func (l *List) PeekRange(now clock.Time, lo, hi uint32) (Entry, bool) {
 }
 
 // PeekRangeSeq is PeekRange plus the element's FIFO sequence number (see
-// PeekSeq).
+// PeekSeq). It skips by the resident-ID bounds like DequeueRange but
+// leaves them as they are: a peek writes nothing.
 func (l *List) PeekRangeSeq(now clock.Time, lo, hi uint32) (Entry, uint64, bool) {
-	for pos := l.firstEligible(now, 0); pos != -1; pos = l.firstEligible(now, pos+1) {
-		sl := &l.sublists[l.order[pos].sublistID]
-		for i := range sl.entries {
-			e := &sl.entries[i]
-			if e.SendTime <= now && e.ID >= lo && e.ID <= hi {
-				return e.Entry, e.seq, true
-			}
+	pos, idx, _, _ := l.findInRange(now, lo, hi, false)
+	if pos == -1 {
+		return Entry{}, 0, false
+	}
+	e := &l.sublists[l.order[pos].sublistID].entries[idx]
+	return e.Entry, e.seq, true
+}
+
+// findInRange is the ranged select shared by DequeueRange, PeekRangeSeq
+// and DequeueRangeBelowSeq: it returns the order position and entry index
+// of the smallest-ranked element that is eligible at now with ID in
+// [lo, hi], or pos = -1. Only sublists that pass the time filter and
+// whose resident-ID bounds intersect [lo, hi] are read; missReads and
+// missCompares count the ones read in vain (and their comparators), for
+// the caller to charge or not.
+//
+// With tighten set, every sublist read in vain has its bounds recomputed
+// exactly — the scan has just seen every resident — so bounds left wide
+// by removals stop costing a read once, not on every later scan.
+func (l *List) findInRange(now clock.Time, lo, hi uint32, tighten bool) (pos, idx int, missReads, missCompares uint64) {
+	// The wheel's exact minimum decides "nothing eligible anywhere" up
+	// front, as in firstEligible.
+	if l.wheel != nil {
+		if m, ok := l.wheel.MinSendTime(); !ok || m > now {
+			return -1, -1, 0, 0
 		}
 	}
-	return Entry{}, 0, false
+	active := l.active
+	blk := l.eligBlk
+	ord := l.order
+	ids := l.ids
+	for pos < active {
+		if pos&eligBlockMask == 0 && now < blk[pos>>eligBlockShift] {
+			pos += eligBlockLen // no sublist of the block passes the time filter
+			continue
+		}
+		if now < ord[pos].smallestSendTime {
+			pos++
+			continue
+		}
+		sid := ord[pos].sublistID
+		if b := ids[sid]; b.hi < lo || b.lo > hi {
+			pos++
+			continue
+		}
+		entries := l.sublists[sid].entries
+		for i := range entries {
+			e := &entries[i]
+			if e.SendTime <= now && e.ID >= lo && e.ID <= hi {
+				return pos, i, missReads, missCompares
+			}
+		}
+		missReads++
+		missCompares += uint64(len(entries))
+		if tighten {
+			b := noIDs
+			for i := range entries {
+				b.admit(entries[i].ID)
+			}
+			ids[sid] = b
+		}
+		pos++
+	}
+	return -1, -1, missReads, missCompares
 }
 
 // MinRank returns the smallest rank across all queued elements, in O(1)
@@ -935,7 +1018,7 @@ func (l *List) extractAt(pos int, sl *sublist, idx int) {
 				l.stats.ElemCompares += uint64(left.len())
 				moved := left.entries[left.len()-1]
 				l.removeAt(left, left.len()-1)
-				l.insertElem(sl, moved)
+				l.insertElem(pos, moved)
 				l.where[moved.ID] = l.order[pos].sublistID
 				l.stats.SublistWrites++
 				if left.len() == 0 {
@@ -955,7 +1038,7 @@ func (l *List) extractAt(pos int, sl *sublist, idx int) {
 				l.stats.ElemCompares += uint64(right.len())
 				moved := right.entries[0]
 				l.removeAt(right, 0)
-				l.insertElem(sl, moved)
+				l.insertElem(pos, moved)
 				l.where[moved.ID] = l.order[pos].sublistID
 				l.stats.SublistWrites++
 				if right.len() == 0 {
@@ -977,10 +1060,15 @@ func (l *List) extractAt(pos int, sl *sublist, idx int) {
 }
 
 // insertElem places elem at its (rank, seq) position in the rank-ordered
-// entries and its send_time in the eligibility multiset, locating both
-// positions by binary search (the hardware's parallel compare; callers
-// charge the comparator stats).
-func (l *List) insertElem(sl *sublist, elem element) {
+// entries of the sublist at order position pos and its send_time in the
+// eligibility multiset, locating both positions by binary search (the
+// hardware's parallel compare; callers charge the comparator stats). It
+// widens the sublist's resident-ID bounds; the pointer-array metadata is
+// the caller's refreshMeta.
+func (l *List) insertElem(pos int, elem element) {
+	sid := l.order[pos].sublistID
+	sl := &l.sublists[sid]
+	l.ids[sid].admit(elem.ID)
 	if sl.buf == nil {
 		// Past the arena's occupancy-hint high-water mark: one-time
 		// storage allocation on first use.
@@ -1050,6 +1138,7 @@ func (l *List) refreshMeta(pos int) {
 		l.order[pos].smallestSeq = 0
 		l.order[pos].smallestSendTime = clock.Never
 		l.order[pos].num = 0
+		l.ids[l.order[pos].sublistID] = noIDs
 		t = clock.Never
 	} else {
 		t = sl.elig[0]
@@ -1132,6 +1221,7 @@ func (l *List) retire(pos int) {
 	l.order[l.active].smallestSeq = 0
 	l.order[l.active].smallestSendTime = clock.Never
 	l.order[l.active].num = 0
+	l.ids[emptied.sublistID] = noIDs
 	for i := pos; i <= l.active; i++ {
 		l.posOf[l.order[i].sublistID] = i
 	}
@@ -1175,10 +1265,11 @@ func (l *List) SnapshotWithSeq() ([]Entry, []uint64) {
 
 // CheckInvariants validates the complete §5 data-structure contract:
 // partitioning of the pointer array, Invariant 1, global rank order,
-// metadata coherence, eligibility-sublist coherence, flow-map
-// consistency, plus the software-only structures layered on top (packed
-// summary words, two-ended window bounds). Tests call it after every
-// mutation; it returns the first violation found.
+// metadata coherence (the resident-ID bounds conservative for every
+// active sublist and cleared for every empty one), eligibility-sublist
+// coherence, flow-map consistency, plus the software-only structures
+// layered on top (packed summary words, two-ended window bounds). Tests
+// call it after every mutation; it returns the first violation found.
 func (l *List) CheckInvariants() error {
 	if l.active < 0 || l.active > len(l.order) {
 		return fmt.Errorf("active=%d out of range", l.active)
@@ -1214,6 +1305,9 @@ func (l *List) CheckInvariants() error {
 		} else {
 			if sl.len() != 0 {
 				return fmt.Errorf("empty-partition position %d has %d elements", i, sl.len())
+			}
+			if b := l.ids[p.sublistID]; b != noIDs {
+				return fmt.Errorf("empty-partition position %d keeps id bounds [%d,%d]", i, b.lo, b.hi)
 			}
 			continue
 		}
@@ -1265,6 +1359,9 @@ func (l *List) CheckInvariants() error {
 			prev = e
 			if sid, ok := l.where[e.ID]; !ok || sid != p.sublistID {
 				return fmt.Errorf("flow map for id %d = (%d,%v), want sublist %d", e.ID, sid, ok, p.sublistID)
+			}
+			if b := l.ids[p.sublistID]; e.ID < b.lo || e.ID > b.hi {
+				return fmt.Errorf("position %d id bounds [%d,%d] miss resident id %d", i, b.lo, b.hi, e.ID)
 			}
 			total++
 		}

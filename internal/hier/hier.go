@@ -56,6 +56,12 @@ type Child struct {
 	// descent, as opposed to activating after idleness. Fair-queueing
 	// policies apply Fig 2(a)'s max(finish, V) only to activations.
 	requeued bool
+
+	// resident is true while the child sits in its parent's logical PIEO:
+	// set by insertEntry, cleared when descend extracts it. It answers
+	// "is this child backlogged here" without a probe of the physical
+	// structure — WF²Q+ asks once per child per transmitted packet.
+	resident bool
 }
 
 // IsLeaf reports whether the child is a flow.
@@ -203,6 +209,8 @@ func NewOn(linkRateGbps float64, rootPolicy *Policy, factory func(capacity int) 
 // NewPartitioned creates a hierarchy in partitioned mode over the
 // default paper-exact list: every node's logical PIEO is a contiguous ID
 // band of one shared physical PIEO (§4.2) instead of a per-level list.
+// Policy ranks must fit in 48 bits in this mode; a wider one fails the
+// child's enqueue with ErrRankOverflow (see Partition).
 func NewPartitioned(linkRateGbps float64, rootPolicy *Policy) *Hierarchy {
 	return NewPartitionedOn(linkRateGbps, rootPolicy, func(n int) backend.Backend {
 		return backend.NewCoreList(n)
@@ -353,6 +361,7 @@ func (h *Hierarchy) insertEntry(n *Node, c *Child) error {
 	}
 	if err == nil {
 		n.stats.Enqueues++
+		c.resident = true
 	}
 	return err
 }
@@ -373,15 +382,6 @@ func (h *Hierarchy) extractEntry(n *Node, t clock.Time) (core.Entry, bool) {
 		n.stats.EmptyDequeues++
 	}
 	return e, ok
-}
-
-// nodeContains reports whether child id is currently inside n's logical
-// PIEO.
-func (h *Hierarchy) nodeContains(n *Node, id uint32) bool {
-	if h.partitioned {
-		return n.part.Contains(id)
-	}
-	return h.levels[n.depth].Contains(id)
 }
 
 // WireTime returns the wire time of size bytes on the hierarchy's link.
@@ -468,7 +468,7 @@ func (h *Hierarchy) OnArrival(now clock.Time, p flowq.Packet) {
 // there or has nothing to send) and propagates "logical queue went
 // non-empty" up the tree (§4.3 enqueue path).
 func (h *Hierarchy) enqueueChild(now clock.Time, n *Node, c *Child) {
-	if h.nodeContains(n, c.ID) {
+	if c.resident {
 		return
 	}
 	if c.IsLeaf() {
@@ -602,6 +602,7 @@ func (h *Hierarchy) descend(n *Node, now clock.Time, path *[]pathStep) bool {
 			h.lastErr = fmt.Errorf("%w: depth %d returned id %d", core.ErrUnknownFlow, n.depth, e.ID)
 			continue
 		}
+		c.resident = false
 		if c.IsLeaf() {
 			*path = append(*path, pathStep{n, c})
 			return true

@@ -4,7 +4,8 @@
 // dequeue whose predicate is the paper's
 // (eligible) && (band.lo <= f.index <= band.hi) — on the sharded engine
 // that compiles down to per-shard DequeueRangeBelowSeq calls under the
-// ranged tournament, on core.List to the rank-ordered banded scan.
+// ranged tournament, on core.List to a select over the pointer array's
+// cached send_times and resident-ID bounds.
 //
 // The Partitioner is the allocator for those bands: a first-fit free-span
 // allocator over [0, 2^32) that hands each logical scheduler a
@@ -14,6 +15,14 @@
 // timing wheel (DESIGN.md §11) over the band as the per-range eligibility
 // summary: the shared backend's MinSendTime mixes every tenant's time
 // domain, so per-range wake-ups must come from a per-range index.
+//
+// Each partition also owns a rank region: its elements are stored in the
+// shared list under region<<rankBits | rank, so one band's residents sit
+// contiguously in the list's global rank order instead of interleaved
+// with every other band's (whose ranks live in unrelated wall and virtual
+// time domains), and a ranged dequeue finds them in O(1) sublists. The
+// region never reaches the caller: ranks are checked against rankBits on
+// the way in and masked on the way out (DESIGN.md §13).
 //
 // Concurrency/memory-ordering contract: the Partitioner's bookkeeping
 // (bands, handle maps, wheels) is NOT synchronized — it assumes a single
@@ -25,6 +34,7 @@
 package hier
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -34,6 +44,20 @@ import (
 	"pieo/internal/core"
 	"pieo/internal/timewheel"
 )
+
+// rankBits is the width of the policy rank a partition accepts; the top
+// 64-rankBits bits of the stored rank hold the partition's region. 2^48 ns
+// is 78 hours of wall or virtual time.
+const (
+	rankBits = 48
+	rankMask = 1<<rankBits - 1
+	regions  = 1 << (64 - rankBits)
+)
+
+// ErrRankOverflow is returned (wrapped) by Partitioner.Enqueue and
+// UpdateRank for a rank that does not fit in rankBits bits. The element is
+// refused, never stored under a truncated rank: that would reorder it.
+var ErrRankOverflow = errors.New("hier: rank exceeds the partition rank width")
 
 // span is an inclusive ID range [lo, hi].
 type span struct{ lo, hi uint32 }
@@ -49,6 +73,12 @@ type Partition struct {
 	pt   *Partitioner
 	band span
 	used uint32 // IDs handed out by NextID, from band.lo upward
+
+	// region is the partition's rank region, already shifted into the top
+	// bits. It is a locality hint only — the band filter alone decides what
+	// a ranged dequeue may return — so partitions may share one: Split
+	// halves do, and so do allocations 2^16 apart.
+	region uint64
 
 	// wall marks a partition whose send_times live in the wall-clock
 	// domain; only those maintain the eligibility wheel (virtual-time
@@ -143,21 +173,24 @@ func (p *Partition) untrack(id uint32) {
 
 // newWheel sizes a per-partition wheel to the band: small bands get the
 // 64-slot floor (~1 KiB), large ones grow toward the backend default so
-// a 10k-leaf node still indexes mostly in-window.
+// a 10k-leaf node still indexes mostly in-window. The node arena is
+// pre-sized for at most a window's worth of residents and grows on
+// demand past that: a band may be 2^31 IDs wide and all but empty.
 func newWheel(capacity int) *timewheel.Wheel {
 	slots := 64
 	for slots < capacity && slots < 4096 {
 		slots <<= 1
 	}
-	return timewheel.New(timewheel.Config{Slots: slots, Hint: capacity})
+	return timewheel.New(timewheel.Config{Slots: slots, Hint: min(capacity, slots)})
 }
 
 // Partitioner owns one shared physical backend and carves its ID space
 // into per-logical-scheduler bands.
 type Partitioner struct {
-	be    backend.Backend
-	parts []*Partition // live partitions, sorted by band.lo
-	free  []span       // free spans, sorted, coalesced
+	be         backend.Backend
+	parts      []*Partition // live partitions, sorted by band.lo
+	free       []span       // free spans, sorted, coalesced
+	nextRegion uint64       // regions are handed out round-robin by Alloc
 }
 
 // NewPartitioner wraps a shared backend the caller constructed (and must
@@ -259,14 +292,36 @@ func (pt *Partitioner) Alloc(capacity int, wall bool) (*Partition, error) {
 	p := &Partition{
 		pt:      pt,
 		band:    band,
+		region:  (pt.nextRegion % regions) << rankBits,
 		wall:    wall,
 		handles: make(map[uint32]int32),
 	}
+	pt.nextRegion++
 	if wall {
 		p.wheel = newWheel(capacity)
 	}
 	pt.insertPart(p)
 	return p, nil
+}
+
+// checkRank refuses a rank that would spill into the region bits.
+func checkRank(id uint32, rank uint64) error {
+	if rank > rankMask {
+		return fmt.Errorf("%w: id %d rank %d needs more than %d bits", ErrRankOverflow, id, rank, rankBits)
+	}
+	return nil
+}
+
+// leave turns a stored entry of p back into the caller's: the band is
+// verified (an element from outside it is corruption, not an operational
+// fault) and the region masked off the rank.
+func (p *Partition) leave(op string, e core.Entry) core.Entry {
+	if !p.InBand(e.ID) {
+		panic(fmt.Sprintf("hier: %s [%d,%d] leaked id %d", op, p.band.lo, p.band.hi, e.ID))
+	}
+	p.untrack(e.ID)
+	e.Rank &= rankMask
+	return e
 }
 
 // Enqueue inserts e into the partition's logical PIEO. The entry's ID
@@ -279,6 +334,10 @@ func (pt *Partitioner) Enqueue(p *Partition, e core.Entry) error {
 	if p.Contains(e.ID) {
 		return fmt.Errorf("%w: id %d already resident in partition", core.ErrDuplicate, e.ID)
 	}
+	if err := checkRank(e.ID, e.Rank); err != nil {
+		return err
+	}
+	e.Rank |= p.region
 	if err := pt.be.Enqueue(e); err != nil {
 		return err
 	}
@@ -297,11 +356,7 @@ func (pt *Partitioner) Dequeue(p *Partition, t clock.Time) (core.Entry, bool) {
 	if !ok {
 		return core.Entry{}, false
 	}
-	if !p.InBand(e.ID) {
-		panic(fmt.Sprintf("hier: ranged dequeue [%d,%d] leaked id %d", p.band.lo, p.band.hi, e.ID))
-	}
-	p.untrack(e.ID)
-	return e, true
+	return p.leave("ranged dequeue", e), true
 }
 
 // DequeueID point-extracts a resident element by ID.
@@ -314,18 +369,21 @@ func (pt *Partitioner) DequeueID(p *Partition, id uint32) (core.Entry, bool) {
 	if !ok {
 		panic(fmt.Sprintf("hier: partition [%d,%d] tracks id %d but backend has no such element", p.band.lo, p.band.hi, id))
 	}
-	p.untrack(id)
-	return e, true
+	return p.leave("point dequeue", e), true
 }
 
 // UpdateRank rewrites a resident element's rank and send_time in place,
-// keeping the wheel summary exact. It reports whether id was resident.
+// keeping the wheel summary exact. It reports whether id was resident; a
+// rank wider than rankBits is refused with ErrRankOverflow.
 func (pt *Partitioner) UpdateRank(p *Partition, id uint32, rank uint64, sendTime clock.Time) (bool, error) {
 	p.mustLive("UpdateRank")
 	if !p.Contains(id) {
 		return false, nil
 	}
-	ok, err := backend.UpdateRank(pt.be, id, rank, sendTime)
+	if err := checkRank(id, rank); err != nil {
+		return false, err // the element keeps its old rank and send_time
+	}
+	ok, err := backend.UpdateRank(pt.be, id, rank|p.region, sendTime)
 	if err != nil {
 		// The fallback path (dequeue+enqueue) can fail mid-flight and
 		// drop the element from the backend; resync our view.
@@ -349,8 +407,9 @@ func (pt *Partitioner) UpdateRank(p *Partition, id uint32, rank uint64, sendTime
 // resident element is extracted in dequeue order (rank order, FIFO ties)
 // and re-admitted at the same offset in the new band, which preserves
 // relative FIFO order among equal ranks — the only order the seq
-// tie-break can observe. remap then maps old ID -> new ID, and the
-// caller must rewrite its own references.
+// tie-break can observe. The partition keeps its rank region, so the
+// residents land where they were in the global rank order. remap then
+// maps old ID -> new ID, and the caller must rewrite its own references.
 func (pt *Partitioner) Grow(p *Partition, capacity int) (remap map[uint32]uint32, err error) {
 	p.mustLive("Grow")
 	width := ceilPow2(uint64(capacity))
@@ -389,11 +448,7 @@ func (pt *Partitioner) Grow(p *Partition, capacity int) (remap map[uint32]uint32
 		if !ok {
 			break
 		}
-		if !p.InBand(e.ID) {
-			panic(fmt.Sprintf("hier: ranged drain [%d,%d] leaked id %d", p.band.lo, p.band.hi, e.ID))
-		}
-		p.untrack(e.ID)
-		moved = append(moved, e)
+		moved = append(moved, p.leave("ranged drain", e))
 	}
 	if len(p.handles) != 0 {
 		panic(fmt.Sprintf("hier: partition [%d,%d] retained %d residents after drain", p.band.lo, p.band.hi, len(p.handles)))
@@ -406,12 +461,12 @@ func (pt *Partitioner) Grow(p *Partition, capacity int) (remap map[uint32]uint32
 	for _, e := range moved {
 		newID := newBand.lo + (e.ID - oldBand.lo)
 		remap[e.ID] = newID
-		e2 := e
-		e2.ID = newID
-		if err := pt.be.Enqueue(e2); err != nil {
+		e.ID = newID
+		e.Rank |= p.region
+		if err := pt.be.Enqueue(e); err != nil {
 			panic(fmt.Sprintf("hier: relocation re-admit id %d: %v", newID, err))
 		}
-		p.track(newID, e2.SendTime)
+		p.track(newID, e.SendTime)
 	}
 	return remap, nil
 }
@@ -419,7 +474,8 @@ func (pt *Partitioner) Grow(p *Partition, capacity int) (remap map[uint32]uint32
 // Split halves the partition's band: p keeps the lower half and the
 // returned partition owns the upper half, inheriting any residents whose
 // IDs fall there. No backend traffic: bands stay disjoint, elements stay
-// physically in place, only the per-range bookkeeping migrates.
+// physically in place — which is why both halves share p's rank region —
+// and only the per-range bookkeeping migrates.
 func (pt *Partitioner) Split(p *Partition) (*Partition, error) {
 	p.mustLive("Split")
 	if p.band.size() < 2 {
@@ -430,6 +486,7 @@ func (pt *Partitioner) Split(p *Partition) (*Partition, error) {
 	q := &Partition{
 		pt:      pt,
 		band:    span{mid, p.band.hi},
+		region:  p.region, // inherited residents are stored under it
 		wall:    p.wall,
 		handles: make(map[uint32]int32),
 	}
@@ -475,8 +532,9 @@ func (pt *Partitioner) Retire(p *Partition) {
 // CheckInvariants validates the allocator and every partition against
 // the shared backend: bands and free spans must tile [0, 2^32) without
 // overlap, every backend-resident element must be tracked by exactly the
-// partition whose band covers it (no cross-partition leakage), and each
-// wall partition's wheel must index exactly its residents' send_times.
+// partition whose band covers it (no cross-partition leakage) and stored
+// under that partition's rank region, and each wall partition's wheel
+// must index exactly its residents' send_times.
 func (pt *Partitioner) CheckInvariants() error {
 	// Tiling: merge partitions and free spans, sorted; they must be
 	// disjoint and cover the whole space.
@@ -522,6 +580,10 @@ func (pt *Partitioner) CheckInvariants() error {
 		h, tracked := p.handles[e.ID]
 		if !tracked {
 			return fmt.Errorf("hier: backend element id %d not tracked by its partition [%d,%d]", e.ID, p.band.lo, p.band.hi)
+		}
+		if e.Rank&^rankMask != p.region {
+			return fmt.Errorf("hier: partition [%d,%d] region %#x holds id %d under stored rank %#x",
+				p.band.lo, p.band.hi, p.region>>rankBits, e.ID, e.Rank)
 		}
 		if p.wheel != nil {
 			if got := p.wheel.TimeOf(h); got != e.SendTime {

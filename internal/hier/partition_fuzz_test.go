@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"errors"
 	"testing"
 
 	"pieo/internal/backend"
@@ -15,6 +16,16 @@ type fuzzLCG uint64
 func (r *fuzzLCG) next() uint64 {
 	*r = *r*6364136223846793005 + 1442695040888963407
 	return uint64(*r >> 16)
+}
+
+// rank draws a policy rank: usually small, one time in eight within three
+// of the rank-region boundary on either side, so the widest ranks that fit
+// and the narrowest that do not both reach every partition.
+func (r *fuzzLCG) rank() uint64 {
+	if r.next()%8 == 0 {
+		return rankMask - 2 + r.next()%6
+	}
+	return r.next() % 1000
 }
 
 // partModel is the reference model of one partition: resident ID ->
@@ -32,8 +43,13 @@ type partModel struct {
 // (no cross-partition leakage), never misses when the model holds an
 // eligible element, always returns the minimum eligible rank, and every
 // partition's resident count matches its model exactly (per-logical-node
-// conservation). The allocator's CheckInvariants (band tiling, wheel
-// exactness, backend residency) runs throughout.
+// conservation). Ranks are drawn up to and across the rank-region
+// boundary: one that fits comes back from every dequeue exactly as the
+// caller gave it — through Split, whose halves share a region, and
+// relocating Grow, which keeps it — and one that does not is refused with
+// ErrRankOverflow and changes nothing. The allocator's CheckInvariants
+// (band tiling, wheel exactness, backend residency, stored region) runs
+// throughout.
 func FuzzLogicalPartition(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 1, 5, 2, 3, 1, 4, 5, 6, 7, 1, 1, 5, 5})
 	f.Add(uint64(7), []byte{0, 0, 1, 1, 1, 3, 3, 2, 5, 5, 5, 4, 0, 1, 5})
@@ -96,8 +112,15 @@ func FuzzLogicalPartition(f *testing.F) {
 						t.Fatalf("band still full after grow to %d", pm.p.Cap())
 					}
 				}
-				e := core.Entry{ID: id, Rank: rng.next() % 1000, SendTime: clock.Time(rng.next() % 64)}
-				if err := pt.Enqueue(pm.p, e); err != nil {
+				e := core.Entry{ID: id, Rank: rng.rank(), SendTime: clock.Time(rng.next() % 64)}
+				err := pt.Enqueue(pm.p, e)
+				if e.Rank > rankMask {
+					if !errors.Is(err, ErrRankOverflow) {
+						t.Fatalf("enqueue id %d rank %#x: %v, want ErrRankOverflow", id, e.Rank, err)
+					}
+					break // refused: the conservation check below holds the books still
+				}
+				if err != nil {
 					t.Fatalf("enqueue id %d: %v", id, err)
 				}
 				pm.in[id] = e
@@ -114,6 +137,9 @@ func FuzzLogicalPartition(f *testing.F) {
 				q, err := pt.Split(pm.p)
 				if err != nil {
 					t.Fatalf("split: %v", err)
+				}
+				if q.region != pm.p.region {
+					t.Fatalf("split halves in regions %#x and %#x", pm.p.region, q.region)
 				}
 				qm := &partModel{p: q, in: make(map[uint32]core.Entry)}
 				for id, e := range pm.in {
@@ -168,9 +194,15 @@ func FuzzLogicalPartition(f *testing.F) {
 					continue
 				}
 				e := pm.in[id]
-				e.Rank = rng.next() % 1000
+				e.Rank = rng.rank()
 				e.SendTime = clock.Time(rng.next() % 64)
 				ok, err := pt.UpdateRank(pm.p, id, e.Rank, e.SendTime)
+				if e.Rank > rankMask {
+					if ok || !errors.Is(err, ErrRankOverflow) {
+						t.Fatalf("update id %d rank %#x = %v, %v, want ErrRankOverflow", id, e.Rank, ok, err)
+					}
+					break // refused: the model keeps the old rank and send_time
+				}
 				if err != nil {
 					t.Fatalf("update id %d: %v", id, err)
 				}

@@ -9,6 +9,7 @@ import (
 	"pieo/internal/clock"
 	"pieo/internal/core"
 	"pieo/internal/faultinject"
+	"pieo/internal/flowq"
 )
 
 func newTestPartitioner() *Partitioner {
@@ -43,6 +44,148 @@ func TestPartitionAllocErrors(t *testing.T) {
 	if err := pt.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPartitionAllocHugeWallBand is the regression test for the wheel
+// hint: a wall partition's wheel used to pre-size its node arena to the
+// band width, so a 2^31-wide wall band (or either half of its Split)
+// asked for ~2^31 nodes up front and died out of memory. The arena is
+// sized to at most a window's worth and grows with real residents.
+func TestPartitionAllocHugeWallBand(t *testing.T) {
+	pt := newTestPartitioner()
+	p := mustAlloc(t, pt, 1<<31, true)
+	id, _ := p.NextID()
+	if err := pt.Enqueue(p, core.Entry{ID: id, Rank: 3, SendTime: 40}); err != nil {
+		t.Fatal(err)
+	}
+	q, err := pt.Split(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Cap() != 1<<30 || q.Cap() != 1<<30 || !q.Wall() {
+		t.Fatalf("split of a 2^31 wall band gave caps %d/%d wall=%v", p.Cap(), q.Cap(), q.Wall())
+	}
+	if got, ok := p.MinSendTime(); !ok || got != 40 {
+		t.Fatalf("MinSendTime = %d,%v want 40", got, ok)
+	}
+	if err := pt.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPartitionRankWidthBoundary is the rank-region boundary property,
+// held over partitions reached every way a partition comes to be — fresh
+// from Alloc (regions 0 and 1), the upper half of a Split (sharing its
+// parent's region) and the survivor of a relocating Grow: ranks 2^R-2 and
+// 2^R-1 are accepted, come back exactly as given and in that order; rank
+// 2^R is refused with ErrRankOverflow by both Enqueue and UpdateRank, and
+// the refusal touches neither the backend nor the partition's books.
+func TestPartitionRankWidthBoundary(t *testing.T) {
+	pt := newTestPartitioner()
+	first := mustAlloc(t, pt, 8, true)
+	second := mustAlloc(t, pt, 8, false)
+	upper, err := pt.Split(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := mustAlloc(t, pt, 4, false)
+	mustAlloc(t, pt, 4, false) // blocks in-place growth of grown
+	keep, _ := grown.NextID()
+	if err := pt.Enqueue(grown, core.Entry{ID: keep, Rank: 1, SendTime: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	if remap, err := pt.Grow(grown, 64); err != nil || len(remap) != 1 {
+		t.Fatalf("relocating grow = %v, %v", remap, err)
+	}
+	if upper.region != second.region || first.region == second.region {
+		t.Fatalf("regions: first %#x second %#x upper %#x", first.region, second.region, upper.region)
+	}
+
+	const top = uint64(1)<<rankBits - 1
+	for name, p := range map[string]*Partition{"first": first, "second": second, "split-upper": upper, "grown": grown} {
+		// Enqueued out of rank order, and under a send_time, so the
+		// dequeue order is the list's doing.
+		hiID, _ := p.NextID()
+		loID, _ := p.NextID()
+		overID, _ := p.NextID()
+		if err := pt.Enqueue(p, core.Entry{ID: hiID, Rank: top, SendTime: 5}); err != nil {
+			t.Fatalf("%s: rank 2^R-1: %v", name, err)
+		}
+		if err := pt.Enqueue(p, core.Entry{ID: loID, Rank: top - 1, SendTime: 5}); err != nil {
+			t.Fatalf("%s: rank 2^R-2: %v", name, err)
+		}
+
+		beLen, beStats, pLen := pt.Backend().Len(), pt.Backend().Stats(), p.Len()
+		if err := pt.Enqueue(p, core.Entry{ID: overID, Rank: top + 1}); !errors.Is(err, ErrRankOverflow) {
+			t.Fatalf("%s: rank 2^R enqueue: %v, want ErrRankOverflow", name, err)
+		}
+		if ok, err := pt.UpdateRank(p, loID, top+1, 5); ok || !errors.Is(err, ErrRankOverflow) {
+			t.Fatalf("%s: rank 2^R update = %v, %v, want ErrRankOverflow", name, ok, err)
+		}
+		if pt.Backend().Len() != beLen || pt.Backend().Stats() != beStats || p.Len() != pLen || p.Contains(overID) {
+			t.Fatalf("%s: refusal moved state: backend %d->%d, partition %d->%d", name, beLen, pt.Backend().Len(), pLen, p.Len())
+		}
+		if err := pt.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+
+		if ok, err := pt.UpdateRank(p, loID, top-1, 6); !ok || err != nil {
+			t.Fatalf("%s: in-width update = %v, %v", name, ok, err)
+		}
+		if e, ok := pt.Dequeue(p, 6); !ok || e != (core.Entry{ID: loID, Rank: top - 1, SendTime: 6}) {
+			t.Fatalf("%s: first dequeue = %+v,%v want id %d rank 2^R-2", name, e, ok, loID)
+		}
+		if e, ok := pt.DequeueID(p, hiID); !ok || e != (core.Entry{ID: hiID, Rank: top, SendTime: 5}) {
+			t.Fatalf("%s: point dequeue = %+v,%v want id %d rank 2^R-1", name, e, ok, hiID)
+		}
+	}
+	if e, ok := pt.Dequeue(grown, clock.Never); !ok || e.Rank != 1 {
+		t.Fatalf("relocated resident = %+v,%v want rank 1", e, ok)
+	}
+}
+
+// TestPartitionedRankOverflowFaultPath takes the refusal through the
+// hierarchy's existing enqueue-failure path: a Strict hierarchy panics, a
+// non-strict one charges EnqueueFailures to the node whose logical PIEO
+// refused, keeps the typed error, and stays consistent.
+func TestPartitionedRankOverflowFaultPath(t *testing.T) {
+	build := func(strict bool) (*Hierarchy, *Node) {
+		h := NewPartitioned(40, RoundRobin())
+		h.Strict = strict
+		vm := h.Root().AddNode("vm", StrictPriority())
+		vm.AddFlow(0).Priority = 1 << rankBits
+		vm.AddFlow(1).Priority = 1<<rankBits - 1
+		h.Build()
+		return h, vm
+	}
+
+	h, vm := build(false)
+	h.OnArrival(0, flowq.Packet{Flow: 0, Size: 100, Seq: 1})
+	if got := h.FaultStats().EnqueueFailures; got != 1 || vm.FaultStats().EnqueueFailures != 1 {
+		t.Fatalf("enqueue failures: hierarchy %d, node %d, want 1/1", got, vm.FaultStats().EnqueueFailures)
+	}
+	if !errors.Is(h.LastFault(), ErrRankOverflow) {
+		t.Fatalf("LastFault = %v, want ErrRankOverflow", h.LastFault())
+	}
+	if h.Level(0).Len() != 0 || vm.Partition().Len() != 0 {
+		t.Fatalf("refused child left residue: backend %d, partition %d", h.Level(0).Len(), vm.Partition().Len())
+	}
+	// The widest rank that fits schedules normally.
+	h.OnArrival(0, flowq.Packet{Flow: 1, Size: 100, Seq: 2})
+	if p, ok := h.NextPacket(0); !ok || p.Flow != 1 {
+		t.Fatalf("NextPacket = %+v,%v want flow 1", p, ok)
+	}
+	if err := h.Partitioner().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	h, _ = build(true)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("strict hierarchy did not panic on a rank wider than the region")
+		}
+	}()
+	h.OnArrival(0, flowq.Packet{Flow: 0, Size: 100, Seq: 1})
 }
 
 // TestPartitionWakeSummaries covers the wall/virtual split of the

@@ -86,12 +86,17 @@ func fqScale(n *Node, c *Child, size uint32) uint64 {
 // minChildStart returns the smallest virtual start time among n's
 // children currently enqueued in its logical PIEO — the backlogged-flows
 // term of the WF²Q+ virtual time update, scoped to this node's logical
-// partition.
-func minChildStart(n *Node) clock.Time {
+// partition. The update is V = max(floor, min start), so the minimum only
+// matters when it lies above floor: the scan stops at the first resident
+// child starting at or below it and returns that start instead.
+func minChildStart(n *Node, floor clock.Time) clock.Time {
 	minT := clock.Never
 	for _, c := range n.children {
-		if n.h.nodeContains(n, c.ID) && c.SendTime < minT {
+		if c.resident && c.SendTime < minT {
 			minT = c.SendTime
+			if minT <= floor {
+				break
+			}
 		}
 	}
 	return minT
@@ -155,7 +160,7 @@ func WF2Q() *Policy {
 			// Fig 2(a)'s idle-link rule scoped to this node's logical
 			// PIEO: jump the node's virtual clock to its children's
 			// minimum start time.
-			ms := minChildStart(n)
+			ms := minChildStart(n, n.V.Now())
 			if ms == clock.Never || ms <= n.V.Now() {
 				return false
 			}
@@ -180,7 +185,8 @@ func WF2Q() *Policy {
 			// The packet's virtual start was fixed at enqueue; its
 			// finish reflects the actual bytes sent.
 			c.VirtualFinish = c.virtualStart + fqScale(n, c, size)
-			n.V.OnTransmit(clock.Time(n.h.WireTime(size)), minChildStart(n))
+			x := n.h.WireTime(size)
+			n.V.OnTransmit(x, minChildStart(n, n.V.Now()+x))
 		},
 	}
 }

@@ -90,6 +90,10 @@ var (
 	// ErrDeadline reports a blocking operation that exceeded its
 	// configured time budget on the supervision clock (DESIGN.md §12).
 	ErrDeadline = core.ErrDeadline
+	// ErrRankOverflow reports a policy rank wider than the 48 bits a
+	// partitioned hierarchy (NewHierOn) keeps for it; the child is refused
+	// on the enqueue-failure path, never stored under a truncated rank.
+	ErrRankOverflow = hier.ErrRankOverflow
 )
 
 // NewList creates a PIEO ordered list with capacity n using the paper's
@@ -388,7 +392,9 @@ func NewHierarchyOn(linkRateGbps float64, rootPolicy *Policy, factory func(capac
 // each node owning a contiguous ID band extracted with ranged dequeues.
 // This is the mode that scales to tens of thousands of logical
 // schedulers; the per-level constructors above keep the paper's original
-// one-list-per-level layout.
+// one-list-per-level layout. The top 16 bits of the stored rank hold the
+// node's rank region, so policy ranks must fit in 48 bits here
+// (ErrRankOverflow otherwise).
 func NewHierOn(linkRateGbps float64, rootPolicy *Policy, backendName string) (*Hierarchy, error) {
 	// Resolve the name up front so a typo fails at construction, not at
 	// Build (the factory itself cannot return an error).
