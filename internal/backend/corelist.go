@@ -62,7 +62,7 @@ var _ Batcher = (*CoreList)(nil)
 
 // NewCoreShard is the ShardFactory for the paper-exact sublist list:
 // capacity is the full shared bound, while the sublist geometry and the
-// flow-map/arena pre-sizing follow the expected per-shard occupancy
+// flow-index/arena pre-sizing follow the expected per-shard occupancy
 // (⌈√(n/K)⌉ sublists — sharding shortens the scans as well as splitting
 // the lock; see shard.New).
 func NewCoreShard(cfg ShardConfig) ShardBackend {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -11,38 +12,83 @@ import (
 // TestSteadyStateZeroAllocs is the allocation-free contract made
 // executable: once the list has reached steady-state occupancy, the
 // Enqueue/Dequeue op path performs zero heap allocations — the sublist
-// stores come from the New-time arena, the flow map was pre-sized, and
+// stores come from the New-time arena, the flow index was sized for the
+// occupancy hint and deletes without leaving tombstones to clean up, and
 // no scratch slices grow.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	const n = 1 << 13
-	l := core.New(n)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < n/2; i++ {
-		if err := l.Enqueue(core.Entry{ID: uint32(i), Rank: uint64(rng.Intn(1 << 20)), SendTime: clock.Always}); err != nil {
-			t.Fatal(err)
-		}
+	entry := func(rng *rand.Rand, id uint32) core.Entry {
+		return core.Entry{ID: id, Rank: uint64(rng.Intn(1 << 20)), SendTime: clock.Always}
 	}
-	id := uint32(n / 2)
-	// Warm through several full ID cycles so the flow map has seen every
-	// key it will ever hold and all storage high-water marks are reached.
-	for i := 0; i < 4*n; i++ {
-		id = (id + 1) % n
-		if l.Enqueue(core.Entry{ID: id, Rank: uint64(rng.Intn(1 << 20)), SendTime: clock.Always}) == nil {
-			l.Dequeue(0)
+
+	// IDs cycling through a fixed space, as a flow scheduler's do: the
+	// index sees every key it will ever hold during warm-up.
+	t.Run("recycled ids", func(t *testing.T) {
+		l := core.New(n)
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < n/2; i++ {
+			if err := l.Enqueue(entry(rng, uint32(i))); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	allocs := testing.AllocsPerRun(2000, func() {
-		id = (id + 1) % n
+		id := uint32(n / 2)
 		// A duplicate ID (the random-rank dequeue order can leave any
 		// resident alive when its ID comes around again) skips the
 		// balancing dequeue so occupancy holds; the failed enqueue is
 		// itself part of the allocation-free contract.
-		if l.Enqueue(core.Entry{ID: id, Rank: uint64(rng.Intn(1 << 20)), SendTime: clock.Always}) == nil {
-			l.Dequeue(0)
+		pair := func() {
+			id = (id + 1) % n
+			if l.Enqueue(entry(rng, id)) == nil {
+				l.Dequeue(0)
+			}
 		}
+		requireZeroAllocs(t, l, 4*n, pair)
 	})
-	if allocs != 0 {
+
+	// IDs that are never reused, as a packet scheduler's are (the hold
+	// model of the bench suite's list_hold): every pair deletes one key
+	// from the index and inserts one it has never seen.
+	fresh := func(l *core.List, resident int) func(*testing.T) {
+		return func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			id := uint32(0)
+			for ; id < uint32(resident); id++ {
+				if err := l.Enqueue(entry(rng, id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pair := func() {
+				if _, ok := l.Dequeue(0); !ok {
+					t.Fatal("list ran dry")
+				}
+				if err := l.Enqueue(entry(rng, id)); err != nil {
+					t.Fatal(err)
+				}
+				id++
+			}
+			requireZeroAllocs(t, l, 16*resident, pair)
+		}
+	}
+	t.Run("fresh ids", fresh(core.New(n), n/2))
+	// The sharded engine's configuration: full shared capacity, geometry
+	// and pre-sizing for an eighth of it, occupancy right at the hint.
+	t.Run("fresh ids at the occupancy hint",
+		fresh(core.NewWithOccupancyHint(n, int(math.Ceil(math.Sqrt(n/8))), n/8), n/8))
+}
+
+// requireZeroAllocs warms the list with warm calls of pair — enough for
+// every storage high-water mark to be reached — and then requires pair to
+// allocate nothing.
+func requireZeroAllocs(t *testing.T, l *core.List, warm int, pair func()) {
+	t.Helper()
+	for i := 0; i < warm; i++ {
+		pair()
+	}
+	if allocs := testing.AllocsPerRun(2000, pair); allocs != 0 {
 		t.Fatalf("steady-state enqueue/dequeue allocated %v allocs/op, want 0", allocs)
+	}
+	if err := l.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -38,8 +38,8 @@ func (l *List) DumpSublists() []SublistView {
 			Entries:          make([]Entry, sl.len()),
 			EligTimes:        append([]clock.Time(nil), sl.elig...),
 		}
-		for j, e := range sl.entries {
-			v.Entries[j] = e.Entry
+		for j := range sl.entries {
+			v.Entries[j] = sl.entries[j].entry()
 		}
 		views = append(views, v)
 	}

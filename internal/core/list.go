@@ -38,7 +38,9 @@
 //   - Sublists live in two-ended stores with slack on both sides, so
 //     head/tail insertions and removals — the common case on both the
 //     enqueue split path and the dequeue refill path — move no elements,
-//     and interior shifts move whichever side is shorter.
+//     interior shifts move whichever side is shorter, and a window that
+//     has drifted to an edge of its store is moved back to the middle
+//     once per ~S/2 operations (see sublist).
 //
 // Stats still counts the work the HARDWARE would do — all comparators
 // charged per parallel compare, four cycles per op — not the software's
@@ -136,9 +138,17 @@ type Stats struct {
 // element is an Entry plus its enqueue sequence number, which breaks rank
 // ties in FIFO order exactly as the hardware's insert-after-equals
 // placement does.
+//
+// The fields are Entry's, laid out for the cache rather than for the API:
+// id and wh share a word, so an element is 32 bytes — two to a cache line
+// and, in the 64-byte-aligned sublist arena, none straddling two. Every
+// interior insert or removal shifts elements, so the element size is the
+// unit cost of the software datapath.
 type element struct {
-	Entry
-	seq uint64
+	rank     uint64
+	sendTime clock.Time
+	seq      uint64
+	id       uint32
 	// wh is the element's handle in the list's timing-wheel eligibility
 	// index (meaningless while the wheel is disabled). It travels with
 	// the element through sublist moves, so wheel maintenance happens
@@ -146,10 +156,18 @@ type element struct {
 	wh int32
 }
 
+func newElement(e Entry, seq uint64) element {
+	return element{rank: e.Rank, sendTime: e.SendTime, seq: seq, id: e.ID}
+}
+
+func (a *element) entry() Entry {
+	return Entry{ID: a.id, Rank: a.rank, SendTime: a.sendTime}
+}
+
 // key comparison: rank first, then FIFO sequence.
-func (a element) less(b element) bool {
-	if a.Rank != b.Rank {
-		return a.Rank < b.Rank
+func (a *element) less(b *element) bool {
+	if a.rank != b.rank {
+		return a.rank < b.rank
 	}
 	return a.seq < b.seq
 }
@@ -162,9 +180,19 @@ func (a element) less(b element) bool {
 // the live window floating between slack at either end (entries =
 // buf[estart : estart+n]). Removing the head or tail — what every
 // dequeue and every Invariant-1 refill does — just moves the window
-// edge; interior insertions shift whichever side is shorter. The 2×
-// store mirrors the paper's own 2× SRAM provisioning and guarantees one
-// side always has room, so the window never needs recentering.
+// edge; interior insertions and removals shift whichever side is
+// shorter.
+//
+// The window drifts: head removals and tail insertions (a sublist being
+// drained from the front and refilled at the back, the hold model's
+// pattern) walk it towards the right edge of its store, the mirror
+// pattern towards the left. When an insertion wants to shift a side that
+// has run out of slack, the window is moved back to the middle of the
+// store first. That costs one move per element, at most S+1, and leaves
+// at least (S+1)/2 free slots on either side; each operation moves an
+// edge by at most one slot, so at least (S+1)/2 operations on this
+// sublist pass before it can touch an edge again — two to three element
+// moves per operation, amortised, whatever the traffic.
 type sublist struct {
 	entries []element    // rank-ordered window into buf
 	elig    []clock.Time // ascending send_time window into tbuf
@@ -195,67 +223,116 @@ func (s *sublist) bind(buf []element, tbuf []clock.Time) {
 	s.elig = tbuf[s.tstart:s.tstart]
 }
 
-// insertEntryAt places e at rank-order index idx, shifting whichever
-// side of the two-ended store is shorter (falling back to the side with
-// room; one side always has some, since cap = 2·(S+1) ≥ n+1).
+// openSlot makes room for one element at index idx of the n-element
+// window at buf[start:start+n] and returns the window's new start; the
+// caller stores into buf[start+idx]. It shifts whichever side of idx is
+// shorter, after moving the window back to the middle of the store if
+// that side has no slack left (see sublist).
+func openSlot[T any](buf []T, start, n, idx int) int {
+	left := idx <= n-idx
+	if (left && start == 0) || (!left && start+n == len(buf)) {
+		mid := (len(buf) - n) / 2
+		copy(buf[mid:mid+n], buf[start:start+n])
+		start = mid
+	}
+	if left {
+		copy(buf[start-1:], buf[start:start+idx])
+		return start - 1
+	}
+	copy(buf[start+idx+1:start+n+1], buf[start+idx:start+n])
+	return start
+}
+
+// closeSlot deletes index idx of the n-element window at
+// buf[start:start+n], shifting the shorter side, and returns the
+// window's new start. Emptying the window recenters it, so the next fill
+// starts with balanced slack.
+func closeSlot[T any](buf []T, start, n, idx int) int {
+	if n == 1 {
+		return len(buf) / 2
+	}
+	if idx < n-1-idx {
+		copy(buf[start+1:start+idx+1], buf[start:start+idx])
+		return start + 1
+	}
+	copy(buf[start+idx:start+n-1], buf[start+idx+1:start+n])
+	return start
+}
+
+// insertEntryAt places e at rank-order index idx.
 func (s *sublist) insertEntryAt(idx int, e element) {
 	n := len(s.entries)
-	if (idx <= n-idx && s.estart > 0) || s.estart+n == len(s.buf) {
-		copy(s.buf[s.estart-1:], s.buf[s.estart:s.estart+idx])
-		s.estart--
-	} else {
-		copy(s.buf[s.estart+idx+1:s.estart+n+1], s.buf[s.estart+idx:s.estart+n])
-	}
+	s.estart = openSlot(s.buf, s.estart, n, idx)
 	s.buf[s.estart+idx] = e
 	s.entries = s.buf[s.estart : s.estart+n+1]
 }
 
-// removeEntryAt deletes rank-order index idx, shifting the shorter side.
-// Emptying the sublist recenters the window so the next fill starts with
-// balanced slack.
+// removeEntryAt deletes rank-order index idx.
 func (s *sublist) removeEntryAt(idx int) {
 	n := len(s.entries)
-	if n == 1 {
-		s.estart = len(s.buf) / 2
-		s.entries = s.buf[s.estart:s.estart]
-		return
-	}
-	if idx < n-1-idx {
-		copy(s.buf[s.estart+1:s.estart+idx+1], s.buf[s.estart:s.estart+idx])
-		s.estart++
-	} else {
-		copy(s.buf[s.estart+idx:s.estart+n-1], s.buf[s.estart+idx+1:s.estart+n])
-	}
+	s.estart = closeSlot(s.buf, s.estart, n, idx)
 	s.entries = s.buf[s.estart : s.estart+n-1]
 }
 
-// insertEligAt and removeEligAt are the same two-ended operations on the
-// Eligibility-Sublist.
-func (s *sublist) insertEligAt(idx int, t clock.Time) {
-	n := len(s.elig)
-	if (idx <= n-idx && s.tstart > 0) || s.tstart+n == len(s.tbuf) {
-		copy(s.tbuf[s.tstart-1:], s.tbuf[s.tstart:s.tstart+idx])
-		s.tstart--
-	} else {
-		copy(s.tbuf[s.tstart+idx+1:s.tstart+n+1], s.tbuf[s.tstart+idx:s.tstart+n])
+// insertElig adds t to the Eligibility-Sublist, after any equal values.
+// The ends are checked before searching: at or after the tail covers the
+// all-eligible case (every send_time equal) and monotone pacing, before
+// the head covers a split handing its tail to the next sublist.
+func (s *sublist) insertElig(t clock.Time) {
+	elig := s.elig
+	n := len(elig)
+	idx := n
+	if n > 0 && t < elig[n-1] {
+		idx = 0
+		if t >= elig[0] {
+			lo, hi := 1, n-1
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if t < elig[mid] {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			idx = lo
+		}
 	}
+	s.tstart = openSlot(s.tbuf, s.tstart, n, idx)
 	s.tbuf[s.tstart+idx] = t
 	s.elig = s.tbuf[s.tstart : s.tstart+n+1]
 }
 
-func (s *sublist) removeEligAt(idx int) {
-	n := len(s.elig)
-	if n == 1 {
-		s.tstart = len(s.tbuf) / 2
-		s.elig = s.tbuf[s.tstart:s.tstart]
-		return
+// removeElig deletes one occurrence of t from the Eligibility-Sublist
+// (any slot holding the value serves: the multiset is by value). The
+// ends are checked before searching: the tail covers the all-eligible
+// case — which then never moves the window, inserts and removals both
+// working its right edge — and a split removing the latest release, the
+// head covers a paced dequeue removing the earliest.
+func (s *sublist) removeElig(t clock.Time) {
+	elig := s.elig
+	n := len(elig)
+	var idx int
+	switch {
+	case n > 0 && elig[n-1] == t:
+		idx = n - 1
+	case n > 0 && elig[0] == t:
+		idx = 0
+	default:
+		lo, hi := 0, n
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if elig[mid] < t {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo == n || elig[lo] != t {
+			panic(fmt.Sprintf("pieo: eligibility sublist lost send_time %v", t))
+		}
+		idx = lo
 	}
-	if idx < n-1-idx {
-		copy(s.tbuf[s.tstart+1:s.tstart+idx+1], s.tbuf[s.tstart:s.tstart+idx])
-		s.tstart++
-	} else {
-		copy(s.tbuf[s.tstart+idx:s.tstart+n-1], s.tbuf[s.tstart+idx+1:s.tstart+n])
-	}
+	s.tstart = closeSlot(s.tbuf, s.tstart, n, idx)
 	s.elig = s.tbuf[s.tstart : s.tstart+n-1]
 }
 
@@ -346,7 +423,7 @@ type List struct {
 
 	size  int
 	seq   uint64
-	where map[uint32]int // flow id -> sublist id (per-flow state, §5.2 Dequeue(f))
+	flows flowTab // flow id -> sublist id (per-flow state, §5.2 Dequeue(f))
 
 	stats Stats
 }
@@ -369,14 +446,14 @@ func NewWithSublistSize(n, s int) *List {
 	return NewWithOccupancyHint(n, s, n)
 }
 
-// NewWithOccupancyHint is NewWithSublistSize with the flow map and the
+// NewWithOccupancyHint is NewWithSublistSize with the flow index and the
 // sublist storage arena pre-sized for an expected occupancy below the
 // hard capacity. A sharded engine provisions every shard with the full
 // shared capacity for safety (hash partitioning guarantees no balance)
 // but expects ~capacity/K residents; sizing for the expectation keeps
-// the map probes cache-resident and the preallocated arena proportional
-// to real occupancy. The structure still grows transparently — the map
-// rehashes, sublists past the arena allocate on first use — if a shard
+// the index probes cache-resident and the preallocated arena proportional
+// to real occupancy. The structure still grows transparently — the index
+// doubles, sublists past the arena allocate on first use — if a shard
 // ever exceeds the hint.
 func NewWithOccupancyHint(n, s, hint int) *List {
 	if n <= 0 || s <= 0 {
@@ -395,7 +472,7 @@ func NewWithOccupancyHint(n, s, hint int) *List {
 		ids:         make([]idBounds, num),
 		eligBlk:     make([]clock.Time, (num+eligBlockMask)>>eligBlockShift),
 		wheel:       timewheel.New(timewheel.Config{Hint: hint}),
-		where:       make(map[uint32]int, hint),
+		flows:       newFlowTab(hint),
 	}
 	// Preallocate two-ended stores for every sublist the hint occupancy
 	// can keep active, carved from one contiguous arena (a single
@@ -445,7 +522,7 @@ func (l *List) Stats() Stats { return l.stats }
 
 // Contains reports whether id is currently queued.
 func (l *List) Contains(id uint32) bool {
-	_, ok := l.where[id]
+	_, ok := l.flows.lookup(id)
 	return ok
 }
 
@@ -457,11 +534,11 @@ func (l *List) Enqueue(e Entry) error {
 	if l.size == l.capacity {
 		return ErrFull
 	}
-	if _, dup := l.where[e.ID]; dup {
-		return ErrDuplicate
+	err := l.enqueue(newElement(e, l.seq+1))
+	if err == nil {
+		l.seq++
 	}
-	l.seq++
-	return l.enqueue(element{Entry: e, seq: l.seq})
+	return err
 }
 
 // EnqueueSeq inserts e with a caller-supplied FIFO tie-break sequence
@@ -475,66 +552,63 @@ func (l *List) EnqueueSeq(e Entry, seq uint64) error {
 	if l.size == l.capacity {
 		return ErrFull
 	}
-	if _, dup := l.where[e.ID]; dup {
-		return ErrDuplicate
-	}
-	return l.enqueue(element{Entry: e, seq: seq})
+	return l.enqueue(newElement(e, seq))
 }
 
-// enqueue is the §5.2 insert datapath shared by Enqueue and EnqueueSeq.
-// Capacity and duplicate checks have already passed.
+// enqueue is the §5.2 insert datapath shared by Enqueue and EnqueueSeq;
+// the capacity check has already passed. It selects the target sublist
+// first — a read-only search — so that the flow index's duplicate check
+// is also the insert of the new key: one probe, and a duplicate returns
+// before anything is charged or changed.
 func (l *List) enqueue(elem element) error {
-	e := elem.Entry
-
-	l.stats.Enqueues++
-	l.stats.Cycles += 4
-
-	if l.wheel != nil {
-		elem.wh = l.wheel.Insert(elem.SendTime)
-	}
-
-	if l.active == 0 {
-		// Empty list: the first empty sublist becomes the head.
-		l.insertElem(0, elem)
-		l.active = 1
-		l.refreshMeta(0)
-		l.where[e.ID] = l.order[0].sublistID
-		l.size++
-		l.stats.SublistReads++
-		l.stats.SublistWrites++
-		return nil
-	}
-
 	// Cycle 1: the hardware compares (order[i].smallest key > elem key)
 	// over the whole pointer array in parallel and priority-encodes the
 	// first strictly-greater sublist j, selecting j-1 (clamped to the
-	// head). The key is the full (rank, seq) pair: under Enqueue's
-	// internal counter a cached head is always older than a new element,
-	// so rank-only comparison would suffice, but EnqueueSeq callers may
+	// head; an empty list claims its first empty sublist as the head).
+	// The key is the full (rank, seq) pair: under Enqueue's internal
+	// counter a cached head is always older than a new element, so
+	// rank-only comparison would suffice, but EnqueueSeq callers may
 	// stamp sequences out of arrival order (see ptr.smallestSeq) and
 	// equal-rank placement must then honor the stamped order. Stats charge
 	// all l.active comparators; the software resolves j by binary search,
 	// valid because smallest keys are nondecreasing across the active
 	// partition.
-	l.stats.PtrCompares += uint64(l.active)
 	lo, hi := 0, l.active
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		p := &l.order[mid]
-		if p.smallestRank > e.Rank ||
-			(p.smallestRank == e.Rank && p.smallestSeq > elem.seq) {
+		if p.smallestRank > elem.rank ||
+			(p.smallestRank == elem.rank && p.smallestSeq > elem.seq) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	pos := lo - 1
-	if pos < 0 {
-		pos = 0
+	pos := max(lo-1, 0)
+	sid := l.order[pos].sublistID
+	if !l.flows.insert(elem.id, sid) {
+		return ErrDuplicate
 	}
 
+	l.stats.Enqueues++
+	l.stats.Cycles += 4
+	l.size++
+	if l.wheel != nil {
+		elem.wh = l.wheel.Insert(elem.sendTime)
+	}
+
+	if l.active == 0 {
+		l.insertElem(0, elem)
+		l.active = 1
+		l.refreshMeta(0)
+		l.stats.SublistReads++
+		l.stats.SublistWrites++
+		return nil
+	}
+	l.stats.PtrCompares += uint64(l.active)
+
 	// Cycle 2: read S (and S' if S is full) from SRAM.
-	sl := &l.sublists[l.order[pos].sublistID]
+	sl := &l.sublists[sid]
 	l.stats.SublistReads++
 	wasFull := sl.full(l.sublistSize)
 
@@ -542,8 +616,6 @@ func (l *List) enqueue(elem element) error {
 	// write back.
 	l.stats.ElemCompares += uint64(sl.len())
 	l.insertElem(pos, elem)
-	l.where[e.ID] = l.order[pos].sublistID
-	l.size++
 
 	if wasFull {
 		// The insert pushed the sublist to S+1; move its tail into S'.
@@ -562,7 +634,7 @@ func (l *List) enqueue(elem element) error {
 		l.stats.SublistReads++
 		l.stats.ElemCompares += uint64(sp.len())
 		l.insertElem(spPos, tail) // lands at sp's head: tail.key < all of sp
-		l.where[tail.ID] = l.order[spPos].sublistID
+		l.flows.move(tail.id, l.order[spPos].sublistID)
 		l.refreshMeta(spPos)
 		l.stats.SublistWrites++
 	}
@@ -657,7 +729,7 @@ func (l *List) dequeueFrom(now clock.Time, startPos int) (Entry, int, bool) {
 	l.stats.ElemCompares += uint64(sl.len())
 	idx := -1
 	for i := range sl.entries {
-		if sl.entries[i].SendTime <= now {
+		if sl.entries[i].sendTime <= now {
 			idx = i
 			break
 		}
@@ -667,7 +739,7 @@ func (l *List) dequeueFrom(now clock.Time, startPos int) (Entry, int, bool) {
 		// datapath bug, not a runtime condition.
 		panic(fmt.Sprintf("pieo: sublist %d metadata/content mismatch at t=%v", l.order[pos].sublistID, now))
 	}
-	out := sl.entries[idx].Entry
+	out := sl.entries[idx].entry()
 	l.extractAt(pos, sl, idx)
 	return out, pos, true
 }
@@ -689,8 +761,8 @@ func (l *List) PeekSeq(now clock.Time) (Entry, uint64, bool) {
 	}
 	sl := &l.sublists[l.order[pos].sublistID]
 	for i := range sl.entries {
-		if sl.entries[i].SendTime <= now {
-			return sl.entries[i].Entry, sl.entries[i].seq, true
+		if e := &sl.entries[i]; e.sendTime <= now {
+			return e.entry(), e.seq, true
 		}
 	}
 	panic(fmt.Sprintf("pieo: sublist %d metadata/content mismatch at t=%v", l.order[pos].sublistID, now))
@@ -715,7 +787,7 @@ func (l *List) DequeueBelowSeq(now clock.Time, limit uint64) (e Entry, seq uint6
 	sl := &l.sublists[l.order[pos].sublistID]
 	idx := -1
 	for i := range sl.entries {
-		if sl.entries[i].SendTime <= now {
+		if sl.entries[i].sendTime <= now {
 			idx = i
 			break
 		}
@@ -724,8 +796,8 @@ func (l *List) DequeueBelowSeq(now clock.Time, limit uint64) (e Entry, seq uint6
 		panic(fmt.Sprintf("pieo: sublist %d metadata/content mismatch at t=%v", l.order[pos].sublistID, now))
 	}
 	cand := sl.entries[idx]
-	if cand.Rank >= limit {
-		return cand.Entry, cand.seq, true, false
+	if cand.rank >= limit {
+		return cand.entry(), cand.seq, true, false
 	}
 	l.stats.PtrCompares += uint64(l.active)
 	l.stats.Dequeues++
@@ -733,7 +805,7 @@ func (l *List) DequeueBelowSeq(now clock.Time, limit uint64) (e Entry, seq uint6
 	l.stats.SublistReads++
 	l.stats.ElemCompares += uint64(sl.len())
 	l.extractAt(pos, sl, idx)
-	return cand.Entry, cand.seq, true, true
+	return cand.entry(), cand.seq, true, true
 }
 
 // DequeueRangeBelowSeq is DequeueBelowSeq restricted to IDs in [lo, hi]
@@ -748,8 +820,8 @@ func (l *List) DequeueRangeBelowSeq(now clock.Time, lo, hi uint32, limit uint64)
 	}
 	sl := &l.sublists[l.order[pos].sublistID]
 	cand := sl.entries[idx]
-	if cand.Rank >= limit {
-		return cand.Entry, cand.seq, true, false
+	if cand.rank >= limit {
+		return cand.entry(), cand.seq, true, false
 	}
 	l.stats.PtrCompares += uint64(l.active)
 	l.stats.RangeDequeues++
@@ -757,14 +829,14 @@ func (l *List) DequeueRangeBelowSeq(now clock.Time, lo, hi uint32, limit uint64)
 	l.stats.SublistReads += 1 + missReads
 	l.stats.ElemCompares += missCompares + uint64(sl.len())
 	l.extractAt(pos, sl, idx)
-	return cand.Entry, cand.seq, true, true
+	return cand.entry(), cand.seq, true, true
 }
 
 // DequeueFlow extracts the element with the given id regardless of
 // eligibility (§3.1 dequeue(f)), used by alarm handlers to update an
 // element's attributes. It returns ok=false when id is not queued.
 func (l *List) DequeueFlow(id uint32) (Entry, bool) {
-	sid, ok := l.where[id]
+	sid, ok := l.flows.lookup(id)
 	if !ok {
 		return Entry{}, false
 	}
@@ -777,15 +849,15 @@ func (l *List) DequeueFlow(id uint32) (Entry, bool) {
 	l.stats.ElemCompares += uint64(sl.len())
 	idx := -1
 	for i := range sl.entries {
-		if sl.entries[i].ID == id {
+		if sl.entries[i].id == id {
 			idx = i
 			break
 		}
 	}
 	if idx == -1 {
-		panic(fmt.Sprintf("pieo: flow map points id %d at sublist %d but it is not there", id, sid))
+		panic(fmt.Sprintf("pieo: flow index points id %d at sublist %d but it is not there", id, sid))
 	}
-	out := sl.entries[idx].Entry
+	out := sl.entries[idx].entry()
 	l.extractAt(pos, sl, idx)
 	return out, true
 }
@@ -816,7 +888,7 @@ func (l *List) DequeueRange(now clock.Time, lo, hi uint32) (Entry, bool) {
 	l.stats.Cycles += 4
 	l.stats.SublistReads++
 	l.stats.ElemCompares += uint64(sl.len())
-	out := sl.entries[idx].Entry
+	out := sl.entries[idx].entry()
 	l.extractAt(pos, sl, idx)
 	return out, true
 }
@@ -837,7 +909,7 @@ func (l *List) PeekRangeSeq(now clock.Time, lo, hi uint32) (Entry, uint64, bool)
 		return Entry{}, 0, false
 	}
 	e := &l.sublists[l.order[pos].sublistID].entries[idx]
-	return e.Entry, e.seq, true
+	return e.entry(), e.seq, true
 }
 
 // findInRange is the ranged select shared by DequeueRange, PeekRangeSeq
@@ -880,7 +952,7 @@ func (l *List) findInRange(now clock.Time, lo, hi uint32, tighten bool) (pos, id
 		entries := l.sublists[sid].entries
 		for i := range entries {
 			e := &entries[i]
-			if e.SendTime <= now && e.ID >= lo && e.ID <= hi {
+			if e.sendTime <= now && e.id >= lo && e.id <= hi {
 				return pos, i, missReads, missCompares
 			}
 		}
@@ -889,7 +961,7 @@ func (l *List) findInRange(now clock.Time, lo, hi uint32, tighten bool) (pos, id
 		if tighten {
 			b := noIDs
 			for i := range entries {
-				b.admit(entries[i].ID)
+				b.admit(entries[i].id)
 			}
 			ids[sid] = b
 		}
@@ -987,8 +1059,8 @@ func (l *List) MaxRankEntrySeq() (Entry, uint64, bool) {
 		return Entry{}, 0, false
 	}
 	sl := &l.sublists[l.order[l.active-1].sublistID]
-	elem := sl.entries[sl.len()-1]
-	return elem.Entry, elem.seq, true
+	elem := &sl.entries[sl.len()-1]
+	return elem.entry(), elem.seq, true
 }
 
 // extractAt removes entry idx from the sublist at order position pos and
@@ -997,12 +1069,12 @@ func (l *List) MaxRankEntrySeq() (Entry, uint64, bool) {
 // sublists move to the empty partition.
 func (l *List) extractAt(pos int, sl *sublist, idx int) {
 	wasFull := sl.full(l.sublistSize)
-	id := sl.entries[idx].ID
+	id := sl.entries[idx].id
 	if l.wheel != nil {
 		l.wheel.Remove(sl.entries[idx].wh)
 	}
 	l.removeAt(sl, idx)
-	delete(l.where, id)
+	l.flows.remove(id)
 	l.size--
 	l.stats.SublistWrites++
 
@@ -1019,7 +1091,7 @@ func (l *List) extractAt(pos int, sl *sublist, idx int) {
 				moved := left.entries[left.len()-1]
 				l.removeAt(left, left.len()-1)
 				l.insertElem(pos, moved)
-				l.where[moved.ID] = l.order[pos].sublistID
+				l.flows.move(moved.id, l.order[pos].sublistID)
 				l.stats.SublistWrites++
 				if left.len() == 0 {
 					l.retire(pos - 1)
@@ -1039,7 +1111,7 @@ func (l *List) extractAt(pos int, sl *sublist, idx int) {
 				moved := right.entries[0]
 				l.removeAt(right, 0)
 				l.insertElem(pos, moved)
-				l.where[moved.ID] = l.order[pos].sublistID
+				l.flows.move(moved.id, l.order[pos].sublistID)
 				l.stats.SublistWrites++
 				if right.len() == 0 {
 					l.retire(pos + 1)
@@ -1060,15 +1132,15 @@ func (l *List) extractAt(pos int, sl *sublist, idx int) {
 }
 
 // insertElem places elem at its (rank, seq) position in the rank-ordered
-// entries of the sublist at order position pos and its send_time in the
-// eligibility multiset, locating both positions by binary search (the
-// hardware's parallel compare; callers charge the comparator stats). It
-// widens the sublist's resident-ID bounds; the pointer-array metadata is
-// the caller's refreshMeta.
+// entries of the sublist at order position pos, locating it by binary
+// search (the hardware's parallel compare; callers charge the comparator
+// stats), and its send_time in the eligibility multiset. It widens the
+// sublist's resident-ID bounds; the pointer-array metadata is the
+// caller's refreshMeta.
 func (l *List) insertElem(pos int, elem element) {
 	sid := l.order[pos].sublistID
 	sl := &l.sublists[sid]
-	l.ids[sid].admit(elem.ID)
+	l.ids[sid].admit(elem.id)
 	if sl.buf == nil {
 		// Past the arena's occupancy-hint high-water mark: one-time
 		// storage allocation on first use.
@@ -1078,49 +1150,22 @@ func (l *List) insertElem(pos int, elem element) {
 	lo, hi := 0, len(entries)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if elem.less(entries[mid]) {
+		if elem.less(&entries[mid]) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
 	sl.insertEntryAt(lo, elem)
-
-	// Upper bound keeps equal send_times in insertion order.
-	elig := sl.elig
-	lo, hi = 0, len(elig)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if elem.SendTime < elig[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	sl.insertEligAt(lo, elem.SendTime)
+	sl.insertElig(elem.sendTime)
 }
 
 // removeAt deletes entry idx from the rank order and its send_time from
-// the eligibility multiset (lower-bound binary search: any slot holding
-// the value serves, the multiset is by value).
+// the eligibility multiset.
 func (l *List) removeAt(sl *sublist, idx int) {
-	st := sl.entries[idx].SendTime
+	st := sl.entries[idx].sendTime
 	sl.removeEntryAt(idx)
-
-	elig := sl.elig
-	lo, hi := 0, len(elig)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if elig[mid] < st {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(elig) || elig[lo] != st {
-		panic(fmt.Sprintf("pieo: eligibility sublist lost send_time %v", st))
-	}
-	sl.removeEligAt(lo)
+	sl.removeElig(st)
 }
 
 // refreshMeta recomputes the cached pointer-array attributes of the
@@ -1142,7 +1187,7 @@ func (l *List) refreshMeta(pos int) {
 		t = clock.Never
 	} else {
 		t = sl.elig[0]
-		l.order[pos].smallestRank = sl.entries[0].Rank
+		l.order[pos].smallestRank = sl.entries[0].rank
 		l.order[pos].smallestSeq = sl.entries[0].seq
 		l.order[pos].smallestSendTime = t
 		l.order[pos].num = sl.len()
@@ -1238,7 +1283,7 @@ func (l *List) Snapshot() []Entry {
 	for i := 0; i < l.active; i++ {
 		sl := &l.sublists[l.order[i].sublistID]
 		for j := range sl.entries {
-			out[k] = sl.entries[j].Entry
+			out[k] = sl.entries[j].entry()
 			k++
 		}
 	}
@@ -1255,7 +1300,7 @@ func (l *List) SnapshotWithSeq() ([]Entry, []uint64) {
 	for i := 0; i < l.active; i++ {
 		sl := &l.sublists[l.order[i].sublistID]
 		for j := range sl.entries {
-			out[k] = sl.entries[j].Entry
+			out[k] = sl.entries[j].entry()
 			seqs[k] = sl.entries[j].seq
 			k++
 		}
@@ -1267,8 +1312,9 @@ func (l *List) SnapshotWithSeq() ([]Entry, []uint64) {
 // partitioning of the pointer array, Invariant 1, global rank order,
 // metadata coherence (the resident-ID bounds conservative for every
 // active sublist and cleared for every empty one), eligibility-sublist
-// coherence, flow-map consistency, plus the software-only structures
-// layered on top (packed summary words, two-ended window bounds). Tests
+// coherence, flow-index consistency, plus the software-only structures
+// layered on top (packed summary words, two-ended window bounds, the
+// flow index's own probe structure). Tests
 // call it after every mutation; it returns the first violation found.
 func (l *List) CheckInvariants() error {
 	if l.active < 0 || l.active > len(l.order) {
@@ -1323,8 +1369,8 @@ func (l *List) CheckInvariants() error {
 		if p.num != sl.len() {
 			return fmt.Errorf("position %d num=%d, want %d", i, p.num, sl.len())
 		}
-		if p.smallestRank != sl.entries[0].Rank {
-			return fmt.Errorf("position %d smallestRank=%d, want %d", i, p.smallestRank, sl.entries[0].Rank)
+		if p.smallestRank != sl.entries[0].rank {
+			return fmt.Errorf("position %d smallestRank=%d, want %d", i, p.smallestRank, sl.entries[0].rank)
 		}
 		if p.smallestSeq != sl.entries[0].seq {
 			return fmt.Errorf("position %d smallestSeq=%d, want %d", i, p.smallestSeq, sl.entries[0].seq)
@@ -1337,8 +1383,8 @@ func (l *List) CheckInvariants() error {
 		}
 		// Eligibility multiset matches entry send_times.
 		times := make(map[clock.Time]int)
-		for _, e := range sl.entries {
-			times[e.SendTime]++
+		for j := range sl.entries {
+			times[sl.entries[j].sendTime]++
 		}
 		for j, t := range sl.elig {
 			if j > 0 && sl.elig[j-1] > t {
@@ -1353,15 +1399,15 @@ func (l *List) CheckInvariants() error {
 		// rank order within the sublist.
 		for j := range sl.entries {
 			e := &sl.entries[j]
-			if prev != nil && e.less(*prev) {
-				return fmt.Errorf("global order violated: %v before %v", prev.Entry, e.Entry)
+			if prev != nil && e.less(prev) {
+				return fmt.Errorf("global order violated: %v before %v", prev.entry(), e.entry())
 			}
 			prev = e
-			if sid, ok := l.where[e.ID]; !ok || sid != p.sublistID {
-				return fmt.Errorf("flow map for id %d = (%d,%v), want sublist %d", e.ID, sid, ok, p.sublistID)
+			if sid, ok := l.flows.lookup(e.id); !ok || sid != p.sublistID {
+				return fmt.Errorf("flow index for id %d = (%d,%v), want sublist %d", e.id, sid, ok, p.sublistID)
 			}
-			if b := l.ids[p.sublistID]; e.ID < b.lo || e.ID > b.hi {
-				return fmt.Errorf("position %d id bounds [%d,%d] miss resident id %d", i, b.lo, b.hi, e.ID)
+			if b := l.ids[p.sublistID]; e.id < b.lo || e.id > b.hi {
+				return fmt.Errorf("position %d id bounds [%d,%d] miss resident id %d", i, b.lo, b.hi, e.id)
 			}
 			total++
 		}
@@ -1369,8 +1415,13 @@ func (l *List) CheckInvariants() error {
 	if total != l.size {
 		return fmt.Errorf("size=%d but %d elements stored", l.size, total)
 	}
-	if len(l.where) != l.size {
-		return fmt.Errorf("flow map has %d entries, size=%d", len(l.where), l.size)
+	// Every resident resolved above, so an index of exactly size keys
+	// holds nothing else; check covers the probe structure itself.
+	if l.flows.n != l.size {
+		return fmt.Errorf("flow index has %d entries, size=%d", l.flows.n, l.size)
+	}
+	if err := l.flows.check(); err != nil {
+		return err
 	}
 	// Packed summary words must be the exact block minima.
 	for b := 0; b<<eligBlockShift < l.active; b++ {
@@ -1400,8 +1451,8 @@ func (l *List) CheckInvariants() error {
 			sl := &l.sublists[l.order[i].sublistID]
 			for j := range sl.entries {
 				e := &sl.entries[j]
-				if got := l.wheel.TimeOf(e.wh); got != e.SendTime {
-					return fmt.Errorf("wheel handle %d for id %d holds t=%v, element send_time %v", e.wh, e.ID, got, e.SendTime)
+				if got := l.wheel.TimeOf(e.wh); got != e.sendTime {
+					return fmt.Errorf("wheel handle %d for id %d holds t=%v, element send_time %v", e.wh, e.id, got, e.sendTime)
 				}
 			}
 		}

@@ -1,0 +1,211 @@
+package core
+
+import (
+	"testing"
+	"unsafe"
+
+	"pieo/internal/clock"
+)
+
+// The software datapath's unit costs, pinned so that a reordered or
+// added field cannot silently put back the bytes the layout saves: an
+// element is half a cache line (every interior shift moves elements, and
+// none straddles two lines in the 64-byte-aligned arena), a flow-index
+// slot an eighth of one.
+func TestElementLayout(t *testing.T) {
+	if got := unsafe.Sizeof(element{}); got != 32 {
+		t.Fatalf("element must be 32 bytes (two per cache line): got %d", got)
+	}
+	if got := unsafe.Sizeof(flowSlot{}); got != 8 {
+		t.Fatalf("flowSlot must be 8 bytes (eight per cache line): got %d", got)
+	}
+}
+
+// slots records where every resident of the given sublists sits in its
+// two-ended store: elements by id in the rank-ordered store, send_times
+// by value in the eligibility store (the drift tests use distinct
+// send_times). A slot is named by sublist and absolute store index, so
+// it changes exactly when the element is copied somewhere else.
+type slots struct {
+	entry map[uint32][2]int
+	elig  map[clock.Time][2]int
+}
+
+func slotsOf(sls []sublist) slots {
+	s := slots{entry: map[uint32][2]int{}, elig: map[clock.Time][2]int{}}
+	for sid := range sls {
+		sl := &sls[sid]
+		for j := range sl.entries {
+			s.entry[sl.entries[j].id] = [2]int{sid, sl.estart + j}
+		}
+		for j, t := range sl.elig {
+			s.elig[t] = [2]int{sid, sl.tstart + j}
+		}
+	}
+	return s
+}
+
+// movedSince counts the residents of both snapshots that are no longer
+// where before saw them — the elements an operation copied, not counting
+// the one it inserted or removed.
+func (after slots) movedSince(before slots) int {
+	moved := 0
+	for id, at := range after.entry {
+		if was, ok := before.entry[id]; ok && was != at {
+			moved++
+		}
+	}
+	for t, at := range after.elig {
+		if was, ok := before.elig[t]; ok && was != at {
+			moved++
+		}
+	}
+	return moved
+}
+
+// driftBound is the constant c of the window-drift contract: elements
+// moved per insert or removal, amortised, when every operation works a
+// window's ends. The recentring rule gives at most S+1 moves per (S+1)/2
+// operations on a window, and an operation touches two windows (rank
+// order and eligibility order); without recentring the cost is the
+// window length, ~S, on every insert once a window has reached the edge
+// of its store.
+const driftBound = 4
+
+// TestSublistWindowDrift drives one sublist through the two patterns
+// that walk a window across its store — remove the head, insert at the
+// tail (a sublist drained from the front and refilled at the back, the
+// hold model's pattern), and the mirror — for many times the store's
+// length, at a half-full and a full window.
+func TestSublistWindowDrift(t *testing.T) {
+	const s = 32
+	const cycles = 20 * s
+	for _, resident := range []int{s / 2, s} {
+		for _, dir := range []string{"head-remove/tail-insert", "tail-remove/head-insert"} {
+			var sl sublist
+			sl.alloc(s)
+			// Keys start in the middle of their range so either pattern
+			// can extend them; send_time tracks rank, so both windows see
+			// the same pattern.
+			lo, hi := uint64(1<<20), uint64(1<<20)
+			add := func(key uint64, idx int) {
+				sl.insertEntryAt(idx, element{rank: key, sendTime: clock.Time(key), seq: key, id: uint32(key)})
+				sl.insertElig(clock.Time(key))
+			}
+			for i := 0; i < resident; i++ {
+				add(hi, sl.len())
+				hi++
+			}
+			moved := 0
+			for i := 0; i < cycles; i++ {
+				before := slotsOf([]sublist{sl})
+				if dir == "head-remove/tail-insert" {
+					st := sl.entries[0].sendTime
+					sl.removeEntryAt(0)
+					sl.removeElig(st)
+					add(hi, sl.len())
+					hi++
+				} else {
+					st := sl.entries[sl.len()-1].sendTime
+					sl.removeEntryAt(sl.len() - 1)
+					sl.removeElig(st)
+					lo--
+					add(lo, 0)
+				}
+				moved += slotsOf([]sublist{sl}).movedSince(before)
+				if sl.len() != resident || len(sl.elig) != resident {
+					t.Fatalf("%s: window lengths %d/%d, want %d", dir, sl.len(), len(sl.elig), resident)
+				}
+			}
+			for j := 1; j < sl.len(); j++ {
+				if !sl.entries[j-1].less(&sl.entries[j]) || sl.elig[j-1] >= sl.elig[j] {
+					t.Fatalf("%s: windows out of order at %d", dir, j)
+				}
+			}
+			if ops := 2 * cycles; moved > driftBound*ops {
+				t.Errorf("%s at %d/%d resident: %d elements moved over %d ops (%.1f per op), want <= %d per op",
+					dir, resident, s, moved, ops, float64(moved)/float64(ops), driftBound)
+			}
+		}
+	}
+}
+
+// TestListWindowDrift is the same contract through the public datapath.
+// With between S and 2S residents the list is two sublists, one full and
+// one partial, and a FIFO hold pattern keeps it that way: every dequeue
+// takes the head of the full sublist, Invariant 1 refills it from the
+// partial neighbour, and the enqueue lands at the far end — both
+// sublists' windows take one step across their stores per cycle.
+func TestListWindowDrift(t *testing.T) {
+	const s = 32
+	const cycles = 20 * s
+	now := clock.Never - 1
+
+	t.Run("head-remove/tail-insert", func(t *testing.T) {
+		l := NewWithOccupancyHint(32*s, s, 4*s)
+		next := uint64(1)
+		enq := func() {
+			if err := l.Enqueue(Entry{ID: uint32(next), Rank: next, SendTime: clock.Time(next)}); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		for i := 0; i < s+s/2; i++ {
+			enq()
+		}
+		moved := 0
+		for i := 0; i < cycles; i++ {
+			before := slotsOf(l.sublists)
+			if _, ok := l.Dequeue(now); !ok {
+				t.Fatal("dequeue missed")
+			}
+			enq()
+			moved += slotsOf(l.sublists).movedSince(before)
+		}
+		checkDrift(t, l, moved, 2*cycles)
+	})
+
+	t.Run("tail-remove/head-insert", func(t *testing.T) {
+		l := NewWithOccupancyHint(32*s, s, 4*s)
+		// Two full sublists, then drain the first to half: [S/2][S], the
+		// mirror image of the layout above.
+		const base = 1 << 20
+		for i := 0; i < 2*s; i++ {
+			if err := l.Enqueue(Entry{ID: uint32(base + i), Rank: uint64(base + i), SendTime: clock.Time(base + i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < s/2; i++ {
+			l.Dequeue(now)
+		}
+		next := uint64(base - 1)
+		moved := 0
+		for i := 0; i < cycles; i++ {
+			before := slotsOf(l.sublists)
+			if err := l.Enqueue(Entry{ID: uint32(next), Rank: next, SendTime: clock.Time(next)}); err != nil {
+				t.Fatal(err)
+			}
+			next--
+			max, _ := l.MaxRankEntry()
+			if _, ok := l.DequeueFlow(max.ID); !ok {
+				t.Fatal("dequeue(f) of the largest rank missed")
+			}
+			moved += slotsOf(l.sublists).movedSince(before)
+		}
+		checkDrift(t, l, moved, 2*cycles)
+	})
+}
+
+func checkDrift(t *testing.T, l *List, moved, ops int) {
+	t.Helper()
+	if err := l.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if l.active != 2 {
+		t.Fatalf("pattern left %d active sublists, want the full/partial pair", l.active)
+	}
+	if moved > driftBound*ops {
+		t.Errorf("%d elements moved over %d ops (%.1f per op), want <= %d per op",
+			moved, ops, float64(moved)/float64(ops), driftBound)
+	}
+}
