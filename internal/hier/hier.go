@@ -33,6 +33,8 @@ type Child struct {
 	Flow flowq.FlowID
 	Node *Node // non-nil for interior children
 
+	parent *Node // the node whose logical PIEO schedules this child
+
 	Queue *flowq.Queue // non-nil for leaf children
 
 	// Scheduling attributes assigned by the parent policy's PreEnqueue.
@@ -58,7 +60,7 @@ type Child struct {
 	requeued bool
 
 	// resident is true while the child sits in its parent's logical PIEO:
-	// set by insertEntry, cleared when descend extracts it. It answers
+	// set by insertChild, cleared when descend extracts it. It answers
 	// "is this child backlogged here" without a probe of the physical
 	// structure — WF²Q+ asks once per child per transmitted packet.
 	resident bool
@@ -88,7 +90,7 @@ type Node struct {
 	parent     *Node
 	self       *Child // this node's entity in the parent's logical PIEO (nil at root)
 	children   []*Child
-	lo, hi     uint32     // child-index range (per-level mode) or band (partitioned)
+	lo, hi     uint32     // child-index range (per-level mode) or band (partitioned); children[i].ID == lo+i
 	part       *Partition // this node's logical PIEO band (partitioned mode only)
 	active     int        // children currently enqueued in this node's logical PIEO
 	cachedSumW uint64     // lazily cached total child weight
@@ -120,10 +122,11 @@ func (n *Node) AddNode(name string, policy *Policy) *Node {
 	if policy == nil {
 		panic("hier: node policy must not be nil")
 	}
-	child := &Child{Weight: 1, Quantum: 1500}
+	child := &Child{parent: n, Weight: 1, Quantum: 1500}
 	node := &Node{Name: name, Policy: policy, h: n.h, depth: n.depth + 1, parent: n, self: child}
 	child.Node = node
 	n.children = append(n.children, child)
+	n.h.interior++
 	return node
 }
 
@@ -134,10 +137,9 @@ func (n *Node) AddFlow(id flowq.FlowID) *Child {
 	if _, dup := n.h.leaves[id]; dup {
 		panic(fmt.Sprintf("hier: flow %d added twice", id))
 	}
-	child := &Child{Flow: id, Queue: &flowq.Queue{}, Weight: 1, Quantum: 1500}
+	child := &Child{Flow: id, parent: n, Queue: &flowq.Queue{}, Weight: 1, Quantum: 1500}
 	n.children = append(n.children, child)
 	n.h.leaves[id] = child
-	n.h.parentOf[id] = n
 	return child
 }
 
@@ -158,10 +160,15 @@ type Hierarchy struct {
 	wall     []bool            // depth-d predicates live in the wall-clock domain
 	factory  func(capacity int) backend.Backend
 	leaves   map[flowq.FlowID]*Child
-	parentOf map[flowq.FlowID]*Node
-	byID     []map[uint32]*Child // per depth: child id -> Child
-	nodesAt  [][]*Node           // interior nodes per depth, BFS order
+	interior int       // interior nodes below the root
+	nodesAt  [][]*Node // nodes per depth, BFS order
 	built    bool
+
+	// Scratch reused by every NextPacket so a descent allocates nothing:
+	// the root-to-leaf path (deepest hop first) and the stack of children
+	// each descend call set aside.
+	path     []pathStep
+	deferred []*Child
 
 	// Partitioned mode (§4.2): every node's logical PIEO is an ID band
 	// of ONE shared physical backend instead of a slice of a per-level
@@ -200,7 +207,6 @@ func NewOn(linkRateGbps float64, rootPolicy *Policy, factory func(capacity int) 
 		Strict:       true,
 		factory:      factory,
 		leaves:       make(map[flowq.FlowID]*Child),
-		parentOf:     make(map[flowq.FlowID]*Node),
 	}
 	h.root = &Node{Name: "root", Policy: rootPolicy, h: h}
 	return h
@@ -244,126 +250,65 @@ func (h *Hierarchy) mustNotBeBuilt() {
 	}
 }
 
-// Build freezes the topology: it assigns contiguous child-index ranges
-// per parent at every depth (the paper's logical partitioning) and
-// allocates the physical structure — one PIEO per level, or (partitioned
-// mode) one shared PIEO whose ID space is carved into per-node bands. It
-// must be called exactly once before traffic.
+// Build freezes the topology in one breadth-first pass: siblings get
+// contiguous IDs, so each parent owns the range [lo, hi] (the paper's
+// logical partitioning) and finds a child by position. The layouts differ
+// only in where a depth's IDs start and what holds them — per-level mode
+// restarts at 0 on a fresh PIEO per depth, partitioned mode draws every
+// node's band from one ID space over one shared PIEO, so a ranged dequeue
+// on a node's band can never observe another node's children. It must be
+// called exactly once before traffic.
 func (h *Hierarchy) Build() {
 	h.mustNotBeBuilt()
 	h.built = true
 	if h.partitioned {
-		h.buildPartitioned()
-		return
+		// Every child is a leaf or an interior node.
+		h.pt = NewPartitioner(h.factory(len(h.leaves) + h.interior))
 	}
-
-	// Breadth-first: assign ids depth by depth so siblings are
-	// contiguous and each parent gets [lo, hi].
-	level := []*Node{h.root}
-	for len(level) > 0 {
-		var next []*Node
-		nextID := uint32(0)
-		index := make(map[uint32]*Child)
+	for level := []*Node{h.root}; len(level) > 0; {
 		wall := true
+		for _, n := range level {
+			if n.Policy.DequeueTime != nil {
+				wall = false
+			}
+		}
+		var next []*Node
+		width := 0 // children at this depth
 		for _, n := range level {
 			if len(n.children) == 0 {
 				panic(fmt.Sprintf("hier: node %q has no children", n.Name))
 			}
-			n.lo = nextID
-			for _, c := range n.children {
-				c.ID = nextID
-				index[c.ID] = c
-				nextID++
+			lo := uint32(width)
+			if h.partitioned {
+				part, err := h.pt.Alloc(len(n.children), wall)
+				if err != nil {
+					panic(fmt.Sprintf("hier: allocate band for node %q: %v", n.Name, err))
+				}
+				n.part, lo = part, part.Lo()
+			}
+			n.lo, n.hi = lo, lo+uint32(len(n.children)-1)
+			for i, c := range n.children {
+				c.ID = lo + uint32(i)
+				if h.partitioned {
+					// The same ID: a band hands its IDs out in order, and
+					// tracks residency only for those it handed out.
+					if _, ok := n.part.NextID(); !ok {
+						panic(fmt.Sprintf("hier: band of node %q exhausted", n.Name))
+					}
+				}
 				if c.Node != nil {
 					next = append(next, c.Node)
 				}
 			}
-			n.hi = nextID - 1
-			if n.Policy.DequeueTime != nil {
-				wall = false
-			}
+			width += len(n.children)
 		}
-		h.levels = append(h.levels, h.factory(int(nextID)))
+		if !h.partitioned {
+			h.levels = append(h.levels, h.factory(width))
+		}
 		h.wall = append(h.wall, wall)
-		h.byID = append(h.byID, index)
 		h.nodesAt = append(h.nodesAt, level)
 		level = next
 	}
-}
-
-// buildPartitioned freezes a partitioned-mode topology: one shared
-// physical PIEO sized to the total child count, one Partition (ID band)
-// per node. IDs are globally unique across all depths, so a ranged
-// dequeue on a node's band can never observe another node's children.
-func (h *Hierarchy) buildPartitioned() {
-	total := 0
-	stack := []*Node{h.root}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if len(n.children) == 0 {
-			panic(fmt.Sprintf("hier: node %q has no children", n.Name))
-		}
-		total += len(n.children)
-		for _, c := range n.children {
-			if c.Node != nil {
-				stack = append(stack, c.Node)
-			}
-		}
-	}
-	h.pt = NewPartitioner(h.factory(total))
-
-	level := []*Node{h.root}
-	for len(level) > 0 {
-		var next []*Node
-		index := make(map[uint32]*Child)
-		wall := true
-		for _, n := range level {
-			if n.Policy.DequeueTime != nil {
-				wall = false
-			}
-		}
-		for _, n := range level {
-			part, err := h.pt.Alloc(len(n.children), wall)
-			if err != nil {
-				panic(fmt.Sprintf("hier: allocate band for node %q: %v", n.Name, err))
-			}
-			n.part = part
-			n.lo, n.hi = part.Lo(), part.Hi()
-			for _, c := range n.children {
-				id, ok := part.NextID()
-				if !ok {
-					panic(fmt.Sprintf("hier: band of node %q exhausted", n.Name))
-				}
-				c.ID = id
-				index[id] = c
-				if c.Node != nil {
-					next = append(next, c.Node)
-				}
-			}
-		}
-		h.wall = append(h.wall, wall)
-		h.byID = append(h.byID, index)
-		h.nodesAt = append(h.nodesAt, level)
-		level = next
-	}
-}
-
-// insertEntry inserts child c into node n's logical PIEO and charges the
-// node's operation counters. Callers own n.active and fault accounting.
-func (h *Hierarchy) insertEntry(n *Node, c *Child) error {
-	e := core.Entry{ID: c.ID, Rank: c.Rank, SendTime: c.SendTime}
-	var err error
-	if h.partitioned {
-		err = h.pt.Enqueue(n.part, e)
-	} else {
-		err = h.levels[n.depth].Enqueue(e)
-	}
-	if err == nil {
-		n.stats.Enqueues++
-		c.resident = true
-	}
-	return err
 }
 
 // extractEntry extracts the smallest-ranked eligible child of n's
@@ -457,43 +402,70 @@ func (h *Hierarchy) OnArrival(now clock.Time, p flowq.Packet) {
 	if c == nil {
 		panic(fmt.Sprintf("hier: packet for unknown flow %d", p.Flow))
 	}
-	wasEmpty := c.Queue.Empty()
 	c.Queue.Push(p)
-	if wasEmpty {
-		h.enqueueChild(now, h.parentOf[p.Flow], c)
+	// Not just "the queue was empty": a leaf or ancestor whose last insert
+	// failed (non-strict mode) is backlogged but not resident, and this is
+	// where it gets its retry.
+	h.enqueueChild(now, c.parent, c)
+}
+
+// enqueueChild makes c resident in n's logical PIEO if it has something
+// to send, then n itself in its parent's, up to the root: "logical queue
+// went non-empty" propagating up the tree (§4.3 enqueue path). Children
+// already resident are passed over, so the walk is idempotent and retries
+// exactly the inserts that failed earlier.
+func (h *Hierarchy) enqueueChild(now clock.Time, n *Node, c *Child) {
+	for ; n != nil; n, c = n.parent, n.self {
+		if c.resident {
+			continue
+		}
+		if c.IsLeaf() {
+			if c.Queue.Empty() {
+				return
+			}
+		} else if c.Node.active == 0 {
+			return
+		}
+		n.Policy.preEnqueue(n, now, c)
+		if !h.insertChild(n, c) {
+			return
+		}
 	}
 }
 
-// enqueueChild inserts c into n's logical PIEO (unless it is already
-// there or has nothing to send) and propagates "logical queue went
-// non-empty" up the tree (§4.3 enqueue path).
-func (h *Hierarchy) enqueueChild(now clock.Time, n *Node, c *Child) {
-	if c.resident {
-		return
+// insertChild inserts c, ranked by the caller, into n's logical PIEO and
+// charges the node's counters. On a failure (non-strict mode) c stays out
+// and its subtree loses its turn until the next arrival below n or the
+// next packet through n retries.
+func (h *Hierarchy) insertChild(n *Node, c *Child) bool {
+	e := core.Entry{ID: c.ID, Rank: c.Rank, SendTime: c.SendTime}
+	var err error
+	if h.partitioned {
+		err = h.pt.Enqueue(n.part, e)
+	} else {
+		err = h.levels[n.depth].Enqueue(e)
 	}
-	if c.IsLeaf() {
-		if c.Queue.Empty() {
-			return
-		}
-	} else if c.Node.active == 0 {
-		return
+	if err != nil {
+		h.fault(n, backend.FaultStats{EnqueueFailures: 1},
+			fmt.Errorf("hier: enqueue child %d at depth %d: %w", c.ID, n.depth, err))
+		return false
 	}
-	n.Policy.preEnqueue(n, now, c)
-	if err := h.insertEntry(n, c); err != nil {
-		if h.Strict {
-			panic(fmt.Sprintf("hier: enqueue child %d at depth %d: %v", c.ID, n.depth, err))
-		}
-		// Degraded: the child stays out of its parent's logical PIEO and
-		// loses its turn until the next activation re-attempts the insert.
-		h.faults.EnqueueFailures++
-		n.faults.EnqueueFailures++
-		h.lastErr = fmt.Errorf("hier: enqueue child %d at depth %d: %w", c.ID, n.depth, err)
-		return
-	}
+	n.stats.Enqueues++
 	n.active++
-	if n.parent != nil {
-		h.enqueueChild(now, n.parent, n.self)
+	c.resident = true
+	return true
+}
+
+// fault is the one exit for an operation on n's logical PIEO that went
+// wrong: a Strict hierarchy panics, any other charges what to both the
+// node and the hierarchy and remembers err.
+func (h *Hierarchy) fault(n *Node, what backend.FaultStats, err error) {
+	if h.Strict {
+		panic(err.Error())
 	}
+	h.faults.Add(what)
+	n.faults.Add(what)
+	h.lastErr = err
 }
 
 // pathStep records one hop of a successful root-to-leaf descent.
@@ -512,10 +484,11 @@ func (h *Hierarchy) NextPacket(now clock.Time) (flowq.Packet, bool) {
 	}
 	// descend appends steps deepest-first: path[0] is the leaf hop,
 	// path[len-1] the root hop.
-	var path []pathStep
-	if !h.descend(h.root, now, &path) {
+	h.path = h.path[:0]
+	if !h.descend(h.root, now) {
 		return flowq.Packet{}, false
 	}
+	path := h.path
 	leaf := path[0].c
 	p, ok := leaf.Queue.Pop()
 	if !ok {
@@ -546,36 +519,32 @@ func (h *Hierarchy) NextPacket(now clock.Time) (flowq.Packet, bool) {
 }
 
 // descend extracts the smallest-ranked eligible child of n; for interior
-// winners it recurses into their logical PIEOs. A winner whose subtree
-// yields nothing eligible (a shaped child whose descendants are all
-// deferred) is set aside and retried last, so one blocked branch cannot
+// winners it recurses into their logical PIEOs and appends the hops of a
+// successful descent to h.path. A winner whose subtree yields nothing
+// eligible (a shaped child whose descendants are all deferred) is set
+// aside on h.deferred and put back last, so one blocked branch cannot
 // mask its siblings.
-func (h *Hierarchy) descend(n *Node, now clock.Time, path *[]pathStep) bool {
+func (h *Hierarchy) descend(n *Node, now clock.Time) bool {
+	mine := len(h.deferred) // nested calls leave the stack as they found it
+	found := h.pick(n, now)
+	// Put deferred children back; their policies' PreEnqueue hooks are
+	// idempotent by contract. These are continuations, not activations.
+	for _, c := range h.deferred[mine:] {
+		c.requeued = true
+		n.Policy.preEnqueue(n, now, c)
+		c.requeued = false
+		h.insertChild(n, c)
+	}
+	h.deferred = h.deferred[:mine]
+	return found
+}
+
+// pick is descend's extraction loop.
+func (h *Hierarchy) pick(n *Node, now clock.Time) bool {
 	t := now
 	if n.Policy.DequeueTime != nil {
 		t = n.Policy.DequeueTime(n, now)
 	}
-	var skipped []*Child
-	defer func() {
-		// Put deferred children back; their policies' PreEnqueue hooks
-		// are idempotent by contract. These are continuations, not
-		// activations.
-		for _, c := range skipped {
-			c.requeued = true
-			n.Policy.preEnqueue(n, now, c)
-			c.requeued = false
-			if err := h.insertEntry(n, c); err != nil {
-				if h.Strict {
-					panic(fmt.Sprintf("hier: re-enqueue deferred child %d: %v", c.ID, err))
-				}
-				h.faults.EnqueueFailures++
-				n.faults.EnqueueFailures++
-				h.lastErr = fmt.Errorf("hier: re-enqueue deferred child %d: %w", c.ID, err)
-				continue
-			}
-			n.active++
-		}
-	}()
 	retriedIdle := false
 	for {
 		e, ok := h.extractEntry(n, t)
@@ -589,29 +558,24 @@ func (h *Hierarchy) descend(n *Node, now clock.Time, path *[]pathStep) bool {
 			}
 			return false
 		}
-		n.active--
-		c := h.byID[n.depth][e.ID]
-		if c == nil {
-			if h.Strict {
-				panic(fmt.Sprintf("hier: depth %d returned unknown child %d", n.depth, e.ID))
-			}
+		// Children sit at their ID's offset in the node's range; an ID
+		// below lo wraps past any length.
+		i := e.ID - n.lo
+		if uint64(i) >= uint64(len(n.children)) {
 			// A core.ErrUnknownFlow condition: discard the phantom element
 			// and keep descending.
-			h.faults.UnknownFlows++
-			n.faults.UnknownFlows++
-			h.lastErr = fmt.Errorf("%w: depth %d returned id %d", core.ErrUnknownFlow, n.depth, e.ID)
+			h.fault(n, backend.FaultStats{UnknownFlows: 1},
+				fmt.Errorf("%w: depth %d returned id %d", core.ErrUnknownFlow, n.depth, e.ID))
 			continue
 		}
+		c := n.children[i]
 		c.resident = false
-		if c.IsLeaf() {
-			*path = append(*path, pathStep{n, c})
+		n.active--
+		if c.IsLeaf() || h.descend(c.Node, now) {
+			h.path = append(h.path, pathStep{n, c})
 			return true
 		}
-		if h.descend(c.Node, now, path) {
-			*path = append(*path, pathStep{n, c})
-			return true
-		}
-		skipped = append(skipped, c)
+		h.deferred = append(h.deferred, c)
 	}
 }
 

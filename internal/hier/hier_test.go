@@ -1,11 +1,14 @@
 package hier
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"pieo/internal/backend"
 	"pieo/internal/clock"
+	"pieo/internal/core"
+	"pieo/internal/faultinject"
 	"pieo/internal/flowq"
 	"pieo/internal/netsim"
 	"pieo/internal/stats"
@@ -432,5 +435,215 @@ func TestLevelListInvariants(t *testing.T) {
 				t.Fatalf("level %d after packet %d: %v", d, i, err)
 			}
 		}
+	}
+}
+
+// bothLayouts names the two constructors, for tests whose claim is
+// layout-independent.
+var bothLayouts = []struct {
+	name string
+	mk   func(root *Policy, factory func(int) backend.Backend) *Hierarchy
+}{
+	{"per-level", func(p *Policy, f func(int) backend.Backend) *Hierarchy { return NewOn(linkGbps, p, f) }},
+	{"partitioned", func(p *Policy, f func(int) backend.Backend) *Hierarchy { return NewPartitionedOn(linkGbps, p, f) }},
+}
+
+// TestNonStrictInsertFailureIsRetried is the liveness regression: one
+// transient insert failure — of the activating leaf, or of its VM into
+// the root — used to strand the subtree forever, because only an arrival
+// on an EMPTY flow queue attempted an insert. Every later arrival must
+// retry, and all six packets get out.
+func TestNonStrictInsertFailureIsRetried(t *testing.T) {
+	for _, layout := range bothLayouts {
+		for i, what := range []string{"leaf", "vm"} {
+			// The activation is two inserts, leaf first; the injector
+			// fails every Nth mutation.
+			inj := faultinject.NewInjector(faultinject.Plan{ErrorEvery: uint64(i + 1)})
+			h := layout.mk(RoundRobin(), func(n int) backend.Backend {
+				return faultinject.Wrap(backend.NewCoreList(n), inj)
+			})
+			h.Strict = false
+			h.Root().AddNode("vm", RoundRobin()).AddFlow(0)
+			h.Build()
+
+			h.OnArrival(0, flowq.Packet{Flow: 0, Size: 100, Seq: 0})
+			inj.Disarm()
+			for seq := uint64(1); seq <= 5; seq++ {
+				h.OnArrival(0, flowq.Packet{Flow: 0, Size: 100, Seq: seq})
+			}
+			delivered := 0
+			for i := 0; i < 10; i++ {
+				if p, ok := h.NextPacket(clock.Time(i)); ok {
+					if p.Seq != uint64(delivered) {
+						t.Fatalf("%s, %s insert failed: packet %d delivered out of order (seq %d)", layout.name, what, delivered, p.Seq)
+					}
+					delivered++
+				}
+			}
+			if delivered != 6 || h.Backlog() != 0 || h.FaultStats().EnqueueFailures != 1 {
+				t.Fatalf("%s, %s insert failed: delivered %d of 6, backlog %d, enqueue failures %d (want 1)",
+					layout.name, what, delivered, h.Backlog(), h.FaultStats().EnqueueFailures)
+			}
+		}
+	}
+}
+
+// TestSteadyStateDescentDoesNotAllocate pins the packet path at zero
+// allocations on the benchmark's tree shape (token bucket over WF²Q+):
+// the closed loop below activates idle leaves and VMs, re-enqueues
+// backlogged ones, and defers shaped VMs, all out of reused buffers.
+func TestSteadyStateDescentDoesNotAllocate(t *testing.T) {
+	for _, layout := range bothLayouts {
+		h := layout.mk(TokenBucket(), func(n int) backend.Backend { return backend.NewCoreList(n) })
+		const nVMs, nFlows = 4, 4
+		diffTwoLevel(h, nVMs, nFlows, 8)
+		var seq uint64
+		for f := 0; f < nVMs*nFlows; f++ {
+			for k := 0; k <= f%2; k++ { // one packet: the flow goes idle every time it is served
+				seq++
+				h.OnArrival(0, flowq.Packet{Flow: flowq.FlowID(f), Size: 1500, Seq: seq})
+			}
+		}
+		now, sent, empty := clock.Time(0), 0, 0
+		step := func() {
+			now += 300
+			p, ok := h.NextPacket(now)
+			if !ok {
+				empty++
+				return
+			}
+			sent++
+			seq++
+			h.OnArrival(now, flowq.Packet{Flow: p.Flow, Size: p.Size, Seq: seq})
+		}
+		for i := 0; i < 2000; i++ {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
+			t.Errorf("%s: %v allocs per NextPacket+OnArrival, want 0", layout.name, allocs)
+		}
+		if sent == 0 || empty == 0 {
+			t.Errorf("%s: %d packets sent, %d empty rounds: the loop must see both", layout.name, sent, empty)
+		}
+	}
+}
+
+// TestNestedDeferralPutsBranchesBack blocks a whole branch two levels
+// deep: the root picks A, A picks A1 and then A2, both token-bucket nodes
+// whose only leaf has no tokens yet, so A1 and A2 are set aside by A and A
+// by the root, all on one shared stack. B must be served past them, every
+// deferred node must be back in its parent's logical PIEO afterwards, and
+// the blocked leaves go out once their buckets fill — identically in both
+// layouts.
+func TestNestedDeferralPutsBranchesBack(t *testing.T) {
+	for _, layout := range bothLayouts {
+		h := layout.mk(RoundRobin(), func(n int) backend.Backend { return backend.NewCoreList(n) })
+		a := h.Root().AddNode("A", RoundRobin())
+		a1 := a.AddNode("A1", TokenBucket())
+		a2 := a.AddNode("A2", TokenBucket())
+		a1.AddFlow(1)
+		a2.AddFlow(2)
+		h.Root().AddNode("B", RoundRobin()).AddFlow(3)
+		h.Build()
+		for _, f := range []flowq.FlowID{1, 2} {
+			h.Leaf(f).RateGbps = 8 // 1 byte/ns: a 1000-byte packet is eligible at t=1000
+			h.Leaf(f).Burst = 1000
+		}
+		for _, f := range []flowq.FlowID{1, 2, 3} {
+			h.OnArrival(0, flowq.Packet{Flow: f, Size: 1000, Seq: uint64(f)})
+		}
+
+		if p, ok := h.NextPacket(0); !ok || p.Flow != 3 {
+			t.Fatalf("%s: NextPacket(0) = %+v,%v want flow 3 past the blocked branch", layout.name, p, ok)
+		}
+		if _, ok := h.NextPacket(500); ok {
+			t.Fatalf("%s: a blocked leaf was served before its send_time", layout.name)
+		}
+		for _, n := range []*Node{a, a1, a2} {
+			if !n.Self().resident || n.active == 0 {
+				t.Fatalf("%s: node %s left out after deferral: resident=%v active=%d", layout.name, n.Name, n.Self().resident, n.active)
+			}
+		}
+		if len(h.deferred) != 0 {
+			t.Fatalf("%s: %d children left on the deferral stack", layout.name, len(h.deferred))
+		}
+		if got, want := a.Stats(), (NodeStats{Enqueues: 6, Dequeues: 4, EmptyDequeues: 2}); got != want {
+			t.Fatalf("%s: node A stats %+v, want %+v", layout.name, got, want)
+		}
+		for _, want := range []flowq.FlowID{1, 2} {
+			if p, ok := h.NextPacket(1000); !ok || p.Flow != want {
+				t.Fatalf("%s: NextPacket(1000) = %+v,%v want flow %d", layout.name, p, ok, want)
+			}
+		}
+		if _, ok := h.NextPacket(1000); ok || h.Backlog() != 0 {
+			t.Fatalf("%s: backlog %d after draining", layout.name, h.Backlog())
+		}
+		if h.Partitioned() {
+			if err := h.Partitioner().CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", layout.name, err)
+			}
+		}
+	}
+}
+
+// phantomBackend answers its next ranged dequeue with an element that was
+// never enqueued, as a corrupted list would.
+type phantomBackend struct {
+	backend.Backend
+	phantom *core.Entry
+}
+
+func (b *phantomBackend) DequeueRange(t clock.Time, lo, hi uint32) (core.Entry, bool) {
+	if e := b.phantom; e != nil {
+		b.phantom = nil
+		return *e, true
+	}
+	return b.Backend.DequeueRange(t, lo, hi)
+}
+
+// TestUnknownChildFault covers the bounds check that finds a child by
+// position: an ID outside the node's range, on either side, is a
+// core.ErrUnknownFlow fault charged to that node — a panic when Strict —
+// and the descent carries on to the real winner.
+func TestUnknownChildFault(t *testing.T) {
+	for _, id := range []uint32{1, 9} { // vm1 owns [2,3] at depth 1
+		var leaves *phantomBackend
+		h := NewOn(linkGbps, RoundRobin(), func(n int) backend.Backend {
+			leaves = &phantomBackend{Backend: backend.NewCoreList(n)}
+			return leaves // the last level built is the deepest
+		})
+		h.Strict = false
+		var vms []*Node
+		for v := 0; v < 2; v++ {
+			vm := h.Root().AddNode("vm", RoundRobin())
+			vm.AddFlow(flowq.FlowID(2 * v))
+			vm.AddFlow(flowq.FlowID(2*v + 1))
+			vms = append(vms, vm)
+		}
+		h.Build()
+		h.OnArrival(0, flowq.Packet{Flow: 2, Size: 100})
+
+		leaves.phantom = &core.Entry{ID: id}
+		if p, ok := h.NextPacket(0); !ok || p.Flow != 2 {
+			t.Fatalf("id %d: NextPacket = %+v,%v want flow 2 after the phantom", id, p, ok)
+		}
+		if h.FaultStats().UnknownFlows != 1 || vms[1].FaultStats().UnknownFlows != 1 || !errors.Is(h.LastFault(), core.ErrUnknownFlow) {
+			t.Fatalf("id %d: faults %+v, node %+v, last %v", id, h.FaultStats(), vms[1].FaultStats(), h.LastFault())
+		}
+		if vms[1].active != 0 || h.Backlog() != 0 {
+			t.Fatalf("id %d: vm active %d, backlog %d after the only packet left", id, vms[1].active, h.Backlog())
+		}
+
+		h.Strict = true
+		h.OnArrival(1, flowq.Packet{Flow: 3, Size: 100})
+		leaves.phantom = &core.Entry{ID: id}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("id %d: strict hierarchy accepted an unknown child", id)
+				}
+			}()
+			h.NextPacket(1)
+		}()
 	}
 }

@@ -7,12 +7,11 @@
 // ranged tournament, on core.List to a select over the pointer array's
 // cached send_times and resident-ID bounds.
 //
-// The Partitioner is the allocator for those bands: a first-fit free-span
-// allocator over [0, 2^32) that hands each logical scheduler a
-// power-of-two-headroom band, grows it in place when the adjacent span is
-// still free (relocating otherwise), splits it at the midpoint, and
-// retires it back into the free list. Per partition it layers a small
-// timing wheel (DESIGN.md §11) over the band as the per-range eligibility
+// The Partitioner compiles those bands once, for a topology that never
+// changes afterwards: a bump allocator over [0, 2^32) hands each logical
+// scheduler the next band of exactly the width it asked for, and a band
+// lives as long as the Partitioner. Per partition it layers a small timing
+// wheel (DESIGN.md §11) over the band as the per-range eligibility
 // summary: the shared backend's MinSendTime mixes every tenant's time
 // domain, so per-range wake-ups must come from a per-range index.
 //
@@ -25,7 +24,7 @@
 // the way in and masked on the way out (DESIGN.md §13).
 //
 // Concurrency/memory-ordering contract: the Partitioner's bookkeeping
-// (bands, handle maps, wheels) is NOT synchronized — it assumes a single
+// (bands, resident arrays, wheels) is NOT synchronized — it assumes a single
 // caller thread, exactly like the hierarchy that owns it. The shared
 // backend may be internally concurrent (the sharded engine takes its own
 // per-shard locks), but the Partitioner never relies on that: all
@@ -36,7 +35,6 @@ package hier
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"pieo/internal/backend"
@@ -54,15 +52,17 @@ const (
 	regions  = 1 << (64 - rankBits)
 )
 
-// ErrRankOverflow is returned (wrapped) by Partitioner.Enqueue and
-// UpdateRank for a rank that does not fit in rankBits bits. The element is
-// refused, never stored under a truncated rank: that would reorder it.
+// idSpace is the size of the element-ID space the bands are cut from.
+const idSpace = 1 << 32
+
+// ErrRankOverflow is returned (wrapped) by Partitioner.Enqueue for a rank
+// that does not fit in rankBits bits. The element is refused, never stored
+// under a truncated rank: that would reorder it.
 var ErrRankOverflow = errors.New("hier: rank exceeds the partition rank width")
 
-// span is an inclusive ID range [lo, hi].
-type span struct{ lo, hi uint32 }
-
-func (s span) size() uint64 { return uint64(s.hi) - uint64(s.lo) + 1 }
+// absent marks an issued ID that is not resident. Resident IDs hold their
+// wheel handle (>= 0), or 0 in a virtual-domain partition.
+const absent int32 = -1
 
 // Partition is one logical PIEO: a band of the shared backend's ID space
 // plus the bookkeeping that makes it behave like a private list — a
@@ -70,59 +70,69 @@ func (s span) size() uint64 { return uint64(s.hi) - uint64(s.lo) + 1 }
 // partitions, a timing wheel indexing resident send_times so
 // MinSendTime/NextWakeAfter are exact per range.
 type Partition struct {
-	pt   *Partitioner
-	band span
-	used uint32 // IDs handed out by NextID, from band.lo upward
+	lo, hi uint32 // the band, inclusive
 
 	// region is the partition's rank region, already shifted into the top
 	// bits. It is a locality hint only — the band filter alone decides what
-	// a ranged dequeue may return — so partitions may share one: Split
-	// halves do, and so do allocations 2^16 apart.
+	// a ranged dequeue may return — so partitions may share one:
+	// allocations 2^16 apart do.
 	region uint64
 
-	// wall marks a partition whose send_times live in the wall-clock
-	// domain; only those maintain the eligibility wheel (virtual-time
-	// partitions have no meaningful wall wake instant).
-	wall    bool
-	wheel   *timewheel.Wheel
-	handles map[uint32]int32 // resident ID -> wheel handle (wall) or -1
+	// wheel indexes resident send_times. Only wall-clock partitions have
+	// one: a virtual-time partition has no meaningful wall wake instant.
+	wheel *timewheel.Wheel
 
-	retired bool
+	// slots[id-lo] is the residency of every ID NextID has handed out. It
+	// grows with those IDs, never with the band: a band may be 2^31 IDs
+	// wide and all but unused.
+	slots []int32
 }
 
 // Lo returns the band's first ID.
-func (p *Partition) Lo() uint32 { return p.band.lo }
+func (p *Partition) Lo() uint32 { return p.lo }
 
 // Hi returns the band's last ID.
-func (p *Partition) Hi() uint32 { return p.band.hi }
+func (p *Partition) Hi() uint32 { return p.hi }
 
-// Len returns the number of resident elements.
-func (p *Partition) Len() int { return len(p.handles) }
-
-// Cap returns the band width — the number of IDs the partition can name.
-func (p *Partition) Cap() int { return int(p.band.size()) }
-
-// Wall reports whether the partition maintains a wall-clock wheel.
-func (p *Partition) Wall() bool { return p.wall }
-
-// Contains reports whether id is resident in this partition.
-func (p *Partition) Contains(id uint32) bool {
-	_, ok := p.handles[id]
-	return ok
+// Len returns the number of resident elements, by counting: nothing on
+// the packet path asks.
+func (p *Partition) Len() int {
+	n := 0
+	for _, h := range p.slots {
+		if h != absent {
+			n++
+		}
+	}
+	return n
 }
 
+// Cap returns the band width — the number of IDs the partition can name.
+func (p *Partition) Cap() int { return int(p.width()) }
+
+func (p *Partition) width() uint64 { return uint64(p.hi) - uint64(p.lo) + 1 }
+
+// Wall reports whether the partition maintains a wall-clock wheel.
+func (p *Partition) Wall() bool { return p.wheel != nil }
+
 // InBand reports whether id falls inside the partition's band.
-func (p *Partition) InBand(id uint32) bool { return id >= p.band.lo && id <= p.band.hi }
+func (p *Partition) InBand(id uint32) bool { return id >= p.lo && id <= p.hi }
+
+// issued reports whether NextID has handed out id. An id below the band
+// wraps to a huge offset and fails the comparison too.
+func (p *Partition) issued(id uint32) bool { return uint64(id-p.lo) < uint64(len(p.slots)) }
+
+// Contains reports whether id is resident in this partition.
+func (p *Partition) Contains(id uint32) bool { return p.issued(id) && p.slots[id-p.lo] != absent }
 
 // NextID hands out the next unused ID in the band; ok is false when the
-// band is full (the caller should Grow or Split first).
+// band is full.
 func (p *Partition) NextID() (uint32, bool) {
-	if uint64(p.used) >= p.band.size() {
+	used := uint64(len(p.slots))
+	if used >= p.width() {
 		return 0, false
 	}
-	id := p.band.lo + p.used
-	p.used++
-	return id, true
+	p.slots = append(p.slots, absent)
+	return p.lo + uint32(used), true
 }
 
 // MinSendTime returns the exact smallest send_time among resident
@@ -144,31 +154,24 @@ func (p *Partition) NextWakeAfter(now clock.Time) clock.Time {
 	return p.wheel.NextWakeAfter(now)
 }
 
-func (p *Partition) mustLive(op string) {
-	if p.retired {
-		panic(fmt.Sprintf("hier: %s on retired partition [%d,%d]", op, p.band.lo, p.band.hi))
-	}
-}
-
 // track records a resident element in the partition's indexes.
 func (p *Partition) track(id uint32, sendTime clock.Time) {
-	h := int32(-1)
+	h := int32(0)
 	if p.wheel != nil {
 		h = p.wheel.Insert(sendTime)
 	}
-	p.handles[id] = h
+	p.slots[id-p.lo] = h
 }
 
 // untrack removes a resident element from the partition's indexes.
 func (p *Partition) untrack(id uint32) {
-	h, ok := p.handles[id]
-	if !ok {
-		panic(fmt.Sprintf("hier: partition [%d,%d] untracking non-resident id %d", p.band.lo, p.band.hi, id))
+	if !p.Contains(id) {
+		panic(fmt.Sprintf("hier: partition [%d,%d] untracking non-resident id %d", p.lo, p.hi, id))
 	}
 	if p.wheel != nil {
-		p.wheel.Remove(h)
+		p.wheel.Remove(p.slots[id-p.lo])
 	}
-	delete(p.handles, id)
+	p.slots[id-p.lo] = absent
 }
 
 // newWheel sizes a per-partition wheel to the band: small bands get the
@@ -184,158 +187,63 @@ func newWheel(capacity int) *timewheel.Wheel {
 	return timewheel.New(timewheel.Config{Slots: slots, Hint: min(capacity, slots)})
 }
 
-// Partitioner owns one shared physical backend and carves its ID space
-// into per-logical-scheduler bands.
+// Partitioner owns one shared physical backend and cuts its ID space into
+// per-logical-scheduler bands, lowest first.
 type Partitioner struct {
-	be         backend.Backend
-	parts      []*Partition // live partitions, sorted by band.lo
-	free       []span       // free spans, sorted, coalesced
-	nextRegion uint64       // regions are handed out round-robin by Alloc
+	be    backend.Backend
+	parts []*Partition // in allocation order, which is band order
+	next  uint64       // first unallocated ID; idSpace when exhausted
 }
 
 // NewPartitioner wraps a shared backend the caller constructed (and must
 // use exclusively through the returned Partitioner).
 func NewPartitioner(be backend.Backend) *Partitioner {
-	return &Partitioner{
-		be:   be,
-		free: []span{{0, math.MaxUint32}},
-	}
+	return &Partitioner{be: be}
 }
 
 // Backend exposes the shared physical backend for stats and tests.
 func (pt *Partitioner) Backend() backend.Backend { return pt.be }
 
-// Partitions returns the live partitions in band order (a copy).
+// Partitions returns the partitions in band order (a copy).
 func (pt *Partitioner) Partitions() []*Partition {
-	out := make([]*Partition, len(pt.parts))
-	copy(out, pt.parts)
-	return out
+	return append([]*Partition(nil), pt.parts...)
 }
 
-// ceilPow2 rounds n up to a power of two (min 1).
-func ceilPow2(n uint64) uint64 {
-	if n <= 1 {
-		return 1
-	}
-	p := uint64(1)
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// insertPart keeps pt.parts sorted by band.lo.
-func (pt *Partitioner) insertPart(p *Partition) {
-	i := sort.Search(len(pt.parts), func(i int) bool { return pt.parts[i].band.lo > p.band.lo })
-	pt.parts = append(pt.parts, nil)
-	copy(pt.parts[i+1:], pt.parts[i:])
-	pt.parts[i] = p
-}
-
-func (pt *Partitioner) removePart(p *Partition) {
-	for i, q := range pt.parts {
-		if q == p {
-			pt.parts = append(pt.parts[:i], pt.parts[i+1:]...)
-			return
-		}
-	}
-	panic("hier: partition not found in allocator")
-}
-
-// carve takes width IDs out of a free span by first fit and returns the
-// allocated span.
-func (pt *Partitioner) carve(width uint64) (span, error) {
-	for i, f := range pt.free {
-		if f.size() < width {
-			continue
-		}
-		got := span{f.lo, f.lo + uint32(width-1)}
-		if f.size() == width {
-			pt.free = append(pt.free[:i], pt.free[i+1:]...)
-		} else {
-			pt.free[i].lo = got.hi + 1
-		}
-		return got, nil
-	}
-	return span{}, fmt.Errorf("hier: no free span of %d ids", width)
-}
-
-// release returns a span to the free list, coalescing neighbors.
-func (pt *Partitioner) release(s span) {
-	i := sort.Search(len(pt.free), func(i int) bool { return pt.free[i].lo > s.lo })
-	pt.free = append(pt.free, span{})
-	copy(pt.free[i+1:], pt.free[i:])
-	pt.free[i] = s
-	// Coalesce with the right neighbor, then the left.
-	if i+1 < len(pt.free) && pt.free[i].hi != math.MaxUint32 && pt.free[i].hi+1 == pt.free[i+1].lo {
-		pt.free[i].hi = pt.free[i+1].hi
-		pt.free = append(pt.free[:i+1], pt.free[i+2:]...)
-	}
-	if i > 0 && pt.free[i-1].hi != math.MaxUint32 && pt.free[i-1].hi+1 == pt.free[i].lo {
-		pt.free[i-1].hi = pt.free[i].hi
-		pt.free = append(pt.free[:i], pt.free[i+1:]...)
-	}
-}
-
-// Alloc creates a partition sized for capacity elements, with
-// power-of-two headroom so modest growth needs no relocation. wall
-// selects the per-range eligibility wheel.
+// Alloc creates a partition whose band names exactly capacity IDs. wall
+// selects the per-range eligibility wheel. Regions are handed out
+// round-robin.
 func (pt *Partitioner) Alloc(capacity int, wall bool) (*Partition, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("hier: partition capacity must be positive, got %d", capacity)
 	}
-	width := ceilPow2(uint64(capacity))
-	band, err := pt.carve(width)
-	if err != nil {
-		return nil, err
+	if left := idSpace - pt.next; uint64(capacity) > left {
+		return nil, fmt.Errorf("hier: id space exhausted: band of %d ids asked, %d left", capacity, left)
 	}
 	p := &Partition{
-		pt:      pt,
-		band:    band,
-		region:  (pt.nextRegion % regions) << rankBits,
-		wall:    wall,
-		handles: make(map[uint32]int32),
+		lo:     uint32(pt.next),
+		hi:     uint32(pt.next + uint64(capacity) - 1),
+		region: (uint64(len(pt.parts)) % regions) << rankBits,
 	}
-	pt.nextRegion++
 	if wall {
 		p.wheel = newWheel(capacity)
 	}
-	pt.insertPart(p)
+	pt.next += uint64(capacity)
+	pt.parts = append(pt.parts, p)
 	return p, nil
 }
 
-// checkRank refuses a rank that would spill into the region bits.
-func checkRank(id uint32, rank uint64) error {
-	if rank > rankMask {
-		return fmt.Errorf("%w: id %d rank %d needs more than %d bits", ErrRankOverflow, id, rank, rankBits)
-	}
-	return nil
-}
-
-// leave turns a stored entry of p back into the caller's: the band is
-// verified (an element from outside it is corruption, not an operational
-// fault) and the region masked off the rank.
-func (p *Partition) leave(op string, e core.Entry) core.Entry {
-	if !p.InBand(e.ID) {
-		panic(fmt.Sprintf("hier: %s [%d,%d] leaked id %d", op, p.band.lo, p.band.hi, e.ID))
-	}
-	p.untrack(e.ID)
-	e.Rank &= rankMask
-	return e
-}
-
 // Enqueue inserts e into the partition's logical PIEO. The entry's ID
-// must fall inside the band and must not already be resident.
+// must be one NextID handed out, must not already be resident, and its
+// rank must fit in rankBits bits.
 func (pt *Partitioner) Enqueue(p *Partition, e core.Entry) error {
-	p.mustLive("Enqueue")
-	if !p.InBand(e.ID) {
-		return fmt.Errorf("hier: id %d outside partition band [%d,%d]", e.ID, p.band.lo, p.band.hi)
+	if !p.issued(e.ID) {
+		return fmt.Errorf("hier: id %d is not one partition band [%d,%d] handed out", e.ID, p.lo, p.hi)
 	}
-	if p.Contains(e.ID) {
+	if p.slots[e.ID-p.lo] != absent {
 		return fmt.Errorf("%w: id %d already resident in partition", core.ErrDuplicate, e.ID)
 	}
-	if err := checkRank(e.ID, e.Rank); err != nil {
-		return err
+	if e.Rank > rankMask {
+		return fmt.Errorf("%w: id %d rank %d needs more than %d bits", ErrRankOverflow, e.ID, e.Rank, rankBits)
 	}
 	e.Rank |= p.region
 	if err := pt.be.Enqueue(e); err != nil {
@@ -347,271 +255,82 @@ func (pt *Partitioner) Enqueue(p *Partition, e core.Entry) error {
 
 // Dequeue extracts the smallest-ranked eligible element of the
 // partition's band at time t — the §4.2 ranged predicate against the
-// shared structure. It panics when the backend leaks an element from
-// outside the band or one the partition never admitted: that is
-// corruption, not an operational fault.
+// shared structure — and masks the region off its rank. It panics when
+// the backend leaks an element from outside the band or one the partition
+// never admitted: that is corruption, not an operational fault.
 func (pt *Partitioner) Dequeue(p *Partition, t clock.Time) (core.Entry, bool) {
-	p.mustLive("Dequeue")
-	e, ok := pt.be.DequeueRange(t, p.band.lo, p.band.hi)
+	e, ok := pt.be.DequeueRange(t, p.lo, p.hi)
 	if !ok {
 		return core.Entry{}, false
 	}
-	return p.leave("ranged dequeue", e), true
+	if !p.InBand(e.ID) {
+		panic(fmt.Sprintf("hier: ranged dequeue [%d,%d] leaked id %d", p.lo, p.hi, e.ID))
+	}
+	p.untrack(e.ID)
+	e.Rank &= rankMask
+	return e, true
 }
 
-// DequeueID point-extracts a resident element by ID.
-func (pt *Partitioner) DequeueID(p *Partition, id uint32) (core.Entry, bool) {
-	p.mustLive("DequeueID")
-	if !p.Contains(id) {
-		return core.Entry{}, false
-	}
-	e, ok := pt.be.DequeueFlow(id)
-	if !ok {
-		panic(fmt.Sprintf("hier: partition [%d,%d] tracks id %d but backend has no such element", p.band.lo, p.band.hi, id))
-	}
-	return p.leave("point dequeue", e), true
-}
-
-// UpdateRank rewrites a resident element's rank and send_time in place,
-// keeping the wheel summary exact. It reports whether id was resident; a
-// rank wider than rankBits is refused with ErrRankOverflow.
-func (pt *Partitioner) UpdateRank(p *Partition, id uint32, rank uint64, sendTime clock.Time) (bool, error) {
-	p.mustLive("UpdateRank")
-	if !p.Contains(id) {
-		return false, nil
-	}
-	if err := checkRank(id, rank); err != nil {
-		return false, err // the element keeps its old rank and send_time
-	}
-	ok, err := backend.UpdateRank(pt.be, id, rank|p.region, sendTime)
-	if err != nil {
-		// The fallback path (dequeue+enqueue) can fail mid-flight and
-		// drop the element from the backend; resync our view.
-		if !pt.be.Contains(id) {
-			p.untrack(id)
-		}
-		return false, err
-	}
-	if !ok {
-		panic(fmt.Sprintf("hier: partition [%d,%d] tracks id %d but backend UpdateRank missed", p.band.lo, p.band.hi, id))
-	}
-	if p.wheel != nil {
-		p.wheel.Update(p.handles[id], sendTime)
-	}
-	return true, nil
-}
-
-// Grow widens the partition to hold at least capacity IDs. When the span
-// adjacent to the band's top is free the band extends in place and remap
-// is nil. Otherwise the partition relocates to a fresh band: every
-// resident element is extracted in dequeue order (rank order, FIFO ties)
-// and re-admitted at the same offset in the new band, which preserves
-// relative FIFO order among equal ranks — the only order the seq
-// tie-break can observe. The partition keeps its rank region, so the
-// residents land where they were in the global rank order. remap then
-// maps old ID -> new ID, and the caller must rewrite its own references.
-func (pt *Partitioner) Grow(p *Partition, capacity int) (remap map[uint32]uint32, err error) {
-	p.mustLive("Grow")
-	width := ceilPow2(uint64(capacity))
-	if width <= p.band.size() {
-		return nil, nil // already wide enough
-	}
-	// In-place: the span [hi+1, lo+width-1] must be entirely free.
-	if extra := width - p.band.size(); p.band.hi != math.MaxUint32 {
-		wantLo := p.band.hi + 1
-		if uint64(p.band.lo)+width-1 <= math.MaxUint32 {
-			for i, f := range pt.free {
-				if f.lo != wantLo || f.size() < extra {
-					continue
-				}
-				if f.size() == extra {
-					pt.free = append(pt.free[:i], pt.free[i+1:]...)
-				} else {
-					pt.free[i].lo = f.lo + uint32(extra)
-				}
-				p.band.hi = p.band.lo + uint32(width-1)
-				return nil, nil
-			}
-		}
-	}
-	// Relocate: carve the new band first so failure leaves p intact.
-	newBand, err := pt.carve(width)
-	if err != nil {
-		return nil, err
-	}
-	remap = make(map[uint32]uint32, len(p.handles))
-	// Extract every resident in dequeue order. clock.Never makes every
-	// send_time eligible, so this drains unconditionally.
-	moved := make([]core.Entry, 0, len(p.handles))
-	for {
-		e, ok := pt.be.DequeueRange(clock.Never, p.band.lo, p.band.hi)
-		if !ok {
-			break
-		}
-		moved = append(moved, p.leave("ranged drain", e))
-	}
-	if len(p.handles) != 0 {
-		panic(fmt.Sprintf("hier: partition [%d,%d] retained %d residents after drain", p.band.lo, p.band.hi, len(p.handles)))
-	}
-	oldBand := p.band
-	p.band = newBand
-	pt.removePart(p)
-	pt.insertPart(p)
-	pt.release(oldBand)
-	for _, e := range moved {
-		newID := newBand.lo + (e.ID - oldBand.lo)
-		remap[e.ID] = newID
-		e.ID = newID
-		e.Rank |= p.region
-		if err := pt.be.Enqueue(e); err != nil {
-			panic(fmt.Sprintf("hier: relocation re-admit id %d: %v", newID, err))
-		}
-		p.track(newID, e.SendTime)
-	}
-	return remap, nil
-}
-
-// Split halves the partition's band: p keeps the lower half and the
-// returned partition owns the upper half, inheriting any residents whose
-// IDs fall there. No backend traffic: bands stay disjoint, elements stay
-// physically in place — which is why both halves share p's rank region —
-// and only the per-range bookkeeping migrates.
-func (pt *Partitioner) Split(p *Partition) (*Partition, error) {
-	p.mustLive("Split")
-	if p.band.size() < 2 {
-		return nil, fmt.Errorf("hier: partition [%d,%d] too narrow to split", p.band.lo, p.band.hi)
-	}
-	half := p.band.size() / 2
-	mid := p.band.lo + uint32(half)
-	q := &Partition{
-		pt:      pt,
-		band:    span{mid, p.band.hi},
-		region:  p.region, // inherited residents are stored under it
-		wall:    p.wall,
-		handles: make(map[uint32]int32),
-	}
-	if p.wall {
-		q.wheel = newWheel(int(p.band.size() - half))
-	}
-	for id, h := range p.handles {
-		if id < mid {
-			continue
-		}
-		t := clock.Time(0)
-		if p.wheel != nil {
-			t = p.wheel.TimeOf(h)
-		}
-		p.untrack(id)
-		q.track(id, t)
-	}
-	p.band.hi = mid - 1
-	if used := uint64(p.used); used > half {
-		q.used = uint32(used - half)
-		p.used = uint32(half)
-	}
-	pt.insertPart(q)
-	return q, nil
-}
-
-// Retire drains every resident element out of the shared backend and
-// returns the band to the free list. The partition is dead afterwards.
-func (pt *Partitioner) Retire(p *Partition) {
-	p.mustLive("Retire")
-	for id := range p.handles {
-		if _, ok := pt.be.DequeueFlow(id); !ok {
-			panic(fmt.Sprintf("hier: retire: partition [%d,%d] tracks id %d but backend has no such element", p.band.lo, p.band.hi, id))
-		}
-		p.untrack(id)
-	}
-	pt.removePart(p)
-	pt.release(p.band)
-	p.retired = true
-	p.wheel = nil
-}
-
-// CheckInvariants validates the allocator and every partition against
-// the shared backend: bands and free spans must tile [0, 2^32) without
-// overlap, every backend-resident element must be tracked by exactly the
-// partition whose band covers it (no cross-partition leakage) and stored
-// under that partition's rank region, and each wall partition's wheel
-// must index exactly its residents' send_times.
+// CheckInvariants validates every partition against the shared backend:
+// the bands must tile [0, next) in order, every backend-resident element
+// must be tracked by exactly the partition whose band covers it (no
+// cross-partition leakage) and stored under that partition's rank region,
+// and each wall partition's wheel must index exactly its residents'
+// send_times.
 func (pt *Partitioner) CheckInvariants() error {
-	// Tiling: merge partitions and free spans, sorted; they must be
-	// disjoint and cover the whole space.
-	type tagged struct {
-		s    span
-		free bool
-	}
-	all := make([]tagged, 0, len(pt.parts)+len(pt.free))
-	for _, p := range pt.parts {
-		all = append(all, tagged{p.band, false})
-	}
-	for _, f := range pt.free {
-		all = append(all, tagged{f, true})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].s.lo < all[j].s.lo })
 	next := uint64(0)
-	for _, t := range all {
-		if uint64(t.s.lo) != next {
-			return fmt.Errorf("hier: id space gap/overlap at %d (span [%d,%d] free=%v)", next, t.s.lo, t.s.hi, t.free)
+	for _, p := range pt.parts {
+		if uint64(p.lo) != next || p.hi < p.lo {
+			return fmt.Errorf("hier: band [%d,%d] does not start at %d", p.lo, p.hi, next)
 		}
-		if t.s.hi < t.s.lo {
-			return fmt.Errorf("hier: inverted span [%d,%d]", t.s.lo, t.s.hi)
-		}
-		next = uint64(t.s.hi) + 1
+		next = uint64(p.hi) + 1
 	}
-	if next != 1<<32 {
-		return fmt.Errorf("hier: id space ends at %d, want 2^32", next)
-	}
-	for i := 1; i < len(pt.free); i++ {
-		if pt.free[i-1].hi != math.MaxUint32 && pt.free[i-1].hi+1 == pt.free[i].lo {
-			return fmt.Errorf("hier: uncoalesced free spans [%d,%d] [%d,%d]",
-				pt.free[i-1].lo, pt.free[i-1].hi, pt.free[i].lo, pt.free[i].hi)
-		}
+	if next != pt.next || next > idSpace {
+		return fmt.Errorf("hier: bands end at %d, allocator at %d", next, pt.next)
 	}
 	// Residency: bucket the backend's snapshot by band.
-	perPart := make(map[*Partition]int)
+	held := make([]int, len(pt.parts))
 	for _, e := range pt.be.Snapshot() {
-		i := sort.Search(len(pt.parts), func(i int) bool { return pt.parts[i].band.hi >= e.ID })
-		if i == len(pt.parts) || !pt.parts[i].InBand(e.ID) {
+		i := sort.Search(len(pt.parts), func(i int) bool { return pt.parts[i].hi >= e.ID })
+		if i == len(pt.parts) {
 			return fmt.Errorf("hier: backend element id %d outside every partition band", e.ID)
 		}
 		p := pt.parts[i]
-		h, tracked := p.handles[e.ID]
-		if !tracked {
-			return fmt.Errorf("hier: backend element id %d not tracked by its partition [%d,%d]", e.ID, p.band.lo, p.band.hi)
+		if !p.Contains(e.ID) {
+			return fmt.Errorf("hier: backend element id %d not tracked by its partition [%d,%d]", e.ID, p.lo, p.hi)
 		}
 		if e.Rank&^rankMask != p.region {
 			return fmt.Errorf("hier: partition [%d,%d] region %#x holds id %d under stored rank %#x",
-				p.band.lo, p.band.hi, p.region>>rankBits, e.ID, e.Rank)
+				p.lo, p.hi, p.region>>rankBits, e.ID, e.Rank)
 		}
 		if p.wheel != nil {
-			if got := p.wheel.TimeOf(h); got != e.SendTime {
+			if got := p.wheel.TimeOf(p.slots[e.ID-p.lo]); got != e.SendTime {
 				return fmt.Errorf("hier: partition [%d,%d] wheel has t=%d for id %d, backend says %d",
-					p.band.lo, p.band.hi, got, e.ID, e.SendTime)
+					p.lo, p.hi, got, e.ID, e.SendTime)
 			}
 		}
-		perPart[p]++
+		held[i]++
 	}
 	total := 0
-	for _, p := range pt.parts {
-		if got := perPart[p]; got != len(p.handles) {
+	for i, p := range pt.parts {
+		tracked := p.Len()
+		if held[i] != tracked {
 			return fmt.Errorf("hier: partition [%d,%d] tracks %d residents, backend holds %d",
-				p.band.lo, p.band.hi, len(p.handles), got)
+				p.lo, p.hi, tracked, held[i])
 		}
 		if p.wheel != nil {
-			if p.wheel.Len() != len(p.handles) {
+			if p.wheel.Len() != tracked {
 				return fmt.Errorf("hier: partition [%d,%d] wheel indexes %d, tracks %d",
-					p.band.lo, p.band.hi, p.wheel.Len(), len(p.handles))
+					p.lo, p.hi, p.wheel.Len(), tracked)
 			}
 			if err := p.wheel.CheckInvariants(); err != nil {
-				return fmt.Errorf("hier: partition [%d,%d]: %w", p.band.lo, p.band.hi, err)
+				return fmt.Errorf("hier: partition [%d,%d]: %w", p.lo, p.hi, err)
 			}
 		}
-		if uint64(p.used) > p.band.size() {
-			return fmt.Errorf("hier: partition [%d,%d] used %d exceeds band", p.band.lo, p.band.hi, p.used)
+		if uint64(len(p.slots)) > p.width() {
+			return fmt.Errorf("hier: partition [%d,%d] issued %d ids, more than its band", p.lo, p.hi, len(p.slots))
 		}
-		total += len(p.handles)
+		total += tracked
 	}
 	if got := pt.be.Len(); got != total {
 		return fmt.Errorf("hier: partitions track %d residents, backend holds %d", total, got)

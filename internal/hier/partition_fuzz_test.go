@@ -29,25 +29,25 @@ func (r *fuzzLCG) rank() uint64 {
 }
 
 // partModel is the reference model of one partition: resident ID ->
-// entry, mirrored against the Partitioner on every operation.
+// entry, mirrored against the Partitioner on every operation, plus the
+// number of IDs the band has handed out.
 type partModel struct {
-	p  *Partition
-	in map[uint32]core.Entry
+	p      *Partition
+	in     map[uint32]core.Entry
+	issued uint32
 }
 
-// FuzzLogicalPartition interleaves the partition lifecycle (alloc, grow
-// with relocation, split, retire) with data-path traffic (enqueue,
-// rank update, ranged dequeue, point dequeue) against a per-partition
-// reference model, over every registered exact backend. Invariants: a
-// ranged dequeue never returns an element outside the partition's model
-// (no cross-partition leakage), never misses when the model holds an
-// eligible element, always returns the minimum eligible rank, and every
-// partition's resident count matches its model exactly (per-logical-node
-// conservation). Ranks are drawn up to and across the rank-region
-// boundary: one that fits comes back from every dequeue exactly as the
-// caller gave it — through Split, whose halves share a region, and
-// relocating Grow, which keeps it — and one that does not is refused with
-// ErrRankOverflow and changes nothing. The allocator's CheckInvariants
+// FuzzLogicalPartition interleaves band allocation with data-path traffic
+// (enqueue of fresh, returning and already-resident IDs; ranged dequeue)
+// against a per-partition reference model, over every registered exact
+// backend. Invariants: a ranged dequeue never returns an element outside
+// the partition's model (no cross-partition leakage), never misses when
+// the model holds an eligible element, always returns the minimum eligible
+// rank, and every partition's resident count matches its model exactly
+// (per-logical-node conservation). Ranks are drawn up to and across the
+// rank-region boundary: one that fits comes back from the dequeue exactly
+// as the caller gave it, and one that does not is refused with
+// ErrRankOverflow and changes nothing. The Partitioner's CheckInvariants
 // (band tiling, wheel exactness, backend residency, stored region) runs
 // throughout.
 func FuzzLogicalPartition(f *testing.F) {
@@ -87,77 +87,53 @@ func FuzzLogicalPartition(f *testing.F) {
 		}
 
 		for opIdx, op := range ops {
-			if len(parts) == 0 {
-				alloc(1+int(rng.next()%8), rng.next()%2 == 0)
-			}
 			pm := parts[int(rng.next())%len(parts)]
-			switch op % 8 {
-			case 0: // alloc another partition
-				if len(parts) < 64 {
-					alloc(1+int(rng.next()%32), rng.next()%2 == 0)
+			switch op % 4 {
+			case 0: // alloc another band: usually small, sometimes far wider than its use
+				if len(parts) < 256 {
+					capacity := 1 + int(rng.next()%32)
+					if rng.next()%8 == 0 {
+						capacity <<= 16
+					}
+					alloc(capacity, rng.next()%2 == 0)
 				}
-			case 1: // enqueue a fresh ID
+			case 1, 2: // enqueue: a fresh ID, one that was dequeued earlier, or a resident one
 				if total() >= 4000 {
 					continue
 				}
-				id, ok := pm.p.NextID()
-				if !ok {
-					// Band full: grow it (possibly relocating residents).
-					remap, err := pt.Grow(pm.p, pm.p.Cap()*2)
-					if err != nil {
-						t.Fatalf("grow: %v", err)
+				id := pm.p.Lo() + uint32(rng.next()%uint64(pm.issued+1))
+				if id == pm.p.Lo()+pm.issued {
+					fresh, ok := pm.p.NextID()
+					if ok != (int(pm.issued) < pm.p.Cap()) {
+						t.Fatalf("op %d: NextID ok=%v with %d of %d handed out", opIdx, ok, pm.issued, pm.p.Cap())
 					}
-					pm.applyRemap(remap)
-					if id, ok = pm.p.NextID(); !ok {
-						t.Fatalf("band still full after grow to %d", pm.p.Cap())
+					if !ok {
+						continue // band full
 					}
+					if fresh != id {
+						t.Fatalf("op %d: NextID = %d, want %d", opIdx, fresh, id)
+					}
+					pm.issued++
 				}
 				e := core.Entry{ID: id, Rank: rng.rank(), SendTime: clock.Time(rng.next() % 64)}
 				err := pt.Enqueue(pm.p, e)
+				if _, resident := pm.in[id]; resident {
+					if !errors.Is(err, core.ErrDuplicate) {
+						t.Fatalf("op %d: enqueue of resident id %d: %v, want ErrDuplicate", opIdx, id, err)
+					}
+					break // refused: the conservation check below holds the books still
+				}
 				if e.Rank > rankMask {
 					if !errors.Is(err, ErrRankOverflow) {
 						t.Fatalf("enqueue id %d rank %#x: %v, want ErrRankOverflow", id, e.Rank, err)
 					}
-					break // refused: the conservation check below holds the books still
+					break // refused likewise
 				}
 				if err != nil {
 					t.Fatalf("enqueue id %d: %v", id, err)
 				}
 				pm.in[id] = e
-			case 2: // grow (often a no-op, sometimes a relocation)
-				remap, err := pt.Grow(pm.p, pm.p.Cap()+1+int(rng.next()%64))
-				if err != nil {
-					t.Fatalf("grow: %v", err)
-				}
-				pm.applyRemap(remap)
-			case 3: // split the band at its midpoint
-				if pm.p.Cap() < 2 {
-					continue
-				}
-				q, err := pt.Split(pm.p)
-				if err != nil {
-					t.Fatalf("split: %v", err)
-				}
-				if q.region != pm.p.region {
-					t.Fatalf("split halves in regions %#x and %#x", pm.p.region, q.region)
-				}
-				qm := &partModel{p: q, in: make(map[uint32]core.Entry)}
-				for id, e := range pm.in {
-					if q.InBand(id) {
-						qm.in[id] = e
-						delete(pm.in, id)
-					}
-				}
-				parts = append(parts, qm)
-			case 4: // retire: drain and free the band
-				pt.Retire(pm.p)
-				for i, q := range parts {
-					if q == pm {
-						parts = append(parts[:i], parts[i+1:]...)
-						break
-					}
-				}
-			case 5: // ranged dequeue at a random instant
+			case 3: // ranged dequeue at a random instant
 				now := clock.Time(rng.next() % 96)
 				e, ok := pt.Dequeue(pm.p, now)
 				minRank, hasElig := uint64(0), false
@@ -188,45 +164,6 @@ func FuzzLogicalPartition(f *testing.F) {
 					t.Fatalf("op %d: dequeued rank %d, model's min eligible rank is %d", opIdx, e.Rank, minRank)
 				}
 				delete(pm.in, e.ID)
-			case 6: // rank/send-time update in place
-				id, ok := pm.anyID(&rng)
-				if !ok {
-					continue
-				}
-				e := pm.in[id]
-				e.Rank = rng.rank()
-				e.SendTime = clock.Time(rng.next() % 64)
-				ok, err := pt.UpdateRank(pm.p, id, e.Rank, e.SendTime)
-				if e.Rank > rankMask {
-					if ok || !errors.Is(err, ErrRankOverflow) {
-						t.Fatalf("update id %d rank %#x = %v, %v, want ErrRankOverflow", id, e.Rank, ok, err)
-					}
-					break // refused: the model keeps the old rank and send_time
-				}
-				if err != nil {
-					t.Fatalf("update id %d: %v", id, err)
-				}
-				if !ok {
-					t.Fatalf("update id %d: partition claims non-resident, model disagrees", id)
-				}
-				pm.in[id] = e
-			case 7: // point dequeue
-				id, ok := pm.anyID(&rng)
-				if !ok {
-					// Non-resident point dequeue must miss cleanly.
-					if _, hit := pt.DequeueID(pm.p, pm.p.Lo()); hit && len(pm.in) == 0 {
-						t.Fatalf("op %d: point dequeue hit on empty partition", opIdx)
-					}
-					continue
-				}
-				e, hit := pt.DequeueID(pm.p, id)
-				if !hit {
-					t.Fatalf("op %d: point dequeue missed resident id %d", opIdx, id)
-				}
-				if e != pm.in[id] {
-					t.Fatalf("op %d: point dequeue returned %+v, model holds %+v", opIdx, e, pm.in[id])
-				}
-				delete(pm.in, id)
 			}
 			// Per-partition conservation after every operation.
 			for _, q := range parts {
@@ -248,36 +185,4 @@ func FuzzLogicalPartition(f *testing.F) {
 			t.Fatalf("backend holds %d, models %d", be.Len(), total())
 		}
 	})
-}
-
-// applyRemap rewrites the model's keys after a relocating Grow.
-func (pm *partModel) applyRemap(remap map[uint32]uint32) {
-	if remap == nil {
-		return
-	}
-	moved := make(map[uint32]core.Entry, len(pm.in))
-	for oldID, e := range pm.in {
-		newID, ok := remap[oldID]
-		if !ok {
-			panic("grow remap missing a resident id")
-		}
-		e.ID = newID
-		moved[newID] = e
-	}
-	pm.in = moved
-}
-
-// anyID returns a pseudo-randomly chosen resident ID of the partition.
-func (pm *partModel) anyID(rng *fuzzLCG) (uint32, bool) {
-	if len(pm.in) == 0 {
-		return 0, false
-	}
-	k := int(rng.next()) % len(pm.in)
-	for id := range pm.in {
-		if k == 0 {
-			return id, true
-		}
-		k--
-	}
-	return 0, false
 }

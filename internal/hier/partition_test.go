@@ -3,12 +3,12 @@ package hier
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"pieo/internal/backend"
 	"pieo/internal/clock"
 	"pieo/internal/core"
-	"pieo/internal/faultinject"
 	"pieo/internal/flowq"
 )
 
@@ -46,11 +46,11 @@ func TestPartitionAllocErrors(t *testing.T) {
 	}
 }
 
-// TestPartitionAllocHugeWallBand is the regression test for the wheel
-// hint: a wall partition's wheel used to pre-size its node arena to the
-// band width, so a 2^31-wide wall band (or either half of its Split)
-// asked for ~2^31 nodes up front and died out of memory. The arena is
-// sized to at most a window's worth and grows with real residents.
+// TestPartitionAllocHugeWallBand is the regression test for sizing by
+// band width: a wall partition's wheel used to pre-size its node arena to
+// the band, so a 2^31-wide wall band asked for ~2^31 nodes up front and
+// died out of memory. The arena is sized to at most a window's worth, and
+// the residency array to the IDs handed out; both grow with real use.
 func TestPartitionAllocHugeWallBand(t *testing.T) {
 	pt := newTestPartitioner()
 	p := mustAlloc(t, pt, 1<<31, true)
@@ -58,12 +58,8 @@ func TestPartitionAllocHugeWallBand(t *testing.T) {
 	if err := pt.Enqueue(p, core.Entry{ID: id, Rank: 3, SendTime: 40}); err != nil {
 		t.Fatal(err)
 	}
-	q, err := pt.Split(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Cap() != 1<<30 || q.Cap() != 1<<30 || !q.Wall() {
-		t.Fatalf("split of a 2^31 wall band gave caps %d/%d wall=%v", p.Cap(), q.Cap(), q.Wall())
+	if p.Cap() != 1<<31 || !p.Wall() || len(p.slots) != 1 {
+		t.Fatalf("2^31 wall band: cap %d wall=%v, residency array of %d for 1 id", p.Cap(), p.Wall(), len(p.slots))
 	}
 	if got, ok := p.MinSendTime(); !ok || got != 40 {
 		t.Fatalf("MinSendTime = %d,%v want 40", got, ok)
@@ -74,35 +70,30 @@ func TestPartitionAllocHugeWallBand(t *testing.T) {
 }
 
 // TestPartitionRankWidthBoundary is the rank-region boundary property,
-// held over partitions reached every way a partition comes to be — fresh
-// from Alloc (regions 0 and 1), the upper half of a Split (sharing its
-// parent's region) and the survivor of a relocating Grow: ranks 2^R-2 and
-// 2^R-1 are accepted, come back exactly as given and in that order; rank
-// 2^R is refused with ErrRankOverflow by both Enqueue and UpdateRank, and
-// the refusal touches neither the backend nor the partition's books.
+// held over partitions in different regions and over two that share one
+// (regions are handed out round-robin, so allocations 2^16 apart do):
+// ranks 2^R-2 and 2^R-1 are accepted, come back exactly as given and in
+// that order; rank 2^R is refused with ErrRankOverflow, and the refusal
+// touches neither the backend nor the partition's books.
 func TestPartitionRankWidthBoundary(t *testing.T) {
 	pt := newTestPartitioner()
 	first := mustAlloc(t, pt, 8, true)
 	second := mustAlloc(t, pt, 8, false)
-	upper, err := pt.Split(second)
-	if err != nil {
-		t.Fatal(err)
+	for i := 2; i < regions; i++ {
+		mustAlloc(t, pt, 1, false)
 	}
-	grown := mustAlloc(t, pt, 4, false)
-	mustAlloc(t, pt, 4, false) // blocks in-place growth of grown
-	keep, _ := grown.NextID()
-	if err := pt.Enqueue(grown, core.Entry{ID: keep, Rank: 1, SendTime: 1000}); err != nil {
-		t.Fatal(err)
-	}
-	if remap, err := pt.Grow(grown, 64); err != nil || len(remap) != 1 {
-		t.Fatalf("relocating grow = %v, %v", remap, err)
-	}
-	if upper.region != second.region || first.region == second.region {
-		t.Fatalf("regions: first %#x second %#x upper %#x", first.region, second.region, upper.region)
+	wrapped := mustAlloc(t, pt, 8, false)
+	if wrapped.region != first.region || first.region == second.region {
+		t.Fatalf("regions: first %#x second %#x wrapped %#x", first.region, second.region, wrapped.region)
 	}
 
 	const top = uint64(1)<<rankBits - 1
-	for name, p := range map[string]*Partition{"first": first, "second": second, "split-upper": upper, "grown": grown} {
+	type ids struct{ hi, lo uint32 }
+	parts := []*Partition{first, second, wrapped}
+	names := []string{"first", "second", "wrapped"}
+	var got []ids
+	for i, p := range parts {
+		name := names[i]
 		// Enqueued out of rank order, and under a send_time, so the
 		// dequeue order is the list's doing.
 		hiID, _ := p.NextID()
@@ -119,28 +110,29 @@ func TestPartitionRankWidthBoundary(t *testing.T) {
 		if err := pt.Enqueue(p, core.Entry{ID: overID, Rank: top + 1}); !errors.Is(err, ErrRankOverflow) {
 			t.Fatalf("%s: rank 2^R enqueue: %v, want ErrRankOverflow", name, err)
 		}
-		if ok, err := pt.UpdateRank(p, loID, top+1, 5); ok || !errors.Is(err, ErrRankOverflow) {
-			t.Fatalf("%s: rank 2^R update = %v, %v, want ErrRankOverflow", name, ok, err)
-		}
 		if pt.Backend().Len() != beLen || pt.Backend().Stats() != beStats || p.Len() != pLen || p.Contains(overID) {
 			t.Fatalf("%s: refusal moved state: backend %d->%d, partition %d->%d", name, beLen, pt.Backend().Len(), pLen, p.Len())
 		}
 		if err := pt.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-
-		if ok, err := pt.UpdateRank(p, loID, top-1, 6); !ok || err != nil {
-			t.Fatalf("%s: in-width update = %v, %v", name, ok, err)
+		got = append(got, ids{hiID, loID})
+	}
+	// Every partition is loaded before any is drained, so the two that
+	// share a region hold equal stored ranks side by side in the list.
+	for i, p := range parts {
+		if e, ok := pt.Dequeue(p, 4); ok {
+			t.Fatalf("%s: dequeued %+v before its send_time", names[i], e)
 		}
-		if e, ok := pt.Dequeue(p, 6); !ok || e != (core.Entry{ID: loID, Rank: top - 1, SendTime: 6}) {
-			t.Fatalf("%s: first dequeue = %+v,%v want id %d rank 2^R-2", name, e, ok, loID)
+		if e, ok := pt.Dequeue(p, 5); !ok || e != (core.Entry{ID: got[i].lo, Rank: top - 1, SendTime: 5}) {
+			t.Fatalf("%s: first dequeue = %+v,%v want id %d rank 2^R-2", names[i], e, ok, got[i].lo)
 		}
-		if e, ok := pt.DequeueID(p, hiID); !ok || e != (core.Entry{ID: hiID, Rank: top, SendTime: 5}) {
-			t.Fatalf("%s: point dequeue = %+v,%v want id %d rank 2^R-1", name, e, ok, hiID)
+		if e, ok := pt.Dequeue(p, 5); !ok || e != (core.Entry{ID: got[i].hi, Rank: top, SendTime: 5}) {
+			t.Fatalf("%s: second dequeue = %+v,%v want id %d rank 2^R-1", names[i], e, ok, got[i].hi)
 		}
 	}
-	if e, ok := pt.Dequeue(grown, clock.Never); !ok || e.Rank != 1 {
-		t.Fatalf("relocated resident = %+v,%v want rank 1", e, ok)
+	if err := pt.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -229,12 +221,19 @@ func TestPartitionWakeSummaries(t *testing.T) {
 }
 
 // TestPartitionEnqueueErrors covers the admission refusals: out-of-band
-// IDs, duplicates, and a full shared backend.
+// IDs, in-band IDs NextID never handed out, duplicates, and a full shared
+// backend.
 func TestPartitionEnqueueErrors(t *testing.T) {
 	pt := NewPartitioner(backend.NewCoreList(1))
+	mustAlloc(t, pt, 4, false)
 	p := mustAlloc(t, pt, 4, false)
-	if err := pt.Enqueue(p, core.Entry{ID: p.Hi() + 1}); err == nil {
-		t.Fatal("out-of-band enqueue succeeded")
+	for _, id := range []uint32{p.Lo() - 1, p.Hi() + 1} {
+		if err := pt.Enqueue(p, core.Entry{ID: id}); err == nil {
+			t.Fatalf("out-of-band enqueue of id %d succeeded", id)
+		}
+	}
+	if err := pt.Enqueue(p, core.Entry{ID: p.Lo()}); err == nil {
+		t.Fatal("enqueue of an id NextID never issued succeeded")
 	}
 	id, _ := p.NextID()
 	if err := pt.Enqueue(p, core.Entry{ID: id, Rank: 1}); err != nil {
@@ -251,8 +250,11 @@ func TestPartitionEnqueueErrors(t *testing.T) {
 	if p.Len() != 1 {
 		t.Fatalf("partition tracks %d residents, want 1", p.Len())
 	}
-	if _, ok := pt.DequeueID(p, id2); ok {
-		t.Fatal("point dequeue hit an element that was never admitted")
+	if p.Contains(id2) || !p.Contains(id) {
+		t.Fatalf("Contains: refused id %v, admitted id %v", p.Contains(id2), p.Contains(id))
+	}
+	if err := pt.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -270,179 +272,105 @@ func TestPartitionNextIDExhaustion(t *testing.T) {
 	}
 }
 
-// TestPartitionUpdateRankResync covers UpdateRank's failure handling:
-// non-resident IDs miss cleanly, and when the capability fallback drops
-// the element mid-flight the partition resyncs its resident set instead
-// of tracking a ghost.
-func TestPartitionUpdateRankResync(t *testing.T) {
+// TestPartitionBandExhaustionAt2Pow32 starts the allocator three IDs below
+// the top of the ID space: an allocation that does not fit is refused and
+// takes nothing, the last ID (2^32-1) is handed out exactly once, and
+// neither the band's cursor nor the allocator's wraps to 0.
+func TestPartitionBandExhaustionAt2Pow32(t *testing.T) {
 	pt := newTestPartitioner()
-	p := mustAlloc(t, pt, 8, true)
-	if ok, err := pt.UpdateRank(p, p.Lo(), 1, 2); ok || err != nil {
-		t.Fatalf("non-resident UpdateRank = %v, %v", ok, err)
+	mustAlloc(t, pt, 1<<32-3, false)
+	two := mustAlloc(t, pt, 2, false)
+	if _, err := pt.Alloc(2, false); err == nil {
+		t.Fatal("alloc of 2 ids with 1 left succeeded")
 	}
-
-	// A wrapped backend without the RankUpdater capability forces the
-	// dequeue+enqueue fallback; the injected error on the re-enqueue
-	// loses the element, which UpdateRank must notice and untrack.
-	inj := faultinject.NewInjector(faultinject.Plan{Seed: 1, ErrorEvery: 1})
-	inj.Disarm()
-	ptf := NewPartitioner(faultinject.Wrap(backend.NewCoreList(64), inj))
-	pf := mustAlloc(t, ptf, 8, true)
-	id, _ := pf.NextID()
-	if err := ptf.Enqueue(pf, core.Entry{ID: id, Rank: 5, SendTime: 7}); err != nil {
+	last := mustAlloc(t, pt, 1, true)
+	if two.Lo() != math.MaxUint32-2 || two.Hi() != math.MaxUint32-1 || last.Lo() != math.MaxUint32 || last.Hi() != math.MaxUint32 {
+		t.Fatalf("bands [%d,%d] [%d,%d], want the top three ids", two.Lo(), two.Hi(), last.Lo(), last.Hi())
+	}
+	if _, err := pt.Alloc(1, false); err == nil {
+		t.Fatal("alloc beyond 2^32 succeeded")
+	}
+	id, ok := last.NextID()
+	if !ok || id != math.MaxUint32 {
+		t.Fatalf("NextID = %d,%v want 2^32-1", id, ok)
+	}
+	if id, ok := last.NextID(); ok {
+		t.Fatalf("NextID handed out %d after the last id of the space", id)
+	}
+	if err := pt.Enqueue(last, core.Entry{ID: id, Rank: 1, SendTime: 9}); err != nil {
 		t.Fatal(err)
-	}
-	inj.Arm()
-	ok, err := ptf.UpdateRank(pf, id, 9, 11)
-	inj.Disarm()
-	if err == nil && ok {
-		// The injector may have hit the dequeue instead; either way the
-		// element must not be double-tracked.
-		t.Skip("injection missed the enqueue leg")
-	}
-	if pf.Len() != ptf.Backend().Len() {
-		t.Fatalf("partition tracks %d, backend holds %d after failed update", pf.Len(), ptf.Backend().Len())
-	}
-	if err := ptf.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPartitionSplitNarrowAndUsed covers Split's refusal on a width-1
-// band and the used-counter redistribution when the cursor is past the
-// midpoint.
-func TestPartitionSplitNarrowAndUsed(t *testing.T) {
-	pt := newTestPartitioner()
-	p1 := mustAlloc(t, pt, 1, false)
-	if _, err := pt.Split(p1); err == nil {
-		t.Fatal("split of width-1 band succeeded")
-	}
-
-	p := mustAlloc(t, pt, 8, true)
-	for i := 0; i < 6; i++ { // cursor past the midpoint (4)
-		id, _ := p.NextID()
-		if err := pt.Enqueue(p, core.Entry{ID: id, Rank: uint64(i), SendTime: clock.Time(100 + i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q, err := pt.Split(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Len() != 4 || q.Len() != 2 {
-		t.Fatalf("split residents %d/%d, want 4/2", p.Len(), q.Len())
-	}
-	// Both halves may hand out their remaining IDs without collision.
-	if _, ok := p.NextID(); ok {
-		t.Fatal("lower half handed out an ID past its cursor")
-	}
-	for {
-		id, ok := q.NextID()
-		if !ok {
-			break
-		}
-		if err := pt.Enqueue(q, core.Entry{ID: id, Rank: 50}); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if err := pt.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// The wheels migrated: each half answers for exactly its residents.
-	if got, ok := q.MinSendTime(); !ok || got != 0 {
-		// q inherited send_times 104,105 plus fresh rank-50 entries at 0.
-		t.Fatalf("upper half MinSendTime = %d,%v", got, ok)
-	}
-	if got, ok := p.MinSendTime(); !ok || got != 100 {
-		t.Fatalf("lower half MinSendTime = %d,%v want 100", got, ok)
+	if e, ok := pt.Dequeue(last, 9); !ok || e.ID != math.MaxUint32 {
+		t.Fatalf("dequeue = %+v,%v want id 2^32-1", e, ok)
 	}
 }
 
-// TestPartitionRetiredPanics covers the use-after-retire guard.
-func TestPartitionRetiredPanics(t *testing.T) {
-	pt := newTestPartitioner()
-	p := mustAlloc(t, pt, 4, true)
-	id, _ := p.NextID()
-	if err := pt.Enqueue(p, core.Entry{ID: id, Rank: 1}); err != nil {
-		t.Fatal(err)
-	}
-	pt.Retire(p)
-	if pt.Backend().Len() != 0 {
-		t.Fatalf("retire left %d elements in the backend", pt.Backend().Len())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("enqueue on retired partition did not panic")
+// TestPartitionCheckInvariantsReports plants each kind of stray element
+// directly in the shared backend, behind the Partitioner's back, and
+// requires CheckInvariants to name it.
+func TestPartitionCheckInvariantsReports(t *testing.T) {
+	setup := func() (*Partitioner, *Partition, *Partition) {
+		pt := newTestPartitioner()
+		a := mustAlloc(t, pt, 4, true)
+		b := mustAlloc(t, pt, 4, false)
+		for _, p := range []*Partition{a, b} {
+			id, _ := p.NextID()
+			if err := pt.Enqueue(p, core.Entry{ID: id, Rank: 7, SendTime: 3}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}()
-	_ = pt.Enqueue(p, core.Entry{ID: id})
-}
-
-// TestPartitionGrowInPlaceAndRelocate covers both Grow paths and the
-// no-op when the band is already wide enough.
-func TestPartitionGrowInPlaceAndRelocate(t *testing.T) {
-	pt := newTestPartitioner()
-	p := mustAlloc(t, pt, 4, true)
-	for i := 0; i < 3; i++ {
-		id, _ := p.NextID()
-		if err := pt.Enqueue(p, core.Entry{ID: id, Rank: uint64(10 - i), SendTime: clock.Time(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if remap, err := pt.Grow(p, 2); err != nil || remap != nil {
-		t.Fatalf("shrinking grow = %v, %v", remap, err)
-	}
-	// Nothing above p yet: in-place growth, no remap.
-	if remap, err := pt.Grow(p, 16); err != nil || remap != nil {
-		t.Fatalf("in-place grow = %v, %v", remap, err)
-	} else if p.Cap() != 16 {
-		t.Fatalf("cap %d after in-place grow, want 16", p.Cap())
-	}
-	// A neighbor directly above forces relocation.
-	blocker := mustAlloc(t, pt, 16, false)
-	if blocker.Lo() != p.Hi()+1 {
-		t.Fatalf("blocker not adjacent: %d vs %d", blocker.Lo(), p.Hi())
-	}
-	remap, err := pt.Grow(p, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if remap == nil || len(remap) != 3 {
-		t.Fatalf("relocating grow remap = %v", remap)
-	}
-	if err := pt.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Dequeue order survived the move: ranks were 10, 9, 8.
-	for want := uint64(8); want <= 10; want++ {
-		e, ok := pt.Dequeue(p, clock.Never)
-		if !ok || e.Rank != want {
-			t.Fatalf("post-relocation dequeue = %+v,%v want rank %d", e, ok, want)
-		}
-	}
-	if err := pt.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPartitionReleaseCoalescing drives alloc/retire patterns that force
-// both coalescing directions in the free list, including at the 2^32
-// boundary.
-func TestPartitionReleaseCoalescing(t *testing.T) {
-	pt := newTestPartitioner()
-	var ps []*Partition
-	for i := 0; i < 8; i++ {
-		ps = append(ps, mustAlloc(t, pt, 16, false))
-	}
-	// Retire in an order that exercises left-, right-, and two-sided
-	// coalescing: middle, its right neighbor, its left neighbor, rest.
-	for _, i := range []int{4, 5, 3, 0, 7, 1, 6, 2} {
-		pt.Retire(ps[i])
 		if err := pt.CheckInvariants(); err != nil {
-			t.Fatalf("after retiring #%d: %v", i, err)
+			t.Fatal(err)
+		}
+		return pt, a, b
+	}
+	plant := func(pt *Partitioner, e core.Entry) {
+		if err := pt.Backend().Enqueue(e); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(pt.free) != 1 || pt.free[0].lo != 0 || pt.free[0].hi != math.MaxUint32 {
-		t.Fatalf("free list did not re-coalesce: %v", pt.free)
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(pt *Partitioner, a, b *Partition)
+	}{
+		{"outside every band", "outside every partition band", func(pt *Partitioner, a, b *Partition) {
+			plant(pt, core.Entry{ID: b.Hi() + 1, Rank: b.region | 1})
+		}},
+		{"never issued", "not tracked by its partition", func(pt *Partitioner, a, b *Partition) {
+			plant(pt, core.Entry{ID: b.Lo() + 3, Rank: b.region | 1})
+		}},
+		{"issued but not resident", "not tracked by its partition", func(pt *Partitioner, a, b *Partition) {
+			id, _ := b.NextID()
+			plant(pt, core.Entry{ID: id, Rank: b.region | 1})
+		}},
+		{"wrong region", "under stored rank", func(pt *Partitioner, a, b *Partition) {
+			if _, ok := pt.Backend().DequeueFlow(b.Lo()); !ok {
+				t.Fatal("resident element missing")
+			}
+			plant(pt, core.Entry{ID: b.Lo(), Rank: a.region | 7, SendTime: 3})
+		}},
+		{"wheel disagrees", "wheel has t=3", func(pt *Partitioner, a, b *Partition) {
+			if _, ok := pt.Backend().DequeueFlow(a.Lo()); !ok {
+				t.Fatal("resident element missing")
+			}
+			plant(pt, core.Entry{ID: a.Lo(), Rank: a.region | 7, SendTime: 4})
+		}},
+		{"tracked but gone", "backend holds 0", func(pt *Partitioner, a, b *Partition) {
+			if _, ok := pt.Backend().DequeueFlow(a.Lo()); !ok {
+				t.Fatal("resident element missing")
+			}
+		}},
+		{"wheel holds a stray", "wheel indexes 2, tracks 1", func(pt *Partitioner, a, b *Partition) {
+			a.wheel.Insert(8)
+		}},
+	} {
+		pt, a, b := setup()
+		tc.corrupt(pt, a, b)
+		if err := pt.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckInvariants = %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
