@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"sort"
@@ -31,30 +33,41 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if !errors.Is(err, flag.ErrHelp) { // -h: the flag set has printed the usage
+			fmt.Fprintln(os.Stderr, "pieosim:", err)
+		}
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: parse args, simulate, write the report to w.
+func run(args []string, w io.Writer) error {
+	fl := flag.NewFlagSet("pieosim", flag.ContinueOnError)
 	var (
-		algo     = flag.String("algo", "wf2q", "scheduling algorithm: fifo|drr|wfq|wf2q|tokenbucket|rcsp|priority|sjf|edf|lstf")
-		flows    = flag.Int("flows", 8, "number of flows")
-		link     = flag.Float64("link", 40, "link rate in Gbps")
-		duration = flag.Float64("duration", 5, "simulated duration in milliseconds")
-		workload = flag.String("workload", "backlogged", "workload: backlogged|cbr|poisson|onoff")
-		load     = flag.Float64("load", 0.9, "offered load as a fraction of link rate (open-loop workloads)")
-		mtu      = flag.Uint("mtu", 1500, "packet size in bytes")
-		weights  = flag.String("weights", "", "comma-separated per-flow weights (fair queueing)")
-		rate     = flag.Float64("rate", 1, "per-flow rate limit in Gbps (tokenbucket)")
-		seed     = flag.Int64("seed", 1, "workload random seed")
-		backName = flag.String("backend", "core", "ordered-list backend: "+strings.Join(backend.Names(), "|"))
+		algo     = fl.String("algo", "wf2q", "scheduling algorithm: fifo|drr|wfq|wf2q|tokenbucket|rcsp|priority|sjf|edf|lstf")
+		flows    = fl.Int("flows", 8, "number of flows")
+		link     = fl.Float64("link", 40, "link rate in Gbps")
+		duration = fl.Float64("duration", 5, "simulated duration in milliseconds")
+		workload = fl.String("workload", "backlogged", "workload: backlogged|cbr|poisson|onoff")
+		load     = fl.Float64("load", 0.9, "offered load as a fraction of link rate (open-loop workloads)")
+		mtu      = fl.Uint("mtu", 1500, "packet size in bytes")
+		weights  = fl.String("weights", "", "comma-separated per-flow weights (fair queueing)")
+		rate     = fl.Float64("rate", 1, "per-flow rate limit in Gbps (tokenbucket)")
+		seed     = fl.Int64("seed", 1, "workload random seed")
+		backName = fl.String("backend", "core", "ordered-list backend: "+strings.Join(backend.Names(), "|"))
 	)
-	flag.Parse()
+	if err := fl.Parse(args); err != nil {
+		return err
+	}
 
 	prog, err := program(*algo)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pieosim:", err)
-		os.Exit(1)
+		return err
 	}
 	be, err := backend.New(*backName, *flows+1)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pieosim:", err)
-		os.Exit(1)
+		return err
 	}
 	s := sched.NewOn(prog, be, *link)
 
@@ -67,11 +80,10 @@ func main() {
 		f.Tokens = f.Burst
 	}
 	if *weights != "" {
-		for i, w := range strings.Split(*weights, ",") {
-			v, err := strconv.ParseUint(strings.TrimSpace(w), 10, 64)
+		for i, wt := range strings.Split(*weights, ",") {
+			v, err := strconv.ParseUint(strings.TrimSpace(wt), 10, 64)
 			if err != nil || v == 0 {
-				fmt.Fprintf(os.Stderr, "pieosim: bad weight %q\n", w)
-				os.Exit(1)
+				return fmt.Errorf("bad weight %q", wt)
 			}
 			if i < *flows {
 				s.SetWeight(flowq.FlowID(i), v)
@@ -124,37 +136,40 @@ func main() {
 		}
 		sim.Inject(pktgen.Merge(gens...))
 	default:
-		fmt.Fprintf(os.Stderr, "pieosim: unknown workload %q\n", *workload)
-		os.Exit(1)
+		return fmt.Errorf("unknown workload %q", *workload)
 	}
 
 	sim.Run(until)
 
 	// Report.
-	fmt.Printf("algorithm: %s (%s)   link: %.0f Gbps   duration: %.2f ms   workload: %s\n",
+	fmt.Fprintf(w, "algorithm: %s (%s)   link: %.0f Gbps   duration: %.2f ms   workload: %s\n",
 		prog.Name, prog.Model, *link, *duration, *workload)
-	fmt.Printf("packets sent: %d   link utilization: %.1f%%\n", sim.Sent(), 100*sim.Utilization())
+	fmt.Fprintf(w, "packets sent: %d   link utilization: %.1f%%\n", sim.Sent(), 100*sim.Utilization())
 	var shares []float64
-	fmt.Println("flow  bytes        Gbps")
+	fmt.Fprintln(w, "flow  bytes        Gbps")
 	for i, b := range perFlow {
 		gbps := float64(b) * 8 / float64(until)
 		shares = append(shares, gbps)
-		fmt.Printf("%-4d  %-11d  %.3f\n", i, b, gbps)
+		fmt.Fprintf(w, "%-4d  %-11d  %.3f\n", i, b, gbps)
 	}
-	fmt.Printf("fairness (Jain): %.4f\n", stats.JainIndex(shares))
+	fmt.Fprintf(w, "fairness (Jain): %.4f\n", stats.JainIndex(shares))
 	if len(delays) > 0 {
 		sort.Float64s(delays)
 		sum := stats.Summarize(delays)
-		fmt.Printf("queueing delay ns: p50=%.0f p99=%.0f max=%.0f\n", sum.P50, sum.P99, sum.Max)
+		fmt.Fprintf(w, "queueing delay ns: p50=%.0f p99=%.0f max=%.0f\n", sum.P50, sum.P99, sum.Max)
 	}
 	ls := s.List.Stats()
-	fmt.Printf("backend %q: %d enq, %d deq (%d empty), %d flow-deq, %d range-deq\n",
+	fmt.Fprintf(w, "backend %q: %d enq, %d deq (%d empty), %d flow-deq, %d range-deq\n",
 		*backName, ls.Enqueues, ls.Dequeues, ls.EmptyDequeues, ls.FlowDequeues, ls.RangeDequeues)
 	if hw, ok := s.List.(backend.HardwareModeled); ok {
 		hs := hw.HardwareStats()
-		fmt.Printf("hardware model: %d cycles, %d sublist reads, %d writes\n",
+		fmt.Fprintf(w, "hardware model: %d cycles, %d sublist reads, %d writes\n",
 			hs.Cycles, hs.SublistReads, hs.SublistWrites)
 	}
+	if fs := sim.FaultStats(); fs != (backend.FaultStats{}) {
+		return fmt.Errorf("scheduler faults: %+v", fs)
+	}
+	return nil
 }
 
 func program(algo string) (*sched.Program, error) {

@@ -9,12 +9,24 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
 
 	"pieo"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "nicpath:", err)
+		os.Exit(1)
+	}
+}
+
+// run drives the pipeline and writes the report to w. It fails if a
+// frame was dropped on the way in or a tenant's share of the link is
+// more than 2 % off its weight.
+func run(w io.Writer) error {
 	const (
 		linkGbps = 40
 		duration = pieo.Time(5_000_000) // 5 ms
@@ -32,18 +44,21 @@ func main() {
 	tenantBytes := make([]uint64, 3)
 	flowTenant := map[pieo.FlowID]int{}
 	var seq uint64
+	drops := 0
 
 	// ingest decodes a frame, classifies it, and hands it to the
 	// scheduler — the NIC receive-to-TX-queue path.
 	ingest := func(at pieo.Time, frame []byte) {
 		tuple, err := decoder.Decode(frame)
 		if err != nil {
-			fmt.Println("drop:", err)
+			fmt.Fprintln(w, "drop:", err)
+			drops++
 			return
 		}
 		id, ok := classifier.Classify(tuple)
 		if !ok {
-			fmt.Println("drop: flow table full")
+			fmt.Fprintln(w, "drop: flow table full")
+			drops++
 			return
 		}
 		if _, seen := flowTenant[id]; !seen {
@@ -82,15 +97,24 @@ func main() {
 
 	sim.Run(duration)
 
-	fmt.Printf("decoded+classified %d flows across 3 tenants; %d frames on the wire\n",
+	fmt.Fprintf(w, "decoded+classified %d flows across 3 tenants; %d frames on the wire\n",
 		classifier.Flows(), sim.Sent())
 	var totalW uint64
 	for _, w := range weights {
 		totalW += w
 	}
-	fmt.Println("tenant  weight  ideal Gbps  measured Gbps")
+	fmt.Fprintln(w, "tenant  weight  ideal Gbps  measured Gbps")
+	var err error
 	for tenant, b := range tenantBytes {
 		ideal := float64(linkGbps) * float64(weights[tenant]) / float64(totalW)
-		fmt.Printf("%-6d  %-6d  %-10.2f  %.2f\n", tenant, weights[tenant], ideal, float64(b)*8/float64(duration))
+		measured := float64(b) * 8 / float64(duration)
+		fmt.Fprintf(w, "%-6d  %-6d  %-10.2f  %.2f\n", tenant, weights[tenant], ideal, measured)
+		if measured < 0.98*ideal || measured > 1.02*ideal {
+			err = fmt.Errorf("tenant %d measured %.2f Gbps against an ideal of %.2f", tenant, measured, ideal)
+		}
 	}
+	if drops != 0 || classifier.Flows() != 12 || sim.FaultStats() != (pieo.FaultStats{}) {
+		err = fmt.Errorf("%d frames dropped, %d flows classified (want 12), faults %+v", drops, classifier.Flows(), sim.FaultStats())
+	}
+	return err
 }

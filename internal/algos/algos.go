@@ -38,7 +38,7 @@ func DRR() *sched.Program {
 				}
 				f.Deficit -= uint64(head.Size)
 				p, _ := f.Queue.Pop()
-				burst = append(burst, p)
+				burst = s.Burst(p)
 			}
 			if f.Queue.Empty() {
 				f.Deficit = 0
@@ -152,7 +152,7 @@ func WF2Q() *sched.Program {
 			}
 			s.V.OnTransmit(clock.Time(s.WireTime(p.Size)), minStart)
 			f.LastScheduled = now
-			return []flowq.Packet{p}
+			return s.Burst(p)
 		},
 	}
 }

@@ -58,7 +58,7 @@ func SFQ(buckets int) *sched.Program {
 			}
 			s.EnqueueFlow(now, f)
 			f.LastScheduled = now
-			return []flowq.Packet{p}
+			return s.Burst(p)
 		},
 	}
 }
@@ -123,7 +123,7 @@ func TDMA(nFlows int, slotNs clock.Time) *sched.Program {
 				s.EnqueueFlow(now+s.WireTime(p.Size), f)
 			}
 			f.LastScheduled = now
-			return []flowq.Packet{p}
+			return s.Burst(p)
 		},
 	}
 }

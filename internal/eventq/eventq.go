@@ -2,22 +2,49 @@
 // network simulator. It is a plain binary min-heap ordered by event time,
 // with FIFO tie-breaking among events scheduled for the same instant so
 // that simulation runs are fully deterministic.
+//
+// Events are typed records, not callbacks: the simulator has exactly
+// three things that can happen at an instant, and a record that names
+// which — plus the packet it concerns — is stored in the heap itself, so
+// scheduling an event allocates nothing.
 package eventq
 
-import "pieo/internal/clock"
+import (
+	"pieo/internal/clock"
+	"pieo/internal/flowq"
+)
 
-// Event is a callback scheduled to run at a simulated instant.
+// Kind says what happens when an event fires.
+type Kind uint8
+
+const (
+	// Arrival delivers Pkt to the scheduler.
+	Arrival Kind = iota
+	// TxDone marks Pkt leaving the wire.
+	TxDone
+	// Wake re-polls a scheduler that had nothing eligible; Pkt is unused.
+	Wake
+)
+
+// Event is one scheduled occurrence.
 type Event struct {
-	At clock.Time
-	// Run executes the event. It receives the event's own timestamp so
-	// handlers do not need to capture it.
-	Run func(now clock.Time)
-
-	seq uint64 // insertion order, breaks ties deterministically
+	At   clock.Time
+	seq  uint64 // insertion order, breaks ties deterministically
+	Kind Kind
+	Pkt  flowq.Packet
 }
+
+// minCap is the smallest backing array the queue keeps: below it the
+// give-back rule would trade allocations for bytes not worth having.
+const minCap = 64
 
 // Queue is a min-heap of events. The zero value is an empty queue ready
 // to use.
+//
+// The backing array doubles when full and halves when less than a
+// quarter of it is in use, so a queue that once held a large burst (a
+// whole workload's arrivals injected at t=0) does not keep that
+// high-water memory for the rest of the run.
 type Queue struct {
 	heap []Event
 	seq  uint64
@@ -26,11 +53,34 @@ type Queue struct {
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return len(q.heap) }
 
-// Push schedules fn to run at t.
-func (q *Queue) Push(t clock.Time, fn func(now clock.Time)) {
+// before reports whether a fires before b.
+func before(a, b *Event) bool {
+	if a.At != b.At {
+		return a.At < b.At
+	}
+	return a.seq < b.seq
+}
+
+// Push schedules an event of the given kind at t.
+func (q *Queue) Push(t clock.Time, kind Kind, p flowq.Packet) {
+	if len(q.heap) == cap(q.heap) {
+		q.resize(max(minCap, 2*cap(q.heap)))
+	}
 	q.seq++
-	q.heap = append(q.heap, Event{At: t, Run: fn, seq: q.seq})
-	q.up(len(q.heap) - 1)
+	q.heap = q.heap[:len(q.heap)+1]
+	h := q.heap
+	// Sift the hole up: parents move down into it, the new event is
+	// written once. It is the newest, so it loses every tie.
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent].At <= t {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = Event{At: t, seq: q.seq, Kind: kind, Pkt: p}
 }
 
 // PeekTime returns the timestamp of the earliest pending event. The second
@@ -45,53 +95,40 @@ func (q *Queue) PeekTime() (clock.Time, bool) {
 // Pop removes and returns the earliest pending event. The second result is
 // false when the queue is empty.
 func (q *Queue) Pop() (Event, bool) {
-	if len(q.heap) == 0 {
+	h := q.heap
+	if len(h) == 0 {
 		return Event{}, false
 	}
-	top := q.heap[0]
-	last := len(q.heap) - 1
-	q.heap[0] = q.heap[last]
-	q.heap = q.heap[:last]
-	if last > 0 {
-		q.down(0)
+	top := h[0]
+	n := len(h) - 1
+	// Sift the hole at the root down: the smaller child moves up into it
+	// until the last event fits, and is written once.
+	last := &h[n]
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if right := child + 1; right < n && before(&h[right], &h[child]) {
+			child = right
+		}
+		if !before(&h[child], last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = *last
+	q.heap = h[:n]
+	if c := cap(h); c > minCap && n < c/4 {
+		q.resize(c / 2)
 	}
 	return top, true
 }
 
-func (q *Queue) less(i, j int) bool {
-	a, b := q.heap[i], q.heap[j]
-	if a.At != b.At {
-		return a.At < b.At
-	}
-	return a.seq < b.seq
-}
-
-func (q *Queue) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			return
-		}
-		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
-		i = parent
-	}
-}
-
-func (q *Queue) down(i int) {
-	n := len(q.heap)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		smallest := left
-		if right := left + 1; right < n && q.less(right, left) {
-			smallest = right
-		}
-		if !q.less(smallest, i) {
-			return
-		}
-		q.heap[i], q.heap[smallest] = q.heap[smallest], q.heap[i]
-		i = smallest
-	}
+// resize moves the pending events to a backing array of the given
+// capacity.
+func (q *Queue) resize(capacity int) {
+	q.heap = append(make([]Event, 0, capacity), q.heap...)
 }

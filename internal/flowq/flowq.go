@@ -29,7 +29,8 @@ type Packet struct {
 	Seq      uint64     // global arrival sequence, for audit trails
 }
 
-// Queue is a FIFO of packets backed by a growable ring buffer. The zero
+// Queue is a FIFO of packets backed by a growable ring buffer whose
+// length is always a power of two, so positions wrap by mask. The zero
 // value is an empty queue ready to use.
 //
 // Limit, when non-zero, caps the queue at that many packets: TryPush
@@ -74,7 +75,7 @@ func (q *Queue) Push(p Packet) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = p
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
 	q.n++
 	q.bytes += uint64(p.Size)
 }
@@ -96,7 +97,7 @@ func (q *Queue) Pop() (Packet, bool) {
 	}
 	p := q.buf[q.head]
 	q.buf[q.head] = Packet{} // do not retain popped data
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	q.bytes -= uint64(p.Size)
 	return p, true
@@ -109,7 +110,7 @@ func (q *Queue) grow() {
 	}
 	buf := make([]Packet, newCap)
 	for i := 0; i < q.n; i++ {
-		buf[i] = q.buf[(q.head+i)%len(q.buf)]
+		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 	}
 	q.buf = buf
 	q.head = 0

@@ -84,11 +84,12 @@ type Sim struct {
 	wall   clock.Wall
 	events eventq.Queue
 
-	busy    bool
-	busyNs  clock.Time
-	sent    uint64
-	wakeAt  clock.Time
-	hasWake bool
+	busy      bool
+	busySince clock.Time // start of the transmission on the wire, while busy
+	busyNs    clock.Time // wire time of completed transmissions
+	sent      uint64
+	wakeAt    clock.Time
+	hasWake   bool
 }
 
 // New creates a simulation over the given link and scheduler.
@@ -123,31 +124,31 @@ func (s *Sim) FaultStats() backend.FaultStats {
 	return backend.FaultStats{}
 }
 
-// Utilization returns the fraction of elapsed time the link was busy.
+// Utilization returns the fraction of elapsed time the link was busy. A
+// transmission still on the wire counts only up to the current instant,
+// so the result is in [0, 1] wherever Run stopped.
 func (s *Sim) Utilization() float64 {
-	if s.wall.Now() == 0 {
+	now := s.wall.Now()
+	if now == 0 {
 		return 0
 	}
-	return float64(s.busyNs) / float64(s.wall.Now())
+	busy := s.busyNs
+	if s.busy {
+		busy += now - s.busySince
+	}
+	return float64(busy) / float64(now)
 }
 
 // Inject schedules the packet arrivals produced by a generator merge.
 func (s *Sim) Inject(arrivals []pktgen.Arrival) {
 	for _, a := range arrivals {
-		a := a
-		s.events.Push(a.At, func(now clock.Time) {
-			s.sched.OnArrival(now, a.Pkt)
-			s.tryTransmit(now)
-		})
+		s.events.Push(a.At, eventq.Arrival, a.Pkt)
 	}
 }
 
 // InjectOne schedules a single arrival.
 func (s *Sim) InjectOne(at clock.Time, p flowq.Packet) {
-	s.events.Push(at, func(now clock.Time) {
-		s.sched.OnArrival(now, p)
-		s.tryTransmit(now)
-	})
+	s.events.Push(at, eventq.Arrival, p)
 }
 
 // Run processes events until the queue is empty or simulated time would
@@ -159,10 +160,25 @@ func (s *Sim) Run(until clock.Time) clock.Time {
 			return s.wall.Now()
 		}
 		ev, _ := s.events.Pop()
-		s.wall.AdvanceTo(ev.At)
-		if ev.Run != nil {
-			ev.Run(ev.At)
+		s.wall.AdvanceTo(at)
+		switch ev.Kind {
+		case eventq.Arrival:
+			s.sched.OnArrival(at, ev.Pkt)
+		case eventq.TxDone:
+			s.busy = false
+			s.busyNs += at - s.busySince
+			s.sent++
+			if s.OnTransmit != nil {
+				s.OnTransmit(at, ev.Pkt)
+			}
+		case eventq.Wake:
+			if s.hasWake && s.wakeAt == at {
+				s.hasWake = false
+			}
 		}
+		// Whatever happened, the link may now have work: a packet
+		// arrived, the wire went idle, or eligibility changed.
+		s.tryTransmit(at)
 	}
 }
 
@@ -178,16 +194,8 @@ func (s *Sim) tryTransmit(now clock.Time) {
 		return
 	}
 	s.busy = true
-	tx := s.link.TransmitTime(p.Size)
-	s.busyNs += tx
-	s.events.Push(now+tx, func(done clock.Time) {
-		s.busy = false
-		s.sent++
-		if s.OnTransmit != nil {
-			s.OnTransmit(done, p)
-		}
-		s.tryTransmit(done)
-	})
+	s.busySince = now
+	s.events.Push(now+s.link.TransmitTime(p.Size), eventq.TxDone, p)
 }
 
 // armWake schedules a poll at the scheduler's next-wake hint, keeping at
@@ -206,10 +214,5 @@ func (s *Sim) armWake(now clock.Time) {
 	}
 	s.hasWake = true
 	s.wakeAt = at
-	s.events.Push(at, func(t clock.Time) {
-		if s.hasWake && s.wakeAt == t {
-			s.hasWake = false
-		}
-		s.tryTransmit(t)
-	})
+	s.events.Push(at, eventq.Wake, flowq.Packet{})
 }

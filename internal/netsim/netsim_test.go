@@ -145,6 +145,38 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
+// Run may stop with a packet on the wire. Its wire time used to be
+// charged in full when it started, so utilization read above 1 (1.5 at
+// the first cut below); it counts only up to the current instant.
+func TestUtilizationMidPacket(t *testing.T) {
+	sim := New(Link{RateGbps: 100}, &fifoSched{})
+	// 120 ns each. The second starts at 120 and is still on the wire when
+	// the arrival at 160 is the last event inside the horizon.
+	sim.InjectOne(0, flowq.Packet{Flow: 1, Size: 1500})
+	sim.InjectOne(0, flowq.Packet{Flow: 1, Size: 1500})
+	sim.InjectOne(160, flowq.Packet{Flow: 1, Size: 1500})
+	// Then a gap: the link idles from 360 until an arrival at 720.
+	sim.InjectOne(720, flowq.Packet{Flow: 1, Size: 1500})
+	for _, cut := range []struct {
+		until clock.Time
+		now   clock.Time
+		want  float64
+	}{
+		{100, 0, 0},              // nothing done, the clock has not moved
+		{200, 160, 1},            // mid-packet: busy for all of [0, 160]
+		{300, 240, 1},            // on a tx-done
+		{700, 360, 1},            // three back to back
+		{800, 720, 0.5},          // idle 360..720, the fourth just started
+		{1_000, 840, 480. / 840}, // drained
+	} {
+		sim.Run(cut.until)
+		u := sim.Utilization()
+		if sim.Now() != cut.now || math.Abs(u-cut.want) > 1e-12 || u < 0 || u > 1 {
+			t.Fatalf("Run(%v): now %v, utilization %v; want now %v, utilization %v", cut.until, sim.Now(), u, cut.now, cut.want)
+		}
+	}
+}
+
 func TestInjectMergedStream(t *testing.T) {
 	gen := &pktgen.CBR{Flow: 1, Size: pktgen.FixedSize(1500), Gap: 300, Count: 10}
 	arrivals := pktgen.Merge(gen)

@@ -114,6 +114,13 @@ type Program struct {
 	// It returns the packets to put on the wire and normally re-enqueues
 	// the flow via s.EnqueueFlow when it stays backlogged. Default: pop
 	// one packet, re-enqueue if the queue is not empty.
+	//
+	// A hook builds its burst with s.Burst, which appends to a buffer the
+	// scheduler owns and reuses: the returned slice is valid until the
+	// next NextPacket call and must not be kept. (NextPacket hands the
+	// burst to the link one packet per call and runs no hook until it
+	// has handed over the last.) A hook may instead return a slice of
+	// its own; the scheduler only reads it.
 	PostDequeue func(s *Scheduler, now clock.Time, f *Flow) []flowq.Packet
 
 	// Wake returns the wall time at which the next element could become
@@ -187,8 +194,10 @@ type Scheduler struct {
 	Clock         clock.Source
 	DequeueBudget clock.Time
 
-	flows   map[flowq.FlowID]*Flow
+	flows   flowTable
+	burst   []flowq.Packet // the buffer Burst appends to, reused by every PostDequeue
 	pending []flowq.Packet // burst left over from a multi-packet PostDequeue
+	prePkt  flowq.Packet   // the copy a PrePacket hook writes; lives here so arrivals do not escape
 	drops   uint64         // packets tail-dropped at full flow queues
 
 	faults  backend.FaultStats // non-strict fault and admission counters
@@ -234,7 +243,6 @@ func NewOn(prog *Program, b backend.Backend, linkRateGbps float64) *Scheduler {
 		List:         b,
 		LinkRateGbps: linkRateGbps,
 		Strict:       true,
-		flows:        make(map[flowq.FlowID]*Flow),
 	}
 }
 
@@ -267,10 +275,10 @@ func (s *Scheduler) BackendStats() backend.Stats { return s.List.Stats() }
 // Flow returns the per-flow state for id, creating it with default
 // control-plane settings (weight 1, MTU quantum) on first use.
 func (s *Scheduler) Flow(id flowq.FlowID) *Flow {
-	f := s.flows[id]
+	f := s.flows.lookup(id)
 	if f == nil {
-		f = &Flow{ID: id, Weight: 1, Quantum: 1500}
-		s.flows[id] = f
+		f = s.flows.insert(id)
+		*f = Flow{ID: id, Weight: 1, Quantum: 1500}
 		s.SumWeights += f.Weight
 	}
 	return f
@@ -288,7 +296,7 @@ func (s *Scheduler) SetWeight(id flowq.FlowID, w uint64) {
 }
 
 // Flows returns the number of flows ever seen.
-func (s *Scheduler) Flows() int { return len(s.flows) }
+func (s *Scheduler) Flows() int { return len(s.flows.all) }
 
 // WireTime returns the wire time of size bytes on this scheduler's link,
 // in simulated nanoseconds.
@@ -305,12 +313,7 @@ func (s *Scheduler) WireTime(size uint32) clock.Time {
 func (s *Scheduler) OnArrival(now clock.Time, p flowq.Packet) {
 	f := s.Flow(p.Flow)
 	if s.Prog.Model == InputTriggered {
-		if s.Prog.PrePacket != nil {
-			s.Prog.PrePacket(s, now, f, &p)
-		} else {
-			p.Rank = 1
-			p.SendAt = clock.Always
-		}
+		p = s.prePacket(now, f, p)
 	}
 	wasEmpty := f.Queue.Empty()
 	if !f.Queue.TryPush(p) {
@@ -324,6 +327,21 @@ func (s *Scheduler) OnArrival(now clock.Time, p flowq.Packet) {
 	if s.Prog.OnArrival != nil {
 		s.Prog.OnArrival(s, now, f)
 	}
+}
+
+// prePacket assigns an arriving packet's rank and send time under the
+// input-triggered model. The hook takes a pointer, and a pointer handed
+// to a function value escapes: it points at the scheduler's own copy, so
+// that OnArrival's parameter stays on the stack for every program.
+func (s *Scheduler) prePacket(now clock.Time, f *Flow, p flowq.Packet) flowq.Packet {
+	if s.Prog.PrePacket == nil {
+		p.Rank = 1
+		p.SendAt = clock.Always
+		return p
+	}
+	s.prePkt = p
+	s.Prog.PrePacket(s, now, f, &s.prePkt)
+	return s.prePkt
 }
 
 // OnArrivalBatch delivers ps in arrival order with the exact state
@@ -349,12 +367,7 @@ func (s *Scheduler) OnArrivalBatch(now clock.Time, ps []flowq.Packet) {
 	for _, p := range ps {
 		f := s.Flow(p.Flow)
 		if s.Prog.Model == InputTriggered {
-			if s.Prog.PrePacket != nil {
-				s.Prog.PrePacket(s, now, f, &p)
-			} else {
-				p.Rank = 1
-				p.SendAt = clock.Always
-			}
+			p = s.prePacket(now, f, p)
 		}
 		wasEmpty := f.Queue.Empty()
 		if !f.Queue.TryPush(p) {
@@ -389,7 +402,7 @@ func (s *Scheduler) OnArrivalBatch(now clock.Time, ps []flowq.Packet) {
 			if s.List.Contains(ent.ID) {
 				continue
 			}
-			f := s.flows[flowq.FlowID(ent.ID)]
+			f := s.flows.lookup(flowq.FlowID(ent.ID))
 			if f == nil {
 				continue
 			}
@@ -462,7 +475,7 @@ func (s *Scheduler) NextPacket(now clock.Time) (flowq.Packet, bool) {
 			}
 			return flowq.Packet{}, false
 		}
-		f := s.flows[flowq.FlowID(e.ID)]
+		f := s.flows.lookup(flowq.FlowID(e.ID))
 		if f == nil {
 			if s.Strict {
 				panic(fmt.Sprintf("sched: list returned unknown flow %d", e.ID))
@@ -474,6 +487,7 @@ func (s *Scheduler) NextPacket(now clock.Time) (flowq.Packet, bool) {
 			s.fault(fmt.Errorf("%w: list returned id %d", core.ErrUnknownFlow, e.ID))
 			continue
 		}
+		s.burst = s.burst[:0] // pending is drained: the last burst is on the wire
 		var burst []flowq.Packet
 		if s.Prog.PostDequeue != nil {
 			burst = s.Prog.PostDequeue(s, now, f)
@@ -488,9 +502,18 @@ func (s *Scheduler) NextPacket(now clock.Time) (flowq.Packet, bool) {
 	}
 }
 
+// Burst adds p to the burst the running PostDequeue hook is building and
+// returns the burst so far. The buffer is the scheduler's, emptied before
+// each hook runs: the result is valid until the next NextPacket call.
+func (s *Scheduler) Burst(p flowq.Packet) []flowq.Packet {
+	s.burst = append(s.burst, p)
+	return s.burst
+}
+
 // DefaultPostDequeue is the §3.2.1 default: transmit the head packet and
 // re-enqueue the flow if it stays backlogged. Custom post-dequeue hooks
-// can call it after updating algorithm state.
+// can call it after updating algorithm state. The returned burst is
+// built with Burst: valid until the next NextPacket call.
 func (s *Scheduler) DefaultPostDequeue(now clock.Time, f *Flow) []flowq.Packet {
 	p, ok := f.Queue.Pop()
 	if !ok {
@@ -508,7 +531,7 @@ func (s *Scheduler) DefaultPostDequeue(now clock.Time, f *Flow) []flowq.Packet {
 		s.EnqueueFlow(now, f)
 	}
 	f.LastScheduled = now
-	return []flowq.Packet{p}
+	return s.Burst(p)
 }
 
 // EnqueueFlow (re-)inserts f into the ordered list: under the
@@ -579,7 +602,7 @@ func (s *Scheduler) EnqueueFlow(now clock.Time, f *Flow) {
 	case err == nil:
 		if out.DidEvict {
 			s.faults.AdmissionEvictions++
-			if vf := s.flows[flowq.FlowID(out.Evicted.ID)]; vf != nil {
+			if vf := s.flows.lookup(flowq.FlowID(out.Evicted.ID)); vf != nil {
 				s.flushFlow(vf)
 			}
 		}
@@ -632,7 +655,7 @@ func (s *Scheduler) prepareEntry(now clock.Time, f *Flow) (core.Entry, bool) {
 // the update blocked the flow or the flow has nothing to send). It
 // reports whether the flow existed.
 func (s *Scheduler) Alarm(now clock.Time, id flowq.FlowID, update func(f *Flow)) bool {
-	f := s.flows[id]
+	f := s.flows.lookup(id)
 	if f == nil {
 		return false
 	}
@@ -665,7 +688,7 @@ func (s *Scheduler) NextWake(now clock.Time) (clock.Time, bool) {
 // Backlog returns the total packets queued across all flows.
 func (s *Scheduler) Backlog() int {
 	total := len(s.pending)
-	for _, f := range s.flows {
+	for _, f := range s.flows.all {
 		total += f.Queue.Len()
 	}
 	return total

@@ -35,6 +35,9 @@ var (
 	ErrNotIPv4     = errors.New("wire: not an IPv4 packet")
 	ErrBadIHL      = errors.New("wire: bad IPv4 header length")
 	ErrUnsupported = errors.New("wire: unsupported transport protocol")
+	// ErrFragment reports a non-first IPv4 fragment: it has no transport
+	// header, so there are no ports to classify it by.
+	ErrFragment = errors.New("wire: non-first IPv4 fragment")
 )
 
 // Ethernet is a decoded Ethernet II header.
@@ -151,6 +154,11 @@ func (d *Decoder) Decode(frame []byte) (FiveTuple, error) {
 	d.IP.Protocol = ip[9]
 	copy(d.IP.Src[:], ip[12:16])
 	copy(d.IP.Dst[:], ip[16:20])
+	// A fragment at a non-zero offset carries payload where the first
+	// fragment (offset 0, MF set) carries the transport header.
+	if off := binary.BigEndian.Uint16(ip[6:8]) & 0x1fff; off != 0 {
+		return FiveTuple{}, fmt.Errorf("%w: offset %d", ErrFragment, off)
+	}
 
 	trans := ip[ihl:]
 	switch d.IP.Protocol {
