@@ -31,8 +31,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"runtime"
@@ -44,46 +46,59 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "experiment id to run, or 'all'")
-	format := flag.String("format", "table", "output format: table|csv")
-	jsonOut := flag.Bool("json", false, "additionally write BENCH_<experiment>.json per experiment (machine-readable rows plus host metadata)")
-	list := flag.Bool("list", false, "list available experiment ids and exit")
-	backends := flag.String("backend", "", "comma-separated registry backend names the measuring experiments sweep (default: "+strings.Join(experiments.Backends(), ",")+"); any registered name works")
-	procsFlag := flag.String("procs", "", "comma-separated GOMAXPROCS values (e.g. 1,2,4,8): re-run the selected experiments under each value; with -json, merge all rows into one BENCH_scaling.json")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
-	if flag.NArg() > 0 {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if !errors.Is(err, flag.ErrHelp) { // -h: the flag set has printed the usage
+			fmt.Fprintln(os.Stderr, "pieobench:", err)
+		}
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: parse args, run the selected experiments,
+// write their tables to w (and the -json/-profile files where asked).
+func run(args []string, w io.Writer) error {
+	fl := flag.NewFlagSet("pieobench", flag.ContinueOnError)
+	experiment := fl.String("experiment", "all", "experiment id to run, or 'all'")
+	format := fl.String("format", "table", "output format: table|csv")
+	jsonOut := fl.Bool("json", false, "additionally write BENCH_<experiment>.json per experiment (machine-readable rows plus host metadata)")
+	list := fl.Bool("list", false, "list available experiment ids and exit")
+	backends := fl.String("backend", "", "comma-separated registry backend names the measuring experiments sweep (default: "+strings.Join(experiments.Backends(), ",")+"); any registered name works")
+	procsFlag := fl.String("procs", "", "comma-separated GOMAXPROCS values (e.g. 1,2,4,8): re-run the selected experiments under each value; with -json, merge all rows into one BENCH_scaling.json")
+	cpuprofile := fl.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fl.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fl.Parse(args); err != nil {
+		return err
+	}
+	if fl.NArg() > 0 {
 		// A bare `pieobench hotpath` would otherwise run every experiment,
 		// silently ignoring what the user asked for.
-		fmt.Fprintf(os.Stderr, "pieobench: unexpected argument %q (select experiments with -experiment, backends with -backend)\n", flag.Arg(0))
-		os.Exit(1)
+		return fmt.Errorf("unexpected argument %q (select experiments with -experiment, backends with -backend)", fl.Arg(0))
+	}
+	if *format != "table" && *format != "csv" {
+		return fmt.Errorf("unknown format %q", *format)
 	}
 
 	if *list {
 		for _, id := range experiments.IDs() {
-			fmt.Println(id)
+			fmt.Fprintln(w, id)
 		}
-		return
+		return nil
 	}
 
 	if *backends != "" {
 		if err := experiments.SetBackends(strings.Split(*backends, ",")); err != nil {
-			fmt.Fprintln(os.Stderr, "pieobench:", err)
-			os.Exit(1)
+			return err
 		}
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pieobench: cpuprofile:", err)
-			os.Exit(1)
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "pieobench: cpuprofile:", err)
-			os.Exit(1)
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -93,57 +108,54 @@ func main() {
 		ids = []string{*experiment}
 	}
 	if *procsFlag != "" {
-		if err := runSweep(*procsFlag, ids, *format, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "pieobench:", err)
-			exit(1, *cpuprofile)
+		if err := runSweep(w, *procsFlag, ids, *format, *jsonOut); err != nil {
+			return err
 		}
-		writeMemProfile(*memprofile, *cpuprofile)
-		return
+		return writeMemProfile(*memprofile)
 	}
 	for _, id := range ids {
 		tab, err := experiments.Run(id)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pieobench:", err)
-			exit(1, *cpuprofile)
+			return err
 		}
-		switch *format {
-		case "table":
-			tab.Fprint(os.Stdout)
-		case "csv":
-			tab.FprintCSV(os.Stdout)
-		default:
-			fmt.Fprintf(os.Stderr, "pieobench: unknown format %q\n", *format)
-			exit(1, *cpuprofile)
-		}
+		printTable(w, tab, *format)
 		if *jsonOut {
 			if err := writeBenchJSON(tab); err != nil {
-				fmt.Fprintln(os.Stderr, "pieobench: json:", err)
-				exit(1, *cpuprofile)
+				return fmt.Errorf("json: %w", err)
 			}
 		}
 	}
+	return writeMemProfile(*memprofile)
+}
 
-	writeMemProfile(*memprofile, *cpuprofile)
+// printTable renders tab in the (already validated) format.
+func printTable(w io.Writer, tab *experiments.Table, format string) {
+	if format == "csv" {
+		tab.FprintCSV(w)
+		return
+	}
+	tab.Fprint(w)
 }
 
 // writeMemProfile writes the heap profile (if requested) after the
-// experiments have run; exits through exit() so an active CPU profile
-// is flushed on failure.
-func writeMemProfile(memprofile, cpuprofile string) {
+// experiments have run.
+func writeMemProfile(memprofile string) error {
 	if memprofile == "" {
-		return
+		return nil
 	}
 	f, err := os.Create(memprofile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pieobench: memprofile:", err)
-		exit(1, cpuprofile)
+		return fmt.Errorf("memprofile: %w", err)
 	}
-	defer f.Close()
 	runtime.GC() // settle the heap so the profile shows live objects
 	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "pieobench: memprofile:", err)
-		exit(1, cpuprofile)
+		f.Close()
+		return fmt.Errorf("memprofile: %w", err)
 	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	return nil
 }
 
 // runSweep is the -procs path: every selected experiment re-runs under
@@ -151,7 +163,7 @@ func writeMemProfile(memprofile, cpuprofile string) {
 // -json) every row lands — stamped with its experiment id and effective
 // gomaxprocs — in one merged BENCH_scaling.json, the
 // (experiment, backend, K, procs)-keyed artifact CI uploads.
-func runSweep(spec string, ids []string, format string, jsonOut bool) error {
+func runSweep(w io.Writer, spec string, ids []string, format string, jsonOut bool) error {
 	var procs []int
 	for _, f := range strings.Split(spec, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(f))
@@ -177,15 +189,8 @@ func runSweep(spec string, ids []string, format string, jsonOut bool) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("-- GOMAXPROCS=%d --\n", p)
-			switch format {
-			case "table":
-				tab.Fprint(os.Stdout)
-			case "csv":
-				tab.FprintCSV(os.Stdout)
-			default:
-				return fmt.Errorf("unknown format %q", format)
-			}
+			fmt.Fprintf(w, "-- GOMAXPROCS=%d --\n", p)
+			printTable(w, tab, format)
 			for _, c := range tab.Columns {
 				if !seen[c] {
 					seen[c] = true
@@ -298,13 +303,4 @@ func gitSHA() string {
 		return "unknown"
 	}
 	return strings.TrimSpace(string(out))
-}
-
-// exit stops an active CPU profile before terminating: os.Exit skips
-// deferred calls, which would otherwise leave a truncated profile.
-func exit(code int, cpuprofile string) {
-	if cpuprofile != "" {
-		pprof.StopCPUProfile()
-	}
-	os.Exit(code)
 }

@@ -8,20 +8,26 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
+	"io"
+	"os"
 
 	"pieo/internal/core"
 )
 
-func dump(l *core.List, label string) {
-	fmt.Printf("-- %s (len=%d) --\n", label, l.Len())
+// dump prints the list's sublists and fails on an invariant violation.
+func dump(w io.Writer, l *core.List, label string) error {
+	fmt.Fprintf(w, "-- %s (len=%d) --\n", label, l.Len())
 	for _, v := range l.DumpSublists() {
-		fmt.Println("  ", v)
+		fmt.Fprintln(w, "  ", v)
 	}
 	if err := l.CheckInvariants(); err != nil {
-		fmt.Println("  INVARIANT VIOLATION:", err)
+		return fmt.Errorf("%s: invariant violation: %w", label, err)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
+	return nil
 }
 
 func opDelta(l *core.List, prev core.Stats) string {
@@ -31,12 +37,30 @@ func opDelta(l *core.List, prev core.Stats) string {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if !errors.Is(err, flag.ErrHelp) { // -h: the flag set has printed the usage
+			fmt.Fprintln(os.Stderr, "pieotrace:", err)
+		}
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it takes no flags and writes the
+// walk-through to w.
+func run(args []string, w io.Writer) error {
+	fl := flag.NewFlagSet("pieotrace", flag.ContinueOnError)
+	if err := fl.Parse(args); err != nil {
+		return err
+	}
+	if fl.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fl.Arg(0))
+	}
 	l := core.New(16) // sublists of 4, like Fig 6/7
 
-	fmt.Println("=== PIEO ordered list walk-through (16 elements, sublists of 4) ===")
-	fmt.Println("Each element is [flow_id, rank, send_time]; a dequeue at time t")
-	fmt.Println("extracts the smallest-ranked element with send_time <= t.")
-	fmt.Println()
+	fmt.Fprintln(w, "=== PIEO ordered list walk-through (16 elements, sublists of 4) ===")
+	fmt.Fprintln(w, "Each element is [flow_id, rank, send_time]; a dequeue at time t")
+	fmt.Fprintln(w, "extracts the smallest-ranked element with send_time <= t.")
+	fmt.Fprintln(w)
 
 	// Populate a state reminiscent of Fig 6/7's example.
 	seed := []core.Entry{
@@ -58,50 +82,59 @@ func main() {
 	}
 	for _, e := range seed {
 		if err := l.Enqueue(e); err != nil {
-			panic(err)
+			return err
 		}
 	}
-	dump(l, "initial state (15 elements)")
+	if err := dump(w, l, "initial state (15 elements)"); err != nil {
+		return err
+	}
 
 	// --- Fig 6-style enqueue into a full sublist ---
 	prev := l.Stats()
 	e := core.Entry{ID: 5, Rank: 12, SendTime: 2}
-	fmt.Printf(">>> enqueue(%v)\n", e)
-	fmt.Println("cycle 1: parallel compare (smallest_rank > 12) over the pointer array;")
-	fmt.Println("         priority encoder selects the target sublist")
-	fmt.Println("cycle 2: read the sublist from SRAM (and a neighbor/fresh sublist if full)")
-	fmt.Println("cycle 3: parallel compare inside the sublist finds the insert position;")
-	fmt.Println("         a full sublist pushes its tail out (Invariant 1)")
-	fmt.Println("cycle 4: write back and update the pointer-array metadata")
+	fmt.Fprintf(w, ">>> enqueue(%v)\n", e)
+	fmt.Fprintln(w, "cycle 1: parallel compare (smallest_rank > 12) over the pointer array;")
+	fmt.Fprintln(w, "         priority encoder selects the target sublist")
+	fmt.Fprintln(w, "cycle 2: read the sublist from SRAM (and a neighbor/fresh sublist if full)")
+	fmt.Fprintln(w, "cycle 3: parallel compare inside the sublist finds the insert position;")
+	fmt.Fprintln(w, "         a full sublist pushes its tail out (Invariant 1)")
+	fmt.Fprintln(w, "cycle 4: write back and update the pointer-array metadata")
 	if err := l.Enqueue(e); err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Println("   cost:", opDelta(l, prev))
-	fmt.Println()
-	dump(l, "after enqueue")
+	fmt.Fprintln(w, "   cost:", opDelta(l, prev))
+	fmt.Fprintln(w)
+	if err := dump(w, l, "after enqueue"); err != nil {
+		return err
+	}
 
 	// --- Fig 7-style dequeue at curr_time = 6 ---
 	prev = l.Stats()
-	fmt.Println(">>> dequeue() at curr_time = 6")
-	fmt.Println("cycle 1: priority encoder finds the first sublist with")
-	fmt.Println("         smallest_send_time <= 6 — rank order guarantees it holds")
-	fmt.Println("         the globally smallest-ranked eligible element")
-	fmt.Println("cycle 2: read it from SRAM (plus a donor neighbor if it was full)")
-	fmt.Println("cycle 3: first entry with send_time <= 6 is the winner;")
-	fmt.Println("         a refill keeps the sublist full (Invariant 1)")
-	fmt.Println("cycle 4: write back and update metadata")
+	fmt.Fprintln(w, ">>> dequeue() at curr_time = 6")
+	fmt.Fprintln(w, "cycle 1: priority encoder finds the first sublist with")
+	fmt.Fprintln(w, "         smallest_send_time <= 6 — rank order guarantees it holds")
+	fmt.Fprintln(w, "         the globally smallest-ranked eligible element")
+	fmt.Fprintln(w, "cycle 2: read it from SRAM (plus a donor neighbor if it was full)")
+	fmt.Fprintln(w, "cycle 3: first entry with send_time <= 6 is the winner;")
+	fmt.Fprintln(w, "         a refill keeps the sublist full (Invariant 1)")
+	fmt.Fprintln(w, "cycle 4: write back and update metadata")
 	got, ok := l.Dequeue(6)
-	fmt.Printf("   returned: %v (ok=%v)   cost: %s\n\n", got, ok, opDelta(l, prev))
-	dump(l, "after dequeue")
+	fmt.Fprintf(w, "   returned: %v (ok=%v)   cost: %s\n\n", got, ok, opDelta(l, prev))
+	if err := dump(w, l, "after dequeue"); err != nil {
+		return err
+	}
 
 	// --- dequeue(f) ---
 	prev = l.Stats()
-	fmt.Println(">>> dequeue(f=9): extract a specific flow regardless of eligibility")
+	fmt.Fprintln(w, ">>> dequeue(f=9): extract a specific flow regardless of eligibility")
 	got, ok = l.DequeueFlow(9)
-	fmt.Printf("   returned: %v (ok=%v)   cost: %s\n\n", got, ok, opDelta(l, prev))
-	dump(l, "after dequeue(f)")
+	fmt.Fprintf(w, "   returned: %v (ok=%v)   cost: %s\n\n", got, ok, opDelta(l, prev))
+	if err := dump(w, l, "after dequeue(f)"); err != nil {
+		return err
+	}
 
 	s := l.Stats()
-	fmt.Printf("totals: %d enqueues, %d dequeues, %d flow-dequeues, %d cycles, %d SRAM reads, %d writes\n",
+	fmt.Fprintf(w, "totals: %d enqueues, %d dequeues, %d flow-dequeues, %d cycles, %d SRAM reads, %d writes\n",
 		s.Enqueues, s.Dequeues, s.FlowDequeues, s.Cycles, s.SublistReads, s.SublistWrites)
+	return nil
 }

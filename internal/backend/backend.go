@@ -124,28 +124,32 @@ type RankRanger interface {
 	DequeueRankRange(lo, hi uint64) (core.Entry, bool)
 }
 
-// EligIndexed is implemented by backends that keep a timing-wheel
-// eligibility index over send_time (internal/timewheel): an exact O(1)
-// answer to "when does the next currently-ineligible element become
-// eligible", independent of how many elements are queued. The sharded
-// engine uses it to keep per-shard minSend summaries exact after every
-// mutation (including removals) and to publish exact nextElig bounds;
-// netsim's wake hinting uses it to sleep to the precise next release.
+// EligIndexed is implemented by backends that keep an exact index over
+// send_time and so can answer "when does the next currently-ineligible
+// element become eligible" without scanning their elements. What the
+// index is belongs to the backend: core.List reads the
+// Ordered-Sublist-Array's own eligibility summaries, CFFS keeps a timing
+// wheel (internal/timewheel) beside a scan fallback. The sharded engine
+// uses the capability to keep per-shard minSend summaries exact after
+// every mutation (including removals) and to publish exact nextElig
+// bounds; netsim's wake hinting uses it to sleep to the precise next
+// release.
 type EligIndexed interface {
 	// NextWakeAfter returns the exact smallest send_time strictly
 	// greater than now among queued elements, or clock.Never when no
 	// such element exists. Elements already eligible at now do not
 	// contribute: the caller polls Dequeue for those.
 	NextWakeAfter(now clock.Time) clock.Time
-	// EligIndexActive reports whether the index is live. When false
-	// (see DisableEligIndex), NextWakeAfter still answers exactly but
-	// by scanning — the configuration the pacing experiments use as
-	// the recorded non-wheel baseline.
+	// EligIndexActive reports whether the index is live, which also
+	// promises a cheap exact MinSendTime. When false (see
+	// DisableEligIndex), NextWakeAfter still answers exactly but by
+	// scanning.
 	EligIndexActive() bool
-	// DisableEligIndex drops the index permanently for this instance;
-	// the backend falls back to its summary-scan paths. Safe at any
-	// point in the lifecycle (the index is advisory, never
-	// authoritative).
+	// DisableEligIndex asks the backend to drop its index for this
+	// instance and fall back to its scan paths — the baseline the
+	// pacing experiments measure a wheel against. A backend whose index
+	// is the structure itself (core.List) has nothing to drop and stays
+	// active. Safe at any point in the lifecycle.
 	DisableEligIndex()
 }
 

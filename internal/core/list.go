@@ -60,7 +60,6 @@ import (
 	"math"
 
 	"pieo/internal/clock"
-	"pieo/internal/timewheel"
 )
 
 // Entry is one element of the ordered list: a flow (or packet) identifier
@@ -140,20 +139,15 @@ type Stats struct {
 // placement does.
 //
 // The fields are Entry's, laid out for the cache rather than for the API:
-// id and wh share a word, so an element is 32 bytes — two to a cache line
-// and, in the 64-byte-aligned sublist arena, none straddling two. Every
-// interior insert or removal shifts elements, so the element size is the
-// unit cost of the software datapath.
+// the 4-byte id goes last, so an element is 32 bytes — two to a cache
+// line and, in the 64-byte-aligned sublist arena, none straddling two.
+// Every interior insert or removal shifts elements, so the element size
+// is the unit cost of the software datapath.
 type element struct {
 	rank     uint64
 	sendTime clock.Time
 	seq      uint64
 	id       uint32
-	// wh is the element's handle in the list's timing-wheel eligibility
-	// index (meaningless while the wheel is disabled). It travels with
-	// the element through sublist moves, so wheel maintenance happens
-	// only at true insert/extract boundaries.
-	wh int32
 }
 
 func newElement(e Entry, seq uint64) element {
@@ -410,16 +404,11 @@ type List struct {
 	// for the hardware's parallel eligibility comparators. It is exact
 	// (refreshed on every metadata change), so a block whose word fails
 	// the time filter is skipped wholesale and a block whose word passes
-	// is guaranteed to contain an eligible sublist.
+	// is guaranteed to contain an eligible sublist. Together with
+	// ptr.smallestSendTime and the sorted sublist.elig arrays these words
+	// are the list's one time index: MinSendTime, the dequeue-miss verdict
+	// and NextWakeAfter are all answered from them (DESIGN.md §11).
 	eligBlk []clock.Time
-
-	// wheel is the timing-wheel eligibility index (internal/timewheel):
-	// every queued element is mirrored into it by send_time, making
-	// MinSendTime O(1)-exact, giving dequeue a constant-time "nothing
-	// eligible" verdict, and answering NextWakeAfter exactly. nil after
-	// DisableEligIndex (the recorded non-wheel baseline): the list then
-	// falls back to its summary scans with identical results.
-	wheel *timewheel.Wheel
 
 	size  int
 	seq   uint64
@@ -471,7 +460,6 @@ func NewWithOccupancyHint(n, s, hint int) *List {
 		posOf:       make([]int, num),
 		ids:         make([]idBounds, num),
 		eligBlk:     make([]clock.Time, (num+eligBlockMask)>>eligBlockShift),
-		wheel:       timewheel.New(timewheel.Config{Hint: hint}),
 		flows:       newFlowTab(hint),
 	}
 	// Preallocate two-ended stores for every sublist the hint occupancy
@@ -593,9 +581,6 @@ func (l *List) enqueue(elem element) error {
 	l.stats.Enqueues++
 	l.stats.Cycles += 4
 	l.size++
-	if l.wheel != nil {
-		elem.wh = l.wheel.Insert(elem.sendTime)
-	}
 
 	if l.active == 0 {
 		l.insertElem(0, elem)
@@ -648,22 +633,12 @@ func (l *List) enqueue(elem element) error {
 // partition the global rank order, that position holds the globally
 // smallest-ranked eligible element. The packed summary words skip 32
 // ineligible positions per probe; a word that passes guarantees a hit
-// inside its block (the summary is exact).
+// inside its block (the summary is exact), and "nothing eligible
+// anywhere" costs one sequential pass over the active words.
 //
 // startPos is a resume hint for batch extraction: callers must guarantee
 // that every position before it is ineligible at now.
 func (l *List) firstEligible(now clock.Time, startPos int) int {
-	// Wheel fast path: the index's O(1) exact minimum send_time decides
-	// "nothing eligible anywhere" without touching a single summary
-	// word — the sparse-eligibility regime where the block scan below
-	// would walk every word and find nothing. (Callers guarantee every
-	// position before startPos is ineligible, so a wheel minimum <= now
-	// is always discoverable at or after startPos.)
-	if l.wheel != nil {
-		if m, ok := l.wheel.MinSendTime(); !ok || m > now {
-			return -1
-		}
-	}
 	// The scan loops index through registers: active, the block-summary
 	// slice, and the order slice are hoisted into locals so the inner
 	// loops compare against register-resident headers instead of
@@ -924,13 +899,6 @@ func (l *List) PeekRangeSeq(now clock.Time, lo, hi uint32) (Entry, uint64, bool)
 // exactly — the scan has just seen every resident — so bounds left wide
 // by removals stop costing a read once, not on every later scan.
 func (l *List) findInRange(now clock.Time, lo, hi uint32, tighten bool) (pos, idx int, missReads, missCompares uint64) {
-	// The wheel's exact minimum decides "nothing eligible anywhere" up
-	// front, as in firstEligible.
-	if l.wheel != nil {
-		if m, ok := l.wheel.MinSendTime(); !ok || m > now {
-			return -1, -1, 0, 0
-		}
-	}
 	active := l.active
 	blk := l.eligBlk
 	ord := l.order
@@ -983,40 +951,56 @@ func (l *List) MinRank() (uint64, bool) {
 }
 
 // MinSendTime returns the smallest send_time across all queued elements —
-// computed from the packed summary words, O(√N/32). Fair-queueing
-// algorithms use it as the "minimum start time among backlogged flows"
-// term of the WF²Q+ virtual-time update. ok is false when the list is
-// empty.
+// the fold of the active packed summary words, O(√N/32) sequential
+// loads. Fair-queueing algorithms use it as the "minimum start time among
+// backlogged flows" term of the WF²Q+ virtual-time update. ok is false
+// when the list is empty.
 func (l *List) MinSendTime() (clock.Time, bool) {
 	if l.active == 0 {
 		return 0, false
 	}
-	if l.wheel != nil {
-		return l.wheel.MinSendTime()
-	}
 	minT := clock.Never
-	for b := 0; b<<eligBlockShift < l.active; b++ {
-		if l.eligBlk[b] < minT {
-			minT = l.eligBlk[b]
-		}
+	for _, w := range l.eligBlk[:(l.active+eligBlockMask)>>eligBlockShift] {
+		minT = min(minT, w)
 	}
 	return minT, true
 }
 
 // NextWakeAfter returns the exact smallest send_time strictly greater
 // than now among queued elements, or clock.Never when none exists — the
-// backend.EligIndexed capability. O(1) through the wheel; without it
-// (DisableEligIndex) an exact fallback binary-searches each active
-// sublist's sorted eligibility array, O(√N log S).
+// backend.EligIndexed capability, answered from the Ordered-Sublist-Array
+// by a pruned walk: a block whose summary word is past now contributes
+// that word and is skipped whole, a sublist whose cached smallest
+// send_time is past now contributes it, a sublist whose latest send_time
+// is at or before now contributes nothing, and only a sublist that
+// straddles now is binary-searched. After a Carousel drain (everything
+// left is in the future) that is O(√N/32) with no element touched; the
+// worst case, every sublist straddling, is O(√N·log S).
 func (l *List) NextWakeAfter(now clock.Time) clock.Time {
-	if l.wheel != nil {
-		return l.wheel.NextWakeAfter(now)
-	}
 	best := clock.Never
-	for i := 0; i < l.active; i++ {
-		sl := &l.sublists[l.order[i].sublistID]
-		elig := sl.elig
-		lo, hi := 0, len(elig)
+	active := l.active
+	blk := l.eligBlk
+	ord := l.order
+	for pos := 0; pos < active; {
+		if pos&eligBlockMask == 0 {
+			if w := blk[pos>>eligBlockShift]; w > now {
+				best = min(best, w)
+				pos += eligBlockLen
+				continue
+			}
+		}
+		p := &ord[pos]
+		pos++
+		if t := p.smallestSendTime; t > now {
+			best = min(best, t)
+			continue
+		}
+		elig := l.sublists[p.sublistID].elig
+		// elig[0] <= now; the answer, if any, lies in (0, hi].
+		lo, hi := 1, len(elig)-1
+		if elig[hi] <= now {
+			continue
+		}
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
 			if elig[mid] <= now {
@@ -1025,20 +1009,20 @@ func (l *List) NextWakeAfter(now clock.Time) clock.Time {
 				hi = mid
 			}
 		}
-		if lo < len(elig) && elig[lo] < best {
-			best = elig[lo]
-		}
+		best = min(best, elig[hi])
 	}
 	return best
 }
 
-// EligIndexActive implements backend.EligIndexed.
-func (l *List) EligIndexActive() bool { return l.wheel != nil }
+// EligIndexActive implements backend.EligIndexed: always true. The index
+// is the list's own exact metadata (sublist.elig, ptr.smallestSendTime,
+// eligBlk), so MinSendTime is exact and cheap after every mutation —
+// what the sharded engine's exact-summary regime relies on.
+func (l *List) EligIndexActive() bool { return true }
 
-// DisableEligIndex implements backend.EligIndexed: it drops the wheel
-// permanently, reverting every query to the summary-scan paths. The
-// pacing experiments use this as the recorded non-wheel baseline.
-func (l *List) DisableEligIndex() { l.wheel = nil }
+// DisableEligIndex implements backend.EligIndexed as a no-op: the list
+// has one time index and no second path to fall back to.
+func (l *List) DisableEligIndex() {}
 
 // MaxRankEntry returns the largest-(rank, FIFO) element — the push-out
 // victim a rank-aware admission policy evicts when a higher-priority
@@ -1070,9 +1054,6 @@ func (l *List) MaxRankEntrySeq() (Entry, uint64, bool) {
 func (l *List) extractAt(pos int, sl *sublist, idx int) {
 	wasFull := sl.full(l.sublistSize)
 	id := sl.entries[idx].id
-	if l.wheel != nil {
-		l.wheel.Remove(sl.entries[idx].wh)
-	}
 	l.removeAt(sl, idx)
 	l.flows.remove(id)
 	l.size--
@@ -1313,8 +1294,8 @@ func (l *List) SnapshotWithSeq() ([]Entry, []uint64) {
 // metadata coherence (the resident-ID bounds conservative for every
 // active sublist and cleared for every empty one), eligibility-sublist
 // coherence, flow-index consistency, plus the software-only structures
-// layered on top (packed summary words, two-ended window bounds, the
-// flow index's own probe structure). Tests
+// layered on top (packed summary words and the MinSendTime they fold to,
+// two-ended window bounds, the flow index's own probe structure). Tests
 // call it after every mutation; it returns the first violation found.
 func (l *List) CheckInvariants() error {
 	if l.active < 0 || l.active > len(l.order) {
@@ -1322,6 +1303,7 @@ func (l *List) CheckInvariants() error {
 	}
 	seen := make(map[int]bool, len(l.order))
 	total := 0
+	minSend := clock.Never
 	var prev *element
 	for i, p := range l.order {
 		if seen[p.sublistID] {
@@ -1403,6 +1385,7 @@ func (l *List) CheckInvariants() error {
 				return fmt.Errorf("global order violated: %v before %v", prev.entry(), e.entry())
 			}
 			prev = e
+			minSend = min(minSend, e.sendTime)
 			if sid, ok := l.flows.lookup(e.id); !ok || sid != p.sublistID {
 				return fmt.Errorf("flow index for id %d = (%d,%v), want sublist %d", e.id, sid, ok, p.sublistID)
 			}
@@ -1440,25 +1423,10 @@ func (l *List) CheckInvariants() error {
 			return fmt.Errorf("summary word %d = %v, want %v", b, l.eligBlk[b], m)
 		}
 	}
-	// Wheel residency must exactly match list contents: same element
-	// count, every queued element's handle live with its send_time, and
-	// the wheel's own structural invariants.
-	if l.wheel != nil {
-		if l.wheel.Len() != l.size {
-			return fmt.Errorf("wheel holds %d elements, list %d", l.wheel.Len(), l.size)
-		}
-		for i := 0; i < l.active; i++ {
-			sl := &l.sublists[l.order[i].sublistID]
-			for j := range sl.entries {
-				e := &sl.entries[j]
-				if got := l.wheel.TimeOf(e.wh); got != e.sendTime {
-					return fmt.Errorf("wheel handle %d for id %d holds t=%v, element send_time %v", e.wh, e.id, got, e.sendTime)
-				}
-			}
-		}
-		if err := l.wheel.CheckInvariants(); err != nil {
-			return err
-		}
+	// The index end to end: the fold of the summary words is the minimum
+	// over the elements themselves.
+	if t, ok := l.MinSendTime(); ok != (l.size > 0) || (ok && t != minSend) {
+		return fmt.Errorf("MinSendTime = %v,%v, brute force %v over %d elements", t, ok, minSend, l.size)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 
 	"pieo/internal/backend"
@@ -15,13 +16,14 @@ import (
 
 // pacingScaleSizes sweeps the paced-flow counts of the Carousel-style
 // scenario: the paper's 30K operating point is long passed by the 100K
-// step, and 1M is the Carousel/Eiffel scale the timing-wheel eligibility
-// index exists for.
+// step, and 1M is the Carousel/Eiffel scale the eligibility index
+// exists for.
 var pacingScaleSizes = []int{10_000, 100_000, 1_000_000}
 
 // pacingScaleRounds returns how many wake→dispatch rounds each
-// configuration runs. The default keeps the full sweep (sizes × backends
-// × index on/off) in the seconds range; PIEO_PACING_ROUNDS overrides it
+// configuration runs. The default keeps the full sweep (sizes ×
+// backends, × wheel on/off where a backend has both) in the seconds
+// range; PIEO_PACING_ROUNDS overrides it
 // for smoke runs or longer measurements.
 func pacingScaleRounds() int {
 	if s := os.Getenv("PIEO_PACING_ROUNDS"); s != "" {
@@ -60,10 +62,11 @@ type pacingScaleResult struct {
 // per-flow rate-derived gaps. Release phases are spread uniformly so at
 // any instant well under 1% of flows are eligible; the driver is the
 // Carousel event loop — drain everything due now, ask the backend when
-// the next release lands, jump the clock there, dispatch, re-arm. With
-// the timing-wheel index the "when" is one O(1) read; without it
-// (wheel=false disables the index first) the backend falls back to its
-// summary scans, which is the recorded software baseline.
+// the next release lands, jump the clock there, dispatch, re-arm.
+// wheel=false calls DisableEligIndex first: a backend that keeps a
+// timing wheel beside a scan fallback (cffs) then measures the fallback;
+// on core, whose time index is the list's own metadata, it changes
+// nothing.
 func pacingScaleMeasure(name string, n int, wheel bool) pacingScaleResult {
 	be, err := backend.New(name, n)
 	if err != nil {
@@ -83,10 +86,10 @@ func pacingScaleMeasure(name string, n int, wheel bool) pacingScaleResult {
 	// line rate (Carousel's regime — admission control keeps the sum of
 	// shaped rates at or under the link), so each flow's token-bucket
 	// rate is ~lineGbps/n with a ±50% weight spread, and release density
-	// in time is set by the LINK, not by the flow count. That is what
-	// makes the wheel O(1): elements per granule ≈ line packet rate ×
-	// granule width, independent of n. Phases spread across one full gap
-	// so releases arrive one at a time.
+	// in time is set by the LINK, not by the flow count (so a wheel's
+	// elements per granule ≈ line packet rate × granule width,
+	// independent of n). Phases spread across one full gap so releases
+	// arrive one at a time.
 	const lineGbps = 100.0
 	gap := make([]clock.Time, n)
 	next := make([]clock.Time, n)
@@ -112,7 +115,7 @@ func pacingScaleMeasure(name string, n int, wheel bool) pacingScaleResult {
 	rounds := pacingScaleRounds()
 	for r := 0; r < rounds; r++ {
 		// Drain everything due at now; the final call is the sparse-
-		// eligibility miss the wheel turns into an O(1) check.
+		// eligibility miss.
 		for {
 			t0 := time.Now()
 			ent, ok := be.Dequeue(now)
@@ -164,41 +167,47 @@ func pacingScaleMeasure(name string, n int, wheel bool) pacingScaleResult {
 	return res
 }
 
+// pacingHasWheel reports whether the named backend keeps a timing wheel
+// beside a scan fallback, which makes the wheel on/off pair a
+// measurement of two paths: the cffs family. core and the engine over
+// core shards answer from the Ordered-Sublist-Array's own summaries —
+// one path, one row.
+func pacingHasWheel(name string) bool { return strings.Contains(name, "cffs") }
+
 // PacingScale is the Carousel-style scaling study behind the §1
 // motivation at Eiffel/Carousel flow counts: 10K → 1M token-bucket-paced
-// flows with sparse eligibility, comparing the timing-wheel eligibility
-// index against the summary-scan baseline on the same backend. The
-// headline is the per-round cost staying ~flat across two orders of
-// magnitude of flows (the wheel's O(1) claim) and every wake hint being
-// exact (a dispatch at precisely the promised instant — the "packets
+// flows with sparse eligibility. The headline is the per-round cost
+// growing far slower than the flow count and every wake hint being exact
+// (a dispatch at precisely the promised instant — the "packets
 // transmitted at precise times" requirement pacing protocols impose).
+// Backends with a wheel and a scan fallback report both, with the
+// wheel's speedup over the scan.
 func PacingScale() *Table {
 	maxFlows := pacingScaleMaxFlows()
 	var rows [][]string
+	row := func(name string, n int, index string, r pacingScaleResult, speedup string) {
+		rows = append(rows, []string{
+			name, sizeLabel(n), index,
+			fmt.Sprintf("%.0f", r.dequeueNs),
+			fmt.Sprintf("%.0f", r.wakeNs),
+			fmt.Sprintf("%.0f", r.roundNs),
+			fmt.Sprintf("%.1f", r.exactPct),
+			speedup,
+		})
+	}
 	for _, name := range Backends() {
 		for _, n := range pacingScaleSizes {
 			if n > maxFlows {
 				continue
 			}
+			if !pacingHasWheel(name) {
+				row(name, n, "summaries", pacingScaleMeasure(name, n, true), "-")
+				continue
+			}
 			base := pacingScaleMeasure(name, n, false)
 			whl := pacingScaleMeasure(name, n, true)
-			speedup := base.roundNs / whl.roundNs
-			rows = append(rows, []string{
-				name, sizeLabel(n), "scan",
-				fmt.Sprintf("%.0f", base.dequeueNs),
-				fmt.Sprintf("%.0f", base.wakeNs),
-				fmt.Sprintf("%.0f", base.roundNs),
-				fmt.Sprintf("%.1f", base.exactPct),
-				"1.0",
-			})
-			rows = append(rows, []string{
-				name, sizeLabel(n), "wheel",
-				fmt.Sprintf("%.0f", whl.dequeueNs),
-				fmt.Sprintf("%.0f", whl.wakeNs),
-				fmt.Sprintf("%.0f", whl.roundNs),
-				fmt.Sprintf("%.1f", whl.exactPct),
-				fmt.Sprintf("%.1f", speedup),
-			})
+			row(name, n, "scan", base, "1.0")
+			row(name, n, "wheel", whl, fmt.Sprintf("%.1f", base.roundNs/whl.roundNs))
 		}
 	}
 	return &Table{
@@ -208,9 +217,10 @@ func PacingScale() *Table {
 		Rows:    rows,
 		Notes: []string{
 			"open loop: each flow re-arms at prev release + size*8/rate (token bucket at steady state), <1% eligible at any instant",
-			"wake ns/op is the next-release query; 'wheel' reads the timing-wheel index, 'scan' is the same backend with the index disabled",
+			"wake ns/op is the next-release query; 'summaries' is the core list's pruned walk over its own eligibility metadata (one path)",
+			"'wheel'/'scan' (cffs backends, -backend cffs) are the timing-wheel index and the same backend with it disabled; speedup is scan/wheel round ns",
 			"exact % counts wake hints that delivered a due element at precisely the promised instant",
-			"round ns is the whole wake->dispatch->re-arm iteration; ~flat across flow counts is the wheel's O(1) claim",
+			"round ns is the whole wake->dispatch->re-arm iteration",
 			"PIEO_PACING_ROUNDS / PIEO_PACING_FLOWS shrink the sweep for smoke runs",
 		},
 	}

@@ -57,9 +57,9 @@ func TestStormScheduledWindows(t *testing.T) {
 }
 
 // TestStormConvergenceConcurrent is the cross-feature -race storm the
-// ISSUE names: combining rings forced on, the timewheel eligibility
-// index active (core backend), and SCHEDULED quarantine windows on a
-// shared clock — all simultaneously. The assertion is recovery
+// ISSUE names: combining rings forced on, the eligibility index active
+// (core backend: exact per-shard summaries), and SCHEDULED quarantine
+// windows on a shared clock — all simultaneously. The assertion is recovery
 // CONVERGENCE, not forced recovery: after the last window closes, live
 // traffic plus the breakers' own clock-driven probes must bring every
 // shard back to fully closed within the supervision layer's bounded
@@ -106,7 +106,7 @@ func runStormConvergence(t *testing.T, seedBase uint64) {
 	})
 	e.SetFaultHook(storm.ShardHook())
 	if !e.EligIndexActive() {
-		t.Fatal("timewheel eligibility index inactive on the core backend")
+		t.Fatal("eligibility index inactive on the core backend")
 	}
 
 	var stop atomic.Bool
@@ -217,7 +217,7 @@ func runStormConvergence(t *testing.T, seedBase uint64) {
 		t.Fatalf("post-drain invariants: %v", err)
 	}
 	if !e.EligIndexActive() {
-		t.Fatal("timewheel eligibility index demoted by quarantine rebuilds")
+		t.Fatal("eligibility index demoted by quarantine rebuilds")
 	}
 	t.Logf("converged: %d accepted, faults=%+v, storm=%+v", len(accepted), e.FaultStats(), storm.Stats())
 }

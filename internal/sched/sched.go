@@ -682,7 +682,12 @@ func (s *Scheduler) NextWake(now clock.Time) (clock.Time, bool) {
 		// instead of an arm-at-infinity hint.
 		return t, t != clock.Never
 	}
-	return s.List.MinSendTime()
+	// Backends without the index (ref, pifo, approx) answer from the
+	// minimum alone, under the same contract: an all-Never backlog (a
+	// flow parked until an Alarm) or an already-eligible minimum is no
+	// wake, never an alarm armed at the end of time.
+	t, ok := s.List.MinSendTime()
+	return t, ok && t != clock.Never && t > now
 }
 
 // Backlog returns the total packets queued across all flows.

@@ -5,6 +5,8 @@ import (
 
 	"pieo/internal/clock"
 	"pieo/internal/flowq"
+	"pieo/internal/netsim"
+	_ "pieo/internal/refmodel" // registers the "ref" backend
 )
 
 func defaultProg() *Program { return &Program{Name: "default"} }
@@ -220,6 +222,42 @@ func TestNextWakeWallDomain(t *testing.T) {
 	}
 	if p, ok := s.NextPacket(500); !ok || p.Flow != 1 {
 		t.Fatalf("NextPacket(500) = %+v ok=%v", p, ok)
+	}
+}
+
+// A flow parked at clock.Never (blocked until an Alarm re-ranks it) is no
+// wake on any backend, indexed or not: the simulator must stop at the
+// arrival instead of arming an alarm at the end of time, "releasing" the
+// flow there and wrapping the tx-done instant.
+func TestNextWakeParkedFlow(t *testing.T) {
+	for _, name := range []string{"core", "ref", "pifo"} {
+		t.Run(name, func(t *testing.T) {
+			prog := &Program{
+				Name: "parked",
+				PreEnqueue: func(s *Scheduler, now clock.Time, f *Flow) {
+					f.Rank = 1
+					f.SendTime = clock.Never
+				},
+			}
+			s, err := NewNamed(prog, name, 16, 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim := netsim.New(netsim.Link{RateGbps: 40}, s)
+			sim.InjectOne(100, flowq.Packet{Flow: 1, Size: 100})
+			if end := sim.Run(clock.Never); end != 100 {
+				t.Fatalf("Run(Never) = %v, want the arrival instant 100", end)
+			}
+			if at, ok := s.NextWake(100); ok {
+				t.Fatalf("NextWake = %v,true for an all-Never backlog", at)
+			}
+			if sim.Sent() != 0 || sim.Utilization() != 0 {
+				t.Fatalf("sent=%d utilization=%g, want nothing transmitted", sim.Sent(), sim.Utilization())
+			}
+			if !s.List.Contains(1) || s.Backlog() != 1 {
+				t.Fatalf("parked flow left the list (len %d, backlog %d)", s.List.Len(), s.Backlog())
+			}
+		})
 	}
 }
 

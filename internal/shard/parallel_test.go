@@ -18,8 +18,10 @@ import (
 // rings barely engage — these tests require real core parallelism, so
 // producers publish into the rings WHILE a combiner drains them and the
 // turn-word protocol's cross-core orderings are actually exercised.
-// Under -race this is the strongest coverage the combining layer gets;
-// CI runs it on multi-core runners (see .github/workflows/ci.yml).
+// Under -race this is the strongest coverage the combining layer gets.
+// They run wherever two cores exist: the consumer takes one and the
+// producer count follows the rest (stormProducers), up to the full
+// 4 + 2 shape on seven or more.
 //
 // ID encoding: single-op producer p's i-th element is p*perSingle+i+1
 // (low range); batch producers use IDs at or above batchIDBase so the
@@ -27,22 +29,35 @@ import (
 // well-defined through a quarantine (a mid-batch reroute legitimately
 // re-draws sequence numbers out of batch order — see EnqueueBatch).
 
+// pStormSingles single-op producers (FIFO-audited) and pStormBatchers
+// EnqueueBatch producers (ring-block path) run against one consumer.
+var pStormSingles, pStormBatchers = stormProducers(runtime.NumCPU())
+
 const (
-	pStormSingles   = 4    // single-op producers (FIFO-audited)
-	pStormBatchers  = 2    // EnqueueBatch producers (ring-block path)
 	pStormPerSingle = 2500 // elements per single-op producer
 	pStormBatches   = 40   // batches per batch producer
 	pStormBatchLen  = 60   // elements per batch (> ringBatchMax, multi-shard)
 	batchIDBase     = 1 << 20
 )
 
+// stormProducers sizes the storm for a host with cpus cores: one core is
+// the consumer's, the others carry up to six producers, a third of them
+// batch producers. Both paths keep at least one producer, so on two
+// cores three goroutines share two — still a producer publishing while
+// the consumer combines.
+func stormProducers(cpus int) (singles, batchers int) {
+	n := min(cpus-1, 6)
+	batchers = max(n/3, 1)
+	return max(n-batchers, 1), batchers
+}
+
 func requireParallelHost(t *testing.T) {
 	t.Helper()
 	if os.Getenv("PIEO_FORCE_PARALLEL_STORM") != "" {
 		return // run time-shared anyway (correctness still holds; parallelism doesn't)
 	}
-	if n := runtime.NumCPU(); n < 4 {
-		t.Skipf("host has %d CPUs; the parallel ring storm needs >= 4 to run producers and a consumer on distinct cores (multicore host requirement, see README) — skipping", n)
+	if n := runtime.NumCPU(); n < 2 {
+		t.Skipf("host has %d CPU; the parallel ring storm needs >= 2 to run a producer and the consumer on distinct cores (see README) — skipping", n)
 	}
 }
 

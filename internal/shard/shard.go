@@ -132,12 +132,13 @@ type shard struct {
 	eng  *Engine
 	ring *opRing
 
-	// idx is list's timing-wheel eligibility view when the backend
-	// provides one (backend.EligIndexed), nil otherwise; exact caches
+	// idx is list's eligibility-index view when the backend provides one
+	// (backend.EligIndexed), nil otherwise; exact caches
 	// idx.EligIndexActive() so the summary helpers branch on a plain
 	// bool under mu. While exact, minSend is maintained EXACTLY after
-	// every mutation — the wheel makes MinSendTime O(1) — instead of as
-	// a stale-low bound, so raiseNextElig republishes exact engine-wide
+	// every mutation — the index makes MinSendTime cheap (core folds a
+	// few summary words, cffs reads its wheel) — instead of as a
+	// stale-low bound, so raiseNextElig republishes exact engine-wide
 	// next-eligible times. Both fields are rebound whenever a list is
 	// installed (bindList) and demoted by Engine.DisableEligIndex.
 	idx   backend.EligIndexed
@@ -190,10 +191,9 @@ type shard struct {
 	// which profiling showed dominating the mutation paths). A low bound
 	// is sound for pruning — a shard is skipped only when even its most
 	// optimistic element is ineligible — and a failed peek repairs the
-	// bound exactly when the staleness wasted work. On a wheel-indexed
-	// backend (see idx/exact) the O(√n) recompute collapses to an O(1)
-	// wheel read and minSend is kept exact after every mutation, removals
-	// included.
+	// bound exactly when the staleness wasted work. On an indexed
+	// backend (see idx/exact) the recompute is a cheap exact read and
+	// minSend is kept exact after every mutation, removals included.
 	//
 	// minSend and downFlag are read lock-free by REMOTE cores (tournament
 	// pruning, routing checks) while the lock-holder mutates the fields
@@ -207,10 +207,10 @@ type shard struct {
 }
 
 // noteMutation refreshes the summary after inserting (or re-ranking) an
-// element with the given send time, in O(1). Callers must hold mu. On a
-// wheel-indexed list the minSend summary is refreshed exactly — an O(1)
-// wheel read — so a re-rank that RAISED a send time tightens it too;
-// otherwise send only lowers the stale-safe bound.
+// element with the given send time, in O(1). Callers must hold mu. On an
+// indexed list the minSend summary is refreshed exactly, so a re-rank
+// that RAISED a send time tightens it too; otherwise send only lowers
+// the stale-safe bound.
 func (s *shard) noteMutation(send clock.Time) {
 	if r, ok := s.list.MinRank(); ok {
 		if r == emptyRank {
@@ -231,9 +231,9 @@ func (s *shard) noteMutation(send clock.Time) {
 
 // noteRemoval refreshes the summary after removing an element, in O(1);
 // minSend stays a stale lower bound unless the shard emptied — except on
-// a wheel-indexed list, where an O(1) wheel read keeps it exact so
-// raiseNextElig recomputes an exact engine bound instead of a stale-low
-// one. Callers must hold mu.
+// an indexed list, where an exact read keeps it exact so raiseNextElig
+// recomputes an exact engine bound instead of a stale-low one. Callers
+// must hold mu.
 func (s *shard) noteRemoval() {
 	if r, ok := s.list.MinRank(); ok {
 		if r == emptyRank {
@@ -264,7 +264,7 @@ func (s *shard) refreshMinSend() {
 // and quarantine rebuilds are the only callers; both own the shard
 // exclusively (pre-publication, or under mu while down). A latched
 // Engine.DisableEligIndex propagates here so a rebuilt incarnation
-// comes up with its wheel dropped too.
+// comes up with its index dropped too.
 func (s *shard) bindList(l backend.ShardBackend) {
 	s.list = l
 	s.idx = nil
@@ -273,11 +273,14 @@ func (s *shard) bindList(l backend.ShardBackend) {
 		return
 	}
 	if ix, ok := l.(backend.EligIndexed); ok {
-		if s.eng.eligOff.Load() {
+		off := s.eng.eligOff.Load()
+		if off {
 			ix.DisableEligIndex()
 		}
 		s.idx = ix
-		s.exact = ix.EligIndexActive()
+		// A list with one path (core) stays active when asked to drop
+		// its index; the engine's latch decides the summary regime.
+		s.exact = !off && ix.EligIndexActive()
 	}
 }
 
@@ -538,9 +541,8 @@ func (e *Engine) Enqueue(ent core.Entry) error {
 	// Reserve a capacity slot first so the full/duplicate error
 	// precedence matches a single list (full wins). Optimistic fetch-add
 	// instead of a CAS loop: a racing overshoot is rolled straight back,
-	// so concurrent Len readers may observe a transient over-count (the
-	// concurrent contract makes Len advisory anyway) but occupancy never
-	// actually exceeds capacity.
+	// so the counter may transiently over-count (Len clamps it) but
+	// occupancy never actually exceeds capacity.
 	if e.size.Add(1) > int64(e.capacity) {
 		e.size.Add(-1)
 		return core.ErrFull
@@ -1185,8 +1187,11 @@ func (e *Engine) UpdateRank(id uint32, rank uint64, sendTime clock.Time) bool {
 	return false
 }
 
-// Len implements backend.Backend from the global occupancy counter.
-func (e *Engine) Len() int { return int(e.size.Load()) }
+// Len implements backend.Backend from the global occupancy counter. The
+// counter also holds the optimistic slot reservations of enqueues about
+// to be refused as full (see Enqueue), so it is clamped: occupancy never
+// exceeds capacity, whatever a concurrent reader catches in flight.
+func (e *Engine) Len() int { return min(int(e.size.Load()), e.capacity) }
 
 // Contains implements backend.Backend. Salvaged elements count as present
 // — they are queued, just temporarily unreachable — so idempotent
@@ -1271,10 +1276,10 @@ func (e *Engine) MinSendTime() (clock.Time, bool) {
 // are skipped — their salvaged entries are not dequeueable until
 // rebuild, so waking for them would find nothing; the rebuild
 // re-tightens nextElig when it installs the fresh list. Like MinSendTime
-// this is an idle-path query: each shard answers under its lock (an O(1)
-// wheel read when indexed, a scan otherwise), with the lock-free minSend
-// bound pruning shards that cannot beat the best value in hand (every
-// resident send_time is >= the bound, so the wake is too).
+// this is an idle-path query: each shard answers under its lock (from its
+// index when it has one, a snapshot scan otherwise), with the lock-free
+// minSend bound pruning shards that cannot beat the best value in hand
+// (every resident send_time is >= the bound, so the wake is too).
 func (e *Engine) NextWakeAfter(now clock.Time) clock.Time {
 	best := clock.Never
 	for _, sd := range e.shards {
@@ -1311,9 +1316,9 @@ func (e *Engine) NextWakeAfter(now clock.Time) clock.Time {
 }
 
 // EligIndexActive implements backend.EligIndexed: true when every
-// healthy shard's list carries a live wheel index. NextWakeAfter answers
-// exactly either way (the unindexed path scans); the flag tells
-// consumers — and the pacing experiments' baseline switch — which regime
+// healthy shard's list carries a live eligibility index and the engine
+// has not been asked to drop it. NextWakeAfter answers exactly either
+// way (the unindexed path scans); the flag tells consumers which regime
 // produced the answer.
 func (e *Engine) EligIndexActive() bool {
 	if e.eligOff.Load() {
@@ -1330,11 +1335,11 @@ func (e *Engine) EligIndexActive() bool {
 	return true
 }
 
-// DisableEligIndex implements backend.EligIndexed: drops every shard's
-// wheel index and latches the engine so quarantine rebuilds construct
-// fresh incarnations without one. The per-shard minSend summaries revert
-// to the stale-low-bound regime — the recorded non-wheel baseline the
-// pacing experiments measure against.
+// DisableEligIndex implements backend.EligIndexed: asks every shard's
+// list to drop its index (cffs drops its wheel; core has one path and
+// keeps it) and latches the engine so quarantine rebuilds do the same.
+// The per-shard minSend summaries revert to the stale-low-bound regime
+// either way.
 func (e *Engine) DisableEligIndex() {
 	e.eligOff.Store(true)
 	for _, sd := range e.shards {
@@ -1547,10 +1552,10 @@ func (e *Engine) CheckInvariants() error {
 				if bound := clock.Time(sd.minSend.Load()); bound > t {
 					return fmt.Errorf("shard %d: minSend bound %v above true min %v", i, bound, t)
 				} else if sd.exact && bound != t {
-					// Wheel-indexed shards refresh exactly on every
+					// Indexed shards refresh exactly on every
 					// mutation; a stale-low bound here means a mutation
 					// path skipped noteMutation/noteRemoval.
-					return fmt.Errorf("shard %d: wheel-indexed minSend %v, true min %v", i, bound, t)
+					return fmt.Errorf("shard %d: indexed minSend %v, true min %v", i, bound, t)
 				}
 				if t < healthyMinSend {
 					healthyMinSend = t

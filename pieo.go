@@ -122,10 +122,10 @@ type (
 	RankRanger       = backend.RankRanger
 	InvariantChecker = backend.InvariantChecker
 	HardwareModeled  = backend.HardwareModeled
-	// EligIndexed is the timing-wheel eligibility-index capability: an
-	// exact O(1) "when does the next ineligible element become eligible"
-	// answer (internal/timewheel), with a switch to drop the index for
-	// baseline measurements.
+	// EligIndexed is the eligibility-index capability: an exact "when
+	// does the next ineligible element become eligible" answer from the
+	// backend's own index over send_time, with a switch that drops a
+	// droppable index (the cffs timing wheel) for baseline measurements.
 	EligIndexed = backend.EligIndexed
 	// Batcher is the batch-operation capability: EnqueueBatch/DequeueUpTo
 	// with exact sequential semantics but amortized per-op overhead.

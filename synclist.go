@@ -169,7 +169,7 @@ func (s *SyncList) NextWakeAfter(now Time) Time {
 }
 
 // EligIndexActive implements backend.EligIndexed, reporting false when
-// the wrapped backend carries no timing-wheel index.
+// the wrapped backend carries no eligibility index.
 func (s *SyncList) EligIndexActive() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
