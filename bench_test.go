@@ -406,6 +406,52 @@ func BenchmarkShardedCombiningOffContended(b *testing.B) {
 	benchContended(b, e)
 }
 
+// --- Footprint pins: what a capacity costs before it is used ---
+
+// BenchmarkConstruct is ns/op and B/op to build an empty backend: capacity
+// is a bound, so neither may scale with it (or with K times it)
+// (EXPERIMENTS.md "footprint").
+func BenchmarkConstruct(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		new  func() any
+	}{
+		{"core-2^19", func() any { return NewList(1 << 19) }},
+		{"sharded-2^19x8", func() any { return NewShardedList(1<<19, 8) }},
+		{"sharded-2^19x64", func() any { return NewShardedList(1<<19, 64) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sink any
+			for i := 0; i < b.N; i++ {
+				sink = c.new()
+			}
+			runtime.KeepAlive(sink)
+		})
+	}
+}
+
+// BenchmarkFillTo builds a 2^19-capacity core list and enqueues r fresh
+// IDs, so every storage growth step and flow-index doubling up to r
+// residents is inside the number.
+func BenchmarkFillTo(b *testing.B) {
+	for _, log := range []int{12, 18} {
+		r := 1 << log
+		b.Run(fmt.Sprintf("2^%d", log), func(b *testing.B) {
+			b.ReportAllocs()
+			rng := rand.New(rand.NewSource(42))
+			for i := 0; i < b.N; i++ {
+				l := NewList(1 << 19)
+				for id := 0; id < r; id++ {
+					if err := l.Enqueue(Entry{ID: uint32(id), Rank: uint64(rng.Intn(1 << 30))}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkPIFOBaselineEnqueueDequeue(b *testing.B) {
 	// The PIFO flip-flop model at its maximum feasible size (1K).
 	l := pifo.New(1 << 10)

@@ -178,7 +178,9 @@ func TokenBucket() *sched.Program {
 			sendTime := now
 			if float64(head.Size) > f.Tokens {
 				deficit := float64(head.Size) - f.Tokens
-				sendTime = now + clock.Time(deficit*8/f.RateGbps)
+				// An unconfigured rate never covers the deficit: the flow
+				// parks at clock.Never and arms no wake.
+				sendTime = clock.After(now, deficit*8/f.RateGbps)
 			}
 			f.Tokens -= float64(head.Size)
 			f.LastRefill = now

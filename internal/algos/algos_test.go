@@ -442,3 +442,46 @@ func TestPacerReleaseTimes(t *testing.T) {
 		}
 	}
 }
+
+// A token-bucket flow whose rate cannot cover its deficit in any
+// representable time — never configured (deficit/0 = +Inf), so small the
+// quotient overflows, or negative — parks at clock.Never: it is not
+// released, arms no wake (the simulator must not run the clock to the end
+// of time) and stays resident. Converting the unbounded float directly
+// gave rank = send_time = 2^63 on amd64 with a wake armed there, and an
+// unshaped flow (now + MaxUint64 = now - 1) where conversion saturates.
+func TestTokenBucketUnreachableSendTimeParks(t *testing.T) {
+	progs := map[string]func() *sched.Program{
+		"output-triggered": TokenBucket,
+		"input-triggered":  TokenBucketInput,
+	}
+	rates := map[string]float64{
+		"unset":    0,
+		"overflow": 1e-300,
+		"negative": -1,
+	}
+	for pname, prog := range progs {
+		for rname, rate := range rates {
+			t.Run(pname+"/"+rname, func(t *testing.T) {
+				s := sched.New(prog(), 4, linkGbps)
+				f := s.Flow(1)
+				f.RateGbps = rate
+				f.Burst = 1500 // bucket starts empty: the first packet has a deficit
+				sim := netsim.New(netsim.Link{RateGbps: linkGbps}, s)
+				sim.InjectOne(100, flowq.Packet{Flow: 1, Size: 1500})
+				if end := sim.Run(clock.Never); end != 100 {
+					t.Fatalf("Run(Never) = %v, want the arrival instant 100", end)
+				}
+				if at, ok := s.NextWake(100); ok {
+					t.Fatalf("NextWake = %v,true for a flow that can never send", at)
+				}
+				if st, ok := s.List.MinSendTime(); !ok || st != clock.Never {
+					t.Fatalf("MinSendTime = %v,%v, want the flow parked at never", st, ok)
+				}
+				if sim.Sent() != 0 || s.Backlog() != 1 {
+					t.Fatalf("sent=%d backlog=%d, want the packet held", sim.Sent(), s.Backlog())
+				}
+			})
+		}
+	}
+}

@@ -153,7 +153,7 @@ func TokenBucketInput() *sched.Program {
 			send := planFrom
 			need := float64(p.Size)
 			if need > f.Tokens {
-				send = planFrom + clock.Time((need-f.Tokens)*8/f.RateGbps)
+				send = clock.After(planFrom, (need-f.Tokens)*8/f.RateGbps)
 			}
 			// Account the refill earned while waiting for the release
 			// instant, then charge the packet; the bucket state is now

@@ -61,20 +61,16 @@ var _ Evictor = (*CoreList)(nil)
 var _ Batcher = (*CoreList)(nil)
 
 // NewCoreShard is the ShardFactory for the paper-exact sublist list:
-// capacity is the full shared bound, while the sublist geometry and the
-// flow-index/arena pre-sizing follow the expected per-shard occupancy
-// (⌈√(n/K)⌉ sublists — sharding shortens the scans as well as splitting
-// the lock; see shard.New).
+// capacity is the full shared bound, while the sublist geometry follows
+// the expected per-shard occupancy (S = ⌈√(n/K)⌉ — sharding shortens the
+// scans as well as splitting the lock; see shard.New). The bound costs
+// nothing: the list's storage grows with its residents.
 func NewCoreShard(cfg ShardConfig) ShardBackend {
 	occ := cfg.ExpectedOccupancy
 	if occ <= 0 || occ > cfg.Capacity {
 		occ = cfg.Capacity
 	}
-	s := int(math.Ceil(math.Sqrt(float64(occ))))
-	if s < 1 {
-		s = 1
-	}
-	return core.NewWithOccupancyHint(cfg.Capacity, s, occ)
+	return core.NewWithSublistSize(cfg.Capacity, int(math.Ceil(math.Sqrt(float64(occ)))))
 }
 
 func init() {

@@ -93,11 +93,12 @@ type ShardBackend interface {
 	CheckInvariants() error
 }
 
-// ShardConfig sizes one shard. Capacity is the hard bound the engine
-// provisions every shard with (hash partitioning has no balance
-// guarantee — any one shard may briefly hold everything); the expected
-// steady-state occupancy is ~Capacity/K, which backends should size
-// their hot structures for, growing transparently past it.
+// ShardConfig shapes one shard. Capacity is the hard bound every shard
+// accepts up to (hash partitioning has no balance guarantee — any one
+// shard may briefly hold everything); it is a bound, not a size to
+// allocate. The expected steady-state occupancy is ~Capacity/K, which
+// backends shape themselves for (core: the sublist geometry), growing
+// transparently past it.
 type ShardConfig struct {
 	Capacity          int
 	ExpectedOccupancy int

@@ -32,6 +32,29 @@ const Never = Time(^uint64(0))
 // predicate that is always true (paper §5.2).
 const Always = Time(0)
 
+// Add returns t + d, saturating at Never instead of wrapping: Never is
+// absorbing (Never.Add(d) == Never) and the sum is monotone in both
+// arguments.
+func (t Time) Add(d Time) Time {
+	if s := t + d; s >= t {
+		return s
+	}
+	return Never
+}
+
+// After returns the instant d ticks after t for a delay computed in
+// floating point — a deficit divided by a rate. A delay that is not a
+// finite non-negative tick count (NaN, ±Inf, negative, 2^64 or more: an
+// unconfigured or vanishing rate) has no instant, and the answer is
+// Never; float-to-integer conversion of such values is
+// implementation-defined and must not be left to the platform.
+func After(t Time, d float64) Time {
+	if !(d >= 0 && d < 1<<64) {
+		return Never
+	}
+	return t.Add(Time(d))
+}
+
 // String formats t, special-casing the two predicate sentinels.
 func (t Time) String() string {
 	switch t {

@@ -1,6 +1,8 @@
 package clock
 
 import (
+	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -189,5 +191,77 @@ func TestWallMonotonicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestAfterSaturates(t *testing.T) {
+	inf := math.Inf(1)
+	cases := []struct {
+		name string
+		t    Time
+		d    float64
+		want Time
+	}{
+		{"zero delay", 100, 0, 100},
+		{"truncates", 100, 12.9, 112},
+		{"negative zero", 100, math.Copysign(0, -1), 100},
+		{"+Inf (rate 0)", 100, inf, Never},
+		{"-Inf", 100, -inf, Never},
+		{"NaN (0/0)", 100, math.NaN(), Never},
+		{"negative (negative rate)", 100, -1, Never},
+		{"2^63, amd64's out-of-range answer", 100, 1 << 63, 1<<63 + 100},
+		{"2^64 overflows", 0, 1 << 64, Never},
+		{"largest float below 2^64", 0, math.Nextafter(1<<64, 0), Time(1<<64 - 1<<11)},
+		{"sum overflows", 1 << 63, 1 << 63, Never},
+		{"sum would wrap to just below now", 4096, math.Nextafter(1<<64, 0), Never},
+		{"from Never", Never, 1, Never},
+		{"Never stays put", Never, 0, Never},
+	}
+	for _, c := range cases {
+		if got := After(c.t, c.d); got != c.want {
+			t.Errorf("%s: After(%v, %g) = %v, want %v", c.name, c.t, c.d, got, c.want)
+		}
+	}
+}
+
+// The Never-sentinel arithmetic as properties: the saturating add agrees
+// with exact addition where that fits, absorbs at Never, never lands
+// before either operand (no wrap), and is monotone in both arguments.
+func TestAddProperties(t *testing.T) {
+	exact := func(a, b Time) bool {
+		s, carry := bits.Add64(uint64(a), uint64(b), 0)
+		if carry != 0 {
+			return a.Add(b) == Never
+		}
+		return a.Add(b) == Time(s)
+	}
+	absorbs := func(d Time) bool { return Never.Add(d) == Never && d.Add(Never) == Never }
+	noWrap := func(a, b Time) bool { s := a.Add(b); return s >= a && s >= b }
+	monotone := func(a, a2, b, b2 Time) bool {
+		if a > a2 {
+			a, a2 = a2, a
+		}
+		if b > b2 {
+			b, b2 = b2, b
+		}
+		return a.Add(b) <= a2.Add(b) && a.Add(b) <= a.Add(b2) && a.Add(b) <= a2.Add(b2)
+	}
+	// quick draws uint64s uniformly, so about half of all pairs overflow:
+	// both regimes and the boundary between them are exercised.
+	for name, f := range map[string]any{"exact": exact, "absorbs": absorbs, "noWrap": noWrap, "monotone": monotone} {
+		if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	// After inherits both: monotone in the delay across the saturation edge.
+	afterMonotone := func(a Time, x, y uint64) bool {
+		dx, dy := float64(x)*2, float64(y)*2 // up to 2^65: crosses 2^64
+		if dx > dy {
+			dx, dy = dy, dx
+		}
+		return After(a, dx) <= After(a, dy) && After(a, dx) >= a
+	}
+	if err := quick.Check(afterMonotone, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Errorf("After monotone: %v", err)
 	}
 }

@@ -12,9 +12,9 @@ import (
 // TestSteadyStateZeroAllocs is the allocation-free contract made
 // executable: once the list has reached steady-state occupancy, the
 // Enqueue/Dequeue op path performs zero heap allocations — the sublist
-// stores come from the New-time arena, the flow index was sized for the
-// occupancy hint and deletes without leaving tombstones to clean up, and
-// no scratch slices grow.
+// stores and the flow index have grown to the occupancy's high-water
+// mark, the index deletes without leaving tombstones to clean up, and no
+// scratch slices grow.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	const n = 1 << 13
 	entry := func(rng *rand.Rand, id uint32) core.Entry {
@@ -71,9 +71,10 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 	t.Run("fresh ids", fresh(core.New(n), n/2))
 	// The sharded engine's configuration: full shared capacity, geometry
-	// and pre-sizing for an eighth of it, occupancy right at the hint.
+	// for an eighth of it, occupancy right at that share (what used to be
+	// the constructor's occupancy hint).
 	t.Run("fresh ids at the occupancy hint",
-		fresh(core.NewWithOccupancyHint(n, int(math.Ceil(math.Sqrt(n/8))), n/8), n/8))
+		fresh(core.NewWithSublistSize(n, int(math.Ceil(math.Sqrt(n/8)))), n/8))
 }
 
 // requireZeroAllocs warms the list with warm calls of pair — enough for

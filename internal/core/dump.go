@@ -22,7 +22,8 @@ type SublistView struct {
 }
 
 // DumpSublists returns views of the non-empty partition of the
-// Ordered-Sublist-Array in order.
+// Ordered-Sublist-Array in order. Sublists that have no storage bound yet
+// are empty ones like any other and do not appear.
 func (l *List) DumpSublists() []SublistView {
 	views := make([]SublistView, 0, l.active)
 	for i := 0; i < l.active; i++ {

@@ -38,6 +38,8 @@ type flowSlot struct {
 const flowHashMul = 0x9E3779B97F4A7C15
 
 // newFlowTab sizes the table so that hint keys fill at most half of it.
+// A list starts at the minimum (hint 0) and lets insert double the table
+// as residents arrive.
 func newFlowTab(hint int) flowTab {
 	var t flowTab
 	t.resize(max(3, bits.Len(uint(2*max(hint, 1)-1))))
@@ -82,8 +84,8 @@ func (t *flowTab) insert(id uint32, sid int) bool {
 		return false
 	}
 	if 2*(t.n+1) > len(t.slots) {
-		// Past the occupancy hint: double and look for the free slot
-		// again. Amortised O(1), and never on a list run within its hint.
+		// Double and look for the free slot again: amortised O(1), and
+		// never once the table has reached the list's peak occupancy.
 		t.grow()
 		i, _ = t.find(id)
 	}

@@ -15,7 +15,7 @@ import (
 // sizes, with capacity twice the resident count as in the bench suite's
 // list_hold workload (which is the 256k row). ns/op is one
 // dequeue+enqueue pair; the rows show how the per-pair cost grows as the
-// flow index and the sublist arena outgrow the caches.
+// flow index and the sublist stores outgrow the caches.
 func BenchmarkHoldResident(b *testing.B) {
 	for _, c := range []struct {
 		name     string

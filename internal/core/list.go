@@ -140,7 +140,7 @@ type Stats struct {
 //
 // The fields are Entry's, laid out for the cache rather than for the API:
 // the 4-byte id goes last, so an element is 32 bytes — two to a cache
-// line and, in the 64-byte-aligned sublist arena, none straddling two.
+// line and, a store being a whole number of lines, none straddling two.
 // Every interior insert or removal shifts elements, so the element size
 // is the unit cost of the software datapath.
 type element struct {
@@ -199,14 +199,6 @@ type sublist struct {
 
 func (s *sublist) len() int           { return len(s.entries) }
 func (s *sublist) full(cap_ int) bool { return len(s.entries) == cap_ }
-
-// alloc sizes the two-ended stores for sublist size size. New binds most
-// sublists to a contiguous arena up front; alloc covers the ones past
-// the occupancy hint's high-water mark, as a one-time cost on first use.
-func (s *sublist) alloc(size int) {
-	slots := 2 * (size + 1)
-	s.bind(make([]element, slots), make([]clock.Time, slots))
-}
 
 // bind attaches backing stores and centers the (empty) windows.
 func (s *sublist) bind(buf []element, tbuf []clock.Time) {
@@ -390,9 +382,11 @@ const (
 
 // List is a PIEO ordered list. Create one with New or NewWithSublistSize.
 type List struct {
-	capacity    int
+	capacity    int // a bound, not an allocation: storage grows (see extend)
 	sublistSize int
+	numSublists int // 2·⌈capacity/sublistSize⌉ + 2, the bound on len(order)
 
+	// The per-sublist arrays hold the ids bound so far, [0, len(order)).
 	sublists []sublist // backing storage, indexed by sublist id
 	order    []ptr     // Ordered-Sublist-Array; [0:active) non-empty, rest empty
 	active   int
@@ -427,70 +421,66 @@ func New(n int) *List {
 }
 
 // NewWithSublistSize creates a PIEO list with an explicit sublist size,
-// used by the sublist-geometry ablation. The number of sublists is
-// 2·⌈n/s⌉ + 2: the paper's 2× Invariant-1 overhead plus two slack
-// sublists so the worst-case full/partial alternation can never exhaust
-// the empty partition at the capacity boundary.
+// used by the sublist-geometry ablation and by sharded engines (whose
+// shards are bounded by the shared capacity but shaped for their share of
+// it). The number of sublists is 2·⌈n/s⌉ + 2: the paper's 2× Invariant-1
+// overhead plus two slack sublists so the worst-case full/partial
+// alternation can never exhaust the empty partition at the capacity
+// boundary. Storage starts at one sublist and grows with the residents.
 func NewWithSublistSize(n, s int) *List {
-	return NewWithOccupancyHint(n, s, n)
-}
-
-// NewWithOccupancyHint is NewWithSublistSize with the flow index and the
-// sublist storage arena pre-sized for an expected occupancy below the
-// hard capacity. A sharded engine provisions every shard with the full
-// shared capacity for safety (hash partitioning guarantees no balance)
-// but expects ~capacity/K residents; sizing for the expectation keeps
-// the index probes cache-resident and the preallocated arena proportional
-// to real occupancy. The structure still grows transparently — the index
-// doubles, sublists past the arena allocate on first use — if a shard
-// ever exceeds the hint.
-func NewWithOccupancyHint(n, s, hint int) *List {
 	if n <= 0 || s <= 0 {
 		panic(fmt.Sprintf("pieo: invalid geometry n=%d s=%d", n, s))
 	}
-	if hint < 0 || hint > n {
-		hint = n
-	}
-	num := 2*((n+s-1)/s) + 2
 	l := &List{
 		capacity:    n,
 		sublistSize: s,
-		sublists:    make([]sublist, num),
-		order:       make([]ptr, num),
-		posOf:       make([]int, num),
-		ids:         make([]idBounds, num),
-		eligBlk:     make([]clock.Time, (num+eligBlockMask)>>eligBlockShift),
-		flows:       newFlowTab(hint),
+		numSublists: 2*((n+s-1)/s) + 2,
+		flows:       newFlowTab(0),
 	}
-	// Preallocate two-ended stores for every sublist the hint occupancy
-	// can keep active, carved from one contiguous arena (a single
-	// allocation, and neighboring sublists — which every operation pair
-	// touches — stay adjacent in memory). Sublist claiming is LIFO from
-	// the empty partition, so the sublists that ever hold elements are
-	// exactly ids [0, high-water mark): binding the arena to the lowest
-	// ids makes the steady-state op path allocation-free.
-	slots := 2 * (s + 1)
-	pre := 2*((hint+s-1)/s) + 2
-	if pre > num {
-		pre = num
-	}
-	ebuf := make([]element, pre*slots)
-	tbuf := make([]clock.Time, pre*slots)
-	for i := 0; i < pre; i++ {
-		l.sublists[i].bind(
-			ebuf[i*slots:(i+1)*slots:(i+1)*slots],
-			tbuf[i*slots:(i+1)*slots:(i+1)*slots],
-		)
-	}
-	for i := range l.sublists {
-		l.order[i] = ptr{sublistID: i, smallestSendTime: clock.Never}
-		l.posOf[i] = i
-		l.ids[i] = noIDs
-	}
-	for b := range l.eligBlk {
-		l.eligBlk[b] = clock.Never
-	}
+	l.extend()
 	return l
+}
+
+// Storage follows the claim high-water mark, in steps. Claims are LIFO
+// from the empty partition, so the sublists that ever hold elements are
+// exactly ids [0, high-water mark): a step binds the next contiguous range
+// of ids to one pair of stores, and neighbouring sublists — which every
+// operation pair touches — stay adjacent in memory. A step doubles the
+// bound sublists until it would exceed maxStepBytes (and is always at
+// least one sublist): an almost-empty list costs one sublist, and growth
+// never leaves more than one step unused.
+const (
+	slotBytes    = 32 + 8 // one element and one eligibility time
+	maxStepBytes = 256 << 10
+)
+
+// extend binds the next step of sublists: their two-ended stores and
+// their entries in every per-sublist array, the new ids joining the tail
+// of the empty partition. Appending moves those arrays, so no *sublist or
+// *ptr may be held across a call (only claimEmptyAt calls it after
+// construction). Once the high-water mark is reached the operation path
+// allocates nothing.
+func (l *List) extend() {
+	slots := 2 * (l.sublistSize + 1)
+	first := len(l.order)
+	k := min(max(first, 1), max(maxStepBytes/(slots*slotBytes), 1), l.numSublists-first)
+	if k <= 0 {
+		panic("pieo: empty-sublist partition exhausted; Invariant 1 slack miscomputed")
+	}
+	ebuf := make([]element, k*slots)
+	tbuf := make([]clock.Time, k*slots)
+	for i := 0; i < k; i++ {
+		lo, hi := i*slots, (i+1)*slots
+		var sl sublist
+		sl.bind(ebuf[lo:hi:hi], tbuf[lo:hi:hi])
+		l.sublists = append(l.sublists, sl)
+		l.order = append(l.order, ptr{sublistID: first + i, smallestSendTime: clock.Never})
+		l.posOf = append(l.posOf, first+i)
+		l.ids = append(l.ids, noIDs)
+	}
+	for len(l.eligBlk)<<eligBlockShift < len(l.order) {
+		l.eligBlk = append(l.eligBlk, clock.Never)
+	}
 }
 
 // Len returns the number of queued elements.
@@ -502,8 +492,10 @@ func (l *List) Capacity() int { return l.capacity }
 // SublistSize returns the configured sublist size S.
 func (l *List) SublistSize() int { return l.sublistSize }
 
-// NumSublists returns the number of physical sublists allocated.
-func (l *List) NumSublists() int { return len(l.sublists) }
+// NumSublists returns the number of physical sublists the geometry
+// provides, 2·⌈N/S⌉ + 2; storage is bound to as many as were ever active
+// at once.
+func (l *List) NumSublists() int { return l.numSublists }
 
 // Stats returns a copy of the accumulated operation counters.
 func (l *List) Stats() Stats { return l.stats }
@@ -604,6 +596,8 @@ func (l *List) enqueue(elem element) error {
 
 	if wasFull {
 		// The insert pushed the sublist to S+1; move its tail into S'.
+		// sl is not used past this point: a claim may extend the storage
+		// and move l.sublists.
 		tail := sl.entries[sl.len()-1]
 		l.removeAt(sl, sl.len()-1)
 
@@ -1122,11 +1116,6 @@ func (l *List) insertElem(pos int, elem element) {
 	sid := l.order[pos].sublistID
 	sl := &l.sublists[sid]
 	l.ids[sid].admit(elem.id)
-	if sl.buf == nil {
-		// Past the arena's occupancy-hint high-water mark: one-time
-		// storage allocation on first use.
-		sl.alloc(l.sublistSize)
-	}
 	entries := sl.entries
 	lo, hi := 0, len(entries)
 	for lo < hi {
@@ -1222,8 +1211,8 @@ func (l *List) rebuildEligBlocksFrom(pos int) {
 // (shifting [pos, active) right by one) and grows the active partition.
 // It returns pos.
 func (l *List) claimEmptyAt(pos int) int {
-	if l.active >= len(l.order) {
-		panic("pieo: empty-sublist partition exhausted; Invariant 1 slack miscomputed")
+	if l.active == len(l.order) {
+		l.extend()
 	}
 	claimed := l.order[l.active]
 	copy(l.order[pos+1:l.active+1], l.order[pos:l.active])
@@ -1301,11 +1290,24 @@ func (l *List) CheckInvariants() error {
 	if l.active < 0 || l.active > len(l.order) {
 		return fmt.Errorf("active=%d out of range", l.active)
 	}
+	if want := 2*((l.capacity+l.sublistSize-1)/l.sublistSize) + 2; l.numSublists != want {
+		return fmt.Errorf("NumSublists=%d, want %d", l.numSublists, want)
+	}
+	// Storage growth: every per-sublist array covers the same bound ids,
+	// within the geometry's limit.
+	if n := len(l.order); n > l.numSublists || len(l.sublists) != n || len(l.posOf) != n ||
+		len(l.ids) != n || len(l.eligBlk)<<eligBlockShift < n {
+		return fmt.Errorf("bound %d sublists of %d: %d stores, %d posOf, %d id bounds, %d summary words",
+			n, l.numSublists, len(l.sublists), len(l.posOf), len(l.ids), len(l.eligBlk))
+	}
 	seen := make(map[int]bool, len(l.order))
 	total := 0
 	minSend := clock.Never
 	var prev *element
 	for i, p := range l.order {
+		if p.sublistID < 0 || p.sublistID >= len(l.sublists) {
+			return fmt.Errorf("position %d names sublist %d, only %d bound", i, p.sublistID, len(l.sublists))
+		}
 		if seen[p.sublistID] {
 			return fmt.Errorf("sublist %d appears twice in order", p.sublistID)
 		}
@@ -1314,17 +1316,16 @@ func (l *List) CheckInvariants() error {
 			return fmt.Errorf("posOf[%d]=%d, want %d", p.sublistID, l.posOf[p.sublistID], i)
 		}
 		sl := &l.sublists[p.sublistID]
-		if sl.buf != nil {
-			if sl.estart < 0 || sl.estart+len(sl.entries) > len(sl.buf) {
-				return fmt.Errorf("sublist %d entries window [%d,%d) outside store of %d",
-					p.sublistID, sl.estart, sl.estart+len(sl.entries), len(sl.buf))
-			}
-			if sl.tstart < 0 || sl.tstart+len(sl.elig) > len(sl.tbuf) {
-				return fmt.Errorf("sublist %d elig window [%d,%d) outside store of %d",
-					p.sublistID, sl.tstart, sl.tstart+len(sl.elig), len(sl.tbuf))
-			}
-		} else if sl.len() != 0 {
-			return fmt.Errorf("sublist %d holds %d elements without storage", p.sublistID, sl.len())
+		if want := 2 * (l.sublistSize + 1); len(sl.buf) != want || len(sl.tbuf) != want {
+			return fmt.Errorf("sublist %d bound to stores of %d/%d slots, want %d", p.sublistID, len(sl.buf), len(sl.tbuf), want)
+		}
+		if sl.estart < 0 || sl.estart+len(sl.entries) > len(sl.buf) {
+			return fmt.Errorf("sublist %d entries window [%d,%d) outside store of %d",
+				p.sublistID, sl.estart, sl.estart+len(sl.entries), len(sl.buf))
+		}
+		if sl.tstart < 0 || sl.tstart+len(sl.elig) > len(sl.tbuf) {
+			return fmt.Errorf("sublist %d elig window [%d,%d) outside store of %d",
+				p.sublistID, sl.tstart, sl.tstart+len(sl.elig), len(sl.tbuf))
 		}
 		if i < l.active {
 			if sl.len() == 0 {

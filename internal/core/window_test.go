@@ -10,7 +10,7 @@ import (
 // The software datapath's unit costs, pinned so that a reordered or
 // added field cannot silently put back the bytes the layout saves: an
 // element is half a cache line (every interior shift moves elements, and
-// none straddles two lines in the 64-byte-aligned arena), a flow-index
+// none straddles two lines, a store being a whole number of them), a flow-index
 // slot an eighth of one.
 func TestElementLayout(t *testing.T) {
 	if got := unsafe.Sizeof(element{}); got != 32 {
@@ -83,7 +83,7 @@ func TestSublistWindowDrift(t *testing.T) {
 	for _, resident := range []int{s / 2, s} {
 		for _, dir := range []string{"head-remove/tail-insert", "tail-remove/head-insert"} {
 			var sl sublist
-			sl.alloc(s)
+			sl.bind(make([]element, 2*(s+1)), make([]clock.Time, 2*(s+1)))
 			// Keys start in the middle of their range so either pattern
 			// can extend them; send_time tracks rank, so both windows see
 			// the same pattern.
@@ -142,7 +142,7 @@ func TestListWindowDrift(t *testing.T) {
 	now := clock.Never - 1
 
 	t.Run("head-remove/tail-insert", func(t *testing.T) {
-		l := NewWithOccupancyHint(32*s, s, 4*s)
+		l := NewWithSublistSize(32*s, s)
 		next := uint64(1)
 		enq := func() {
 			if err := l.Enqueue(Entry{ID: uint32(next), Rank: next, SendTime: clock.Time(next)}); err != nil {
@@ -166,7 +166,7 @@ func TestListWindowDrift(t *testing.T) {
 	})
 
 	t.Run("tail-remove/head-insert", func(t *testing.T) {
-		l := NewWithOccupancyHint(32*s, s, 4*s)
+		l := NewWithSublistSize(32*s, s)
 		// Two full sublists, then drain the first to half: [S/2][S], the
 		// mirror image of the layout above.
 		const base = 1 << 20

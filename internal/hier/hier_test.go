@@ -647,3 +647,55 @@ func TestUnknownChildFault(t *testing.T) {
 		}()
 	}
 }
+
+// A token-bucket child whose (positive) rate is so small that the time to
+// cover its deficit overflows a tick count gets send_time = rank =
+// clock.Never, never a wrapped instant just before now (a zero rate is
+// refused by refill). The per-level layout parks it: nothing is sent, no
+// wake is armed, the sibling with a real rate is served on time. The
+// partitioned layout has 48-bit ranks and refuses the child out loud with
+// ErrRankOverflow; either way it is never released unshaped.
+func TestTokenBucketUnreachableSendTimeParks(t *testing.T) {
+	for name, newH := range map[string]func(float64, *Policy) *Hierarchy{"per-level": New, "partitioned": NewPartitioned} {
+		t.Run(name, func(t *testing.T) {
+			h := newH(linkGbps, TokenBucket())
+			h.Strict = false
+			slow := h.Root().AddNode("slow", RoundRobin())
+			slow.AddFlow(0)
+			fast := h.Root().AddNode("fast", RoundRobin())
+			fast.AddFlow(1)
+			h.Build()
+			slow.Self().RateGbps = 1e-300
+			slow.Self().Burst = 1500
+			fast.Self().RateGbps = 12 // 150 B accrued by t=100; 1350 B deficit = 900 ns
+			fast.Self().Burst = 1500
+
+			sim := netsim.New(netsim.Link{RateGbps: linkGbps}, h)
+			var sentAt []clock.Time
+			sim.OnTransmit = func(now clock.Time, p flowq.Packet) {
+				if p.Flow != 1 {
+					t.Errorf("flow %d sent at %v: its bucket can never cover a packet", p.Flow, now)
+				}
+				sentAt = append(sentAt, now)
+			}
+			sim.InjectOne(100, flowq.Packet{Flow: 0, Size: 1500})
+			sim.InjectOne(100, flowq.Packet{Flow: 1, Size: 1500})
+			end := sim.Run(clock.Never)
+			if len(sentAt) != 1 || sentAt[0] != 1000+300 {
+				t.Fatalf("fast flow transmissions completed at %v, want one at 1300 (released at 1000)", sentAt)
+			}
+			if end != 1300 {
+				t.Fatalf("Run(Never) = %v, want 1300: the parked child must not arm a wake", end)
+			}
+			if at, ok := h.NextWake(end); ok {
+				t.Fatalf("NextWake = %v,true with only a never-eligible child queued", at)
+			}
+			if h.Backlog() != 1 {
+				t.Fatalf("backlog %d, want the parked packet held", h.Backlog())
+			}
+			if err := h.LastFault(); (name == "partitioned") != errors.Is(err, ErrRankOverflow) {
+				t.Fatalf("LastFault = %v; only the 48-bit partitioned layout refuses rank = never", err)
+			}
+		})
+	}
+}

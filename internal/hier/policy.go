@@ -233,7 +233,7 @@ func TokenBucket() *Policy {
 			need := float64(expectedSize(c))
 			sendTime := now
 			if need > c.Tokens {
-				sendTime = now + clock.Time((need-c.Tokens)*8/c.RateGbps)
+				sendTime = clock.After(now, (need-c.Tokens)*8/c.RateGbps)
 			}
 			c.Rank = uint64(sendTime)
 			c.SendTime = sendTime

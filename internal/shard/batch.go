@@ -108,8 +108,8 @@ func (e *Engine) EnqueueBatch(es []core.Entry) (int, error) {
 		return accepted, firstErr
 	}
 
-	// Whole batch reserved: per-shard lists are provisioned with the full
-	// shared capacity, so the only reachable per-entry failure below is
+	// Whole batch reserved: per-shard lists accept up to the full shared
+	// capacity, so the only reachable per-entry failure below is
 	// ErrDuplicate. Sequence numbers come from one block reservation;
 	// duplicates burn theirs harmlessly (FIFO ties compare relative
 	// order, not density), exactly like a failed single Enqueue.

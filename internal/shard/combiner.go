@@ -230,8 +230,8 @@ func (e *Engine) execOpLocked(i int, sd *shard, op uint32, ent core.Entry, seq u
 			}
 		}
 		if lerr != nil {
-			// The shard list is provisioned with the full shared capacity
-			// and the producer holds a reservation, so the only reachable
+			// The shard list accepts up to the full shared capacity and the
+			// producer holds a reservation, so the only reachable
 			// failure is ErrDuplicate.
 			return resDup, core.Entry{}
 		}

@@ -410,13 +410,13 @@ func NewNamed(n, k int, backendName string) (*Engine, error) {
 }
 
 // NewOn creates a sharded engine whose shards are built by factory. Each
-// shard is provisioned with the full capacity n — hash partitioning
-// gives no worst-case balance guarantee — while the expected per-shard
-// occupancy ⌈n/k⌉ lets the backend size its hot structures (flow-map
-// tables, sublist geometry, arenas) for steady state: a table sized for
-// the full shared capacity stays ~1/K occupied, and its cold probes
-// measurably dominated the enqueue/dequeue profile. Hash imbalance past
-// the hint just grows that shard's structures once.
+// shard is bounded by the full capacity n — hash partitioning gives no
+// worst-case balance guarantee, so any one shard may accept everything —
+// while the expected per-shard occupancy ⌈n/k⌉ lets the backend shape
+// itself for steady state (core: the sublist geometry S = ⌈√(n/k)⌉; cffs:
+// its table sizes). The bound is not an allocation: a core shard's
+// storage follows its residents, so K shards of capacity n cost what
+// their residents cost, not K·n.
 func NewOn(n, k int, factory backend.ShardFactory) *Engine {
 	if n <= 0 {
 		panic(fmt.Sprintf("shard: capacity must be positive, got %d", n))
@@ -642,8 +642,8 @@ func (e *Engine) Enqueue(ent core.Entry) error {
 			continue
 		}
 		if lerr != nil {
-			// Each shard list is provisioned with the full shared capacity
-			// and a slot was reserved above, so the shard cannot be full:
+			// Each shard list accepts up to the full shared capacity and a
+			// slot was reserved above, so the shard cannot be full:
 			// the only reachable failure is ErrDuplicate.
 			sd.mu.Unlock()
 			e.size.Add(-1)

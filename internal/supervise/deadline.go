@@ -10,12 +10,7 @@ import (
 // saturating at clock.Never (a Never deadline never expires, matching
 // the predicate sentinel convention).
 func Deadline(clk clock.Source, budget clock.Time) clock.Time {
-	now := clk.Now()
-	d := now + budget
-	if d < now { // overflow
-		return clock.Never
-	}
-	return d
+	return clk.Now().Add(budget)
 }
 
 // Expired reports whether deadline has passed on clk. A zero deadline
