@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
@@ -59,6 +60,31 @@ func run(args []string, w io.Writer) error {
 	)
 	if err := fl.Parse(args); err != nil {
 		return err
+	}
+	if fl.NArg() > 0 {
+		// A bare `pieosim drr` would otherwise run the default simulation,
+		// silently ignoring what the user asked for.
+		return fmt.Errorf("unexpected argument %q (everything is a flag; see -h)", fl.Arg(0))
+	}
+	if *flows < 1 {
+		return fmt.Errorf("-flows must be at least 1, got %d", *flows)
+	}
+	if *mtu == 0 {
+		return fmt.Errorf("-mtu must be at least 1 byte")
+	}
+	for _, c := range []struct {
+		name string
+		v    float64
+		used bool // -load is read by the open-loop workloads, -rate by the token bucket
+	}{
+		{"link", *link, true},
+		{"duration", *duration, true},
+		{"load", *load, *workload != "backlogged"},
+		{"rate", *rate, *algo == "tokenbucket" || *algo == "tb"},
+	} {
+		if c.used && (!(c.v > 0) || math.IsInf(c.v, 1)) { // !(v > 0) also catches NaN
+			return fmt.Errorf("-%s must be a positive finite number, got %v", c.name, c.v)
+		}
 	}
 
 	prog, err := program(*algo)

@@ -68,6 +68,15 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-backend", "nope"},
 		{"-weights", "1,0"},
 		{"-workload", "nope"},
+		{"bogus"},
+		{"-flows", "-1"},
+		{"-link", "0"},
+		{"-link", "Inf"},
+		{"-duration", "-1"},
+		{"-duration", "NaN"},
+		{"-mtu", "0"},
+		{"-workload", "poisson", "-load", "0"},
+		{"-algo", "tokenbucket", "-rate", "0"},
 	} {
 		var out bytes.Buffer
 		if err := run(args, &out); err == nil {

@@ -146,10 +146,10 @@ type EligIndexed interface {
 	// scanning.
 	EligIndexActive() bool
 	// DisableEligIndex asks the backend to drop its index for this
-	// instance and fall back to its scan paths — the baseline the
-	// pacing experiments measure a wheel against. A backend whose index
-	// is the structure itself (core.List) has nothing to drop and stays
-	// active. Safe at any point in the lifecycle.
+	// instance and fall back to its scan paths — the baseline
+	// BenchmarkSparseEligibility measures a wheel against. A backend
+	// whose index is the structure itself (core.List) has nothing to
+	// drop and stays active. Safe at any point in the lifecycle.
 	DisableEligIndex()
 }
 

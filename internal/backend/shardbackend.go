@@ -112,7 +112,7 @@ type ShardFactory func(cfg ShardConfig) ShardBackend
 //
 // Mirrors the Backend registry so engine construction can be
 // parameterized by name (shard.NewNamed, the "sharded+<name>" top-level
-// registrations, pieobench -backend) without linking package identities
+// registrations, pieosim -backend) without linking package identities
 // into every consumer.
 
 var (

@@ -38,7 +38,9 @@ const (
 // must be quiescent-exact too — combined execution is the same code
 // under the same lock. The cFFS bucket queue runs at width 1 (one rank
 // per bucket, seq-sorted chains), where it promises exactness both
-// standalone and as the sharded engine's shard backend.
+// standalone and as the sharded engine's shard backend; "cffs-scan" is
+// the same list with its timing wheel dropped, so the differential's
+// NextWakeAfter comparison covers the wheel and the scan fallback.
 func exactBackends(capacity int) map[string]backend.Backend {
 	fc := shard.New(capacity, 8)
 	fc.SetForceRing(true)
@@ -46,12 +48,15 @@ func exactBackends(capacity int) map[string]backend.Backend {
 	if err != nil {
 		panic(err)
 	}
+	cffsScan := backend.NewCFFSList(capacity)
+	cffsScan.DisableEligIndex()
 	return map[string]backend.Backend{
 		"core":         backend.NewCoreList(capacity),
 		"shard-1":      shard.New(capacity, 1),
 		"shard-8":      shard.New(capacity, 8),
 		"shard-8-fc":   fc,
 		"cffs":         backend.NewCFFSList(capacity),
+		"cffs-scan":    cffsScan,
 		"shard-8+cffs": cffsSharded,
 	}
 }
@@ -71,7 +76,9 @@ func runDifferential(t *testing.T, seed int64, capacity, steps int, rankSpace ui
 func runDifferentialOn(t *testing.T, impl backend.Backend, seed int64, capacity, steps int, rankSpace uint64, timeSpace int, allowNever bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	wakeRng := rand.New(rand.NewSource(^seed)) // its own stream: the op sequence is the same with or without an index
 	ref := refmodel.New(capacity)
+	ix, indexed := impl.(backend.EligIndexed)
 	nextID := uint32(0)
 
 	for step := 0; step < steps; step++ {
@@ -123,6 +130,18 @@ func runDifferentialOn(t *testing.T, impl backend.Backend, seed int64, capacity,
 			want, wantOK := ref.MinSendTime()
 			if gotOK != wantOK || (gotOK && got != want) {
 				t.Fatalf("seed %d step %d: MinSendTime = %v,%v, ref %v,%v", seed, step, got, gotOK, want, wantOK)
+			}
+			if indexed {
+				now := clock.Time(wakeRng.Intn(timeSpace))
+				wake := clock.Never
+				for _, e := range ref.Snapshot() {
+					if e.SendTime > now && e.SendTime < wake {
+						wake = e.SendTime
+					}
+				}
+				if got := ix.NextWakeAfter(now); got != wake {
+					t.Fatalf("seed %d step %d: NextWakeAfter(%v) = %v, ref %v", seed, step, now, got, wake)
+				}
 			}
 		case opPeek:
 			now := clock.Time(rng.Intn(timeSpace))

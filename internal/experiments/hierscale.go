@@ -2,15 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"strconv"
-	"time"
 
 	"pieo/internal/backend"
 	"pieo/internal/clock"
 	"pieo/internal/flowq"
 	"pieo/internal/hier"
 	"pieo/internal/netsim"
+	_ "pieo/internal/shard" // registers the "sharded" backend
 	"pieo/internal/stats"
 )
 
@@ -30,39 +28,6 @@ const (
 // middle, and top of the Fig 11 sweep, enough to show enforcement and
 // fair division without a 7-point sweep at 10k leaves.
 var hierScaleRates = []float64{1, 8, 32}
-
-// hierScaleVMs returns the level-2 node count (default 100; the paper's
-// Fig 11 uses 10). PIEO_HIERSCALE_VMS shrinks it for smoke runs.
-func hierScaleVMs() int {
-	if s := os.Getenv("PIEO_HIERSCALE_VMS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 1 {
-			return n
-		}
-	}
-	return 100
-}
-
-// hierScaleFlows returns the flows per VM (default 100).
-// PIEO_HIERSCALE_FLOWS shrinks it for smoke runs.
-func hierScaleFlows() int {
-	if s := os.Getenv("PIEO_HIERSCALE_FLOWS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 100
-}
-
-// hierScaleDuration returns the simulated time per trial (default 20 ms,
-// matching §6.3). PIEO_HIERSCALE_US shrinks it for smoke runs.
-func hierScaleDuration() clock.Time {
-	if s := os.Getenv("PIEO_HIERSCALE_US"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return clock.Time(n) * 1000
-		}
-	}
-	return clock.Time(20_000_000)
-}
 
 // buildHierScale grows the two-level Token-Bucket-over-WF²Q+ tree into
 // the hierarchy produced by mk and applies the §6.3 control plane: the
@@ -103,9 +68,9 @@ func buildHierScale(mk func(rootPolicy *hier.Policy) *hier.Hierarchy, nVMs, nFlo
 }
 
 // runHierScale drives one closed-loop trial and returns the sampled
-// VM's achieved rate, its per-flow rates, the total packets the link
-// carried, and the wall-clock ns spent per transmitted packet.
-func runHierScale(h *hier.Hierarchy, nVMs, nFlows int, dur clock.Time) (vmGbps float64, flowGbps []float64, pkts uint64, nsPerPkt float64) {
+// VM's achieved rate, its per-flow rates, and the total packets the
+// link carried.
+func runHierScale(h *hier.Hierarchy, nVMs, nFlows int, dur clock.Time) (vmGbps float64, flowGbps []float64, pkts uint64) {
 	sim := netsim.New(netsim.Link{RateGbps: hierScaleLinkGbps}, h)
 	vmMeter := stats.NewRateMeter(0)
 	flowBytes := make([]uint64, nFlows)
@@ -124,43 +89,33 @@ func runHierScale(h *hier.Hierarchy, nVMs, nFlows int, dur clock.Time) (vmGbps f
 			sim.InjectOne(0, flowq.Packet{Flow: f, Size: hierScaleMTU, Seq: seq})
 		}
 	}
-	start := time.Now()
 	sim.Run(dur)
-	elapsed := time.Since(start)
 	vmMeter.CloseAt(dur)
 
 	flowGbps = make([]float64, nFlows)
 	for i, b := range flowBytes {
 		flowGbps[i] = float64(b) * 8 / float64(dur)
 	}
-	pkts = sim.Sent()
-	if pkts > 0 {
-		nsPerPkt = float64(elapsed.Nanoseconds()) / float64(pkts)
-	}
-	return vmMeter.Gbps(), flowGbps, pkts, nsPerPkt
+	return vmMeter.Gbps(), flowGbps, sim.Sent()
 }
 
-// hierScaleVariants enumerates the hierarchy layouts under test: the
-// per-level oracle first, then the partitioned single-engine layout
-// over every measured backend.
-func hierScaleVariants() []struct {
+// hierScaleVariant is one hierarchy layout under test.
+type hierScaleVariant struct {
 	name string
 	mk   func(rootPolicy *hier.Policy) *hier.Hierarchy
-} {
-	variants := []struct {
-		name string
-		mk   func(rootPolicy *hier.Policy) *hier.Hierarchy
-	}{
+}
+
+// hierScaleVariants enumerates the layouts: the per-level oracle first,
+// then the partitioned single-engine layout over the exact
+// single-threaded list and the concurrent engine.
+func hierScaleVariants() []hierScaleVariant {
+	variants := []hierScaleVariant{
 		{"per-level/core", func(p *hier.Policy) *hier.Hierarchy {
 			return hier.New(hierScaleLinkGbps, p)
 		}},
 	}
-	for _, name := range Backends() {
-		be := name
-		variants = append(variants, struct {
-			name string
-			mk   func(rootPolicy *hier.Policy) *hier.Hierarchy
-		}{"partitioned/" + be, func(p *hier.Policy) *hier.Hierarchy {
+	for _, be := range []string{"core", "sharded"} {
+		variants = append(variants, hierScaleVariant{"partitioned/" + be, func(p *hier.Policy) *hier.Hierarchy {
 			return hier.NewPartitionedOn(hierScaleLinkGbps, p, func(n int) backend.Backend {
 				b, err := backend.New(be, n)
 				if err != nil {
@@ -176,15 +131,17 @@ func hierScaleVariants() []struct {
 // HierScale reproduces the Fig 11/12 enforcement study at 100x scale:
 // a 10k-leaf two-level hierarchy whose logical nodes are multiplexed
 // onto one shared engine by the partition allocator, compared against
-// the per-level oracle at every rate point.
-func HierScale() *Table {
-	nVMs, nFlows := hierScaleVMs(), hierScaleFlows()
-	dur := hierScaleDuration()
+// the per-level oracle at every rate point, 20 ms per trial as in §6.3.
+func HierScale() *Table { return hierScale(100, 100, 20_000_000) }
+
+// hierScale is HierScale at a given size (the test runs it small).
+func hierScale(nVMs, nFlows int, dur clock.Time) *Table {
 	var rows [][]string
+	variants := hierScaleVariants()
 	for _, rate := range hierScaleRates {
-		for _, v := range hierScaleVariants() {
+		for _, v := range variants {
 			h := buildHierScale(v.mk, nVMs, nFlows, rate)
-			vmGbps, flowGbps, pkts, nsPerPkt := runHierScale(h, nVMs, nFlows, dur)
+			vmGbps, flowGbps, pkts := runHierScale(h, nVMs, nFlows, dur)
 			rows = append(rows, []string{
 				v.name,
 				fmt.Sprintf("%d", nVMs*nFlows),
@@ -193,7 +150,6 @@ func HierScale() *Table {
 				fmt.Sprintf("%+.2f%%", 100*(vmGbps-rate)/rate),
 				fmt.Sprintf("%.5f", stats.JainIndex(flowGbps)),
 				fmt.Sprintf("%d", pkts),
-				fmt.Sprintf("%.0f", nsPerPkt),
 			})
 		}
 	}
@@ -201,12 +157,12 @@ func HierScale() *Table {
 		ID:    "hierscale",
 		Title: fmt.Sprintf("Logical partitioning at scale: %d VMs x %d flows, TB over WF2Q+ on one shared engine (Fig 11/12 at 100x)", nVMs, nFlows),
 		Columns: []string{"layout", "leaves", "configured Gbps", "measured Gbps", "error",
-			"Jain (sampled VM)", "packets", "ns/pkt"},
+			"Jain (sampled VM)", "packets"},
 		Rows: rows,
 		Notes: []string{
 			"per-level/core is the oracle (one physical PIEO per depth); partitioned rows multiplex every logical node onto one backend via §4.2 index ranges",
 			"Jain index is over the sampled VM's per-flow rates (ideal 1.0 under WF2Q+)",
-			"PIEO_HIERSCALE_VMS / PIEO_HIERSCALE_FLOWS / PIEO_HIERSCALE_US shrink the run for smoke tests",
+			"per-packet cost of the partitioned layout is the hier_partitioned workload of `go run ./bench`",
 		},
 	}
 }

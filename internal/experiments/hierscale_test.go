@@ -3,8 +3,6 @@ package experiments
 import (
 	"strconv"
 	"testing"
-
-	_ "pieo/internal/shard"
 )
 
 // TestHierScaleReduced runs the partitioning-at-scale study at smoke
@@ -13,12 +11,8 @@ import (
 // (same measured rate, same packet count), and enforcement holds — the
 // sampled VM's measured rate stays within tolerance of its limit.
 func TestHierScaleReduced(t *testing.T) {
-	t.Setenv("PIEO_HIERSCALE_VMS", "10")
-	t.Setenv("PIEO_HIERSCALE_FLOWS", "10")
-	t.Setenv("PIEO_HIERSCALE_US", "2000")
-
-	tbl := HierScale()
-	nVariants := 1 + len(Backends())
+	tbl := hierScale(10, 10, 2_000_000)
+	nVariants := len(hierScaleVariants())
 	if len(tbl.Rows) != len(hierScaleRates)*nVariants {
 		t.Fatalf("want %d rows, got %d", len(hierScaleRates)*nVariants, len(tbl.Rows))
 	}

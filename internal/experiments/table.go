@@ -1,10 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§2.3 Fig 2, §6.1 Fig 8–9, §6.2 Fig 10 and the headline
-// numbers, §6.3 Fig 11–12), plus the O(N) PIFO-deviation claim and the
-// design ablations called out in DESIGN.md. Each experiment returns a
-// Table whose rows are the series the paper plots; cmd/pieobench prints
-// them and bench_test.go reports their headline values as benchmark
-// metrics.
+// numbers, §6.3 Fig 11–12), plus the O(N) PIFO-deviation claim, the
+// design ablations and the behaviour studies (overload, recovery,
+// hierscale) indexed in DESIGN.md §4. Each experiment returns a Table
+// whose rows are the series the paper plots; cmd/pieobench prints them
+// and bench_test.go reports their headline values as benchmark metrics.
+// Software throughput is not measured here — that is bench/.
 package experiments
 
 import (
@@ -94,16 +95,11 @@ var registry = map[string]Runner{
 	"trigger":          TriggerModels,
 	"devices":          Devices,
 	"approx":           Approx,
-	"pacing":           PacingScale,
 	"pacing-precision": PacingPrecision,
 	"wfi":              WFI,
 	"hier3":            Hier3,
 	"hierscale":        HierScale,
-	"hotpath":          Hotpath,
 	"overload":         Overload,
-	"combining":        Combining,
-	"scaling":          Scaling,
-	"cffs":             CFFS,
 	"qdev":             QuantDeviation,
 	"recovery":         Recovery,
 }

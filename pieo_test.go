@@ -93,20 +93,6 @@ func TestPublicHardwareModel(t *testing.T) {
 	}
 }
 
-func TestPublicExperiments(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) < 10 {
-		t.Fatalf("ExperimentIDs = %v", ids)
-	}
-	tab, err := RunExperiment("fig8")
-	if err != nil || tab.ID != "fig8" {
-		t.Fatalf("RunExperiment(fig8) = %v, %v", tab, err)
-	}
-	if _, err := RunExperiment("bogus"); err == nil {
-		t.Fatal("RunExperiment(bogus) did not error")
-	}
-}
-
 // TestPublicHealthAPI pins the self-healing supervision surface on the
 // facade: HealthOf on the sharded engine and SyncList, the overload
 // controller ladder, and MTTR from the fault log.
