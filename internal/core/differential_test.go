@@ -378,3 +378,97 @@ func TestEligibilityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInvariantMovesLandWhereSearchWould pins the three indices the
+// Invariant-1 moves hand to the sublist instead of searching for them
+// (spill: head of S'; refill from the left: head; from the right: tail).
+// Tiny sublists make almost every operation a spill or a refill, equal
+// ranks and out-of-order EnqueueSeq stamps make the tie-break carry the
+// order, and ranged and flow dequeues extract from sublist interiors so
+// refills run in both directions. The reference orders by (rank, arrival),
+// so it is given rank<<32|seq: unique keys in the same order as the
+// list's (rank, seq).
+func TestInvariantMovesLandWhereSearchWould(t *testing.T) {
+	const (
+		ranks     = 4
+		timeSpace = 4
+		steps     = 4000
+	)
+	for _, s := range []int{1, 2, 3, 8} {
+		t.Run(fmt.Sprintf("S=%d", s), func(t *testing.T) {
+			capacity := 10*s + 3
+			rng := rand.New(rand.NewSource(int64(s)))
+			impl := core.NewWithSublistSize(capacity, s)
+			ref := refmodel.New(capacity)
+			var stamps []uint64 // the next few sequence numbers, shuffled
+			nextSeq, nextID := uint64(1), uint32(0)
+			same := func(got, want core.Entry) bool {
+				return got.ID == want.ID && got.SendTime == want.SendTime && got.Rank == want.Rank>>32
+			}
+			for step := 0; step < steps; step++ {
+				// Fill and drain by turns so the list crosses every size.
+				enqBias := 7
+				if step/200%2 == 1 {
+					enqBias = 3
+				}
+				var got, want core.Entry
+				var gotOK, wantOK bool
+				what := "Enqueue"
+				switch op := rng.Intn(10); {
+				case op < enqBias:
+					if len(stamps) == 0 {
+						for i := 0; i < 6; i++ {
+							stamps = append(stamps, nextSeq)
+							nextSeq++
+						}
+						rng.Shuffle(len(stamps), func(i, j int) { stamps[i], stamps[j] = stamps[j], stamps[i] })
+					}
+					e := core.Entry{ID: nextID, Rank: uint64(rng.Intn(ranks)), SendTime: clock.Time(rng.Intn(timeSpace))}
+					gotErr := impl.EnqueueSeq(e, stamps[0])
+					e.Rank = e.Rank<<32 | stamps[0]
+					if wantErr := ref.Enqueue(e); gotErr != wantErr {
+						t.Fatalf("step %d: EnqueueSeq(%v) = %v, ref %v", step, e, gotErr, wantErr)
+					} else if gotErr == nil {
+						stamps = stamps[1:]
+						nextID++
+					}
+				case op == 7:
+					what = "Dequeue"
+					now := clock.Time(rng.Intn(timeSpace))
+					got, gotOK = impl.Dequeue(now)
+					want, wantOK = ref.Dequeue(now)
+				case op == 8:
+					what = "DequeueRange"
+					now := clock.Time(rng.Intn(timeSpace))
+					lo := uint32(rng.Intn(int(nextID) + 1))
+					hi := lo + uint32(rng.Intn(2*capacity))
+					got, gotOK = impl.DequeueRange(now, lo, hi)
+					want, wantOK = ref.DequeueRange(now, lo, hi)
+				default:
+					what = "DequeueFlow"
+					id := uint32(rng.Intn(int(nextID) + 1))
+					if snap := impl.Snapshot(); len(snap) > 0 && rng.Intn(4) > 0 {
+						id = snap[rng.Intn(len(snap))].ID // usually a resident
+					}
+					got, gotOK = impl.DequeueFlow(id)
+					want, wantOK = ref.DequeueFlow(id)
+				}
+				if gotOK != wantOK || (gotOK && !same(got, want)) {
+					t.Fatalf("step %d: %s = %v,%v, ref %v,%v", step, what, got, gotOK, want, wantOK)
+				}
+				if err := impl.CheckInvariants(); err != nil {
+					t.Fatalf("step %d after %s: %v", step, what, err)
+				}
+				gotSnap, wantSnap := impl.Snapshot(), ref.Snapshot()
+				if len(gotSnap) != len(wantSnap) {
+					t.Fatalf("step %d: %d residents, ref %d", step, len(gotSnap), len(wantSnap))
+				}
+				for i := range gotSnap {
+					if !same(gotSnap[i], wantSnap[i]) {
+						t.Fatalf("step %d after %s: order diverges at %d: %v, ref %v", step, what, i, gotSnap[i], wantSnap[i])
+					}
+				}
+			}
+		})
+	}
+}

@@ -39,8 +39,8 @@ func (l *List) DumpSublists() []SublistView {
 			Entries:          make([]Entry, sl.len()),
 			EligTimes:        append([]clock.Time(nil), sl.elig...),
 		}
-		for j := range sl.entries {
-			v.Entries[j] = sl.entries[j].entry()
+		for j := range v.Entries {
+			v.Entries[j] = sl.at(j).entry()
 		}
 		views = append(views, v)
 	}

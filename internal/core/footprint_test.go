@@ -23,12 +23,15 @@ func liveHeap() uint64 {
 // the live heap at r residents is proportional to r, not to the capacity.
 //
 // A resident is 40 bytes of payload (a 32-byte element plus its 8-byte
-// Eligibility-Sublist time). The stated constant is 5: 2 for Invariant 1
-// (sublists may be half full) × 2 for the two-ended window slack = 4, plus
-// 1 for the flow index (at most four 8-byte slots per resident, just
-// after a doubling) and the per-sublist metadata. Storage arrives in
-// steps, so at most two steps' worth — the one being filled and, during
-// the doubling phase, as much again — is added on top.
+// Eligibility-Sublist time) in a row slot of slotBytes = 54 (the two-ended
+// window slack doubles the slot number and the time, not the element, and
+// the free stack adds a number). The bound per resident is two row slots
+// for Invariant 1 (sublists may be half full) plus four 8-byte flow-index
+// slots (just after a doubling) — 140 bytes, where the all-elements-twice
+// layout needed 200; the per-sublist metadata fits in the slack between
+// those worst cases. Storage arrives in steps, so at most two steps'
+// worth — the one being filled and, during the doubling phase, as much
+// again — is added on top.
 func TestFootprintFollowsResidents(t *testing.T) {
 	const n = 1 << 19
 
@@ -55,12 +58,12 @@ func TestFootprintFollowsResidents(t *testing.T) {
 			}
 		}
 		live := int64(liveHeap()) - int64(base)
-		bound := int64(5*r*slotBytes + 2*maxStepBytes)
-		t.Logf("r=%d: %d bytes live, %.2f x r x 40 B (bound %d), %d of %d sublists bound",
-			r, live, float64(live)/float64(r*slotBytes), bound, len(l.sublists), l.NumSublists())
+		bound := int64(r*(2*slotBytes+4*8) + 2*maxStepBytes)
+		t.Logf("r=%d: %d bytes live, %.1f B per resident (bound %d), %d of %d sublists bound",
+			r, live, float64(live)/float64(r), bound, len(l.sublists), l.NumSublists())
 		if live > bound {
-			t.Errorf("r=%d residents of capacity %d hold %d bytes live, want <= 5 x r x 40 B + two steps = %d",
-				r, n, live, bound)
+			t.Errorf("r=%d residents of capacity %d hold %d bytes live, want <= r x (2 x %d + 32) B + two steps = %d",
+				r, n, live, slotBytes, bound)
 		}
 		if err := l.CheckInvariants(); err != nil {
 			t.Fatal(err)
@@ -99,7 +102,7 @@ func BenchmarkGrowthStep(b *testing.B) {
 			} else if n := len(l.sublists) - bound; n > 0 {
 				steps++
 				if ns > store.ns {
-					store.ns, store.bytes = ns, float64(n*2*(l.sublistSize+1)*slotBytes)
+					store.ns, store.bytes = ns, float64(n*(l.sublistSize+1)*slotBytes)
 				}
 			}
 		}

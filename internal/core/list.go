@@ -35,12 +35,15 @@
 //     the block — the same summary-tournament technique internal/shard
 //     uses across engines), so finding the first eligible sublist skips
 //     32 positions per probe instead of scanning all ~2√N.
-//   - Sublists live in two-ended stores with slack on both sides, so
-//     head/tail insertions and removals — the common case on both the
-//     enqueue split path and the dequeue refill path — move no elements,
-//     interior shifts move whichever side is shorter, and a window that
-//     has drifted to an edge of its store is moved back to the middle
-//     once per ~S/2 operations (see sublist).
+//   - A sublist's elements sit in an unordered row and its rank order
+//     is a window of 16-bit slot numbers over that row, so an insert or
+//     removal writes one element and shifts 2-byte numbers. The windows
+//     live in two-ended stores with slack on both sides: head/tail
+//     insertions and removals — the common case on both the enqueue
+//     split path and the dequeue refill path — shift nothing, interior
+//     shifts move whichever side is shorter, and a window that has
+//     drifted to an edge of its store is moved back to the middle once
+//     per ~S/2 operations (see sublist).
 //
 // Stats still counts the work the HARDWARE would do — all comparators
 // charged per parallel compare, four cycles per op — not the software's
@@ -140,9 +143,8 @@ type Stats struct {
 //
 // The fields are Entry's, laid out for the cache rather than for the API:
 // the 4-byte id goes last, so an element is 32 bytes — two to a cache
-// line and, a store being a whole number of lines, none straddling two.
-// Every interior insert or removal shifts elements, so the element size
-// is the unit cost of the software datapath.
+// line. An element is copied only when it enters a sublist (an enqueue
+// or an Invariant-1 move); ordering it shifts slot numbers (see sublist).
 type element struct {
 	rank     uint64
 	sendTime clock.Time
@@ -166,13 +168,20 @@ func (a *element) less(b *element) bool {
 	return a.seq < b.seq
 }
 
-// sublist is one SRAM-resident sublist: entries ordered by (rank, seq)
-// and a parallel multiset of send_times ordered ascending (the
-// Eligibility-Sublist).
+// sublist is one SRAM-resident sublist: a row of S+1 element slots, the
+// rank order over it, and a parallel multiset of send_times ordered
+// ascending (the Eligibility-Sublist).
 //
-// Both orders live in two-ended backing stores of capacity 2·(S+1) with
-// the live window floating between slack at either end (entries =
-// buf[estart : estart+n]). Removing the head or tail — what every
+// The row is unordered: an element is written once, into any free slot,
+// and stays there until it leaves the sublist. Its (rank, seq) order is
+// the window slots of 16-bit slot numbers, so an interior insert or
+// removal shifts 2-byte numbers where the hardware re-orders the row in
+// one cycle. free[len(slots):] is the stack of unused slot numbers, top
+// first; the numbers below the top are stale.
+//
+// The two orders live in two-ended backing stores of capacity 2·(S+1)
+// with the live window floating between slack at either end (slots =
+// sbuf[sstart : sstart+n]). Removing the head or tail — what every
 // dequeue and every Invariant-1 refill does — just moves the window
 // edge; interior insertions and removals shift whichever side is
 // shorter.
@@ -182,30 +191,41 @@ func (a *element) less(b *element) bool {
 // pattern) walk it towards the right edge of its store, the mirror
 // pattern towards the left. When an insertion wants to shift a side that
 // has run out of slack, the window is moved back to the middle of the
-// store first. That costs one move per element, at most S+1, and leaves
-// at least (S+1)/2 free slots on either side; each operation moves an
-// edge by at most one slot, so at least (S+1)/2 operations on this
-// sublist pass before it can touch an edge again — two to three element
-// moves per operation, amortised, whatever the traffic.
+// store first. That costs one move per entry, at most S+1, and leaves
+// at least (S+1)/2 free places on either side; each operation moves an
+// edge by at most one place, so at least (S+1)/2 operations on this
+// sublist pass before it can touch an edge again — two to three moves
+// per operation, amortised, whatever the traffic.
 type sublist struct {
-	entries []element    // rank-ordered window into buf
-	elig    []clock.Time // ascending send_time window into tbuf
+	row   []element    // S+1 slots, unordered
+	slots []uint16     // rank-ordered window into sbuf: slot numbers of row
+	elig  []clock.Time // ascending send_time window into tbuf
+	free  []uint16     // free[len(slots):] are the unused slot numbers
 
-	buf    []element
+	sbuf   []uint16
 	tbuf   []clock.Time
-	estart int // entries window offset within buf
+	sstart int // slots window offset within sbuf
 	tstart int // elig window offset within tbuf
 }
 
-func (s *sublist) len() int           { return len(s.entries) }
-func (s *sublist) full(cap_ int) bool { return len(s.entries) == cap_ }
+func (s *sublist) len() int           { return len(s.slots) }
+func (s *sublist) full(cap_ int) bool { return len(s.slots) == cap_ }
 
-// bind attaches backing stores and centers the (empty) windows.
-func (s *sublist) bind(buf []element, tbuf []clock.Time) {
-	s.buf, s.tbuf = buf, tbuf
-	s.estart = len(buf) / 2
+// at returns the element at rank-order index i.
+func (s *sublist) at(i int) *element { return &s.row[s.slots[i]] }
+
+// bind attaches backing stores — nums holds the free stack, then the
+// slot-number store — centers the (empty) windows and stacks the free
+// slot numbers so that the row fills from its start.
+func (s *sublist) bind(row []element, nums []uint16, tbuf []clock.Time) {
+	n := len(row)
+	s.row, s.free, s.sbuf, s.tbuf = row, nums[:n:n], nums[n:], tbuf
+	for i := range s.free {
+		s.free[i] = uint16(i)
+	}
+	s.sstart = len(s.sbuf) / 2
 	s.tstart = len(tbuf) / 2
-	s.entries = buf[s.estart:s.estart]
+	s.slots = s.sbuf[s.sstart:s.sstart]
 	s.elig = tbuf[s.tstart:s.tstart]
 }
 
@@ -245,19 +265,36 @@ func closeSlot[T any](buf []T, start, n, idx int) int {
 	return start
 }
 
-// insertEntryAt places e at rank-order index idx.
+// insertEntryAt writes e into a free slot of the row and places the
+// slot's number at rank-order index idx.
 func (s *sublist) insertEntryAt(idx int, e element) {
-	n := len(s.entries)
-	s.estart = openSlot(s.buf, s.estart, n, idx)
-	s.buf[s.estart+idx] = e
-	s.entries = s.buf[s.estart : s.estart+n+1]
+	n := len(s.slots)
+	slot := s.free[n]
+	s.row[slot] = e
+	s.sstart = openSlot(s.sbuf, s.sstart, n, idx)
+	s.sbuf[s.sstart+idx] = slot
+	s.slots = s.sbuf[s.sstart : s.sstart+n+1]
 }
 
-// removeEntryAt deletes rank-order index idx.
+// removeEntryAt deletes rank-order index idx and frees its slot.
 func (s *sublist) removeEntryAt(idx int) {
-	n := len(s.entries)
-	s.estart = closeSlot(s.buf, s.estart, n, idx)
-	s.entries = s.buf[s.estart : s.estart+n-1]
+	n := len(s.slots)
+	s.free[n-1] = s.slots[idx]
+	s.sstart = closeSlot(s.sbuf, s.sstart, n, idx)
+	s.slots = s.sbuf[s.sstart : s.sstart+n-1]
+}
+
+// firstEligible returns the rank-order index of the first element with
+// send_time <= now — the smallest-ranked eligible element of the sublist.
+// Callers select the sublist on metadata that says one exists; its
+// absence is a datapath bug, not a runtime condition.
+func (s *sublist) firstEligible(now clock.Time) int {
+	for i, slot := range s.slots {
+		if s.row[slot].sendTime <= now {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("pieo: sublist metadata/content mismatch at t=%v", now))
 }
 
 // insertElig adds t to the Eligibility-Sublist, after any equal values.
@@ -411,13 +448,17 @@ type List struct {
 	stats Stats
 }
 
+// maxSublistSize is the largest S: slot numbers 0…S are 16 bits wide.
+const maxSublistSize = math.MaxUint16
+
 // New creates a PIEO list with capacity n using the paper's geometry:
-// sublists of size ⌈√n⌉.
+// sublists of size ⌈√n⌉ (capped at maxSublistSize, which only an n past
+// the 32-bit ID space reaches).
 func New(n int) *List {
 	if n <= 0 {
 		panic(fmt.Sprintf("pieo: capacity must be positive, got %d", n))
 	}
-	return NewWithSublistSize(n, int(math.Ceil(math.Sqrt(float64(n)))))
+	return NewWithSublistSize(n, min(int(math.Ceil(math.Sqrt(float64(n)))), maxSublistSize))
 }
 
 // NewWithSublistSize creates a PIEO list with an explicit sublist size,
@@ -428,7 +469,7 @@ func New(n int) *List {
 // alternation can never exhaust the empty partition at the capacity
 // boundary. Storage starts at one sublist and grows with the residents.
 func NewWithSublistSize(n, s int) *List {
-	if n <= 0 || s <= 0 {
+	if n <= 0 || s <= 0 || s > maxSublistSize {
 		panic(fmt.Sprintf("pieo: invalid geometry n=%d s=%d", n, s))
 	}
 	l := &List{
@@ -444,35 +485,39 @@ func NewWithSublistSize(n, s int) *List {
 // Storage follows the claim high-water mark, in steps. Claims are LIFO
 // from the empty partition, so the sublists that ever hold elements are
 // exactly ids [0, high-water mark): a step binds the next contiguous range
-// of ids to one pair of stores, and neighbouring sublists — which every
+// of ids to one set of stores, and neighbouring sublists — which every
 // operation pair touches — stay adjacent in memory. A step doubles the
 // bound sublists until it would exceed maxStepBytes (and is always at
 // least one sublist): an almost-empty list costs one sublist, and growth
 // never leaves more than one step unused.
 const (
-	slotBytes    = 32 + 8 // one element and one eligibility time
+	// One row slot's share of a sublist: the element, a free-stack entry,
+	// and a slot number and a send_time in each half of the two-ended
+	// stores.
+	slotBytes    = 32 + 2 + 2*(2+8)
 	maxStepBytes = 256 << 10
 )
 
-// extend binds the next step of sublists: their two-ended stores and
+// extend binds the next step of sublists: their rows and stores and
 // their entries in every per-sublist array, the new ids joining the tail
 // of the empty partition. Appending moves those arrays, so no *sublist or
 // *ptr may be held across a call (only claimEmptyAt calls it after
 // construction). Once the high-water mark is reached the operation path
 // allocates nothing.
 func (l *List) extend() {
-	slots := 2 * (l.sublistSize + 1)
+	slots := l.sublistSize + 1
 	first := len(l.order)
 	k := min(max(first, 1), max(maxStepBytes/(slots*slotBytes), 1), l.numSublists-first)
 	if k <= 0 {
 		panic("pieo: empty-sublist partition exhausted; Invariant 1 slack miscomputed")
 	}
-	ebuf := make([]element, k*slots)
-	tbuf := make([]clock.Time, k*slots)
+	rows := make([]element, k*slots)
+	nums := make([]uint16, k*3*slots)
+	tbuf := make([]clock.Time, k*2*slots)
 	for i := 0; i < k; i++ {
 		lo, hi := i*slots, (i+1)*slots
 		var sl sublist
-		sl.bind(ebuf[lo:hi:hi], tbuf[lo:hi:hi])
+		sl.bind(rows[lo:hi:hi], nums[3*lo:3*hi:3*hi], tbuf[2*lo:2*hi:2*hi])
 		l.sublists = append(l.sublists, sl)
 		l.order = append(l.order, ptr{sublistID: first + i, smallestSendTime: clock.Never})
 		l.posOf = append(l.posOf, first+i)
@@ -598,7 +643,7 @@ func (l *List) enqueue(elem element) error {
 		// The insert pushed the sublist to S+1; move its tail into S'.
 		// sl is not used past this point: a claim may extend the storage
 		// and move l.sublists.
-		tail := sl.entries[sl.len()-1]
+		tail := *sl.at(sl.len() - 1)
 		l.removeAt(sl, sl.len()-1)
 
 		spPos := -1
@@ -612,7 +657,7 @@ func (l *List) enqueue(elem element) error {
 		sp := &l.sublists[l.order[spPos].sublistID]
 		l.stats.SublistReads++
 		l.stats.ElemCompares += uint64(sp.len())
-		l.insertElem(spPos, tail) // lands at sp's head: tail.key < all of sp
+		l.insertElemAt(spPos, 0, tail) // sp's head: tail.key < all of sp
 		l.flows.move(tail.id, l.order[spPos].sublistID)
 		l.refreshMeta(spPos)
 		l.stats.SublistWrites++
@@ -694,21 +739,10 @@ func (l *List) dequeueFrom(now clock.Time, startPos int) (Entry, int, bool) {
 	l.stats.SublistReads++
 
 	// Cycle 3: first index with send_time <= now is the smallest-ranked
-	// eligible element of the sublist (entries are rank-ordered).
+	// eligible element of the sublist (the window is rank-ordered).
 	l.stats.ElemCompares += uint64(sl.len())
-	idx := -1
-	for i := range sl.entries {
-		if sl.entries[i].sendTime <= now {
-			idx = i
-			break
-		}
-	}
-	if idx == -1 {
-		// Metadata said an eligible element exists; its absence is a
-		// datapath bug, not a runtime condition.
-		panic(fmt.Sprintf("pieo: sublist %d metadata/content mismatch at t=%v", l.order[pos].sublistID, now))
-	}
-	out := sl.entries[idx].entry()
+	idx := sl.firstEligible(now)
+	out := sl.at(idx).entry()
 	l.extractAt(pos, sl, idx)
 	return out, pos, true
 }
@@ -729,12 +763,8 @@ func (l *List) PeekSeq(now clock.Time) (Entry, uint64, bool) {
 		return Entry{}, 0, false
 	}
 	sl := &l.sublists[l.order[pos].sublistID]
-	for i := range sl.entries {
-		if e := &sl.entries[i]; e.sendTime <= now {
-			return e.entry(), e.seq, true
-		}
-	}
-	panic(fmt.Sprintf("pieo: sublist %d metadata/content mismatch at t=%v", l.order[pos].sublistID, now))
+	e := sl.at(sl.firstEligible(now))
+	return e.entry(), e.seq, true
 }
 
 // DequeueBelowSeq is the fused peek-or-extract a sharded tournament
@@ -754,17 +784,8 @@ func (l *List) DequeueBelowSeq(now clock.Time, limit uint64) (e Entry, seq uint6
 		return Entry{}, 0, false, false
 	}
 	sl := &l.sublists[l.order[pos].sublistID]
-	idx := -1
-	for i := range sl.entries {
-		if sl.entries[i].sendTime <= now {
-			idx = i
-			break
-		}
-	}
-	if idx == -1 {
-		panic(fmt.Sprintf("pieo: sublist %d metadata/content mismatch at t=%v", l.order[pos].sublistID, now))
-	}
-	cand := sl.entries[idx]
+	idx := sl.firstEligible(now)
+	cand := *sl.at(idx)
 	if cand.rank >= limit {
 		return cand.entry(), cand.seq, true, false
 	}
@@ -788,7 +809,7 @@ func (l *List) DequeueRangeBelowSeq(now clock.Time, lo, hi uint32, limit uint64)
 		return Entry{}, 0, false, false
 	}
 	sl := &l.sublists[l.order[pos].sublistID]
-	cand := sl.entries[idx]
+	cand := *sl.at(idx)
 	if cand.rank >= limit {
 		return cand.entry(), cand.seq, true, false
 	}
@@ -817,8 +838,8 @@ func (l *List) DequeueFlow(id uint32) (Entry, bool) {
 	l.stats.SublistReads++
 	l.stats.ElemCompares += uint64(sl.len())
 	idx := -1
-	for i := range sl.entries {
-		if sl.entries[i].id == id {
+	for i := range sl.slots {
+		if sl.at(i).id == id {
 			idx = i
 			break
 		}
@@ -826,7 +847,7 @@ func (l *List) DequeueFlow(id uint32) (Entry, bool) {
 	if idx == -1 {
 		panic(fmt.Sprintf("pieo: flow index points id %d at sublist %d but it is not there", id, sid))
 	}
-	out := sl.entries[idx].entry()
+	out := sl.at(idx).entry()
 	l.extractAt(pos, sl, idx)
 	return out, true
 }
@@ -857,7 +878,7 @@ func (l *List) DequeueRange(now clock.Time, lo, hi uint32) (Entry, bool) {
 	l.stats.Cycles += 4
 	l.stats.SublistReads++
 	l.stats.ElemCompares += uint64(sl.len())
-	out := sl.entries[idx].entry()
+	out := sl.at(idx).entry()
 	l.extractAt(pos, sl, idx)
 	return out, true
 }
@@ -877,7 +898,7 @@ func (l *List) PeekRangeSeq(now clock.Time, lo, hi uint32) (Entry, uint64, bool)
 	if pos == -1 {
 		return Entry{}, 0, false
 	}
-	e := &l.sublists[l.order[pos].sublistID].entries[idx]
+	e := l.sublists[l.order[pos].sublistID].at(idx)
 	return e.entry(), e.seq, true
 }
 
@@ -911,19 +932,20 @@ func (l *List) findInRange(now clock.Time, lo, hi uint32, tighten bool) (pos, id
 			pos++
 			continue
 		}
-		entries := l.sublists[sid].entries
-		for i := range entries {
-			e := &entries[i]
+		sl := &l.sublists[sid]
+		row := sl.row
+		for i, slot := range sl.slots {
+			e := &row[slot]
 			if e.sendTime <= now && e.id >= lo && e.id <= hi {
 				return pos, i, missReads, missCompares
 			}
 		}
 		missReads++
-		missCompares += uint64(len(entries))
+		missCompares += uint64(sl.len())
 		if tighten {
 			b := noIDs
-			for i := range entries {
-				b.admit(entries[i].id)
+			for _, slot := range sl.slots {
+				b.admit(row[slot].id)
 			}
 			ids[sid] = b
 		}
@@ -1037,7 +1059,7 @@ func (l *List) MaxRankEntrySeq() (Entry, uint64, bool) {
 		return Entry{}, 0, false
 	}
 	sl := &l.sublists[l.order[l.active-1].sublistID]
-	elem := &sl.entries[sl.len()-1]
+	elem := sl.at(sl.len() - 1)
 	return elem.entry(), elem.seq, true
 }
 
@@ -1047,7 +1069,7 @@ func (l *List) MaxRankEntrySeq() (Entry, uint64, bool) {
 // sublists move to the empty partition.
 func (l *List) extractAt(pos int, sl *sublist, idx int) {
 	wasFull := sl.full(l.sublistSize)
-	id := sl.entries[idx].id
+	id := sl.at(idx).id
 	l.removeAt(sl, idx)
 	l.flows.remove(id)
 	l.size--
@@ -1063,9 +1085,9 @@ func (l *List) extractAt(pos int, sl *sublist, idx int) {
 			if !left.full(l.sublistSize) {
 				l.stats.SublistReads++
 				l.stats.ElemCompares += uint64(left.len())
-				moved := left.entries[left.len()-1]
+				moved := *left.at(left.len() - 1)
 				l.removeAt(left, left.len()-1)
-				l.insertElem(pos, moved)
+				l.insertElemAt(pos, 0, moved)
 				l.flows.move(moved.id, l.order[pos].sublistID)
 				l.stats.SublistWrites++
 				if left.len() == 0 {
@@ -1083,9 +1105,9 @@ func (l *List) extractAt(pos int, sl *sublist, idx int) {
 			if !right.full(l.sublistSize) {
 				l.stats.SublistReads++
 				l.stats.ElemCompares += uint64(right.len())
-				moved := right.entries[0]
+				moved := *right.at(0)
 				l.removeAt(right, 0)
-				l.insertElem(pos, moved)
+				l.insertElemAt(pos, sl.len(), moved)
 				l.flows.move(moved.id, l.order[pos].sublistID)
 				l.stats.SublistWrites++
 				if right.len() == 0 {
@@ -1106,34 +1128,40 @@ func (l *List) extractAt(pos int, sl *sublist, idx int) {
 	l.refreshMeta(pos)
 }
 
-// insertElem places elem at its (rank, seq) position in the rank-ordered
-// entries of the sublist at order position pos, locating it by binary
-// search (the hardware's parallel compare; callers charge the comparator
-// stats), and its send_time in the eligibility multiset. It widens the
-// sublist's resident-ID bounds; the pointer-array metadata is the
-// caller's refreshMeta.
+// insertElem places elem at its (rank, seq) position in the rank order
+// of the sublist at order position pos, locating it by binary search
+// (the hardware's parallel compare; callers charge the comparator stats).
 func (l *List) insertElem(pos int, elem element) {
-	sid := l.order[pos].sublistID
-	sl := &l.sublists[sid]
-	l.ids[sid].admit(elem.id)
-	entries := sl.entries
-	lo, hi := 0, len(entries)
+	sl := &l.sublists[l.order[pos].sublistID]
+	lo, hi := 0, sl.len()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if elem.less(&entries[mid]) {
+		if elem.less(sl.at(mid)) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	sl.insertEntryAt(lo, elem)
+	l.insertElemAt(pos, lo, elem)
+}
+
+// insertElemAt places elem at rank-order index idx of the sublist at
+// order position pos — its (rank, seq) position, which an Invariant-1
+// move knows without searching — and its send_time in the eligibility
+// multiset. It widens the sublist's resident-ID bounds; the pointer-array
+// metadata is the caller's refreshMeta.
+func (l *List) insertElemAt(pos, idx int, elem element) {
+	sid := l.order[pos].sublistID
+	sl := &l.sublists[sid]
+	l.ids[sid].admit(elem.id)
+	sl.insertEntryAt(idx, elem)
 	sl.insertElig(elem.sendTime)
 }
 
 // removeAt deletes entry idx from the rank order and its send_time from
 // the eligibility multiset.
 func (l *List) removeAt(sl *sublist, idx int) {
-	st := sl.entries[idx].sendTime
+	st := sl.at(idx).sendTime
 	sl.removeEntryAt(idx)
 	sl.removeElig(st)
 }
@@ -1157,8 +1185,9 @@ func (l *List) refreshMeta(pos int) {
 		t = clock.Never
 	} else {
 		t = sl.elig[0]
-		l.order[pos].smallestRank = sl.entries[0].rank
-		l.order[pos].smallestSeq = sl.entries[0].seq
+		head := sl.at(0)
+		l.order[pos].smallestRank = head.rank
+		l.order[pos].smallestSeq = head.seq
 		l.order[pos].smallestSendTime = t
 		l.order[pos].num = sl.len()
 	}
@@ -1252,8 +1281,8 @@ func (l *List) Snapshot() []Entry {
 	k := 0
 	for i := 0; i < l.active; i++ {
 		sl := &l.sublists[l.order[i].sublistID]
-		for j := range sl.entries {
-			out[k] = sl.entries[j].entry()
+		for j := range sl.slots {
+			out[k] = sl.at(j).entry()
 			k++
 		}
 	}
@@ -1269,9 +1298,9 @@ func (l *List) SnapshotWithSeq() ([]Entry, []uint64) {
 	k := 0
 	for i := 0; i < l.active; i++ {
 		sl := &l.sublists[l.order[i].sublistID]
-		for j := range sl.entries {
-			out[k] = sl.entries[j].entry()
-			seqs[k] = sl.entries[j].seq
+		for j := range sl.slots {
+			e := sl.at(j)
+			out[k], seqs[k] = e.entry(), e.seq
 			k++
 		}
 	}
@@ -1284,7 +1313,8 @@ func (l *List) SnapshotWithSeq() ([]Entry, []uint64) {
 // active sublist and cleared for every empty one), eligibility-sublist
 // coherence, flow-index consistency, plus the software-only structures
 // layered on top (packed summary words and the MinSendTime they fold to,
-// two-ended window bounds, the flow index's own probe structure). Tests
+// two-ended window bounds, each row's slot numbers split exactly between
+// its window and its free stack, the flow index's own probe structure). Tests
 // call it after every mutation; it returns the first violation found.
 func (l *List) CheckInvariants() error {
 	if l.active < 0 || l.active > len(l.order) {
@@ -1301,6 +1331,7 @@ func (l *List) CheckInvariants() error {
 			n, l.numSublists, len(l.sublists), len(l.posOf), len(l.ids), len(l.eligBlk))
 	}
 	seen := make(map[int]bool, len(l.order))
+	used := make([]bool, l.sublistSize+1) // slot numbers met in the sublist at hand
 	total := 0
 	minSend := clock.Never
 	var prev *element
@@ -1316,12 +1347,23 @@ func (l *List) CheckInvariants() error {
 			return fmt.Errorf("posOf[%d]=%d, want %d", p.sublistID, l.posOf[p.sublistID], i)
 		}
 		sl := &l.sublists[p.sublistID]
-		if want := 2 * (l.sublistSize + 1); len(sl.buf) != want || len(sl.tbuf) != want {
-			return fmt.Errorf("sublist %d bound to stores of %d/%d slots, want %d", p.sublistID, len(sl.buf), len(sl.tbuf), want)
+		if want := l.sublistSize + 1; len(sl.row) != want || len(sl.free) != want || len(sl.sbuf) != 2*want || len(sl.tbuf) != 2*want {
+			return fmt.Errorf("sublist %d bound to a row of %d slots, %d free, stores of %d/%d, want %d, %d, %d/%d",
+				p.sublistID, len(sl.row), len(sl.free), len(sl.sbuf), len(sl.tbuf), want, want, 2*want, 2*want)
 		}
-		if sl.estart < 0 || sl.estart+len(sl.entries) > len(sl.buf) {
-			return fmt.Errorf("sublist %d entries window [%d,%d) outside store of %d",
-				p.sublistID, sl.estart, sl.estart+len(sl.entries), len(sl.buf))
+		if sl.sstart < 0 || sl.sstart+len(sl.slots) > len(sl.sbuf) {
+			return fmt.Errorf("sublist %d slot window [%d,%d) outside store of %d",
+				p.sublistID, sl.sstart, sl.sstart+len(sl.slots), len(sl.sbuf))
+		}
+		// The window and the free stack partition the row's slot numbers.
+		clear(used)
+		for _, nums := range [2][]uint16{sl.slots, sl.free[len(sl.slots):]} {
+			for _, slot := range nums {
+				if int(slot) >= len(used) || used[slot] {
+					return fmt.Errorf("sublist %d slot number %d out of range or held twice", p.sublistID, slot)
+				}
+				used[slot] = true
+			}
 		}
 		if sl.tstart < 0 || sl.tstart+len(sl.elig) > len(sl.tbuf) {
 			return fmt.Errorf("sublist %d elig window [%d,%d) outside store of %d",
@@ -1352,11 +1394,8 @@ func (l *List) CheckInvariants() error {
 		if p.num != sl.len() {
 			return fmt.Errorf("position %d num=%d, want %d", i, p.num, sl.len())
 		}
-		if p.smallestRank != sl.entries[0].rank {
-			return fmt.Errorf("position %d smallestRank=%d, want %d", i, p.smallestRank, sl.entries[0].rank)
-		}
-		if p.smallestSeq != sl.entries[0].seq {
-			return fmt.Errorf("position %d smallestSeq=%d, want %d", i, p.smallestSeq, sl.entries[0].seq)
+		if head := sl.at(0); p.smallestRank != head.rank || p.smallestSeq != head.seq {
+			return fmt.Errorf("position %d smallest key=(%d,%d), want (%d,%d)", i, p.smallestRank, p.smallestSeq, head.rank, head.seq)
 		}
 		if len(sl.elig) != sl.len() {
 			return fmt.Errorf("position %d eligibility size %d, want %d", i, len(sl.elig), sl.len())
@@ -1366,8 +1405,8 @@ func (l *List) CheckInvariants() error {
 		}
 		// Eligibility multiset matches entry send_times.
 		times := make(map[clock.Time]int)
-		for j := range sl.entries {
-			times[sl.entries[j].sendTime]++
+		for j := range sl.slots {
+			times[sl.at(j).sendTime]++
 		}
 		for j, t := range sl.elig {
 			if j > 0 && sl.elig[j-1] > t {
@@ -1380,8 +1419,8 @@ func (l *List) CheckInvariants() error {
 		}
 		// Global (rank, seq) order across the sublist concatenation, and
 		// rank order within the sublist.
-		for j := range sl.entries {
-			e := &sl.entries[j]
+		for j := range sl.slots {
+			e := sl.at(j)
 			if prev != nil && e.less(prev) {
 				return fmt.Errorf("global order violated: %v before %v", prev.entry(), e.entry())
 			}

@@ -429,15 +429,50 @@ func TestFillDrainFill(t *testing.T) {
 }
 
 func TestNewPanicsOnInvalid(t *testing.T) {
-	for _, n := range []int{0, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("New(%d) did not panic", n)
-				}
-			}()
-			New(n)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
 		}()
+		f()
+	}
+	for _, n := range []int{0, -1} {
+		mustPanic(fmt.Sprintf("New(%d)", n), func() { New(n) })
+	}
+	// Slot numbers 0…S are 16 bits wide.
+	mustPanic("NewWithSublistSize(1<<20, 65536)", func() { NewWithSublistSize(1<<20, maxSublistSize+1) })
+	if huge := int64(maxSublistSize*maxSublistSize + 1); int64(int(huge)) == huge {
+		if l := New(int(huge)); l.SublistSize() != maxSublistSize {
+			t.Errorf("New(%d) has sublists of %d, want the %d cap", huge, l.SublistSize(), maxSublistSize)
+		}
+	}
+
+	// The largest row, filled past one sublist: the spill passes through
+	// S+1 residents, so the top slot number is used, and the refill and a
+	// flow dequeue reuse freed ones.
+	l := NewWithSublistSize(1<<20, maxSublistSize)
+	const n = maxSublistSize + 8
+	for id := uint32(0); id < n; id++ {
+		if err := l.Enqueue(Entry{ID: id, Rank: uint64(id), SendTime: clock.Always}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []uint32{0, maxSublistSize / 2, maxSublistSize - 1} {
+		if e, ok := l.DequeueFlow(id); !ok || e.ID != id {
+			t.Fatalf("DequeueFlow(%d) = %v,%v", id, e, ok)
+		}
+		if err := l.Enqueue(Entry{ID: n + id, Rank: uint64(id), SendTime: clock.Always}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if l.Len() != n || l.active != 2 {
+		t.Fatalf("%d residents in %d sublists, want %d in 2", l.Len(), l.active, n)
 	}
 }
 

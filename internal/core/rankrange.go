@@ -19,7 +19,7 @@ func (l *List) MinRankAtLeast(lo uint64) (Entry, bool) {
 	if pos == -1 {
 		return Entry{}, false
 	}
-	return l.sublists[l.order[pos].sublistID].entries[idx].entry(), true
+	return l.sublists[l.order[pos].sublistID].at(idx).entry(), true
 }
 
 // DequeueRankRange extracts the smallest-ranked entry with
@@ -31,14 +31,14 @@ func (l *List) DequeueRankRange(lo, hi uint64) (Entry, bool) {
 		return Entry{}, false
 	}
 	sl := &l.sublists[l.order[pos].sublistID]
-	if sl.entries[idx].rank > hi {
+	if sl.at(idx).rank > hi {
 		return Entry{}, false
 	}
 	l.stats.FlowDequeues++ // datapath-wise identical to dequeue(f)
 	l.stats.Cycles += 4
 	l.stats.SublistReads++
 	l.stats.ElemCompares += uint64(sl.len())
-	out := sl.entries[idx].entry()
+	out := sl.at(idx).entry()
 	l.extractAt(pos, sl, idx)
 	return out, true
 }
@@ -50,11 +50,11 @@ func (l *List) CountRankRange(lo, hi uint64) int {
 	count := 0
 	for i := 0; i < l.active; i++ {
 		sl := &l.sublists[l.order[i].sublistID]
-		if sl.entries[0].rank > hi {
+		if sl.at(0).rank > hi {
 			break // sublists are rank-partitioned: nothing further matches
 		}
-		for j := range sl.entries {
-			if r := sl.entries[j].rank; r >= lo && r <= hi {
+		for j := range sl.slots {
+			if r := sl.at(j).rank; r >= lo && r <= hi {
 				count++
 			}
 		}
@@ -90,17 +90,16 @@ func (l *List) findMinRankAtLeast(lo uint64) (pos, idx int) {
 	if first > 0 {
 		prev := &l.sublists[l.order[first-1].sublistID]
 		l.stats.ElemCompares += uint64(prev.len())
-		entries := prev.entries
-		jlo, jhi := 0, len(entries)
+		jlo, jhi := 0, prev.len()
 		for jlo < jhi {
 			mid := int(uint(jlo+jhi) >> 1)
-			if entries[mid].rank >= lo {
+			if prev.at(mid).rank >= lo {
 				jhi = mid
 			} else {
 				jlo = mid + 1
 			}
 		}
-		if jlo < len(entries) {
+		if jlo < prev.len() {
 			return first - 1, jlo
 		}
 	}
