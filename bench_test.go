@@ -378,32 +378,21 @@ func benchContended(b *testing.B, be Backend) {
 
 // Capacity 1<<19 puts the backends deep in the regime the sharded engine
 // exists for (√n sublist scans and shifts dominating the mutex hold
-// time); 32 shards keeps per-shard geometry at √(n/K) ≈ 128. Steady
-// state holds the list at capacity, so run with a benchtime well above
-// the fill transient (b.N >= ~4x capacity) when comparing backends —
+// time). K=8 is the engine's default and makes shard locks contend;
+// K=32 keeps per-shard geometry at √(n/K) ≈ 128. Steady state holds the
+// list at capacity, so run with a benchtime well above the fill
+// transient (b.N >= ~4x capacity) when comparing backends —
 // EXPERIMENTS.md records reference numbers at -benchtime 10s.
 func BenchmarkSyncListContended(b *testing.B) {
 	benchContended(b, NewSyncList(1<<19))
 }
 
 func BenchmarkShardedContended(b *testing.B) {
-	benchContended(b, NewShardedList(1<<19, 32))
-}
-
-// BenchmarkShardedCombiningContended is the same storm against the
-// flat-combining ingress geometry the "combining" experiment records
-// (K=8 so shard locks actually contend; rings engage when TryLock
-// fails). Compare against BenchmarkShardedCombiningOffContended to
-// isolate what the ring layer buys — on a single hardware thread the
-// two are within noise because TryLock almost never fails.
-func BenchmarkShardedCombiningContended(b *testing.B) {
-	benchContended(b, NewShardedList(1<<19, 8))
-}
-
-func BenchmarkShardedCombiningOffContended(b *testing.B) {
-	e := NewShardedList(1<<19, 8)
-	e.SetCombining(false)
-	benchContended(b, e)
+	for _, k := range []int{8, 32} {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			benchContended(b, NewShardedList(1<<19, k))
+		})
+	}
 }
 
 // --- Footprint pins: what a capacity costs before it is used ---

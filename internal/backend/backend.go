@@ -48,12 +48,8 @@ type Stats struct {
 	FlowDequeues  uint64 // successful DequeueFlow
 	RangeDequeues uint64 // successful DequeueRange
 
-	// Combining-ingress amortization counters, zero on backends without
-	// a combining layer (see Combining). RingOps counts operations that
-	// went through a combining ring because their partition's lock was
-	// contended; CombinedOps counts the subset executed inside another
-	// thread's critical section — the lock acquisitions the combining
-	// layer actually saved.
+	// RingOps and CombinedOps are always zero. Inert: the engine has no
+	// rings; removed with the benchmark's three ring rows (ROADMAP item 1).
 	RingOps     uint64
 	CombinedOps uint64
 }
@@ -65,8 +61,6 @@ func (s *Stats) Add(other Stats) {
 	s.EmptyDequeues += other.EmptyDequeues
 	s.FlowDequeues += other.FlowDequeues
 	s.RangeDequeues += other.RangeDequeues
-	s.RingOps += other.RingOps
-	s.CombinedOps += other.CombinedOps
 }
 
 // Backend is the ordered-list contract of §3.1 plus the queries the
@@ -175,40 +169,22 @@ type HardwareModeled interface {
 	HardwareStats() core.Stats
 }
 
-// CombiningStats is a snapshot of a combining backend's ingress-ring
-// activity (see Combining).
+// CombiningStats is what Combining reports: always zero. Inert: the
+// engine has no rings; removed with the benchmark's three ring rows
+// (ROADMAP item 1).
 type CombiningStats struct {
-	// RingOps counts operations routed through a combining ring (the
-	// partition lock was contended at arrival).
-	RingOps uint64
-	// CombinedOps counts ring operations executed by a thread other than
-	// their publisher — each one is a lock acquisition amortized away.
-	CombinedOps uint64
-	// CombinerDrains counts critical sections that drained at least one
-	// ring record on top of their own work.
+	RingOps        uint64
+	CombinedOps    uint64
 	CombinerDrains uint64
 }
 
-// Combining is implemented by backends with a flat-combining ingress
-// layer: contended mutations publish operation records into per-partition
-// rings and whichever thread holds the partition lock executes them in
-// one critical section. The knob exists so semantics can be compared with
-// the layer on and off; disabling it drains every in-flight record before
-// returning, so no operation is left parked in a ring.
+// Combining is the sharded engine's former flat-combining knob: a no-op
+// setter, a false getter and zero counters. Inert: the engine has no
+// rings; removed with the benchmark's three ring rows (ROADMAP item 1).
 type Combining interface {
 	SetCombining(on bool)
 	CombiningEnabled() bool
 	CombiningStats() CombiningStats
-}
-
-// SetCombining toggles the combining ingress layer on backends that have
-// one, reporting whether b supports the knob.
-func SetCombining(b Backend, on bool) bool {
-	c, ok := b.(Combining)
-	if ok {
-		c.SetCombining(on)
-	}
-	return ok
 }
 
 // CheckInvariants validates b's internal structure when it supports

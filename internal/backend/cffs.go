@@ -317,8 +317,8 @@ func (c *CFFS) lastOccupied() int {
 
 // insertBucket links node idx into bucket vb's chain in ascending seq
 // order and refreshes the eligibility summaries. Sequences mostly arrive
-// in order (the combining rings are the exception), so the backward walk
-// from the tail is O(1) amortized.
+// in order (producers racing for a shard lock are the exception), so the
+// backward walk from the tail is O(1) amortized.
 func (c *CFFS) insertBucket(idx int32, vb uint64) {
 	p := int(vb & c.mask)
 	n := &c.nodes[idx]

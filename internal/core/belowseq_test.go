@@ -12,9 +12,9 @@ import (
 // seq-aware sublist selection: same-rank elements arriving with
 // DESCENDING sequence numbers must still land in ascending-seq positions
 // even when the run of equal ranks spans multiple sublists. (The
-// flat-combining drain executes ring records in ticket order, not
-// sequence order, so out-of-order stamped inserts are a live input, not
-// a theoretical one.) Before smallestSeq joined the pointer-array
+// sharded engine draws a sequence before taking the shard lock, so two
+// producers can insert in the opposite order to their stamps: out-of-order
+// stamped inserts are a live input, not a theoretical one.) Before smallestSeq joined the pointer-array
 // metadata, the rank-only binary search dumped every equal-rank insert
 // at the END of the run regardless of its stamp, violating global FIFO.
 func TestEnqueueSeqOutOfOrderSameRank(t *testing.T) {

@@ -33,17 +33,12 @@ const (
 // test all of them against the flat reference model: the paper-exact
 // sublist list, the sharded engine at K=1 (single shard, pure
 // pass-through) and K=8 (hash partitioning + tournament dequeue, which
-// must still be quiescent-exact), and K=8 with every operation forced
-// through the flat-combining ring path (publish → self-drain), which
-// must be quiescent-exact too — combined execution is the same code
-// under the same lock. The cFFS bucket queue runs at width 1 (one rank
-// per bucket, seq-sorted chains), where it promises exactness both
-// standalone and as the sharded engine's shard backend; "cffs-scan" is
-// the same list with its timing wheel dropped, so the differential's
+// must still be quiescent-exact). The cFFS bucket queue runs at width 1
+// (one rank per bucket, seq-sorted chains), where it promises exactness
+// both standalone and as the sharded engine's shard backend; "cffs-scan"
+// is the same list with its timing wheel dropped, so the differential's
 // NextWakeAfter comparison covers the wheel and the scan fallback.
 func exactBackends(capacity int) map[string]backend.Backend {
-	fc := shard.New(capacity, 8)
-	fc.SetForceRing(true)
 	cffsSharded, err := shard.NewNamed(capacity, 8, "cffs")
 	if err != nil {
 		panic(err)
@@ -54,7 +49,6 @@ func exactBackends(capacity int) map[string]backend.Backend {
 		"core":         backend.NewCoreList(capacity),
 		"shard-1":      shard.New(capacity, 1),
 		"shard-8":      shard.New(capacity, 8),
-		"shard-8-fc":   fc,
 		"cffs":         backend.NewCFFSList(capacity),
 		"cffs-scan":    cffsScan,
 		"shard-8+cffs": cffsSharded,

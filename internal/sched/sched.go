@@ -252,8 +252,23 @@ func (s *Scheduler) FaultStats() backend.FaultStats { return s.faults }
 // LastFault returns the most recent non-strict fault, nil if none.
 func (s *Scheduler) LastFault() error { return s.lastErr }
 
-// fault records a non-strict fault for diagnosis.
-func (s *Scheduler) fault(err error) { s.lastErr = err }
+// fault is the one exit for a scheduling fault: a Strict scheduler
+// panics with err's text, any other counts what and remembers err.
+func (s *Scheduler) fault(what backend.FaultStats, err error) {
+	if s.Strict {
+		panic(err.Error())
+	}
+	s.faults.Add(what)
+	s.lastErr = err
+}
+
+// unknownFlow is the fault of an extraction that names no schedulable
+// flow: its text is the strict-mode panic message, and errors.Is matches
+// it to core.ErrUnknownFlow.
+type unknownFlow string
+
+func (e unknownFlow) Error() string { return string(e) }
+func (unknownFlow) Unwrap() error   { return core.ErrUnknownFlow }
 
 // flushFlow sheds f's entire queued backlog as declared drops — the
 // overload/fault response when f cannot (re-)enter the ordered list: a
@@ -389,15 +404,11 @@ func (s *Scheduler) OnArrivalBatch(now clock.Time, ps []flowq.Packet) {
 		return
 	}
 	if _, err := backend.EnqueueBatch(s.List, batch); err != nil {
-		if s.Strict {
-			panic(fmt.Sprintf("sched: batch enqueue: %v", err))
-		}
+		s.fault(backend.FaultStats{BatchEnqueueFailures: 1}, fmt.Errorf("sched: batch enqueue: %w", err))
 		// At least one insert failed. Re-check each batched flow: one
 		// whose entry did not land would stall outside the list, so its
 		// backlog is shed as declared drops (full lists go through the
 		// per-flow admission path for policy handling).
-		s.faults.BatchEnqueueFailures++
-		s.fault(fmt.Errorf("sched: batch enqueue: %w", err))
 		for _, ent := range batch {
 			if s.List.Contains(ent.ID) {
 				continue
@@ -449,19 +460,18 @@ func (s *Scheduler) NextPacket(now clock.Time) (flowq.Packet, bool) {
 	retriedIdle := false
 	for spins := 0; ; spins++ {
 		if deadline != 0 && spins > 0 && supervise.Expired(s.Clock, deadline) {
+			// A configured outcome, not a fault: it never panics, even
+			// under Strict.
 			s.faults.DeadlineExpiries++
-			s.fault(fmt.Errorf("sched: program %q: %w after %v budget (%d dequeues)",
-				s.Prog.Name, core.ErrDeadline, s.DequeueBudget, spins))
+			s.lastErr = fmt.Errorf("sched: program %q: %w after %v budget (%d dequeues)",
+				s.Prog.Name, core.ErrDeadline, s.DequeueBudget, spins)
 			return flowq.Packet{}, false
 		}
 		if spins > 1<<22 {
-			if s.Strict {
-				panic(fmt.Sprintf("sched: program %q made no progress after %d dequeues", s.Prog.Name, spins))
-			}
 			// Non-strict: a misbehaving program surfaces as a counted
 			// fault and an idle link instead of a crash.
-			s.faults.SpinGuardTrips++
-			s.fault(fmt.Errorf("sched: program %q made no progress after %d dequeues", s.Prog.Name, spins))
+			s.fault(backend.FaultStats{SpinGuardTrips: 1},
+				fmt.Errorf("sched: program %q made no progress after %d dequeues", s.Prog.Name, spins))
 			return flowq.Packet{}, false
 		}
 		e, ok := s.List.Dequeue(t)
@@ -477,14 +487,10 @@ func (s *Scheduler) NextPacket(now clock.Time) (flowq.Packet, bool) {
 		}
 		f := s.flows.lookup(flowq.FlowID(e.ID))
 		if f == nil {
-			if s.Strict {
-				panic(fmt.Sprintf("sched: list returned unknown flow %d", e.ID))
-			}
-			// The extracted element references no flow state (a
-			// core.ErrUnknownFlow condition): discard it and keep
-			// scheduling — the list is already consistent again.
-			s.faults.UnknownFlows++
-			s.fault(fmt.Errorf("%w: list returned id %d", core.ErrUnknownFlow, e.ID))
+			// The extracted element references no flow state: discard it
+			// and keep scheduling — the list is already consistent again.
+			s.fault(backend.FaultStats{UnknownFlows: 1},
+				unknownFlow(fmt.Sprintf("sched: list returned unknown flow %d", e.ID)))
 			continue
 		}
 		s.burst = s.burst[:0] // pending is drained: the last burst is on the wire
@@ -517,14 +523,11 @@ func (s *Scheduler) Burst(p flowq.Packet) []flowq.Packet {
 func (s *Scheduler) DefaultPostDequeue(now clock.Time, f *Flow) []flowq.Packet {
 	p, ok := f.Queue.Pop()
 	if !ok {
-		if s.Strict {
-			panic(fmt.Sprintf("sched: flow %d scheduled with empty queue", f.ID))
-		}
 		// A fault path (admission flush, chaotic backend) emptied the
 		// queue while the flow's entry was still in flight: a phantom
 		// extraction, counted like an unknown flow.
-		s.faults.UnknownFlows++
-		s.fault(fmt.Errorf("%w: flow %d scheduled with empty queue", core.ErrUnknownFlow, f.ID))
+		s.fault(backend.FaultStats{UnknownFlows: 1},
+			unknownFlow(fmt.Sprintf("sched: flow %d scheduled with empty queue", f.ID)))
 		return nil
 	}
 	if !f.Queue.Empty() {
@@ -617,8 +620,7 @@ func (s *Scheduler) EnqueueFlow(now clock.Time, f *Flow) {
 		// Benign: the flow is already queued (an idempotent re-enqueue
 		// race the Contains pre-check missed).
 	default:
-		s.faults.EnqueueFailures++
-		s.fault(fmt.Errorf("sched: enqueue flow %d: %w", f.ID, err))
+		s.fault(backend.FaultStats{EnqueueFailures: 1}, fmt.Errorf("sched: enqueue flow %d: %w", f.ID, err))
 		s.flushFlow(f)
 	}
 }

@@ -14,8 +14,8 @@ import (
 // the full shared capacity, but a bound is not an allocation — the same
 // 4 096 residents must cost about the same heap whether the 2^19-capacity
 // engine splits them over 1, 8 or 64 shards. What is left to differ is
-// per-shard fixed cost (the combining ring, one partly filled sublist and
-// one growth step per shard), hence a stated factor of 4 and a ceiling of
+// per-shard fixed cost (one partly filled sublist and one growth step
+// per shard), hence a stated factor of 4 and a ceiling of
 // 4 MB — 88.6 / 94.3 / 211.8 MB when each shard allocated for its bound.
 func TestEngineFootprintIndependentOfShardCount(t *testing.T) {
 	const (

@@ -101,22 +101,3 @@ func TestSummaryRankLayout(t *testing.T) {
 		t.Fatalf("summaryRank.v must sit at offset 0: got %d", off)
 	}
 }
-
-func TestRingLayout(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("layout contract is specified for 64-bit platforms")
-	}
-	// A record is two lines so producers spinning on ADJACENT tickets
-	// never share a line: the turn word (spun on) must start the record
-	// and the stride must hold at 128.
-	var rec ringRecord
-	if got := unsafe.Sizeof(rec); got != 2*lineSize {
-		t.Fatalf("ringRecord must be exactly two cache lines: got %d bytes", got)
-	}
-	if off := unsafe.Offsetof(rec.turn); off != 0 {
-		t.Fatalf("ringRecord.turn must sit at offset 0: got %d", off)
-	}
-	// tail (CASed by every publisher) and head (written by the lock
-	// holder) must not share with each other or with slot 0.
-	assertOwnLines(t, reflect.TypeOf(opRing{}), "tail", "head")
-}

@@ -9,19 +9,19 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pieo/internal/backend"
 	"pieo/internal/clock"
 	"pieo/internal/core"
 )
 
-// The genuinely-parallel ring storms: unlike the GOMAXPROCS=1 storms in
-// combining_test.go — where goroutines interleave on one core and the
-// rings barely engage — these tests require real core parallelism, so
-// producers publish into the rings WHILE a combiner drains them and the
-// turn-word protocol's cross-core orderings are actually exercised.
-// Under -race this is the strongest coverage the combining layer gets.
-// They run wherever two cores exist: the consumer takes one and the
-// producer count follows the rest (stormProducers), up to the full
-// 4 + 2 shape on seven or more.
+// The locked-path storms. TestSameRankFIFOStorm runs anywhere; the
+// genuinely-parallel storms require real core parallelism, so producers
+// take shard locks WHILE the consumer's tournament probes them on
+// another core and the summary publish/prune orderings are actually
+// exercised — under -race the strongest coverage the engine's
+// cross-core protocol gets. They run wherever two cores exist: the
+// consumer takes one and the producer count follows the rest
+// (stormProducers), up to the full 4 + 2 shape on seven or more.
 //
 // ID encoding: single-op producer p's i-th element is p*perSingle+i+1
 // (low range); batch producers use IDs at or above batchIDBase so the
@@ -30,21 +30,21 @@ import (
 // re-draws sequence numbers out of batch order — see EnqueueBatch).
 
 // pStormSingles single-op producers (FIFO-audited) and pStormBatchers
-// EnqueueBatch producers (ring-block path) run against one consumer.
+// EnqueueBatch producers run against one consumer.
 var pStormSingles, pStormBatchers = stormProducers(runtime.NumCPU())
 
 const (
 	pStormPerSingle = 2500 // elements per single-op producer
 	pStormBatches   = 40   // batches per batch producer
-	pStormBatchLen  = 60   // elements per batch (> ringBatchMax, multi-shard)
+	pStormBatchLen  = 60   // elements per batch (multi-shard)
 	batchIDBase     = 1 << 20
 )
 
 // stormProducers sizes the storm for a host with cpus cores: one core is
 // the consumer's, the others carry up to six producers, a third of them
 // batch producers. Both paths keep at least one producer, so on two
-// cores three goroutines share two — still a producer publishing while
-// the consumer combines.
+// cores three goroutines share two — still a producer inserting while
+// the consumer extracts.
 func stormProducers(cpus int) (singles, batchers int) {
 	n := min(cpus-1, 6)
 	batchers = max(n/3, 1)
@@ -57,17 +57,34 @@ func requireParallelHost(t *testing.T) {
 		return // run time-shared anyway (correctness still holds; parallelism doesn't)
 	}
 	if n := runtime.NumCPU(); n < 2 {
-		t.Skipf("host has %d CPU; the parallel ring storm needs >= 2 to run a producer and the consumer on distinct cores (see README) — skipping", n)
+		t.Skipf("host has %d CPU; the parallel storm needs >= 2 to run a producer and the consumer on distinct cores (see README) — skipping", n)
 	}
+}
+
+// drainOrder empties the engine at an always-eligible now and returns
+// the extraction order.
+func drainOrder(t *testing.T, e *Engine) []core.Entry {
+	t.Helper()
+	var out []core.Entry
+	for {
+		ent, ok := e.Dequeue(clock.Time(1 << 60))
+		if !ok {
+			break
+		}
+		out = append(out, ent)
+	}
+	if e.Len() != 0 {
+		t.Fatalf("engine reports %d entries after full drain", e.Len())
+	}
+	return out
 }
 
 // parallelStorm drives the shared storm shape: pStormSingles single-op
 // producers and pStormBatchers batch producers against one consumer,
-// rings forced on, every element at the same rank and always eligible.
-// It returns the consumer's in-order stream and the accepted count.
+// every element at the same rank and always eligible. It returns the
+// consumer's in-order stream and the accepted count.
 func parallelStorm(t *testing.T, e *Engine, onSingleOp func(p, i int)) (consumed []core.Entry, accepted int64) {
 	t.Helper()
-	e.SetForceRing(true)
 	var acceptedN atomic.Int64
 	stop := make(chan struct{})
 	consumerDone := make(chan struct{})
@@ -124,13 +141,13 @@ func parallelStorm(t *testing.T, e *Engine, onSingleOp func(p, i int)) (consumed
 	return consumed, acceptedN.Load()
 }
 
-// checkSingleProducerFIFO audits program order for the single-op
-// producers' low-range IDs across the concatenated streams; batch-range
-// IDs are skipped (their order through a quarantine reroute is
-// intentionally re-sequenced).
-func checkSingleProducerFIFO(t *testing.T, streams ...[]core.Entry) {
+// checkPerProducerFIFO audits program order across the concatenated
+// streams for single-op producers whose i-th element has ID
+// p*perProducer+i+1. Batch-range IDs are skipped (their order through a
+// quarantine reroute is intentionally re-sequenced).
+func checkPerProducerFIFO(t *testing.T, producers, perProducer int, streams ...[]core.Entry) {
 	t.Helper()
-	lastIdx := make([]int, pStormSingles)
+	lastIdx := make([]int, producers)
 	for i := range lastIdx {
 		lastIdx[i] = -1
 	}
@@ -139,8 +156,8 @@ func checkSingleProducerFIFO(t *testing.T, streams ...[]core.Entry) {
 			if ent.ID >= batchIDBase {
 				continue
 			}
-			p := int(ent.ID-1) / pStormPerSingle
-			idx := int(ent.ID-1) % pStormPerSingle
+			p := int(ent.ID-1) / perProducer
+			idx := int(ent.ID-1) % perProducer
 			if idx <= lastIdx[p] {
 				t.Fatalf("producer %d: element %d extracted at or before element %d — FIFO violated", p, idx, lastIdx[p])
 			}
@@ -149,10 +166,120 @@ func checkSingleProducerFIFO(t *testing.T, streams ...[]core.Entry) {
 	}
 }
 
-// TestParallelRingStorm is the fault-free real-parallel storm: exact
-// conservation, per-producer FIFO through both the single-op ring path
-// and EnqueueBatch's claimN block path, and rings demonstrably engaged.
-func TestParallelRingStorm(t *testing.T) {
+// TestSameRankFIFOStorm: eight producers against one concurrent
+// consumer, every element at the same rank, so the only thing ordering
+// the drain is the global enqueue sequence — drawn before the shard lock
+// is taken, so producers can insert out of sequence order. Each
+// producer's elements must still come back in its program order. It
+// needs no second core: on one, the producers interleave at lock
+// boundaries instead.
+func TestSameRankFIFOStorm(t *testing.T) {
+	const (
+		producers   = 8
+		perProducer = 2000
+	)
+	for _, backendName := range []string{"core", "cffs"} {
+		t.Run("backend="+backendName, func(t *testing.T) {
+			e, err := NewNamed(producers*perProducer, 8, backendName)
+			if err != nil {
+				t.Fatalf("construct %q engine: %v", backendName, err)
+			}
+			consumed := make([]core.Entry, 0, producers*perProducer)
+			stop := make(chan struct{})
+			consumerDone := make(chan struct{})
+			go func() {
+				defer close(consumerDone)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if ent, ok := e.Dequeue(clock.Always); ok {
+						consumed = append(consumed, ent)
+					}
+				}
+			}()
+			var wg sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					for i := 0; i < perProducer; i++ {
+						id := uint32(p*perProducer + i + 1)
+						if err := e.Enqueue(core.Entry{ID: id, Rank: 42, SendTime: clock.Always}); err != nil {
+							t.Errorf("enqueue %d: %v", id, err)
+							return
+						}
+					}
+				}(p)
+			}
+			wg.Wait()
+			close(stop)
+			<-consumerDone
+			if err := e.CheckInvariants(); err != nil {
+				t.Fatalf("post-storm invariants: %v", err)
+			}
+			rest := drainOrder(t, e)
+			if got := len(consumed) + len(rest); got != producers*perProducer {
+				t.Fatalf("extracted %d elements, want %d", got, producers*perProducer)
+			}
+			checkPerProducerFIFO(t, producers, perProducer, consumed, rest)
+			if err := e.CheckInvariants(); err != nil {
+				t.Fatalf("post-drain invariants: %v", err)
+			}
+		})
+	}
+}
+
+// TestCombiningAPIIsInert: the engine has no rings, so after a storm of
+// every operation the rings used to carry, asking for combining changes
+// nothing — it still reports disabled and every ring counter reads zero.
+func TestCombiningAPIIsInert(t *testing.T) {
+	e := New(1<<12, 8)
+	const perWorker = 2000
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				id := uint32(w*perWorker + i + 1)
+				if err := e.Enqueue(core.Entry{ID: id, Rank: uint64(i), SendTime: clock.Always}); err != nil {
+					t.Errorf("enqueue %d: %v", id, err)
+					return
+				}
+				switch i % 4 {
+				case 1:
+					e.UpdateRank(id, uint64(i+7), clock.Always)
+				case 2:
+					e.DequeueFlow(id)
+				case 3:
+					e.Dequeue(clock.Always)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	e.SetCombining(true)
+	if e.CombiningEnabled() {
+		t.Fatal("CombiningEnabled() = true after SetCombining(true); the engine has no rings")
+	}
+	if cs := e.CombiningStats(); cs != (backend.CombiningStats{}) {
+		t.Fatalf("CombiningStats() = %+v, want zero", cs)
+	}
+	if s := e.Stats(); s.RingOps != 0 || s.CombinedOps != 0 {
+		t.Fatalf("Stats ring counters %d/%d, want zero", s.RingOps, s.CombinedOps)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+}
+
+// TestParallelStorm is the fault-free real-parallel storm: exact
+// conservation and per-producer FIFO through both the single-op locked
+// path and EnqueueBatch's one-lock-per-shard path.
+func TestParallelStorm(t *testing.T) {
 	requireParallelHost(t)
 	for _, backendName := range []string{"core", "cffs"} {
 		t.Run(fmt.Sprintf("backend=%s", backendName), func(t *testing.T) {
@@ -206,10 +333,7 @@ func TestParallelRingStorm(t *testing.T) {
 				}
 				lastIdx[b] = idx
 			}
-			checkSingleProducerFIFO(t, consumed, rest)
-			if cs := e.CombiningStats(); cs.RingOps == 0 {
-				t.Fatalf("parallel force-ring storm recorded no ring operations: %+v", cs)
-			}
+			checkPerProducerFIFO(t, pStormSingles, pStormPerSingle, consumed, rest)
 			if err := e.CheckInvariants(); err != nil {
 				t.Fatalf("post-drain invariants: %v", err)
 			}
@@ -217,14 +341,14 @@ func TestParallelRingStorm(t *testing.T) {
 	}
 }
 
-// TestParallelRingStormQuarantine runs the same storm through a
+// TestParallelStormQuarantine runs the same storm through a
 // quarantine/rebuild window: a fault hook panics once on a target shard
-// mid-storm, traffic reroutes around it while the rings keep serving the
-// healthy shards, and after forced recovery the audit demands exact
+// mid-storm, traffic reroutes around it while the healthy shards keep
+// serving, and after forced recovery the audit demands exact
 // conservation — accepted = consumed + drained + declared losses — plus
 // single-op per-producer FIFO (held through the window: a rerouted
 // single op keeps its original sequence number).
-func TestParallelRingStormQuarantine(t *testing.T) {
+func TestParallelStormQuarantine(t *testing.T) {
 	requireParallelHost(t)
 	total := pStormSingles*pStormPerSingle + pStormBatchers*pStormBatches*pStormBatchLen
 	e := New(2*total, 8)
@@ -268,7 +392,7 @@ func TestParallelRingStormQuarantine(t *testing.T) {
 	// quiescent drain, per-producer sequence order is program order
 	// (each single op — rerouted or not — completes before its successor
 	// draws a sequence number).
-	checkSingleProducerFIFO(t, rest)
+	checkPerProducerFIFO(t, pStormSingles, pStormPerSingle, rest)
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatalf("post-drain invariants: %v", err)
 	}

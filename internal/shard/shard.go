@@ -127,10 +127,8 @@ type shard struct {
 	list backend.ShardBackend
 
 	// eng points back at the owning engine (for the next-eligible index;
-	// see Engine.nextElig); ring is this shard's flat-combining ingress
-	// ring (ring.go, combiner.go).
-	eng  *Engine
-	ring *opRing
+	// see Engine.nextElig).
+	eng *Engine
 
 	// idx is list's eligibility-index view when the backend provides one
 	// (backend.EligIndexed), nil otherwise; exact caches
@@ -199,9 +197,9 @@ type shard struct {
 	// pruning, routing checks) while the lock-holder mutates the fields
 	// above; the pads keep those remote reads off the lock-holder's
 	// lines.
-	_       cacheLinePad
-	minSend atomic.Uint64 // lower bound; clock.Never when empty
-	_       cacheLinePad
+	_        cacheLinePad
+	minSend  atomic.Uint64 // lower bound; clock.Never when empty
+	_        cacheLinePad
 	downFlag atomic.Bool
 	_        cacheLinePad
 }
@@ -325,8 +323,6 @@ type Engine struct {
 	// written rarely (mode switches, quarantine transitions). They share
 	// a line happily — what matters is keeping them OFF the write-hot
 	// lines below, so a mode check never misses because a counter moved.
-	combineOn  atomic.Bool // gates ring publishes (combiner.go)
-	forceRing  atomic.Bool // pins tests to the ring path
 	eligOff    atomic.Bool // latched DisableEligIndex (survives rebuilds)
 	downShards atomic.Int32
 	probation  atomic.Int32
@@ -362,13 +358,10 @@ type Engine struct {
 	_        cacheLinePad
 
 	// Write-warm counters: bumped on specific outcomes (empty misses,
-	// ring publishes, drains, degraded ops), never read on the hot path.
-	// They share lines with each other, not with anything read-hot.
+	// re-ranks, degraded ops), never read on the hot path. They share
+	// lines with each other, not with anything read-hot.
 	emptyDequeues atomic.Uint64 // tournaments that found nothing eligible
 	updateRanks   atomic.Uint64 // successful UpdateRanks (see Stats)
-	cRingOps      atomic.Uint64 // combining counters (CombiningStats)
-	cCombinedOps  atomic.Uint64
-	cDrains       atomic.Uint64
 
 	// Resilience state (see quarantine.go). ops counts degraded-mode
 	// operations and doubles as the default supervision clock when no
@@ -439,7 +432,6 @@ func NewOn(n, k int, factory backend.ShardFactory) *Engine {
 	for i := range e.shards {
 		e.shards[i] = &shard{
 			eng:     e,
-			ring:    newOpRing(),
 			minRank: &e.minRanks[i].v,
 			brk:     supervise.NewBreaker(i, supervise.BreakerConfig{}),
 		}
@@ -448,7 +440,6 @@ func NewOn(n, k int, factory backend.ShardFactory) *Engine {
 		e.shards[i].minSend.Store(uint64(clock.Never))
 	}
 	e.nextElig.Store(uint64(clock.Never))
-	e.combineOn.Store(true)
 	return e
 }
 
@@ -480,11 +471,9 @@ func (e *Engine) degraded() bool {
 
 // tightenNextElig lowers the next-eligible bound to send. It runs at
 // every point an element actually lands in (or re-ranks within) a shard
-// list — never at ring-publish time, because a published-but-undrained
-// record is invisible to the summaries a concurrent raise recomputes
-// from, and a bound tightened for it could be raised right back over it.
-// (A record's producer has not returned yet, so missing it is a legal
-// linearization; the drain tightens before the record is marked done.)
+// list, after the shard's summary already shows it — a bound tightened
+// earlier would be invisible to the summaries a concurrent raise
+// recomputes from, and could be raised right back over the element.
 // The version bump lands between the summary store and the CAS so a
 // racing raiseNextElig either sees the bump and aborts or sees the
 // already-updated summary; the CAS retry loop additionally repairs any
@@ -555,28 +544,11 @@ func (e *Engine) Enqueue(ent core.Entry) error {
 		return core.ErrDuplicate
 	}
 	// Draw the FIFO sequence outside the shard lock; a failed enqueue
-	// burns it harmlessly (ties compare relative order, not density). The
-	// sequence is stamped into the ring record at publish time, so global
-	// FIFO among equal ranks survives the combiner executing records in an
-	// order different from the one producers drew their sequences in.
+	// burns it harmlessly (ties compare relative order, not density).
+	// Two producers may take the lock in the opposite order to the one
+	// they drew their sequences in; the list places equal ranks by the
+	// stamped sequence, so global FIFO among equal ranks survives that.
 	seq := e.seq.Add(1)
-	if e.combineOn.Load() && !e.degraded() {
-		sd := e.shards[home]
-		if !sd.downFlag.Load() {
-			if res, _, handled := e.combine(home, sd, opEnq, ent, seq); handled {
-				switch res {
-				case resOK:
-					return nil
-				case resDup:
-					e.size.Add(-1)
-					return core.ErrDuplicate
-				}
-				// resRetry: the home shard quarantined mid-flight (the
-				// reservation is still held); fall through to the
-				// degraded-mode probe loop.
-			}
-		}
-	}
 	k := len(e.shards)
 	for probe := 0; probe < k; probe++ {
 		i := (home + probe) % k
@@ -768,16 +740,6 @@ func (e *Engine) tournament(now clock.Time, lo, hi uint32, ranged bool, budget i
 			// Quarantined between the summary read and the lock.
 			sd.mu.Unlock()
 			continue
-		}
-		if sd.ring.head != sd.ring.tail.Load() {
-			// The consumer already paid for this lock: drain pending
-			// producer records into the same critical section (flat
-			// combining's consumer half).
-			e.drainRingLocked(mi, sd, noTicket)
-			if sd.down {
-				sd.mu.Unlock()
-				continue
-			}
 		}
 		op := OpPeek
 		if budget > 0 {
@@ -991,26 +953,6 @@ func (e *Engine) DequeueRange(now clock.Time, lo, hi uint32) (core.Entry, bool) 
 func (e *Engine) DequeueFlow(id uint32) (core.Entry, bool) {
 	e.opTick()
 	home := e.homeIdx(id)
-	if e.combineOn.Load() && !e.degraded() {
-		// Healthy engine: the element can only live on its home shard (an
-		// off-home resident would have made degraded() true before this
-		// call began, and one placed concurrently linearizes after a
-		// miss), so the point lookup routes through the combining layer.
-		sd := e.shards[home]
-		if !sd.downFlag.Load() {
-			if res, out, handled := e.combine(home, sd, opDqf, core.Entry{ID: id}, 0); handled {
-				switch res {
-				case resOK:
-					e.size.Add(-1)
-					return out, true
-				case resMiss:
-					return core.Entry{}, false
-				}
-				// resRetry: the home shard quarantined mid-flight; re-probe
-				// through the degraded slow path below.
-			}
-		}
-	}
 	wide := e.degraded()
 	k := len(e.shards)
 	for probe := 0; probe < k; probe++ {
@@ -1132,24 +1074,6 @@ func (e *Engine) UpdateRank(id uint32, rank uint64, sendTime clock.Time) bool {
 	e.opTick()
 	seq := e.seq.Add(1)
 	home := e.homeIdx(id)
-	if e.combineOn.Load() && !e.degraded() {
-		// Same healthy-engine home-only argument as DequeueFlow.
-		sd := e.shards[home]
-		if !sd.downFlag.Load() {
-			ent := core.Entry{ID: id, Rank: rank, SendTime: sendTime}
-			if res, _, handled := e.combine(home, sd, opUpd, ent, seq); handled {
-				switch res {
-				case resOK:
-					e.updateRanks.Add(1)
-					return true
-				case resMiss:
-					return false
-				}
-				// resRetry: quarantined before execution; the probe loop
-				// below adjudicates against the salvage.
-			}
-		}
-	}
 	wide := e.degraded()
 	k := len(e.shards)
 	for probe := 0; probe < k; probe++ {
@@ -1407,10 +1331,23 @@ func (e *Engine) Stats() backend.Stats {
 		EmptyDequeues: e.emptyDequeues.Load(),
 		FlowDequeues:  hw.FlowDequeues - ur,
 		RangeDequeues: hw.RangeDequeues,
-		RingOps:       e.cRingOps.Load(),
-		CombinedOps:   e.cCombinedOps.Load(),
 	}
 }
+
+// SetCombining implements backend.Combining as a no-op. Inert: the
+// engine has no rings; removed with the benchmark's three ring rows
+// (ROADMAP item 1).
+func (e *Engine) SetCombining(bool) {}
+
+// CombiningEnabled implements backend.Combining and is always false.
+// Inert: the engine has no rings; removed with the benchmark's three
+// ring rows (ROADMAP item 1).
+func (e *Engine) CombiningEnabled() bool { return false }
+
+// CombiningStats implements backend.Combining and is always zero. Inert:
+// the engine has no rings; removed with the benchmark's three ring rows
+// (ROADMAP item 1).
+func (e *Engine) CombiningStats() backend.CombiningStats { return backend.CombiningStats{} }
 
 // HardwareStats implements backend.HardwareModeled by summing the §5
 // datapath counters across shards — the cost of K physical PIEOs, which
@@ -1478,9 +1415,6 @@ func (e *Engine) CheckInvariants() error {
 	for i, sd := range e.shards {
 		sd.mu.Lock()
 		err := func() error {
-			if err := checkRingLocked(sd.ring, i); err != nil {
-				return err
-			}
 			// Breaker-phase coherence: down ⟺ Open; an up shard is Closed
 			// or serving its half-open probation.
 			switch phase := sd.brk.Phase(); {
@@ -1593,7 +1527,10 @@ func (e *Engine) CheckInvariants() error {
 	return nil
 }
 
-var _ backend.Evictor = (*Engine)(nil)
+var (
+	_ backend.Evictor   = (*Engine)(nil)
+	_ backend.Combining = (*Engine)(nil)
+)
 
 func init() {
 	backend.Register("sharded", func(n int) backend.Backend { return New(n, DefaultShards) })

@@ -164,6 +164,61 @@ func TestMinSendTimeFromSummaries(t *testing.T) {
 	}
 }
 
+// TestNextEligibleWakeup is the eligibility-index regression test: a
+// miss raises the bound, an insert of an eligible element must lower it
+// back (the wake-up), and the future element surfaces exactly when its
+// send time arrives.
+func TestNextEligibleWakeup(t *testing.T) {
+	e := shard.New(64, 8)
+	must(t, e.Enqueue(core.Entry{ID: 1, Rank: 5, SendTime: 100}))
+	if _, ok := e.Dequeue(10); ok {
+		t.Fatal("dequeued an ineligible element")
+	}
+	if _, ok := e.Peek(10); ok {
+		t.Fatal("peeked an ineligible element")
+	}
+	// The miss above raised the next-eligible bound to 100. A fresh
+	// eligible insert must tighten it back down or this dequeue would
+	// wrongly take the empty fast path.
+	must(t, e.Enqueue(core.Entry{ID: 2, Rank: 7, SendTime: 0}))
+	ent, ok := e.Dequeue(10)
+	if !ok || ent.ID != 2 {
+		t.Fatalf("dequeue after wake-up: ok=%v ent=%+v, want id 2", ok, ent)
+	}
+	if _, ok := e.Dequeue(10); ok {
+		t.Fatal("dequeued the future element early")
+	}
+	ent, ok = e.Dequeue(100)
+	if !ok || ent.ID != 1 {
+		t.Fatalf("dequeue at send time: ok=%v ent=%+v, want id 1", ok, ent)
+	}
+	if s := e.Stats(); s.EmptyDequeues < 2 {
+		t.Fatalf("EmptyDequeues = %d, want >= 2", s.EmptyDequeues)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+}
+
+// TestNextEligibleUpdateRankWakeup covers the re-rank path: an update
+// that moves an element's send time earlier must tighten the bound.
+func TestNextEligibleUpdateRankWakeup(t *testing.T) {
+	e := shard.New(64, 8)
+	must(t, e.Enqueue(core.Entry{ID: 1, Rank: 5, SendTime: 100}))
+	if _, ok := e.Dequeue(10); ok { // raise the bound to 100
+		t.Fatal("dequeued an ineligible element")
+	}
+	if !e.UpdateRank(1, 5, 0) {
+		t.Fatal("update rank failed")
+	}
+	if ent, ok := e.Dequeue(10); !ok || ent.ID != 1 {
+		t.Fatalf("dequeue after re-rank wake-up: ok=%v ent=%+v", ok, ent)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+}
+
 // TestConcurrentProducersOneConsumer is the engine's reason to exist run
 // under the race detector: parallel producers, one consumer, every
 // element delivered exactly once and the structure intact afterwards.

@@ -210,39 +210,6 @@ func (s *SyncList) EvictMax() (Entry, bool) {
 	return Entry{}, false
 }
 
-// SetCombining implements backend.Combining when the wrapped backend
-// does (the sharded engine under a SyncList used purely for its fault
-// accounting); a no-op otherwise.
-func (s *SyncList) SetCombining(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.b.(backend.Combining); ok {
-		c.SetCombining(on)
-	}
-}
-
-// CombiningEnabled implements backend.Combining, reporting false when
-// the wrapped backend has no combining layer.
-func (s *SyncList) CombiningEnabled() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if c, ok := s.b.(backend.Combining); ok {
-		return c.CombiningEnabled()
-	}
-	return false
-}
-
-// CombiningStats implements backend.Combining (zero without a combining
-// layer underneath).
-func (s *SyncList) CombiningStats() backend.CombiningStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if c, ok := s.b.(backend.Combining); ok {
-		return c.CombiningStats()
-	}
-	return backend.CombiningStats{}
-}
-
 // Health implements backend.Health: delegated to the wrapped backend's
 // report when it has one (a sharded engine under the lock), synthesized
 // as a single always-closed partition otherwise — a lock-guarded list
