@@ -114,7 +114,7 @@ func coreBenchSizes() []int { return []int{1 << 10, 30000, 1 << 19} }
 // coreBenchBackends enumerates the exact backends worth measuring
 // uncontended. The flat reference model is excluded: its O(n) scans at
 // 2^19 would take minutes per benchmark.
-func coreBenchBackends() []string { return []string{"core", "sharded", "cffs", "sharded+cffs"} }
+func coreBenchBackends() []string { return []string{"core", "sharded"} }
 
 // warmBackend builds a half-full backend of capacity n with uniformly
 // random ranks, all eligible.
@@ -248,78 +248,63 @@ func BenchmarkCoreMixedBatch(b *testing.B) {
 // instant, driven through the Carousel wake->dispatch round — a dequeue
 // probe that misses (sparse eligibility makes this the common case), the
 // next-release query, and the dispatch+re-arm at the promised instant.
-// core and sharded answer from the Ordered-Sublist-Array's eligibility
-// summaries and report one row; the cffs backends keep a timing wheel
-// beside a scan fallback and report both (index=scan disables the wheel
-// first). EXPERIMENTS.md records reference numbers.
+// Both backends answer from the Ordered-Sublist-Array's eligibility
+// summaries. EXPERIMENTS.md records reference numbers.
 func BenchmarkSparseEligibility(b *testing.B) {
 	const n = 1 << 19
 	for _, name := range coreBenchBackends() {
-		indexes := []string{""}
-		if strings.Contains(name, "cffs") {
-			indexes = []string{"scan", "wheel"}
-		}
-		for _, idx := range indexes {
-			label := fmt.Sprintf("backend=%s/n=%d", name, n)
-			if idx != "" {
-				label += "/index=" + idx
+		b.Run(fmt.Sprintf("backend=%s/n=%d", name, n), func(b *testing.B) {
+			be, err := NewBackend(name, n)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(label, func(b *testing.B) {
-				be, err := NewBackend(name, n)
-				if err != nil {
+			ix, ok := be.(EligIndexed)
+			if !ok {
+				b.Fatalf("backend %q lacks the EligIndexed capability", name)
+			}
+			// Open-loop pacing: each flow re-arms one horizon ahead, so
+			// releases stay spread and the eligible fraction at any
+			// instant is bounded by (elements released per round)/n < 1%.
+			const horizon = Time(n) * 16
+			rng := rand.New(rand.NewSource(42))
+			next := make([]Time, n)
+			for i := 0; i < n; i++ {
+				next[i] = 1 + Time(rng.Int63n(int64(horizon)))
+				if err := be.Enqueue(Entry{ID: uint32(i), Rank: uint64(next[i]), SendTime: next[i]}); err != nil {
 					b.Fatal(err)
 				}
-				ix, ok := be.(EligIndexed)
-				if !ok {
-					b.Fatalf("backend %q lacks the EligIndexed capability", name)
-				}
-				if idx == "scan" {
-					ix.DisableEligIndex()
-				}
-				// Open-loop pacing: each flow re-arms one horizon ahead, so
-				// releases stay spread and the eligible fraction at any
-				// instant is bounded by (elements released per round)/n < 1%.
-				const horizon = Time(n) * 16
-				rng := rand.New(rand.NewSource(42))
-				next := make([]Time, n)
-				for i := 0; i < n; i++ {
-					next[i] = 1 + Time(rng.Int63n(int64(horizon)))
-					if err := be.Enqueue(Entry{ID: uint32(i), Rank: uint64(next[i]), SendTime: next[i]}); err != nil {
+			}
+			var now Time
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Drain everything due at now (dispatch + re-arm one
+				// horizon ahead); the final miss is the sparse-eligibility
+				// probe.
+				dispatched := false
+				for {
+					ent, ok := be.Dequeue(now)
+					if !ok {
+						break
+					}
+					dispatched = true
+					f := ent.ID
+					next[f] += horizon
+					if err := be.Enqueue(Entry{ID: f, Rank: uint64(next[f]), SendTime: next[f]}); err != nil {
 						b.Fatal(err)
 					}
 				}
-				var now Time
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					// Drain everything due at now (dispatch + re-arm one
-					// horizon ahead); the final miss is the sparse-eligibility
-					// probe.
-					dispatched := false
-					for {
-						ent, ok := be.Dequeue(now)
-						if !ok {
-							break
-						}
-						dispatched = true
-						f := ent.ID
-						next[f] += horizon
-						if err := be.Enqueue(Entry{ID: f, Rank: uint64(next[f]), SendTime: next[f]}); err != nil {
-							b.Fatal(err)
-						}
-					}
-					if now > 0 && !dispatched {
-						b.Fatal("wake hint delivered no eligible element")
-					}
-					// The next-release query.
-					wake := ix.NextWakeAfter(now)
-					if wake == Never {
-						b.Fatal("backlogged backend reported no next release")
-					}
-					now = wake
+				if now > 0 && !dispatched {
+					b.Fatal("wake hint delivered no eligible element")
 				}
-			})
-		}
+				// The next-release query.
+				wake := ix.NextWakeAfter(now)
+				if wake == Never {
+					b.Fatal("backlogged backend reported no next release")
+				}
+				now = wake
+			}
+		})
 	}
 }
 

@@ -1,6 +1,12 @@
 package pieo
 
-import "testing"
+import (
+	"os"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
 
 // TestEveryProgramConstructor sanity-checks the whole §4 catalogue
 // through the public facade: each program schedules a two-flow backlog
@@ -116,5 +122,32 @@ func TestFacadeAsyncHelpers(t *testing.T) {
 	s.Flow(1).LastScheduled = 0
 	if n := AgeStarvedFlows(s, 1_000_000, 100, 0, []FlowID{1}); n != 1 {
 		t.Fatalf("AgeStarvedFlows boosted %d, want 1", n)
+	}
+}
+
+// TestReadmeNamesRegisteredBackends pins README's "Choosing a backend"
+// table to the registry: one row per registered backend name, and no row
+// for a name that does not register.
+func TestReadmeNamesRegisteredBackends(t *testing.T) {
+	b, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(b)
+	i := strings.Index(readme, "### Choosing a backend")
+	if i < 0 {
+		t.Fatal(`README.md has no "### Choosing a backend" section`)
+	}
+	section := readme[i:]
+	if j := strings.Index(section, "\n\n`"); j >= 0 {
+		section = section[:j]
+	}
+	var rows []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `([^`]+)`").FindAllStringSubmatch(section, -1) {
+		rows = append(rows, m[1])
+	}
+	slices.Sort(rows)
+	if names := BackendNames(); !slices.Equal(rows, names) {
+		t.Fatalf("README.md's backend table lists %v, the registry holds %v", rows, names)
 	}
 }

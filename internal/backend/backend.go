@@ -120,14 +120,17 @@ type RankRanger interface {
 
 // EligIndexed is implemented by backends that keep an exact index over
 // send_time and so can answer "when does the next currently-ineligible
-// element become eligible" without scanning their elements. What the
-// index is belongs to the backend: core.List reads the
-// Ordered-Sublist-Array's own eligibility summaries, CFFS keeps a timing
-// wheel (internal/timewheel) beside a scan fallback. The sharded engine
-// uses the capability to keep per-shard minSend summaries exact after
-// every mutation (including removals) and to publish exact nextElig
-// bounds; netsim's wake hinting uses it to sleep to the precise next
-// release.
+// element become eligible" without scanning their elements. core.List
+// reads the Ordered-Sublist-Array's own eligibility summaries. The
+// sharded engine uses the capability to keep per-shard minSend summaries
+// exact after every mutation (including removals) and to publish exact
+// nextElig bounds; netsim's wake hinting uses it to sleep to the precise
+// next release.
+//
+// EligIndexActive and DisableEligIndex are inert on every backend: the
+// index is the list's own structure, so it is always active and there is
+// nothing to drop. They remain only because the benchmark's tracing
+// wrapper forwards them.
 type EligIndexed interface {
 	// NextWakeAfter returns the exact smallest send_time strictly
 	// greater than now among queued elements, or clock.Never when no
@@ -135,15 +138,10 @@ type EligIndexed interface {
 	// contribute: the caller polls Dequeue for those.
 	NextWakeAfter(now clock.Time) clock.Time
 	// EligIndexActive reports whether the index is live, which also
-	// promises a cheap exact MinSendTime. When false (see
-	// DisableEligIndex), NextWakeAfter still answers exactly but by
-	// scanning.
+	// promises a cheap exact MinSendTime. Every registered backend that
+	// implements the capability reports true.
 	EligIndexActive() bool
-	// DisableEligIndex asks the backend to drop its index for this
-	// instance and fall back to its scan paths — the baseline
-	// BenchmarkSparseEligibility measures a wheel against. A backend
-	// whose index is the structure itself (core.List) has nothing to
-	// drop and stays active. Safe at any point in the lifecycle.
+	// DisableEligIndex is a no-op on every backend.
 	DisableEligIndex()
 }
 

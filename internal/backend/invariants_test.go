@@ -2,6 +2,7 @@ package backend_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"pieo/internal/backend"
@@ -68,27 +69,23 @@ func stormBackend(t *testing.T, b backend.Backend, seed uint64, ops int) map[uin
 	return resident
 }
 
+// TestRegistryNames pins the registry: one exact list (core), its
+// concurrent engine, the PIFO baseline, the approximate multi-band FIFO
+// and the reference oracle. A name added or lost is a decision, not a
+// side effect of linking a package.
+func TestRegistryNames(t *testing.T) {
+	want := []string{"approx", "core", "pifo", "ref", "sharded"}
+	if got := backend.Names(); !slices.Equal(got, want) {
+		t.Fatalf("backend.Names() = %v, want %v", got, want)
+	}
+}
+
 // TestCheckInvariantsAllBackends runs the structural validator against
 // every registered backend through a deterministic mixed workload —
 // including mid-stream checks, a post-storm check, and a post-drain
 // check on the empty structure.
 func TestCheckInvariantsAllBackends(t *testing.T) {
-	names := backend.Names()
-	want := map[string]bool{
-		"approx": false, "cffs": false, "core": false, "pifo": false,
-		"ref": false, "sharded": false, "sharded+cffs": false,
-	}
-	for _, name := range names {
-		if _, known := want[name]; known {
-			want[name] = true
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Fatalf("backend %q not registered (have %v)", name, names)
-		}
-	}
-	for _, name := range names {
+	for _, name := range backend.Names() {
 		t.Run(name, func(t *testing.T) {
 			b, err := backend.New(name, 256)
 			if err != nil {

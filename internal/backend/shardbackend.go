@@ -1,7 +1,7 @@
 // The seq-aware shard-backend contract: the per-shard operation set the
 // concurrent engine (internal/shard) actually drives, factored out of
 // *core.List so ANY ordered-list organization — the paper-exact sublist
-// structure, Eiffel-style cFFS buckets, future designs — can sit under
+// structure or a future design — can sit under
 // the tournament, the quarantine/salvage state machine, and the
 // next-eligible index without touching any of them.
 //
@@ -41,7 +41,7 @@ import (
 
 // ShardBackend is the contract one shard of the concurrent engine
 // programs against. *core.List implements it natively; other
-// organizations adapt to it (see cffs.go).
+// organizations would adapt to it.
 type ShardBackend interface {
 	// EnqueueSeq inserts e with the engine-stamped FIFO sequence. Error
 	// precedence matches core.List: ErrFull before ErrDuplicate.
@@ -111,8 +111,7 @@ type ShardFactory func(cfg ShardConfig) ShardBackend
 // --- Shard-backend registry ---
 //
 // Mirrors the Backend registry so engine construction can be
-// parameterized by name (shard.NewNamed, the "sharded+<name>" top-level
-// registrations, pieosim -backend) without linking package identities
+// parameterized by name (shard.NewNamed) without linking package identities
 // into every consumer.
 
 var (

@@ -64,19 +64,22 @@ func DeviationFraction(n int) float64 {
 // realistic operating range against ranks drawn from [0, 2^16).
 var qdevWidths = []uint64{1, 16, 256, 4096}
 
-// QuantDeviation quantifies the rank-quantization trade the cFFS backend
-// makes (the "Everything Matters" study, arXiv 2308.00797): the same
-// random-rank workload is drained from the exact core list (the oracle)
-// and from cFFS at several bucket widths, and the divergence between the
-// two orders is reported as pairwise order inversions plus positional
-// deviation. Width 1 must be all-zero — integer ranks quantize losslessly
-// — and any wider bucket can only reorder elements whose ranks fall in
-// the same bucket, so max rank error is bounded by width-1.
+// QuantDeviation quantifies the rank-quantization trade a bucketed list
+// makes (Eiffel's FFS queues; the "Everything Matters" study, arXiv
+// 2308.00797): the same random-rank workload is drained from the exact
+// core list (the oracle) and from a core list keyed by ⌊rank/width⌋,
+// where one bucket's elements dequeue FIFO, at several bucket widths. The
+// divergence between the two orders is reported as pairwise order
+// inversions plus positional deviation. Width 1 must be all-zero — integer
+// ranks quantize losslessly — and any wider bucket can only reorder
+// elements whose ranks fall in the same bucket, so max rank error is
+// bounded by width-1.
 func QuantDeviation() *Table {
 	const n = 2048
 	var rows [][]string
 	for _, width := range qdevWidths {
-		ideal, got := quantDrainOrders(n, width)
+		idealEs, gotEs := quantDrainOrders(n, width)
+		ideal, got := entryIDs(idealEs), entryIDs(gotEs)
 		maxDev, meanDev := stats.OrderDeviation(ideal, got)
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", width),
@@ -89,45 +92,55 @@ func QuantDeviation() *Table {
 	}
 	return &Table{
 		ID:      "qdev",
-		Title:   "cFFS rank quantization: dequeue-order divergence from the exact core oracle",
+		Title:   "Rank quantization: dequeue-order divergence from the exact core oracle",
 		Columns: []string{"bucket width", "N", "inversions", "max pos-dev", "mean pos-dev", "max rank error"},
 		Rows:    rows,
 		Notes: []string{
 			fmt.Sprintf("%d entries, ranks uniform in [0, 2^16), identical enqueue order on both structures, full drain", n),
 			"inversions = element pairs the quantized drain emits in the opposite relative order to the oracle",
-			"width 1 is exact by construction (integer ranks); the differential suite enforces it bit-for-bit",
+			"width 1 is exact by construction: integer ranks quantize to themselves",
 			"inverted pairs always share a bucket, so their true ranks differ by less than the width",
 		},
 	}
 }
 
 // quantDrainOrders feeds one deterministic workload to the exact core
-// list and a width-quantized cFFS list and returns both full drain
-// orders as ID strings for stats.OrderDeviation.
-func quantDrainOrders(n int, width uint64) (ideal, got []string) {
+// list and to a second core list fed ⌊rank/width⌋, and returns both full
+// drains. The quantized drain's entries carry their bucket as their rank.
+func quantDrainOrders(n int, width uint64) (ideal, got []core.Entry) {
 	oracle := backend.NewCoreList(n)
-	cand := backend.NewCFFSListQuantized(n, backend.RankQuantizer{Width: width})
+	quant := backend.NewCoreList(n)
 	rng := rand.New(rand.NewSource(4242))
 	for i := 0; i < n; i++ {
 		ent := core.Entry{ID: uint32(i + 1), Rank: uint64(rng.Intn(1 << 16)), SendTime: clock.Always}
 		if err := oracle.Enqueue(ent); err != nil {
 			panic(fmt.Sprintf("experiments: qdev oracle enqueue: %v", err))
 		}
-		if err := cand.Enqueue(ent); err != nil {
-			panic(fmt.Sprintf("experiments: qdev cffs enqueue: %v", err))
+		ent.Rank /= width
+		if err := quant.Enqueue(ent); err != nil {
+			panic(fmt.Sprintf("experiments: qdev quantized enqueue: %v", err))
 		}
 	}
-	drain := func(b backend.Backend) []string {
-		out := make([]string, 0, n)
+	drain := func(b backend.Backend) []core.Entry {
+		out := make([]core.Entry, 0, n)
 		for {
 			ent, ok := b.Dequeue(clock.Time(1 << 60))
 			if !ok {
 				return out
 			}
-			out = append(out, fmt.Sprintf("%d", ent.ID))
+			out = append(out, ent)
 		}
 	}
-	return drain(oracle), drain(cand)
+	return drain(oracle), drain(quant)
+}
+
+// entryIDs renders a drain as ID strings for stats.OrderDeviation.
+func entryIDs(es []core.Entry) []string {
+	out := make([]string, len(es))
+	for i, e := range es {
+		out[i] = fmt.Sprintf("%d", e.ID)
+	}
+	return out
 }
 
 // countInversions counts element pairs that got emits in the opposite

@@ -184,6 +184,40 @@ func TestDeviationLinear(t *testing.T) {
 	}
 }
 
+// TestQuantDeviationInversionBound holds qdev's drain to the bound a
+// bucketed list promises: every pair the quantized drain emits in the
+// opposite order to the oracle shares a bucket, so the pair's true ranks
+// differ by less than the width, and width 1 inverts nothing.
+func TestQuantDeviationInversionBound(t *testing.T) {
+	for _, width := range qdevWidths {
+		ideal, got := quantDrainOrders(2048, width)
+		if len(got) != len(ideal) {
+			t.Fatalf("width %d: quantized drain has %d entries, oracle %d", width, len(got), len(ideal))
+		}
+		pos := make(map[uint32]int, len(ideal))
+		rank := make(map[uint32]uint64, len(ideal))
+		for i, e := range ideal {
+			pos[e.ID], rank[e.ID] = i, e.Rank
+		}
+		inversions := 0
+		for i, a := range got {
+			for _, b := range got[i+1:] {
+				if pos[a.ID] < pos[b.ID] {
+					continue
+				}
+				inversions++
+				if ra, rb := rank[a.ID], rank[b.ID]; max(ra, rb)-min(ra, rb) >= width {
+					t.Fatalf("width %d: ids %d (rank %d) and %d (rank %d) inverted across buckets",
+						width, a.ID, ra, b.ID, rb)
+				}
+			}
+		}
+		if width == 1 && inversions != 0 {
+			t.Fatalf("width 1: %d inversions, want 0", inversions)
+		}
+	}
+}
+
 func TestAblationSqrtIsOptimal(t *testing.T) {
 	tab := Ablation()
 	best := math.Inf(1)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"pieo/internal/backend"
 	"pieo/internal/clock"
 	"pieo/internal/core"
 	"pieo/internal/faultinject"
@@ -157,18 +158,6 @@ func TestEngineQuarantineDeterministic(t *testing.T) {
 // every shard, satisfy all structural invariants, and account for every
 // accepted entry.
 func TestEngineChaosConcurrent(t *testing.T) {
-	runEngineChaosConcurrent(t, "core")
-}
-
-// TestEngineChaosConcurrentCFFS repeats the storm with cFFS bucketed
-// shards, proving that quarantine and salvage via SnapshotWithSeq/
-// EnqueueSeq replay are backend-generic: the bitmap-hierarchy backend
-// must survive the same schedule of induced panics as core.
-func TestEngineChaosConcurrentCFFS(t *testing.T) {
-	runEngineChaosConcurrent(t, "cffs")
-}
-
-func runEngineChaosConcurrent(t *testing.T, backendName string) {
 	const (
 		producers  = 4
 		consumers  = 2
@@ -177,10 +166,7 @@ func runEngineChaosConcurrent(t *testing.T, backendName string) {
 		shardCount = 8
 	)
 	inj := faultinject.NewInjector(faultinject.Plan{Seed: 99, PanicEvery: 211, LatencyEvery: 37, LatencyNs: 200})
-	e, err := shard.NewNamed(capacityN, shardCount, backendName)
-	if err != nil {
-		t.Fatalf("construct %q engine: %v", backendName, err)
-	}
+	e := shard.New(capacityN, shardCount)
 	e.SetFaultHook(inj.ShardHook())
 
 	acceptedCh := make([][]uint32, producers)
@@ -264,7 +250,7 @@ func runEngineChaosConcurrent(t *testing.T, backendName string) {
 // leak another band's element, and each band's accepted set must be
 // fully accounted as delivered + still queued + declared lost.
 func TestEngineChaosRangedConcurrent(t *testing.T) {
-	for _, backendName := range []string{"core", "cffs"} {
+	for _, backendName := range backend.ShardNames() {
 		t.Run(backendName, func(t *testing.T) {
 			runEngineChaosRanged(t, backendName)
 		})

@@ -11,15 +11,15 @@ import (
 	"pieo/internal/flowq"
 	"pieo/internal/netsim"
 
-	_ "pieo/internal/shard" // registers "sharded" and "sharded+cffs"
+	_ "pieo/internal/shard" // registers "sharded"
 )
 
 // diffBackends is the backend sweep for the partitioned-vs-oracle
 // differential: every registered exact backend the partitioned mode can
-// run on. "core" is the welded single list, "cffs" the width-1 (exact)
-// bucket queue, and the two sharded composites route every node dequeue
-// through the engine's ranged tournament over DequeueRangeBelowSeq.
-var diffBackends = []string{"core", "cffs", "sharded", "sharded+cffs"}
+// run on. "core" is the welded single list, and "sharded" routes every
+// node dequeue through the engine's ranged tournament over
+// DequeueRangeBelowSeq.
+var diffBackends = []string{"core", "sharded"}
 
 // newPartitionedNamed builds a partitioned-mode hierarchy over the named
 // registered backend.
@@ -56,7 +56,7 @@ func assertNodeParity(t *testing.T, ctx string, oracle, part *Hierarchy) {
 }
 
 // checkPartitioned validates the partitioned hierarchy's structure: the
-// band allocator's invariants (tiling, residency, wheel exactness)
+// band allocator's invariants (tiling, residency, heap exactness)
 // against the shared backend, and the backend's own structural checker.
 func checkPartitioned(t *testing.T, ctx string, part *Hierarchy) {
 	t.Helper()
@@ -192,7 +192,7 @@ func runDiffEnforcement(h *Hierarchy, nFlows int, dur clock.Time) (perFlow []uin
 // TestPartitionedDifferentialEnforcement runs the Fig 11/12 Token
 // Bucket + WF²Q+ topology through netsim in both modes: the event-driven
 // simulation (arming wakes from NextWake) must transmit the identical
-// per-flow byte sequence, which also proves the per-partition wheels
+// per-flow byte sequence, which also proves the per-partition heaps
 // report the oracle's exact wake instants.
 func TestPartitionedDifferentialEnforcement(t *testing.T) {
 	const nVMs, nFlows = 10, 10
@@ -223,7 +223,7 @@ func TestPartitionedDifferentialEnforcement(t *testing.T) {
 
 // TestPartitionedWakeParityShaped compares NextWake instant-by-instant
 // on a shaped (wall-clock) hierarchy while packets drain: the
-// per-partition timing wheels must reproduce the per-level lists' exact
+// per-partition send_time heaps must reproduce the per-level lists' exact
 // minima, including after partial drains.
 func TestPartitionedWakeParityShaped(t *testing.T) {
 	build := func(mk func(*Policy) *Hierarchy) *Hierarchy {

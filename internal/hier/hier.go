@@ -601,7 +601,7 @@ func (h *Hierarchy) NextWake(now clock.Time) (clock.Time, bool) {
 
 // depthMinSendTime returns the smallest send_time queued anywhere at
 // depth d: the level list's O(1) minimum in per-level mode, the fold of
-// the per-partition wheel minima in partitioned mode. Both compute the
+// the per-partition heap minima in partitioned mode. Both compute the
 // same value for the same traffic, so wake instants are mode-invariant.
 func (h *Hierarchy) depthMinSendTime(d int) (clock.Time, bool) {
 	if !h.partitioned {

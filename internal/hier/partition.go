@@ -10,10 +10,11 @@
 // The Partitioner compiles those bands once, for a topology that never
 // changes afterwards: a bump allocator over [0, 2^32) hands each logical
 // scheduler the next band of exactly the width it asked for, and a band
-// lives as long as the Partitioner. Per partition it layers a small timing
-// wheel (DESIGN.md §11) over the band as the per-range eligibility
-// summary: the shared backend's MinSendTime mixes every tenant's time
-// domain, so per-range wake-ups must come from a per-range index.
+// lives as long as the Partitioner. Per wall partition it keeps a small
+// binary min-heap of resident send_times (DESIGN.md §11) as the per-range
+// eligibility summary: the shared backend's MinSendTime mixes every
+// tenant's time domain, so per-range wake-ups must come from a per-range
+// index.
 //
 // Each partition also owns a rank region: its elements are stored in the
 // shared list under region<<rankBits | rank, so one band's residents sit
@@ -24,7 +25,7 @@
 // the way in and masked on the way out (DESIGN.md §13).
 //
 // Concurrency/memory-ordering contract: the Partitioner's bookkeeping
-// (bands, resident arrays, wheels) is NOT synchronized — it assumes a single
+// (bands, resident arrays, heaps) is NOT synchronized — it assumes a single
 // caller thread, exactly like the hierarchy that owns it. The shared
 // backend may be internally concurrent (the sharded engine takes its own
 // per-shard locks), but the Partitioner never relies on that: all
@@ -40,7 +41,6 @@ import (
 	"pieo/internal/backend"
 	"pieo/internal/clock"
 	"pieo/internal/core"
-	"pieo/internal/timewheel"
 )
 
 // rankBits is the width of the policy rank a partition accepts; the top
@@ -61,14 +61,21 @@ const idSpace = 1 << 32
 var ErrRankOverflow = errors.New("hier: rank exceeds the partition rank width")
 
 // absent marks an issued ID that is not resident. Resident IDs hold their
-// wheel handle (>= 0), or 0 in a virtual-domain partition.
+// heap position (>= 0), or 0 in a virtual-domain partition.
 const absent int32 = -1
+
+// wake is one wall partition's heap entry: a resident's send_time and its
+// band offset (id - lo), which names its slot.
+type wake struct {
+	t   clock.Time
+	off uint32
+}
 
 // Partition is one logical PIEO: a band of the shared backend's ID space
 // plus the bookkeeping that makes it behave like a private list — a
 // resident set (for Contains and conservation) and, for wall-clock
-// partitions, a timing wheel indexing resident send_times so
-// MinSendTime/NextWakeAfter are exact per range.
+// partitions, a min-heap of resident send_times so MinSendTime is exact
+// per range.
 type Partition struct {
 	lo, hi uint32 // the band, inclusive
 
@@ -78,9 +85,13 @@ type Partition struct {
 	// allocations 2^16 apart do.
 	region uint64
 
-	// wheel indexes resident send_times. Only wall-clock partitions have
-	// one: a virtual-time partition has no meaningful wall wake instant.
-	wheel *timewheel.Wheel
+	// wall marks a wall-clock partition, the only kind with a heap: a
+	// virtual-time partition has no meaningful wall wake instant.
+	wall bool
+
+	// heap is a binary min-heap by send_time over the wall partition's
+	// residents; heap[0] is the partition's MinSendTime.
+	heap []wake
 
 	// slots[id-lo] is the residency of every ID NextID has handed out. It
 	// grows with those IDs, never with the band: a band may be 2^31 IDs
@@ -111,8 +122,8 @@ func (p *Partition) Cap() int { return int(p.width()) }
 
 func (p *Partition) width() uint64 { return uint64(p.hi) - uint64(p.lo) + 1 }
 
-// Wall reports whether the partition maintains a wall-clock wheel.
-func (p *Partition) Wall() bool { return p.wheel != nil }
+// Wall reports whether the partition keeps a wall-clock send_time heap.
+func (p *Partition) Wall() bool { return p.wall }
 
 // InBand reports whether id falls inside the partition's band.
 func (p *Partition) InBand(id uint32) bool { return id >= p.lo && id <= p.hi }
@@ -139,52 +150,83 @@ func (p *Partition) NextID() (uint32, bool) {
 // elements of a wall partition; ok is false when the partition is empty
 // or virtual-domain.
 func (p *Partition) MinSendTime() (clock.Time, bool) {
-	if p.wheel == nil {
+	if len(p.heap) == 0 {
 		return 0, false
 	}
-	return p.wheel.MinSendTime()
-}
-
-// NextWakeAfter returns the exact smallest resident send_time strictly
-// after now (clock.Never when none), for wall partitions.
-func (p *Partition) NextWakeAfter(now clock.Time) clock.Time {
-	if p.wheel == nil {
-		return clock.Never
-	}
-	return p.wheel.NextWakeAfter(now)
+	return p.heap[0].t, true
 }
 
 // track records a resident element in the partition's indexes.
 func (p *Partition) track(id uint32, sendTime clock.Time) {
-	h := int32(0)
-	if p.wheel != nil {
-		h = p.wheel.Insert(sendTime)
+	off := id - p.lo
+	if !p.wall {
+		p.slots[off] = 0
+		return
 	}
-	p.slots[id-p.lo] = h
+	p.heap = append(p.heap, wake{sendTime, off})
+	p.up(len(p.heap) - 1)
 }
 
-// untrack removes a resident element from the partition's indexes.
+// untrack removes a resident element from the partition's indexes. The
+// last heap entry fills the hole and sifts whichever way restores order.
 func (p *Partition) untrack(id uint32) {
 	if !p.Contains(id) {
 		panic(fmt.Sprintf("hier: partition [%d,%d] untracking non-resident id %d", p.lo, p.hi, id))
 	}
-	if p.wheel != nil {
-		p.wheel.Remove(p.slots[id-p.lo])
+	off := id - p.lo
+	if p.wall {
+		i, last := int(p.slots[off]), len(p.heap)-1
+		moved := p.heap[last]
+		p.heap = p.heap[:last]
+		if i < last {
+			p.heap[i] = moved
+			if !p.down(i) {
+				p.up(i)
+			}
+		}
 	}
-	p.slots[id-p.lo] = absent
+	p.slots[off] = absent
 }
 
-// newWheel sizes a per-partition wheel to the band: small bands get the
-// 64-slot floor (~1 KiB), large ones grow toward the backend default so
-// a 10k-leaf node still indexes mostly in-window. The node arena is
-// pre-sized for at most a window's worth of residents and grows on
-// demand past that: a band may be 2^31 IDs wide and all but empty.
-func newWheel(capacity int) *timewheel.Wheel {
-	slots := 64
-	for slots < capacity && slots < 4096 {
-		slots <<= 1
+// place stores w at heap position i and records the position in its slot.
+func (p *Partition) place(i int, w wake) {
+	p.heap[i] = w
+	p.slots[w.off] = int32(i)
+}
+
+// up sifts heap[i] toward the root.
+func (p *Partition) up(i int) {
+	w := p.heap[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if p.heap[parent].t <= w.t {
+			break
+		}
+		p.place(i, p.heap[parent])
+		i = parent
 	}
-	return timewheel.New(timewheel.Config{Slots: slots, Hint: min(capacity, slots)})
+	p.place(i, w)
+}
+
+// down sifts heap[i] toward the leaves and reports whether it moved.
+func (p *Partition) down(i int) bool {
+	w, start, n := p.heap[i], i, len(p.heap)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && p.heap[c+1].t < p.heap[c].t {
+			c++
+		}
+		if w.t <= p.heap[c].t {
+			break
+		}
+		p.place(i, p.heap[c])
+		i = c
+	}
+	p.place(i, w)
+	return i > start
 }
 
 // Partitioner owns one shared physical backend and cuts its ID space into
@@ -210,7 +252,7 @@ func (pt *Partitioner) Partitions() []*Partition {
 }
 
 // Alloc creates a partition whose band names exactly capacity IDs. wall
-// selects the per-range eligibility wheel. Regions are handed out
+// selects the per-range send_time heap. Regions are handed out
 // round-robin.
 func (pt *Partitioner) Alloc(capacity int, wall bool) (*Partition, error) {
 	if capacity <= 0 {
@@ -223,9 +265,7 @@ func (pt *Partitioner) Alloc(capacity int, wall bool) (*Partition, error) {
 		lo:     uint32(pt.next),
 		hi:     uint32(pt.next + uint64(capacity) - 1),
 		region: (uint64(len(pt.parts)) % regions) << rankBits,
-	}
-	if wall {
-		p.wheel = newWheel(capacity)
+		wall:   wall,
 	}
 	pt.next += uint64(capacity)
 	pt.parts = append(pt.parts, p)
@@ -275,8 +315,8 @@ func (pt *Partitioner) Dequeue(p *Partition, t clock.Time) (core.Entry, bool) {
 // the bands must tile [0, next) in order, every backend-resident element
 // must be tracked by exactly the partition whose band covers it (no
 // cross-partition leakage) and stored under that partition's rank region,
-// and each wall partition's wheel must index exactly its residents'
-// send_times.
+// and each wall partition's heap must hold exactly its residents'
+// send_times, in heap order, at the positions their slots record.
 func (pt *Partitioner) CheckInvariants() error {
 	next := uint64(0)
 	for _, p := range pt.parts {
@@ -303,9 +343,15 @@ func (pt *Partitioner) CheckInvariants() error {
 			return fmt.Errorf("hier: partition [%d,%d] region %#x holds id %d under stored rank %#x",
 				p.lo, p.hi, p.region>>rankBits, e.ID, e.Rank)
 		}
-		if p.wheel != nil {
-			if got := p.wheel.TimeOf(p.slots[e.ID-p.lo]); got != e.SendTime {
-				return fmt.Errorf("hier: partition [%d,%d] wheel has t=%d for id %d, backend says %d",
+		if p.wall {
+			off := e.ID - p.lo
+			pos := int(p.slots[off])
+			if pos >= len(p.heap) || p.heap[pos].off != off {
+				return fmt.Errorf("hier: partition [%d,%d] slot of id %d names heap position %d, which holds another",
+					p.lo, p.hi, e.ID, pos)
+			}
+			if got := p.heap[pos].t; got != e.SendTime {
+				return fmt.Errorf("hier: partition [%d,%d] heap has t=%d for id %d, backend says %d",
 					p.lo, p.hi, got, e.ID, e.SendTime)
 			}
 		}
@@ -318,13 +364,17 @@ func (pt *Partitioner) CheckInvariants() error {
 			return fmt.Errorf("hier: partition [%d,%d] tracks %d residents, backend holds %d",
 				p.lo, p.hi, tracked, held[i])
 		}
-		if p.wheel != nil {
-			if p.wheel.Len() != tracked {
-				return fmt.Errorf("hier: partition [%d,%d] wheel indexes %d, tracks %d",
-					p.lo, p.hi, p.wheel.Len(), tracked)
-			}
-			if err := p.wheel.CheckInvariants(); err != nil {
-				return fmt.Errorf("hier: partition [%d,%d]: %w", p.lo, p.hi, err)
+		if p.wall && len(p.heap) != tracked {
+			return fmt.Errorf("hier: partition [%d,%d] heap indexes %d, tracks %d",
+				p.lo, p.hi, len(p.heap), tracked)
+		}
+		// Every resident's slot already named a heap entry holding its own
+		// offset, and the sizes agree, so positions and slots correspond
+		// one to one; what is left is the order.
+		for j := 1; j < len(p.heap); j++ {
+			if parent := p.heap[(j-1)/2].t; parent > p.heap[j].t {
+				return fmt.Errorf("hier: partition [%d,%d] heap out of order at %d: t=%d under parent t=%d",
+					p.lo, p.hi, j, p.heap[j].t, parent)
 			}
 		}
 		if uint64(len(p.slots)) > p.width() {

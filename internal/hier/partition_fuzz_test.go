@@ -30,11 +30,29 @@ func (r *fuzzLCG) rank() uint64 {
 
 // partModel is the reference model of one partition: resident ID ->
 // entry, mirrored against the Partitioner on every operation, plus the
-// number of IDs the band has handed out.
+// number of IDs the band has handed out and the time domain it was
+// allocated in.
 type partModel struct {
 	p      *Partition
 	in     map[uint32]core.Entry
 	issued uint32
+	wall   bool
+}
+
+// minSendTime is the model's answer to Partition.MinSendTime: the
+// smallest resident send_time of a wall partition, never one for a
+// virtual partition.
+func (pm *partModel) minSendTime() (clock.Time, bool) {
+	if !pm.wall {
+		return 0, false
+	}
+	best, ok := clock.Never, false
+	for _, e := range pm.in {
+		if !ok || e.SendTime < best {
+			best, ok = e.SendTime, true
+		}
+	}
+	return best, ok
 }
 
 // FuzzLogicalPartition interleaves band allocation with data-path traffic
@@ -47,8 +65,10 @@ type partModel struct {
 // (per-logical-node conservation). Ranks are drawn up to and across the
 // rank-region boundary: one that fits comes back from the dequeue exactly
 // as the caller gave it, and one that does not is refused with
-// ErrRankOverflow and changes nothing. The Partitioner's CheckInvariants
-// (band tiling, wheel exactness, backend residency, stored region) runs
+// ErrRankOverflow and changes nothing. Every wall partition's MinSendTime
+// is its model's smallest resident send_time after every operation, and
+// every virtual partition reports none. The Partitioner's CheckInvariants
+// (band tiling, heap exactness, backend residency, stored region) runs
 // throughout.
 func FuzzLogicalPartition(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 1, 5, 2, 3, 1, 4, 5, 6, 7, 1, 1, 5, 5})
@@ -73,7 +93,7 @@ func FuzzLogicalPartition(f *testing.F) {
 			if err != nil {
 				t.Fatalf("alloc %d: %v", capacity, err)
 			}
-			parts = append(parts, &partModel{p: p, in: make(map[uint32]core.Entry)})
+			parts = append(parts, &partModel{p: p, in: make(map[uint32]core.Entry), wall: wall})
 		}
 		alloc(4, true)
 		alloc(8, false)
@@ -165,11 +185,18 @@ func FuzzLogicalPartition(f *testing.F) {
 				}
 				delete(pm.in, e.ID)
 			}
-			// Per-partition conservation after every operation.
+			// Per-partition conservation and wake summary after every
+			// operation.
 			for _, q := range parts {
 				if q.p.Len() != len(q.in) {
 					t.Fatalf("op %d: partition [%d,%d] holds %d, model %d",
 						opIdx, q.p.Lo(), q.p.Hi(), q.p.Len(), len(q.in))
+				}
+				got, gotOK := q.p.MinSendTime()
+				want, wantOK := q.minSendTime()
+				if gotOK != wantOK || (gotOK && got != want) {
+					t.Fatalf("op %d: partition [%d,%d] (wall=%v) MinSendTime = %d,%v, model %d,%v",
+						opIdx, q.p.Lo(), q.p.Hi(), q.wall, got, gotOK, want, wantOK)
 				}
 			}
 			if opIdx%32 == 0 {

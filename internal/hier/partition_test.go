@@ -3,6 +3,7 @@ package hier
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,11 +47,9 @@ func TestPartitionAllocErrors(t *testing.T) {
 	}
 }
 
-// TestPartitionAllocHugeWallBand is the regression test for sizing by
-// band width: a wall partition's wheel used to pre-size its node arena to
-// the band, so a 2^31-wide wall band asked for ~2^31 nodes up front and
-// died out of memory. The arena is sized to at most a window's worth, and
-// the residency array to the IDs handed out; both grow with real use.
+// TestPartitionAllocHugeWallBand pins sizing by use, not by band width: a
+// 2^31-wide wall band must not allocate per ID up front. The residency
+// array follows the IDs handed out and the heap follows the residents.
 func TestPartitionAllocHugeWallBand(t *testing.T) {
 	pt := newTestPartitioner()
 	p := mustAlloc(t, pt, 1<<31, true)
@@ -58,8 +57,9 @@ func TestPartitionAllocHugeWallBand(t *testing.T) {
 	if err := pt.Enqueue(p, core.Entry{ID: id, Rank: 3, SendTime: 40}); err != nil {
 		t.Fatal(err)
 	}
-	if p.Cap() != 1<<31 || !p.Wall() || len(p.slots) != 1 {
-		t.Fatalf("2^31 wall band: cap %d wall=%v, residency array of %d for 1 id", p.Cap(), p.Wall(), len(p.slots))
+	if p.Cap() != 1<<31 || !p.Wall() || len(p.slots) != 1 || len(p.heap) != 1 {
+		t.Fatalf("2^31 wall band: cap %d wall=%v, residency array of %d and heap of %d for 1 id",
+			p.Cap(), p.Wall(), len(p.slots), len(p.heap))
 	}
 	if got, ok := p.MinSendTime(); !ok || got != 40 {
 		t.Fatalf("MinSendTime = %d,%v want 40", got, ok)
@@ -181,39 +181,48 @@ func TestPartitionedRankOverflowFaultPath(t *testing.T) {
 }
 
 // TestPartitionWakeSummaries covers the wall/virtual split of the
-// per-range eligibility summary: wall partitions answer MinSendTime and
-// NextWakeAfter exactly, virtual partitions decline.
+// per-range eligibility summary: wall partitions answer MinSendTime
+// exactly, virtual partitions decline. The wall partition is drained in
+// arrival order, which first takes the minimum from the heap's root and
+// then residents from inner positions, so the answer after each removal
+// depends on the heap restoring its order.
 func TestPartitionWakeSummaries(t *testing.T) {
 	pt := newTestPartitioner()
-	wallP := mustAlloc(t, pt, 5000, true) // also exercises the 4096-slot wheel cap
+	wallP := mustAlloc(t, pt, 5000, true)
 	virtP := mustAlloc(t, pt, 8, false)
 	if !wallP.Wall() || virtP.Wall() {
 		t.Fatalf("Wall() flags wrong: %v %v", wallP.Wall(), virtP.Wall())
-	}
-	if _, ok := virtP.MinSendTime(); ok {
-		t.Fatal("virtual partition reported a MinSendTime")
-	}
-	if got := virtP.NextWakeAfter(0); got != clock.Never {
-		t.Fatalf("virtual partition NextWakeAfter = %d, want Never", got)
 	}
 	if _, ok := wallP.MinSendTime(); ok {
 		t.Fatal("empty wall partition reported a MinSendTime")
 	}
 
-	for i, st := range []clock.Time{900, 300, 600} {
-		id, _ := wallP.NextID()
-		if err := pt.Enqueue(wallP, core.Entry{ID: id, Rank: uint64(i), SendTime: st}); err != nil {
-			t.Fatal(err)
+	sends := []clock.Time{50, 900, 300, 600, 150, 750, 450, 300}
+	for i, st := range sends {
+		for _, p := range []*Partition{wallP, virtP} {
+			id, _ := p.NextID()
+			if err := pt.Enqueue(p, core.Entry{ID: id, Rank: uint64(i), SendTime: st}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if got, ok := wallP.MinSendTime(); !ok || got != 300 {
-		t.Fatalf("MinSendTime = %d,%v want 300", got, ok)
+	if _, ok := virtP.MinSendTime(); ok {
+		t.Fatal("virtual partition reported a MinSendTime")
 	}
-	if got := wallP.NextWakeAfter(300); got != 600 {
-		t.Fatalf("NextWakeAfter(300) = %d, want 600", got)
+	for i := range sends {
+		want := slices.Min(sends[i:])
+		if got, ok := wallP.MinSendTime(); !ok || got != want {
+			t.Fatalf("after %d dequeues: MinSendTime = %d,%v want %d", i, got, ok, want)
+		}
+		if e, ok := pt.Dequeue(wallP, 900); !ok || e.Rank != uint64(i) {
+			t.Fatalf("dequeue %d = %+v,%v want rank %d", i, e, ok, i)
+		}
+		if err := pt.CheckInvariants(); err != nil {
+			t.Fatalf("after %d dequeues: %v", i+1, err)
+		}
 	}
-	if got := wallP.NextWakeAfter(900); got != clock.Never {
-		t.Fatalf("NextWakeAfter(900) = %d, want Never", got)
+	if _, ok := wallP.MinSendTime(); ok {
+		t.Fatal("drained wall partition reported a MinSendTime")
 	}
 	if ps := pt.Partitions(); len(ps) != 2 || ps[0] != wallP || ps[1] != virtP {
 		t.Fatalf("Partitions() = %v", ps)
@@ -308,20 +317,25 @@ func TestPartitionBandExhaustionAt2Pow32(t *testing.T) {
 	}
 }
 
+// enqueueAt admits one more element to p with the given send_time.
+func enqueueAt(t *testing.T, pt *Partitioner, p *Partition, sendTime clock.Time) {
+	t.Helper()
+	id, _ := p.NextID()
+	if err := pt.Enqueue(p, core.Entry{ID: id, Rank: 7, SendTime: sendTime}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPartitionCheckInvariantsReports plants each kind of stray element
-// directly in the shared backend, behind the Partitioner's back, and
-// requires CheckInvariants to name it.
+// directly in the shared backend, or corrupts the wall partition's heap,
+// behind the Partitioner's back, and requires CheckInvariants to name it.
 func TestPartitionCheckInvariantsReports(t *testing.T) {
 	setup := func() (*Partitioner, *Partition, *Partition) {
 		pt := newTestPartitioner()
 		a := mustAlloc(t, pt, 4, true)
 		b := mustAlloc(t, pt, 4, false)
-		for _, p := range []*Partition{a, b} {
-			id, _ := p.NextID()
-			if err := pt.Enqueue(p, core.Entry{ID: id, Rank: 7, SendTime: 3}); err != nil {
-				t.Fatal(err)
-			}
-		}
+		enqueueAt(t, pt, a, 3)
+		enqueueAt(t, pt, b, 3)
 		if err := pt.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +366,7 @@ func TestPartitionCheckInvariantsReports(t *testing.T) {
 			}
 			plant(pt, core.Entry{ID: b.Lo(), Rank: a.region | 7, SendTime: 3})
 		}},
-		{"wheel disagrees", "wheel has t=3", func(pt *Partitioner, a, b *Partition) {
+		{"heap disagrees", "heap has t=3", func(pt *Partitioner, a, b *Partition) {
 			if _, ok := pt.Backend().DequeueFlow(a.Lo()); !ok {
 				t.Fatal("resident element missing")
 			}
@@ -363,8 +377,18 @@ func TestPartitionCheckInvariantsReports(t *testing.T) {
 				t.Fatal("resident element missing")
 			}
 		}},
-		{"wheel holds a stray", "wheel indexes 2, tracks 1", func(pt *Partitioner, a, b *Partition) {
-			a.wheel.Insert(8)
+		{"heap holds a stray", "heap indexes 2, tracks 1", func(pt *Partitioner, a, b *Partition) {
+			a.heap = append(a.heap, wake{t: 8})
+		}},
+		{"slot disagrees", "names heap position 0", func(pt *Partitioner, a, b *Partition) {
+			enqueueAt(t, pt, a, 9)
+			a.slots[a.heap[1].off] = 0
+		}},
+		{"heap out of order", "heap out of order at 1", func(pt *Partitioner, a, b *Partition) {
+			enqueueAt(t, pt, a, 9)
+			root, child := a.heap[0], a.heap[1]
+			a.place(0, child)
+			a.place(1, root)
 		}},
 	} {
 		pt, a, b := setup()

@@ -213,9 +213,8 @@ func New(prog *Program, capacity int, linkRateGbps float64) *Scheduler {
 }
 
 // NewNamed creates a scheduler over the named registered backend — the
-// same registry pieosim's -backend flag consults, so "cffs" or
-// "sharded+cffs" drop in without the caller touching internal/backend
-// constructors.
+// same registry pieosim's -backend flag consults, so "sharded" or "pifo"
+// drop in without the caller touching internal/backend constructors.
 func NewNamed(prog *Program, name string, capacity int, linkRateGbps float64) (*Scheduler, error) {
 	b, err := backend.New(name, capacity)
 	if err != nil {

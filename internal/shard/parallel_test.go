@@ -178,7 +178,7 @@ func TestSameRankFIFOStorm(t *testing.T) {
 		producers   = 8
 		perProducer = 2000
 	)
-	for _, backendName := range []string{"core", "cffs"} {
+	for _, backendName := range backend.ShardNames() {
 		t.Run("backend="+backendName, func(t *testing.T) {
 			e, err := NewNamed(producers*perProducer, 8, backendName)
 			if err != nil {
@@ -281,7 +281,7 @@ func TestCombiningAPIIsInert(t *testing.T) {
 // path and EnqueueBatch's one-lock-per-shard path.
 func TestParallelStorm(t *testing.T) {
 	requireParallelHost(t)
-	for _, backendName := range []string{"core", "cffs"} {
+	for _, backendName := range backend.ShardNames() {
 		t.Run(fmt.Sprintf("backend=%s", backendName), func(t *testing.T) {
 			total := pStormSingles*pStormPerSingle + pStormBatchers*pStormBatches*pStormBatchLen
 			e, err := NewNamed(2*total, 8, backendName)

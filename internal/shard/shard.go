@@ -135,10 +135,9 @@ type shard struct {
 	// idx.EligIndexActive() so the summary helpers branch on a plain
 	// bool under mu. While exact, minSend is maintained EXACTLY after
 	// every mutation — the index makes MinSendTime cheap (core folds a
-	// few summary words, cffs reads its wheel) — instead of as a
-	// stale-low bound, so raiseNextElig republishes exact engine-wide
-	// next-eligible times. Both fields are rebound whenever a list is
-	// installed (bindList) and demoted by Engine.DisableEligIndex.
+	// few summary words) — instead of as a stale-low bound, so
+	// raiseNextElig republishes exact engine-wide next-eligible times.
+	// Both fields are rebound whenever a list is installed (bindList).
 	idx   backend.EligIndexed
 	exact bool
 
@@ -260,25 +259,14 @@ func (s *shard) refreshMinSend() {
 // bindList installs l as the shard's backend and rebinds the
 // eligibility-index capability views (idx, exact). Engine construction
 // and quarantine rebuilds are the only callers; both own the shard
-// exclusively (pre-publication, or under mu while down). A latched
-// Engine.DisableEligIndex propagates here so a rebuilt incarnation
-// comes up with its index dropped too.
+// exclusively (pre-publication, or under mu while down).
 func (s *shard) bindList(l backend.ShardBackend) {
 	s.list = l
 	s.idx = nil
 	s.exact = false
-	if l == nil {
-		return
-	}
 	if ix, ok := l.(backend.EligIndexed); ok {
-		off := s.eng.eligOff.Load()
-		if off {
-			ix.DisableEligIndex()
-		}
 		s.idx = ix
-		// A list with one path (core) stays active when asked to drop
-		// its index; the engine's latch decides the summary regime.
-		s.exact = !off && ix.EligIndexActive()
+		s.exact = ix.EligIndexActive()
 	}
 }
 
@@ -323,7 +311,6 @@ type Engine struct {
 	// written rarely (mode switches, quarantine transitions). They share
 	// a line happily — what matters is keeping them OFF the write-hot
 	// lines below, so a mode check never misses because a counter moved.
-	eligOff    atomic.Bool // latched DisableEligIndex (survives rebuilds)
 	downShards atomic.Int32
 	probation  atomic.Int32
 	offHome    atomic.Int64
@@ -406,10 +393,10 @@ func NewNamed(n, k int, backendName string) (*Engine, error) {
 // shard is bounded by the full capacity n — hash partitioning gives no
 // worst-case balance guarantee, so any one shard may accept everything —
 // while the expected per-shard occupancy ⌈n/k⌉ lets the backend shape
-// itself for steady state (core: the sublist geometry S = ⌈√(n/k)⌉; cffs:
-// its table sizes). The bound is not an allocation: a core shard's
-// storage follows its residents, so K shards of capacity n cost what
-// their residents cost, not K·n.
+// itself for steady state (core: the sublist geometry S = ⌈√(n/k)⌉).
+// The bound is not an allocation: a core shard's storage follows its
+// residents, so K shards of capacity n cost what their residents cost,
+// not K·n.
 func NewOn(n, k int, factory backend.ShardFactory) *Engine {
 	if n <= 0 {
 		panic(fmt.Sprintf("shard: capacity must be positive, got %d", n))
@@ -1240,14 +1227,11 @@ func (e *Engine) NextWakeAfter(now clock.Time) clock.Time {
 }
 
 // EligIndexActive implements backend.EligIndexed: true when every
-// healthy shard's list carries a live eligibility index and the engine
-// has not been asked to drop it. NextWakeAfter answers exactly either
+// healthy shard's list carries a live eligibility index, which every
+// registered shard backend does. NextWakeAfter answers exactly either
 // way (the unindexed path scans); the flag tells consumers which regime
 // produced the answer.
 func (e *Engine) EligIndexActive() bool {
-	if e.eligOff.Load() {
-		return false
-	}
 	for _, sd := range e.shards {
 		sd.mu.Lock()
 		ok := sd.down || sd.exact
@@ -1259,22 +1243,9 @@ func (e *Engine) EligIndexActive() bool {
 	return true
 }
 
-// DisableEligIndex implements backend.EligIndexed: asks every shard's
-// list to drop its index (cffs drops its wheel; core has one path and
-// keeps it) and latches the engine so quarantine rebuilds do the same.
-// The per-shard minSend summaries revert to the stale-low-bound regime
-// either way.
-func (e *Engine) DisableEligIndex() {
-	e.eligOff.Store(true)
-	for _, sd := range e.shards {
-		sd.mu.Lock()
-		if sd.idx != nil {
-			sd.idx.DisableEligIndex()
-			sd.exact = false
-		}
-		sd.mu.Unlock()
-	}
-}
+// DisableEligIndex implements backend.EligIndexed as a no-op: a core
+// shard's index is its structure, so there is nothing to drop.
+func (e *Engine) DisableEligIndex() {}
 
 // Snapshot implements backend.Backend: a global (rank, FIFO) merge of the
 // per-shard snapshots, exact when quiescent. Shards are locked one at a
@@ -1534,22 +1505,4 @@ var (
 
 func init() {
 	backend.Register("sharded", func(n int) backend.Backend { return New(n, DefaultShards) })
-	// Every registered shard backend is also reachable as a top-level
-	// backend "sharded+<name>" — the engine inherits each backend's
-	// speedup for free, and the registry-wide suites (invariants,
-	// differential) cover every combination automatically. "sharded" is
-	// the core combination, so it is not repeated as "sharded+core".
-	for _, name := range backend.ShardNames() {
-		if name == "core" {
-			continue
-		}
-		name := name
-		backend.Register("sharded+"+name, func(n int) backend.Backend {
-			e, err := NewNamed(n, DefaultShards, name)
-			if err != nil {
-				panic(err)
-			}
-			return e
-		})
-	}
 }

@@ -124,8 +124,8 @@ type (
 	HardwareModeled  = backend.HardwareModeled
 	// EligIndexed is the eligibility-index capability: an exact "when
 	// does the next ineligible element become eligible" answer from the
-	// backend's own index over send_time, with a switch that drops a
-	// droppable index (the cffs timing wheel) for baseline measurements.
+	// backend's own index over send_time. Its EligIndexActive and
+	// DisableEligIndex methods are inert.
 	EligIndexed = backend.EligIndexed
 	// Batcher is the batch-operation capability: EnqueueBatch/DequeueUpTo
 	// with exact sequential semantics but amortized per-op overhead.
@@ -248,7 +248,7 @@ func WrapList(l *List) Backend { return backend.WrapCore(l) }
 func NewShardedList(n, k int) *ShardedList { return shard.New(n, k) }
 
 // NewShardedListOn creates a sharded engine whose shards run the named
-// registered shard backend ("core", "cffs", ...) — the engine's
+// registered shard backend (ShardBackendNames) — the engine's
 // tournament and quarantine machinery are backend-generic, so any shard
 // backend inherits them unchanged.
 func NewShardedListOn(n, k int, backendName string) (*ShardedList, error) {
@@ -260,8 +260,7 @@ func NewShardedListOn(n, k int, backendName string) (*ShardedList, error) {
 func ShardBackendNames() []string { return backend.ShardNames() }
 
 // NewBackend constructs a registered backend by name ("core", "pifo",
-// "approx", "sharded", "cffs", "sharded+cffs", "ref") with the given
-// capacity.
+// "approx", "sharded", "ref") with the given capacity.
 func NewBackend(name string, capacity int) (Backend, error) {
 	return backend.New(name, capacity)
 }
@@ -380,7 +379,7 @@ func NewHierarchyOn(linkRateGbps float64, rootPolicy *Policy, factory func(capac
 
 // NewHierOn creates a hierarchy in logical-partitioned mode (§4.2): ALL
 // tree nodes multiplex onto ONE shared physical PIEO of the named
-// registered backend ("core", "cffs", "sharded", "sharded+cffs", ...),
+// registered backend ("core", "sharded", ...),
 // each node owning a contiguous ID band extracted with ranged dequeues.
 // This is the mode that scales to tens of thousands of logical
 // schedulers; the per-level constructors above keep the paper's original

@@ -40,8 +40,8 @@ func NewSyncList(n int) *SyncList {
 
 // NewSyncListNamed creates a concurrency-safe PIEO list with capacity n
 // over the named registered backend — the same registry NewBackend
-// consults, so "cffs" selects the bucket-queue backend and "core" is
-// identical to NewSyncList.
+// consults, so "pifo" wraps the PIFO baseline and "core" is identical to
+// NewSyncList.
 func NewSyncListNamed(name string, n int) (*SyncList, error) {
 	b, err := backend.New(name, n)
 	if err != nil {
@@ -179,15 +179,9 @@ func (s *SyncList) EligIndexActive() bool {
 	return false
 }
 
-// DisableEligIndex implements backend.EligIndexed; a no-op without an
-// index underneath.
-func (s *SyncList) DisableEligIndex() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ix, ok := s.b.(backend.EligIndexed); ok {
-		ix.DisableEligIndex()
-	}
-}
+// DisableEligIndex implements backend.EligIndexed as a no-op, as it is
+// on every backend underneath.
+func (s *SyncList) DisableEligIndex() {}
 
 // PeekMax implements backend.Evictor when the wrapped backend does,
 // reporting ok=false otherwise so push-out degrades to tail-drop.
