@@ -2,15 +2,15 @@ package backend
 
 import "math"
 
-// RankQuantizer maps ranks onto bucket indices for bucketed backends
-// (cffs.go). Width is the bucket width W: ranks r1, r2 land in the same
-// bucket iff ⌊r1/W⌋ == ⌊r2/W⌋, so any two elements a bucketed backend
-// may reorder differ by less than W in rank. W == 1 (and W == 0, which
+// RankQuantizer maps ranks onto bucket indices: the quantization a
+// bucketed list makes (Eiffel's FFS queues, arXiv 1810.03060). Width is
+// the bucket width W: ranks r1, r2 land in the same bucket iff
+// ⌊r1/W⌋ == ⌊r2/W⌋, so any two elements a list keyed by bucket may
+// reorder differ by less than W in rank. W == 1 (and W == 0, which
 // normalizes to 1) is the identity — one rank per bucket, no precision
-// lost — and is what the registered "cffs" backend runs at; wider
-// buckets trade rank precision for a smaller bucket window, the
-// quantization knob the deviation experiment measures (PAPERS.md: "Everything
-// Matters in Programmable Packet Scheduling" studies exactly this trade).
+// lost. The qdev experiment feeds a core list Bucket(rank) at several
+// widths to measure the trade (PAPERS.md: "Everything Matters in
+// Programmable Packet Scheduling" studies exactly this trade).
 type RankQuantizer struct {
 	Width uint64
 }
@@ -49,8 +49,8 @@ func (q RankQuantizer) BucketFloat(r float64) uint64 {
 }
 
 // RankOf maps a bucket index back to the smallest rank in the bucket —
-// the lower bound bucketed backends report from summary queries
-// (MinRank). Saturates instead of wrapping on overflow.
+// the lower bound a bucketed list can report for a bucket's residents.
+// Saturates instead of wrapping on overflow.
 func (q RankQuantizer) RankOf(bucket uint64) uint64 {
 	w := q.width()
 	if bucket > math.MaxUint64/w {

@@ -5,15 +5,13 @@ import (
 	"testing"
 
 	"pieo/internal/backend"
-	"pieo/internal/clock"
-	"pieo/internal/core"
 )
 
 // FuzzRankQuantizer checks the quantization adapter's contract over
 // random ranks and bucket widths: the mapping never panics, is monotone
 // in rank, collapses only ranks less than one width apart (so any
-// dequeue-order inversion a bucketed backend introduces is bounded by
-// the width), and RankOf returns a floor consistent with Bucket.
+// dequeue-order inversion a list keyed by bucket introduces is bounded
+// by the width), and RankOf returns a floor consistent with Bucket.
 func FuzzRankQuantizer(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint64(0))
 	f.Add(uint64(1), uint64(2), uint64(1))
@@ -56,44 +54,4 @@ func FuzzRankQuantizer(f *testing.F) {
 		_ = q.BucketFloat(math.Inf(1))
 		_ = q.BucketFloat(-1)
 	})
-}
-
-// TestCFFSQuantizedInversionBound drives a quantized cFFS list with
-// adversarial ranks and verifies the documented approximation bound:
-// draining at a permissive time yields an order whose inversions are all
-// within one bucket — any two swapped elements differ by less than the
-// bucket width in rank.
-func TestCFFSQuantizedInversionBound(t *testing.T) {
-	for _, width := range []uint64{1, 16, 256, 4096} {
-		rng := invLCG(42)
-		const n = 512
-		b := backend.NewCFFSListQuantized(n, backend.RankQuantizer{Width: width})
-		for i := 0; i < n; i++ {
-			ent := core.Entry{ID: uint32(i + 1), Rank: rng.next() % (1 << 16), SendTime: clock.Always}
-			if err := b.Enqueue(ent); err != nil {
-				t.Fatalf("width %d: enqueue %d: %v", width, i, err)
-			}
-		}
-		if err := b.CheckInvariants(); err != nil {
-			t.Fatalf("width %d: %v", width, err)
-		}
-		prev := uint64(0)
-		for i := 0; i < n; i++ {
-			e, ok := b.Dequeue(clock.Always)
-			if !ok {
-				t.Fatalf("width %d: drain stalled at %d", width, i)
-			}
-			if e.Rank+width <= prev {
-				// An inversion wider than one bucket: quantization cannot
-				// explain it, so it is a structural bug.
-				t.Fatalf("width %d: dequeued rank %d after rank %d", width, e.Rank, prev)
-			}
-			if e.Rank > prev {
-				prev = e.Rank
-			}
-		}
-		if b.Len() != 0 {
-			t.Fatalf("width %d: %d left after drain", width, b.Len())
-		}
-	}
 }
