@@ -42,6 +42,7 @@ func drainScheduler(t *testing.T, prog *sched.Program, cfgs []oracle.Config, lin
 	for {
 		p, ok := s.NextPacket(0)
 		if !ok {
+			assertNoFaults(t, prog.Name, s)
 			return out
 		}
 		out = append(out, oracle.Decision{Flow: p.Flow, Size: p.Size})

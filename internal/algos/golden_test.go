@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pieo/internal/backend"
 	"pieo/internal/clock"
 	"pieo/internal/flowq"
 	"pieo/internal/netsim"
@@ -77,7 +78,18 @@ func scheduleDigest(t *testing.T, prog *sched.Program, configure func(*sched.Sch
 	if got := s.Backlog(); got != 0 {
 		t.Fatalf("%s: backlog %d after drain", prog.Name, got)
 	}
+	assertNoFaults(t, prog.Name, s)
 	return digest, sim.Sent()
+}
+
+// assertNoFaults fails t when s absorbed any fault. A scheduler counts a
+// fault instead of panicking, so a run that should be fault-free must
+// say so through its counters.
+func assertNoFaults(t *testing.T, name string, s *sched.Scheduler) {
+	t.Helper()
+	if fs := s.FaultStats(); fs != (backend.FaultStats{}) || s.LastFault() != nil {
+		t.Fatalf("%s: faults %+v, last %v", name, fs, s.LastFault())
+	}
 }
 
 // TestGoldenScheduleDigests pins the exact schedules — who left, in

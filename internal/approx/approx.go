@@ -64,83 +64,6 @@ func (m *MultiPriorityFIFO) Dequeue() (core.Entry, bool) {
 // Len returns the number of queued elements.
 func (m *MultiPriorityFIFO) Len() int { return m.size }
 
-// DequeueEligible pops the head of the first band whose head element is
-// eligible at now. Like 802.1Q pause semantics, an ineligible band head
-// blocks its whole band (FIFOs cannot be dequeued out of order) but not
-// the bands behind it — a middle ground between PIFO's global head
-// blocking and PIEO's exact eligibility filter.
-func (m *MultiPriorityFIFO) DequeueEligible(now clock.Time) (core.Entry, bool) {
-	for b := range m.bands {
-		if len(m.bands[b]) > 0 && m.bands[b][0].SendTime <= now {
-			e := m.bands[b][0]
-			m.bands[b] = m.bands[b][1:]
-			m.size--
-			return e, true
-		}
-	}
-	return core.Entry{}, false
-}
-
-// Remove extracts the queued element with the given id, searching bands in
-// priority order. FIFOs have no random-access extraction in hardware; this
-// is the software shim that lets the banded structure stand in for a PIEO
-// list behind the backend interface.
-func (m *MultiPriorityFIFO) Remove(id uint32) (core.Entry, bool) {
-	for b := range m.bands {
-		for i, e := range m.bands[b] {
-			if e.ID == id {
-				m.bands[b] = append(m.bands[b][:i], m.bands[b][i+1:]...)
-				m.size--
-				return e, true
-			}
-		}
-	}
-	return core.Entry{}, false
-}
-
-// DequeueRangeEligible extracts the first element (in band-then-FIFO
-// order) eligible at now with lo <= ID <= hi. Within a band this ignores
-// rank entirely, exactly like the work-conserving dequeue.
-func (m *MultiPriorityFIFO) DequeueRangeEligible(now clock.Time, lo, hi uint32) (core.Entry, bool) {
-	for b := range m.bands {
-		for i, e := range m.bands[b] {
-			if e.SendTime <= now && e.ID >= lo && e.ID <= hi {
-				m.bands[b] = append(m.bands[b][:i], m.bands[b][i+1:]...)
-				m.size--
-				return e, true
-			}
-		}
-	}
-	return core.Entry{}, false
-}
-
-// Snapshot returns the queued elements in band-then-FIFO order — the
-// structure's approximation of the global rank order.
-func (m *MultiPriorityFIFO) Snapshot() []core.Entry {
-	out := make([]core.Entry, 0, m.size)
-	for b := range m.bands {
-		out = append(out, m.bands[b]...)
-	}
-	return out
-}
-
-// MinSendTime returns the smallest send_time across all queued elements;
-// banded FIFOs keep no such metadata, so this is an O(n) scan.
-func (m *MultiPriorityFIFO) MinSendTime() (clock.Time, bool) {
-	if m.size == 0 {
-		return 0, false
-	}
-	minT := clock.Never
-	for b := range m.bands {
-		for _, e := range m.bands[b] {
-			if e.SendTime < minT {
-				minT = e.SendTime
-			}
-		}
-	}
-	return minT, true
-}
-
 // CalendarQueue approximates rank order with nBuckets "days" of width
 // bucketWidth: an element of rank r is appended to bucket (r /
 // bucketWidth) mod nBuckets, and dequeue sweeps forward from the current

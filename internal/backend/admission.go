@@ -126,20 +126,16 @@ func Admit(b Backend, pol AdmissionPolicy, e core.Entry) (AdmitOutcome, error) {
 
 // FaultStats is the resilience counter block scheduler layers expose
 // (sched.Scheduler, hier.Hierarchy) and netsim surfaces through its
-// FaultReporter hook. Every counter is a condition that historically
-// panicked; in non-strict mode it is counted here instead and the most
-// recent error is retained for diagnosis.
+// FaultReporter hook. Every counter is a condition the layer absorbs
+// instead of panicking; the most recent error is retained for diagnosis.
 type FaultStats struct {
 	// SpinGuardTrips counts dequeue loops abandoned by the no-progress
-	// guard instead of panicking.
+	// guard.
 	SpinGuardTrips uint64
 	// EnqueueFailures counts flow (re-)enqueues that failed with an
 	// error other than capacity — injected faults, shard-down, or
 	// unexpected duplicates.
 	EnqueueFailures uint64
-	// BatchEnqueueFailures counts batch enqueue calls that reported at
-	// least one failed entry.
-	BatchEnqueueFailures uint64
 	// UnknownFlows counts ordered-list extractions whose ID had no
 	// registered flow state (core.ErrUnknownFlow conditions).
 	UnknownFlows uint64
@@ -155,21 +151,16 @@ type FaultStats struct {
 	// AdmissionSheds counts arrivals dropped at the door by the graduated
 	// overload controller's shed level, before touching the ordered list.
 	AdmissionSheds uint64
-	// DeadlineExpiries counts deadline-wrapped blocking operations that
-	// returned core.ErrDeadline instead of spinning out their budget.
-	DeadlineExpiries uint64
 }
 
 // Add accumulates other into s, for aggregating per-level counters.
 func (s *FaultStats) Add(other FaultStats) {
 	s.SpinGuardTrips += other.SpinGuardTrips
 	s.EnqueueFailures += other.EnqueueFailures
-	s.BatchEnqueueFailures += other.BatchEnqueueFailures
 	s.UnknownFlows += other.UnknownFlows
 	s.AdmissionRejects += other.AdmissionRejects
 	s.AdmissionTailDrops += other.AdmissionTailDrops
 	s.AdmissionEvictions += other.AdmissionEvictions
 	s.DroppedPackets += other.DroppedPackets
 	s.AdmissionSheds += other.AdmissionSheds
-	s.DeadlineExpiries += other.DeadlineExpiries
 }

@@ -20,10 +20,11 @@
 //   - DequeueRange: Extract-Out restricted to IDs in [lo, hi] — the
 //     logical-PIEO extraction hierarchical scheduling builds on (§4.3).
 //
-// Exact backends (core.List, the sharded engine when quiescent) implement
-// the contract bit-for-bit and are differentially tested against
-// internal/refmodel; approximate backends (PIFO head-of-line, multi-band
-// FIFO) document where they relax it. Optional capabilities — peeking,
+// Every registered backend (core.List, the sharded engine when quiescent,
+// the reference model) implements the contract bit-for-bit and is
+// differentially tested against internal/refmodel; the inexact baselines
+// (internal/pifo, internal/approx) stay outside it and are driven directly
+// by the experiments that measure them. Optional capabilities — peeking,
 // atomic re-ranking, invariant checking, hardware cost counters — are
 // expressed as extension interfaces so consumers degrade gracefully.
 package backend
@@ -88,7 +89,7 @@ type Backend interface {
 	// ok is false when the backend is empty.
 	MinSendTime() (clock.Time, bool)
 	// Snapshot returns every queued entry in increasing (rank, FIFO)
-	// order — or the backend's best approximation of it.
+	// order.
 	Snapshot() []core.Entry
 	// Stats returns the accumulated operation counters.
 	Stats() Stats
@@ -110,8 +111,7 @@ type RankUpdater interface {
 
 // RankRanger is implemented by backends that additionally support the §8
 // dictionary queries — successor lookup by rank and destructive
-// extraction within a rank interval. core.List provides both; backends
-// without total rank order (multi-band FIFOs) cannot.
+// extraction within a rank interval. core.List provides both.
 type RankRanger interface {
 	Backend
 	MinRankAtLeast(lo uint64) (core.Entry, bool)

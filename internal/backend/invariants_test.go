@@ -70,11 +70,11 @@ func stormBackend(t *testing.T, b backend.Backend, seed uint64, ops int) map[uin
 }
 
 // TestRegistryNames pins the registry: one exact list (core), its
-// concurrent engine, the PIFO baseline, the approximate multi-band FIFO
-// and the reference oracle. A name added or lost is a decision, not a
-// side effect of linking a package.
+// concurrent engine and the reference oracle — exact backends only. A
+// name added or lost is a decision, not a side effect of linking a
+// package.
 func TestRegistryNames(t *testing.T) {
-	want := []string{"approx", "core", "pifo", "ref", "sharded"}
+	want := []string{"core", "ref", "sharded"}
 	if got := backend.Names(); !slices.Equal(got, want) {
 		t.Fatalf("backend.Names() = %v, want %v", got, want)
 	}
@@ -185,9 +185,7 @@ func TestRangedStormAllBackends(t *testing.T) {
 				}
 			}
 			// Per-band conservation: ranged drain must return exactly the
-			// band's model, in rank order (approx quantizes order away by
-			// design, so it is conservation-only), and nothing else.
-			exactOrder := name != "approx"
+			// band's model, in rank order, and nothing else.
 			for band := 0; band < bands; band++ {
 				lo := uint32(band * bandWidth)
 				lastRank := uint64(0)
@@ -196,7 +194,7 @@ func TestRangedStormAllBackends(t *testing.T) {
 					if !ok {
 						t.Fatalf("band %d drain stalled with %d resident", band, len(resident[band]))
 					}
-					if exactOrder && ent.Rank < lastRank {
+					if ent.Rank < lastRank {
 						t.Fatalf("band %d drain out of rank order: %d after %d", band, ent.Rank, lastRank)
 					}
 					lastRank = ent.Rank

@@ -47,14 +47,12 @@ func exactBackends(capacity int) map[string]backend.Backend {
 // the first divergence or invariant violation.
 func runDifferential(t *testing.T, seed int64, capacity, steps int, rankSpace uint64, timeSpace int) {
 	t.Helper()
-	runDifferentialOn(t, backend.NewCoreList(capacity), seed, capacity, steps, rankSpace, timeSpace, true)
+	runDifferentialOn(t, backend.NewCoreList(capacity), seed, capacity, steps, rankSpace, timeSpace)
 }
 
-// runDifferentialOn is runDifferential over any exact Backend. allowNever
-// controls whether a sixteenth of the enqueues carry an always-false
-// predicate; disable it for backends (PIFO) that are exact only when
-// every element is eligible.
-func runDifferentialOn(t *testing.T, impl backend.Backend, seed int64, capacity, steps int, rankSpace uint64, timeSpace int, allowNever bool) {
+// runDifferentialOn is runDifferential over any exact Backend. A
+// sixteenth of the enqueues carry an always-false predicate.
+func runDifferentialOn(t *testing.T, impl backend.Backend, seed int64, capacity, steps int, rankSpace uint64, timeSpace int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	wakeRng := rand.New(rand.NewSource(^seed)) // its own stream: the op sequence is the same with or without an index
@@ -70,7 +68,7 @@ func runDifferentialOn(t *testing.T, impl backend.Backend, seed int64, capacity,
 				Rank:     uint64(rng.Int63n(int64(rankSpace))),
 				SendTime: clock.Time(rng.Intn(timeSpace)),
 			}
-			if rng.Intn(16) == 0 && allowNever {
+			if rng.Intn(16) == 0 {
 				e.SendTime = clock.Never
 			}
 			nextID++
@@ -153,7 +151,7 @@ func runDifferentialOn(t *testing.T, impl backend.Backend, seed int64, capacity,
 					Rank:     uint64(rng.Int63n(int64(rankSpace))),
 					SendTime: clock.Time(rng.Intn(timeSpace)),
 				}
-				if rng.Intn(16) == 0 && allowNever {
+				if rng.Intn(16) == 0 {
 					es[i].SendTime = clock.Never
 				}
 			}
@@ -271,21 +269,10 @@ func TestDifferentialBackends(t *testing.T) {
 			for name, impl := range exactBackends(cfg.capacity) {
 				impl, seed, cfg := impl, seed, cfg
 				t.Run(fmt.Sprintf("%s/cap%d/seed%d", name, cfg.capacity, seed), func(t *testing.T) {
-					runDifferentialOn(t, impl, seed, cfg.capacity, cfg.steps, cfg.rankSpace, cfg.timeSpace, true)
+					runDifferentialOn(t, impl, seed, cfg.capacity, cfg.steps, cfg.rankSpace, cfg.timeSpace)
 				})
 			}
 		}
-	}
-}
-
-// TestDifferentialPIFOAlwaysEligible pins down where the PIFO baseline is
-// exact: with every send_time Always, head-only dequeue coincides with
-// PIEO's smallest-eligible dequeue, so the full operation stream must
-// match the reference bit for bit. (With heterogeneous send times it
-// diverges by design — that deviation is measured, not tested away.)
-func TestDifferentialPIFOAlwaysEligible(t *testing.T) {
-	for seed := int64(500); seed < 506; seed++ {
-		runDifferentialOn(t, backend.NewPIFOList(96), seed, 96, 3000, 1<<10, 1, false)
 	}
 }
 

@@ -99,11 +99,6 @@ var (
 	// yields an ID with no registered flow state — a wiring fault between
 	// the list and the flow table.
 	ErrUnknownFlow = errors.New("pieo: unknown flow")
-	// ErrDeadline is returned by deadline-wrapped blocking operations
-	// (sched.NextPacket under a dequeue budget, supervision helpers)
-	// when the time budget expires before the operation makes progress —
-	// the graceful alternative to spinning until the guard counter trips.
-	ErrDeadline = errors.New("pieo: operation deadline exceeded")
 )
 
 // Stats counts the work performed by the list, in hardware terms.

@@ -172,7 +172,6 @@ func recoveryOverloadRow(load float64) []string {
 	}
 	flows := int(load * capacity)
 	s := sched.NewOn(prog, backend.NewCoreList(capacity), 10)
-	s.Strict = false
 	s.Overload = supervise.NewController(capacity, supervise.Watermarks{})
 	for id := 1; id <= flows; id++ {
 		s.Flow(flowq.FlowID(id)).Priority = uint64(id)

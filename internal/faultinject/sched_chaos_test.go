@@ -11,16 +11,16 @@ import (
 	"pieo/internal/shard"
 )
 
-// TestSchedulerUnderChaos drives a non-strict scheduler over a
-// fault-injecting view of the sharded engine: injected enqueue errors and
+// TestSchedulerUnderChaos drives a scheduler over a fault-injecting
+// view of the sharded engine: injected enqueue errors and
 // capacity squeezes hit the wrapper while induced panics hit the shard
 // critical sections underneath. The scheduler must never panic, must
 // count every fault it absorbs, and must conserve packets exactly —
 // every arrival is eventually transmitted or appears in DroppedPackets.
 func TestSchedulerUnderChaos(t *testing.T) {
 	// Two injectors: the wrapper one must not carry a panic schedule
-	// (wrapper panics would unwind the scheduler itself, which is the
-	// strict-mode contract, not a fault to absorb); the hook one panics
+	// (wrapper panics would unwind the scheduler itself: a panic is a bug
+	// to surface, not a fault to absorb); the hook one panics
 	// inside shard-protected sections where quarantine catches them.
 	wrapInj := faultinject.NewInjector(faultinject.Plan{Seed: 3, ErrorEvery: 41, SqueezeEvery: 59, SqueezeLen: 2})
 	hookInj := faultinject.NewInjector(faultinject.Plan{Seed: 17, PanicEvery: 149})
@@ -31,7 +31,6 @@ func TestSchedulerUnderChaos(t *testing.T) {
 
 	prog := &sched.Program{Name: "chaos-fifo", Model: sched.OutputTriggered}
 	s := sched.NewOn(prog, b, 10)
-	s.Strict = false
 	s.Admission = backend.AdmitPushOut
 
 	const flows = 64

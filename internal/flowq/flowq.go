@@ -4,11 +4,7 @@
 // FIFO order, and the PIEO scheduler decides which flow transmits next.
 package flowq
 
-import (
-	"fmt"
-
-	"pieo/internal/clock"
-)
+import "pieo/internal/clock"
 
 // FlowID identifies a flow (equivalently a traffic class). In hierarchical
 // schedulers it also serves as the element index that logical-PIEO
@@ -114,43 +110,4 @@ func (q *Queue) grow() {
 	}
 	q.buf = buf
 	q.head = 0
-}
-
-// Set is a collection of flow queues indexed by FlowID, with lazy creation.
-// The zero value is ready to use.
-type Set struct {
-	queues map[FlowID]*Queue
-}
-
-// Get returns the queue for id, creating it if needed.
-func (s *Set) Get(id FlowID) *Queue {
-	if s.queues == nil {
-		s.queues = make(map[FlowID]*Queue)
-	}
-	q := s.queues[id]
-	if q == nil {
-		q = &Queue{}
-		s.queues[id] = q
-	}
-	return q
-}
-
-// Lookup returns the queue for id without creating it, or nil.
-func (s *Set) Lookup(id FlowID) *Queue { return s.queues[id] }
-
-// Len returns the number of flow queues ever created.
-func (s *Set) Len() int { return len(s.queues) }
-
-// TotalPackets returns the number of packets queued across all flows.
-func (s *Set) TotalPackets() int {
-	total := 0
-	for _, q := range s.queues {
-		total += q.Len()
-	}
-	return total
-}
-
-// String summarizes queue occupancy, for debugging.
-func (s *Set) String() string {
-	return fmt.Sprintf("flowq.Set{flows: %d, packets: %d}", s.Len(), s.TotalPackets())
 }

@@ -125,33 +125,6 @@ func TestTryPushUnlimitedByDefault(t *testing.T) {
 	}
 }
 
-func TestSetLazyCreation(t *testing.T) {
-	var s Set
-	if s.Lookup(3) != nil {
-		t.Fatal("Lookup created a queue")
-	}
-	q := s.Get(3)
-	if q == nil || s.Lookup(3) != q {
-		t.Fatal("Get did not create/persist the queue")
-	}
-	if s.Get(3) != q {
-		t.Fatal("Get returned a different queue on second call")
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
-	}
-}
-
-func TestSetTotalPackets(t *testing.T) {
-	var s Set
-	s.Get(1).Push(Packet{Size: 1})
-	s.Get(1).Push(Packet{Size: 1})
-	s.Get(2).Push(Packet{Size: 1})
-	if got := s.TotalPackets(); got != 3 {
-		t.Fatalf("TotalPackets = %d, want 3", got)
-	}
-}
-
 // Property: any interleaving of pushes and pops preserves FIFO order and
 // byte accounting.
 func TestQueueFIFOProperty(t *testing.T) {

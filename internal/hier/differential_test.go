@@ -58,8 +58,13 @@ func assertNodeParity(t *testing.T, ctx string, oracle, part *Hierarchy) {
 // checkPartitioned validates the partitioned hierarchy's structure: the
 // band allocator's invariants (tiling, residency, heap exactness)
 // against the shared backend, and the backend's own structural checker.
+// A fault-free run must also have absorbed no fault: a hierarchy never
+// panics on one, so the counters are where a bug shows.
 func checkPartitioned(t *testing.T, ctx string, part *Hierarchy) {
 	t.Helper()
+	if fs := part.FaultStats(); fs != (backend.FaultStats{}) || part.LastFault() != nil {
+		t.Fatalf("%s: faults %+v, last %v", ctx, fs, part.LastFault())
+	}
 	if err := part.Partitioner().CheckInvariants(); err != nil {
 		t.Fatalf("%s: partitioner invariants: %v", ctx, err)
 	}
@@ -263,17 +268,16 @@ func TestPartitionedWakeParityShaped(t *testing.T) {
 	}
 }
 
-// TestPartitionedNonStrictFaultAttribution forces enqueue failures with
+// TestPartitionedFaultAttribution forces enqueue failures with
 // the fault-injection wrapper around the shared backend and asserts the
 // hierarchy's per-node FaultStats attribute every drop to the node whose
 // logical PIEO rejected the insert — summing exactly to the
 // hierarchy-wide counters the chaos suite already audits.
-func TestPartitionedNonStrictFaultAttribution(t *testing.T) {
+func TestPartitionedFaultAttribution(t *testing.T) {
 	inj := faultinject.NewInjector(faultinject.Plan{Seed: 42, ErrorEvery: 7})
 	h := NewPartitionedOn(40, RoundRobin(), func(n int) backend.Backend {
 		return faultinject.Wrap(backend.NewCoreList(n), inj)
 	})
-	h.Strict = false
 	diffTwoLevelRR(h, 5, 4)
 
 	rng := rand.New(rand.NewSource(9))
@@ -304,7 +308,6 @@ func TestPartitionedNonStrictFaultAttribution(t *testing.T) {
 	h2 := NewOn(40, RoundRobin(), func(n int) backend.Backend {
 		return faultinject.Wrap(backend.NewCoreList(n), inj2)
 	})
-	h2.Strict = false
 	diffTwoLevelRR(h2, 5, 4)
 	rng2 := rand.New(rand.NewSource(9))
 	now = 0

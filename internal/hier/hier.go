@@ -95,13 +95,13 @@ type Node struct {
 	active     int        // children currently enqueued in this node's logical PIEO
 	cachedSumW uint64     // lazily cached total child weight
 	stats      NodeStats
-	faults     backend.FaultStats // non-strict faults charged to THIS node
+	faults     backend.FaultStats // faults charged to THIS node
 }
 
 // Stats returns the node's logical-PIEO operation counters.
 func (n *Node) Stats() NodeStats { return n.stats }
 
-// FaultStats returns the non-strict faults charged to this node — the
+// FaultStats returns the faults charged to this node — the
 // per-node breakdown of Hierarchy.FaultStats, so a chaos audit can
 // assert where drops landed, not just that they happened.
 func (n *Node) FaultStats() backend.FaultStats { return n.faults }
@@ -148,13 +148,6 @@ func (n *Node) AddFlow(id flowq.FlowID) *Child {
 type Hierarchy struct {
 	LinkRateGbps float64
 
-	// Strict preserves the historical failure contract: a failed
-	// logical-PIEO insert panics. NewOn defaults it to true; non-strict
-	// hierarchies count the fault in FaultStats and leave the child out
-	// of its parent's logical PIEO until its next activation (the
-	// degraded behavior: that subtree loses its turn, nothing crashes).
-	Strict bool
-
 	root     *Node
 	levels   []backend.Backend // levels[d] holds the children of depth-d nodes (per-level mode)
 	wall     []bool            // depth-d predicates live in the wall-clock domain
@@ -176,8 +169,8 @@ type Hierarchy struct {
 	partitioned bool
 	pt          *Partitioner
 
-	faults  backend.FaultStats // non-strict fault counters
-	lastErr error              // most recent non-strict fault
+	faults  backend.FaultStats // fault counters
+	lastErr error              // most recent fault
 }
 
 // New creates an empty hierarchy whose root schedules its children with
@@ -204,7 +197,6 @@ func NewOn(linkRateGbps float64, rootPolicy *Policy, factory func(capacity int) 
 	}
 	h := &Hierarchy{
 		LinkRateGbps: linkRateGbps,
-		Strict:       true,
 		factory:      factory,
 		leaves:       make(map[flowq.FlowID]*Child),
 	}
@@ -235,10 +227,10 @@ func NewPartitionedOn(linkRateGbps float64, rootPolicy *Policy, factory func(cap
 	return h
 }
 
-// FaultStats returns the non-strict fault counters.
+// FaultStats returns the fault counters.
 func (h *Hierarchy) FaultStats() backend.FaultStats { return h.faults }
 
-// LastFault returns the most recent non-strict fault, nil if none.
+// LastFault returns the most recent fault, nil if none.
 func (h *Hierarchy) LastFault() error { return h.lastErr }
 
 // Root returns the root node.
@@ -404,7 +396,7 @@ func (h *Hierarchy) OnArrival(now clock.Time, p flowq.Packet) {
 	}
 	c.Queue.Push(p)
 	// Not just "the queue was empty": a leaf or ancestor whose last insert
-	// failed (non-strict mode) is backlogged but not resident, and this is
+	// failed is backlogged but not resident, and this is
 	// where it gets its retry.
 	h.enqueueChild(now, c.parent, c)
 }
@@ -434,9 +426,9 @@ func (h *Hierarchy) enqueueChild(now clock.Time, n *Node, c *Child) {
 }
 
 // insertChild inserts c, ranked by the caller, into n's logical PIEO and
-// charges the node's counters. On a failure (non-strict mode) c stays out
-// and its subtree loses its turn until the next arrival below n or the
-// next packet through n retries.
+// charges the node's counters. On a failure c stays out and its subtree
+// loses its turn until the next arrival below n or the next packet
+// through n retries: it is counted in FaultStats, nothing crashes.
 func (h *Hierarchy) insertChild(n *Node, c *Child) bool {
 	e := core.Entry{ID: c.ID, Rank: c.Rank, SendTime: c.SendTime}
 	var err error
@@ -457,12 +449,9 @@ func (h *Hierarchy) insertChild(n *Node, c *Child) bool {
 }
 
 // fault is the one exit for an operation on n's logical PIEO that went
-// wrong: a Strict hierarchy panics, any other charges what to both the
-// node and the hierarchy and remembers err.
+// wrong: it charges what to both the node and the hierarchy and
+// remembers err.
 func (h *Hierarchy) fault(n *Node, what backend.FaultStats, err error) {
-	if h.Strict {
-		panic(err.Error())
-	}
 	h.faults.Add(what)
 	n.faults.Add(what)
 	h.lastErr = err

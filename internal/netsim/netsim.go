@@ -66,9 +66,9 @@ type BackendReporter interface {
 	BackendStats() backend.Stats
 }
 
-// FaultReporter is implemented by schedulers that run with a non-strict
-// failure contract and count faults and admission decisions instead of
-// panicking (sched.Scheduler, hier.Hierarchy).
+// FaultReporter is implemented by schedulers that count faults and
+// admission decisions instead of panicking (sched.Scheduler,
+// hier.Hierarchy).
 type FaultReporter interface {
 	FaultStats() backend.FaultStats
 }
@@ -115,8 +115,8 @@ func (s *Sim) BackendStats() backend.Stats {
 	return backend.Stats{}
 }
 
-// FaultStats returns the scheduler's non-strict fault and admission
-// counters, or zeroes when the scheduler does not report them.
+// FaultStats returns the scheduler's fault and admission counters, or
+// zeroes when the scheduler does not report them.
 func (s *Sim) FaultStats() backend.FaultStats {
 	if r, ok := s.sched.(FaultReporter); ok {
 		return r.FaultStats()

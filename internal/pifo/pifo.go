@@ -115,12 +115,3 @@ func (l *List) Peek() (Entry, bool) {
 	}
 	return l.entries[0].Entry, true
 }
-
-// Snapshot returns the entries in rank order.
-func (l *List) Snapshot() []Entry {
-	out := make([]Entry, len(l.entries))
-	for i, x := range l.entries {
-		out[i] = x.Entry
-	}
-	return out
-}

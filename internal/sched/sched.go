@@ -150,8 +150,9 @@ type Scheduler struct {
 	Prog *Program
 	// List is the ordered-list backend the scheduler extracts from. It
 	// defaults to the paper-exact sublist implementation (core.List via
-	// backend.CoreList); NewOn swaps in any other backend — sharded,
-	// PIFO, approximate — without touching the programming framework.
+	// backend.CoreList); NewOn swaps in any other backend — the sharded
+	// engine, the reference model — without touching the programming
+	// framework.
 	List         backend.Backend
 	LinkRateGbps float64
 
@@ -165,34 +166,18 @@ type Scheduler struct {
 
 	// Admission selects what happens when the ordered list is full and a
 	// flow must enter it (see backend.AdmissionPolicy): reject, tail-drop,
-	// or rank-aware push-out. It applies only in non-strict mode — strict
-	// mode preserves the historical panic-on-full contract.
+	// or rank-aware push-out. The zero value, AdmitReject, sheds the
+	// arriving flow's backlog as declared drops.
 	Admission backend.AdmissionPolicy
 
-	// Strict preserves the historical failure contract: any ordered-list
-	// fault (full list, failed batch insert, unknown flow from a dequeue,
-	// spin-guard trip) panics. New/NewOn default it to true so existing
-	// deployments and tests keep exact behavior; overload and chaos
-	// configurations clear it, and every such condition is then counted
-	// in FaultStats, shed as declared drops, and never panics.
-	Strict bool
-
 	// Overload, when set, is the graduated overload controller
-	// (supervise.Controller): each non-strict flow admission evaluates
-	// the list occupancy against its watermark ladder and runs under the
-	// level's admission policy — admit-all → tail-drop → rank-aware
-	// push-out → shed — instead of the static Admission field. At the
-	// shed level arrivals are dropped at the door (counted in
+	// (supervise.Controller): each flow admission evaluates the list
+	// occupancy against its watermark ladder and runs under the level's
+	// admission policy — admit-all → tail-drop → rank-aware push-out →
+	// shed — instead of the static Admission field. At the shed level
+	// arrivals are dropped at the door (counted in
 	// FaultStats.AdmissionSheds) without touching the list.
 	Overload *supervise.Controller
-
-	// Clock and DequeueBudget bound NextPacket's extract-retry loop by
-	// time instead of the raw spin guard: when both are set, a dequeue
-	// episode that exceeds DequeueBudget ticks on Clock returns no packet
-	// with core.ErrDeadline recorded (FaultStats.DeadlineExpiries) — the
-	// graceful alternative to spinning until the guard counter trips.
-	Clock         clock.Source
-	DequeueBudget clock.Time
 
 	flows   flowTable
 	burst   []flowq.Packet // the buffer Burst appends to, reused by every PostDequeue
@@ -200,10 +185,8 @@ type Scheduler struct {
 	prePkt  flowq.Packet   // the copy a PrePacket hook writes; lives here so arrivals do not escape
 	drops   uint64         // packets tail-dropped at full flow queues
 
-	faults  backend.FaultStats // non-strict fault and admission counters
-	lastErr error              // most recent non-strict fault, for diagnosis
-
-	arrivalBatch []core.Entry // OnArrivalBatch scratch, reused across calls
+	faults  backend.FaultStats // fault and admission counters
+	lastErr error              // most recent fault, for diagnosis
 }
 
 // New creates a scheduler for up to capacity concurrent flows on a link
@@ -212,21 +195,9 @@ func New(prog *Program, capacity int, linkRateGbps float64) *Scheduler {
 	return NewOn(prog, backend.NewCoreList(capacity), linkRateGbps)
 }
 
-// NewNamed creates a scheduler over the named registered backend — the
-// same registry pieosim's -backend flag consults, so "sharded" or "pifo"
-// drop in without the caller touching internal/backend constructors.
-func NewNamed(prog *Program, name string, capacity int, linkRateGbps float64) (*Scheduler, error) {
-	b, err := backend.New(name, capacity)
-	if err != nil {
-		return nil, err
-	}
-	return NewOn(prog, b, linkRateGbps), nil
-}
-
 // NewOn creates a scheduler over an explicit ordered-list backend. The
 // programming framework is backend-agnostic: any backend.Backend can
-// carry the §3.2 functions, though approximate backends weaken the
-// scheduling guarantees exactly as §2.3 predicts.
+// carry the §3.2 functions.
 func NewOn(prog *Program, b backend.Backend, linkRateGbps float64) *Scheduler {
 	if prog == nil {
 		panic("sched: program must not be nil")
@@ -241,29 +212,25 @@ func NewOn(prog *Program, b backend.Backend, linkRateGbps float64) *Scheduler {
 		Prog:         prog,
 		List:         b,
 		LinkRateGbps: linkRateGbps,
-		Strict:       true,
 	}
 }
 
-// FaultStats returns the non-strict fault and admission counters.
+// FaultStats returns the fault and admission counters.
 func (s *Scheduler) FaultStats() backend.FaultStats { return s.faults }
 
-// LastFault returns the most recent non-strict fault, nil if none.
+// LastFault returns the most recent fault, nil if none.
 func (s *Scheduler) LastFault() error { return s.lastErr }
 
-// fault is the one exit for a scheduling fault: a Strict scheduler
-// panics with err's text, any other counts what and remembers err.
+// fault is the one exit for a scheduling fault: it counts what and
+// remembers err.
 func (s *Scheduler) fault(what backend.FaultStats, err error) {
-	if s.Strict {
-		panic(err.Error())
-	}
 	s.faults.Add(what)
 	s.lastErr = err
 }
 
 // unknownFlow is the fault of an extraction that names no schedulable
-// flow: its text is the strict-mode panic message, and errors.Is matches
-// it to core.ErrUnknownFlow.
+// flow: its text names the flow, and errors.Is matches it to
+// core.ErrUnknownFlow.
 type unknownFlow string
 
 func (e unknownFlow) Error() string { return string(e) }
@@ -358,75 +325,6 @@ func (s *Scheduler) prePacket(now clock.Time, f *Flow, p flowq.Packet) flowq.Pac
 	return s.prePkt
 }
 
-// OnArrivalBatch delivers ps in arrival order with the exact state
-// evolution of per-packet OnArrival calls, but collects the ordered-list
-// inserts of newly-backlogged flows and issues them as one batch through
-// the backend's batch path (one lock acquisition on SyncList, one
-// per-shard fan-out on the sharded engine). This is sound because the
-// pre-enqueue functions compute each flow's rank inline at its arrival
-// point — only the already-computed list inserts are deferred — and no
-// §3.2.1 pre-enqueue/pre-packet hook reads the ordered list (the §4
-// programs read it only from PostDequeue/OnIdle/OnArrival). Programs
-// with an OnArrival hook fall back to per-packet delivery: the hook may
-// inspect or rewrite the list between arrivals (SJF re-ranks via Alarm),
-// so deferring inserts would change what it observes.
-func (s *Scheduler) OnArrivalBatch(now clock.Time, ps []flowq.Packet) {
-	if s.Prog.OnArrival != nil {
-		for _, p := range ps {
-			s.OnArrival(now, p)
-		}
-		return
-	}
-	batch := s.arrivalBatch[:0]
-	for _, p := range ps {
-		f := s.Flow(p.Flow)
-		if s.Prog.Model == InputTriggered {
-			p = s.prePacket(now, f, p)
-		}
-		wasEmpty := f.Queue.Empty()
-		if !f.Queue.TryPush(p) {
-			s.drops++
-			continue
-		}
-		if wasEmpty {
-			f.NewlyBacklogged = true
-			// A flow can become newly backlogged at most once per batch
-			// (no dequeues run in between), so the batch holds no
-			// duplicate IDs beyond what the list already rejects.
-			if ent, ok := s.prepareEntry(now, f); ok {
-				batch = append(batch, ent)
-			}
-		}
-	}
-	s.arrivalBatch = batch[:0] // keep the grown capacity, not the entries
-	if len(batch) == 0 {
-		return
-	}
-	if _, err := backend.EnqueueBatch(s.List, batch); err != nil {
-		s.fault(backend.FaultStats{BatchEnqueueFailures: 1}, fmt.Errorf("sched: batch enqueue: %w", err))
-		// At least one insert failed. Re-check each batched flow: one
-		// whose entry did not land would stall outside the list, so its
-		// backlog is shed as declared drops (full lists go through the
-		// per-flow admission path for policy handling).
-		for _, ent := range batch {
-			if s.List.Contains(ent.ID) {
-				continue
-			}
-			f := s.flows.lookup(flowq.FlowID(ent.ID))
-			if f == nil {
-				continue
-			}
-			if errors.Is(err, core.ErrFull) {
-				// Retry through the admission policy, which decides
-				// between reject, tail-drop, and push-out per flow.
-				s.EnqueueFlow(now, f)
-				continue
-			}
-			s.flushFlow(f)
-		}
-	}
-}
-
 // Drops returns the number of packets tail-dropped across all flows.
 func (s *Scheduler) Drops() uint64 { return s.drops }
 
@@ -448,27 +346,11 @@ func (s *Scheduler) NextPacket(now clock.Time) (flowq.Packet, bool) {
 	// flow (DRR whose deficit does not yet cover the head packet); keep
 	// extracting until a packet emerges. Progress is guaranteed by the
 	// program (DRR's deficit grows each visit), but a hard cap turns a
-	// misbehaving program into a diagnosable panic instead of a hang.
-	// When a clock and budget are configured, the whole extract-retry
-	// episode runs under a deadline: expiry surfaces as core.ErrDeadline
-	// and an idle link instead of spinning the guard counter out.
-	var deadline clock.Time
-	if s.Clock != nil && s.DequeueBudget > 0 {
-		deadline = supervise.Deadline(s.Clock, s.DequeueBudget)
-	}
+	// misbehaving program into a counted fault and an idle link instead
+	// of a hang.
 	retriedIdle := false
 	for spins := 0; ; spins++ {
-		if deadline != 0 && spins > 0 && supervise.Expired(s.Clock, deadline) {
-			// A configured outcome, not a fault: it never panics, even
-			// under Strict.
-			s.faults.DeadlineExpiries++
-			s.lastErr = fmt.Errorf("sched: program %q: %w after %v budget (%d dequeues)",
-				s.Prog.Name, core.ErrDeadline, s.DequeueBudget, spins)
-			return flowq.Packet{}, false
-		}
 		if spins > 1<<22 {
-			// Non-strict: a misbehaving program surfaces as a counted
-			// fault and an idle link instead of a crash.
 			s.fault(backend.FaultStats{SpinGuardTrips: 1},
 				fmt.Errorf("sched: program %q made no progress after %d dequeues", s.Prog.Name, spins))
 			return flowq.Packet{}, false
@@ -542,38 +424,31 @@ func (s *Scheduler) DefaultPostDequeue(now clock.Time, f *Flow) []flowq.Packet {
 // packet's precomputed attributes. Blocked flows (§4.4) and flows already
 // in the list are left alone.
 //
-// outranksWorst reports whether ent strictly outranks the worst resident
-// of the ordered list — the shed level's premium carve-out. A read-only
-// PeekMax costs far less than the insert the door-drop avoids, and a
-// backend without eviction support reports false (nothing outranks, so
-// shed stays unconditional — the conservative direction).
-func (s *Scheduler) outranksWorst(ent core.Entry) bool {
-	ev, ok := s.List.(backend.Evictor)
-	if !ok {
-		return false
-	}
-	worst, ok := ev.PeekMax()
-	return ok && ent.Rank < worst.Rank
-}
-
-// In strict mode an insert failure panics (the historical contract). In
-// non-strict mode a full list is resolved by the Admission policy — the
-// rejected party's backlog (the arriving flow's, or under push-out the
-// evicted victim's) is shed as declared drops — and any other failure is
-// counted in FaultStats with the arriving flow's backlog shed, so a flow
-// never silently stalls outside the list.
+// A full list is resolved by the Admission policy (or the Overload
+// ladder): the rejected party's backlog — the arriving flow's, or under
+// push-out the evicted victim's — is shed as declared drops. Any other
+// insert failure is counted in FaultStats with the arriving flow's
+// backlog shed, so a flow never silently stalls outside the list.
 func (s *Scheduler) EnqueueFlow(now clock.Time, f *Flow) {
-	newly := f.NewlyBacklogged // prepareEntry clears it; the shed gate needs it
-	ent, ok := s.prepareEntry(now, f)
-	if !ok {
+	if f.Blocked || f.Queue.Empty() || s.List.Contains(uint32(f.ID)) {
 		return
 	}
-	if s.Strict {
-		if err := s.List.Enqueue(ent); err != nil {
-			panic(fmt.Sprintf("sched: enqueue flow %d: %v", f.ID, err))
+	switch s.Prog.Model {
+	case OutputTriggered:
+		if s.Prog.PreEnqueue != nil {
+			s.Prog.PreEnqueue(s, now, f)
+		} else {
+			f.Rank = 1
+			f.SendTime = clock.Always
 		}
-		return
+	case InputTriggered:
+		head, _ := f.Queue.Head()
+		f.Rank = head.Rank
+		f.SendTime = head.SendAt
 	}
+	newly := f.NewlyBacklogged // the shed gate below needs it
+	f.NewlyBacklogged = false
+	ent := core.Entry{ID: uint32(f.ID), Rank: f.Rank, SendTime: f.SendTime}
 	pol := s.Admission
 	if s.Overload != nil {
 		// Graduated overload control: the controller steps the admission
@@ -624,31 +499,18 @@ func (s *Scheduler) EnqueueFlow(now clock.Time, f *Flow) {
 	}
 }
 
-// prepareEntry runs EnqueueFlow's guard and attribute assignment —
-// everything except the list insert itself — and returns the entry to
-// insert. ok is false when the flow must stay out of the list (blocked,
-// empty queue, already present). OnArrivalBatch uses it to compute each
-// flow's attributes at its exact arrival point while deferring the
-// inserts into one batch.
-func (s *Scheduler) prepareEntry(now clock.Time, f *Flow) (core.Entry, bool) {
-	if f.Blocked || f.Queue.Empty() || s.List.Contains(uint32(f.ID)) {
-		return core.Entry{}, false
+// outranksWorst reports whether ent strictly outranks the worst resident
+// of the ordered list — the shed level's premium carve-out. A read-only
+// PeekMax costs far less than the insert the door-drop avoids, and a
+// backend without eviction support reports false (nothing outranks, so
+// shed stays unconditional — the conservative direction).
+func (s *Scheduler) outranksWorst(ent core.Entry) bool {
+	ev, ok := s.List.(backend.Evictor)
+	if !ok {
+		return false
 	}
-	switch s.Prog.Model {
-	case OutputTriggered:
-		if s.Prog.PreEnqueue != nil {
-			s.Prog.PreEnqueue(s, now, f)
-		} else {
-			f.Rank = 1
-			f.SendTime = clock.Always
-		}
-	case InputTriggered:
-		head, _ := f.Queue.Head()
-		f.Rank = head.Rank
-		f.SendTime = head.SendAt
-	}
-	f.NewlyBacklogged = false
-	return core.Entry{ID: uint32(f.ID), Rank: f.Rank, SendTime: f.SendTime}, true
+	worst, ok := ev.PeekMax()
+	return ok && ent.Rank < worst.Rank
 }
 
 // Alarm implements the §3.2/§4.4 asynchronous path: extract flow id from
@@ -683,10 +545,10 @@ func (s *Scheduler) NextWake(now clock.Time) (clock.Time, bool) {
 		// instead of an arm-at-infinity hint.
 		return t, t != clock.Never
 	}
-	// Backends without the index (ref, pifo, approx) answer from the
-	// minimum alone, under the same contract: an all-Never backlog (a
-	// flow parked until an Alarm) or an already-eligible minimum is no
-	// wake, never an alarm armed at the end of time.
+	// Backends without the index (ref) answer from the minimum alone,
+	// under the same contract: an all-Never backlog (a flow parked until
+	// an Alarm) or an already-eligible minimum is no wake, never an alarm
+	// armed at the end of time.
 	t, ok := s.List.MinSendTime()
 	return t, ok && t != clock.Never && t > now
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"pieo/internal/backend"
 	"pieo/internal/clock"
 	"pieo/internal/flowq"
 	"pieo/internal/netsim"
@@ -230,7 +231,7 @@ func TestNextWakeWallDomain(t *testing.T) {
 // arrival instead of arming an alarm at the end of time, "releasing" the
 // flow there and wrapping the tx-done instant.
 func TestNextWakeParkedFlow(t *testing.T) {
-	for _, name := range []string{"core", "ref", "pifo"} {
+	for _, name := range []string{"core", "ref"} {
 		t.Run(name, func(t *testing.T) {
 			prog := &Program{
 				Name: "parked",
@@ -239,10 +240,11 @@ func TestNextWakeParkedFlow(t *testing.T) {
 					f.SendTime = clock.Never
 				},
 			}
-			s, err := NewNamed(prog, name, 16, 40)
+			b, err := backend.New(name, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
+			s := NewOn(prog, b, 40)
 			sim := netsim.New(netsim.Link{RateGbps: 40}, s)
 			sim.InjectOne(100, flowq.Packet{Flow: 1, Size: 100})
 			if end := sim.Run(clock.Never); end != 100 {

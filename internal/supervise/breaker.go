@@ -1,6 +1,6 @@
 // Package supervise is the self-healing layer that drives the repo's
 // fault-tolerance mechanisms without an operator in the loop
-// (DESIGN.md §12). It supplies three pieces:
+// (DESIGN.md §12). It supplies two pieces:
 //
 //   - Breaker: a per-partition circuit breaker (closed → open →
 //     half-open → closed) with clock-driven exponential backoff,
@@ -13,8 +13,6 @@
 //     admit-all → tail-drop → rank-aware push-out → shed, so a
 //     saturated scheduler degrades by policy instead of oscillating
 //     between extremes.
-//   - Deadline helpers: bounded-time wrappers for blocking operations
-//     that surface core.ErrDeadline instead of spinning.
 //
 // Everything here is driven by an injectable clock.Source — simulated
 // ticks, engine operation counts, or wall time — so supervision

@@ -1,12 +1,10 @@
 package supervise
 
 import (
-	"errors"
 	"testing"
 
 	"pieo/internal/backend"
 	"pieo/internal/clock"
-	"pieo/internal/core"
 )
 
 // TestBreakerLifecycle walks one full outage episode through the state
@@ -213,48 +211,5 @@ func TestLevelPolicyMapping(t *testing.T) {
 		LevelPushOut.Policy() != backend.AdmitPushOut ||
 		LevelShed.Policy() != backend.AdmitPushOut {
 		t.Fatal("level → policy mapping changed")
-	}
-}
-
-// TestDeadlineHelpers: budget arithmetic, Never saturation, and the
-// WithDeadline loop surfacing core.ErrDeadline.
-func TestDeadlineHelpers(t *testing.T) {
-	w := &clock.Wall{}
-	w.AdvanceTo(100)
-	if d := Deadline(w, 50); d != 150 {
-		t.Fatalf("Deadline = %v, want 150", d)
-	}
-	if d := Deadline(w, clock.Never); d != clock.Never {
-		t.Fatalf("overflowing Deadline = %v, want Never", d)
-	}
-	if Expired(w, 0) || Expired(w, clock.Never) || Expired(w, 100) {
-		t.Fatal("zero/Never/now deadlines must not read as expired")
-	}
-	if !Expired(w, 99) {
-		t.Fatal("past deadline not expired")
-	}
-
-	// The step advances the clock but never completes: the wrapper must
-	// return ErrDeadline rather than spin.
-	calls := 0
-	err := WithDeadline(w, 10, func() (bool, error) {
-		calls++
-		w.Advance(4)
-		return false, nil
-	})
-	if !errors.Is(err, core.ErrDeadline) {
-		t.Fatalf("err = %v, want ErrDeadline", err)
-	}
-	if calls == 0 || calls > 4 {
-		t.Fatalf("step ran %d times under a 10-tick budget at 4 ticks/step", calls)
-	}
-
-	// Completion and step errors pass through.
-	if err := WithDeadline(w, 10, func() (bool, error) { return true, nil }); err != nil {
-		t.Fatalf("completed loop returned %v", err)
-	}
-	sentinel := errors.New("boom")
-	if err := WithDeadline(w, 10, func() (bool, error) { return false, sentinel }); !errors.Is(err, sentinel) {
-		t.Fatalf("step error lost: %v", err)
 	}
 }

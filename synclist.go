@@ -40,8 +40,8 @@ func NewSyncList(n int) *SyncList {
 
 // NewSyncListNamed creates a concurrency-safe PIEO list with capacity n
 // over the named registered backend — the same registry NewBackend
-// consults, so "pifo" wraps the PIFO baseline and "core" is identical to
-// NewSyncList.
+// consults, so "ref" wraps the flat reference model and "core" is
+// identical to NewSyncList.
 func NewSyncListNamed(name string, n int) (*SyncList, error) {
 	b, err := backend.New(name, n)
 	if err != nil {
