@@ -8,11 +8,23 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"pieo"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "fairqueue:", err)
+		os.Exit(1)
+	}
+}
+
+// run schedules the four flows and writes the report to w. It fails if
+// a flow's measured rate is more than 1 % off its weighted share or the
+// link is not kept busy.
+func run(w io.Writer) error {
 	const (
 		linkGbps = 40
 		duration = pieo.Time(10_000_000) // 10 ms
@@ -45,12 +57,20 @@ func main() {
 	for _, w := range weights {
 		totalW += w
 	}
-	fmt.Printf("WF2Q+ on a %d Gbps link, weights 4:2:1:1, %v ms simulated\n", linkGbps, uint64(duration)/1_000_000)
-	fmt.Println("flow  weight  ideal Gbps  measured Gbps")
+	fmt.Fprintf(w, "WF2Q+ on a %d Gbps link, weights 4:2:1:1, %v ms simulated\n", linkGbps, uint64(duration)/1_000_000)
+	fmt.Fprintln(w, "flow  weight  ideal Gbps  measured Gbps")
+	var err error
 	for id := pieo.FlowID(1); id <= 4; id++ {
 		ideal := float64(linkGbps) * float64(weights[id]) / float64(totalW)
 		got := float64(bytes[id]) * 8 / float64(duration)
-		fmt.Printf("%-4d  %-6d  %-10.2f  %.3f\n", id, weights[id], ideal, got)
+		fmt.Fprintf(w, "%-4d  %-6d  %-10.2f  %.3f\n", id, weights[id], ideal, got)
+		if got < 0.99*ideal || got > 1.01*ideal {
+			err = fmt.Errorf("flow %d measured %.3f Gbps against an ideal of %.2f", id, got, ideal)
+		}
 	}
-	fmt.Printf("link utilization: %.1f%% (work-conserving)\n", 100*sim.Utilization())
+	fmt.Fprintf(w, "link utilization: %.1f%% (work-conserving)\n", 100*sim.Utilization())
+	if u := sim.Utilization(); u < 0.999 {
+		err = fmt.Errorf("link utilization %.2f%%, want a work-conserving ≥ 99.9%%", 100*u)
+	}
+	return err
 }

@@ -9,11 +9,23 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"pieo"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "hierarchical:", err)
+		os.Exit(1)
+	}
+}
+
+// run simulates the tree and writes the report to w. It fails if a VM's
+// rate is more than 1 % off its limit or a flow's rate is more than 2 %
+// off an equal share of its VM's limit.
+func run(w io.Writer) error {
 	const (
 		linkGbps = 40
 		duration = pieo.Time(20_000_000) // 20 ms
@@ -60,18 +72,29 @@ func main() {
 	}
 	sim.Run(duration)
 
-	fmt.Printf("two-level hierarchy: %d VMs x %d flows on %d Gbps, %v ms simulated\n",
+	fmt.Fprintf(w, "two-level hierarchy: %d VMs x %d flows on %d Gbps, %v ms simulated\n",
 		nVMs, perVM, linkGbps, uint64(duration)/1_000_000)
-	fmt.Println("vm   limit  measured  per-flow Gbps (WF2Q+ shares inside the VM)")
+	fmt.Fprintln(w, "vm   limit  measured  per-flow Gbps (WF2Q+ shares inside the VM)")
+	within := func(got, want, tol float64) bool { return got >= (1-tol)*want && got <= (1+tol)*want }
+	var err error
 	for v := 0; v < nVMs; v++ {
 		var vmBytes uint64
 		row := ""
 		for f := 0; f < perVM; f++ {
 			b := flowBytes[v*perVM+f]
 			vmBytes += b
-			row += fmt.Sprintf(" %.2f", float64(b)*8/float64(duration))
+			gbps := float64(b) * 8 / float64(duration)
+			row += fmt.Sprintf(" %.2f", gbps)
+			if !within(gbps, limits[v]/perVM, 0.02) {
+				err = fmt.Errorf("vm%d flow %d measured %.3f Gbps against an equal share of %.2f", v, f, gbps, limits[v]/perVM)
+			}
 		}
-		fmt.Printf("vm%-2d %-6.1f %-9.3f%s\n", v, limits[v], float64(vmBytes)*8/float64(duration), row)
+		vmGbps := float64(vmBytes) * 8 / float64(duration)
+		fmt.Fprintf(w, "vm%-2d %-6.1f %-9.3f%s\n", v, limits[v], vmGbps, row)
+		if !within(vmGbps, limits[v], 0.01) {
+			err = fmt.Errorf("vm%d measured %.3f Gbps against a limit of %.1f", v, vmGbps, limits[v])
+		}
 	}
-	fmt.Printf("link utilization: %.1f%%\n", 100*sim.Utilization())
+	fmt.Fprintf(w, "link utilization: %.1f%%\n", 100*sim.Utilization())
+	return err
 }

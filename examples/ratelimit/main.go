@@ -8,11 +8,23 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"pieo"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "ratelimit:", err)
+		os.Exit(1)
+	}
+}
+
+// run shapes the three tenants and writes the report to w. It fails if a
+// tenant's rate is more than 1 % off its limit, or the link is busier
+// than the limits allow (the shaper must leave it idle despite backlog).
+func run(w io.Writer) error {
 	const (
 		linkGbps = 40
 		duration = pieo.Time(20_000_000) // 20 ms
@@ -45,11 +57,22 @@ func main() {
 	}
 	sim.Run(duration)
 
-	fmt.Printf("link: %d Gbps, %d tenants, %v ms simulated\n", linkGbps, len(limits), uint64(duration)/1_000_000)
-	fmt.Println("tenant  limit Gbps  measured Gbps  error")
+	fmt.Fprintf(w, "link: %d Gbps, %d tenants, %v ms simulated\n", linkGbps, len(limits), uint64(duration)/1_000_000)
+	fmt.Fprintln(w, "tenant  limit Gbps  measured Gbps  error")
+	var err error
+	var sumLimits float64
 	for id := pieo.FlowID(1); id <= 3; id++ {
 		got := float64(bytes[id]) * 8 / float64(duration)
-		fmt.Printf("%-6d  %-10.1f  %-13.3f  %+.2f%%\n", id, limits[id], got, 100*(got-limits[id])/limits[id])
+		rel := (got - limits[id]) / limits[id]
+		fmt.Fprintf(w, "%-6d  %-10.1f  %-13.3f  %+.2f%%\n", id, limits[id], got, 100*rel)
+		if rel < -0.01 || rel > 0.01 {
+			err = fmt.Errorf("tenant %d measured %.3f Gbps against a limit of %.1f", id, got, limits[id])
+		}
+		sumLimits += limits[id]
 	}
-	fmt.Printf("link utilization: %.1f%% (non-work-conserving: idle despite backlog)\n", 100*sim.Utilization())
+	fmt.Fprintf(w, "link utilization: %.1f%% (non-work-conserving: idle despite backlog)\n", 100*sim.Utilization())
+	if u, bound := sim.Utilization(), 1.01*sumLimits/linkGbps; u > bound {
+		err = fmt.Errorf("link utilization %.1f%% exceeds the %.1f%% the limits allow", 100*u, 100*bound)
+	}
+	return err
 }

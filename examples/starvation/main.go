@@ -10,11 +10,23 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"pieo"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "starvation:", err)
+		os.Exit(1)
+	}
+}
+
+// run simulates the flows with and without aging and writes the report
+// to w. It fails unless flow 3 starves completely without aging and
+// gets service with it.
+func run(w io.Writer) error {
 	const (
 		linkGbps  = 40
 		duration  = pieo.Time(2_000_000) // 2 ms
@@ -25,7 +37,7 @@ func main() {
 	// Each alarm firing raises a starving flow one priority level and
 	// restarts its aging window (§4.4), so the rescue takes
 	// (20-10) * threshold = 0.5 ms of sustained starvation.
-	run := func(aging bool) (bytes map[pieo.FlowID]uint64) {
+	simulate := func(aging bool) (bytes map[pieo.FlowID]uint64) {
 		s := pieo.NewScheduler(pieo.StrictPriority(), 8, linkGbps)
 		s.Flow(1).Priority = 10
 		s.Flow(2).Priority = 10
@@ -56,21 +68,24 @@ func main() {
 		return bytes
 	}
 
-	without := run(false)
-	with := run(true)
+	without := simulate(false)
+	with := simulate(true)
 
-	fmt.Printf("strict priority on %d Gbps, flows 1,2 at priority 10, flow 3 at 20; %v ms\n",
+	fmt.Fprintf(w, "strict priority on %d Gbps, flows 1,2 at priority 10, flow 3 at 20; %v ms\n",
 		linkGbps, uint64(duration)/1_000_000)
-	fmt.Println("flow  no-aging Gbps  with-aging Gbps")
+	fmt.Fprintln(w, "flow  no-aging Gbps  with-aging Gbps")
 	for id := pieo.FlowID(1); id <= 3; id++ {
-		fmt.Printf("%-4d  %-13.3f  %.3f\n", id,
+		fmt.Fprintf(w, "%-4d  %-13.3f  %.3f\n", id,
 			float64(without[id])*8/float64(duration),
 			float64(with[id])*8/float64(duration))
 	}
-	if without[3] == 0 {
-		fmt.Println("flow 3 starved completely without aging")
+	if without[3] != 0 {
+		return fmt.Errorf("flow 3 got %d bytes without aging, want it starved", without[3])
 	}
-	if with[3] > 0 {
-		fmt.Println("the aging alarm (dequeue(f) -> boost -> enqueue(f)) rescued flow 3")
+	fmt.Fprintln(w, "flow 3 starved completely without aging")
+	if with[3] == 0 {
+		return fmt.Errorf("flow 3 still starved with the aging alarm")
 	}
+	fmt.Fprintln(w, "the aging alarm (dequeue(f) -> boost -> enqueue(f)) rescued flow 3")
+	return nil
 }

@@ -148,9 +148,6 @@ type FaultStats struct {
 	// fault handling — the scheduler's declared drops, disjoint from
 	// per-flow-queue tail drops.
 	DroppedPackets uint64
-	// AdmissionSheds counts arrivals dropped at the door by the graduated
-	// overload controller's shed level, before touching the ordered list.
-	AdmissionSheds uint64
 }
 
 // Add accumulates other into s, for aggregating per-level counters.
@@ -162,5 +159,4 @@ func (s *FaultStats) Add(other FaultStats) {
 	s.AdmissionTailDrops += other.AdmissionTailDrops
 	s.AdmissionEvictions += other.AdmissionEvictions
 	s.DroppedPackets += other.DroppedPackets
-	s.AdmissionSheds += other.AdmissionSheds
 }

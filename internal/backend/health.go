@@ -69,8 +69,7 @@ type ShardHealth struct {
 }
 
 // HealthReport is a point-in-time health snapshot of a backend: global
-// occupancy against capacity (the overload controller's watermark
-// input) plus per-partition breaker state.
+// occupancy against capacity plus per-partition breaker state.
 type HealthReport struct {
 	// Occupancy and Capacity describe the backend's fill level.
 	// Capacity is 0 when the backend cannot report one.
@@ -94,7 +93,7 @@ func (r HealthReport) OccupancyFraction() float64 {
 }
 
 // Health is implemented by backends that expose the supervision layer's
-// health surface: per-partition breaker phase and occupancy watermarks.
+// health surface: per-partition breaker phase and occupancy.
 // The sharded engine implements it natively; single-partition backends
 // report one always-closed shard.
 type Health interface {

@@ -21,7 +21,6 @@ import (
 	"pieo/internal/clock"
 	"pieo/internal/core"
 	"pieo/internal/flowq"
-	"pieo/internal/supervise"
 )
 
 // TriggerModel selects when the pre-enqueue function runs (§3.2.1).
@@ -169,15 +168,6 @@ type Scheduler struct {
 	// or rank-aware push-out. The zero value, AdmitReject, sheds the
 	// arriving flow's backlog as declared drops.
 	Admission backend.AdmissionPolicy
-
-	// Overload, when set, is the graduated overload controller
-	// (supervise.Controller): each flow admission evaluates the list
-	// occupancy against its watermark ladder and runs under the level's
-	// admission policy — admit-all → tail-drop → rank-aware push-out →
-	// shed — instead of the static Admission field. At the shed level
-	// arrivals are dropped at the door (counted in
-	// FaultStats.AdmissionSheds) without touching the list.
-	Overload *supervise.Controller
 
 	flows   flowTable
 	burst   []flowq.Packet // the buffer Burst appends to, reused by every PostDequeue
@@ -424,11 +414,11 @@ func (s *Scheduler) DefaultPostDequeue(now clock.Time, f *Flow) []flowq.Packet {
 // packet's precomputed attributes. Blocked flows (§4.4) and flows already
 // in the list are left alone.
 //
-// A full list is resolved by the Admission policy (or the Overload
-// ladder): the rejected party's backlog — the arriving flow's, or under
-// push-out the evicted victim's — is shed as declared drops. Any other
-// insert failure is counted in FaultStats with the arriving flow's
-// backlog shed, so a flow never silently stalls outside the list.
+// A full list is resolved by the Admission policy, the scheduler's one
+// overload setting: the rejected party's backlog — the arriving flow's,
+// or under push-out the evicted victim's — is shed as declared drops.
+// Any other insert failure is counted in FaultStats with the arriving
+// flow's backlog shed, so a flow never silently stalls outside the list.
 func (s *Scheduler) EnqueueFlow(now clock.Time, f *Flow) {
 	if f.Blocked || f.Queue.Empty() || s.List.Contains(uint32(f.ID)) {
 		return
@@ -446,35 +436,9 @@ func (s *Scheduler) EnqueueFlow(now clock.Time, f *Flow) {
 		f.Rank = head.Rank
 		f.SendTime = head.SendAt
 	}
-	newly := f.NewlyBacklogged // the shed gate below needs it
 	f.NewlyBacklogged = false
 	ent := core.Entry{ID: uint32(f.ID), Rank: f.Rank, SendTime: f.SendTime}
-	pol := s.Admission
-	if s.Overload != nil {
-		// Graduated overload control: the controller steps the admission
-		// policy through its watermark ladder on the observed occupancy.
-		// Its hysteresis guarantees the level is stable at any constant
-		// occupancy, so policy cannot flap between consecutive arrivals.
-		lvl := s.Overload.Evaluate(s.List.Len())
-		if lvl == supervise.LevelShed && newly && !s.outranksWorst(ent) {
-			// Critical occupancy: drop NEW admissions at the door unless the
-			// arrival outranks the worst resident. Two carve-outs keep the
-			// last level from inverting the priority order it exists to
-			// protect: re-enqueues from the dequeue path carry
-			// already-admitted backlog (shedding those would punish exactly
-			// the flows being served most — the best-ranked ones, which
-			// cycle through dequeue/re-enqueue fastest), and an outranking
-			// arrival is premium work the rank-aware policy would admit
-			// anyway. Both compete under push-out; everything else is
-			// dropped before it touches the list.
-			s.Overload.NoteShed()
-			s.faults.AdmissionSheds++
-			s.flushFlow(f)
-			return
-		}
-		pol = lvl.Policy()
-	}
-	out, err := backend.Admit(s.List, pol, ent)
+	out, err := backend.Admit(s.List, s.Admission, ent)
 	switch {
 	case err == nil:
 		if out.DidEvict {
@@ -497,20 +461,6 @@ func (s *Scheduler) EnqueueFlow(now clock.Time, f *Flow) {
 		s.fault(backend.FaultStats{EnqueueFailures: 1}, fmt.Errorf("sched: enqueue flow %d: %w", f.ID, err))
 		s.flushFlow(f)
 	}
-}
-
-// outranksWorst reports whether ent strictly outranks the worst resident
-// of the ordered list — the shed level's premium carve-out. A read-only
-// PeekMax costs far less than the insert the door-drop avoids, and a
-// backend without eviction support reports false (nothing outranks, so
-// shed stays unconditional — the conservative direction).
-func (s *Scheduler) outranksWorst(ent core.Entry) bool {
-	ev, ok := s.List.(backend.Evictor)
-	if !ok {
-		return false
-	}
-	worst, ok := ev.PeekMax()
-	return ok && ent.Rank < worst.Rank
 }
 
 // Alarm implements the §3.2/§4.4 asynchronous path: extract flow id from

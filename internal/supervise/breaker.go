@@ -1,18 +1,12 @@
 // Package supervise is the self-healing layer that drives the repo's
 // fault-tolerance mechanisms without an operator in the loop
-// (DESIGN.md §12). It supplies two pieces:
-//
-//   - Breaker: a per-partition circuit breaker (closed → open →
-//     half-open → closed) with clock-driven exponential backoff,
-//     deterministic jitter, and a bounded half-open probe budget. The
-//     sharded engine replaces its raw op-count rebuild backoff with one
-//     Breaker per shard, which also yields MTTR accounting: the breaker
-//     knows when an outage episode began and when it fully closed.
-//   - Controller: graduated overload control — occupancy watermarks
-//     with hysteresis that step the active admission policy through
-//     admit-all → tail-drop → rank-aware push-out → shed, so a
-//     saturated scheduler degrades by policy instead of oscillating
-//     between extremes.
+// (DESIGN.md §12). It supplies one piece, Breaker: a per-partition
+// circuit breaker (closed → open → half-open → closed) with clock-driven
+// exponential backoff, deterministic jitter, and a bounded half-open
+// probe budget. The sharded engine replaces its raw op-count rebuild
+// backoff with one Breaker per shard, which also yields MTTR accounting:
+// the breaker knows when an outage episode began and when it fully
+// closed.
 //
 // Everything here is driven by an injectable clock.Source — simulated
 // ticks, engine operation counts, or wall time — so supervision

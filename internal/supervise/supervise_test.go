@@ -134,82 +134,3 @@ func TestBreakerDefaultsMatchLegacyBackoff(t *testing.T) {
 		t.Fatalf("defaults = %+v, want probe budget 16 / jitter 25", cfg)
 	}
 }
-
-// TestControllerLadder steps occupancy up and down through every level
-// and checks the hysteresis gaps: levels are entered at Enter and left
-// only below Exit.
-func TestControllerLadder(t *testing.T) {
-	c := NewController(1000, Watermarks{}) // defaults: 700/600, 850/750, 970/900
-	steps := []struct {
-		occ  int
-		want Level
-	}{
-		{0, LevelAdmitAll},
-		{699, LevelAdmitAll},
-		{700, LevelTailDrop},  // enter tail-drop
-		{650, LevelTailDrop},  // inside the hysteresis band: hold
-		{599, LevelAdmitAll},  // below exit: release
-		{849, LevelTailDrop},  // re-enter
-		{850, LevelPushOut},   // climb
-		{751, LevelPushOut},   // hold above exit
-		{749, LevelTailDrop},  // descend one level
-		{970, LevelShed},      // multi-step climb in one evaluation
-		{901, LevelShed},      // hold
-		{899, LevelPushOut},   // descend
-		{100, LevelAdmitAll},  // multi-step descent in one evaluation
-	}
-	for i, s := range steps {
-		if got := c.Evaluate(s.occ); got != s.want {
-			t.Fatalf("step %d: Evaluate(%d) = %v, want %v", i, s.occ, got, s.want)
-		}
-	}
-	st := c.Stats()
-	if st.Evaluations != uint64(len(steps)) {
-		t.Fatalf("evaluations = %d, want %d", st.Evaluations, len(steps))
-	}
-}
-
-// TestControllerNoFlapping is the hysteresis property the ISSUE's
-// acceptance criteria name: at ANY constant occupancy — including
-// exactly on an enter or exit watermark — the level is stable across
-// ≥100 consecutive evaluations after the first.
-func TestControllerNoFlapping(t *testing.T) {
-	boundaries := []int{0, 599, 600, 699, 700, 749, 750, 849, 850, 899, 900, 969, 970, 1000}
-	for _, occ := range boundaries {
-		c := NewController(1000, Watermarks{})
-		settled := c.Evaluate(occ)
-		before := c.Stats().Transitions
-		for i := 0; i < 120; i++ {
-			if got := c.Evaluate(occ); got != settled {
-				t.Fatalf("occ %d: level flapped to %v after settling at %v (eval %d)", occ, got, settled, i)
-			}
-		}
-		if delta := c.Stats().Transitions - before; delta != 0 {
-			t.Fatalf("occ %d: %d transitions across constant-load evaluations, want 0", occ, delta)
-		}
-	}
-}
-
-// TestControllerSmallCapacity: rounding on tiny capacities must keep at
-// least one unit of hysteresis, or boundary occupancies would flap.
-func TestControllerSmallCapacity(t *testing.T) {
-	c := NewController(8, Watermarks{})
-	for occ := 0; occ <= 8; occ++ {
-		settled := c.Evaluate(occ)
-		for i := 0; i < 100; i++ {
-			if got := c.Evaluate(occ); got != settled {
-				t.Fatalf("capacity 8, occ %d: flapped %v → %v", occ, settled, got)
-			}
-		}
-	}
-}
-
-// TestLevelPolicyMapping pins the level → admission-policy map.
-func TestLevelPolicyMapping(t *testing.T) {
-	if LevelAdmitAll.Policy() != backend.AdmitReject ||
-		LevelTailDrop.Policy() != backend.AdmitTailDrop ||
-		LevelPushOut.Policy() != backend.AdmitPushOut ||
-		LevelShed.Policy() != backend.AdmitPushOut {
-		t.Fatal("level → policy mapping changed")
-	}
-}

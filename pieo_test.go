@@ -94,8 +94,8 @@ func TestPublicHardwareModel(t *testing.T) {
 }
 
 // TestPublicHealthAPI pins the self-healing supervision surface on the
-// facade: HealthOf on the sharded engine and SyncList, the overload
-// controller ladder, and MTTR from the fault log.
+// facade: HealthOf on the sharded engine and SyncList, and MTTR from
+// the fault log.
 func TestPublicHealthAPI(t *testing.T) {
 	sl := NewShardedList(1024, 4)
 	if err := sl.Enqueue(Entry{ID: 1, Rank: 10, SendTime: Always}); err != nil {
@@ -127,17 +127,6 @@ func TestPublicHealthAPI(t *testing.T) {
 	}
 	if f := hr.OccupancyFraction(); f <= 0 || f > 1 {
 		t.Fatalf("occupancy fraction = %v", f)
-	}
-
-	ctl := NewOverloadController(100, Watermarks{})
-	if lvl := ctl.Evaluate(10); lvl != LevelAdmitAll {
-		t.Fatalf("level at 10%% = %v", lvl)
-	}
-	if lvl := ctl.Evaluate(99); lvl != LevelShed {
-		t.Fatalf("level at 99%% = %v", lvl)
-	}
-	if ctl.Stats().Transitions == 0 {
-		t.Fatal("ladder climb recorded no transitions")
 	}
 
 	if rec, total, max := MTTRFromEvents(nil); rec != 0 || total != 0 || max != 0 {
