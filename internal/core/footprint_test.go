@@ -88,13 +88,13 @@ func BenchmarkGrowthStep(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		for id := 0; id < residents; id++ {
 			e := Entry{ID: uint32(id), Rank: uint64(span * (1 - math.Sqrt(1-rng.Float64()))), SendTime: clock.Always}
-			bound, slots := len(l.sublists), len(l.flows.slots)
+			bound, slots := len(l.sublists), l.flows.Slots()
 			start := time.Now()
 			if err := l.Enqueue(e); err != nil {
 				b.Fatal(err)
 			}
 			ns := float64(time.Since(start))
-			if n := len(l.flows.slots); n != slots {
+			if n := l.flows.Slots(); n != slots {
 				steps++
 				if ns > index.ns {
 					index.ns, index.bytes = ns, float64(8*n) // a doubling allocates the whole new table

@@ -63,6 +63,7 @@ import (
 	"math"
 
 	"pieo/internal/clock"
+	"pieo/internal/idtab"
 )
 
 // Entry is one element of the ordered list: a flow (or packet) identifier
@@ -439,7 +440,7 @@ type List struct {
 
 	size  int
 	seq   uint64
-	flows flowTab // flow id -> sublist id (per-flow state, §5.2 Dequeue(f))
+	flows idtab.Table[idtab.ID, uint32] // flow id -> sublist id + 1 (per-flow state, §5.2 Dequeue(f))
 
 	stats Stats
 }
@@ -472,7 +473,7 @@ func NewWithSublistSize(n, s int) *List {
 		capacity:    n,
 		sublistSize: s,
 		numSublists: 2*((n+s-1)/s) + 2,
-		flows:       newFlowTab(0),
+		flows:       idtab.New[idtab.ID, uint32](0),
 	}
 	l.extend()
 	return l
@@ -543,7 +544,7 @@ func (l *List) Stats() Stats { return l.stats }
 
 // Contains reports whether id is currently queued.
 func (l *List) Contains(id uint32) bool {
-	_, ok := l.flows.lookup(id)
+	_, ok := l.flows.Get(idtab.ID(id))
 	return ok
 }
 
@@ -607,7 +608,7 @@ func (l *List) enqueue(elem element) error {
 	}
 	pos := max(lo-1, 0)
 	sid := l.order[pos].sublistID
-	if !l.flows.insert(elem.id, sid) {
+	if !l.flows.Insert(idtab.ID(elem.id), uint32(sid)+1) {
 		return ErrDuplicate
 	}
 
@@ -654,7 +655,7 @@ func (l *List) enqueue(elem element) error {
 		l.stats.SublistReads++
 		l.stats.ElemCompares += uint64(sp.len())
 		l.insertElemAt(spPos, 0, tail) // sp's head: tail.key < all of sp
-		l.flows.move(tail.id, l.order[spPos].sublistID)
+		l.flows.Set(idtab.ID(tail.id), uint32(l.order[spPos].sublistID)+1)
 		l.refreshMeta(spPos)
 		l.stats.SublistWrites++
 	}
@@ -822,10 +823,11 @@ func (l *List) DequeueRangeBelowSeq(now clock.Time, lo, hi uint32, limit uint64)
 // eligibility (§3.1 dequeue(f)), used by alarm handlers to update an
 // element's attributes. It returns ok=false when id is not queued.
 func (l *List) DequeueFlow(id uint32) (Entry, bool) {
-	sid, ok := l.flows.lookup(id)
+	v, ok := l.flows.Get(idtab.ID(id))
 	if !ok {
 		return Entry{}, false
 	}
+	sid := int(v) - 1
 	l.stats.FlowDequeues++
 	l.stats.Cycles += 4
 
@@ -1067,7 +1069,7 @@ func (l *List) extractAt(pos int, sl *sublist, idx int) {
 	wasFull := sl.full(l.sublistSize)
 	id := sl.at(idx).id
 	l.removeAt(sl, idx)
-	l.flows.remove(id)
+	l.flows.Delete(idtab.ID(id))
 	l.size--
 	l.stats.SublistWrites++
 
@@ -1084,7 +1086,7 @@ func (l *List) extractAt(pos int, sl *sublist, idx int) {
 				moved := *left.at(left.len() - 1)
 				l.removeAt(left, left.len()-1)
 				l.insertElemAt(pos, 0, moved)
-				l.flows.move(moved.id, l.order[pos].sublistID)
+				l.flows.Set(idtab.ID(moved.id), uint32(l.order[pos].sublistID)+1)
 				l.stats.SublistWrites++
 				if left.len() == 0 {
 					l.retire(pos - 1)
@@ -1104,7 +1106,7 @@ func (l *List) extractAt(pos int, sl *sublist, idx int) {
 				moved := *right.at(0)
 				l.removeAt(right, 0)
 				l.insertElemAt(pos, sl.len(), moved)
-				l.flows.move(moved.id, l.order[pos].sublistID)
+				l.flows.Set(idtab.ID(moved.id), uint32(l.order[pos].sublistID)+1)
 				l.stats.SublistWrites++
 				if right.len() == 0 {
 					l.retire(pos + 1)
@@ -1422,8 +1424,8 @@ func (l *List) CheckInvariants() error {
 			}
 			prev = e
 			minSend = min(minSend, e.sendTime)
-			if sid, ok := l.flows.lookup(e.id); !ok || sid != p.sublistID {
-				return fmt.Errorf("flow index for id %d = (%d,%v), want sublist %d", e.id, sid, ok, p.sublistID)
+			if v, ok := l.flows.Get(idtab.ID(e.id)); !ok || int(v)-1 != p.sublistID {
+				return fmt.Errorf("flow index for id %d = (%d,%v), want sublist %d", e.id, int(v)-1, ok, p.sublistID)
 			}
 			if b := l.ids[p.sublistID]; e.id < b.lo || e.id > b.hi {
 				return fmt.Errorf("position %d id bounds [%d,%d] miss resident id %d", i, b.lo, b.hi, e.id)
@@ -1436,11 +1438,11 @@ func (l *List) CheckInvariants() error {
 	}
 	// Every resident resolved above, so an index of exactly size keys
 	// holds nothing else; check covers the probe structure itself.
-	if l.flows.n != l.size {
-		return fmt.Errorf("flow index has %d entries, size=%d", l.flows.n, l.size)
+	if l.flows.Len() != l.size {
+		return fmt.Errorf("flow index has %d entries, size=%d", l.flows.Len(), l.size)
 	}
-	if err := l.flows.check(); err != nil {
-		return err
+	if err := l.flows.Check(); err != nil {
+		return fmt.Errorf("flow index: %w", err)
 	}
 	// Packed summary words must be the exact block minima.
 	for b := 0; b<<eligBlockShift < l.active; b++ {

@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"pieo/internal/clock"
+	"pieo/internal/idtab"
 )
 
 // The software datapath's unit costs, pinned so that a reordered or
@@ -15,8 +16,13 @@ func TestElementLayout(t *testing.T) {
 	if got := unsafe.Sizeof(element{}); got != 32 {
 		t.Fatalf("element must be 32 bytes (two per cache line): got %d", got)
 	}
-	if got := unsafe.Sizeof(flowSlot{}); got != 8 {
-		t.Fatalf("flowSlot must be 8 bytes (eight per cache line): got %d", got)
+	// A flow-index slot is a 4-byte id and a 4-byte sublist id + 1;
+	// idtab's TestSlotIsKeyAndValue pins that a slot adds no flag.
+	if got := unsafe.Sizeof(idtab.ID(0)); got != 4 {
+		t.Fatalf("flow-index key must be 4 bytes: got %d", got)
+	}
+	if v, _ := New(8).flows.Get(0); unsafe.Sizeof(v) != 4 {
+		t.Fatalf("flow-index value must be 4 bytes: got %d", unsafe.Sizeof(v))
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"pieo/internal/clock"
 	"pieo/internal/core"
 	"pieo/internal/flowq"
+	"pieo/internal/idtab"
 )
 
 // Child is a schedulable element inside some parent's logical PIEO:
@@ -134,12 +135,12 @@ func (n *Node) AddNode(name string, policy *Policy) *Node {
 // called before Build.
 func (n *Node) AddFlow(id flowq.FlowID) *Child {
 	n.h.mustNotBeBuilt()
-	if _, dup := n.h.leaves[id]; dup {
+	if !n.h.leafIdx.Insert(idtab.ID(id), uint32(len(n.h.leaves))+1) {
 		panic(fmt.Sprintf("hier: flow %d added twice", id))
 	}
 	child := &Child{Flow: id, parent: n, Queue: &flowq.Queue{}, Weight: 1, Quantum: 1500}
 	n.children = append(n.children, child)
-	n.h.leaves[id] = child
+	n.h.leaves = append(n.h.leaves, child)
 	return child
 }
 
@@ -152,10 +153,12 @@ type Hierarchy struct {
 	levels   []backend.Backend // levels[d] holds the children of depth-d nodes (per-level mode)
 	wall     []bool            // depth-d predicates live in the wall-clock domain
 	factory  func(capacity int) backend.Backend
-	leaves   map[flowq.FlowID]*Child
 	interior int       // interior nodes below the root
 	nodesAt  [][]*Node // nodes per depth, BFS order
 	built    bool
+
+	leaves  []*Child                      // leaf flows, in AddFlow order
+	leafIdx idtab.Table[idtab.ID, uint32] // flow id -> index in leaves + 1
 
 	// Scratch reused by every NextPacket so a descent allocates nothing:
 	// the root-to-leaf path (deepest hop first) and the stack of children
@@ -198,7 +201,7 @@ func NewOn(linkRateGbps float64, rootPolicy *Policy, factory func(capacity int) 
 	h := &Hierarchy{
 		LinkRateGbps: linkRateGbps,
 		factory:      factory,
-		leaves:       make(map[flowq.FlowID]*Child),
+		leafIdx:      idtab.New[idtab.ID, uint32](0),
 	}
 	h.root = &Node{Name: "root", Policy: rootPolicy, h: h}
 	return h
@@ -333,11 +336,11 @@ func (h *Hierarchy) WireTime(size uint32) clock.Time {
 // Leaf returns the child entity for flow id, for control-plane
 // configuration.
 func (h *Hierarchy) Leaf(id flowq.FlowID) *Child {
-	c := h.leaves[id]
-	if c == nil {
+	i, ok := h.leafIdx.Get(idtab.ID(id))
+	if !ok {
 		panic(fmt.Sprintf("hier: unknown flow %d", id))
 	}
-	return c
+	return h.leaves[i-1]
 }
 
 // Levels returns the number of scheduling levels.
@@ -390,10 +393,15 @@ func (h *Hierarchy) OnArrival(now clock.Time, p flowq.Packet) {
 	if !h.built {
 		panic("hier: OnArrival before Build")
 	}
-	c := h.leaves[p.Flow]
-	if c == nil {
-		panic(fmt.Sprintf("hier: packet for unknown flow %d", p.Flow))
+	i, ok := h.leafIdx.Get(idtab.ID(p.Flow))
+	if !ok {
+		// Input from the wire, not a wiring bug: shed the packet as a
+		// declared drop charged to the root.
+		h.fault(h.root, backend.FaultStats{DroppedPackets: 1},
+			fmt.Errorf("hier: packet for unconfigured flow %d: %w", p.Flow, core.ErrUnknownFlow))
+		return
 	}
+	c := h.leaves[i-1]
 	c.Queue.Push(p)
 	// Not just "the queue was empty": a leaf or ancestor whose last insert
 	// failed is backlogged but not resident, and this is

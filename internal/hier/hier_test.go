@@ -634,6 +634,39 @@ func TestUnknownChildFault(t *testing.T) {
 	}
 }
 
+// A packet for a flow the control plane never configured comes off the
+// wire, so it is a declared drop charged to the root, not a crash: the
+// backlog does not change and known flows are still served.
+func TestUnconfiguredFlowArrivalIsDropped(t *testing.T) {
+	for name, newH := range map[string]func(float64, *Policy) *Hierarchy{"per-level": New, "partitioned": NewPartitioned} {
+		h := newH(linkGbps, RoundRobin())
+		vm := h.Root().AddNode("vm", RoundRobin())
+		vm.AddFlow(0)
+		vm.AddFlow(1)
+		h.Build()
+		h.OnArrival(0, flowq.Packet{Flow: 1, Size: 100})
+		h.OnArrival(0, flowq.Packet{Flow: 7, Size: 100})
+		if h.Backlog() != 1 {
+			t.Fatalf("%s: Backlog = %d after one known and one unconfigured packet", name, h.Backlog())
+		}
+		if f := h.FaultStats(); f != (backend.FaultStats{DroppedPackets: 1}) || h.Root().FaultStats() != f {
+			t.Fatalf("%s: faults %+v, root %+v; want one dropped packet charged to the root", name, f, h.Root().FaultStats())
+		}
+		if !errors.Is(h.LastFault(), core.ErrUnknownFlow) {
+			t.Fatalf("%s: LastFault = %v, want core.ErrUnknownFlow", name, h.LastFault())
+		}
+		h.OnArrival(0, flowq.Packet{Flow: 0, Size: 100})
+		for _, want := range []flowq.FlowID{1, 0} {
+			if p, ok := h.NextPacket(0); !ok || p.Flow != want {
+				t.Fatalf("%s: NextPacket = %+v,%v want flow %d", name, p, ok, want)
+			}
+		}
+		if h.Backlog() != 0 {
+			t.Fatalf("%s: Backlog = %d after draining", name, h.Backlog())
+		}
+	}
+}
+
 // A token-bucket child whose (positive) rate is so small that the time to
 // cover its deficit overflows a tick count gets send_time = rank =
 // clock.Never, never a wrapped instant just before now (a zero rate is

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"pieo/internal/idtab"
 )
 
 // Machine is the elaborated PIEO scheduler datapath: register file +
@@ -27,7 +29,7 @@ type Machine struct {
 	active int
 	size   int
 	cycle  uint64
-	where  map[uint32]int // flow id -> sublist id (§5.2 flow state)
+	where  idtab.Table[idtab.ID, uint32] // flow id -> sublist id + 1 (§5.2 flow state)
 }
 
 // Machine errors mirror the functional model's.
@@ -52,7 +54,7 @@ func New(n int) *Machine {
 		ptrEnc:      NewPriorityEncoder(num),
 		subCmp:      NewComparatorBank(s + 1),
 		subEnc:      NewPriorityEncoder(s + 1),
-		where:       make(map[uint32]int, n),
+		where:       idtab.New[idtab.ID, uint32](n),
 	}
 }
 
@@ -97,7 +99,7 @@ func (m *Machine) Enqueue(w Word) error {
 	if m.size == m.capacity {
 		return ErrFull
 	}
-	if _, dup := m.where[w.FlowID]; dup {
+	if _, dup := m.where.Get(idtab.ID(w.FlowID)); dup {
 		return ErrDuplicate
 	}
 
@@ -148,7 +150,7 @@ func (m *Machine) Enqueue(w Word) error {
 	// staged images.
 	m.cycle++
 	m.insertWord(&img, w)
-	m.where[w.FlowID] = sID
+	m.where.Insert(idtab.ID(w.FlowID), uint32(sID)+1)
 	if wasFull {
 		tail := img.Rank[len(img.Rank)-1]
 		img.Rank = img.Rank[:len(img.Rank)-1]
@@ -157,7 +159,7 @@ func (m *Machine) Enqueue(w Word) error {
 		// head of S'.Rank-Sublist" — deterministic head placement keeps
 		// equal-rank words in their original (FIFO) order.
 		m.insertHead(&spImg, tail)
-		m.where[tail.FlowID] = m.rf.Entries[spPos].SublistID
+		m.where.Set(idtab.ID(tail.FlowID), uint32(m.rf.Entries[spPos].SublistID)+1)
 	}
 
 	// Cycle 4: write back and refresh pointer metadata.
@@ -197,10 +199,11 @@ func (m *Machine) Dequeue(now uint64) (Word, bool) {
 
 // DequeueFlow runs the dequeue(f) micro-program.
 func (m *Machine) DequeueFlow(id uint32) (Word, bool) {
-	sID, ok := m.where[id]
+	v, ok := m.where.Get(idtab.ID(id))
 	if !ok {
 		return Word{}, false
 	}
+	sID := int(v) - 1
 	// Cycle 1: locate the sublist's pointer position (parallel compare
 	// on sublist ids).
 	m.cycle++
@@ -255,7 +258,7 @@ func (m *Machine) extract(pos int, pick func(SublistImage) int) (Word, bool) {
 	copy(img.Rank[idx:], img.Rank[idx+1:])
 	img.Rank = img.Rank[:len(img.Rank)-1]
 	m.removeElig(&img, out.SendTime)
-	delete(m.where, out.FlowID)
+	m.where.Delete(idtab.ID(out.FlowID))
 
 	if donorPos != -1 && len(donorImg.Rank) > 0 {
 		// §5.2: the moved element "is deterministically added to either
@@ -275,7 +278,7 @@ func (m *Machine) extract(pos int, pick func(SublistImage) int) (Word, bool) {
 			m.removeElig(&donorImg, moved.SendTime)
 			m.insertTail(&img, moved)
 		}
-		m.where[moved.FlowID] = sID
+		m.where.Set(idtab.ID(moved.FlowID), uint32(sID)+1)
 	}
 
 	// Cycle 4: write back, refresh metadata, retire empties.
@@ -443,7 +446,7 @@ func (m *Machine) CheckInvariants() error {
 				return fmt.Errorf("global rank order violated at position %d index %d", i, j)
 			}
 			prevRank = w.Rank
-			if sid, ok := m.where[w.FlowID]; !ok || sid != e.SublistID {
+			if v, ok := m.where.Get(idtab.ID(w.FlowID)); !ok || int(v)-1 != e.SublistID {
 				return fmt.Errorf("flow state wrong for %d", w.FlowID)
 			}
 			total++

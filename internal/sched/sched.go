@@ -21,6 +21,7 @@ import (
 	"pieo/internal/clock"
 	"pieo/internal/core"
 	"pieo/internal/flowq"
+	"pieo/internal/idtab"
 )
 
 // TriggerModel selects when the pre-enqueue function runs (§3.2.1).
@@ -169,7 +170,12 @@ type Scheduler struct {
 	// arriving flow's backlog as declared drops.
 	Admission backend.AdmissionPolicy
 
-	flows   flowTable
+	// flows resolves a FlowID on every arrival and every dequeue. IDs are
+	// arbitrary sparse uint32s; nothing assumes they are dense.
+	flows idtab.Table[idtab.ID, *Flow]
+	all   []*Flow // every flow, in creation order
+	slab  []Flow  // unused tail of the newest flow slab (see newFlow)
+
 	burst   []flowq.Packet // the buffer Burst appends to, reused by every PostDequeue
 	pending []flowq.Packet // burst left over from a multi-packet PostDequeue
 	prePkt  flowq.Packet   // the copy a PrePacket hook writes; lives here so arrivals do not escape
@@ -202,6 +208,7 @@ func NewOn(prog *Program, b backend.Backend, linkRateGbps float64) *Scheduler {
 		Prog:         prog,
 		List:         b,
 		LinkRateGbps: linkRateGbps,
+		flows:        idtab.New[idtab.ID, *Flow](0),
 	}
 }
 
@@ -246,9 +253,9 @@ func (s *Scheduler) BackendStats() backend.Stats { return s.List.Stats() }
 // Flow returns the per-flow state for id, creating it with default
 // control-plane settings (weight 1, MTU quantum) on first use.
 func (s *Scheduler) Flow(id flowq.FlowID) *Flow {
-	f := s.flows.lookup(id)
-	if f == nil {
-		f = s.flows.insert(id)
+	f, ok := s.flows.Get(idtab.ID(id))
+	if !ok {
+		f = s.newFlow(id)
 		*f = Flow{ID: id, Weight: 1, Quantum: 1500}
 		s.SumWeights += f.Weight
 	}
@@ -267,7 +274,7 @@ func (s *Scheduler) SetWeight(id flowq.FlowID, w uint64) {
 }
 
 // Flows returns the number of flows ever seen.
-func (s *Scheduler) Flows() int { return len(s.flows.all) }
+func (s *Scheduler) Flows() int { return len(s.all) }
 
 // WireTime returns the wire time of size bytes on this scheduler's link,
 // in simulated nanoseconds.
@@ -356,8 +363,8 @@ func (s *Scheduler) NextPacket(now clock.Time) (flowq.Packet, bool) {
 			}
 			return flowq.Packet{}, false
 		}
-		f := s.flows.lookup(flowq.FlowID(e.ID))
-		if f == nil {
+		f, ok := s.flows.Get(idtab.ID(e.ID))
+		if !ok {
 			// The extracted element references no flow state: discard it
 			// and keep scheduling — the list is already consistent again.
 			s.fault(backend.FaultStats{UnknownFlows: 1},
@@ -443,7 +450,7 @@ func (s *Scheduler) EnqueueFlow(now clock.Time, f *Flow) {
 	case err == nil:
 		if out.DidEvict {
 			s.faults.AdmissionEvictions++
-			if vf := s.flows.lookup(flowq.FlowID(out.Evicted.ID)); vf != nil {
+			if vf, ok := s.flows.Get(idtab.ID(out.Evicted.ID)); ok {
 				s.flushFlow(vf)
 			}
 		}
@@ -468,8 +475,8 @@ func (s *Scheduler) EnqueueFlow(now clock.Time, f *Flow) {
 // the update blocked the flow or the flow has nothing to send). It
 // reports whether the flow existed.
 func (s *Scheduler) Alarm(now clock.Time, id flowq.FlowID, update func(f *Flow)) bool {
-	f := s.flows.lookup(id)
-	if f == nil {
+	f, ok := s.flows.Get(idtab.ID(id))
+	if !ok {
 		return false
 	}
 	s.List.DequeueFlow(uint32(id))
@@ -506,7 +513,7 @@ func (s *Scheduler) NextWake(now clock.Time) (clock.Time, bool) {
 // Backlog returns the total packets queued across all flows.
 func (s *Scheduler) Backlog() int {
 	total := len(s.pending)
-	for _, f := range s.flows.all {
+	for _, f := range s.all {
 		total += f.Queue.Len()
 	}
 	return total

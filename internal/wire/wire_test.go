@@ -242,23 +242,16 @@ func TestClassifierMatchesMap(t *testing.T) {
 func TestClassifierProbeLength(t *testing.T) {
 	const flows = 4096
 	c := NewClassifier(flows)
-	total, longest := 0, 0
 	for i := 0; i < flows; i++ {
 		k := pack(FiveTuple{
 			SrcIP: [4]byte{10, 0, byte(i >> 8), byte(i)}, DstIP: [4]byte{192, 168, 0, 1},
 			SrcPort: uint16(1024 + i), DstPort: 443, Protocol: ProtoUDP,
 		})
-		*c.find(k) = tupleSlot{key: k, id: 1}
+		c.ids.Insert(k, 1)
 	}
-	for i := range c.slots {
-		if k := c.slots[i].key; k.rest != 0 {
-			d := (i - int(c.home(k))) & (len(c.slots) - 1)
-			total += d + 1
-			longest = max(longest, d+1)
-		}
-	}
+	total, longest := c.ids.Probes()
 	if mean := float64(total) / flows; mean > 2 || longest > 32 {
-		t.Fatalf("mean probe length %.2f (longest %d) over %d sequential tuples in %d slots", mean, longest, flows, len(c.slots))
+		t.Fatalf("mean probe length %.2f (longest %d) over %d sequential tuples in %d slots", mean, longest, flows, c.ids.Slots())
 	}
 }
 
