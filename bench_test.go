@@ -24,6 +24,7 @@ import (
 	"pieo/internal/netsim"
 	"pieo/internal/pifo"
 	"pieo/internal/pipeline"
+	"pieo/internal/policy"
 	"pieo/internal/sched"
 	"pieo/internal/stats"
 	"pieo/internal/wire"
@@ -746,11 +747,11 @@ func BenchmarkSchedulerAlgorithms(b *testing.B) {
 
 func BenchmarkHierarchyTwoLevel(b *testing.B) {
 	// The §6.3 topology: 10 VMs x 10 flows, TB over WF2Q+.
-	h := hier.New(40, hier.TokenBucket())
+	h := hier.New(40, policy.TokenBucket())
 	id := flowq.FlowID(0)
 	var vms []*hier.Node
 	for v := 0; v < 10; v++ {
-		vm := h.Root().AddNode("vm", hier.WF2Q())
+		vm := h.Root().AddNode("vm", policy.WF2Q())
 		for f := 0; f < 10; f++ {
 			vm.AddFlow(id)
 			id++

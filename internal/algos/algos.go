@@ -8,12 +8,15 @@
 // Every algorithm is just a sched.Program: a rank function, a predicate
 // function, and optionally a custom post-dequeue — demonstrating the
 // paper's thesis that "schedule the smallest ranked eligible element"
-// expresses all of them.
+// expresses all of them. WFQ, WF²Q+, token bucket and strict priority
+// are the policies a hierarchy node runs too (internal/policy), adapted
+// with sched.FromPolicy; the rest are flat-only programs.
 package algos
 
 import (
 	"pieo/internal/clock"
 	"pieo/internal/flowq"
+	"pieo/internal/policy"
 	"pieo/internal/sched"
 )
 
@@ -51,144 +54,21 @@ func DRR() *sched.Program {
 	}
 }
 
-// fqScale converts a packet's wire time into a flow's virtual service:
-// wire_time * sum_weights / flow_weight, so a flow with twice the weight
-// accumulates finish time half as fast.
-func fqScale(s *sched.Scheduler, f *sched.Flow, size uint32) uint64 {
-	x := uint64(s.WireTime(size))
-	sum := s.SumWeights
-	if sum == 0 {
-		sum = 1
-	}
-	return x * sum / f.Weight
-}
-
-// WFQ returns Weighted Fair Queuing (§4.1): rank is the head packet's
-// virtual finish time, the predicate is always true, and system virtual
-// time advances by the wire time of every transmitted packet.
-func WFQ() *sched.Program {
-	return &sched.Program{
-		Name: "wfq",
-		PreEnqueue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) {
-			head, _ := f.Queue.Head()
-			// Fig 2(a): start = max(finish, V) only when the flow begins
-			// a new busy period; continuously backlogged flows chain
-			// exactly from their previous finish (otherwise they bleed
-			// service credit every packet).
-			start := f.VirtualFinish
-			if f.NewlyBacklogged {
-				if v := uint64(s.V.Now()); v > start {
-					start = v
-				}
-			}
-			f.VirtualFinish = start + fqScale(s, f, head.Size)
-			f.Rank = f.VirtualFinish
-			f.SendTime = clock.Always
-		},
-		PostDequeue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) []flowq.Packet {
-			head, _ := f.Queue.Head()
-			s.V.Set(s.V.Now() + clock.Time(s.WireTime(head.Size)))
-			return s.DefaultPostDequeue(now, f)
-		},
-	}
-}
+// WFQ returns Weighted Fair Queuing (§4.1): the catalogue's WFQ, with
+// the scheduler's global virtual clock.
+func WFQ() *sched.Program { return sched.FromPolicy(policy.WFQ()) }
 
 // WF2Q returns Worst-case Fair Weighted Fair Queuing (WF²Q+, §4.1, Fig
-// 2(a)) — the algorithm PIFO cannot express (§2.3). Rank is the virtual
-// finish time; the predicate is (virtual_time >= virtual_start); the
-// virtual clock advances by each transmission and jumps to the minimum
-// start time among backlogged flows, which the PIEO list answers in O(1)
-// via its eligibility metadata (MinSendTime).
-func WF2Q() *sched.Program {
-	return &sched.Program{
-		Name: "wf2q+",
-		DequeueTime: func(s *sched.Scheduler, now clock.Time) clock.Time {
-			return s.V.Now()
-		},
-		OnIdle: func(s *sched.Scheduler, now clock.Time) bool {
-			// Fig 2(a)'s idle-link rule: when backlogged flows exist but
-			// none is eligible (a busy period starting after idle time
-			// left every start ahead of V), jump the virtual clock to
-			// the minimum start time.
-			ms, ok := s.List.MinSendTime()
-			if !ok || ms <= s.V.Now() {
-				return false
-			}
-			s.V.Set(ms)
-			return true
-		},
-		PreEnqueue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) {
-			head, _ := f.Queue.Head()
-			// start = max(finish, V) only at busy-period starts; a
-			// continuously backlogged flow's next packet starts exactly
-			// at its previous finish (Fig 2(a)'s two cases).
-			start := f.VirtualFinish
-			if f.NewlyBacklogged {
-				if v := uint64(s.V.Now()); v > start {
-					start = v
-				}
-			}
-			f.VirtualStart = start
-			f.VirtualFinish = start + fqScale(s, f, head.Size)
-			f.Rank = f.VirtualFinish
-			f.SendTime = clock.Time(f.VirtualStart)
-		},
-		PostDequeue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) []flowq.Packet {
-			p, ok := f.Queue.Pop()
-			if !ok {
-				panic("wf2q+: scheduled flow with empty queue")
-			}
-			// Re-enqueue the serviced flow first (its next packet's start
-			// uses the pre-update V), so the Fig 2(a) virtual-time floor
-			// — V(t+x) = max(V(t)+x, min start among backlogged flows) —
-			// sees every backlogged flow, including this one. The PIEO
-			// list answers the min in O(1) from its eligibility metadata.
-			if !f.Queue.Empty() {
-				s.EnqueueFlow(now, f)
-			}
-			minStart := clock.Never
-			if ms, ok := s.List.MinSendTime(); ok {
-				minStart = ms
-			}
-			s.V.OnTransmit(clock.Time(s.WireTime(p.Size)), minStart)
-			f.LastScheduled = now
-			return s.Burst(p)
-		},
-	}
-}
+// 2(a)) — the algorithm PIFO cannot express (§2.3). The virtual clock's
+// floor, the minimum start among backlogged flows, is the PIEO list's
+// O(1) MinSendTime.
+func WF2Q() *sched.Program { return sched.FromPolicy(policy.WF2Q()) }
 
-// TokenBucket returns the classic non-work-conserving shaper (§4.2):
-// each flow accumulates f.RateGbps tokens against a depth of f.Burst
-// bytes; the send time of the head packet is deferred until the bucket
-// covers it, and both rank and predicate are that send time, evaluated
-// against the wall clock.
-//
-// The control plane should set Flow.Tokens = Flow.Burst when configuring
-// a flow so its bucket starts full; otherwise the bucket fills from empty
-// starting at simulation time zero.
-func TokenBucket() *sched.Program {
-	return &sched.Program{
-		Name: "token-bucket",
-		PreEnqueue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) {
-			head, _ := f.Queue.Head()
-			f.Tokens += f.RateGbps / 8 * float64(now-f.LastRefill)
-			if f.Tokens > f.Burst {
-				f.Tokens = f.Burst
-			}
-			sendTime := now
-			if float64(head.Size) > f.Tokens {
-				deficit := float64(head.Size) - f.Tokens
-				// An unconfigured rate never covers the deficit: the flow
-				// parks at clock.Never and arms no wake.
-				sendTime = clock.After(now, deficit*8/f.RateGbps)
-			}
-			f.Tokens -= float64(head.Size)
-			f.LastRefill = now
-			f.Rank = uint64(sendTime)
-			f.SendTime = sendTime
-		},
-	}
-}
+// TokenBucket returns the classic non-work-conserving shaper (§4.2): the
+// catalogue's token bucket over each flow's RateGbps and Burst. Set
+// Flow.Tokens = Flow.Burst when configuring a flow so its bucket starts
+// full.
+func TokenBucket() *sched.Program { return sched.FromPolicy(policy.TokenBucket()) }
 
 // RCSP returns Rate-Controlled Static-Priority queuing (§4.2): traffic
 // shaping assigns each packet an eligibility time on arrival (the
@@ -208,15 +88,7 @@ func RCSP() *sched.Program {
 // StrictPriority returns strict priority scheduling (§4.4, §4.5): rank is
 // the flow's priority, predicate always true. PIEO emulates a plain
 // priority queue this way.
-func StrictPriority() *sched.Program {
-	return &sched.Program{
-		Name: "strict-priority",
-		PreEnqueue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) {
-			f.Rank = f.Priority
-			f.SendTime = clock.Always
-		},
-	}
-}
+func StrictPriority() *sched.Program { return sched.FromPolicy(policy.StrictPriority()) }
 
 // AgeStarvedFlows is the §4.4 starvation-avoidance alarm: for every flow
 // that has waited longer than threshold since it was last scheduled,

@@ -1,10 +1,13 @@
 package algos
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"pieo/internal/backend"
 	"pieo/internal/clock"
+	"pieo/internal/core"
 	"pieo/internal/flowq"
 	"pieo/internal/netsim"
 	"pieo/internal/sched"
@@ -482,6 +485,71 @@ func TestTokenBucketUnreachableSendTimeParks(t *testing.T) {
 					t.Fatalf("sent=%d backlog=%d, want the packet held", sim.Sent(), s.Backlog())
 				}
 			})
+		}
+	}
+}
+
+// An alarm that changes nothing — the §4.4 path AgeStarvedFlows,
+// Pause/Resume and SJF take — re-ranks a flow with no transmission in
+// between, so it must not charge the flow again. Flow 0 gets a no-op
+// Alarm before every decision; the two flows must still split evenly.
+func TestNoopAlarmKeepsShare(t *testing.T) {
+	progs := map[string]func() *sched.Program{"wfq": WFQ, "wf2q+": WF2Q, "token-bucket": TokenBucket}
+	for name, prog := range progs {
+		t.Run(name, func(t *testing.T) {
+			s := sched.New(prog(), 4, linkGbps)
+			for id := flowq.FlowID(0); id < 2; id++ {
+				f := s.Flow(id)
+				f.RateGbps, f.Burst = 10, 3000 // 20 of 40 Gbps: the shaper idles the link
+				for k := 0; k < 4; k++ {
+					s.OnArrival(0, flowq.Packet{Flow: id, Size: 1500})
+				}
+			}
+			var bytes [2]uint64
+			for now := clock.Time(0); now < 1_000_000; {
+				s.Alarm(now, 0, func(*sched.Flow) {})
+				p, ok := s.NextPacket(now)
+				if !ok {
+					at, ok := s.NextWake(now)
+					if !ok {
+						t.Fatalf("idle at %v with backlog %d and no wake", now, s.Backlog())
+					}
+					now = at
+					continue
+				}
+				bytes[p.Flow] += uint64(p.Size)
+				now += s.WireTime(p.Size)
+				s.OnArrival(now, p) // closed loop: both flows stay backlogged
+			}
+			if r := float64(bytes[0]) / float64(bytes[1]); math.Abs(r-1) > 0.01 {
+				t.Fatalf("bytes %v: the alarmed flow's share is %.3f of its peer's, want 1", bytes, r)
+			}
+		})
+	}
+}
+
+// A phantom extraction — a listed flow whose queue is empty — is one
+// counted fault on every program, never a panic, a silent drop or a
+// transmission.
+func TestPhantomExtractionIsCounted(t *testing.T) {
+	progs := []*sched.Program{
+		DRR(), WFQ(), WF2Q(), TokenBucket(), RCSP(), StrictPriority(), SJF(), SRTF(), EDF(), LSTF(),
+		FIFO(), Pacer(), SFQ(4), TDMA(2, 1000), TokenBucketInput(),
+	}
+	for _, prog := range progs {
+		s := sched.New(prog, 4, linkGbps)
+		s.Flow(1)
+		if err := s.List.Enqueue(core.Entry{ID: 1, Rank: 1}); err != nil {
+			t.Fatalf("%s: enqueue: %v", prog.Name, err)
+		}
+		if p, ok := s.NextPacket(0); ok {
+			t.Errorf("%s: phantom extraction transmitted %+v", prog.Name, p)
+		}
+		if fs := s.FaultStats(); fs != (backend.FaultStats{UnknownFlows: 1}) {
+			t.Errorf("%s: faults %+v, want one UnknownFlows", prog.Name, fs)
+		}
+		if !errors.Is(s.LastFault(), core.ErrUnknownFlow) {
+			t.Errorf("%s: LastFault = %v, want core.ErrUnknownFlow", prog.Name, s.LastFault())
 		}
 	}
 }

@@ -3,6 +3,7 @@ package algos
 import (
 	"pieo/internal/clock"
 	"pieo/internal/flowq"
+	"pieo/internal/policy"
 	"pieo/internal/sched"
 )
 
@@ -40,10 +41,7 @@ func SFQ(buckets int) *sched.Program {
 		PostDequeue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) []flowq.Packet {
 			b := bucketOf(f.ID)
 			rounds[b]++
-			p, ok := f.Queue.Pop()
-			if !ok {
-				panic("sfq: scheduled flow with empty queue")
-			}
+			p, _ := f.Queue.Pop()
 			if f.Queue.Empty() {
 				delete(members[b], f.ID)
 			}
@@ -111,10 +109,7 @@ func TDMA(nFlows int, slotNs clock.Time) *sched.Program {
 			f.SendTime = send
 		},
 		PostDequeue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) []flowq.Packet {
-			p, ok := f.Queue.Pop()
-			if !ok {
-				panic("tdma: scheduled flow with empty queue")
-			}
+			p, _ := f.Queue.Pop()
 			// The next packet cannot start before this one leaves the
 			// wire, so the re-enqueue's slot computation uses the
 			// completion instant, not the start instant — otherwise the
@@ -142,14 +137,8 @@ func TokenBucketInput() *sched.Program {
 		PrePacket: func(s *sched.Scheduler, now clock.Time, f *sched.Flow, p *flowq.Packet) {
 			// Project the bucket forward from the last *planned* release
 			// rather than the last actual one.
-			planFrom := f.LastRefill
-			if planFrom < now {
-				planFrom = now
-			}
-			f.Tokens += f.RateGbps / 8 * float64(planFrom-f.LastRefill)
-			if f.Tokens > f.Burst {
-				f.Tokens = f.Burst
-			}
+			planFrom := max(f.LastRefill, now)
+			policy.Refill(&f.Attrs, planFrom)
 			send := planFrom
 			need := float64(p.Size)
 			if need > f.Tokens {
@@ -158,12 +147,8 @@ func TokenBucketInput() *sched.Program {
 			// Account the refill earned while waiting for the release
 			// instant, then charge the packet; the bucket state is now
 			// "as of send".
-			f.Tokens += f.RateGbps / 8 * float64(send-planFrom)
-			if f.Tokens > f.Burst {
-				f.Tokens = f.Burst
-			}
+			policy.Refill(&f.Attrs, send)
 			f.Tokens -= need
-			f.LastRefill = send
 			p.SendAt = send
 			p.Rank = uint64(send)
 		},

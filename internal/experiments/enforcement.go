@@ -7,6 +7,7 @@ import (
 	"pieo/internal/flowq"
 	"pieo/internal/hier"
 	"pieo/internal/netsim"
+	"pieo/internal/policy"
 	"pieo/internal/stats"
 )
 
@@ -31,11 +32,11 @@ var rateSweep = []float64{1, 2, 4, 8, 16, 24, 32}
 // remains), runs 20 ms of backlogged traffic, and returns the sampled
 // VM's achieved rate and its ten per-flow rates.
 func runEnforcement(sampledGbps float64) (vmGbps float64, flowGbps []float64) {
-	h := hier.New(enfLinkGbps, hier.TokenBucket())
+	h := hier.New(enfLinkGbps, policy.TokenBucket())
 	var vms []*hier.Node
 	id := flowq.FlowID(0)
 	for v := 0; v < enfVMs; v++ {
-		vm := h.Root().AddNode(fmt.Sprintf("vm%d", v), hier.WF2Q())
+		vm := h.Root().AddNode(fmt.Sprintf("vm%d", v), policy.WF2Q())
 		for f := 0; f < enfFlowsPer; f++ {
 			vm.AddFlow(id)
 			id++

@@ -7,6 +7,7 @@ import (
 	"pieo/internal/flowq"
 	"pieo/internal/hier"
 	"pieo/internal/netsim"
+	"pieo/internal/policy"
 	"pieo/internal/stats"
 )
 
@@ -28,16 +29,16 @@ func Hier3() *Table {
 	tenantLimit := []float64{24, 12}
 	vmShare := [][]float64{{16, 8}, {8, 4}} // per-tenant VM limits
 
-	h := hier.New(linkGbps, hier.TokenBucket())
+	h := hier.New(linkGbps, policy.TokenBucket())
 	var vmNodes [][]*hier.Node
 	id := flowq.FlowID(0)
 	var tenantNodes []*hier.Node
 	for tn := 0; tn < tenants; tn++ {
-		tenant := h.Root().AddNode(fmt.Sprintf("tenant%d", tn), hier.TokenBucket())
+		tenant := h.Root().AddNode(fmt.Sprintf("tenant%d", tn), policy.TokenBucket())
 		tenantNodes = append(tenantNodes, tenant)
 		var vms []*hier.Node
 		for v := 0; v < vmsPer; v++ {
-			vm := tenant.AddNode(fmt.Sprintf("t%dvm%d", tn, v), hier.WF2Q())
+			vm := tenant.AddNode(fmt.Sprintf("t%dvm%d", tn, v), policy.WF2Q())
 			for f := 0; f < flowsPer; f++ {
 				vm.AddFlow(id)
 				id++

@@ -8,6 +8,7 @@ import (
 	"pieo/internal/flowq"
 	"pieo/internal/hier"
 	"pieo/internal/netsim"
+	"pieo/internal/policy"
 	_ "pieo/internal/shard" // registers the "sharded" backend
 	"pieo/internal/stats"
 )
@@ -34,11 +35,11 @@ var hierScaleRates = []float64{1, 8, 32}
 // sampled VM gets the limit under test, the others split 90% of what
 // remains so enforcement is observable in isolation.
 func buildHierScale(mk func(rootPolicy *hier.Policy) *hier.Hierarchy, nVMs, nFlows int, sampledGbps float64) *hier.Hierarchy {
-	h := mk(hier.TokenBucket())
+	h := mk(policy.TokenBucket())
 	var vms []*hier.Node
 	id := flowq.FlowID(0)
 	for v := 0; v < nVMs; v++ {
-		vm := h.Root().AddNode(fmt.Sprintf("vm%d", v), hier.WF2Q())
+		vm := h.Root().AddNode(fmt.Sprintf("vm%d", v), policy.WF2Q())
 		for f := 0; f < nFlows; f++ {
 			vm.AddFlow(id)
 			id++

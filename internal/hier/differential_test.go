@@ -10,6 +10,7 @@ import (
 	"pieo/internal/faultinject"
 	"pieo/internal/flowq"
 	"pieo/internal/netsim"
+	"pieo/internal/policy"
 
 	_ "pieo/internal/shard" // registers "sharded"
 )
@@ -124,16 +125,22 @@ func TestPartitionedDifferentialRandom(t *testing.T) {
 							ctx, i, ow, ook, pw, pok)
 					}
 				}
-				for {
+				for ok, idle := true, 0; ok; {
 					op, ook := oracle.NextPacket(now)
 					pp, pok := part.NextPacket(now)
 					if ook != pok || op != pp {
 						t.Fatalf("%s: drain: oracle (%+v,%v) vs partitioned (%+v,%v)", ctx, op, ook, pp, pok)
 					}
-					if !ook {
-						break
+					if ook {
+						transmitted++
+						continue
 					}
-					transmitted++
+					ow, ook := oracle.NextWake(now)
+					pw, pok := part.NextWake(now)
+					if ook != pok || ow != pw {
+						t.Fatalf("%s: drain: NextWake oracle (%v,%v) vs partitioned (%v,%v)", ctx, ow, ook, pw, pok)
+					}
+					now, ok = shapedWait(oracle, now, &idle)
 				}
 				if transmitted != injected || part.Backlog() != 0 {
 					t.Fatalf("%s: transmitted %d, injected %d, backlog %d",
@@ -153,7 +160,7 @@ func diffTwoLevel(h *Hierarchy, nVMs, nFlows int, sampledGbps float64) {
 	id := flowq.FlowID(0)
 	var vms []*Node
 	for v := 0; v < nVMs; v++ {
-		vm := h.Root().AddNode(fmt.Sprintf("vm%d", v), WF2Q())
+		vm := h.Root().AddNode(fmt.Sprintf("vm%d", v), policy.WF2Q())
 		for f := 0; f < nFlows; f++ {
 			vm.AddFlow(id)
 			id++
@@ -204,9 +211,9 @@ func TestPartitionedDifferentialEnforcement(t *testing.T) {
 	const dur = clock.Time(2_000_000) // 2 ms is plenty for bit-exactness
 	for _, name := range diffBackends {
 		t.Run(name, func(t *testing.T) {
-			oracle := New(40, TokenBucket())
+			oracle := New(40, policy.TokenBucket())
 			diffTwoLevel(oracle, nVMs, nFlows, 8)
-			part := newPartitionedNamed(t, name, TokenBucket())
+			part := newPartitionedNamed(t, name, policy.TokenBucket())
 			diffTwoLevel(part, nVMs, nFlows, 8)
 
 			ob, osent := runDiffEnforcement(oracle, nVMs*nFlows, dur)
@@ -232,7 +239,7 @@ func TestPartitionedDifferentialEnforcement(t *testing.T) {
 // minima, including after partial drains.
 func TestPartitionedWakeParityShaped(t *testing.T) {
 	build := func(mk func(*Policy) *Hierarchy) *Hierarchy {
-		h := mk(TokenBucket())
+		h := mk(policy.TokenBucket())
 		diffTwoLevel(h, 4, 3, 2)
 		return h
 	}
@@ -275,7 +282,7 @@ func TestPartitionedWakeParityShaped(t *testing.T) {
 // hierarchy-wide counters the chaos suite already audits.
 func TestPartitionedFaultAttribution(t *testing.T) {
 	inj := faultinject.NewInjector(faultinject.Plan{Seed: 42, ErrorEvery: 7})
-	h := NewPartitionedOn(40, RoundRobin(), func(n int) backend.Backend {
+	h := NewPartitionedOn(40, policy.RoundRobin(), func(n int) backend.Backend {
 		return faultinject.Wrap(backend.NewCoreList(n), inj)
 	})
 	diffTwoLevelRR(h, 5, 4)
@@ -305,7 +312,7 @@ func TestPartitionedFaultAttribution(t *testing.T) {
 	}
 	// The same attribution must hold in per-level mode.
 	inj2 := faultinject.NewInjector(faultinject.Plan{Seed: 42, ErrorEvery: 7})
-	h2 := NewOn(40, RoundRobin(), func(n int) backend.Backend {
+	h2 := NewOn(40, policy.RoundRobin(), func(n int) backend.Backend {
 		return faultinject.Wrap(backend.NewCoreList(n), inj2)
 	})
 	diffTwoLevelRR(h2, 5, 4)
@@ -335,7 +342,7 @@ func TestPartitionedFaultAttribution(t *testing.T) {
 func diffTwoLevelRR(h *Hierarchy, nVMs, nFlows int) {
 	id := flowq.FlowID(0)
 	for v := 0; v < nVMs; v++ {
-		vm := h.Root().AddNode(fmt.Sprintf("vm%d", v), RoundRobin())
+		vm := h.Root().AddNode(fmt.Sprintf("vm%d", v), policy.RoundRobin())
 		for f := 0; f < nFlows; f++ {
 			vm.AddFlow(id)
 			id++

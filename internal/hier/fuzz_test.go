@@ -8,6 +8,7 @@ import (
 	"pieo/internal/backend"
 	"pieo/internal/clock"
 	"pieo/internal/flowq"
+	"pieo/internal/policy"
 )
 
 // buildRandomTreeOn grows a random 2-4 level hierarchy with mixed
@@ -15,7 +16,7 @@ import (
 // topology, so two calls with identically-seeded generators build the
 // same tree — the differential suite's oracle pairing relies on this.
 func buildRandomTreeOn(rng *rand.Rand, mk func(rootPolicy *Policy) *Hierarchy) (*Hierarchy, []flowq.FlowID) {
-	policies := []func() *Policy{RoundRobin, StrictPriority, WFQ, WF2Q, DRR}
+	policies := []func() *Policy{policy.RoundRobin, policy.StrictPriority, policy.WFQ, policy.WF2Q, policy.TokenBucket}
 	pick := func() *Policy { return policies[rng.Intn(len(policies))]() }
 
 	h := mk(pick())
@@ -44,6 +45,9 @@ func buildRandomTreeOn(rng *rand.Rand, mk func(rootPolicy *Policy) *Hierarchy) (
 			c.Weight = uint64(1 + rng.Intn(4))
 			c.Priority = uint64(rng.Intn(4))
 			c.Quantum = 1500 * uint64(1+rng.Intn(2))
+			c.RateGbps = float64(1 + rng.Intn(40))
+			c.Burst = 1500 * float64(1+rng.Intn(4))
+			c.Tokens = c.Burst
 			if c.Node != nil {
 				fix(c.Node)
 			}
@@ -51,6 +55,22 @@ func buildRandomTreeOn(rng *rand.Rand, mk func(rootPolicy *Policy) *Hierarchy) (
 	}
 	fix(h.Root())
 	return h, flows
+}
+
+// shapedWait moves now past a moment when h holds packets but sends
+// none — token-bucket children waiting for tokens: to the next wake, or
+// 1 µs on when the waiting child's depth keeps no wall-clock wake index
+// (it shares the depth with a virtual-time policy). ok is false when no
+// wait can help: h is empty, or has idled too long.
+func shapedWait(h *Hierarchy, now clock.Time, idle *int) (clock.Time, bool) {
+	*idle++
+	if h.Backlog() == 0 || *idle > 1000 {
+		return now, false
+	}
+	if at, ok := h.NextWake(now); ok {
+		return at, true
+	}
+	return now + 1000, true
 }
 
 // buildRandomTree grows a random 2-4 level hierarchy with mixed policies
@@ -62,6 +82,7 @@ func buildRandomTree(rng *rand.Rand) (*Hierarchy, []flowq.FlowID) {
 // TestRandomTopologyConservation drives random trees with random
 // arrivals and checks packet conservation, per-level list invariants,
 // and that every transmitted packet belonged to a real backlogged flow.
+// Shaped children are waited for, so everything must drain.
 func TestRandomTopologyConservation(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -75,16 +96,17 @@ func TestRandomTopologyConservation(t *testing.T) {
 			h.OnArrival(clock.Time(i), flowq.Packet{Flow: f, Size: uint32(64 + rng.Intn(1437)), Seq: uint64(i)})
 			injected++
 		}
-		transmitted := 0
-		for i := 0; i < injected; i++ {
-			_, ok := h.NextPacket(clock.Time(1000 + i))
-			if !ok {
-				break
+		transmitted, idle := 0, 0
+		for now, ok := clock.Time(1000), true; ok; {
+			if _, sent := h.NextPacket(now); !sent {
+				now, ok = shapedWait(h, now, &idle)
+				continue
 			}
 			transmitted++
+			now++
 			for d := 0; d < h.Levels(); d++ {
 				if err := backend.CheckInvariants(h.Level(d)); err != nil {
-					t.Fatalf("seed %d: level %d after %d: %v", seed, d, i, err)
+					t.Fatalf("seed %d: level %d after %d: %v", seed, d, transmitted, err)
 				}
 			}
 		}
@@ -92,7 +114,6 @@ func TestRandomTopologyConservation(t *testing.T) {
 			t.Fatalf("seed %d: %d transmitted + %d backlog != %d injected",
 				seed, transmitted, h.Backlog(), injected)
 		}
-		// All policies here are work-conserving: everything must drain.
 		if h.Backlog() != 0 {
 			t.Fatalf("seed %d: %d packets stuck", seed, h.Backlog())
 		}
@@ -120,11 +141,12 @@ func TestRandomTopologyInterleavedArrivals(t *testing.T) {
 				transmitted++
 			}
 		}
-		for {
-			if _, ok := h.NextPacket(now); !ok {
-				break
+		for ok, idle := true, 0; ok; {
+			if _, sent := h.NextPacket(now); sent {
+				transmitted++
+			} else {
+				now, ok = shapedWait(h, now, &idle)
 			}
-			transmitted++
 		}
 		if transmitted != injected || h.Backlog() != 0 {
 			t.Fatalf("seed %d: transmitted %d, injected %d, backlog %d",

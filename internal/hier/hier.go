@@ -11,8 +11,10 @@
 // down: the winner at each level names the logical PIEO to extract from
 // at the next level (the hardware pushes the winner's id into an
 // inter-level FIFO; this synchronous model simply descends). After the
-// leaf transmits, post-dequeue runs bottom-up and each ancestor is
-// re-enqueued while its subtree stays backlogged.
+// leaf transmits, every child on the path is charged, each is re-enqueued
+// bottom-up while its subtree stays backlogged, and then each node on the
+// path advances. Every node runs a policy of the catalogue the flat
+// scheduler runs too (internal/policy).
 package hier
 
 import (
@@ -23,12 +25,13 @@ import (
 	"pieo/internal/core"
 	"pieo/internal/flowq"
 	"pieo/internal/idtab"
+	"pieo/internal/policy"
 )
 
 // Child is a schedulable element inside some parent's logical PIEO:
 // either a leaf flow (Queue != nil) or an interior node (Node != nil).
-// The control-plane configuration and algorithm scratch fields mirror
-// sched.Flow.
+// Its scheduling state is the catalogue's Attrs, the same a flat
+// scheduler keeps per flow.
 type Child struct {
 	ID   uint32 // index within the depth's physical PIEO (assigned by Build)
 	Flow flowq.FlowID
@@ -38,27 +41,7 @@ type Child struct {
 
 	Queue *flowq.Queue // non-nil for leaf children
 
-	// Scheduling attributes assigned by the parent policy's PreEnqueue.
-	Rank     uint64
-	SendTime clock.Time
-
-	// Control-plane configuration.
-	Weight   uint64
-	Quantum  uint64 // expected packet size for interior shaping, bytes
-	Priority uint64
-	RateGbps float64
-	Burst    float64
-
-	// Algorithm scratch.
-	Tokens        float64
-	LastRefill    clock.Time
-	VirtualFinish uint64
-	virtualStart  uint64 // start assigned by the last fair-queueing PreEnqueue
-
-	// requeued marks a child being put back after service or a deferred
-	// descent, as opposed to activating after idleness. Fair-queueing
-	// policies apply Fig 2(a)'s max(finish, V) only to activations.
-	requeued bool
+	policy.Attrs
 
 	// resident is true while the child sits in its parent's logical PIEO:
 	// set by insertChild, cleared when descend extracts it. It answers
@@ -80,23 +63,23 @@ type NodeStats struct {
 }
 
 // Node is a non-leaf vertex of the scheduling tree. Its Policy schedules
-// its children; V is its private fair-queueing virtual clock.
+// its children; the embedded policy.Node is the node as the policy sees
+// it, with V its private fair-queueing virtual clock.
 type Node struct {
 	Name   string
 	Policy *Policy
-	V      clock.Virtual
+	policy.Node
 
-	h          *Hierarchy
-	depth      int // root = 0
-	parent     *Node
-	self       *Child // this node's entity in the parent's logical PIEO (nil at root)
-	children   []*Child
-	lo, hi     uint32     // child-index range (per-level mode) or band (partitioned); children[i].ID == lo+i
-	part       *Partition // this node's logical PIEO band (partitioned mode only)
-	active     int        // children currently enqueued in this node's logical PIEO
-	cachedSumW uint64     // lazily cached total child weight
-	stats      NodeStats
-	faults     backend.FaultStats // faults charged to THIS node
+	h        *Hierarchy
+	depth    int // root = 0
+	parent   *Node
+	self     *Child // this node's entity in the parent's logical PIEO (nil at root)
+	children []*Child
+	lo, hi   uint32     // child-index range (per-level mode) or band (partitioned); children[i].ID == lo+i
+	part     *Partition // this node's logical PIEO band (partitioned mode only)
+	active   int        // children currently enqueued in this node's logical PIEO
+	stats    NodeStats
+	faults   backend.FaultStats // faults charged to THIS node
 }
 
 // Stats returns the node's logical-PIEO operation counters.
@@ -118,13 +101,13 @@ func (n *Node) Self() *Child { return n.self }
 
 // AddNode creates an interior child scheduled by this node, with the
 // given policy for its own children. Must be called before Build.
-func (n *Node) AddNode(name string, policy *Policy) *Node {
+func (n *Node) AddNode(name string, p *Policy) *Node {
 	n.h.mustNotBeBuilt()
-	if policy == nil {
-		panic("hier: node policy must not be nil")
+	if p == nil || p.Rank == nil {
+		panic("hier: node policy must not be nil and must rank")
 	}
-	child := &Child{parent: n, Weight: 1, Quantum: 1500}
-	node := &Node{Name: name, Policy: policy, h: n.h, depth: n.depth + 1, parent: n, self: child}
+	child := &Child{parent: n, Attrs: policy.Attrs{Weight: 1, Quantum: 1500}}
+	node := &Node{Name: name, Policy: p, h: n.h, depth: n.depth + 1, parent: n, self: child}
 	child.Node = node
 	n.children = append(n.children, child)
 	n.h.interior++
@@ -138,7 +121,7 @@ func (n *Node) AddFlow(id flowq.FlowID) *Child {
 	if !n.h.leafIdx.Insert(idtab.ID(id), uint32(len(n.h.leaves))+1) {
 		panic(fmt.Sprintf("hier: flow %d added twice", id))
 	}
-	child := &Child{Flow: id, parent: n, Queue: &flowq.Queue{}, Weight: 1, Quantum: 1500}
+	child := &Child{Flow: id, parent: n, Queue: &flowq.Queue{}, Attrs: policy.Attrs{Weight: 1, Quantum: 1500}}
 	n.children = append(n.children, child)
 	n.h.leaves = append(n.h.leaves, child)
 	return child
@@ -192,8 +175,8 @@ func NewOn(linkRateGbps float64, rootPolicy *Policy, factory func(capacity int) 
 	if linkRateGbps <= 0 {
 		panic(fmt.Sprintf("hier: link rate must be positive, got %v", linkRateGbps))
 	}
-	if rootPolicy == nil {
-		panic("hier: root policy must not be nil")
+	if rootPolicy == nil || rootPolicy.Rank == nil {
+		panic("hier: root policy must not be nil and must rank")
 	}
 	if factory == nil {
 		panic("hier: backend factory must not be nil")
@@ -273,6 +256,7 @@ func (h *Hierarchy) Build() {
 			if len(n.children) == 0 {
 				panic(fmt.Sprintf("hier: node %q has no children", n.Name))
 			}
+			n.LinkRateGbps, n.MinStart = h.LinkRateGbps, n.minStart
 			lo := uint32(width)
 			if h.partitioned {
 				part, err := h.pt.Alloc(len(n.children), wall)
@@ -322,15 +306,6 @@ func (h *Hierarchy) extractEntry(n *Node, t clock.Time) (core.Entry, bool) {
 		n.stats.EmptyDequeues++
 	}
 	return e, ok
-}
-
-// WireTime returns the wire time of size bytes on the hierarchy's link.
-func (h *Hierarchy) WireTime(size uint32) clock.Time {
-	ns := float64(size) * 8 / h.LinkRateGbps
-	if ns < 1 {
-		ns = 1
-	}
-	return clock.Time(ns)
 }
 
 // Leaf returns the child entity for flow id, for control-plane
@@ -419,14 +394,15 @@ func (h *Hierarchy) enqueueChild(now clock.Time, n *Node, c *Child) {
 		if c.resident {
 			continue
 		}
-		if c.IsLeaf() {
-			if c.Queue.Empty() {
-				return
-			}
-		} else if c.Node.active == 0 {
+		if c.IsLeaf() && c.Queue.Empty() || !c.IsLeaf() && c.Node.active == 0 {
+			c.Busy = false // idle: its next enqueue is an activation
 			return
 		}
-		n.Policy.preEnqueue(n, now, c)
+		if n.SumWeights == 0 {
+			n.SumWeights = n.weightSum()
+		}
+		n.Policy.Rank(&n.Node, now, &c.Attrs, expectedSize(c))
+		c.Busy = true // until it goes idle, a Rank is a continuation
 		if !h.insertChild(n, c) {
 			return
 		}
@@ -473,8 +449,8 @@ type pathStep struct {
 
 // NextPacket implements netsim.Scheduler: descend from the root PIEO,
 // extracting each winner's logical PIEO at the next level, transmit the
-// leaf's head packet, then run post-dequeue bottom-up and re-enqueue
-// still-backlogged ancestors.
+// leaf's head packet, then charge the path, re-enqueue still-backlogged
+// children bottom-up, and advance the path's nodes.
 func (h *Hierarchy) NextPacket(now clock.Time) (flowq.Packet, bool) {
 	if !h.built {
 		panic("hier: NextPacket before Build")
@@ -487,30 +463,33 @@ func (h *Hierarchy) NextPacket(now clock.Time) (flowq.Packet, bool) {
 	}
 	path := h.path
 	leaf := path[0].c
-	p, ok := leaf.Queue.Pop()
+	p, ok := leaf.Queue.Head()
 	if !ok {
 		panic(fmt.Sprintf("hier: leaf flow %d scheduled with empty queue", leaf.Flow))
 	}
-	// Post-dequeue bottom-up for the whole path FIRST, so every
-	// ancestor's state (tokens, virtual clocks) is charged before any
-	// re-enqueue computes a fresh rank/send time — re-enqueueing the
-	// leaf would otherwise propagate upward past uncharged ancestors.
+	// Charge the whole path FIRST, so every child's state (tokens,
+	// virtual finish) is charged before any re-enqueue computes a fresh
+	// rank/send time — re-enqueueing the leaf would otherwise propagate
+	// upward past uncharged ancestors. The leaf is popped after, so
+	// expectedSize still names what each child was ranked for: the
+	// leaf's head, an interior child's Quantum.
 	for _, step := range path {
-		step.n.Policy.postDequeue(step.n, now, step.c, p.Size)
+		if charge := step.n.Policy.Charge; charge != nil {
+			charge(&step.n.Node, now, &step.c.Attrs, expectedSize(step.c), p.Size)
+		}
 	}
+	leaf.Queue.Pop()
 	// Then re-enqueue bottom-up while each (logical) queue stays
 	// non-empty; upward propagation inside enqueueChild is idempotent.
-	// Mark the whole path as requeues FIRST: the leaf's re-enqueue
-	// propagates upward and must not mistake a continuously backlogged
-	// ancestor for a fresh activation.
-	for _, step := range path {
-		step.c.requeued = true
-	}
 	for _, step := range path {
 		h.enqueueChild(now, step.n, step.c)
 	}
+	// Advance each node last, so WF²Q+'s floor sees the served child
+	// back in the node's PIEO (the paper's order, and the flat one).
 	for _, step := range path {
-		step.c.requeued = false
+		if step.n.Policy.Advance != nil {
+			step.n.Policy.Advance(&step.n.Node, now, p.Size)
+		}
 	}
 	return p, true
 }
@@ -524,12 +503,10 @@ func (h *Hierarchy) NextPacket(now clock.Time) (flowq.Packet, bool) {
 func (h *Hierarchy) descend(n *Node, now clock.Time) bool {
 	mine := len(h.deferred) // nested calls leave the stack as they found it
 	found := h.pick(n, now)
-	// Put deferred children back; their policies' PreEnqueue hooks are
-	// idempotent by contract. These are continuations, not activations.
+	// Put deferred children back; Rank is idempotent by contract, and
+	// each of them is busy, so this is a continuation, not an activation.
 	for _, c := range h.deferred[mine:] {
-		c.requeued = true
-		n.Policy.preEnqueue(n, now, c)
-		c.requeued = false
+		n.Policy.Rank(&n.Node, now, &c.Attrs, expectedSize(c))
 		h.insertChild(n, c)
 	}
 	h.deferred = h.deferred[:mine]
@@ -540,16 +517,16 @@ func (h *Hierarchy) descend(n *Node, now clock.Time) bool {
 func (h *Hierarchy) pick(n *Node, now clock.Time) bool {
 	t := now
 	if n.Policy.DequeueTime != nil {
-		t = n.Policy.DequeueTime(n, now)
+		t = n.Policy.DequeueTime(&n.Node, now)
 	}
 	retriedIdle := false
 	for {
 		e, ok := h.extractEntry(n, t)
 		if !ok {
-			if !retriedIdle && n.active > 0 && n.Policy.OnIdle != nil && n.Policy.OnIdle(n, now) {
+			if !retriedIdle && n.active > 0 && n.Policy.OnIdle != nil && n.Policy.OnIdle(&n.Node, now) {
 				retriedIdle = true
 				if n.Policy.DequeueTime != nil {
-					t = n.Policy.DequeueTime(n, now)
+					t = n.Policy.DequeueTime(&n.Node, now)
 				}
 				continue
 			}

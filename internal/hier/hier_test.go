@@ -11,6 +11,7 @@ import (
 	"pieo/internal/faultinject"
 	"pieo/internal/flowq"
 	"pieo/internal/netsim"
+	"pieo/internal/policy"
 	"pieo/internal/stats"
 )
 
@@ -35,7 +36,7 @@ func twoLevel(rootPolicy, vmPolicy *Policy, nVMs, nFlows int) (*Hierarchy, []*No
 }
 
 func TestBuildAssignsContiguousRanges(t *testing.T) {
-	h, vms := twoLevel(RoundRobin(), RoundRobin(), 3, 4)
+	h, vms := twoLevel(policy.RoundRobin(), policy.RoundRobin(), 3, 4)
 	if h.Levels() != 2 {
 		t.Fatalf("Levels = %d, want 2", h.Levels())
 	}
@@ -50,8 +51,8 @@ func TestBuildAssignsContiguousRanges(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	h := New(linkGbps, RoundRobin())
-	h.Root().AddNode("empty", RoundRobin()) // node with no children
+	h := New(linkGbps, policy.RoundRobin())
+	h.Root().AddNode("empty", policy.RoundRobin()) // node with no children
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Build accepted a childless node")
@@ -61,18 +62,18 @@ func TestBuildValidation(t *testing.T) {
 }
 
 func TestAddAfterBuildPanics(t *testing.T) {
-	h, _ := twoLevel(RoundRobin(), RoundRobin(), 1, 1)
+	h, _ := twoLevel(policy.RoundRobin(), policy.RoundRobin(), 1, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("AddNode after Build did not panic")
 		}
 	}()
-	h.Root().AddNode("late", RoundRobin())
+	h.Root().AddNode("late", policy.RoundRobin())
 }
 
 func TestDuplicateFlowPanics(t *testing.T) {
-	h := New(linkGbps, RoundRobin())
-	vm := h.Root().AddNode("vm", RoundRobin())
+	h := New(linkGbps, policy.RoundRobin())
+	vm := h.Root().AddNode("vm", policy.RoundRobin())
 	vm.AddFlow(1)
 	defer func() {
 		if recover() == nil {
@@ -83,7 +84,7 @@ func TestDuplicateFlowPanics(t *testing.T) {
 }
 
 func TestSinglePathDelivery(t *testing.T) {
-	h, _ := twoLevel(RoundRobin(), RoundRobin(), 2, 2)
+	h, _ := twoLevel(policy.RoundRobin(), policy.RoundRobin(), 2, 2)
 	h.OnArrival(0, flowq.Packet{Flow: 3, Size: 100})
 	p, ok := h.NextPacket(0)
 	if !ok || p.Flow != 3 {
@@ -98,7 +99,7 @@ func TestSinglePathDelivery(t *testing.T) {
 }
 
 func TestRoundRobinAcrossVMs(t *testing.T) {
-	h, _ := twoLevel(RoundRobin(), RoundRobin(), 2, 1)
+	h, _ := twoLevel(policy.RoundRobin(), policy.RoundRobin(), 2, 1)
 	// Flows 0 (vm0) and 1 (vm1), both backlogged: strict alternation.
 	for i := 0; i < 4; i++ {
 		h.OnArrival(0, flowq.Packet{Flow: 0, Size: 100, Seq: uint64(i)})
@@ -114,9 +115,9 @@ func TestRoundRobinAcrossVMs(t *testing.T) {
 }
 
 func TestStrictPriorityAtRoot(t *testing.T) {
-	h := New(linkGbps, StrictPriority())
-	hi := h.Root().AddNode("hi", RoundRobin())
-	lo := h.Root().AddNode("lo", RoundRobin())
+	h := New(linkGbps, policy.StrictPriority())
+	hi := h.Root().AddNode("hi", policy.RoundRobin())
+	lo := h.Root().AddNode("lo", policy.RoundRobin())
 	hi.AddFlow(1)
 	lo.AddFlow(2)
 	h.Build()
@@ -133,12 +134,12 @@ func TestStrictPriorityAtRoot(t *testing.T) {
 
 func TestThreeLevelHierarchy(t *testing.T) {
 	// root -> tenants -> VMs -> flows: three physical PIEOs.
-	h := New(linkGbps, RoundRobin())
+	h := New(linkGbps, policy.RoundRobin())
 	id := flowq.FlowID(0)
 	for tn := 0; tn < 2; tn++ {
-		tenant := h.Root().AddNode("tenant", RoundRobin())
+		tenant := h.Root().AddNode("tenant", policy.RoundRobin())
 		for v := 0; v < 2; v++ {
-			vm := tenant.AddNode("vm", RoundRobin())
+			vm := tenant.AddNode("vm", policy.RoundRobin())
 			for f := 0; f < 2; f++ {
 				vm.AddFlow(id)
 				id++
@@ -172,7 +173,7 @@ func TestThreeLevelHierarchy(t *testing.T) {
 func TestTokenBucketRateLimitAtRoot(t *testing.T) {
 	// The Fig 11 shape in miniature: one VM limited to 10 Gbps with 10
 	// backlogged flows fair-queued inside.
-	h, vms := twoLevel(TokenBucket(), WF2Q(), 1, 10)
+	h, vms := twoLevel(policy.TokenBucket(), policy.WF2Q(), 1, 10)
 	vm := vms[0]
 	vm.Self().RateGbps = 10
 	vm.Self().Burst = 1500
@@ -210,7 +211,7 @@ func TestTokenBucketRateLimitAtRoot(t *testing.T) {
 }
 
 func TestTwoVMsIndependentLimits(t *testing.T) {
-	h, vms := twoLevel(TokenBucket(), WF2Q(), 2, 2)
+	h, vms := twoLevel(policy.TokenBucket(), policy.WF2Q(), 2, 2)
 	limits := []float64{4, 12}
 	for i, vm := range vms {
 		vm.Self().RateGbps = limits[i]
@@ -240,7 +241,7 @@ func TestTwoVMsIndependentLimits(t *testing.T) {
 }
 
 func TestWFQPolicyWeightedSharing(t *testing.T) {
-	h, vms := twoLevel(WFQ(), RoundRobin(), 2, 1)
+	h, vms := twoLevel(policy.WFQ(), policy.RoundRobin(), 2, 1)
 	vms[0].Self().Weight = 3
 	vms[1].Self().Weight = 1
 
@@ -273,7 +274,7 @@ func TestShapedBranchDoesNotBlockSiblings(t *testing.T) {
 	// round-robin root both VMs' eligibility lives at the root level via
 	// TokenBucket, so use TB root with very different rates and verify
 	// VM1 is not starved while VM0 waits for tokens.
-	h, vms := twoLevel(TokenBucket(), RoundRobin(), 2, 1)
+	h, vms := twoLevel(policy.TokenBucket(), policy.RoundRobin(), 2, 1)
 	vms[0].Self().RateGbps = 0.1
 	vms[0].Self().Burst = 1500
 	vms[1].Self().RateGbps = 30
@@ -301,60 +302,8 @@ func TestShapedBranchDoesNotBlockSiblings(t *testing.T) {
 	}
 }
 
-func TestDRRPolicyQuantumRatio(t *testing.T) {
-	// Two VMs with 2:1 quanta under a DRR root split the link 2:1.
-	h, vms := twoLevel(DRR(), RoundRobin(), 2, 2)
-	vms[0].Self().Quantum = 3000
-	vms[1].Self().Quantum = 1500
-
-	sim := netsim.New(netsim.Link{RateGbps: linkGbps}, h)
-	bytes := map[int]uint64{}
-	var seq uint64
-	sim.OnTransmit = func(now clock.Time, p flowq.Packet) {
-		bytes[int(p.Flow)/2] += uint64(p.Size)
-		seq++
-		sim.InjectOne(now, flowq.Packet{Flow: p.Flow, Size: p.Size, Seq: seq})
-	}
-	for f := flowq.FlowID(0); f < 4; f++ {
-		for k := 0; k < 4; k++ {
-			seq++
-			sim.InjectOne(0, flowq.Packet{Flow: f, Size: 1500, Seq: seq})
-		}
-	}
-	sim.Run(4_000_000)
-	r := float64(bytes[0]) / float64(bytes[1])
-	if math.Abs(r-2) > 0.1 {
-		t.Fatalf("DRR 2:1 quanta ratio = %v (%v)", r, bytes)
-	}
-}
-
-func TestDRRPolicyNoStarvation(t *testing.T) {
-	// Sub-MTU quantum still makes progress across rounds.
-	h, vms := twoLevel(DRR(), RoundRobin(), 3, 1)
-	for _, vm := range vms {
-		vm.Self().Quantum = 700
-	}
-	for f := flowq.FlowID(0); f < 3; f++ {
-		h.OnArrival(0, flowq.Packet{Flow: f, Size: 1500})
-		h.OnArrival(0, flowq.Packet{Flow: f, Size: 1500})
-	}
-	seen := map[flowq.FlowID]int{}
-	for i := 0; i < 6; i++ {
-		p, ok := h.NextPacket(clock.Time(i))
-		if !ok {
-			t.Fatalf("drained early at %d", i)
-		}
-		seen[p.Flow]++
-	}
-	for f := flowq.FlowID(0); f < 3; f++ {
-		if seen[f] != 2 {
-			t.Fatalf("flow %d served %d times, want 2 (%v)", f, seen[f], seen)
-		}
-	}
-}
-
 func TestNextWakeFromRootShaper(t *testing.T) {
-	h, vms := twoLevel(TokenBucket(), RoundRobin(), 1, 1)
+	h, vms := twoLevel(policy.TokenBucket(), policy.RoundRobin(), 1, 1)
 	vms[0].Self().RateGbps = 1
 	vms[0].Self().Burst = 1500
 	// Bucket starts empty: the head packet is deferred.
@@ -385,7 +334,7 @@ func TestHierarchyThirtyThousandFlows(t *testing.T) {
 		nVMs  = 300
 		perVM = 100
 	)
-	h, _ := twoLevel(RoundRobin(), WF2Q(), nVMs, perVM)
+	h, _ := twoLevel(policy.RoundRobin(), policy.WF2Q(), nVMs, perVM)
 	for f := 0; f < nVMs*perVM; f++ {
 		h.OnArrival(0, flowq.Packet{Flow: flowq.FlowID(f), Size: 1500, Seq: uint64(f)})
 	}
@@ -408,7 +357,7 @@ func TestHierarchyThirtyThousandFlows(t *testing.T) {
 }
 
 func TestLeafAccessors(t *testing.T) {
-	h, _ := twoLevel(RoundRobin(), RoundRobin(), 1, 2)
+	h, _ := twoLevel(policy.RoundRobin(), policy.RoundRobin(), 1, 2)
 	if c := h.Leaf(1); c == nil || !c.IsLeaf() || c.Flow != 1 {
 		t.Fatalf("Leaf(1) = %+v", c)
 	}
@@ -421,7 +370,7 @@ func TestLeafAccessors(t *testing.T) {
 }
 
 func TestLevelListInvariants(t *testing.T) {
-	h, _ := twoLevel(RoundRobin(), WF2Q(), 3, 3)
+	h, _ := twoLevel(policy.RoundRobin(), policy.WF2Q(), 3, 3)
 	for f := flowq.FlowID(0); f < 9; f++ {
 		h.OnArrival(0, flowq.Packet{Flow: f, Size: 100})
 		h.OnArrival(0, flowq.Packet{Flow: f, Size: 100})
@@ -459,10 +408,10 @@ func TestNonStrictInsertFailureIsRetried(t *testing.T) {
 			// The activation is two inserts, leaf first; the injector
 			// fails every Nth mutation.
 			inj := faultinject.NewInjector(faultinject.Plan{ErrorEvery: uint64(i + 1)})
-			h := layout.mk(RoundRobin(), func(n int) backend.Backend {
+			h := layout.mk(policy.RoundRobin(), func(n int) backend.Backend {
 				return faultinject.Wrap(backend.NewCoreList(n), inj)
 			})
-			h.Root().AddNode("vm", RoundRobin()).AddFlow(0)
+			h.Root().AddNode("vm", policy.RoundRobin()).AddFlow(0)
 			h.Build()
 
 			h.OnArrival(0, flowq.Packet{Flow: 0, Size: 100, Seq: 0})
@@ -493,7 +442,7 @@ func TestNonStrictInsertFailureIsRetried(t *testing.T) {
 // backlogged ones, and defers shaped VMs, all out of reused buffers.
 func TestSteadyStateDescentDoesNotAllocate(t *testing.T) {
 	for _, layout := range bothLayouts {
-		h := layout.mk(TokenBucket(), func(n int) backend.Backend { return backend.NewCoreList(n) })
+		h := layout.mk(policy.TokenBucket(), func(n int) backend.Backend { return backend.NewCoreList(n) })
 		const nVMs, nFlows = 4, 4
 		diffTwoLevel(h, nVMs, nFlows, 8)
 		var seq uint64
@@ -536,13 +485,13 @@ func TestSteadyStateDescentDoesNotAllocate(t *testing.T) {
 // layouts.
 func TestNestedDeferralPutsBranchesBack(t *testing.T) {
 	for _, layout := range bothLayouts {
-		h := layout.mk(RoundRobin(), func(n int) backend.Backend { return backend.NewCoreList(n) })
-		a := h.Root().AddNode("A", RoundRobin())
-		a1 := a.AddNode("A1", TokenBucket())
-		a2 := a.AddNode("A2", TokenBucket())
+		h := layout.mk(policy.RoundRobin(), func(n int) backend.Backend { return backend.NewCoreList(n) })
+		a := h.Root().AddNode("A", policy.RoundRobin())
+		a1 := a.AddNode("A1", policy.TokenBucket())
+		a2 := a.AddNode("A2", policy.TokenBucket())
 		a1.AddFlow(1)
 		a2.AddFlow(2)
-		h.Root().AddNode("B", RoundRobin()).AddFlow(3)
+		h.Root().AddNode("B", policy.RoundRobin()).AddFlow(3)
 		h.Build()
 		for _, f := range []flowq.FlowID{1, 2} {
 			h.Leaf(f).RateGbps = 8 // 1 byte/ns: a 1000-byte packet is eligible at t=1000
@@ -607,13 +556,13 @@ func (b *phantomBackend) DequeueRange(t clock.Time, lo, hi uint32) (core.Entry, 
 func TestUnknownChildFault(t *testing.T) {
 	for _, id := range []uint32{1, 9} { // vm1 owns [2,3] at depth 1
 		var leaves *phantomBackend
-		h := NewOn(linkGbps, RoundRobin(), func(n int) backend.Backend {
+		h := NewOn(linkGbps, policy.RoundRobin(), func(n int) backend.Backend {
 			leaves = &phantomBackend{Backend: backend.NewCoreList(n)}
 			return leaves // the last level built is the deepest
 		})
 		var vms []*Node
 		for v := 0; v < 2; v++ {
-			vm := h.Root().AddNode("vm", RoundRobin())
+			vm := h.Root().AddNode("vm", policy.RoundRobin())
 			vm.AddFlow(flowq.FlowID(2 * v))
 			vm.AddFlow(flowq.FlowID(2*v + 1))
 			vms = append(vms, vm)
@@ -639,8 +588,8 @@ func TestUnknownChildFault(t *testing.T) {
 // backlog does not change and known flows are still served.
 func TestUnconfiguredFlowArrivalIsDropped(t *testing.T) {
 	for name, newH := range map[string]func(float64, *Policy) *Hierarchy{"per-level": New, "partitioned": NewPartitioned} {
-		h := newH(linkGbps, RoundRobin())
-		vm := h.Root().AddNode("vm", RoundRobin())
+		h := newH(linkGbps, policy.RoundRobin())
+		vm := h.Root().AddNode("vm", policy.RoundRobin())
 		vm.AddFlow(0)
 		vm.AddFlow(1)
 		h.Build()
@@ -667,23 +616,32 @@ func TestUnconfiguredFlowArrivalIsDropped(t *testing.T) {
 	}
 }
 
-// A token-bucket child whose (positive) rate is so small that the time to
-// cover its deficit overflows a tick count gets send_time = rank =
-// clock.Never, never a wrapped instant just before now (a zero rate is
-// refused by refill). The per-level layout parks it: nothing is sent, no
-// wake is armed, the sibling with a real rate is served on time. The
-// partitioned layout has 48-bit ranks and refuses the child out loud with
-// ErrRankOverflow; either way it is never released unshaped.
+// A token-bucket child whose rate cannot cover its deficit in any
+// representable time gets send_time = rank = clock.Never, never a wrapped
+// instant just before now. The per-level layout parks it: nothing is
+// sent, no wake is armed, the sibling with a real rate is served on time.
+// The partitioned layout has 48-bit ranks and refuses the child out loud
+// with ErrRankOverflow; either way it is never released unshaped.
 func TestTokenBucketUnreachableSendTimeParks(t *testing.T) {
+	testTokenBucketParks(t, 1e-300) // so small the quotient overflows
+}
+
+// A zero (unconfigured) rate parks the same way, without a panic: the
+// flat and hierarchical token buckets are one policy.
+func TestTokenBucketZeroRateParks(t *testing.T) {
+	testTokenBucketParks(t, 0)
+}
+
+func testTokenBucketParks(t *testing.T, slowRate float64) {
 	for name, newH := range map[string]func(float64, *Policy) *Hierarchy{"per-level": New, "partitioned": NewPartitioned} {
 		t.Run(name, func(t *testing.T) {
-			h := newH(linkGbps, TokenBucket())
-			slow := h.Root().AddNode("slow", RoundRobin())
+			h := newH(linkGbps, policy.TokenBucket())
+			slow := h.Root().AddNode("slow", policy.RoundRobin())
 			slow.AddFlow(0)
-			fast := h.Root().AddNode("fast", RoundRobin())
+			fast := h.Root().AddNode("fast", policy.RoundRobin())
 			fast.AddFlow(1)
 			h.Build()
-			slow.Self().RateGbps = 1e-300
+			slow.Self().RateGbps = slowRate
 			slow.Self().Burst = 1500
 			fast.Self().RateGbps = 12 // 150 B accrued by t=100; 1350 B deficit = 900 ns
 			fast.Self().Burst = 1500

@@ -11,6 +11,7 @@ import (
 	"pieo/internal/clock"
 	"pieo/internal/core"
 	"pieo/internal/flowq"
+	"pieo/internal/policy"
 )
 
 func newTestPartitioner() *Partitioner {
@@ -141,8 +142,8 @@ func TestPartitionRankWidthBoundary(t *testing.T) {
 // to the node whose logical PIEO refused, keeps the typed error, and
 // stays consistent.
 func TestPartitionedRankOverflowFaultPath(t *testing.T) {
-	h := NewPartitioned(40, RoundRobin())
-	vm := h.Root().AddNode("vm", StrictPriority())
+	h := NewPartitioned(40, policy.RoundRobin())
+	vm := h.Root().AddNode("vm", policy.StrictPriority())
 	vm.AddFlow(0).Priority = 1 << rankBits
 	vm.AddFlow(1).Priority = 1<<rankBits - 1
 	h.Build()

@@ -22,6 +22,7 @@ import (
 	"pieo/internal/core"
 	"pieo/internal/flowq"
 	"pieo/internal/idtab"
+	"pieo/internal/policy"
 )
 
 // TriggerModel selects when the pre-enqueue function runs (§3.2.1).
@@ -52,39 +53,19 @@ func (m TriggerModel) String() string {
 	}
 }
 
-// Flow carries all per-flow scheduling state: the FIFO queue, the current
-// rank and eligibility time, the control-plane configuration (weight,
-// rate limit, priority, DRR quantum), and the algorithm scratch fields
-// the §4 programs use. The control plane mutates the configuration
-// fields directly; the programming functions own the rest.
+// Flow carries all per-flow scheduling state: the FIFO queue, the
+// catalogue's Attrs (current rank and eligibility time, the control-plane
+// configuration — weight, rate limit, priority, DRR quantum — and the
+// policy state), and the fields only flat programs use. The control plane
+// mutates the configuration fields directly; the programming functions
+// own the rest.
 type Flow struct {
 	ID    flowq.FlowID
 	Queue flowq.Queue
 
-	// Scheduling attributes assigned by PreEnqueue (§3.1).
-	Rank     uint64
-	SendTime clock.Time
+	policy.Attrs
 
-	// Control-plane configuration.
-	Weight   uint64  // fair-queueing weight (WFQ/WF²Q+), default 1
-	Quantum  uint64  // DRR quantum in bytes, default MTU-sized
-	Priority uint64  // strict/static priority, smaller is better
-	RateGbps float64 // token-bucket rate in Gbps (= bits per simulated ns)
-	Burst    float64 // token-bucket depth in bytes
-
-	// NewlyBacklogged is set by the framework when a packet arrives into
-	// an empty queue and cleared after the next PreEnqueue runs.
-	// Fair-queueing programs use it to apply Fig 2(a)'s
-	// start = max(finish, V) only at busy-period starts; a continuously
-	// backlogged flow's next start is exactly its previous finish.
-	NewlyBacklogged bool
-
-	// Algorithm scratch state.
-	VirtualStart  uint64     // WF²Q+ per-flow virtual start time
-	VirtualFinish uint64     // WFQ/WF²Q+ per-flow virtual finish time
 	Deficit       uint64     // DRR deficit counter in bytes
-	Tokens        float64    // token bucket level in bytes
-	LastRefill    clock.Time // token bucket last update
 	LastScheduled clock.Time // for starvation detection (§4.4)
 	Blocked       bool       // paused by network feedback (§4.4 D3)
 }
@@ -96,10 +77,19 @@ type Program struct {
 	Name  string
 	Model TriggerModel
 
+	// Policy, if set, is a catalogue policy run flat (see FromPolicy): it
+	// ranks each flow by its head packet in place of PreEnqueue, and
+	// charges the flow and advances the scheduler around the re-enqueue
+	// in place of PostDequeue. The scheduler calls it directly, one call
+	// per hook, on the per-packet path.
+	Policy *policy.Policy
+
 	// DequeueTime maps the wall clock to the monotonic time function the
 	// predicate compares against (§3.1): identity (wall clock) when nil;
-	// fair-queueing programs return the scheduler's virtual time.
-	DequeueTime func(s *Scheduler, now clock.Time) clock.Time
+	// fair-queueing programs return the scheduler's virtual time. It and
+	// OnIdle see the scheduler's policy.Node, so a catalogue policy's
+	// hooks serve as they are.
+	DequeueTime func(n *policy.Node, now clock.Time) clock.Time
 
 	// PreEnqueue assigns f.Rank and f.SendTime before the flow enters
 	// the ordered list (output-triggered model). Default: rank 1,
@@ -113,7 +103,9 @@ type Program struct {
 	// PostDequeue transmits from the dequeued flow and updates state.
 	// It returns the packets to put on the wire and normally re-enqueues
 	// the flow via s.EnqueueFlow when it stays backlogged. Default: pop
-	// one packet, re-enqueue if the queue is not empty.
+	// one packet, re-enqueue if the queue is not empty. The flow's queue
+	// is never empty here: NextPacket counts such a phantom extraction
+	// as a fault instead of running the hook.
 	//
 	// A hook builds its burst with s.Burst, which appends to a buffer the
 	// scheduler owns and reuses: the returned slice is valid until the
@@ -140,7 +132,30 @@ type Program struct {
 	// program changed state (e.g. WF²Q+ jumped its virtual clock to the
 	// minimum start time, the Fig 2(a) idle-link rule) and the dequeue
 	// should be retried once.
-	OnIdle func(s *Scheduler, now clock.Time) bool
+	OnIdle func(n *policy.Node, now clock.Time) bool
+}
+
+// FromPolicy runs a catalogue policy (internal/policy) as a flat
+// program: the scheduler is the policy's one-node tree.
+func FromPolicy(p *policy.Policy) *Program {
+	return &Program{Name: p.Name, Policy: p, DequeueTime: p.DequeueTime, OnIdle: p.OnIdle}
+}
+
+// policyPostDequeue is the post-dequeue of a program with a Policy: pop
+// the head packet, charge the flow, re-enqueue it, and advance the
+// scheduler, in that order.
+func (s *Scheduler) policyPostDequeue(now clock.Time, f *Flow) []flowq.Packet {
+	p := s.Prog.Policy
+	pkt, _ := f.Queue.Pop()
+	if p.Charge != nil {
+		p.Charge(&s.Node, now, &f.Attrs, pkt.Size, pkt.Size)
+	}
+	s.EnqueueFlow(now, f)
+	if p.Advance != nil {
+		p.Advance(&s.Node, now, pkt.Size)
+	}
+	f.LastScheduled = now
+	return s.Burst(pkt)
 }
 
 // Scheduler is a flat (single-level) PIEO scheduler: one ordered list, a
@@ -153,16 +168,12 @@ type Scheduler struct {
 	// backend.CoreList); NewOn swaps in any other backend — the sharded
 	// engine, the reference model — without touching the programming
 	// framework.
-	List         backend.Backend
-	LinkRateGbps float64
+	List backend.Backend
 
-	// V is the global fair-queueing virtual time (§4.1), maintained by
-	// the WFQ-family programs. Time unit: scaled wire-nanoseconds.
-	V clock.Virtual
-
-	// SumWeights is the total weight of all configured flows, used to
-	// convert packet wire time into per-flow virtual service (WF²Q+).
-	SumWeights uint64
+	// Node is the scheduler as the catalogue's policies see it: the link
+	// rate, the global fair-queueing virtual time V, and SumWeights, the
+	// total weight of all configured flows.
+	policy.Node
 
 	// Admission selects what happens when the ordered list is full and a
 	// flow must enter it (see backend.AdmissionPolicy): reject, tail-drop,
@@ -204,12 +215,14 @@ func NewOn(prog *Program, b backend.Backend, linkRateGbps float64) *Scheduler {
 	if linkRateGbps <= 0 {
 		panic(fmt.Sprintf("sched: link rate must be positive, got %v", linkRateGbps))
 	}
-	return &Scheduler{
-		Prog:         prog,
-		List:         b,
-		LinkRateGbps: linkRateGbps,
-		flows:        idtab.New[idtab.ID, *Flow](0),
+	s := &Scheduler{
+		Prog:  prog,
+		List:  b,
+		Node:  policy.Node{LinkRateGbps: linkRateGbps},
+		flows: idtab.New[idtab.ID, *Flow](0),
 	}
+	s.MinStart = s.minStart
+	return s
 }
 
 // FaultStats returns the fault and admission counters.
@@ -224,14 +237,6 @@ func (s *Scheduler) fault(what backend.FaultStats, err error) {
 	s.faults.Add(what)
 	s.lastErr = err
 }
-
-// unknownFlow is the fault of an extraction that names no schedulable
-// flow: its text names the flow, and errors.Is matches it to
-// core.ErrUnknownFlow.
-type unknownFlow string
-
-func (e unknownFlow) Error() string { return string(e) }
-func (unknownFlow) Unwrap() error   { return core.ErrUnknownFlow }
 
 // flushFlow sheds f's entire queued backlog as declared drops — the
 // overload/fault response when f cannot (re-)enter the ordered list: a
@@ -256,7 +261,7 @@ func (s *Scheduler) Flow(id flowq.FlowID) *Flow {
 	f, ok := s.flows.Get(idtab.ID(id))
 	if !ok {
 		f = s.newFlow(id)
-		*f = Flow{ID: id, Weight: 1, Quantum: 1500}
+		*f = Flow{ID: id, Attrs: policy.Attrs{Weight: 1, Quantum: 1500}}
 		s.SumWeights += f.Weight
 	}
 	return f
@@ -276,14 +281,14 @@ func (s *Scheduler) SetWeight(id flowq.FlowID, w uint64) {
 // Flows returns the number of flows ever seen.
 func (s *Scheduler) Flows() int { return len(s.all) }
 
-// WireTime returns the wire time of size bytes on this scheduler's link,
-// in simulated nanoseconds.
-func (s *Scheduler) WireTime(size uint32) clock.Time {
-	ns := float64(size) * 8 / s.LinkRateGbps
-	if ns < 1 {
-		ns = 1
+// minStart is the scheduler's Node.MinStart: the smallest send time in
+// the list, clock.Never when it is empty — answered from the list's
+// eligibility metadata in O(1), so floor is not needed.
+func (s *Scheduler) minStart(floor clock.Time) clock.Time {
+	if t, ok := s.List.MinSendTime(); ok {
+		return t
 	}
-	return clock.Time(ns)
+	return clock.Never
 }
 
 // OnArrival implements netsim.Scheduler: deliver p to its flow queue and
@@ -299,7 +304,7 @@ func (s *Scheduler) OnArrival(now clock.Time, p flowq.Packet) {
 		return
 	}
 	if wasEmpty {
-		f.NewlyBacklogged = true
+		f.Busy = false // a busy period starts: the next Rank activates
 		s.EnqueueFlow(now, f)
 	}
 	if s.Prog.OnArrival != nil {
@@ -337,7 +342,7 @@ func (s *Scheduler) NextPacket(now clock.Time) (flowq.Packet, bool) {
 	}
 	t := now
 	if s.Prog.DequeueTime != nil {
-		t = s.Prog.DequeueTime(s, now)
+		t = s.Prog.DequeueTime(&s.Node, now)
 	}
 	// A post-dequeue may legitimately transmit nothing and re-enqueue the
 	// flow (DRR whose deficit does not yet cover the head packet); keep
@@ -354,26 +359,31 @@ func (s *Scheduler) NextPacket(now clock.Time) (flowq.Packet, bool) {
 		}
 		e, ok := s.List.Dequeue(t)
 		if !ok {
-			if !retriedIdle && s.List.Len() > 0 && s.Prog.OnIdle != nil && s.Prog.OnIdle(s, now) {
+			if !retriedIdle && s.List.Len() > 0 && s.Prog.OnIdle != nil && s.Prog.OnIdle(&s.Node, now) {
 				retriedIdle = true
 				if s.Prog.DequeueTime != nil {
-					t = s.Prog.DequeueTime(s, now)
+					t = s.Prog.DequeueTime(&s.Node, now)
 				}
 				continue
 			}
 			return flowq.Packet{}, false
 		}
 		f, ok := s.flows.Get(idtab.ID(e.ID))
-		if !ok {
-			// The extracted element references no flow state: discard it
-			// and keep scheduling — the list is already consistent again.
+		if !ok || f.Queue.Empty() {
+			// The extracted element references no flow state, or a fault
+			// path (admission flush, chaotic backend) emptied the flow's
+			// queue while its entry was in flight — a phantom extraction.
+			// Either way no program runs: discard it and keep scheduling,
+			// the list is already consistent again.
 			s.fault(backend.FaultStats{UnknownFlows: 1},
-				unknownFlow(fmt.Sprintf("sched: list returned unknown flow %d", e.ID)))
+				fmt.Errorf("sched: list returned flow %d, which has nothing to send: %w", e.ID, core.ErrUnknownFlow))
 			continue
 		}
 		s.burst = s.burst[:0] // pending is drained: the last burst is on the wire
 		var burst []flowq.Packet
-		if s.Prog.PostDequeue != nil {
+		if s.Prog.Policy != nil {
+			burst = s.policyPostDequeue(now, f)
+		} else if s.Prog.PostDequeue != nil {
 			burst = s.Prog.PostDequeue(s, now, f)
 		} else {
 			burst = s.DefaultPostDequeue(now, f)
@@ -399,15 +409,7 @@ func (s *Scheduler) Burst(p flowq.Packet) []flowq.Packet {
 // can call it after updating algorithm state. The returned burst is
 // built with Burst: valid until the next NextPacket call.
 func (s *Scheduler) DefaultPostDequeue(now clock.Time, f *Flow) []flowq.Packet {
-	p, ok := f.Queue.Pop()
-	if !ok {
-		// A fault path (admission flush, chaotic backend) emptied the
-		// queue while the flow's entry was still in flight: a phantom
-		// extraction, counted like an unknown flow.
-		s.fault(backend.FaultStats{UnknownFlows: 1},
-			unknownFlow(fmt.Sprintf("sched: flow %d scheduled with empty queue", f.ID)))
-		return nil
-	}
+	p, _ := f.Queue.Pop()
 	if !f.Queue.Empty() {
 		s.EnqueueFlow(now, f)
 	}
@@ -432,7 +434,10 @@ func (s *Scheduler) EnqueueFlow(now clock.Time, f *Flow) {
 	}
 	switch s.Prog.Model {
 	case OutputTriggered:
-		if s.Prog.PreEnqueue != nil {
+		if pol := s.Prog.Policy; pol != nil {
+			head, _ := f.Queue.Head()
+			pol.Rank(&s.Node, now, &f.Attrs, head.Size)
+		} else if s.Prog.PreEnqueue != nil {
 			s.Prog.PreEnqueue(s, now, f)
 		} else {
 			f.Rank = 1
@@ -443,7 +448,7 @@ func (s *Scheduler) EnqueueFlow(now clock.Time, f *Flow) {
 		f.Rank = head.Rank
 		f.SendTime = head.SendAt
 	}
-	f.NewlyBacklogged = false
+	f.Busy = true
 	ent := core.Entry{ID: uint32(f.ID), Rank: f.Rank, SendTime: f.SendTime}
 	out, err := backend.Admit(s.List, s.Admission, ent)
 	switch {

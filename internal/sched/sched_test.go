@@ -7,6 +7,7 @@ import (
 	"pieo/internal/clock"
 	"pieo/internal/flowq"
 	"pieo/internal/netsim"
+	"pieo/internal/policy"
 	_ "pieo/internal/refmodel" // registers the "ref" backend
 )
 
@@ -266,7 +267,7 @@ func TestNextWakeParkedFlow(t *testing.T) {
 func TestNextWakeVirtualDomainUnknown(t *testing.T) {
 	prog := &Program{
 		Name:        "virtual",
-		DequeueTime: func(s *Scheduler, now clock.Time) clock.Time { return s.V.Now() },
+		DequeueTime: func(n *policy.Node, now clock.Time) clock.Time { return n.V.Now() },
 	}
 	s := New(prog, 16, 40)
 	s.OnArrival(0, flowq.Packet{Flow: 1, Size: 100})

@@ -43,6 +43,7 @@ import (
 	"pieo/internal/hier"
 	"pieo/internal/hwmodel"
 	"pieo/internal/netsim"
+	"pieo/internal/policy"
 	"pieo/internal/sched"
 	"pieo/internal/shard"
 	"pieo/internal/supervise"
@@ -372,15 +373,15 @@ func NewHierOn(linkRateGbps float64, rootPolicy *Policy, backendName string) (*H
 // Per-node policies for hierarchies.
 var (
 	// RoundRobinPolicy rotates through children.
-	RoundRobinPolicy = hier.RoundRobin
+	RoundRobinPolicy = policy.RoundRobin
 	// StrictPriorityPolicy schedules children by static priority.
-	StrictPriorityPolicy = hier.StrictPriority
+	StrictPriorityPolicy = policy.StrictPriority
 	// WFQPolicy is per-node Weighted Fair Queuing.
-	WFQPolicy = hier.WFQ
+	WFQPolicy = policy.WFQ
 	// WF2QPolicy is per-node WF²Q+.
-	WF2QPolicy = hier.WF2Q
+	WF2QPolicy = policy.WF2Q
 	// TokenBucketPolicy rate-limits each child independently.
-	TokenBucketPolicy = hier.TokenBucket
+	TokenBucketPolicy = policy.TokenBucket
 )
 
 // Simulation substrate.
