@@ -1,11 +1,12 @@
 // Package hier implements hierarchical packet scheduling with PIEO
 // (§4.3). Flows are grouped into a tree: leaf children are flows with
 // FIFO packet queues; every non-leaf node schedules its children with its
-// own policy. All children at the same tree depth share one physical PIEO
-// list, logically partitioned per parent: each parent owns a contiguous
-// child-index range [lo, hi], and extracting a parent's logical PIEO is a
-// DequeueRange whose predicate is the paper's
-// (eligible) && (p.start <= f.index <= p.end).
+// own policy. A node's logical PIEO is always a band of a Partitioner: the
+// node owns a contiguous child-index range [lo, hi] of a physical PIEO,
+// and extracting from it is a DequeueRange whose predicate is the paper's
+// (eligible) && (p.start <= f.index <= p.end). The physical PIEO is one
+// per depth (New, NewOn) or one shared by every depth (NewPartitioned,
+// NewPartitionedOn); nothing but Build tells the two apart.
 //
 // Dequeue starts at the root whenever the link goes idle and propagates
 // down: the winner at each level names the logical PIEO to extract from
@@ -33,7 +34,7 @@ import (
 // Its scheduling state is the catalogue's Attrs, the same a flat
 // scheduler keeps per flow.
 type Child struct {
-	ID   uint32 // index within the depth's physical PIEO (assigned by Build)
+	ID   uint32 // index within the physical PIEO (assigned by Build)
 	Flow flowq.FlowID
 	Node *Node // non-nil for interior children
 
@@ -55,7 +56,7 @@ func (c *Child) IsLeaf() bool { return c.Queue != nil }
 
 // NodeStats counts the logical-PIEO operations one node issued against
 // its physical structure — the per-node view of backend.Stats, identical
-// across the per-level and partitioned modes for the same traffic.
+// across the per-level and partitioned arrangements for the same traffic.
 type NodeStats struct {
 	Enqueues      uint64 // successful inserts into this node's logical PIEO
 	Dequeues      uint64 // successful ranged extractions
@@ -75,9 +76,9 @@ type Node struct {
 	parent   *Node
 	self     *Child // this node's entity in the parent's logical PIEO (nil at root)
 	children []*Child
-	lo, hi   uint32     // child-index range (per-level mode) or band (partitioned); children[i].ID == lo+i
-	part     *Partition // this node's logical PIEO band (partitioned mode only)
-	active   int        // children currently enqueued in this node's logical PIEO
+	pt       *Partitioner // the physical PIEO holding this node's children
+	part     *Partition   // this node's band of it; children[i].ID == part.lo+i
+	active   int          // children currently enqueued in this node's logical PIEO
 	stats    NodeStats
 	faults   backend.FaultStats // faults charged to THIS node
 }
@@ -89,10 +90,6 @@ func (n *Node) Stats() NodeStats { return n.stats }
 // per-node breakdown of Hierarchy.FaultStats, so a chaos audit can
 // assert where drops landed, not just that they happened.
 func (n *Node) FaultStats() backend.FaultStats { return n.faults }
-
-// Partition returns the node's ID band in partitioned mode, nil in
-// per-level mode.
-func (n *Node) Partition() *Partition { return n.part }
 
 // Self returns this node's own child entity — the handle the control
 // plane uses to configure how the node's parent schedules it (rate limit,
@@ -133,12 +130,16 @@ type Hierarchy struct {
 	LinkRateGbps float64
 
 	root     *Node
-	levels   []backend.Backend // levels[d] holds the children of depth-d nodes (per-level mode)
-	wall     []bool            // depth-d predicates live in the wall-clock domain
+	wall     []bool // depth-d predicates live in the wall-clock domain
 	factory  func(capacity int) backend.Backend
 	interior int       // interior nodes below the root
 	nodesAt  [][]*Node // nodes per depth, BFS order
 	built    bool
+
+	// The physical PIEOs: one per depth, or one shared by every depth
+	// when partitioned (§4.2). Only Build and Partitioned read partitioned.
+	partitioned bool
+	pts         []*Partitioner
 
 	leaves  []*Child                      // leaf flows, in AddFlow order
 	leafIdx idtab.Table[idtab.ID, uint32] // flow id -> index in leaves + 1
@@ -148,12 +149,6 @@ type Hierarchy struct {
 	// each descend call set aside.
 	path     []pathStep
 	deferred []*Child
-
-	// Partitioned mode (§4.2): every node's logical PIEO is an ID band
-	// of ONE shared physical backend instead of a slice of a per-level
-	// list. pt is nil in per-level mode.
-	partitioned bool
-	pt          *Partitioner
 
 	faults  backend.FaultStats // fault counters
 	lastErr error              // most recent fault
@@ -190,18 +185,18 @@ func NewOn(linkRateGbps float64, rootPolicy *Policy, factory func(capacity int) 
 	return h
 }
 
-// NewPartitioned creates a hierarchy in partitioned mode over the
-// default paper-exact list: every node's logical PIEO is a contiguous ID
-// band of one shared physical PIEO (§4.2) instead of a per-level list.
-// Policy ranks must fit in 48 bits in this mode; a wider one fails the
-// child's enqueue with ErrRankOverflow (see Partition).
+// NewPartitioned creates a hierarchy in the partitioned arrangement over
+// the default paper-exact list: every node's logical PIEO is a contiguous
+// ID band of one shared physical PIEO (§4.2) instead of a per-level list.
+// As in every hierarchy, policy ranks must fit in 48 bits; a wider one
+// fails the child's enqueue with ErrRankOverflow (see Partition).
 func NewPartitioned(linkRateGbps float64, rootPolicy *Policy) *Hierarchy {
 	return NewPartitionedOn(linkRateGbps, rootPolicy, func(n int) backend.Backend {
 		return backend.NewCoreList(n)
 	})
 }
 
-// NewPartitionedOn creates a partitioned-mode hierarchy whose single
+// NewPartitionedOn creates a partitioned hierarchy whose single
 // shared physical PIEO is built by factory at Build time, sized to the
 // total child count across every level. On the sharded engine, node
 // dequeues compile to the per-shard DequeueRangeBelowSeq ranged
@@ -229,60 +224,50 @@ func (h *Hierarchy) mustNotBeBuilt() {
 }
 
 // Build freezes the topology in one breadth-first pass: siblings get
-// contiguous IDs, so each parent owns the range [lo, hi] (the paper's
-// logical partitioning) and finds a child by position. The layouts differ
-// only in where a depth's IDs start and what holds them — per-level mode
-// restarts at 0 on a fresh PIEO per depth, partitioned mode draws every
-// node's band from one ID space over one shared PIEO, so a ranged dequeue
+// contiguous IDs, so each parent owns a band [lo, hi] of a Partitioner
+// (the paper's logical partitioning) and finds a child by position. It is
+// the one place the arrangements differ: per-level, each depth gets a
+// fresh physical PIEO whose IDs restart at 0; partitioned, every node's
+// band comes from one ID space over one shared PIEO, so a ranged dequeue
 // on a node's band can never observe another node's children. It must be
 // called exactly once before traffic.
 func (h *Hierarchy) Build() {
 	h.mustNotBeBuilt()
 	h.built = true
+	var shared *Partitioner
 	if h.partitioned {
 		// Every child is a leaf or an interior node.
-		h.pt = NewPartitioner(h.factory(len(h.leaves) + h.interior))
+		shared = NewPartitioner(h.factory(len(h.leaves) + h.interior))
+		h.pts = append(h.pts, shared)
 	}
 	for level := []*Node{h.root}; len(level) > 0; {
-		wall := true
-		for _, n := range level {
-			if n.Policy.DequeueTime != nil {
-				wall = false
-			}
-		}
-		var next []*Node
-		width := 0 // children at this depth
+		wall, width := true, 0 // width: children at this depth
 		for _, n := range level {
 			if len(n.children) == 0 {
 				panic(fmt.Sprintf("hier: node %q has no children", n.Name))
 			}
-			n.LinkRateGbps, n.MinStart = h.LinkRateGbps, n.minStart
-			lo := uint32(width)
-			if h.partitioned {
-				part, err := h.pt.Alloc(len(n.children), wall)
-				if err != nil {
-					panic(fmt.Sprintf("hier: allocate band for node %q: %v", n.Name, err))
-				}
-				n.part, lo = part, part.Lo()
+			wall = wall && n.Policy.DequeueTime == nil
+			width += len(n.children)
+		}
+		pt := shared
+		if pt == nil {
+			pt = NewPartitioner(h.factory(width))
+			h.pts = append(h.pts, pt)
+		}
+		var next []*Node
+		for _, n := range level {
+			part, err := pt.Alloc(len(n.children))
+			if err != nil {
+				panic(fmt.Sprintf("hier: allocate band for node %q: %v", n.Name, err))
 			}
-			n.lo, n.hi = lo, lo+uint32(len(n.children)-1)
+			n.pt, n.part = pt, part
+			n.LinkRateGbps, n.MinStart = h.LinkRateGbps, part.minStart
 			for i, c := range n.children {
-				c.ID = lo + uint32(i)
-				if h.partitioned {
-					// The same ID: a band hands its IDs out in order, and
-					// tracks residency only for those it handed out.
-					if _, ok := n.part.NextID(); !ok {
-						panic(fmt.Sprintf("hier: band of node %q exhausted", n.Name))
-					}
-				}
+				c.ID = part.lo + uint32(i)
 				if c.Node != nil {
 					next = append(next, c.Node)
 				}
 			}
-			width += len(n.children)
-		}
-		if !h.partitioned {
-			h.levels = append(h.levels, h.factory(width))
 		}
 		h.wall = append(h.wall, wall)
 		h.nodesAt = append(h.nodesAt, level)
@@ -293,13 +278,7 @@ func (h *Hierarchy) Build() {
 // extractEntry extracts the smallest-ranked eligible child of n's
 // logical PIEO at predicate time t.
 func (h *Hierarchy) extractEntry(n *Node, t clock.Time) (core.Entry, bool) {
-	var e core.Entry
-	var ok bool
-	if h.partitioned {
-		e, ok = h.pt.Dequeue(n.part, t)
-	} else {
-		e, ok = h.levels[n.depth].DequeueRange(t, n.lo, n.hi)
-	}
+	e, ok := n.pt.Dequeue(n.part, t)
 	if ok {
 		n.stats.Dequeues++
 	} else {
@@ -321,23 +300,19 @@ func (h *Hierarchy) Leaf(id flowq.FlowID) *Child {
 // Levels returns the number of scheduling levels.
 func (h *Hierarchy) Levels() int { return len(h.wall) }
 
-// Level exposes the physical PIEO at depth d, for tests and resource
-// accounting. In partitioned mode every depth shares the one physical
-// structure, so the shared backend is returned for any d.
-func (h *Hierarchy) Level(d int) backend.Backend {
-	if h.partitioned {
-		return h.pt.Backend()
-	}
-	return h.levels[d]
-}
+// Level exposes the physical PIEO holding the children of depth-d nodes,
+// for tests and resource accounting. In the partitioned arrangement every
+// depth shares the one physical structure.
+func (h *Hierarchy) Level(d int) backend.Backend { return h.nodesAt[d][0].pt.Backend() }
 
 // Partitioned reports whether the hierarchy multiplexes its logical
 // PIEOs onto one shared physical backend.
 func (h *Hierarchy) Partitioned() bool { return h.partitioned }
 
-// Partitioner exposes the band allocator in partitioned mode (nil in
-// per-level mode), for tests and invariant checks.
-func (h *Hierarchy) Partitioner() *Partitioner { return h.pt }
+// Partitioner exposes the band allocator of the root's children, for
+// tests and invariant checks: in the partitioned arrangement, the one
+// every depth shares.
+func (h *Hierarchy) Partitioner() *Partitioner { return h.pts[0] }
 
 // Nodes returns every interior node in BFS order (root first). Only
 // valid after Build.
@@ -350,15 +325,11 @@ func (h *Hierarchy) Nodes() []*Node {
 }
 
 // BackendStats returns the operation counters of the physical
-// structure(s): the sum over per-level backends, or the shared backend's
-// counters in partitioned mode.
+// structures, summed.
 func (h *Hierarchy) BackendStats() backend.Stats {
-	if h.partitioned {
-		return h.pt.Backend().Stats()
-	}
 	var total backend.Stats
-	for _, list := range h.levels {
-		total.Add(list.Stats())
+	for _, pt := range h.pts {
+		total.Add(pt.Backend().Stats())
 	}
 	return total
 }
@@ -414,14 +385,7 @@ func (h *Hierarchy) enqueueChild(now clock.Time, n *Node, c *Child) {
 // loses its turn until the next arrival below n or the next packet
 // through n retries: it is counted in FaultStats, nothing crashes.
 func (h *Hierarchy) insertChild(n *Node, c *Child) bool {
-	e := core.Entry{ID: c.ID, Rank: c.Rank, SendTime: c.SendTime}
-	var err error
-	if h.partitioned {
-		err = h.pt.Enqueue(n.part, e)
-	} else {
-		err = h.levels[n.depth].Enqueue(e)
-	}
-	if err != nil {
+	if err := n.pt.Enqueue(n.part, core.Entry{ID: c.ID, Rank: c.Rank, SendTime: c.SendTime}); err != nil {
 		h.fault(n, backend.FaultStats{EnqueueFailures: 1},
 			fmt.Errorf("hier: enqueue child %d at depth %d: %w", c.ID, n.depth, err))
 		return false
@@ -532,16 +496,17 @@ func (h *Hierarchy) pick(n *Node, now clock.Time) bool {
 			}
 			return false
 		}
-		// Children sit at their ID's offset in the node's range; an ID
-		// below lo wraps past any length.
-		i := e.ID - n.lo
-		if uint64(i) >= uint64(len(n.children)) {
-			// A core.ErrUnknownFlow condition: discard the phantom element
-			// and keep descending.
+		// Children sit at their ID's offset in the node's band; an ID
+		// below lo wraps past any length. Anything but a resident child
+		// is a phantom, a core.ErrUnknownFlow condition: discard it before
+		// touching the band's books and keep descending.
+		i := e.ID - n.part.lo
+		if uint64(i) >= uint64(len(n.children)) || !n.children[i].resident {
 			h.fault(n, backend.FaultStats{UnknownFlows: 1},
-				fmt.Errorf("%w: depth %d returned id %d", core.ErrUnknownFlow, n.depth, e.ID))
+				fmt.Errorf("%w: depth %d returned id %d, not a resident child", core.ErrUnknownFlow, n.depth, e.ID))
 			continue
 		}
+		n.part.untrack(i)
 		c := n.children[i]
 		c.resident = false
 		n.active--
@@ -573,14 +538,9 @@ func (h *Hierarchy) NextWake(now clock.Time) (clock.Time, bool) {
 	return best, found
 }
 
-// depthMinSendTime returns the smallest send_time queued anywhere at
-// depth d: the level list's O(1) minimum in per-level mode, the fold of
-// the per-partition heap minima in partitioned mode. Both compute the
-// same value for the same traffic, so wake instants are mode-invariant.
+// depthMinSendTime returns the smallest send_time queued in the logical
+// PIEO of any depth-d node: the fold of their bands' heap minima.
 func (h *Hierarchy) depthMinSendTime(d int) (clock.Time, bool) {
-	if !h.partitioned {
-		return h.levels[d].MinSendTime()
-	}
 	best := clock.Never
 	found := false
 	for _, n := range h.nodesAt[d] {

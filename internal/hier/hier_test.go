@@ -2,6 +2,7 @@ package hier
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -41,12 +42,12 @@ func TestBuildAssignsContiguousRanges(t *testing.T) {
 		t.Fatalf("Levels = %d, want 2", h.Levels())
 	}
 	for i, vm := range vms {
-		if vm.lo != uint32(i*4) || vm.hi != uint32(i*4+3) {
-			t.Fatalf("vm %d range = [%d,%d], want [%d,%d]", i, vm.lo, vm.hi, i*4, i*4+3)
+		if vm.part.lo != uint32(i*4) || vm.part.hi != uint32(i*4+3) {
+			t.Fatalf("vm %d range = [%d,%d], want [%d,%d]", i, vm.part.lo, vm.part.hi, i*4, i*4+3)
 		}
 	}
-	if h.Root().lo != 0 || h.Root().hi != 2 {
-		t.Fatalf("root range = [%d,%d], want [0,2]", h.Root().lo, h.Root().hi)
+	if h.Root().part.lo != 0 || h.Root().part.hi != 2 {
+		t.Fatalf("root range = [%d,%d], want [0,2]", h.Root().part.lo, h.Root().part.hi)
 	}
 }
 
@@ -369,20 +370,41 @@ func TestLeafAccessors(t *testing.T) {
 	h.Leaf(99)
 }
 
-func TestLevelListInvariants(t *testing.T) {
-	h, _ := twoLevel(policy.RoundRobin(), policy.WF2Q(), 3, 3)
-	for f := flowq.FlowID(0); f < 9; f++ {
-		h.OnArrival(0, flowq.Packet{Flow: f, Size: 100})
-		h.OnArrival(0, flowq.Packet{Flow: f, Size: 100})
-	}
-	for i := 0; i < 18; i++ {
-		if _, ok := h.NextPacket(clock.Time(i)); !ok {
-			t.Fatalf("drained early at %d", i)
+// checkDepths runs every depth's Partitioner and physical-list checks:
+// per depth in the per-level arrangement, the one shared pair repeatedly
+// in the partitioned one.
+func checkDepths(t *testing.T, ctx string, h *Hierarchy) {
+	t.Helper()
+	for d := 0; d < h.Levels(); d++ {
+		if err := h.nodesAt[d][0].pt.CheckInvariants(); err != nil {
+			t.Fatalf("%s: depth %d partitioner: %v", ctx, d, err)
 		}
-		for d := 0; d < h.Levels(); d++ {
-			if err := backend.CheckInvariants(h.Level(d)); err != nil {
-				t.Fatalf("level %d after packet %d: %v", d, i, err)
+		if err := backend.CheckInvariants(h.Level(d)); err != nil {
+			t.Fatalf("%s: depth %d list: %v", ctx, d, err)
+		}
+	}
+}
+
+func TestLevelListInvariants(t *testing.T) {
+	for _, layout := range bothLayouts {
+		h := layout.mk(policy.RoundRobin(), func(n int) backend.Backend { return backend.NewCoreList(n) })
+		for v := 0; v < 3; v++ {
+			vm := h.Root().AddNode("vm", policy.WF2Q())
+			for f := 0; f < 3; f++ {
+				vm.AddFlow(flowq.FlowID(3*v + f))
 			}
+		}
+		h.Build()
+		for f := flowq.FlowID(0); f < 9; f++ {
+			h.OnArrival(0, flowq.Packet{Flow: f, Size: 100})
+			h.OnArrival(0, flowq.Packet{Flow: f, Size: 100})
+		}
+		checkDepths(t, layout.name+" filled", h)
+		for i := 0; i < 18; i++ {
+			if _, ok := h.NextPacket(clock.Time(i)); !ok {
+				t.Fatalf("%s: drained early at %d", layout.name, i)
+			}
+			checkDepths(t, fmt.Sprintf("%s after packet %d", layout.name, i), h)
 		}
 	}
 }
@@ -526,59 +548,70 @@ func TestNestedDeferralPutsBranchesBack(t *testing.T) {
 		if _, ok := h.NextPacket(1000); ok || h.Backlog() != 0 {
 			t.Fatalf("%s: backlog %d after draining", layout.name, h.Backlog())
 		}
-		if h.Partitioned() {
-			if err := h.Partitioner().CheckInvariants(); err != nil {
-				t.Fatalf("%s: %v", layout.name, err)
-			}
-		}
+		checkDepths(t, layout.name, h)
 	}
 }
 
-// phantomBackend answers its next ranged dequeue with an element that was
-// never enqueued, as a corrupted list would.
+// phantomBackend answers its next ranged dequeue of the range starting at
+// lo with an element that is not a resident there, as a corrupted list
+// would.
 type phantomBackend struct {
 	backend.Backend
+	lo      uint32
 	phantom *core.Entry
 }
 
 func (b *phantomBackend) DequeueRange(t clock.Time, lo, hi uint32) (core.Entry, bool) {
-	if e := b.phantom; e != nil {
+	if e := b.phantom; e != nil && lo == b.lo {
 		b.phantom = nil
 		return *e, true
 	}
 	return b.Backend.DequeueRange(t, lo, hi)
 }
 
-// TestUnknownChildFault covers the bounds check that finds a child by
-// position: an ID outside the node's range, on either side, is a
-// core.ErrUnknownFlow fault charged to that node, and the descent
-// carries on to the real winner.
+// TestUnknownChildFault covers the one check that finds a child by
+// position: a ranged dequeue that returns anything but a resident child
+// of the node — an ID below or above its band, or an idle child inside it
+// — is a core.ErrUnknownFlow fault charged to that node, in either
+// arrangement, and the descent carries on to the real winner.
 func TestUnknownChildFault(t *testing.T) {
-	for _, id := range []uint32{1, 9} { // vm1 owns [2,3] at depth 1
-		var leaves *phantomBackend
-		h := NewOn(linkGbps, policy.RoundRobin(), func(n int) backend.Backend {
-			leaves = &phantomBackend{Backend: backend.NewCoreList(n)}
-			return leaves // the last level built is the deepest
-		})
-		var vms []*Node
-		for v := 0; v < 2; v++ {
-			vm := h.Root().AddNode("vm", policy.RoundRobin())
-			vm.AddFlow(flowq.FlowID(2 * v))
-			vm.AddFlow(flowq.FlowID(2*v + 1))
-			vms = append(vms, vm)
-		}
-		h.Build()
-		h.OnArrival(0, flowq.Packet{Flow: 2, Size: 100})
+	for _, layout := range bothLayouts {
+		for _, kind := range []string{"below", "above", "idle"} {
+			var be *phantomBackend
+			h := layout.mk(policy.RoundRobin(), func(n int) backend.Backend {
+				be = &phantomBackend{Backend: backend.NewCoreList(n)}
+				return be // per-level: the last level built is the deepest
+			})
+			var vms []*Node
+			for v := 0; v < 2; v++ {
+				vm := h.Root().AddNode("vm", policy.RoundRobin())
+				vm.AddFlow(flowq.FlowID(2 * v))
+				vm.AddFlow(flowq.FlowID(2*v + 1))
+				vms = append(vms, vm)
+			}
+			h.Build()
+			h.OnArrival(0, flowq.Packet{Flow: 2, Size: 100})
 
-		leaves.phantom = &core.Entry{ID: id}
-		if p, ok := h.NextPacket(0); !ok || p.Flow != 2 {
-			t.Fatalf("id %d: NextPacket = %+v,%v want flow 2 after the phantom", id, p, ok)
-		}
-		if h.FaultStats().UnknownFlows != 1 || vms[1].FaultStats().UnknownFlows != 1 || !errors.Is(h.LastFault(), core.ErrUnknownFlow) {
-			t.Fatalf("id %d: faults %+v, node %+v, last %v", id, h.FaultStats(), vms[1].FaultStats(), h.LastFault())
-		}
-		if vms[1].active != 0 || h.Backlog() != 0 {
-			t.Fatalf("id %d: vm active %d, backlog %d after the only packet left", id, vms[1].active, h.Backlog())
+			// vm1's band holds flows 2 and 3; only flow 2 is backlogged.
+			lo, hi := h.Leaf(2).ID, h.Leaf(3).ID
+			id := map[string]uint32{"below": lo - 1, "above": hi + 1, "idle": hi}[kind]
+			be.lo, be.phantom = lo, &core.Entry{ID: id}
+			ctx := fmt.Sprintf("%s, %s id %d", layout.name, kind, id)
+			if p, ok := h.NextPacket(0); !ok || p.Flow != 2 {
+				t.Fatalf("%s: NextPacket = %+v,%v want flow 2 after the phantom", ctx, p, ok)
+			}
+			if be.phantom != nil {
+				t.Fatalf("%s: the phantom was never returned", ctx)
+			}
+			if h.FaultStats().UnknownFlows != 1 || vms[1].FaultStats().UnknownFlows != 1 || !errors.Is(h.LastFault(), core.ErrUnknownFlow) {
+				t.Fatalf("%s: faults %+v, node %+v, last %v", ctx, h.FaultStats(), vms[1].FaultStats(), h.LastFault())
+			}
+			if vms[1].active != 0 || h.Backlog() != 0 {
+				t.Fatalf("%s: vm active %d, backlog %d after the only packet left", ctx, vms[1].active, h.Backlog())
+			}
+			if _, ok := h.NextPacket(0); ok {
+				t.Fatalf("%s: a packet after the backlog drained", ctx)
+			}
 		}
 	}
 }
@@ -618,10 +651,10 @@ func TestUnconfiguredFlowArrivalIsDropped(t *testing.T) {
 
 // A token-bucket child whose rate cannot cover its deficit in any
 // representable time gets send_time = rank = clock.Never, never a wrapped
-// instant just before now. The per-level layout parks it: nothing is
-// sent, no wake is armed, the sibling with a real rate is served on time.
-// The partitioned layout has 48-bit ranks and refuses the child out loud
-// with ErrRankOverflow; either way it is never released unshaped.
+// instant just before now. Ranks are 48 bits wide in either layout, so
+// the child is refused out loud with ErrRankOverflow: nothing is sent, no
+// wake is armed, the sibling with a real rate is served on time, and the
+// child is never released unshaped.
 func TestTokenBucketUnreachableSendTimeParks(t *testing.T) {
 	testTokenBucketParks(t, 1e-300) // so small the quotient overflows
 }
@@ -669,8 +702,8 @@ func testTokenBucketParks(t *testing.T, slowRate float64) {
 			if h.Backlog() != 1 {
 				t.Fatalf("backlog %d, want the parked packet held", h.Backlog())
 			}
-			if err := h.LastFault(); (name == "partitioned") != errors.Is(err, ErrRankOverflow) {
-				t.Fatalf("LastFault = %v; only the 48-bit partitioned layout refuses rank = never", err)
+			if err := h.LastFault(); !errors.Is(err, ErrRankOverflow) {
+				t.Fatalf("LastFault = %v, want ErrRankOverflow for rank = never", err)
 			}
 		})
 	}

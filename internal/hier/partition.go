@@ -5,16 +5,17 @@
 // (eligible) && (band.lo <= f.index <= band.hi) — on the sharded engine
 // that compiles down to per-shard DequeueRangeBelowSeq calls under the
 // ranged tournament, on core.List to a select over the pointer array's
-// cached send_times and resident-ID bounds.
+// cached send_times and resident-ID bounds. Every hierarchy node reaches
+// its list this way: the per-level arrangement gives each depth its own
+// Partitioner, the partitioned arrangement shares one across all depths.
 //
 // The Partitioner compiles those bands once, for a topology that never
 // changes afterwards: a bump allocator over [0, 2^32) hands each logical
 // scheduler the next band of exactly the width it asked for, and a band
-// lives as long as the Partitioner. Per wall partition it keeps a small
-// binary min-heap of resident send_times (DESIGN.md §11) as the per-range
-// eligibility summary: the shared backend's MinSendTime mixes every
-// tenant's time domain, so per-range wake-ups must come from a per-range
-// index.
+// lives as long as the Partitioner. Per partition it keeps a small binary
+// min-heap of resident send_times (DESIGN.md §11): the shared backend's
+// MinSendTime mixes every tenant's time domain, so per-range wake-ups and
+// the WF²Q+ floor of the owning node must come from a per-range index.
 //
 // Each partition also owns a rank region: its elements are stored in the
 // shared list under region<<rankBits | rank, so one band's residents sit
@@ -25,12 +26,12 @@
 // the way in and masked on the way out (DESIGN.md §13).
 //
 // Concurrency/memory-ordering contract: the Partitioner's bookkeeping
-// (bands, resident arrays, heaps) is NOT synchronized — it assumes a single
-// caller thread, exactly like the hierarchy that owns it. The shared
-// backend may be internally concurrent (the sharded engine takes its own
-// per-shard locks), but the Partitioner never relies on that: all
-// happens-before edges between partition bookkeeping and backend state
-// come from the single caller's program order. See DESIGN.md §13.
+// (bands, slots, heaps) is NOT synchronized — it assumes a single caller
+// thread, exactly like the hierarchy that owns it. The shared backend may
+// be internally concurrent (the sharded engine takes its own per-shard
+// locks), but the Partitioner never relies on that: all happens-before
+// edges between partition bookkeeping and backend state come from the
+// single caller's program order. See DESIGN.md §13.
 package hier
 
 import (
@@ -60,22 +61,20 @@ const idSpace = 1 << 32
 // under a truncated rank: that would reorder it.
 var ErrRankOverflow = errors.New("hier: rank exceeds the partition rank width")
 
-// absent marks an issued ID that is not resident. Resident IDs hold their
-// heap position (>= 0), or 0 in a virtual-domain partition.
+// absent marks an untracked offset; a tracked one holds its heap position.
 const absent int32 = -1
 
-// wake is one wall partition's heap entry: a resident's send_time and its
-// band offset (id - lo), which names its slot.
+// wake is one partition's heap entry: a resident's send_time and its band
+// offset (id - lo), which names its slot.
 type wake struct {
 	t   clock.Time
 	off uint32
 }
 
 // Partition is one logical PIEO: a band of the shared backend's ID space
-// plus the bookkeeping that makes it behave like a private list — a
-// resident set (for Contains and conservation) and, for wall-clock
-// partitions, a min-heap of resident send_times so MinSendTime is exact
-// per range.
+// plus a min-heap of its residents' send_times, which answers both the
+// partition's MinSendTime (the wake summary) and its owner's minimum
+// resident start (the WF²Q+ floor) exactly per range.
 type Partition struct {
 	lo, hi uint32 // the band, inclusive
 
@@ -85,29 +84,18 @@ type Partition struct {
 	// allocations 2^16 apart do.
 	region uint64
 
-	// wall marks a wall-clock partition, the only kind with a heap: a
-	// virtual-time partition has no meaningful wall wake instant.
-	wall bool
-
-	// heap is a binary min-heap by send_time over the wall partition's
+	// heap is a binary min-heap by send_time over the partition's
 	// residents; heap[0] is the partition's MinSendTime.
 	heap []wake
 
-	// slots[id-lo] is the residency of every ID NextID has handed out. It
-	// grows with those IDs, never with the band: a band may be 2^31 IDs
-	// wide and all but unused.
+	// slots[off] is the heap position of the resident at band offset off,
+	// absent otherwise. It grows with the highest offset ever tracked,
+	// never with the band: a band may be 2^31 IDs wide and all but unused.
 	slots []int32
 }
 
-// Lo returns the band's first ID.
-func (p *Partition) Lo() uint32 { return p.lo }
-
-// Hi returns the band's last ID.
-func (p *Partition) Hi() uint32 { return p.hi }
-
-// Len returns the number of resident elements, by counting: nothing on
-// the packet path asks.
-func (p *Partition) Len() int {
+// residents counts the tracked offsets: nothing on the packet path asks.
+func (p *Partition) residents() int {
 	n := 0
 	for _, h := range p.slots {
 		if h != absent {
@@ -117,38 +105,15 @@ func (p *Partition) Len() int {
 	return n
 }
 
-// Cap returns the band width — the number of IDs the partition can name.
-func (p *Partition) Cap() int { return int(p.width()) }
-
-func (p *Partition) width() uint64 { return uint64(p.hi) - uint64(p.lo) + 1 }
-
-// Wall reports whether the partition keeps a wall-clock send_time heap.
-func (p *Partition) Wall() bool { return p.wall }
-
-// InBand reports whether id falls inside the partition's band.
-func (p *Partition) InBand(id uint32) bool { return id >= p.lo && id <= p.hi }
-
-// issued reports whether NextID has handed out id. An id below the band
-// wraps to a huge offset and fails the comparison too.
-func (p *Partition) issued(id uint32) bool { return uint64(id-p.lo) < uint64(len(p.slots)) }
-
-// Contains reports whether id is resident in this partition.
-func (p *Partition) Contains(id uint32) bool { return p.issued(id) && p.slots[id-p.lo] != absent }
-
-// NextID hands out the next unused ID in the band; ok is false when the
-// band is full.
-func (p *Partition) NextID() (uint32, bool) {
-	used := uint64(len(p.slots))
-	if used >= p.width() {
-		return 0, false
-	}
-	p.slots = append(p.slots, absent)
-	return p.lo + uint32(used), true
+// tracks reports whether id is resident in this partition. An id below
+// the band wraps to a huge offset and fails the comparison too.
+func (p *Partition) tracks(id uint32) bool {
+	off := id - p.lo
+	return uint64(off) < uint64(len(p.slots)) && p.slots[off] != absent
 }
 
-// MinSendTime returns the exact smallest send_time among resident
-// elements of a wall partition; ok is false when the partition is empty
-// or virtual-domain.
+// MinSendTime returns the exact smallest send_time among the partition's
+// resident elements; ok is false when it holds none.
 func (p *Partition) MinSendTime() (clock.Time, bool) {
 	if len(p.heap) == 0 {
 		return 0, false
@@ -156,33 +121,35 @@ func (p *Partition) MinSendTime() (clock.Time, bool) {
 	return p.heap[0].t, true
 }
 
-// track records a resident element in the partition's indexes.
+// minStart is the policy.Node MinStart of the node that owns p: exact,
+// so the floor goes unused.
+func (p *Partition) minStart(clock.Time) clock.Time {
+	if t, ok := p.MinSendTime(); ok {
+		return t
+	}
+	return clock.Never
+}
+
+// track records a resident element in the partition's heap.
 func (p *Partition) track(id uint32, sendTime clock.Time) {
 	off := id - p.lo
-	if !p.wall {
-		p.slots[off] = 0
-		return
+	for int(off) >= len(p.slots) {
+		p.slots = append(p.slots, absent)
 	}
 	p.heap = append(p.heap, wake{sendTime, off})
 	p.up(len(p.heap) - 1)
 }
 
-// untrack removes a resident element from the partition's indexes. The
-// last heap entry fills the hole and sifts whichever way restores order.
-func (p *Partition) untrack(id uint32) {
-	if !p.Contains(id) {
-		panic(fmt.Sprintf("hier: partition [%d,%d] untracking non-resident id %d", p.lo, p.hi, id))
-	}
-	off := id - p.lo
-	if p.wall {
-		i, last := int(p.slots[off]), len(p.heap)-1
-		moved := p.heap[last]
-		p.heap = p.heap[:last]
-		if i < last {
-			p.heap[i] = moved
-			if !p.down(i) {
-				p.up(i)
-			}
+// untrack removes the resident at band offset off from the heap. The last
+// heap entry fills the hole and sifts whichever way restores order.
+func (p *Partition) untrack(off uint32) {
+	i, last := int(p.slots[off]), len(p.heap)-1
+	moved := p.heap[last]
+	p.heap = p.heap[:last]
+	if i < last {
+		p.heap[i] = moved
+		if !p.down(i) {
+			p.up(i)
 		}
 	}
 	p.slots[off] = absent
@@ -246,15 +213,9 @@ func NewPartitioner(be backend.Backend) *Partitioner {
 // Backend exposes the shared physical backend for stats and tests.
 func (pt *Partitioner) Backend() backend.Backend { return pt.be }
 
-// Partitions returns the partitions in band order (a copy).
-func (pt *Partitioner) Partitions() []*Partition {
-	return append([]*Partition(nil), pt.parts...)
-}
-
-// Alloc creates a partition whose band names exactly capacity IDs. wall
-// selects the per-range send_time heap. Regions are handed out
-// round-robin.
-func (pt *Partitioner) Alloc(capacity int, wall bool) (*Partition, error) {
+// Alloc creates a partition whose band names exactly capacity IDs.
+// Regions are handed out round-robin.
+func (pt *Partitioner) Alloc(capacity int) (*Partition, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("hier: partition capacity must be positive, got %d", capacity)
 	}
@@ -265,7 +226,6 @@ func (pt *Partitioner) Alloc(capacity int, wall bool) (*Partition, error) {
 		lo:     uint32(pt.next),
 		hi:     uint32(pt.next + uint64(capacity) - 1),
 		region: (uint64(len(pt.parts)) % regions) << rankBits,
-		wall:   wall,
 	}
 	pt.next += uint64(capacity)
 	pt.parts = append(pt.parts, p)
@@ -273,15 +233,9 @@ func (pt *Partitioner) Alloc(capacity int, wall bool) (*Partition, error) {
 }
 
 // Enqueue inserts e into the partition's logical PIEO. The entry's ID
-// must be one NextID handed out, must not already be resident, and its
-// rank must fit in rankBits bits.
+// must lie in the band and its rank must fit in rankBits bits; a resident
+// ID is refused by the backend itself.
 func (pt *Partitioner) Enqueue(p *Partition, e core.Entry) error {
-	if !p.issued(e.ID) {
-		return fmt.Errorf("hier: id %d is not one partition band [%d,%d] handed out", e.ID, p.lo, p.hi)
-	}
-	if p.slots[e.ID-p.lo] != absent {
-		return fmt.Errorf("%w: id %d already resident in partition", core.ErrDuplicate, e.ID)
-	}
 	if e.Rank > rankMask {
 		return fmt.Errorf("%w: id %d rank %d needs more than %d bits", ErrRankOverflow, e.ID, e.Rank, rankBits)
 	}
@@ -295,28 +249,22 @@ func (pt *Partitioner) Enqueue(p *Partition, e core.Entry) error {
 
 // Dequeue extracts the smallest-ranked eligible element of the
 // partition's band at time t — the §4.2 ranged predicate against the
-// shared structure — and masks the region off its rank. It panics when
-// the backend leaks an element from outside the band or one the partition
-// never admitted: that is corruption, not an operational fault.
+// shared structure — and masks the region off its rank. It leaves the
+// partition's heap alone: a corrupted backend may return anything, so the
+// caller first checks the element is one of the band's residents and then
+// untracks its offset.
 func (pt *Partitioner) Dequeue(p *Partition, t clock.Time) (core.Entry, bool) {
 	e, ok := pt.be.DequeueRange(t, p.lo, p.hi)
-	if !ok {
-		return core.Entry{}, false
-	}
-	if !p.InBand(e.ID) {
-		panic(fmt.Sprintf("hier: ranged dequeue [%d,%d] leaked id %d", p.lo, p.hi, e.ID))
-	}
-	p.untrack(e.ID)
 	e.Rank &= rankMask
-	return e, true
+	return e, ok
 }
 
 // CheckInvariants validates every partition against the shared backend:
 // the bands must tile [0, next) in order, every backend-resident element
 // must be tracked by exactly the partition whose band covers it (no
 // cross-partition leakage) and stored under that partition's rank region,
-// and each wall partition's heap must hold exactly its residents'
-// send_times, in heap order, at the positions their slots record.
+// and each partition's heap must hold exactly its residents' send_times,
+// in heap order, at the positions their slots record.
 func (pt *Partitioner) CheckInvariants() error {
 	next := uint64(0)
 	for _, p := range pt.parts {
@@ -336,35 +284,33 @@ func (pt *Partitioner) CheckInvariants() error {
 			return fmt.Errorf("hier: backend element id %d outside every partition band", e.ID)
 		}
 		p := pt.parts[i]
-		if !p.Contains(e.ID) {
+		if !p.tracks(e.ID) {
 			return fmt.Errorf("hier: backend element id %d not tracked by its partition [%d,%d]", e.ID, p.lo, p.hi)
 		}
 		if e.Rank&^rankMask != p.region {
 			return fmt.Errorf("hier: partition [%d,%d] region %#x holds id %d under stored rank %#x",
 				p.lo, p.hi, p.region>>rankBits, e.ID, e.Rank)
 		}
-		if p.wall {
-			off := e.ID - p.lo
-			pos := int(p.slots[off])
-			if pos >= len(p.heap) || p.heap[pos].off != off {
-				return fmt.Errorf("hier: partition [%d,%d] slot of id %d names heap position %d, which holds another",
-					p.lo, p.hi, e.ID, pos)
-			}
-			if got := p.heap[pos].t; got != e.SendTime {
-				return fmt.Errorf("hier: partition [%d,%d] heap has t=%d for id %d, backend says %d",
-					p.lo, p.hi, got, e.ID, e.SendTime)
-			}
+		off := e.ID - p.lo
+		pos := int(p.slots[off])
+		if pos >= len(p.heap) || p.heap[pos].off != off {
+			return fmt.Errorf("hier: partition [%d,%d] slot of id %d names heap position %d, which holds another",
+				p.lo, p.hi, e.ID, pos)
+		}
+		if got := p.heap[pos].t; got != e.SendTime {
+			return fmt.Errorf("hier: partition [%d,%d] heap has t=%d for id %d, backend says %d",
+				p.lo, p.hi, got, e.ID, e.SendTime)
 		}
 		held[i]++
 	}
 	total := 0
 	for i, p := range pt.parts {
-		tracked := p.Len()
+		tracked := p.residents()
 		if held[i] != tracked {
 			return fmt.Errorf("hier: partition [%d,%d] tracks %d residents, backend holds %d",
 				p.lo, p.hi, tracked, held[i])
 		}
-		if p.wall && len(p.heap) != tracked {
+		if len(p.heap) != tracked {
 			return fmt.Errorf("hier: partition [%d,%d] heap indexes %d, tracks %d",
 				p.lo, p.hi, len(p.heap), tracked)
 		}
@@ -377,8 +323,8 @@ func (pt *Partitioner) CheckInvariants() error {
 					p.lo, p.hi, j, p.heap[j].t, parent)
 			}
 		}
-		if uint64(len(p.slots)) > p.width() {
-			return fmt.Errorf("hier: partition [%d,%d] issued %d ids, more than its band", p.lo, p.hi, len(p.slots))
+		if uint64(len(p.slots)) > uint64(p.hi-p.lo)+1 {
+			return fmt.Errorf("hier: partition [%d,%d] tracks %d offsets, more than its band", p.lo, p.hi, len(p.slots))
 		}
 		total += tracked
 	}

@@ -30,22 +30,16 @@ func (r *fuzzLCG) rank() uint64 {
 
 // partModel is the reference model of one partition: resident ID ->
 // entry, mirrored against the Partitioner on every operation, plus the
-// number of IDs the band has handed out and the time domain it was
-// allocated in.
+// number of band offsets the traffic has used so far.
 type partModel struct {
-	p      *Partition
-	in     map[uint32]core.Entry
-	issued uint32
-	wall   bool
+	p    *Partition
+	in   map[uint32]core.Entry
+	used uint64
 }
 
 // minSendTime is the model's answer to Partition.MinSendTime: the
-// smallest resident send_time of a wall partition, never one for a
-// virtual partition.
+// smallest resident send_time.
 func (pm *partModel) minSendTime() (clock.Time, bool) {
-	if !pm.wall {
-		return 0, false
-	}
 	best, ok := clock.Never, false
 	for _, e := range pm.in {
 		if !ok || e.SendTime < best {
@@ -65,9 +59,9 @@ func (pm *partModel) minSendTime() (clock.Time, bool) {
 // (per-logical-node conservation). Ranks are drawn up to and across the
 // rank-region boundary: one that fits comes back from the dequeue exactly
 // as the caller gave it, and one that does not is refused with
-// ErrRankOverflow and changes nothing. Every wall partition's MinSendTime
-// is its model's smallest resident send_time after every operation, and
-// every virtual partition reports none. The Partitioner's CheckInvariants
+// ErrRankOverflow and changes nothing. Every partition's MinSendTime is
+// its model's smallest resident send_time after every operation. The
+// Partitioner's CheckInvariants
 // (band tiling, heap exactness, backend residency, stored region) runs
 // throughout.
 func FuzzLogicalPartition(f *testing.F) {
@@ -88,15 +82,15 @@ func FuzzLogicalPartition(f *testing.F) {
 		pt := NewPartitioner(be)
 
 		var parts []*partModel
-		alloc := func(capacity int, wall bool) {
-			p, err := pt.Alloc(capacity, wall)
+		alloc := func(capacity int) {
+			p, err := pt.Alloc(capacity)
 			if err != nil {
 				t.Fatalf("alloc %d: %v", capacity, err)
 			}
-			parts = append(parts, &partModel{p: p, in: make(map[uint32]core.Entry), wall: wall})
+			parts = append(parts, &partModel{p: p, in: make(map[uint32]core.Entry)})
 		}
-		alloc(4, true)
-		alloc(8, false)
+		alloc(4)
+		alloc(8)
 
 		total := func() int {
 			n := 0
@@ -115,37 +109,31 @@ func FuzzLogicalPartition(f *testing.F) {
 					if rng.next()%8 == 0 {
 						capacity <<= 16
 					}
-					alloc(capacity, rng.next()%2 == 0)
+					alloc(capacity)
 				}
 			case 1, 2: // enqueue: a fresh ID, one that was dequeued earlier, or a resident one
 				if total() >= 4000 {
 					continue
 				}
-				id := pm.p.Lo() + uint32(rng.next()%uint64(pm.issued+1))
-				if id == pm.p.Lo()+pm.issued {
-					fresh, ok := pm.p.NextID()
-					if ok != (int(pm.issued) < pm.p.Cap()) {
-						t.Fatalf("op %d: NextID ok=%v with %d of %d handed out", opIdx, ok, pm.issued, pm.p.Cap())
-					}
-					if !ok {
+				off := rng.next() % (pm.used + 1)
+				if off == pm.used {
+					if off > uint64(pm.p.hi-pm.p.lo) {
 						continue // band full
 					}
-					if fresh != id {
-						t.Fatalf("op %d: NextID = %d, want %d", opIdx, fresh, id)
-					}
-					pm.issued++
+					pm.used++
 				}
+				id := pm.p.lo + uint32(off)
 				e := core.Entry{ID: id, Rank: rng.rank(), SendTime: clock.Time(rng.next() % 64)}
 				err := pt.Enqueue(pm.p, e)
-				if _, resident := pm.in[id]; resident {
-					if !errors.Is(err, core.ErrDuplicate) {
-						t.Fatalf("op %d: enqueue of resident id %d: %v, want ErrDuplicate", opIdx, id, err)
-					}
-					break // refused: the conservation check below holds the books still
-				}
 				if e.Rank > rankMask {
 					if !errors.Is(err, ErrRankOverflow) {
 						t.Fatalf("enqueue id %d rank %#x: %v, want ErrRankOverflow", id, e.Rank, err)
+					}
+					break // refused: the conservation check below holds the books still
+				}
+				if _, resident := pm.in[id]; resident {
+					if !errors.Is(err, core.ErrDuplicate) {
+						t.Fatalf("op %d: enqueue of resident id %d: %v, want ErrDuplicate", opIdx, id, err)
 					}
 					break // refused likewise
 				}
@@ -165,15 +153,16 @@ func FuzzLogicalPartition(f *testing.F) {
 				if !ok {
 					if hasElig {
 						t.Fatalf("op %d: ranged dequeue missed eligible element (min rank %d) in [%d,%d] at %d",
-							opIdx, minRank, pm.p.Lo(), pm.p.Hi(), now)
+							opIdx, minRank, pm.p.lo, pm.p.hi, now)
 					}
 					continue
 				}
 				me, mine := pm.in[e.ID]
 				if !mine {
 					t.Fatalf("op %d: ranged dequeue [%d,%d] leaked id %d (not in this partition's model)",
-						opIdx, pm.p.Lo(), pm.p.Hi(), e.ID)
+						opIdx, pm.p.lo, pm.p.hi, e.ID)
 				}
+				pm.p.untrack(e.ID - pm.p.lo)
 				if me != e {
 					t.Fatalf("op %d: dequeued %+v, model holds %+v", opIdx, e, me)
 				}
@@ -188,15 +177,15 @@ func FuzzLogicalPartition(f *testing.F) {
 			// Per-partition conservation and wake summary after every
 			// operation.
 			for _, q := range parts {
-				if q.p.Len() != len(q.in) {
+				if q.p.residents() != len(q.in) {
 					t.Fatalf("op %d: partition [%d,%d] holds %d, model %d",
-						opIdx, q.p.Lo(), q.p.Hi(), q.p.Len(), len(q.in))
+						opIdx, q.p.lo, q.p.hi, q.p.residents(), len(q.in))
 				}
 				got, gotOK := q.p.MinSendTime()
 				want, wantOK := q.minSendTime()
 				if gotOK != wantOK || (gotOK && got != want) {
-					t.Fatalf("op %d: partition [%d,%d] (wall=%v) MinSendTime = %d,%v, model %d,%v",
-						opIdx, q.p.Lo(), q.p.Hi(), q.wall, got, gotOK, want, wantOK)
+					t.Fatalf("op %d: partition [%d,%d] MinSendTime = %d,%v, model %d,%v",
+						opIdx, q.p.lo, q.p.hi, got, gotOK, want, wantOK)
 				}
 			}
 			if opIdx%32 == 0 {
