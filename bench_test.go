@@ -561,21 +561,14 @@ func BenchmarkAblationSublistSize(b *testing.B) {
 // output- vs input-triggered pacing (§3.2.1).
 func BenchmarkAblationTriggerModel(b *testing.B) {
 	progs := map[string]*sched.Program{
-		"output": {
+		"output": sched.FromPolicy(&policy.Policy{
 			Name: "pace-output",
-			PreEnqueue: func(s *sched.Scheduler, now Time, f *sched.Flow) {
-				head, _ := f.Queue.Head()
-				f.Rank = uint64(head.SendAt)
-				f.SendTime = head.SendAt
+			Rank: func(n *policy.Node, now Time, a *policy.Attrs, head flowq.Packet, backlog uint64) {
+				a.Rank = uint64(head.SendAt)
+				a.SendTime = head.SendAt
 			},
-		},
-		"input": {
-			Name:  "pace-input",
-			Model: sched.InputTriggered,
-			PrePacket: func(s *sched.Scheduler, now Time, f *sched.Flow, p *flowq.Packet) {
-				p.Rank = uint64(p.SendAt)
-			},
-		},
+		}),
+		"input": algos.Pacer(),
 	}
 	for name, prog := range progs {
 		b.Run(name, func(b *testing.B) {

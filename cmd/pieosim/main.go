@@ -168,8 +168,12 @@ func run(args []string, w io.Writer) error {
 	sim.Run(until)
 
 	// Report.
+	model := "output-triggered"
+	if prog.PrePacket != nil {
+		model = "input-triggered"
+	}
 	fmt.Fprintf(w, "algorithm: %s (%s)   link: %.0f Gbps   duration: %.2f ms   workload: %s\n",
-		prog.Name, prog.Model, *link, *duration, *workload)
+		prog.Name, model, *link, *duration, *workload)
 	fmt.Fprintf(w, "packets sent: %d   link utilization: %.1f%%\n", sim.Sent(), 100*sim.Utilization())
 	var shares []float64
 	fmt.Fprintln(w, "flow  bytes        Gbps")

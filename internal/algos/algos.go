@@ -5,12 +5,15 @@
 // the asynchronous patterns (starvation avoidance by priority aging,
 // D3-style pause/resume on network feedback).
 //
-// Every algorithm is just a sched.Program: a rank function, a predicate
-// function, and optionally a custom post-dequeue — demonstrating the
-// paper's thesis that "schedule the smallest ranked eligible element"
-// expresses all of them. WFQ, WF²Q+, token bucket and strict priority
-// are the policies a hierarchy node runs too (internal/policy), adapted
-// with sched.FromPolicy; the rest are flat-only programs.
+// Every algorithm is just a sched.Program: a catalogue policy
+// (internal/policy) whose Rank sets the rank and the predicate, and
+// optionally a custom post-dequeue — demonstrating the paper's thesis
+// that "schedule the smallest ranked eligible element" expresses all of
+// them. Most are a catalogue policy as it is, which a hierarchy node runs
+// too, adapted with sched.FromPolicy. DRR, SFQ and TDMA add a
+// post-dequeue, SJF and SRTF an arrival refresh, and Pacer and
+// TokenBucketInput rank at arrival instead (input-triggered); those
+// additions are flat-only.
 package algos
 
 import (
@@ -20,17 +23,14 @@ import (
 	"pieo/internal/sched"
 )
 
-// DRR returns Deficit Round Robin (§4.1): every flow has rank 1 and an
-// always-true predicate, so PIEO's FIFO tie-breaking yields round-robin
-// order; the custom post-dequeue transmits packets until the flow's
-// deficit counter runs out.
+// DRR returns Deficit Round Robin (§4.1): the round-robin policy gives
+// every flow rank 1 and an always-true predicate, so PIEO's FIFO
+// tie-breaking yields round-robin order; the custom post-dequeue
+// transmits packets until the flow's deficit counter runs out.
 func DRR() *sched.Program {
 	return &sched.Program{
-		Name: "drr",
-		PreEnqueue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) {
-			f.Rank = 1
-			f.SendTime = clock.Always
-		},
+		Name:   "drr",
+		Policy: policy.RoundRobin(),
 		PostDequeue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) []flowq.Packet {
 			f.Deficit += f.Quantum
 			var burst []flowq.Packet
@@ -74,16 +74,7 @@ func TokenBucket() *sched.Program { return sched.FromPolicy(policy.TokenBucket()
 // shaping assigns each packet an eligibility time on arrival (the
 // Packet.SendAt field), and among flows whose head packet is eligible,
 // the highest static priority wins.
-func RCSP() *sched.Program {
-	return &sched.Program{
-		Name: "rcsp",
-		PreEnqueue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) {
-			head, _ := f.Queue.Head()
-			f.Rank = f.Priority
-			f.SendTime = head.SendAt
-		},
-	}
-}
+func RCSP() *sched.Program { return sched.FromPolicy(policy.RCSP()) }
 
 // StrictPriority returns strict priority scheduling (§4.4, §4.5): rank is
 // the flow's priority, predicate always true. PIEO emulates a plain
@@ -98,10 +89,12 @@ func StrictPriority() *sched.Program { return sched.FromPolicy(policy.StrictPrio
 func AgeStarvedFlows(s *sched.Scheduler, now clock.Time, threshold clock.Time, floor uint64, ids []flowq.FlowID) int {
 	boosted := 0
 	for _, id := range ids {
-		f := s.Flow(id)
+		// A flow in the list exists; looking up any other ID would
+		// create it and dilute every fair-queueing share.
 		if !s.List.Contains(uint32(id)) {
 			continue
 		}
+		f := s.Flow(id)
 		if now-f.LastScheduled < threshold {
 			continue
 		}
@@ -134,11 +127,8 @@ func Resume(s *sched.Scheduler, now clock.Time, id flowq.FlowID) {
 // preempt larger ones at flow granularity.
 func SJF() *sched.Program {
 	return &sched.Program{
-		Name: "sjf",
-		PreEnqueue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) {
-			f.Rank = f.Queue.Bytes()
-			f.SendTime = clock.Always
-		},
+		Name:   "sjf",
+		Policy: policy.SJF(),
 		OnArrival: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) {
 			// A new packet grew the job: refresh the flow's rank via the
 			// asynchronous dequeue(f)+enqueue(f) path (§4.4).
@@ -160,42 +150,19 @@ func SRTF() *sched.Program {
 
 // EDF returns Earliest Deadline First (§4.5): rank is the head packet's
 // absolute deadline.
-func EDF() *sched.Program {
-	return &sched.Program{
-		Name: "edf",
-		PreEnqueue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) {
-			head, _ := f.Queue.Head()
-			f.Rank = uint64(head.Deadline)
-			f.SendTime = clock.Always
-		},
-	}
-}
+func EDF() *sched.Program { return sched.FromPolicy(policy.EDF()) }
 
 // LSTF returns Least Slack Time First (§4.5, the near-universal scheduler
 // of UPS): rank is the head packet's slack — time to deadline minus wire
 // time — at enqueue.
-func LSTF() *sched.Program {
-	return &sched.Program{
-		Name: "lstf",
-		PreEnqueue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) {
-			head, _ := f.Queue.Head()
-			wire := s.WireTime(head.Size)
-			slack := uint64(0)
-			if head.Deadline > now+wire {
-				slack = uint64(head.Deadline - now - wire)
-			}
-			f.Rank = slack
-			f.SendTime = clock.Always
-		},
-	}
-}
+func LSTF() *sched.Program { return sched.FromPolicy(policy.LSTF()) }
 
 // FIFO returns plain arrival-order scheduling (§2.3's baseline
 // primitive), expressed in PIEO by giving every flow the same rank: the
 // list's FIFO tie-break does the rest. Packets across flows leave in
 // flow-enqueue order, packets within a flow in arrival order.
 func FIFO() *sched.Program {
-	return &sched.Program{Name: "fifo"} // all defaults: rank 1, always eligible
+	return &sched.Program{Name: "fifo"} // nil Policy: round-robin, rank 1, always eligible
 }
 
 // Pacer returns a per-packet pacing program (§1's "protocols that rely
@@ -204,8 +171,7 @@ func FIFO() *sched.Program {
 // both rank and predicate.
 func Pacer() *sched.Program {
 	return &sched.Program{
-		Name:  "pacer",
-		Model: sched.InputTriggered,
+		Name: "pacer",
 		PrePacket: func(s *sched.Scheduler, now clock.Time, f *sched.Flow, p *flowq.Packet) {
 			p.Rank = uint64(p.SendAt)
 		},

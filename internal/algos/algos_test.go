@@ -333,6 +333,21 @@ func TestAgeStarvedSkipsRecentlyServed(t *testing.T) {
 	}
 }
 
+// TestAgeStarvedFlowsIgnoresUnknownIDs: an ID the scheduler has never
+// seen is not in the list, so it is skipped without creating a flow —
+// which would add its weight to SumWeights and shrink every share.
+func TestAgeStarvedFlowsIgnoresUnknownIDs(t *testing.T) {
+	s := sched.New(WFQ(), 8, linkGbps)
+	s.OnArrival(0, flowq.Packet{Flow: 1, Size: 100})
+	flows, sum := s.Flows(), s.SumWeights
+	if n := AgeStarvedFlows(s, 1000, 500, 0, []flowq.FlowID{7, 8, 9}); n != 0 {
+		t.Fatalf("boosted %d unknown flows, want 0", n)
+	}
+	if s.Flows() != flows || s.SumWeights != sum {
+		t.Fatalf("Flows %d, SumWeights %d after the sweep, want %d, %d", s.Flows(), s.SumWeights, flows, sum)
+	}
+}
+
 func TestPauseResume(t *testing.T) {
 	s := sched.New(StrictPriority(), 8, linkGbps)
 	s.Flow(1).Priority = 1

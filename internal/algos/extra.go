@@ -1,6 +1,8 @@
 package algos
 
 import (
+	"slices"
+
 	"pieo/internal/clock"
 	"pieo/internal/flowq"
 	"pieo/internal/policy"
@@ -21,10 +23,9 @@ func SFQ(buckets int) *sched.Program {
 		panic("algos: SFQ needs a positive bucket count")
 	}
 	rounds := make([]uint64, buckets)
-	members := make([]map[flowq.FlowID]bool, buckets)
-	for i := range members {
-		members[i] = make(map[flowq.FlowID]bool)
-	}
+	// members holds each bucket's queued flows in the order they joined
+	// it, so the order they are re-ranked in does not vary between runs.
+	members := make([][]flowq.FlowID, buckets)
 	bucketOf := func(id flowq.FlowID) int {
 		// Knuth multiplicative hash; any fixed hash works, the point is
 		// that flows cannot choose their bucket.
@@ -32,24 +33,29 @@ func SFQ(buckets int) *sched.Program {
 	}
 	return &sched.Program{
 		Name: "sfq",
-		PreEnqueue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) {
-			b := bucketOf(f.ID)
-			members[b][f.ID] = true
-			f.Rank = rounds[b]
-			f.SendTime = clock.Always
+		Policy: &policy.Policy{
+			Name: "sfq",
+			Rank: func(n *policy.Node, now clock.Time, a *policy.Attrs, head flowq.Packet, backlog uint64) {
+				b := bucketOf(head.Flow)
+				if !slices.Contains(members[b], head.Flow) {
+					members[b] = append(members[b], head.Flow)
+				}
+				a.Rank = rounds[b]
+				a.SendTime = clock.Always
+			},
 		},
 		PostDequeue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) []flowq.Packet {
 			b := bucketOf(f.ID)
 			rounds[b]++
 			p, _ := f.Queue.Pop()
 			if f.Queue.Empty() {
-				delete(members[b], f.ID)
+				members[b] = slices.DeleteFunc(members[b], func(id flowq.FlowID) bool { return id == f.ID })
 			}
 			// Re-rank the bucket's other queued members to the new round
 			// BEFORE re-enqueueing the serviced flow, so the FIFO
 			// tie-break rotates service within the bucket instead of
 			// letting the same member win every round.
-			for id := range members[b] {
+			for _, id := range members[b] {
 				if id != f.ID && s.List.Contains(uint32(id)) {
 					s.Alarm(now, id, func(*sched.Flow) {})
 				}
@@ -79,34 +85,24 @@ func TDMA(nFlows int, slotNs clock.Time) *sched.Program {
 			return clock.Never // the packet can never fit a slot
 		}
 		cycle := clock.Time(nFlows) * slotNs
-		cycleStart := now - now%cycle
-		mySlot := cycleStart + clock.Time(id)*slotNs
-		for {
-			if mySlot >= now && mySlot+slotNs >= mySlot+wire {
-				return mySlot
-			}
-			if mySlot < now && now+wire <= mySlot+slotNs {
+		mySlot := now - now%cycle + clock.Time(id)%clock.Time(nFlows)*slotNs
+		if mySlot < now { // inside or past this cycle's slot
+			if now+wire <= mySlot+slotNs {
 				return now // inside the slot with room to finish
 			}
-			if mySlot+slotNs > now && mySlot <= now {
-				// Inside the slot but the packet no longer fits.
-				mySlot += cycle
-				continue
-			}
-			if mySlot < now {
-				mySlot += cycle
-				continue
-			}
-			return mySlot
+			mySlot += cycle
 		}
+		return mySlot
 	}
 	return &sched.Program{
 		Name: "tdma",
-		PreEnqueue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) {
-			head, _ := f.Queue.Head()
-			send := nextSlotFor(f.ID, now, s.WireTime(head.Size))
-			f.Rank = uint64(send)
-			f.SendTime = send
+		Policy: &policy.Policy{
+			Name: "tdma",
+			Rank: func(n *policy.Node, now clock.Time, a *policy.Attrs, head flowq.Packet, backlog uint64) {
+				send := nextSlotFor(head.Flow, now, n.WireTime(head.Size))
+				a.Rank = uint64(send)
+				a.SendTime = send
+			},
 		},
 		PostDequeue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) []flowq.Packet {
 			p, _ := f.Queue.Pop()
@@ -132,8 +128,7 @@ func TDMA(nFlows int, slotNs clock.Time) *sched.Program {
 // model for shaping policies.
 func TokenBucketInput() *sched.Program {
 	return &sched.Program{
-		Name:  "token-bucket-input",
-		Model: sched.InputTriggered,
+		Name: "token-bucket-input",
 		PrePacket: func(s *sched.Scheduler, now clock.Time, f *sched.Flow, p *flowq.Packet) {
 			// Project the bucket forward from the last *planned* release
 			// rather than the last actual one.

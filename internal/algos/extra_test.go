@@ -45,6 +45,30 @@ func TestSFQCollidingFlowsShareOneBucket(t *testing.T) {
 	}
 }
 
+// TestSFQDeterministic: a served bucket re-ranks its other members, and
+// the FIFO tie-break among them follows the order they are re-ranked in,
+// so that order must not vary from run to run. Two buckets for twelve
+// flows put six members in each.
+func TestSFQDeterministic(t *testing.T) {
+	arrivals := goldenArrivals()
+	var first []transmission
+	for run := 0; run < 5; run++ {
+		got := transmissions(sched.New(SFQ(2), 16, linkGbps), arrivals)
+		if len(got) != len(arrivals) {
+			t.Fatalf("run %d: sent %d of %d arrivals", run, len(got), len(arrivals))
+		}
+		if run == 0 {
+			first = got
+			continue
+		}
+		for i := range got {
+			if got[i] != first[i] {
+				t.Fatalf("run %d: transmission %d is %+v, run 0 sent %+v", run, i, got[i], first[i])
+			}
+		}
+	}
+}
+
 func TestSFQValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -114,6 +138,18 @@ func TestTDMANonWorkConserving(t *testing.T) {
 	}
 	if gbps < 8 {
 		t.Fatalf("TDMA flow got %.1f Gbps, want ~10 (should fill its own slots)", gbps)
+	}
+}
+
+// TestTDMASlotIsIDModFlows: flow id owns slot id mod nFlows of every
+// cycle, so a high ID waits no extra cycles for its first slot.
+func TestTDMASlotIsIDModFlows(t *testing.T) {
+	s := sched.New(TDMA(4, 1000), 16, 40)
+	for _, id := range []flowq.FlowID{1, 5, 13} {
+		s.OnArrival(0, flowq.Packet{Flow: id, Size: 100})
+		if got := s.Flow(id).SendTime; got != 1000 {
+			t.Errorf("flow %d: send time %v, want 1000 (slot 1 of the first cycle)", id, got)
+		}
 	}
 }
 

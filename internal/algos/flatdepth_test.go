@@ -45,6 +45,9 @@ var depth1Cases = []struct {
 	{WFQ, policy.WFQ},
 	{WF2Q, policy.WF2Q},
 	{TokenBucket, policy.TokenBucket},
+	{RCSP, policy.RCSP},
+	{EDF, policy.EDF},
+	{LSTF, policy.LSTF},
 }
 
 // transmission is one packet leaving the link.
@@ -125,9 +128,11 @@ func goldenCfgs() []flowCfg {
 
 // byteMix decodes a flow set and an arrival stream from data: one byte
 // for the flow count, three per flow (weight and priority, rate, burst),
-// then three per arrival (flow, size, gap). Three gaps in four are under
-// 24 ns, well below a packet's wire time, and the rest up to 12.6 µs, so
-// queues build, drain and go idle. A short input is zero-padded.
+// then five per arrival (flow, size, gap, pacing, slack). Three gaps in
+// four are under 24 ns, well below a packet's wire time, and the rest up
+// to 12.6 µs, so queues build, drain and go idle. A packet's SendAt is up
+// to 5.1 µs after its arrival and its Deadline up to 25.5 µs after that.
+// A short input is zero-padded.
 func byteMix(data []byte) ([]flowCfg, []pktgen.Arrival) {
 	next := func() byte {
 		if len(data) == 0 {
@@ -150,25 +155,27 @@ func byteMix(data []byte) ([]flowCfg, []pktgen.Arrival) {
 	var arrivals []pktgen.Arrival
 	at := clock.Time(0)
 	for seq := uint64(1); len(data) > 0; seq++ {
-		flow, size, gap := next(), next(), next()
+		flow, size, gap, pace, slack := next(), next(), next(), next(), next()
 		if gap < 192 {
 			at += clock.Time(gap / 8) // a burst: queues build
 		} else {
 			at += clock.Time(gap-192) * 200 // up to 12.6 µs: queues drain and idle
 		}
+		sendAt := at + clock.Time(pace)*20
 		arrivals = append(arrivals, pktgen.Arrival{At: at, Pkt: flowq.Packet{
 			Flow: flowq.FlowID(int(flow) % len(cfgs)), Size: 64 + uint32(size)*5, Seq: seq,
+			SendAt: sendAt, Deadline: sendAt + clock.Time(slack)*100,
 		}})
 	}
 	return cfgs, arrivals
 }
 
-// TestFlatIsDepth1 pins flat ≡ depth-1 for all five shared policies on
-// the golden mix and on seeded random mixes.
+// TestFlatIsDepth1 pins flat ≡ depth-1 for every policy of depth1Cases
+// on the golden mix and on seeded random mixes.
 func TestFlatIsDepth1(t *testing.T) {
 	assertFlatIsDepth1(t, "golden mix", goldenCfgs(), goldenArrivals())
 	for seed := int64(0); seed < 40; seed++ {
-		data := make([]byte, 1+3*16+3*300)
+		data := make([]byte, 1+3*16+5*300)
 		rand.New(rand.NewSource(seed)).Read(data)
 		cfgs, arrivals := byteMix(data)
 		assertFlatIsDepth1(t, fmt.Sprintf("seed %d", seed), cfgs, arrivals)

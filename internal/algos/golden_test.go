@@ -16,7 +16,9 @@ import (
 // bimodal sizes, CBR, on-off bursts and a backlogged block — small
 // enough to run in milliseconds and varied enough that queues build,
 // drain and go idle. Every packet carries SendAt = arrival + a per-flow
-// offset so the input-triggered programs have something to pace on.
+// offset so the input-triggered programs and RCSP have something to pace
+// on, and a Deadline 0.5-20.5 µs after its arrival, varying per packet,
+// so EDF and LSTF order more than arrivals.
 func goldenArrivals() []pktgen.Arrival {
 	var gens []pktgen.Generator
 	for i := 0; i < 12; i++ {
@@ -41,6 +43,7 @@ func goldenArrivals() []pktgen.Arrival {
 	for i := range arrivals {
 		a := &arrivals[i]
 		a.Pkt.SendAt = a.At + clock.Time(37*uint64(a.Pkt.Flow))
+		a.Pkt.Deadline = a.At + clock.Time(500+uint64(i)*7919%20_000)
 	}
 	return arrivals
 }
@@ -110,6 +113,11 @@ func TestGoldenScheduleDigests(t *testing.T) {
 			f.Tokens = f.Burst
 		}
 	}
+	prioritized := func(s *sched.Scheduler) {
+		for i := 0; i < 12; i++ {
+			s.Flow(flowq.FlowID(i)).Priority = uint64(i % 4)
+		}
+	}
 	cases := []struct {
 		name      string
 		prog      *sched.Program
@@ -125,6 +133,18 @@ func TestGoldenScheduleDigests(t *testing.T) {
 		// Input-triggered: PrePacket writes the packet it is handed.
 		{"pacer", Pacer(), nil, 0x7990af08d4de0da4},
 		{"token-bucket-input", TokenBucketInput(), shaped, 0xf709539df9a47733},
+		{"fifo", FIFO(), nil, 0xb2ec94aee48651e4},
+		{"strict-priority", StrictPriority(), prioritized, 0x34e25ee4f7abc07f},
+		{"wfq", WFQ(), nil, 0xb2b500fc1b8362fe},
+		{"rcsp", RCSP(), prioritized, 0xc86908ef48e28c8a},
+		{"edf", EDF(), nil, 0x4d7cd14b417a4e8a},
+		{"lstf", LSTF(), nil, 0xac45b534ff991270},
+		{"sjf", SJF(), nil, 0x8793a021827bd432},
+		{"srtf", SRTF(), nil, 0x8793a021827bd432},
+		// Three buckets for twelve flows: members rotate within a bucket.
+		{"sfq", SFQ(3), nil, 0x78467bcb788dc1d3},
+		// Eight slots for twelve flows: flows 8-11 share 0-3's slots.
+		{"tdma", TDMA(8, 1000), nil, 0xba46c54f78e38251},
 	}
 	for _, c := range cases {
 		got, sent := scheduleDigest(t, c.prog, c.configure)

@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"time"
 
+	"pieo/internal/algos"
 	"pieo/internal/clock"
 	"pieo/internal/core"
 	"pieo/internal/flowq"
 	"pieo/internal/hwmodel"
+	"pieo/internal/policy"
 	"pieo/internal/sched"
 )
 
@@ -63,11 +65,14 @@ func Ablation() *Table {
 
 	// 3. Trigger model: measured critical-path cost of the dequeue and
 	// arrival paths under each model for a pacing program.
-	for _, model := range []sched.TriggerModel{sched.OutputTriggered, sched.InputTriggered} {
-		arrivalNs, dequeueNs := measureTriggerModel(model, 50_000)
+	for _, m := range []struct {
+		model string
+		prog  *sched.Program
+	}{{"output-triggered", paceOutput()}, {"input-triggered", algos.Pacer()}} {
+		arrivalNs, dequeueNs := measureTriggerModel(m.prog, 50_000)
 		t.Rows = append(t.Rows,
-			[]string{"trigger-model", model.String(), "arrival path ns", fmt.Sprintf("%.0f", arrivalNs)},
-			[]string{"trigger-model", model.String(), "dequeue path ns", fmt.Sprintf("%.0f", dequeueNs)},
+			[]string{"trigger-model", m.model, "arrival path ns", fmt.Sprintf("%.0f", arrivalNs)},
+			[]string{"trigger-model", m.model, "dequeue path ns", fmt.Sprintf("%.0f", dequeueNs)},
 		)
 	}
 	t.Notes = []string{
@@ -98,31 +103,22 @@ func measureGoNsPerOpWithSublist(n, s, ops int) float64 {
 	return float64(time.Since(start).Nanoseconds()) / float64(ops)
 }
 
-// measureTriggerModel times a pacing program under one trigger model:
-// the same release-time algorithm expressed with PreEnqueue
-// (output-triggered, computed at dequeue-driven re-enqueue) or PrePacket
-// (input-triggered, computed at arrival).
-func measureTriggerModel(model sched.TriggerModel, ops int) (arrivalNs, dequeueNs float64) {
-	var prog *sched.Program
-	switch model {
-	case sched.OutputTriggered:
-		prog = &sched.Program{
-			Name: "pace-output",
-			PreEnqueue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) {
-				head, _ := f.Queue.Head()
-				f.Rank = uint64(head.SendAt)
-				f.SendTime = head.SendAt
-			},
-		}
-	case sched.InputTriggered:
-		prog = &sched.Program{
-			Name:  "pace-input",
-			Model: sched.InputTriggered,
-			PrePacket: func(s *sched.Scheduler, now clock.Time, f *sched.Flow, p *flowq.Packet) {
-				p.Rank = uint64(p.SendAt)
-			},
-		}
-	}
+// paceOutput is algos.Pacer's release-time algorithm output-triggered:
+// the flow is ranked by its head packet's SendAt at every re-enqueue.
+func paceOutput() *sched.Program {
+	return sched.FromPolicy(&policy.Policy{
+		Name: "pace-output",
+		Rank: func(n *policy.Node, now clock.Time, a *policy.Attrs, head flowq.Packet, backlog uint64) {
+			a.Rank = uint64(head.SendAt)
+			a.SendTime = head.SendAt
+		},
+	})
+}
+
+// measureTriggerModel times one pacing program: the same release-time
+// algorithm computed at dequeue-driven re-enqueue (output-triggered) or
+// at arrival (input-triggered).
+func measureTriggerModel(prog *sched.Program, ops int) (arrivalNs, dequeueNs float64) {
 	const nFlows = 1024
 	s := sched.New(prog, nFlows, 40)
 

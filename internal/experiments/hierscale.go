@@ -17,8 +17,10 @@ import (
 // (Fig 11/12) rerun at 100x the leaf count — 100 VMs of 100 flows each,
 // 10k+ logical nodes — with every logical node multiplexed onto ONE
 // shared engine via the partition allocator. The per-level layout (one
-// physical PIEO per depth) is the oracle; each partitioned row must
-// enforce the same rates through a single backend.
+// physical PIEO per depth) is the reference row; each partitioned row
+// must enforce the same rates through a single backend. Both run the
+// one logical-PIEO path of internal/hier in different arrangements, so
+// the reference is not an independent oracle: internal/oracle is.
 const (
 	hierScaleLinkGbps  = 40
 	hierScaleMTU       = 1500
@@ -106,7 +108,7 @@ type hierScaleVariant struct {
 	mk   func(rootPolicy *hier.Policy) *hier.Hierarchy
 }
 
-// hierScaleVariants enumerates the layouts: the per-level oracle first,
+// hierScaleVariants enumerates the layouts: the per-level reference first,
 // then the partitioned single-engine layout over the exact
 // single-threaded list and the concurrent engine.
 func hierScaleVariants() []hierScaleVariant {
@@ -132,7 +134,7 @@ func hierScaleVariants() []hierScaleVariant {
 // HierScale reproduces the Fig 11/12 enforcement study at 100x scale:
 // a 10k-leaf two-level hierarchy whose logical nodes are multiplexed
 // onto one shared engine by the partition allocator, compared against
-// the per-level oracle at every rate point, 20 ms per trial as in §6.3.
+// the per-level reference at every rate point, 20 ms per trial as in §6.3.
 func HierScale() *Table { return hierScale(100, 100, 20_000_000) }
 
 // hierScale is HierScale at a given size (the test runs it small).
@@ -161,7 +163,7 @@ func hierScale(nVMs, nFlows int, dur clock.Time) *Table {
 			"Jain (sampled VM)", "packets"},
 		Rows: rows,
 		Notes: []string{
-			"per-level/core is the oracle (one physical PIEO per depth); partitioned rows multiplex every logical node onto one backend via §4.2 index ranges",
+			"per-level/core is the reference (one physical PIEO per depth, the same code in another arrangement); partitioned rows multiplex every logical node onto one backend via §4.2 index ranges",
 			"Jain index is over the sampled VM's per-flow rates (ideal 1.0 under WF2Q+)",
 			"per-packet cost of the partitioned layout is the hier_partitioned workload of `go run ./bench`",
 		},

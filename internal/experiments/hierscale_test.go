@@ -7,7 +7,7 @@ import (
 
 // TestHierScaleReduced runs the partitioning-at-scale study at smoke
 // size and checks the two properties the full run must exhibit: every
-// partitioned layout transmits byte-identically to the per-level oracle
+// partitioned layout transmits byte-identically to the per-level reference
 // (same measured rate, same packet count), and enforcement holds — the
 // sampled VM's measured rate stays within tolerance of its limit.
 func TestHierScaleReduced(t *testing.T) {
@@ -17,23 +17,23 @@ func TestHierScaleReduced(t *testing.T) {
 		t.Fatalf("want %d rows, got %d", len(hierScaleRates)*nVariants, len(tbl.Rows))
 	}
 	for i := 0; i < len(tbl.Rows); i += nVariants {
-		oracle := tbl.Rows[i]
-		if oracle[0] != "per-level/core" {
-			t.Fatalf("row %d: oracle row out of position: %v", i, oracle)
+		ref := tbl.Rows[i]
+		if ref[0] != "per-level/core" {
+			t.Fatalf("row %d: reference row out of position: %v", i, ref)
 		}
 		for j := 1; j < nVariants; j++ {
 			part := tbl.Rows[i+j]
 			// measured Gbps, Jain, and packet count must match the
-			// oracle exactly — the partitioned layout is bit-exact.
+			// reference exactly — the partitioned layout is bit-exact.
 			for _, col := range []int{3, 5, 6} {
-				if part[col] != oracle[col] {
-					t.Errorf("rate %s: %s %s=%s, oracle %s",
-						oracle[2], part[0], tbl.Columns[col], part[col], oracle[col])
+				if part[col] != ref[col] {
+					t.Errorf("rate %s: %s %s=%s, reference %s",
+						ref[2], part[0], tbl.Columns[col], part[col], ref[col])
 				}
 			}
 		}
-		rate, _ := strconv.ParseFloat(oracle[2], 64)
-		got, _ := strconv.ParseFloat(oracle[3], 64)
+		rate, _ := strconv.ParseFloat(ref[2], 64)
+		got, _ := strconv.ParseFloat(ref[3], 64)
 		// 2 ms windows quantize coarsely; enforcement within 15% is the
 		// smoke bar (the committed full run holds a much tighter error).
 		if got < rate*0.85 || got > rate*1.15 {

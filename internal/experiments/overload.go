@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"pieo/internal/algos"
 	"pieo/internal/backend"
 	"pieo/internal/clock"
 	"pieo/internal/flowq"
@@ -40,14 +41,7 @@ func Overload() *Table {
 			"premium goodput", "declared drops", "evictions",
 		},
 	}
-	prog := &sched.Program{
-		Name:  "static-priority",
-		Model: sched.OutputTriggered,
-		PreEnqueue: func(s *sched.Scheduler, now clock.Time, f *sched.Flow) {
-			f.Rank = f.Priority
-			f.SendTime = clock.Always
-		},
-	}
+	prog := algos.StrictPriority()
 	for _, pol := range []backend.AdmissionPolicy{
 		backend.AdmitReject, backend.AdmitTailDrop, backend.AdmitPushOut,
 	} {

@@ -29,7 +29,7 @@ func TestSchedulerUnderChaos(t *testing.T) {
 	inner.SetFaultHook(hookInj.ShardHook())
 	b := faultinject.Wrap(inner, wrapInj)
 
-	prog := &sched.Program{Name: "chaos-fifo", Model: sched.OutputTriggered}
+	prog := &sched.Program{Name: "chaos-fifo"}
 	s := sched.NewOn(prog, b, 10)
 	s.Admission = backend.AdmitPushOut
 

@@ -372,7 +372,8 @@ func (h *Hierarchy) enqueueChild(now clock.Time, n *Node, c *Child) {
 		if n.SumWeights == 0 {
 			n.SumWeights = n.weightSum()
 		}
-		n.Policy.Rank(&n.Node, now, &c.Attrs, expectedSize(c))
+		head, backlog := expectedHead(c)
+		n.Policy.Rank(&n.Node, now, &c.Attrs, head, backlog)
 		c.Busy = true // until it goes idle, a Rank is a continuation
 		if !h.insertChild(n, c) {
 			return
@@ -435,11 +436,12 @@ func (h *Hierarchy) NextPacket(now clock.Time) (flowq.Packet, bool) {
 	// virtual finish) is charged before any re-enqueue computes a fresh
 	// rank/send time — re-enqueueing the leaf would otherwise propagate
 	// upward past uncharged ancestors. The leaf is popped after, so
-	// expectedSize still names what each child was ranked for: the
+	// expectedHead still names what each child was ranked for: the
 	// leaf's head, an interior child's Quantum.
 	for _, step := range path {
 		if charge := step.n.Policy.Charge; charge != nil {
-			charge(&step.n.Node, now, &step.c.Attrs, expectedSize(step.c), p.Size)
+			ranked, _ := expectedHead(step.c)
+			charge(&step.n.Node, now, &step.c.Attrs, ranked.Size, p.Size)
 		}
 	}
 	leaf.Queue.Pop()
@@ -470,7 +472,8 @@ func (h *Hierarchy) descend(n *Node, now clock.Time) bool {
 	// Put deferred children back; Rank is idempotent by contract, and
 	// each of them is busy, so this is a continuation, not an activation.
 	for _, c := range h.deferred[mine:] {
-		n.Policy.Rank(&n.Node, now, &c.Attrs, expectedSize(c))
+		head, backlog := expectedHead(c)
+		n.Policy.Rank(&n.Node, now, &c.Attrs, head, backlog)
 		h.insertChild(n, c)
 	}
 	h.deferred = h.deferred[:mine]

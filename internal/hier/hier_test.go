@@ -708,3 +708,40 @@ func testTokenBucketParks(t *testing.T, slowRate float64) {
 		})
 	}
 }
+
+// TestHeadPacketPoliciesAtInteriorNode: RCSP, EDF and LSTF rank a node's
+// leaves by what their head packets carry, so a node below the root runs
+// them with no code of its own. Flow 2 has the earliest deadline but is
+// not eligible before 500; priorities are 3, 1, 2.
+func TestHeadPacketPoliciesAtInteriorNode(t *testing.T) {
+	for _, c := range []struct {
+		pol  *Policy
+		want []flowq.FlowID
+	}{
+		{policy.EDF(), []flowq.FlowID{2, 3, 1}},
+		{policy.LSTF(), []flowq.FlowID{2, 3, 1}},
+		{policy.RCSP(), []flowq.FlowID{3, 1, 2}},
+	} {
+		for layout, newH := range map[string]func(float64, *Policy) *Hierarchy{"per-level": New, "partitioned": NewPartitioned} {
+			h := newH(linkGbps, policy.RoundRobin())
+			inner := h.Root().AddNode("inner", c.pol)
+			for id := flowq.FlowID(1); id <= 3; id++ {
+				inner.AddFlow(id)
+			}
+			h.Build()
+			h.Leaf(1).Priority, h.Leaf(2).Priority, h.Leaf(3).Priority = 3, 1, 2
+			h.OnArrival(0, flowq.Packet{Flow: 1, Size: 100, Deadline: 3000})
+			h.OnArrival(0, flowq.Packet{Flow: 2, Size: 100, Deadline: 1000, SendAt: 500})
+			h.OnArrival(0, flowq.Packet{Flow: 3, Size: 100, Deadline: 2000})
+			var got []flowq.FlowID
+			for now := clock.Time(0); now <= 1000; now += 100 {
+				if p, ok := h.NextPacket(now); ok {
+					got = append(got, p.Flow)
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(c.want) {
+				t.Errorf("%s, %s: sent flows %v, want %v", c.pol.Name, layout, got, c.want)
+			}
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package hier
 
-import "pieo/internal/policy"
+import (
+	"pieo/internal/flowq"
+	"pieo/internal/policy"
+)
 
 // Policy is the scheduling algorithm a node applies to its children: a
 // policy of the one catalogue (internal/policy) that the flat scheduler
@@ -8,16 +11,17 @@ import "pieo/internal/policy"
 // minimum resident start is its band's heap top (Partition.minStart).
 type Policy = policy.Policy
 
-// expectedSize is the packet size a child is about to transmit: the head
-// packet for leaves, the configured Quantum for interior nodes (whose
-// winning descendant is not known until the descent below them).
-func expectedSize(c *Child) uint32 {
+// expectedHead is what a child's Rank sees: a leaf's head packet and
+// queued bytes; for an interior node, whose winning descendant is not
+// known until the descent below it, a packet of its configured Quantum
+// and Quantum bytes.
+func expectedHead(c *Child) (flowq.Packet, uint64) {
 	if c.IsLeaf() {
 		if head, ok := c.Queue.Head(); ok {
-			return head.Size
+			return head, c.Queue.Bytes()
 		}
 	}
-	return uint32(c.Quantum)
+	return flowq.Packet{Size: uint32(c.Quantum)}, c.Quantum
 }
 
 // weightSum returns the total weight of n's children. Weights are

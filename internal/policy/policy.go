@@ -1,19 +1,25 @@
 // Package policy is the one catalogue of scheduling policies that both
 // the flat scheduler (internal/sched) and every node of a hierarchy
-// (internal/hier) run: round-robin, strict priority, WFQ, WF²Q+ and token
-// bucket, each written once (§4.1, §4.2, §4.4). A policy sees the element
-// it ranks as an Attrs and the scheduler it runs in as a Node; a flat
-// scheduler is the one-node tree, a hierarchy node is any other.
+// (internal/hier) run: round-robin, strict priority, WFQ, WF²Q+, token
+// bucket, RCSP, EDF, LSTF and SJF, each written once (§4.1, §4.2, §4.4,
+// §4.5). A policy sees the element it ranks as an Attrs and the
+// scheduler it runs in as a Node; a flat scheduler is the one-node tree,
+// a hierarchy node is any other.
 //
-// The framework drives the hooks in a fixed order around every
-// transmission: Rank when an element (re-)enters its list, then, after
-// the element is served, Charge on it, its re-enqueue (a fresh Rank), and
-// Advance on the node. Rank may run again on an element that was not
-// served in between — an alarm, a deferred descent — and must then give
-// the same answer; all charging belongs to Charge and Advance.
+// Rank is the §3.2 pre-enqueue function, the one ranking hook: it sees
+// the element's head packet and the bytes it has queued. The framework
+// drives the hooks in a fixed order around every transmission: Rank when
+// an element (re-)enters its list, then, after the element is served,
+// Charge on it, its re-enqueue (a fresh Rank), and Advance on the node.
+// Rank may run again on an element that was not served in between — an
+// alarm, a deferred descent — and must then give the same answer; all
+// charging belongs to Charge and Advance.
 package policy
 
-import "pieo/internal/clock"
+import (
+	"pieo/internal/clock"
+	"pieo/internal/flowq"
+)
 
 // Attrs is the scheduling state of one element of a PIEO list — a flow
 // of the flat scheduler, a child of a hierarchy node. The control plane
@@ -86,11 +92,14 @@ type Policy struct {
 	DequeueTime func(n *Node, now clock.Time) clock.Time
 
 	// Rank assigns a.Rank and a.SendTime for an element whose next
-	// packet is expected to be size bytes. It must be idempotent.
-	Rank func(n *Node, now clock.Time, a *Attrs, size uint32)
+	// packet is head and which has backlog bytes queued. A hierarchy's
+	// interior child knows neither before the descent below it picks a
+	// packet: it passes head = {Size: Quantum} and backlog = Quantum. It
+	// must be idempotent.
+	Rank func(n *Node, now clock.Time, a *Attrs, head flowq.Packet, backlog uint64)
 
 	// Charge updates the element after it transmitted sent bytes, before
-	// it is re-enqueued; ranked is the size its last Rank expected. The
+	// it is re-enqueued; ranked is the head size its last Rank saw. The
 	// two differ for a hierarchy's interior child, ranked by its Quantum
 	// before the descent below it picked a packet.
 	Charge func(n *Node, now clock.Time, a *Attrs, ranked, sent uint32)
@@ -111,7 +120,7 @@ type Policy struct {
 func RoundRobin() *Policy {
 	return &Policy{
 		Name: "round-robin",
-		Rank: func(n *Node, now clock.Time, a *Attrs, size uint32) {
+		Rank: func(n *Node, now clock.Time, a *Attrs, head flowq.Packet, backlog uint64) {
 			a.Rank = 1
 			a.SendTime = clock.Always
 		},
@@ -123,8 +132,64 @@ func RoundRobin() *Policy {
 func StrictPriority() *Policy {
 	return &Policy{
 		Name: "strict-priority",
-		Rank: func(n *Node, now clock.Time, a *Attrs, size uint32) {
+		Rank: func(n *Node, now clock.Time, a *Attrs, head flowq.Packet, backlog uint64) {
 			a.Rank = a.Priority
+			a.SendTime = clock.Always
+		},
+	}
+}
+
+// RCSP is Rate-Controlled Static-Priority queuing (§4.2): traffic
+// shaping stamps each packet's eligibility time on arrival (SendAt), and
+// among the elements whose head packet is eligible the smallest Priority
+// wins.
+func RCSP() *Policy {
+	return &Policy{
+		Name: "rcsp",
+		Rank: func(n *Node, now clock.Time, a *Attrs, head flowq.Packet, backlog uint64) {
+			a.Rank = a.Priority
+			a.SendTime = head.SendAt
+		},
+	}
+}
+
+// EDF is Earliest Deadline First (§4.5): rank is the head packet's
+// absolute deadline.
+func EDF() *Policy {
+	return &Policy{
+		Name: "edf",
+		Rank: func(n *Node, now clock.Time, a *Attrs, head flowq.Packet, backlog uint64) {
+			a.Rank = uint64(head.Deadline)
+			a.SendTime = clock.Always
+		},
+	}
+}
+
+// LSTF is Least Slack Time First (§4.5, the near-universal scheduler of
+// UPS): rank is the head packet's slack when it is ranked — time to its
+// deadline minus its wire time, floored at zero.
+func LSTF() *Policy {
+	return &Policy{
+		Name: "lstf",
+		Rank: func(n *Node, now clock.Time, a *Attrs, head flowq.Packet, backlog uint64) {
+			var slack uint64
+			if end := now + n.WireTime(head.Size); head.Deadline > end {
+				slack = uint64(head.Deadline - end)
+			}
+			a.Rank = slack
+			a.SendTime = clock.Always
+		},
+	}
+}
+
+// SJF is Shortest Job First (§4.5): rank is the element's queued bytes,
+// so smaller jobs go first. Recomputed at every re-enqueue, the rank
+// tracks the work remaining as the element drains (SRTF).
+func SJF() *Policy {
+	return &Policy{
+		Name: "sjf",
+		Rank: func(n *Node, now clock.Time, a *Attrs, head flowq.Packet, backlog uint64) {
+			a.Rank = backlog
 			a.SendTime = clock.Always
 		},
 	}
@@ -167,8 +232,8 @@ func fqCharge(n *Node, now clock.Time, a *Attrs, ranked, sent uint32) {
 func WFQ() *Policy {
 	return &Policy{
 		Name: "wfq",
-		Rank: func(n *Node, now clock.Time, a *Attrs, size uint32) {
-			a.Rank = fqStart(n, a) + fqScale(n, a, size)
+		Rank: func(n *Node, now clock.Time, a *Attrs, head flowq.Packet, backlog uint64) {
+			a.Rank = fqStart(n, a) + fqScale(n, a, head.Size)
 			a.SendTime = clock.Always
 		},
 		Charge: fqCharge,
@@ -201,9 +266,9 @@ func WF2Q() *Policy {
 			n.V.Set(ms)
 			return true
 		},
-		Rank: func(n *Node, now clock.Time, a *Attrs, size uint32) {
+		Rank: func(n *Node, now clock.Time, a *Attrs, head flowq.Packet, backlog uint64) {
 			start := fqStart(n, a)
-			a.Rank = start + fqScale(n, a, size)
+			a.Rank = start + fqScale(n, a, head.Size)
 			a.SendTime = clock.Time(start)
 		},
 		Charge: fqCharge,
@@ -227,10 +292,10 @@ func WF2Q() *Policy {
 func TokenBucket() *Policy {
 	return &Policy{
 		Name: "token-bucket",
-		Rank: func(n *Node, now clock.Time, a *Attrs, size uint32) {
+		Rank: func(n *Node, now clock.Time, a *Attrs, head flowq.Packet, backlog uint64) {
 			Refill(a, now)
 			sendTime := now
-			if need := float64(size); need > a.Tokens {
+			if need := float64(head.Size); need > a.Tokens {
 				sendTime = clock.After(now, (need-a.Tokens)*8/a.RateGbps)
 			}
 			a.Rank = uint64(sendTime)

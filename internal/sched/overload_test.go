@@ -7,18 +7,16 @@ import (
 	"pieo/internal/backend"
 	"pieo/internal/clock"
 	"pieo/internal/flowq"
+	"pieo/internal/policy"
 )
 
 // rankedProg gives each flow its ID as rank (always eligible), so
 // push-out victims are predictable.
 func rankedProg() *Program {
-	return &Program{
-		Name: "ranked",
-		PreEnqueue: func(s *Scheduler, now clock.Time, f *Flow) {
-			f.Rank = uint64(f.ID)
-			f.SendTime = clock.Always
-		},
-	}
+	return rankingProg("ranked", func(a *policy.Attrs, head flowq.Packet) {
+		a.Rank = uint64(head.Flow)
+		a.SendTime = clock.Always
+	})
 }
 
 // TestPushOutEvictsWorst: under AdmitPushOut a full list admits an
@@ -72,10 +70,6 @@ func TestPushOutEvictsWorst(t *testing.T) {
 func TestSpinGuardTrip(t *testing.T) {
 	prog := &Program{
 		Name: "stuck",
-		PreEnqueue: func(s *Scheduler, now clock.Time, f *Flow) {
-			f.Rank = 1
-			f.SendTime = clock.Always
-		},
 		PostDequeue: func(s *Scheduler, now clock.Time, f *Flow) []flowq.Packet {
 			s.EnqueueFlow(now, f) // never transmits
 			return nil

@@ -3,7 +3,9 @@
 // through pre-enqueue and post-dequeue functions, a choice of
 // input-triggered or output-triggered enqueue model, and asynchronous
 // alarm functions that can pull specific flows out of the list, update
-// their attributes, and push them back.
+// their attributes, and push them back. The pre-enqueue function is a
+// catalogue policy's Rank (internal/policy), the same hook every node of
+// a hierarchy runs.
 //
 // Each element of the ordered list is a flow; scheduling a flow transmits
 // the packet(s) at the head of its FIFO queue (Fig 3). All scheduling
@@ -25,34 +27,6 @@ import (
 	"pieo/internal/policy"
 )
 
-// TriggerModel selects when the pre-enqueue function runs (§3.2.1).
-type TriggerModel int
-
-const (
-	// OutputTriggered runs PreEnqueue whenever a packet is dequeued from
-	// a flow queue (at flow re-enqueue) or arrives into an empty flow
-	// queue. Rank/predicate computation sits on the critical scheduling
-	// path but reflects the freshest state; shaping policies get more
-	// precise guarantees.
-	OutputTriggered TriggerModel = iota
-	// InputTriggered runs PrePacket whenever a packet is enqueued into a
-	// flow queue; the flow adopts its head packet's precomputed rank and
-	// send time at re-enqueue, keeping the dequeue path minimal.
-	InputTriggered
-)
-
-// String names the model.
-func (m TriggerModel) String() string {
-	switch m {
-	case OutputTriggered:
-		return "output-triggered"
-	case InputTriggered:
-		return "input-triggered"
-	default:
-		return fmt.Sprintf("TriggerModel(%d)", int(m))
-	}
-}
-
 // Flow carries all per-flow scheduling state: the FIFO queue, the
 // catalogue's Attrs (current rank and eligibility time, the control-plane
 // configuration — weight, rate limit, priority, DRR quantum — and the
@@ -71,41 +45,32 @@ type Flow struct {
 }
 
 // Program is a scheduling algorithm expressed against the framework: a
-// bundle of programming functions with paper-faithful defaults. Any nil
-// hook uses the default behavior of §3.2.1.
+// catalogue policy plus the flat-only hooks some algorithms add to it.
+// Any nil hook uses the default behavior of §3.2.1.
 type Program struct {
-	Name  string
-	Model TriggerModel
+	Name string
 
-	// Policy, if set, is a catalogue policy run flat (see FromPolicy): it
-	// ranks each flow by its head packet in place of PreEnqueue, and
-	// charges the flow and advances the scheduler around the re-enqueue
-	// in place of PostDequeue. The scheduler calls it directly, one call
-	// per hook, on the per-packet path.
+	// Policy is the program's catalogue policy (internal/policy), called
+	// directly on the per-packet path. Its Rank is the pre-enqueue
+	// function; the default post-dequeue runs its Charge and Advance.
+	// nil means policy.RoundRobin: rank 1, always eligible.
 	Policy *policy.Policy
 
-	// DequeueTime maps the wall clock to the monotonic time function the
-	// predicate compares against (§3.1): identity (wall clock) when nil;
-	// fair-queueing programs return the scheduler's virtual time. It and
-	// OnIdle see the scheduler's policy.Node, so a catalogue policy's
-	// hooks serve as they are.
-	DequeueTime func(n *policy.Node, now clock.Time) clock.Time
-
-	// PreEnqueue assigns f.Rank and f.SendTime before the flow enters
-	// the ordered list (output-triggered model). Default: rank 1,
-	// predicate always true.
-	PreEnqueue func(s *Scheduler, now clock.Time, f *Flow)
-
-	// PrePacket assigns p.Rank and p.SendAt when a packet arrives
-	// (input-triggered model). Default: rank 1, predicate always true.
+	// PrePacket, if set, makes the program input-triggered (§3.2.1): it
+	// assigns p.Rank and p.SendAt when a packet arrives, and a flow
+	// adopts its head packet's rank and send time at every (re-)enqueue
+	// in place of Policy.Rank, keeping the dequeue path minimal. Without
+	// it the program is output-triggered: ranking sits on the dequeue
+	// path but sees the freshest state, so shaping is more precise.
 	PrePacket func(s *Scheduler, now clock.Time, f *Flow, p *flowq.Packet)
 
 	// PostDequeue transmits from the dequeued flow and updates state.
 	// It returns the packets to put on the wire and normally re-enqueues
 	// the flow via s.EnqueueFlow when it stays backlogged. Default: pop
-	// one packet, re-enqueue if the queue is not empty. The flow's queue
-	// is never empty here: NextPacket counts such a phantom extraction
-	// as a fault instead of running the hook.
+	// the head packet, Policy.Charge the flow, re-enqueue it, and
+	// Policy.Advance the scheduler. The flow's queue is never empty here:
+	// NextPacket counts such a phantom extraction as a fault instead of
+	// running the hook.
 	//
 	// A hook builds its burst with s.Burst, which appends to a buffer the
 	// scheduler owns and reuses: the returned slice is valid until the
@@ -115,37 +80,24 @@ type Program struct {
 	// its own; the scheduler only reads it.
 	PostDequeue func(s *Scheduler, now clock.Time, f *Flow) []flowq.Packet
 
-	// Wake returns the wall time at which the next element could become
-	// eligible, for non-work-conserving programs. Default: the list's
-	// minimum send_time when DequeueTime is nil (wall-clock domain),
-	// nothing otherwise.
-	Wake func(s *Scheduler, now clock.Time) (clock.Time, bool)
-
 	// OnArrival, if set, runs after every packet lands in its flow
 	// queue. Algorithms whose rank depends on queue contents (SJF/SRTF)
 	// use it to refresh the flow's list entry via Scheduler.Alarm — the
 	// §4.4 "dynamically update the scheduling attributes" pattern.
 	OnArrival func(s *Scheduler, now clock.Time, f *Flow)
-
-	// OnIdle, if set, runs when the list holds elements but none is
-	// eligible at the program's dequeue time. Returning true means the
-	// program changed state (e.g. WF²Q+ jumped its virtual clock to the
-	// minimum start time, the Fig 2(a) idle-link rule) and the dequeue
-	// should be retried once.
-	OnIdle func(n *policy.Node, now clock.Time) bool
 }
 
 // FromPolicy runs a catalogue policy (internal/policy) as a flat
 // program: the scheduler is the policy's one-node tree.
 func FromPolicy(p *policy.Policy) *Program {
-	return &Program{Name: p.Name, Policy: p, DequeueTime: p.DequeueTime, OnIdle: p.OnIdle}
+	return &Program{Name: p.Name, Policy: p}
 }
 
-// policyPostDequeue is the post-dequeue of a program with a Policy: pop
-// the head packet, charge the flow, re-enqueue it, and advance the
-// scheduler, in that order.
+// policyPostDequeue is the default post-dequeue: pop the head packet,
+// charge the flow, re-enqueue it, and advance the scheduler, in that
+// order.
 func (s *Scheduler) policyPostDequeue(now clock.Time, f *Flow) []flowq.Packet {
-	p := s.Prog.Policy
+	p := s.pol
 	pkt, _ := f.Queue.Pop()
 	if p.Charge != nil {
 		p.Charge(&s.Node, now, &f.Attrs, pkt.Size, pkt.Size)
@@ -163,6 +115,7 @@ func (s *Scheduler) policyPostDequeue(now clock.Time, f *Flow) []flowq.Packet {
 // netsim.WakeHinter.
 type Scheduler struct {
 	Prog *Program
+	pol  *policy.Policy // Prog.Policy, or round-robin when that is nil
 	// List is the ordered-list backend the scheduler extracts from. It
 	// defaults to the paper-exact sublist implementation (core.List via
 	// backend.CoreList); NewOn swaps in any other backend — the sharded
@@ -215,8 +168,13 @@ func NewOn(prog *Program, b backend.Backend, linkRateGbps float64) *Scheduler {
 	if linkRateGbps <= 0 {
 		panic(fmt.Sprintf("sched: link rate must be positive, got %v", linkRateGbps))
 	}
+	pol := prog.Policy
+	if pol == nil {
+		pol = policy.RoundRobin()
+	}
 	s := &Scheduler{
 		Prog:  prog,
+		pol:   pol,
 		List:  b,
 		Node:  policy.Node{LinkRateGbps: linkRateGbps},
 		flows: idtab.New[idtab.ID, *Flow](0),
@@ -295,7 +253,7 @@ func (s *Scheduler) minStart(floor clock.Time) clock.Time {
 // enqueue the flow into the ordered list if the queue was empty.
 func (s *Scheduler) OnArrival(now clock.Time, p flowq.Packet) {
 	f := s.Flow(p.Flow)
-	if s.Prog.Model == InputTriggered {
+	if s.Prog.PrePacket != nil {
 		p = s.prePacket(now, f, p)
 	}
 	wasEmpty := f.Queue.Empty()
@@ -312,16 +270,11 @@ func (s *Scheduler) OnArrival(now clock.Time, p flowq.Packet) {
 	}
 }
 
-// prePacket assigns an arriving packet's rank and send time under the
-// input-triggered model. The hook takes a pointer, and a pointer handed
-// to a function value escapes: it points at the scheduler's own copy, so
-// that OnArrival's parameter stays on the stack for every program.
+// prePacket runs PrePacket on an arriving packet. The hook takes a
+// pointer, and a pointer handed to a function value escapes: it points
+// at the scheduler's own copy, so that OnArrival's parameter stays on
+// the stack for every program.
 func (s *Scheduler) prePacket(now clock.Time, f *Flow, p flowq.Packet) flowq.Packet {
-	if s.Prog.PrePacket == nil {
-		p.Rank = 1
-		p.SendAt = clock.Always
-		return p
-	}
 	s.prePkt = p
 	s.Prog.PrePacket(s, now, f, &s.prePkt)
 	return s.prePkt
@@ -341,8 +294,8 @@ func (s *Scheduler) NextPacket(now clock.Time) (flowq.Packet, bool) {
 		return p, true
 	}
 	t := now
-	if s.Prog.DequeueTime != nil {
-		t = s.Prog.DequeueTime(&s.Node, now)
+	if s.pol.DequeueTime != nil {
+		t = s.pol.DequeueTime(&s.Node, now)
 	}
 	// A post-dequeue may legitimately transmit nothing and re-enqueue the
 	// flow (DRR whose deficit does not yet cover the head packet); keep
@@ -359,10 +312,10 @@ func (s *Scheduler) NextPacket(now clock.Time) (flowq.Packet, bool) {
 		}
 		e, ok := s.List.Dequeue(t)
 		if !ok {
-			if !retriedIdle && s.List.Len() > 0 && s.Prog.OnIdle != nil && s.Prog.OnIdle(&s.Node, now) {
+			if !retriedIdle && s.List.Len() > 0 && s.pol.OnIdle != nil && s.pol.OnIdle(&s.Node, now) {
 				retriedIdle = true
-				if s.Prog.DequeueTime != nil {
-					t = s.Prog.DequeueTime(&s.Node, now)
+				if s.pol.DequeueTime != nil {
+					t = s.pol.DequeueTime(&s.Node, now)
 				}
 				continue
 			}
@@ -381,12 +334,10 @@ func (s *Scheduler) NextPacket(now clock.Time) (flowq.Packet, bool) {
 		}
 		s.burst = s.burst[:0] // pending is drained: the last burst is on the wire
 		var burst []flowq.Packet
-		if s.Prog.Policy != nil {
-			burst = s.policyPostDequeue(now, f)
-		} else if s.Prog.PostDequeue != nil {
+		if s.Prog.PostDequeue != nil {
 			burst = s.Prog.PostDequeue(s, now, f)
 		} else {
-			burst = s.DefaultPostDequeue(now, f)
+			burst = s.policyPostDequeue(now, f)
 		}
 		if len(burst) == 0 {
 			continue
@@ -404,23 +355,10 @@ func (s *Scheduler) Burst(p flowq.Packet) []flowq.Packet {
 	return s.burst
 }
 
-// DefaultPostDequeue is the §3.2.1 default: transmit the head packet and
-// re-enqueue the flow if it stays backlogged. Custom post-dequeue hooks
-// can call it after updating algorithm state. The returned burst is
-// built with Burst: valid until the next NextPacket call.
-func (s *Scheduler) DefaultPostDequeue(now clock.Time, f *Flow) []flowq.Packet {
-	p, _ := f.Queue.Pop()
-	if !f.Queue.Empty() {
-		s.EnqueueFlow(now, f)
-	}
-	f.LastScheduled = now
-	return s.Burst(p)
-}
-
 // EnqueueFlow (re-)inserts f into the ordered list: under the
-// output-triggered model it runs the pre-enqueue function to assign rank
-// and send time; under the input-triggered model the flow adopts its head
-// packet's precomputed attributes. Blocked flows (§4.4) and flows already
+// output-triggered model the policy's Rank assigns rank and send time
+// from the head packet and the queued bytes; under the input-triggered
+// model the flow adopts its head packet's precomputed attributes. Blocked flows (§4.4) and flows already
 // in the list are left alone.
 //
 // A full list is resolved by the Admission policy, the scheduler's one
@@ -432,21 +370,12 @@ func (s *Scheduler) EnqueueFlow(now clock.Time, f *Flow) {
 	if f.Blocked || f.Queue.Empty() || s.List.Contains(uint32(f.ID)) {
 		return
 	}
-	switch s.Prog.Model {
-	case OutputTriggered:
-		if pol := s.Prog.Policy; pol != nil {
-			head, _ := f.Queue.Head()
-			pol.Rank(&s.Node, now, &f.Attrs, head.Size)
-		} else if s.Prog.PreEnqueue != nil {
-			s.Prog.PreEnqueue(s, now, f)
-		} else {
-			f.Rank = 1
-			f.SendTime = clock.Always
-		}
-	case InputTriggered:
-		head, _ := f.Queue.Head()
+	head, _ := f.Queue.Head()
+	if s.Prog.PrePacket != nil {
 		f.Rank = head.Rank
 		f.SendTime = head.SendAt
+	} else {
+		s.pol.Rank(&s.Node, now, &f.Attrs, head, f.Queue.Bytes())
 	}
 	f.Busy = true
 	ent := core.Entry{ID: uint32(f.ID), Rank: f.Rank, SendTime: f.SendTime}
@@ -492,10 +421,7 @@ func (s *Scheduler) Alarm(now clock.Time, id flowq.FlowID, update func(f *Flow))
 
 // NextWake implements netsim.WakeHinter.
 func (s *Scheduler) NextWake(now clock.Time) (clock.Time, bool) {
-	if s.Prog.Wake != nil {
-		return s.Prog.Wake(s, now)
-	}
-	if s.Prog.DequeueTime != nil {
+	if s.pol.DequeueTime != nil {
 		// Non-wall predicate domain: no wall-clock mapping is known.
 		return 0, false
 	}

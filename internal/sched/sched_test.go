@@ -13,6 +13,16 @@ import (
 
 func defaultProg() *Program { return &Program{Name: "default"} }
 
+// rankingProg is a program whose policy ranks a flow by rank alone.
+func rankingProg(name string, rank func(a *policy.Attrs, head flowq.Packet)) *Program {
+	return FromPolicy(&policy.Policy{
+		Name: name,
+		Rank: func(n *policy.Node, now clock.Time, a *policy.Attrs, head flowq.Packet, backlog uint64) {
+			rank(a, head)
+		},
+	})
+}
+
 func TestNewValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -86,7 +96,11 @@ func TestWireTime(t *testing.T) {
 func TestDefaultProgramIsFlowFIFO(t *testing.T) {
 	// The default program gives every flow rank 1 / always eligible:
 	// flows are served in the order their queues went non-empty.
-	s := New(defaultProg(), 16, 40)
+	prog := defaultProg()
+	s := New(prog, 16, 40)
+	if prog.Policy != nil {
+		t.Fatal("New filled in the caller's Program.Policy")
+	}
 	s.OnArrival(0, flowq.Packet{Flow: 2, Size: 100, Seq: 1})
 	s.OnArrival(0, flowq.Packet{Flow: 1, Size: 100, Seq: 2})
 	s.OnArrival(0, flowq.Packet{Flow: 2, Size: 100, Seq: 3})
@@ -103,32 +117,30 @@ func TestDefaultProgramIsFlowFIFO(t *testing.T) {
 	}
 }
 
+// The pre-enqueue function of an output-triggered program is its
+// policy's Rank.
 func TestOutputTriggeredPreEnqueueRuns(t *testing.T) {
 	calls := 0
-	prog := &Program{
-		Name: "counting",
-		PreEnqueue: func(s *Scheduler, now clock.Time, f *Flow) {
-			calls++
-			f.Rank = uint64(f.ID)
-			f.SendTime = clock.Always
-		},
-	}
+	prog := rankingProg("counting", func(a *policy.Attrs, head flowq.Packet) {
+		calls++
+		a.Rank = uint64(head.Flow)
+		a.SendTime = clock.Always
+	})
 	s := New(prog, 16, 40)
 	s.OnArrival(0, flowq.Packet{Flow: 5, Size: 100})
 	s.OnArrival(0, flowq.Packet{Flow: 5, Size: 100}) // queue already non-empty: no new enqueue
 	if calls != 1 {
-		t.Fatalf("PreEnqueue calls = %d, want 1", calls)
+		t.Fatalf("Rank calls = %d, want 1", calls)
 	}
-	s.NextPacket(0) // pops one, re-enqueues: PreEnqueue again
+	s.NextPacket(0) // pops one, re-enqueues: Rank again
 	if calls != 2 {
-		t.Fatalf("PreEnqueue calls = %d, want 2", calls)
+		t.Fatalf("Rank calls = %d, want 2", calls)
 	}
 }
 
 func TestInputTriggeredUsesPacketAttrs(t *testing.T) {
 	prog := &Program{
-		Name:  "pkt-rank",
-		Model: InputTriggered,
+		Name: "pkt-rank",
 		PrePacket: func(s *Scheduler, now clock.Time, f *Flow, p *flowq.Packet) {
 			p.Rank = uint64(p.Seq) // later packets get larger ranks
 			p.SendAt = clock.Always
@@ -141,15 +153,6 @@ func TestInputTriggeredUsesPacketAttrs(t *testing.T) {
 	p, ok := s.NextPacket(0)
 	if !ok || p.Flow != 2 {
 		t.Fatalf("NextPacket = flow %d, want 2", p.Flow)
-	}
-}
-
-func TestInputTriggeredDefaultAttrs(t *testing.T) {
-	prog := &Program{Name: "input-default", Model: InputTriggered}
-	s := New(prog, 16, 40)
-	s.OnArrival(0, flowq.Packet{Flow: 1, Size: 100, SendAt: 999}) // default PrePacket overwrites
-	if p, ok := s.NextPacket(0); !ok || p.Flow != 1 {
-		t.Fatalf("NextPacket = %+v ok=%v", p, ok)
 	}
 }
 
@@ -175,14 +178,7 @@ func TestEnqueueFlowSkipsBlockedAndEmpty(t *testing.T) {
 }
 
 func TestAlarmUpdatesAttributes(t *testing.T) {
-	prog := &Program{
-		Name: "prio",
-		PreEnqueue: func(s *Scheduler, now clock.Time, f *Flow) {
-			f.Rank = f.Priority
-			f.SendTime = clock.Always
-		},
-	}
-	s := New(prog, 16, 40)
+	s := New(FromPolicy(policy.StrictPriority()), 16, 40)
 	s.Flow(1).Priority = 10
 	s.Flow(2).Priority = 5
 	s.OnArrival(0, flowq.Packet{Flow: 1, Size: 100})
@@ -206,13 +202,10 @@ func TestAlarmUnknownFlow(t *testing.T) {
 }
 
 func TestNextWakeWallDomain(t *testing.T) {
-	prog := &Program{
-		Name: "shaped",
-		PreEnqueue: func(s *Scheduler, now clock.Time, f *Flow) {
-			f.Rank = 1
-			f.SendTime = 500
-		},
-	}
+	prog := rankingProg("shaped", func(a *policy.Attrs, head flowq.Packet) {
+		a.Rank = 1
+		a.SendTime = 500
+	})
 	s := New(prog, 16, 40)
 	s.OnArrival(0, flowq.Packet{Flow: 1, Size: 100})
 	if _, ok := s.NextPacket(0); ok {
@@ -234,13 +227,10 @@ func TestNextWakeWallDomain(t *testing.T) {
 func TestNextWakeParkedFlow(t *testing.T) {
 	for _, name := range []string{"core", "ref"} {
 		t.Run(name, func(t *testing.T) {
-			prog := &Program{
-				Name: "parked",
-				PreEnqueue: func(s *Scheduler, now clock.Time, f *Flow) {
-					f.Rank = 1
-					f.SendTime = clock.Never
-				},
-			}
+			prog := rankingProg("parked", func(a *policy.Attrs, head flowq.Packet) {
+				a.Rank = 1
+				a.SendTime = clock.Never
+			})
 			b, err := backend.New(name, 16)
 			if err != nil {
 				t.Fatal(err)
@@ -265,11 +255,9 @@ func TestNextWakeParkedFlow(t *testing.T) {
 }
 
 func TestNextWakeVirtualDomainUnknown(t *testing.T) {
-	prog := &Program{
-		Name:        "virtual",
-		DequeueTime: func(n *policy.Node, now clock.Time) clock.Time { return n.V.Now() },
-	}
-	s := New(prog, 16, 40)
+	pol := policy.RoundRobin()
+	pol.DequeueTime = func(n *policy.Node, now clock.Time) clock.Time { return n.V.Now() }
+	s := New(FromPolicy(pol), 16, 40)
 	s.OnArrival(0, flowq.Packet{Flow: 1, Size: 100})
 	if _, ok := s.NextWake(0); ok {
 		t.Fatal("virtual-domain scheduler offered a wall wake hint")
@@ -312,15 +300,6 @@ func TestTailDropAtQueueLimit(t *testing.T) {
 	}
 }
 
-func TestTriggerModelString(t *testing.T) {
-	if OutputTriggered.String() != "output-triggered" || InputTriggered.String() != "input-triggered" {
-		t.Fatal("TriggerModel.String wrong")
-	}
-	if got := TriggerModel(9).String(); got != "TriggerModel(9)" {
-		t.Fatalf("String = %q", got)
-	}
-}
-
 func TestEmptyBurstMovesToNextFlow(t *testing.T) {
 	// A program that refuses to transmit flow 1 on its first visit must
 	// not stall flow 2.
@@ -333,7 +312,9 @@ func TestEmptyBurstMovesToNextFlow(t *testing.T) {
 				s.EnqueueFlow(now, f) // try again later
 				return nil
 			}
-			return s.DefaultPostDequeue(now, f)
+			p, _ := f.Queue.Pop()
+			s.EnqueueFlow(now, f)
+			return s.Burst(p)
 		},
 	}
 	s := New(prog, 16, 40)

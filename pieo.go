@@ -262,14 +262,6 @@ type (
 	Program = sched.Program
 	// Scheduler is a flat single-level PIEO scheduler.
 	Scheduler = sched.Scheduler
-	// TriggerModel selects input- vs output-triggered enqueue.
-	TriggerModel = sched.TriggerModel
-)
-
-// Trigger models (§3.2.1).
-const (
-	OutputTriggered = sched.OutputTriggered
-	InputTriggered  = sched.InputTriggered
 )
 
 // NewScheduler creates a flat scheduler running prog for up to capacity
