@@ -96,14 +96,16 @@ func assertNoFaults(t *testing.T, name string, s *sched.Scheduler) {
 }
 
 // TestGoldenScheduleDigests pins the exact schedules — who left, in
-// which order, at which instant — of four programs that between them
-// exercise every kind of simulator event and both trigger models. The
-// digests were recorded at commit 6d40549, before events became typed
-// records and bursts moved into the scheduler-owned buffer. The
-// token-bucket digest was re-recorded (from 0xbfe809a700bf7dd0) when the
-// flat and hierarchical token buckets became one policy: the bucket is
-// charged at dequeue, so it no longer refills past its depth while a
-// charged packet waits in the list.
+// which order, at which instant — of every flat program, which between
+// them exercise every kind of simulator event and both trigger models.
+// The first five digests were recorded at commit 6d40549, before events
+// became typed records and bursts moved into the scheduler-owned buffer.
+// The token-bucket digest was re-recorded (from 0xbfe809a700bf7dd0) when
+// the flat and hierarchical token buckets became one policy: the bucket
+// is charged at dequeue, so it no longer refills past its depth while a
+// charged packet waits in the list. The rest were recorded before their
+// ranks moved into the policy catalogue; sfq and tdma after their bug
+// fixes (re-rank order, slot id mod nFlows).
 func TestGoldenScheduleDigests(t *testing.T) {
 	shaped := func(s *sched.Scheduler) {
 		for i := 0; i < 12; i++ {
