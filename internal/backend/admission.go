@@ -21,15 +21,12 @@ const (
 	// decides what to shed. This is the zero value and matches the
 	// historical behavior of every backend.
 	AdmitReject AdmissionPolicy = iota
-	// AdmitTailDrop absorbs the overflow silently: the arrival is
-	// dropped, the resident set is untouched, and the caller sees
-	// success-with-drop rather than an error.
-	AdmitTailDrop
 	// AdmitPushOut applies RIFO's rank-aware rule: if the arrival
 	// outranks (has a strictly smaller rank than) the largest-ranked
 	// resident element, that element is evicted to make room; otherwise
-	// the arrival itself is dropped. Requires the Evictor capability;
-	// backends without it degrade to AdmitTailDrop.
+	// the arrival is refused with core.ErrFull, as under AdmitReject.
+	// Requires the Evictor capability; backends without it refuse every
+	// arrival that meets a full list.
 	AdmitPushOut
 )
 
@@ -38,8 +35,6 @@ func (p AdmissionPolicy) String() string {
 	switch p {
 	case AdmitReject:
 		return "reject"
-	case AdmitTailDrop:
-		return "tail-drop"
 	case AdmitPushOut:
 		return "push-out"
 	default:
@@ -59,15 +54,9 @@ type Evictor interface {
 	EvictMax() (core.Entry, bool)
 }
 
-// AdmitOutcome reports what an Admit call did with the arrival.
+// AdmitOutcome reports what an Admit call that took the arrival (a nil
+// error) did to make room for it.
 type AdmitOutcome struct {
-	// Admitted is true when the arrival entered the list (directly or
-	// after a push-out eviction).
-	Admitted bool
-	// DroppedArrival is true when the policy shed the arrival itself
-	// (tail-drop, or push-out where the arrival did not outrank the
-	// resident maximum).
-	DroppedArrival bool
 	// Evicted is the resident element push-out removed; valid only when
 	// DidEvict is true.
 	Evicted  core.Entry
@@ -75,53 +64,43 @@ type AdmitOutcome struct {
 }
 
 // Admit inserts e into b under the given admission policy. On a full
-// list the policy decides between rejecting (core.ErrFull), dropping the
-// arrival, and evicting the largest-ranked resident; every other error
+// list the policy decides between refusing the arrival (core.ErrFull)
+// and evicting the largest-ranked resident; every other error
 // (duplicate, shard down, injected faults) passes through unchanged so
 // callers keep their typed-error handling.
 func Admit(b Backend, pol AdmissionPolicy, e core.Entry) (AdmitOutcome, error) {
 	err := b.Enqueue(e)
 	if err == nil {
-		return AdmitOutcome{Admitted: true}, nil
+		return AdmitOutcome{}, nil
 	}
-	if !errors.Is(err, core.ErrFull) {
+	if pol != AdmitPushOut || !errors.Is(err, core.ErrFull) {
 		return AdmitOutcome{}, err
 	}
-	switch pol {
-	case AdmitTailDrop:
-		return AdmitOutcome{DroppedArrival: true}, nil
-	case AdmitPushOut:
-		ev, ok := b.(Evictor)
-		if !ok {
-			// No eviction capability: degrade to tail-drop rather than
-			// failing — the policy is a shedding preference, not a
-			// correctness requirement.
-			return AdmitOutcome{DroppedArrival: true}, nil
-		}
-		victim, ok := ev.PeekMax()
-		if !ok || e.Rank >= victim.Rank {
-			// The arrival does not outrank the resident maximum (or the
-			// full signal raced an empty list): shed the arrival.
-			return AdmitOutcome{DroppedArrival: true}, nil
-		}
-		victim, ok = ev.EvictMax()
-		if !ok {
-			return AdmitOutcome{DroppedArrival: true}, nil
-		}
-		if err := b.Enqueue(e); err != nil {
-			// The freed slot vanished (injected fault or a concurrent
-			// producer). Put the victim back on a best-effort basis so
-			// push-out never loses two elements for one arrival.
-			if rerr := b.Enqueue(victim); rerr != nil {
-				return AdmitOutcome{}, fmt.Errorf(
-					"pieo: push-out re-enqueue failed (%w) and victim %d restore failed (%v)", err, victim.ID, rerr)
-			}
-			return AdmitOutcome{}, err
-		}
-		return AdmitOutcome{Admitted: true, Evicted: victim, DidEvict: true}, nil
-	default: // AdmitReject
+	// The arrival is refused, as under AdmitReject, when b cannot evict,
+	// when it does not outrank the resident maximum, or when the full
+	// signal raced an empty list.
+	ev, ok := b.(Evictor)
+	if !ok {
 		return AdmitOutcome{}, err
 	}
+	if victim, ok := ev.PeekMax(); !ok || e.Rank >= victim.Rank {
+		return AdmitOutcome{}, err
+	}
+	victim, ok := ev.EvictMax()
+	if !ok {
+		return AdmitOutcome{}, err
+	}
+	if err := b.Enqueue(e); err != nil {
+		// The freed slot vanished (injected fault or a concurrent
+		// producer). Put the victim back on a best-effort basis so
+		// push-out never loses two elements for one arrival.
+		if rerr := b.Enqueue(victim); rerr != nil {
+			return AdmitOutcome{}, fmt.Errorf(
+				"pieo: push-out re-enqueue failed (%w) and victim %d restore failed (%v)", err, victim.ID, rerr)
+		}
+		return AdmitOutcome{}, err
+	}
+	return AdmitOutcome{Evicted: victim, DidEvict: true}, nil
 }
 
 // FaultStats is the resilience counter block scheduler layers expose
@@ -139,10 +118,9 @@ type FaultStats struct {
 	// UnknownFlows counts ordered-list extractions whose ID had no
 	// registered flow state (core.ErrUnknownFlow conditions).
 	UnknownFlows uint64
-	// AdmissionRejects, AdmissionTailDrops, and AdmissionEvictions count
-	// full-list admission outcomes per policy decision.
+	// AdmissionRejects and AdmissionEvictions count full-list admission
+	// outcomes: arrivals refused, and residents push-out evicted.
 	AdmissionRejects   uint64
-	AdmissionTailDrops uint64
 	AdmissionEvictions uint64
 	// DroppedPackets counts packets shed by admission decisions and
 	// fault handling — the scheduler's declared drops, disjoint from
@@ -156,7 +134,6 @@ func (s *FaultStats) Add(other FaultStats) {
 	s.EnqueueFailures += other.EnqueueFailures
 	s.UnknownFlows += other.UnknownFlows
 	s.AdmissionRejects += other.AdmissionRejects
-	s.AdmissionTailDrops += other.AdmissionTailDrops
 	s.AdmissionEvictions += other.AdmissionEvictions
 	s.DroppedPackets += other.DroppedPackets
 }

@@ -12,9 +12,9 @@ import (
 )
 
 // TestAdmit drives backend.Admit against a full list under every
-// admission policy: the arrival (ID 9) either surfaces core.ErrFull, is
-// dropped, or evicts the push-out victim, and the resident set after the
-// call is exactly what the policy promises.
+// admission policy: the arrival (ID 9) either surfaces core.ErrFull or
+// evicts the push-out victim, and the resident set after the call is
+// exactly what the policy promises.
 func TestAdmit(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -33,41 +33,35 @@ func TestAdmit(t *testing.T) {
 			wantIDs: []uint32{1, 3, 4, 2},
 		},
 		{
-			name: "tail-drop", backend: "core", pol: backend.AdmitTailDrop,
-			ranks: []uint64{10, 40, 20, 30}, arrival: 5,
-			want:    backend.AdmitOutcome{DroppedArrival: true},
-			wantIDs: []uint32{1, 3, 4, 2},
-		},
-		{
 			name: "push-out evicts the max rank", backend: "core", pol: backend.AdmitPushOut,
 			ranks: []uint64{10, 40, 20, 30}, arrival: 5,
-			want:    backend.AdmitOutcome{Admitted: true, DidEvict: true, Evicted: core.Entry{ID: 2, Rank: 40, SendTime: clock.Always}},
+			want:    backend.AdmitOutcome{DidEvict: true, Evicted: core.Entry{ID: 2, Rank: 40, SendTime: clock.Always}},
 			wantIDs: []uint32{9, 1, 3, 4},
 		},
 		{
 			name: "push-out evicts the newest of equal max ranks", backend: "core", pol: backend.AdmitPushOut,
 			ranks: []uint64{10, 30, 30, 20}, arrival: 5,
-			want:    backend.AdmitOutcome{Admitted: true, DidEvict: true, Evicted: core.Entry{ID: 3, Rank: 30, SendTime: clock.Always}},
+			want:    backend.AdmitOutcome{DidEvict: true, Evicted: core.Entry{ID: 3, Rank: 30, SendTime: clock.Always}},
 			wantIDs: []uint32{9, 1, 4, 2},
 		},
 		{
 			name: "push-out drops an arrival equal to the max", backend: "core", pol: backend.AdmitPushOut,
 			ranks: []uint64{10, 40, 20, 30}, arrival: 40,
-			want:    backend.AdmitOutcome{DroppedArrival: true},
+			wantErr: core.ErrFull,
 			wantIDs: []uint32{1, 3, 4, 2},
 		},
 		{
 			name: "push-out drops an arrival above the max", backend: "core", pol: backend.AdmitPushOut,
 			ranks: []uint64{10, 40, 20, 30}, arrival: 50,
-			want:    backend.AdmitOutcome{DroppedArrival: true},
+			wantErr: core.ErrFull,
 			wantIDs: []uint32{1, 3, 4, 2},
 		},
 		{
-			// ref has no Evictor: push-out degrades to tail-drop even for
-			// an arrival that outranks every resident.
-			name: "push-out without Evictor tail-drops", backend: "ref", pol: backend.AdmitPushOut,
+			// ref has no Evictor: push-out refuses even an arrival that
+			// outranks every resident.
+			name: "push-out without Evictor rejects", backend: "ref", pol: backend.AdmitPushOut,
 			ranks: []uint64{10, 40, 20, 30}, arrival: 5,
-			want:    backend.AdmitOutcome{DroppedArrival: true},
+			wantErr: core.ErrFull,
 			wantIDs: []uint32{1, 3, 4, 2},
 		},
 	}

@@ -5,10 +5,10 @@ import (
 	"pieo/internal/core"
 )
 
-// Batcher is implemented by backends with native batch operations that
-// amortize per-operation overhead — position-search state, metadata
-// refresh, lock acquisitions — across many elements while preserving the
-// exact one-at-a-time §3.1 semantics:
+// Batcher is the batch-operation capability. Backends with a native batch
+// path use it to amortize per-operation software overhead — lock
+// acquisitions, summary publishes — across many elements; every
+// implementation preserves the exact one-at-a-time §3.1 semantics:
 //
 //   - EnqueueBatch(es) behaves exactly like calling Enqueue(es[0]),
 //     Enqueue(es[1]), … in order. It attempts every entry even after a

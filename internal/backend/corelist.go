@@ -56,8 +56,9 @@ func (c *CoreList) EvictMax() (core.Entry, bool) {
 
 var _ Evictor = (*CoreList)(nil)
 
-// The embedded list's native EnqueueBatch/DequeueUpTo promote to the
-// optional batch capability.
+// The embedded list's EnqueueBatch/DequeueUpTo promote to the optional
+// batch capability. They are the sequential loops the Batcher contract
+// defines: the list has no batch path of its own.
 var _ Batcher = (*CoreList)(nil)
 
 // NewCoreShard is the ShardFactory for the paper-exact sublist list:

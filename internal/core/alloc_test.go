@@ -129,15 +129,19 @@ func TestBatchZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchStatsParity drives two identical lists through the same
+// TestBatchStatsParity drives three identical lists through the same
 // logical operation stream — one with single ops, one with the batch
-// APIs — and requires identical outputs AND identical hardware Stats:
-// the batch path must charge exactly what the same operations issued one
-// at a time would (the hardware has no batch datapath).
+// APIs, one dequeuing with DequeueRange over the whole ID space — and
+// requires identical outputs AND identical hardware Stats: the batch
+// path must charge exactly what the same operations issued one at a time
+// would (the hardware has no batch datapath), and a ranged select whose
+// range holds every ID never reads a sublist in vain, so it charges what
+// Dequeue does, counted under RangeDequeues instead of Dequeues.
 func TestBatchStatsParity(t *testing.T) {
 	const capacity = 257
 	single := core.New(capacity)
 	batched := core.New(capacity)
+	ranged := core.New(capacity)
 	rng := rand.New(rand.NewSource(3))
 	nextID := uint32(0)
 
@@ -157,7 +161,9 @@ func TestBatchStatsParity(t *testing.T) {
 			wantN := 0
 			var wantErr error
 			for _, e := range es {
-				if err := single.Enqueue(e); err != nil {
+				if rerr, err := ranged.Enqueue(e), single.Enqueue(e); rerr != err {
+					t.Fatalf("step %d: Enqueue(%v) = %v on the ranged list, %v on the single-op list", step, e, rerr, err)
+				} else if err != nil {
 					if wantErr == nil {
 						wantErr = err
 					}
@@ -188,12 +194,26 @@ func TestBatchStatsParity(t *testing.T) {
 					t.Fatalf("step %d: DequeueUpTo[%d] = %v, singles %v", step, i, got[i], want[i])
 				}
 			}
+			for i := 0; i <= len(want) && i < k; i++ {
+				e, ok := ranged.DequeueRange(now, 0, math.MaxUint32)
+				if ok != (i < len(want)) || (ok && e != want[i]) {
+					t.Fatalf("step %d: DequeueRange #%d = %v,%v, singles dequeued %d: %v", step, i, e, ok, len(want), want)
+				}
+			}
 		}
-		if gs, ss := batched.Stats(), single.Stats(); gs != ss {
+		ss := single.Stats()
+		if gs := batched.Stats(); gs != ss {
 			t.Fatalf("step %d: batch stats %+v diverged from single-op stats %+v", step, gs, ss)
 		}
+		rs := ranged.Stats()
+		rs.Dequeues, rs.RangeDequeues = rs.Dequeues+rs.RangeDequeues, 0
+		if rs != ss {
+			t.Fatalf("step %d: full-range DequeueRange stats %+v (Dequeues and RangeDequeues summed) diverged from Dequeue stats %+v", step, rs, ss)
+		}
 	}
-	if err := batched.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	for _, l := range []*core.List{batched, ranged} {
+		if err := l.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

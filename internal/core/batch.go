@@ -26,28 +26,17 @@ func (l *List) EnqueueBatch(es []Entry) (int, error) {
 
 // DequeueUpTo extracts up to k eligible elements at now in dequeue order,
 // appending them to out (which may be nil) and returning the extended
-// slice; it stops early when no element is eligible. Passing a buffer
-// with capacity k keeps the call allocation-free.
-//
-// The result is identical to k sequential Dequeue(now) calls — same
-// elements, same order, same Stats — but the eligibility scan resumes
-// from just before the previous extraction point instead of the head:
-// positions left of a miss hold only ineligible sublists, extraction
-// never makes an earlier position eligible (removing an element can only
-// raise a cached smallest send_time), and the Invariant-1 repair shifts
-// the scanned prefix left by at most one slot. The failed probe that
-// terminates the batch is a real empty dequeue and is charged as one.
+// slice. It is k sequential Dequeue(now) calls — same elements, same
+// order, same Stats — and stops early at the first one that finds no
+// eligible element, which is charged as the empty dequeue it is. Passing
+// a buffer with capacity k keeps the call allocation-free.
 func (l *List) DequeueUpTo(now clock.Time, k int, out []Entry) []Entry {
-	hint := 0
 	for ; k > 0; k-- {
-		e, pos, ok := l.dequeueFrom(now, hint)
+		e, ok := l.Dequeue(now)
 		if !ok {
 			break
 		}
 		out = append(out, e)
-		if pos > 0 {
-			hint = pos - 1
-		}
 	}
 	return out
 }

@@ -280,19 +280,6 @@ func (s *sublist) removeEntryAt(idx int) {
 	s.slots = s.sbuf[s.sstart : s.sstart+n-1]
 }
 
-// firstEligible returns the rank-order index of the first element with
-// send_time <= now — the smallest-ranked eligible element of the sublist.
-// Callers select the sublist on metadata that says one exists; its
-// absence is a datapath bug, not a runtime condition.
-func (s *sublist) firstEligible(now clock.Time) int {
-	for i, slot := range s.slots {
-		if s.row[slot].sendTime <= now {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("pieo: sublist metadata/content mismatch at t=%v", now))
-}
-
 // insertElig adds t to the Eligibility-Sublist, after any equal values.
 // The ends are checked before searching: at or after the tail covers the
 // all-eligible case (every send_time equal) and monotone pacing, before
@@ -664,158 +651,124 @@ func (l *List) enqueue(elem element) error {
 	return nil
 }
 
-// firstEligible returns the first active position whose cached smallest
-// send_time passes the time filter at now, or -1. Because sublists
-// partition the global rank order, that position holds the globally
-// smallest-ranked eligible element. The packed summary words skip 32
-// ineligible positions per probe; a word that passes guarantees a hit
-// inside its block (the summary is exact), and "nothing eligible
-// anywhere" costs one sequential pass over the active words.
-//
-// startPos is a resume hint for batch extraction: callers must guarantee
-// that every position before it is ineligible at now.
-func (l *List) firstEligible(now clock.Time, startPos int) int {
-	// The scan loops index through registers: active, the block-summary
-	// slice, and the order slice are hoisted into locals so the inner
-	// loops compare against register-resident headers instead of
-	// re-loading l's fields (which the compiler must otherwise assume a
-	// store through the slices could alias) every iteration.
-	pos := startPos
-	active := l.active
-	blk := l.eligBlk
-	ord := l.order
-	for pos < active {
-		if pos&eligBlockMask == 0 {
-			for pos < active && now < blk[pos>>eligBlockShift] {
-				pos += eligBlockLen
-			}
-			if pos >= active {
-				return -1
-			}
-		}
-		end := (pos | eligBlockMask) + 1
-		if end > active {
-			end = active
-		}
-		for ; pos < end; pos++ {
-			if now >= ord[pos].smallestSendTime {
-				return pos
-			}
-		}
-	}
-	return -1
-}
-
 // Dequeue extracts the smallest-ranked eligible element at time now
 // ("Extract-Out", §3.1). It returns ok=false when no element is eligible.
+// It is the ranged select over the whole ID space: every resident lies in
+// [0, math.MaxUint32], so each sublist that passes the time filter holds
+// the answer and none is read in vain.
 func (l *List) Dequeue(now clock.Time) (Entry, bool) {
-	e, _, ok := l.dequeueFrom(now, 0)
-	return e, ok
-}
-
-// dequeueFrom is the Dequeue datapath with a resume hint (see
-// firstEligible); it additionally returns the order position the element
-// was extracted from, so DequeueUpTo can resume its scan past the
-// positions already known ineligible. Stats are charged identically
-// regardless of the hint: the hardware's parallel compare always
-// activates every pointer-array comparator.
-func (l *List) dequeueFrom(now clock.Time, startPos int) (Entry, int, bool) {
 	// Cycle 1: priority-encode the first sublist whose smallest
 	// send_time passes (now >= smallest_send_time).
 	l.stats.PtrCompares += uint64(l.active)
-	pos := l.firstEligible(now, startPos)
+	pos, idx, _, _ := l.findInRange(now, 0, math.MaxUint32, false)
 	if pos == -1 {
 		l.stats.EmptyDequeues++
 		l.stats.Cycles++ // the failed select still burns the compare cycle
-		return Entry{}, -1, false
+		return Entry{}, false
 	}
 	l.stats.Dequeues++
-	l.stats.Cycles += 4
+	return l.extract(pos, idx), true
+}
 
+// DequeueRange extracts the smallest-ranked element that is eligible at
+// now and whose ID lies in [lo, hi] — the logical-PIEO extraction of
+// hierarchical scheduling (§4.3), where each non-leaf node's predicate is
+// extended with (start <= f.index <= end). The pointer array evaluates
+// both conjuncts on its cached metadata: a sublist is read only when its
+// smallest send_time passes the time filter AND its resident-ID bounds
+// intersect [lo, hi]. Sublists that are read but hold no in-range
+// eligible element cost one extra cycle and read each, which Stats
+// records; sublists the select skipped cost nothing, exactly as in the
+// hardware's parallel select.
+func (l *List) DequeueRange(now clock.Time, lo, hi uint32) (Entry, bool) {
+	l.stats.PtrCompares += uint64(l.active)
+	pos, idx, missReads, missCompares := l.findInRange(now, lo, hi, true)
+	l.stats.SublistReads += missReads
+	l.stats.ElemCompares += missCompares
+	l.stats.Cycles += missReads // each miss sends the scan on to the next sublist
+	if pos == -1 {
+		l.stats.EmptyDequeues++
+		l.stats.Cycles++
+		return Entry{}, false
+	}
+	l.stats.RangeDequeues++
+	return l.extract(pos, idx), true
+}
+
+// extract charges the §5.2 dequeue datapath for the element the select
+// found at rank-order index idx of the sublist at order position pos —
+// four cycles, the sublist read and its comparators (cycle 3: the first
+// match in the rank-ordered window is the smallest-ranked one) — and
+// removes it.
+func (l *List) extract(pos, idx int) Entry {
 	sl := &l.sublists[l.order[pos].sublistID]
+	l.stats.Cycles += 4
 	l.stats.SublistReads++
-
-	// Cycle 3: first index with send_time <= now is the smallest-ranked
-	// eligible element of the sublist (the window is rank-ordered).
 	l.stats.ElemCompares += uint64(sl.len())
-	idx := sl.firstEligible(now)
 	out := sl.at(idx).entry()
 	l.extractAt(pos, sl, idx)
-	return out, pos, true
+	return out
 }
 
 // Peek returns the element Dequeue would extract at time now, without
 // removing it.
 func (l *List) Peek(now clock.Time) (Entry, bool) {
-	e, _, ok := l.PeekSeq(now)
-	return e, ok
+	return l.PeekRange(now, 0, math.MaxUint32)
 }
 
-// PeekSeq is Peek plus the element's FIFO sequence number, which a
-// sharded engine's dequeue tournament compares to break equal-rank ties
-// across shards.
-func (l *List) PeekSeq(now clock.Time) (Entry, uint64, bool) {
-	pos := l.firstEligible(now, 0)
+// PeekRange returns the element DequeueRange would extract, without
+// removing it. It skips by the resident-ID bounds like DequeueRange but
+// leaves them as they are: a peek writes nothing.
+func (l *List) PeekRange(now clock.Time, lo, hi uint32) (Entry, bool) {
+	pos, idx, _, _ := l.findInRange(now, lo, hi, false)
 	if pos == -1 {
-		return Entry{}, 0, false
+		return Entry{}, false
 	}
-	sl := &l.sublists[l.order[pos].sublistID]
-	e := sl.at(sl.firstEligible(now))
-	return e.entry(), e.seq, true
+	return l.sublists[l.order[pos].sublistID].at(idx).entry(), true
 }
 
 // DequeueBelowSeq is the fused peek-or-extract a sharded tournament
 // wants: it locates the smallest-ranked eligible element at now in ONE
-// eligibility scan, extracts it only when its rank is strictly below
-// limit, and otherwise leaves it in place as a peek result. eligible
-// reports whether an eligible element exists (e and seq are valid);
-// taken reports whether it was extracted. A limit of 0 is a pure peek.
+// select, extracts it only when its rank is strictly below limit, and
+// otherwise leaves it in place as a peek result. eligible reports whether
+// an eligible element exists (e and seq, its FIFO sequence number, are
+// valid); taken reports whether it was extracted. A limit of 0 is a pure
+// peek.
 //
 // Stats follow the operations the fusion replaces exactly: an extraction
 // charges the full §5 dequeue datapath, a peek-only outcome (not
 // eligible, or at/above limit) charges nothing — peeks are free, and the
 // engine-level caller accounts its own empty tournaments.
 func (l *List) DequeueBelowSeq(now clock.Time, limit uint64) (e Entry, seq uint64, eligible, taken bool) {
-	pos := l.firstEligible(now, 0)
-	if pos == -1 {
-		return Entry{}, 0, false, false
-	}
-	sl := &l.sublists[l.order[pos].sublistID]
-	idx := sl.firstEligible(now)
-	cand := *sl.at(idx)
-	if cand.rank >= limit {
-		return cand.entry(), cand.seq, true, false
-	}
-	l.stats.PtrCompares += uint64(l.active)
-	l.stats.Dequeues++
-	l.stats.Cycles += 4
-	l.stats.SublistReads++
-	l.stats.ElemCompares += uint64(sl.len())
-	l.extractAt(pos, sl, idx)
-	return cand.entry(), cand.seq, true, true
+	return l.belowSeq(now, 0, math.MaxUint32, limit, &l.stats.Dequeues)
 }
 
 // DequeueRangeBelowSeq is DequeueBelowSeq restricted to IDs in [lo, hi]
 // (the logical-PIEO filter, §4.3). Extraction charges exactly what
 // DequeueRange would, including the extra cycle and read per sublist
 // that was read and held no in-range eligible element; a peek outcome
-// charges nothing (but keeps the bounds the scan tightened).
+// charges nothing (but keeps the bounds the select tightened).
 func (l *List) DequeueRangeBelowSeq(now clock.Time, lo, hi uint32, limit uint64) (e Entry, seq uint64, eligible, taken bool) {
+	return l.belowSeq(now, lo, hi, limit, &l.stats.RangeDequeues)
+}
+
+// belowSeq is the body of both …BelowSeq forms; an extraction counts in
+// *ops, the Dequeues or RangeDequeues counter of the plain form.
+func (l *List) belowSeq(now clock.Time, lo, hi uint32, limit uint64, ops *uint64) (e Entry, seq uint64, eligible, taken bool) {
 	pos, idx, missReads, missCompares := l.findInRange(now, lo, hi, true)
 	if pos == -1 {
 		return Entry{}, 0, false, false
 	}
-	sl := &l.sublists[l.order[pos].sublistID]
-	cand := *sl.at(idx)
+	cand := *l.sublists[l.order[pos].sublistID].at(idx)
 	if cand.rank >= limit {
 		return cand.entry(), cand.seq, true, false
 	}
 	l.stats.PtrCompares += uint64(l.active)
-	l.stats.RangeDequeues++
-	l.stats.Cycles += 4 + missReads
-	l.stats.SublistReads += 1 + missReads
-	l.stats.ElemCompares += missCompares + uint64(sl.len())
-	l.extractAt(pos, sl, idx)
+	*ops++
+	l.stats.Cycles += missReads
+	l.stats.SublistReads += missReads
+	l.stats.ElemCompares += missCompares
+	l.extract(pos, idx)
 	return cand.entry(), cand.seq, true, true
 }
 
@@ -850,68 +803,27 @@ func (l *List) DequeueFlow(id uint32) (Entry, bool) {
 	return out, true
 }
 
-// DequeueRange extracts the smallest-ranked element that is eligible at
-// now and whose ID lies in [lo, hi] — the logical-PIEO extraction of
-// hierarchical scheduling (§4.3), where each non-leaf node's predicate is
-// extended with (start <= f.index <= end). The pointer array evaluates
-// both conjuncts on its cached metadata: a sublist is read only when its
-// smallest send_time passes the time filter AND its resident-ID bounds
-// intersect [lo, hi]. Sublists that are read but hold no in-range
-// eligible element cost one extra cycle and read each, which Stats
-// records; sublists the select skipped cost nothing, exactly as in the
-// hardware's parallel select.
-func (l *List) DequeueRange(now clock.Time, lo, hi uint32) (Entry, bool) {
-	l.stats.PtrCompares += uint64(l.active)
-	pos, idx, missReads, missCompares := l.findInRange(now, lo, hi, true)
-	l.stats.SublistReads += missReads
-	l.stats.ElemCompares += missCompares
-	l.stats.Cycles += missReads // each miss sends the scan on to the next sublist
-	if pos == -1 {
-		l.stats.EmptyDequeues++
-		l.stats.Cycles++
-		return Entry{}, false
-	}
-	sl := &l.sublists[l.order[pos].sublistID]
-	l.stats.RangeDequeues++
-	l.stats.Cycles += 4
-	l.stats.SublistReads++
-	l.stats.ElemCompares += uint64(sl.len())
-	out := sl.at(idx).entry()
-	l.extractAt(pos, sl, idx)
-	return out, true
-}
-
-// PeekRange returns the element DequeueRange would extract, without
-// removing it.
-func (l *List) PeekRange(now clock.Time, lo, hi uint32) (Entry, bool) {
-	e, _, ok := l.PeekRangeSeq(now, lo, hi)
-	return e, ok
-}
-
-// PeekRangeSeq is PeekRange plus the element's FIFO sequence number (see
-// PeekSeq). It skips by the resident-ID bounds like DequeueRange but
-// leaves them as they are: a peek writes nothing.
-func (l *List) PeekRangeSeq(now clock.Time, lo, hi uint32) (Entry, uint64, bool) {
-	pos, idx, _, _ := l.findInRange(now, lo, hi, false)
-	if pos == -1 {
-		return Entry{}, 0, false
-	}
-	e := l.sublists[l.order[pos].sublistID].at(idx)
-	return e.entry(), e.seq, true
-}
-
-// findInRange is the ranged select shared by DequeueRange, PeekRangeSeq
-// and DequeueRangeBelowSeq: it returns the order position and entry index
-// of the smallest-ranked element that is eligible at now with ID in
-// [lo, hi], or pos = -1. Only sublists that pass the time filter and
-// whose resident-ID bounds intersect [lo, hi] are read; missReads and
-// missCompares count the ones read in vain (and their comparators), for
-// the caller to charge or not.
+// findInRange is the list's one Extract-Out select (§5.2 cycle 1 and the
+// sublist compare of cycle 3), shared by every dequeue and peek: it
+// returns the order position and rank-order index of the smallest-ranked
+// element that is eligible at now with ID in [lo, hi], or pos = -1.
+// Because sublists partition the global rank order, the first hit in
+// order is the global answer. The packed summary words skip 32
+// ineligible positions per probe, and only sublists that pass the time
+// filter and whose resident-ID bounds intersect [lo, hi] are read. A
+// sublist whose bounds lie inside [lo, hi] is scanned on time alone and
+// cannot miss — its cached smallest send_time passed — so over the whole
+// ID space nothing is read in vain. missReads and missCompares count the
+// sublists that were (and their comparators), for the caller to charge
+// or not.
 //
 // With tighten set, every sublist read in vain has its bounds recomputed
 // exactly — the scan has just seen every resident — so bounds left wide
 // by removals stop costing a read once, not on every later scan.
 func (l *List) findInRange(now clock.Time, lo, hi uint32, tighten bool) (pos, idx int, missReads, missCompares uint64) {
+	// The scan indexes through locals: the compiler must otherwise assume
+	// a store through the slices could alias l's fields and re-load them
+	// every iteration.
 	active := l.active
 	blk := l.eligBlk
 	ord := l.order
@@ -926,12 +838,21 @@ func (l *List) findInRange(now clock.Time, lo, hi uint32, tighten bool) (pos, id
 			continue
 		}
 		sid := ord[pos].sublistID
-		if b := ids[sid]; b.hi < lo || b.lo > hi {
+		b := ids[sid]
+		if b.hi < lo || b.lo > hi {
 			pos++
 			continue
 		}
 		sl := &l.sublists[sid]
 		row := sl.row
+		if lo <= b.lo && b.hi <= hi {
+			for i, slot := range sl.slots {
+				if row[slot].sendTime <= now {
+					return pos, i, missReads, missCompares
+				}
+			}
+			panic(fmt.Sprintf("pieo: sublist metadata/content mismatch at t=%v", now))
+		}
 		for i, slot := range sl.slots {
 			e := &row[slot]
 			if e.sendTime <= now && e.id >= lo && e.id <= hi {

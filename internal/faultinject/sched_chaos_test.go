@@ -83,7 +83,7 @@ func TestSchedulerUnderChaos(t *testing.T) {
 	if fs.EnqueueFailures == 0 {
 		t.Fatalf("injected enqueue errors never reached the scheduler: %+v (injector %+v)", fs, wrapInj.Stats())
 	}
-	if fs.AdmissionRejects+fs.AdmissionTailDrops+fs.AdmissionEvictions == 0 {
+	if fs.AdmissionRejects+fs.AdmissionEvictions == 0 {
 		t.Fatalf("capacity squeezes never exercised admission: %+v (injector %+v)", fs, wrapInj.Stats())
 	}
 	if inner.FaultStats().Quarantines == 0 {

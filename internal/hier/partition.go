@@ -121,9 +121,9 @@ func (p *Partition) MinSendTime() (clock.Time, bool) {
 	return p.heap[0].t, true
 }
 
-// minStart is the policy.Node MinStart of the node that owns p: exact,
-// so the floor goes unused.
-func (p *Partition) minStart(clock.Time) clock.Time {
+// minStart is the policy.Node MinStart of the node that owns p: the top
+// of its send-time heap.
+func (p *Partition) minStart() clock.Time {
 	if t, ok := p.MinSendTime(); ok {
 		return t
 	}

@@ -189,7 +189,7 @@ func TestPartitionWakeSummaries(t *testing.T) {
 	pt := newTestPartitioner()
 	p := mustAlloc(t, pt, 5000)
 	other := mustAlloc(t, pt, 8)
-	if _, ok := p.MinSendTime(); ok || p.minStart(0) != clock.Never {
+	if _, ok := p.MinSendTime(); ok || p.minStart() != clock.Never {
 		t.Fatal("empty partition reported a MinSendTime")
 	}
 
@@ -203,8 +203,8 @@ func TestPartitionWakeSummaries(t *testing.T) {
 	}
 	for i := range sends {
 		want := slices.Min(sends[i:])
-		if got, ok := p.MinSendTime(); !ok || got != want || p.minStart(0) != want {
-			t.Fatalf("after %d dequeues: MinSendTime = %d,%v minStart %d, want %d", i, got, ok, p.minStart(0), want)
+		if got, ok := p.MinSendTime(); !ok || got != want || p.minStart() != want {
+			t.Fatalf("after %d dequeues: MinSendTime = %d,%v minStart %d, want %d", i, got, ok, p.minStart(), want)
 		}
 		if got, ok := other.MinSendTime(); !ok || got != 50 {
 			t.Fatalf("after %d dequeues: untouched partition MinSendTime = %d,%v want 50", i, got, ok)

@@ -65,10 +65,8 @@ type Node struct {
 	LinkRateGbps float64
 
 	// MinStart returns the smallest send time among the children in the
-	// node's list, clock.Never when there are none. It may return any
-	// resident child's send time at or below floor instead: the caller
-	// only needs the minimum when it lies above floor.
-	MinStart func(floor clock.Time) clock.Time
+	// node's list, clock.Never when there are none.
+	MinStart func() clock.Time
 }
 
 // WireTime returns the wire time of size bytes on the node's link, in
@@ -259,7 +257,7 @@ func WF2Q() *Policy {
 			// Fig 2(a)'s idle-link rule: when backlogged elements exist
 			// but none is eligible (a busy period starting after idle time
 			// left every start ahead of V), jump V to the minimum start.
-			ms := n.MinStart(n.V.Now())
+			ms := n.MinStart()
 			if ms == clock.Never || ms <= n.V.Now() {
 				return false
 			}
@@ -274,7 +272,7 @@ func WF2Q() *Policy {
 		Charge: fqCharge,
 		Advance: func(n *Node, now clock.Time, size uint32) {
 			x := n.WireTime(size)
-			n.V.OnTransmit(x, n.MinStart(n.V.Now()+x))
+			n.V.OnTransmit(x, n.MinStart())
 		},
 	}
 }

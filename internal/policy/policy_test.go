@@ -10,7 +10,7 @@ import (
 // node returns a Node with a 4-way weight sum, 1 ns per byte on the
 // wire, and minStart as its backlog's minimum start.
 func node(minStart clock.Time) *Node {
-	return &Node{SumWeights: 4, LinkRateGbps: 8, MinStart: func(clock.Time) clock.Time { return minStart }}
+	return &Node{SumWeights: 4, LinkRateGbps: 8, MinStart: func() clock.Time { return minStart }}
 }
 
 // head is a head packet of size bytes, with nothing stamped on it.

@@ -22,7 +22,8 @@ func rankedProg() *Program {
 // TestPushOutEvictsWorst: under AdmitPushOut a full list admits an
 // arrival that outranks the resident maximum by evicting it, with the
 // victim's backlog shed as declared drops; an arrival that does not
-// outrank the new maximum is dropped and its own backlog shed.
+// outrank the new maximum is refused, as under AdmitReject, and its own
+// backlog shed.
 func TestPushOutEvictsWorst(t *testing.T) {
 	const cap = 8
 	s := New(rankedProg(), cap, 40)
@@ -48,15 +49,15 @@ func TestPushOutEvictsWorst(t *testing.T) {
 	}
 
 	// Rank 20 does not outrank the worst resident (16): the arrival is
-	// dropped, the resident set is untouched, and its backlog is shed.
+	// refused, the resident set is untouched, and its backlog is shed.
 	s.OnArrival(0, flowq.Packet{Flow: 20, Size: 100})
 	if s.List.Contains(20) || !s.List.Contains(16) || s.List.Len() != cap {
 		t.Fatalf("non-outranking arrival changed the list (len %d, has 20 %v, has 16 %v)",
 			s.List.Len(), s.List.Contains(20), s.List.Contains(16))
 	}
 	fs = s.FaultStats()
-	if fs.AdmissionTailDrops != 1 || fs.AdmissionEvictions != 1 || fs.DroppedPackets != 2 {
-		t.Fatalf("tail drops=%d evictions=%d drops=%d, want 1/1/2", fs.AdmissionTailDrops, fs.AdmissionEvictions, fs.DroppedPackets)
+	if fs.AdmissionRejects != 1 || fs.AdmissionEvictions != 1 || fs.DroppedPackets != 2 {
+		t.Fatalf("rejects=%d evictions=%d drops=%d, want 1/1/2", fs.AdmissionRejects, fs.AdmissionEvictions, fs.DroppedPackets)
 	}
 	if got := s.Flow(20).Queue.Len(); got != 0 {
 		t.Fatalf("dropped arrival kept %d queued packets, want 0", got)

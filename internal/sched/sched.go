@@ -129,9 +129,9 @@ type Scheduler struct {
 	policy.Node
 
 	// Admission selects what happens when the ordered list is full and a
-	// flow must enter it (see backend.AdmissionPolicy): reject, tail-drop,
-	// or rank-aware push-out. The zero value, AdmitReject, sheds the
-	// arriving flow's backlog as declared drops.
+	// flow must enter it (see backend.AdmissionPolicy): reject or
+	// rank-aware push-out. A refused arrival — every one under the zero
+	// value, AdmitReject — has its flow's backlog shed as declared drops.
 	Admission backend.AdmissionPolicy
 
 	// flows resolves a FlowID on every arrival and every dequeue. IDs are
@@ -241,8 +241,8 @@ func (s *Scheduler) Flows() int { return len(s.all) }
 
 // minStart is the scheduler's Node.MinStart: the smallest send time in
 // the list, clock.Never when it is empty — answered from the list's
-// eligibility metadata in O(1), so floor is not needed.
-func (s *Scheduler) minStart(floor clock.Time) clock.Time {
+// eligibility metadata.
+func (s *Scheduler) minStart() clock.Time {
 	if t, ok := s.List.MinSendTime(); ok {
 		return t
 	}
@@ -388,11 +388,7 @@ func (s *Scheduler) EnqueueFlow(now clock.Time, f *Flow) {
 				s.flushFlow(vf)
 			}
 		}
-		if out.DroppedArrival {
-			s.faults.AdmissionTailDrops++
-			s.flushFlow(f)
-		}
-	case errors.Is(err, core.ErrFull): // AdmitReject surfaced the full list
+	case errors.Is(err, core.ErrFull): // the policy refused the arrival
 		s.faults.AdmissionRejects++
 		s.flushFlow(f)
 	case errors.Is(err, core.ErrDuplicate):

@@ -125,7 +125,8 @@ type (
 	// DisableEligIndex methods are inert.
 	EligIndexed = backend.EligIndexed
 	// Batcher is the batch-operation capability: EnqueueBatch/DequeueUpTo
-	// with exact sequential semantics but amortized per-op overhead.
+	// with exact sequential semantics, amortizing per-op overhead where a
+	// backend has a native batch path.
 	Batcher = backend.Batcher
 	// CombiningStats is what ShardedList.CombiningStats reports: always
 	// zero. Inert: the engine has no rings; removed with the benchmark's
@@ -136,10 +137,10 @@ type (
 	// per-shard summaries.
 	ShardedList = shard.Engine
 	// AdmissionPolicy selects what a full list does with an arrival:
-	// reject, tail-drop, or rank-aware push-out (DESIGN.md §8).
+	// reject, or rank-aware push-out (DESIGN.md §8).
 	AdmissionPolicy = backend.AdmissionPolicy
-	// AdmitOutcome reports what an admission decision did with the
-	// arrival (admitted, dropped, or admitted-by-eviction).
+	// AdmitOutcome reports the resident, if any, that an admission
+	// decision evicted to take the arrival.
 	AdmitOutcome = backend.AdmitOutcome
 	// Evictor is the push-out capability: backends that can identify and
 	// shed their largest-ranked resident element.
@@ -196,14 +197,14 @@ func MTTRFromEvents(events []ShardFaultEvent) (recoveries int, total, max Time) 
 
 // Admission policies for full lists (DESIGN.md §8).
 const (
-	AdmitReject   = backend.AdmitReject
-	AdmitTailDrop = backend.AdmitTailDrop
-	AdmitPushOut  = backend.AdmitPushOut
+	AdmitReject  = backend.AdmitReject
+	AdmitPushOut = backend.AdmitPushOut
 )
 
 // Admit inserts e into b under the given admission policy: a full list
-// is resolved by the policy (reject / drop arrival / evict the
-// largest-ranked resident), every other error passes through unchanged.
+// is resolved by the policy (refuse the arrival with ErrFull, or evict
+// the largest-ranked resident), every other error passes through
+// unchanged.
 func Admit(b Backend, pol AdmissionPolicy, e Entry) (AdmitOutcome, error) {
 	return backend.Admit(b, pol, e)
 }
