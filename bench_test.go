@@ -106,9 +106,10 @@ func BenchmarkPIEODequeueRange(b *testing.B) {
 // The hotpath acceptance benchmarks: one goroutine driving a backend
 // through the §3.1 primitives with no lock contention, so the numbers
 // isolate the core datapath (position search, sublist shifts, metadata
-// refresh) that EXPERIMENTS.md "hotpath" tracks. Sizes deliberately
-// bracket the paper's 30K operating point and extend to 2^19, where the
-// √n sublist geometry makes sequential scans expensive enough to matter.
+// refresh) that the CHANGES.md entry "allocation-free, search-accelerated
+// core datapath" measured. Sizes deliberately bracket the paper's 30K
+// operating point and extend to 2^19, where the √n sublist geometry
+// makes sequential scans expensive enough to matter.
 
 func coreBenchSizes() []int { return []int{1 << 10, 30000, 1 << 19} }
 
@@ -190,7 +191,8 @@ func BenchmarkCoreDequeue(b *testing.B) {
 }
 
 // BenchmarkCoreMixed alternates enqueue and dequeue at steady-state
-// half-occupancy — the EXPERIMENTS.md "hotpath" headline shape.
+// half-occupancy — the headline shape of the CHANGES.md entry
+// "allocation-free, search-accelerated core datapath".
 func BenchmarkCoreMixed(b *testing.B) {
 	for _, name := range coreBenchBackends() {
 		for _, n := range coreBenchSizes() {
@@ -250,7 +252,8 @@ func BenchmarkCoreMixedBatch(b *testing.B) {
 // probe that misses (sparse eligibility makes this the common case), the
 // next-release query, and the dispatch+re-arm at the promised instant.
 // Both backends answer from the Ordered-Sublist-Array's eligibility
-// summaries. EXPERIMENTS.md records reference numbers.
+// summaries. The CHANGES.md entry "one time index in `core.List`, not
+// two" records reference numbers.
 func BenchmarkSparseEligibility(b *testing.B) {
 	const n = 1 << 19
 	for _, name := range coreBenchBackends() {
@@ -367,8 +370,9 @@ func benchContended(b *testing.B, be Backend) {
 // time). K=8 is the engine's default and makes shard locks contend;
 // K=32 keeps per-shard geometry at √(n/K) ≈ 128. Steady state holds the
 // list at capacity, so run with a benchtime well above the fill
-// transient (b.N >= ~4x capacity) when comparing backends —
-// EXPERIMENTS.md records reference numbers at -benchtime 10s.
+// transient (b.N >= ~4x capacity, e.g. -benchtime 10s) when comparing
+// backends. The CHANGES.md entry "one locked path per shard operation"
+// records the 2-vCPU engine-vs-SyncList trial.
 func BenchmarkSyncListContended(b *testing.B) {
 	benchContended(b, NewSyncList(1<<19))
 }
@@ -385,7 +389,7 @@ func BenchmarkShardedContended(b *testing.B) {
 
 // BenchmarkConstruct is ns/op and B/op to build an empty backend: capacity
 // is a bound, so neither may scale with it (or with K times it)
-// (EXPERIMENTS.md "footprint").
+// (CHANGES.md, "capacity is a bound, not an allocation").
 func BenchmarkConstruct(b *testing.B) {
 	for _, c := range []struct {
 		name string

@@ -26,8 +26,8 @@ var wakeSink clock.Time
 //     instead of 2^24 — nothing to a sorted array, far outside a
 //     2^16-slot × 1024-tick timing wheel's window.
 //
-// EXPERIMENTS.md ("timeindex") records the numbers beside the per-element
-// timing wheel this walk replaced.
+// The CHANGES.md entry "one time index in `core.List`, not two" records
+// the numbers beside the per-element timing wheel this walk replaced.
 func BenchmarkNextWakeAfter(b *testing.B) {
 	const resident = 1 << 18
 	for _, c := range []struct {

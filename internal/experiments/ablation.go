@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"pieo/internal/algos"
 	"pieo/internal/clock"
-	"pieo/internal/core"
 	"pieo/internal/flowq"
 	"pieo/internal/hwmodel"
 	"pieo/internal/policy"
@@ -44,13 +42,6 @@ func Ablation() *Table {
 			fmt.Sprintf("%d (ff %d, cmp %d)", r.ALMs, r.FlipFlopBits, r.Comparators16),
 		})
 	}
-	for _, s := range []int{8, 64, 512} {
-		goNs := measureGoNsPerOpWithSublist(n, s, 100_000)
-		t.Rows = append(t.Rows, []string{
-			"sublist-size", fmt.Sprintf("N=4096 S=%d", s), "Go model ns/op",
-			fmt.Sprintf("%.0f", goNs),
-		})
-	}
 
 	// 2. Pipelining: decisions per second at the modeled clock.
 	for _, size := range []int{1 << 10, 30000} {
@@ -63,44 +54,24 @@ func Ablation() *Table {
 		)
 	}
 
-	// 3. Trigger model: measured critical-path cost of the dequeue and
-	// arrival paths under each model for a pacing program.
+	// 3. Trigger model: where each model runs the rank computation of
+	// one pacing program.
 	for _, m := range []struct {
 		model string
 		prog  *sched.Program
 	}{{"output-triggered", paceOutput()}, {"input-triggered", algos.Pacer()}} {
-		arrivalNs, dequeueNs := measureTriggerModel(m.prog, 50_000)
+		perArrival, perDequeue := rankCalls(m.prog, 50_000)
 		t.Rows = append(t.Rows,
-			[]string{"trigger-model", m.model, "arrival path ns", fmt.Sprintf("%.0f", arrivalNs)},
-			[]string{"trigger-model", m.model, "dequeue path ns", fmt.Sprintf("%.0f", dequeueNs)},
+			[]string{"trigger-model", m.model, "rank computations per arrival", fmt.Sprintf("%.3f", perArrival)},
+			[]string{"trigger-model", m.model, "rank computations per dequeue", fmt.Sprintf("%.3f", perDequeue)},
 		)
 	}
 	t.Notes = []string{
 		"logic is minimized near S = sqrt(N); far smaller S inflates the pointer array, far larger S inflates staging/comparators",
-		"output-triggered runs PreEnqueue on the dequeue path; input-triggered precomputes at arrival (§3.2.1)",
+		"output-triggered runs Policy.Rank at every re-enqueue on the dequeue path; input-triggered runs PrePacket once per arrival (§3.2.1)",
+		"software ns/op per sublist size is BenchmarkAblationSublistSize; per packet, `go run ./bench`",
 	}
 	return t
-}
-
-func measureGoNsPerOpWithSublist(n, s, ops int) float64 {
-	l := core.NewWithSublistSize(n, s)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < n/2; i++ {
-		if err := l.Enqueue(core.Entry{ID: uint32(i), Rank: uint64(rng.Intn(1 << 16)), SendTime: clock.Always}); err != nil {
-			panic(err)
-		}
-	}
-	nextID := uint32(n)
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		if i%2 == 0 {
-			nextID++
-			_ = l.Enqueue(core.Entry{ID: nextID, Rank: uint64(rng.Intn(1 << 16)), SendTime: clock.Always})
-		} else {
-			l.Dequeue(0)
-		}
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(ops)
 }
 
 // paceOutput is algos.Pacer's release-time algorithm output-triggered:
@@ -115,12 +86,29 @@ func paceOutput() *sched.Program {
 	})
 }
 
-// measureTriggerModel times one pacing program: the same release-time
-// algorithm computed at dequeue-driven re-enqueue (output-triggered) or
-// at arrival (input-triggered).
-func measureTriggerModel(prog *sched.Program, ops int) (arrivalNs, dequeueNs float64) {
+// rankCalls runs ops arrivals and then ops dequeues of one program over
+// a standing backlog of 1024 flows, and counts its rank computations —
+// Policy.Rank or PrePacket calls — per arriving and per dequeued packet.
+func rankCalls(prog *sched.Program, ops int) (perArrival, perDequeue float64) {
 	const nFlows = 1024
-	s := sched.New(prog, nFlows, 40)
+	calls := 0
+	counted := *prog
+	if pre := prog.PrePacket; pre != nil {
+		counted.PrePacket = func(s *sched.Scheduler, now clock.Time, f *sched.Flow, p *flowq.Packet) {
+			calls++
+			pre(s, now, f, p)
+		}
+	}
+	if prog.Policy != nil {
+		pol := *prog.Policy
+		rank := pol.Rank
+		pol.Rank = func(n *policy.Node, now clock.Time, a *policy.Attrs, head flowq.Packet, backlog uint64) {
+			calls++
+			rank(n, now, a, head, backlog)
+		}
+		counted.Policy = &pol
+	}
+	s := sched.New(&counted, nFlows, 40)
 
 	rng := rand.New(rand.NewSource(7))
 	arrive := func(i int) flowq.Packet {
@@ -131,26 +119,21 @@ func measureTriggerModel(prog *sched.Program, ops int) (arrivalNs, dequeueNs flo
 			Seq:    uint64(i),
 		}
 	}
-	// Warm up with a standing backlog.
 	for i := 0; i < nFlows*2; i++ {
 		s.OnArrival(0, arrive(i))
 	}
-	start := time.Now()
+	calls = 0
 	for i := 0; i < ops; i++ {
 		s.OnArrival(0, arrive(i))
 	}
-	arrivalNs = float64(time.Since(start).Nanoseconds()) / float64(ops)
+	perArrival = float64(calls) / float64(ops)
 
-	start = time.Now()
+	calls = 0
 	served := 0
-	for served < ops {
+	for ; served < ops; served++ {
 		if _, ok := s.NextPacket(clock.Time(1) << 40); !ok {
 			break
 		}
-		served++
 	}
-	if served > 0 {
-		dequeueNs = float64(time.Since(start).Nanoseconds()) / float64(served)
-	}
-	return arrivalNs, dequeueNs
+	return perArrival, float64(calls) / float64(served)
 }

@@ -15,29 +15,36 @@ import (
 // ten level-2 nodes (VMs) of ten flows each on a 40 Gbps link, scheduling
 // at MTU granularity. Token Bucket enforces a per-VM rate limit at the
 // top level; WF²Q+ shares each VM's limit fairly across its ten flows.
+// hierscale reruns it at 100x the leaves and hier3 one level deeper, all
+// through the same closed loop (backlogged).
 const (
-	enfVMs       = 10
-	enfFlowsPer  = 10
-	enfLinkGbps  = 40
-	enfMTU       = 1500
-	enfDuration  = clock.Time(20_000_000) // 20 ms of simulated time
-	enfSampledVM = 0                      // the "random level-2 node" the paper samples
+	linkGbps      = 40
+	mtu           = 1500
+	trialDuration = clock.Time(20_000_000) // 20 ms of simulated time
+	sampledVM     = 0                      // the "random level-2 node" the paper samples
+	enfVMs        = 10
+	enfFlowsPer   = 10
 )
 
 // rateSweep is the set of rate limits configured on the sampled VM.
 var rateSweep = []float64{1, 2, 4, 8, 16, 24, 32}
 
-// runEnforcement builds the §6.3 scheduler, sets the sampled VM's rate
-// limit to sampledGbps (the other nine VMs share a fraction of what
-// remains), runs 20 ms of backlogged traffic, and returns the sampled
-// VM's achieved rate and its ten per-flow rates.
-func runEnforcement(sampledGbps float64) (vmGbps float64, flowGbps []float64) {
-	h := hier.New(enfLinkGbps, policy.TokenBucket())
+// perLevel makes the reference hierarchy: one physical PIEO per depth.
+func perLevel(root *hier.Policy) *hier.Hierarchy { return hier.New(linkGbps, root) }
+
+// twoLevel builds the §6.3 tree in the hierarchy mk makes: a Token
+// Bucket root over nVMs WF²Q+ VMs of nFlows flows each. The control
+// plane gives the sampled VM the limit under test and splits 90% of the
+// remaining link among the others, so the link never saturates and
+// enforcement is observable in isolation. Every VM's bucket is burst
+// bytes deep and starts holding fill bytes.
+func twoLevel(mk func(root *hier.Policy) *hier.Hierarchy, nVMs, nFlows int, sampledGbps, burst, fill float64) *hier.Hierarchy {
+	h := mk(policy.TokenBucket())
 	var vms []*hier.Node
 	id := flowq.FlowID(0)
-	for v := 0; v < enfVMs; v++ {
+	for v := 0; v < nVMs; v++ {
 		vm := h.Root().AddNode(fmt.Sprintf("vm%d", v), policy.WF2Q())
-		for f := 0; f < enfFlowsPer; f++ {
+		for f := 0; f < nFlows; f++ {
 			vm.AddFlow(id)
 			id++
 		}
@@ -45,49 +52,71 @@ func runEnforcement(sampledGbps float64) (vmGbps float64, flowGbps []float64) {
 	}
 	h.Build()
 
-	// Control plane: the sampled VM gets the limit under test; the rest
-	// split 90% of the remaining bandwidth so the link never saturates
-	// and enforcement is observable in isolation.
-	otherRate := (enfLinkGbps - sampledGbps) * 0.9 / float64(enfVMs-1)
+	otherRate := (linkGbps - sampledGbps) * 0.9 / float64(nVMs-1)
 	for v, vm := range vms {
 		self := vm.Self()
 		self.RateGbps = otherRate
-		if v == enfSampledVM {
+		if v == sampledVM {
 			self.RateGbps = sampledGbps
 		}
-		// The bucket must be deep enough that tokens accrued while the
-		// VM waits behind the other nine VMs' packets (up to ~9 wire
-		// times) are not discarded at the cap, or high limits undershoot.
-		self.Burst = 8 * enfMTU
-		self.Tokens = self.Burst
+		self.Burst = burst
+		self.Tokens = fill
 	}
+	return h
+}
 
-	sim := netsim.New(netsim.Link{RateGbps: enfLinkGbps}, h)
-	vmMeter := stats.NewRateMeter(0)
-	flowBytes := make([]uint64, enfFlowsPer)
+// backlogged runs h on the link for dur with flows [0, flows) always
+// backlogged: each starts with four MTU packets queued, and every
+// transmitted packet is re-injected at once. onTx sees each transmission;
+// the result is the number of packets the link carried.
+func backlogged(h *hier.Hierarchy, flows int, dur clock.Time, onTx func(now clock.Time, p flowq.Packet)) uint64 {
+	sim := netsim.New(netsim.Link{RateGbps: linkGbps}, h)
 	var seq uint64
 	sim.OnTransmit = func(now clock.Time, p flowq.Packet) {
-		if int(p.Flow)/enfFlowsPer == enfSampledVM {
-			vmMeter.Record(now, p.Size)
-			flowBytes[int(p.Flow)%enfFlowsPer] += uint64(p.Size)
-		}
+		onTx(now, p)
 		seq++
 		sim.InjectOne(now, flowq.Packet{Flow: p.Flow, Size: p.Size, Seq: seq})
 	}
-	for f := flowq.FlowID(0); f < flowq.FlowID(enfVMs*enfFlowsPer); f++ {
+	for f := flowq.FlowID(0); f < flowq.FlowID(flows); f++ {
 		for k := 0; k < 4; k++ {
 			seq++
-			sim.InjectOne(0, flowq.Packet{Flow: f, Size: enfMTU, Seq: seq})
+			sim.InjectOne(0, flowq.Packet{Flow: f, Size: mtu, Seq: seq})
 		}
 	}
-	sim.Run(enfDuration)
-	vmMeter.CloseAt(enfDuration)
+	sim.Run(dur)
+	return sim.Sent()
+}
 
-	flowGbps = make([]float64, enfFlowsPer)
+// enforce runs a twoLevel tree of nVMs x nFlows backlogged for dur and
+// returns the sampled VM's achieved rate, its per-flow rates, and the
+// packets the link carried.
+func enforce(h *hier.Hierarchy, nVMs, nFlows int, dur clock.Time) (vmGbps float64, flowGbps []float64, pkts uint64) {
+	vmMeter := stats.NewRateMeter(0)
+	flowBytes := make([]uint64, nFlows)
+	pkts = backlogged(h, nVMs*nFlows, dur, func(now clock.Time, p flowq.Packet) {
+		if int(p.Flow)/nFlows == sampledVM {
+			vmMeter.Record(now, p.Size)
+			flowBytes[int(p.Flow)%nFlows] += uint64(p.Size)
+		}
+	})
+	vmMeter.CloseAt(dur)
+
+	flowGbps = make([]float64, nFlows)
 	for i, b := range flowBytes {
-		flowGbps[i] = float64(b) * 8 / float64(enfDuration)
+		flowGbps[i] = float64(b) * 8 / float64(dur)
 	}
-	return vmMeter.Gbps(), flowGbps
+	return vmMeter.Gbps(), flowGbps, pkts
+}
+
+// runEnforcement runs one §6.3 trial with the sampled VM limited to
+// sampledGbps and returns its achieved rate and its ten per-flow rates.
+// The buckets must be deep enough that tokens accrued while a VM waits
+// behind the other nine VMs' packets (up to ~9 wire times) are not
+// discarded at the cap, or high limits undershoot.
+func runEnforcement(sampledGbps float64) (vmGbps float64, flowGbps []float64) {
+	h := twoLevel(perLevel, enfVMs, enfFlowsPer, sampledGbps, 8*mtu, 8*mtu)
+	vmGbps, flowGbps, _ = enforce(h, enfVMs, enfFlowsPer, trialDuration)
+	return vmGbps, flowGbps
 }
 
 // RunEnforcementPoint runs a single Fig 11/12 trial at the given rate

@@ -2,12 +2,51 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+
+	"pieo/internal/algos"
 )
 
+// tableDigests pins every table: the first 16 hex digits of the SHA-256
+// of its FprintCSV output. Every table is deterministic, so a digest
+// moves only when a table's content does — a change that means to move
+// one re-records it here and says why. The ablation and rate digests
+// were recorded when their wall-clock columns were replaced by counts;
+// the other nineteen at commit ef99068, before that change.
+var tableDigests = map[string]string{
+	"ablation":         "3ed1ff9164280f76",
+	"approx":           "65462b238d67fc88",
+	"deviation":        "4e8a66df12766401",
+	"devices":          "7a74b7267b83d2d4",
+	"fig10":            "2c3e6918234e7d77",
+	"fig11":            "ba720b09b3df90cb",
+	"fig12":            "3540f9aae4c2aa45",
+	"fig2":             "5c947c605a8b6cfd",
+	"fig8":             "f46bfccdb84b9acd",
+	"fig9":             "16b3a7d6af2e0b02",
+	"hier3":            "a52c48eb238260ea",
+	"hierscale":        "6ed0966ab51d0225",
+	"overload":         "466310daa1dc5a29",
+	"pacing-precision": "5206e7875a900846",
+	"pipeline":         "73da05831d7f5d1c",
+	"qdev":             "12d65ad8812dc16a",
+	"rate":             "ece06137c14a7003",
+	"recovery":         "c48d566f3c252823",
+	"scale":            "97ca48801ecfe296",
+	"trigger":          "7f9e66de498b5083",
+	"wfi":              "d585c13797b31080",
+}
+
+// TestRegistryRunsEverything runs every table once, checks its shape,
+// and compares its CSV with the pinned digest. The comparison runs on
+// amd64 only: elsewhere Go may fuse floating-point multiply-adds, which
+// can move the last printed digit of a float cell.
 func TestRegistryRunsEverything(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")
@@ -24,6 +63,15 @@ func TestRegistryRunsEverything(t *testing.T) {
 		tab.Fprint(&buf)
 		if !strings.Contains(buf.String(), tab.Title) {
 			t.Fatalf("Fprint(%q) missing title", id)
+		}
+		buf.Reset()
+		tab.FprintCSV(&buf)
+		sum := sha256.Sum256(buf.Bytes())
+		got := hex.EncodeToString(sum[:8])
+		if want, ok := tableDigests[id]; !ok {
+			t.Errorf("%s: no pinned digest (CSV digest %s)", id, got)
+		} else if runtime.GOARCH == "amd64" && got != want {
+			t.Errorf("%s: CSV digest %s, want %s; the table changed:\n%s", id, got, want, buf.String())
 		}
 	}
 }
@@ -234,6 +282,20 @@ func TestAblationSqrtIsOptimal(t *testing.T) {
 	}
 	if !strings.Contains(bestCfg, "S=64") && !strings.Contains(bestCfg, "S=32") && !strings.Contains(bestCfg, "S=128") {
 		t.Fatalf("minimum-logic sublist size = %q, want near sqrt(4096)=64", bestCfg)
+	}
+}
+
+// TestRankCallsPlaceTheTriggerModel checks the §3.2.1 split the
+// ablation's trigger-model rows report: input-triggered ranks every
+// arrival and no dequeue; output-triggered ranks at the re-enqueue that
+// follows nearly every dequeue, and at an arrival only when the flow was
+// idle.
+func TestRankCallsPlaceTheTriggerModel(t *testing.T) {
+	if a, d := rankCalls(algos.Pacer(), 5000); a != 1 || d != 0 {
+		t.Errorf("input-triggered: %.3f per arrival, %.3f per dequeue; want 1 and 0", a, d)
+	}
+	if a, d := rankCalls(paceOutput(), 5000); a > 0.1 || d < 0.8 || d > 1 {
+		t.Errorf("output-triggered: %.3f per arrival, %.3f per dequeue; want ≈ 0 and ≈ 1", a, d)
 	}
 }
 

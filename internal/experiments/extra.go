@@ -71,7 +71,6 @@ func Pipeline() *Table {
 // and keeps shaping the queued backlog at the stale rate.
 func TriggerModels() *Table {
 	const (
-		linkGbps = 40
 		before   = 2.0
 		after    = 16.0
 		change   = clock.Time(5_000_000)  // rate raised at 5 ms
@@ -97,10 +96,7 @@ func TriggerModels() *Table {
 		for i := 0; i < backlog; i++ {
 			sim.InjectOne(0, flowq.Packet{Flow: 1, Size: 1500, Seq: uint64(i)})
 		}
-		// Control-plane rate change mid-run. (InjectOne with a zero-size
-		// packet is not allowed, so use the event queue via a sentinel
-		// arrival on an unused flow id and hook the change into
-		// OnArrival — simplest is to split the run.)
+		// Control-plane rate change mid-run: split the run at it.
 		sim.Run(change)
 		f.RateGbps = after
 		sim.Run(duration)

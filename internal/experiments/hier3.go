@@ -6,7 +6,6 @@ import (
 	"pieo/internal/clock"
 	"pieo/internal/flowq"
 	"pieo/internal/hier"
-	"pieo/internal/netsim"
 	"pieo/internal/policy"
 	"pieo/internal/stats"
 )
@@ -19,17 +18,14 @@ import (
 // simultaneously.
 func Hier3() *Table {
 	const (
-		linkGbps = 40
 		tenants  = 2
 		vmsPer   = 2
 		flowsPer = 5
-		mtu      = 1500
-		duration = clock.Time(20_000_000)
 	)
 	tenantLimit := []float64{24, 12}
 	vmShare := [][]float64{{16, 8}, {8, 4}} // per-tenant VM limits
 
-	h := hier.New(linkGbps, policy.TokenBucket())
+	h := perLevel(policy.TokenBucket())
 	var vmNodes [][]*hier.Node
 	id := flowq.FlowID(0)
 	var tenantNodes []*hier.Node
@@ -61,21 +57,10 @@ func Hier3() *Table {
 		}
 	}
 
-	sim := netsim.New(netsim.Link{RateGbps: linkGbps}, h)
 	flowBytes := make([]uint64, tenants*vmsPer*flowsPer)
-	var seq uint64
-	sim.OnTransmit = func(now clock.Time, p flowq.Packet) {
+	backlogged(h, len(flowBytes), trialDuration, func(now clock.Time, p flowq.Packet) {
 		flowBytes[p.Flow] += uint64(p.Size)
-		seq++
-		sim.InjectOne(now, flowq.Packet{Flow: p.Flow, Size: p.Size, Seq: seq})
-	}
-	for f := flowq.FlowID(0); f < flowq.FlowID(len(flowBytes)); f++ {
-		for k := 0; k < 4; k++ {
-			seq++
-			sim.InjectOne(0, flowq.Packet{Flow: f, Size: mtu, Seq: seq})
-		}
-	}
-	sim.Run(duration)
+	})
 
 	t := &Table{
 		ID:      "hier3",
@@ -96,14 +81,14 @@ func Hier3() *Table {
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("tenant%d/vm%d", tn, v),
 				fmt.Sprintf("%.0f", vmShare[tn][v]),
-				fmt.Sprintf("%.3f", float64(vmBytes)*8/float64(duration)),
+				fmt.Sprintf("%.3f", float64(vmBytes)*8/float64(trialDuration)),
 				fmt.Sprintf("%.5f", stats.JainIndex(shares)),
 			})
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("tenant%d (total)", tn),
 			fmt.Sprintf("%.0f", tenantLimit[tn]),
-			fmt.Sprintf("%.3f", float64(tenantBytes)*8/float64(duration)),
+			fmt.Sprintf("%.3f", float64(tenantBytes)*8/float64(trialDuration)),
 			"",
 		})
 	}

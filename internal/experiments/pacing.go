@@ -27,7 +27,6 @@ import (
 // citations measure. Reported: release-error distribution for each.
 func PacingPrecision() *Table {
 	const (
-		linkGbps = 40
 		nPackets = 2000
 		// A pacing target that is NOT timer-tick aligned, so the
 		// software baseline's quantization error is visible.

@@ -2,11 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
-	"time"
 
-	"pieo/internal/clock"
-	"pieo/internal/core"
 	"pieo/internal/hwmodel"
 )
 
@@ -111,54 +107,29 @@ func Fig10() *Table {
 }
 
 // SchedulingRate reproduces the §6.2 scheduling-rate discussion: modeled
-// hardware ns/op at each size (plus the 1 GHz ASIC point) alongside the
-// measured software ns/op of this functional model, for context.
+// hardware ns/op at each size, plus the 1 GHz ASIC point.
 func SchedulingRate() *Table {
 	var rows [][]string
 	for _, n := range []int{1 << 10, 1 << 13, 30000} {
 		g := hwmodel.PIEOGeometry(n)
 		f := hwmodel.PIEOClockMHz(g)
-		goNs := measureGoNsPerOp(n, 200_000)
 		rows = append(rows, []string{
 			sizeLabel(n),
 			fmt.Sprintf("%.0f MHz", f),
 			fmt.Sprintf("%.1f ns", hwmodel.NsPerOp(f, hwmodel.CyclesPerOp)),
 			fmt.Sprintf("%.1f ns", hwmodel.NsPerOp(hwmodel.ASICClockMHz, hwmodel.CyclesPerOp)),
-			fmt.Sprintf("%.0f ns", goNs),
 		})
 	}
 	return &Table{
 		ID:      "rate",
 		Title:   "Scheduling decision rate (§6.2)",
-		Columns: []string{"size", "FPGA clock", "FPGA ns/op", "ASIC ns/op", "Go model ns/op (measured)"},
+		Columns: []string{"size", "FPGA clock", "FPGA ns/op", "ASIC ns/op"},
 		Rows:    rows,
 		Notes: []string{
-			"hardware numbers follow the 4-cycle datapath; the Go column measures this repo's functional model",
+			"hardware numbers follow the 4-cycle datapath; software ns/op is BenchmarkPIEOEnqueueDequeue and `go run ./bench`",
 			"MTU at 100 Gbps requires one decision every 120 ns",
 		},
 	}
-}
-
-// measureGoNsPerOp times enqueue+dequeue pairs on a warm list of size n.
-func measureGoNsPerOp(n, ops int) float64 {
-	l := core.New(n)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < n/2; i++ {
-		if err := l.Enqueue(core.Entry{ID: uint32(i), Rank: uint64(rng.Intn(1 << 16)), SendTime: clock.Always}); err != nil {
-			panic(err)
-		}
-	}
-	nextID := uint32(n)
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		if i%2 == 0 {
-			nextID++
-			_ = l.Enqueue(core.Entry{ID: nextID, Rank: uint64(rng.Intn(1 << 16)), SendTime: clock.Always})
-		} else {
-			l.Dequeue(0)
-		}
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(ops)
 }
 
 // Scalability reproduces the headline claim: the largest scheduler each

@@ -222,9 +222,6 @@ func Wrap(inner backend.Backend, inj *Injector) *Backend {
 	return &Backend{inner: inner, inj: inj}
 }
 
-// Inner returns the wrapped backend (audits bypass the fault layer).
-func (b *Backend) Inner() backend.Backend { return b.inner }
-
 // DeclaredDrops returns the IDs of arrivals the fault layer shed, in
 // order. The conservation audit adds these to the delivered set.
 func (b *Backend) DeclaredDrops() []uint32 {

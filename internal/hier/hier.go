@@ -137,7 +137,7 @@ type Hierarchy struct {
 	built    bool
 
 	// The physical PIEOs: one per depth, or one shared by every depth
-	// when partitioned (§4.2). Only Build and Partitioned read partitioned.
+	// when partitioned (§4.2). Only Build reads partitioned.
 	partitioned bool
 	pts         []*Partitioner
 
@@ -304,10 +304,6 @@ func (h *Hierarchy) Levels() int { return len(h.wall) }
 // for tests and resource accounting. In the partitioned arrangement every
 // depth shares the one physical structure.
 func (h *Hierarchy) Level(d int) backend.Backend { return h.nodesAt[d][0].pt.Backend() }
-
-// Partitioned reports whether the hierarchy multiplexes its logical
-// PIEOs onto one shared physical backend.
-func (h *Hierarchy) Partitioned() bool { return h.partitioned }
 
 // Partitioner exposes the band allocator of the root's children, for
 // tests and invariant checks: in the partitioned arrangement, the one
