@@ -1,10 +1,6 @@
 package backend
 
-import (
-	"math"
-
-	"pieo/internal/core"
-)
+import "pieo/internal/core"
 
 // CoreList adapts the paper-exact sublist implementation (core.List) to
 // the Backend interface. Every operation is promoted from the embedded
@@ -61,20 +57,6 @@ var _ Evictor = (*CoreList)(nil)
 // defines: the list has no batch path of its own.
 var _ Batcher = (*CoreList)(nil)
 
-// NewCoreShard is the ShardFactory for the paper-exact sublist list:
-// capacity is the full shared bound, while the sublist geometry follows
-// the expected per-shard occupancy (S = ⌈√(n/K)⌉ — sharding shortens the
-// scans as well as splitting the lock; see shard.New). The bound costs
-// nothing: the list's storage grows with its residents.
-func NewCoreShard(cfg ShardConfig) ShardBackend {
-	occ := cfg.ExpectedOccupancy
-	if occ <= 0 || occ > cfg.Capacity {
-		occ = cfg.Capacity
-	}
-	return core.NewWithSublistSize(cfg.Capacity, int(math.Ceil(math.Sqrt(float64(occ)))))
-}
-
 func init() {
 	Register("core", func(n int) Backend { return NewCoreList(n) })
-	RegisterShard("core", NewCoreShard)
 }

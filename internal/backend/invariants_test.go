@@ -218,125 +218,122 @@ func TestRangedStormAllBackends(t *testing.T) {
 }
 
 // TestShardBackendDequeueRangeBelowSeq exercises the seq-aware ranged
-// contract directly on every registered shard backend: the peek/take
-// split on the rank limit, exact (rank, seq) winner selection within a
-// band, stat-free peeks, and per-band conservation.
+// select the sharded engine's tournament drives, directly on a core.List
+// shaped like one of its shards: the peek/take split on the rank limit,
+// exact (rank, seq) winner selection within a band, stat-free peeks, and
+// per-band conservation.
 func TestShardBackendDequeueRangeBelowSeq(t *testing.T) {
 	const bands = 3
 	const bandWidth = 1 << 10
-	for _, name := range backend.ShardNames() {
-		t.Run(name, func(t *testing.T) {
-			sb, err := backend.NewShard(name, backend.ShardConfig{Capacity: 4096, ExpectedOccupancy: 512})
-			if err != nil {
-				t.Fatalf("construct: %v", err)
-			}
-			rng := invLCG(33)
-			type stamped struct {
-				e   core.Entry
-				seq uint64
-			}
-			resident := make([]map[uint32]stamped, bands)
-			next := make([]uint32, bands)
-			for i := range resident {
-				resident[i] = make(map[uint32]stamped)
-			}
-			var seq uint64
-			for op := 0; op < 6000; op++ {
-				band := int(rng.next() % bands)
-				lo := uint32(band * bandWidth)
-				hi := lo + bandWidth - 1
-				switch rng.next() % 4 {
-				case 0, 1: // seq-stamped insert
-					id := lo + next[band]%bandWidth
-					next[band]++
-					if _, dup := resident[band][id]; dup {
-						continue
-					}
-					seq++
-					ent := core.Entry{ID: id, Rank: rng.next() % 200, SendTime: clock.Time(rng.next() % 16)}
-					if err := sb.EnqueueSeq(ent, seq); err != nil {
-						continue
-					}
-					resident[band][id] = stamped{ent, seq}
-				case 2: // ranged below-seq: compare against the model's exact winner
-					now := clock.Time(rng.next() % 24)
-					var want stamped
-					found := false
-					for _, s := range resident[band] {
-						if s.e.SendTime > now {
-							continue
-						}
-						if !found || s.e.Rank < want.e.Rank || (s.e.Rank == want.e.Rank && s.seq < want.seq) {
-							want = s
-							found = true
-						}
-					}
-					limit := rng.next() % 300
-					before := sb.Stats()
-					e, gotSeq, eligible, taken := sb.DequeueRangeBelowSeq(now, lo, hi, limit)
-					if eligible != found {
-						t.Fatalf("op %d: band %d eligible=%v, model says %v", op, band, eligible, found)
-					}
-					if !eligible {
-						continue
-					}
-					if e != want.e || gotSeq != want.seq {
-						t.Fatalf("op %d: band %d returned (%+v, seq %d), model's winner (%+v, seq %d)",
-							op, band, e, gotSeq, want.e, want.seq)
-					}
-					if wantTake := want.e.Rank < limit; taken != wantTake {
-						t.Fatalf("op %d: rank %d limit %d: taken=%v, want %v", op, band, limit, taken, wantTake)
-					}
-					if taken {
-						delete(resident[band], e.ID)
-					} else if sb.Stats() != before {
-						t.Fatalf("op %d: pure peek charged stats: %+v -> %+v", op, before, sb.Stats())
-					}
-				case 3: // seq-restamping re-rank
-					if len(resident[band]) == 0 {
-						continue
-					}
-					var id uint32
-					for k := range resident[band] {
-						id = k
-						break
-					}
-					seq++
-					s := resident[band][id]
-					s.e.Rank = rng.next() % 200
-					s.e.SendTime = clock.Time(rng.next() % 16)
-					s.seq = seq
-					if !sb.UpdateRankSeq(id, s.e.Rank, s.e.SendTime, seq) {
-						t.Fatalf("op %d: UpdateRankSeq missed resident id %d", op, id)
-					}
-					resident[band][id] = s
+	t.Run("core", func(t *testing.T) {
+		// Capacity 4096 spread over 8 shards: S = ⌈√512⌉.
+		sb := core.NewWithSublistSize(4096, 23)
+		rng := invLCG(33)
+		type stamped struct {
+			e   core.Entry
+			seq uint64
+		}
+		resident := make([]map[uint32]stamped, bands)
+		next := make([]uint32, bands)
+		for i := range resident {
+			resident[i] = make(map[uint32]stamped)
+		}
+		var seq uint64
+		for op := 0; op < 6000; op++ {
+			band := int(rng.next() % bands)
+			lo := uint32(band * bandWidth)
+			hi := lo + bandWidth - 1
+			switch rng.next() % 4 {
+			case 0, 1: // seq-stamped insert
+				id := lo + next[band]%bandWidth
+				next[band]++
+				if _, dup := resident[band][id]; dup {
+					continue
 				}
-			}
-			if err := sb.CheckInvariants(); err != nil {
-				t.Fatalf("post-storm invariants: %v", err)
-			}
-			// Per-band conservation: drain each band with take-everything
-			// limits; each must yield exactly its model.
-			totalModel := 0
-			for band := 0; band < bands; band++ {
-				lo := uint32(band * bandWidth)
-				totalModel += len(resident[band])
-				for len(resident[band]) > 0 {
-					e, _, eligible, taken := sb.DequeueRangeBelowSeq(clock.Time(1<<60), lo, lo+bandWidth-1, ^uint64(0))
-					if !eligible || !taken {
-						t.Fatalf("band %d drain stalled with %d resident", band, len(resident[band]))
+				seq++
+				ent := core.Entry{ID: id, Rank: rng.next() % 200, SendTime: clock.Time(rng.next() % 16)}
+				if err := sb.EnqueueSeq(ent, seq); err != nil {
+					continue
+				}
+				resident[band][id] = stamped{ent, seq}
+			case 2: // ranged below-seq: compare against the model's exact winner
+				now := clock.Time(rng.next() % 24)
+				var want stamped
+				found := false
+				for _, s := range resident[band] {
+					if s.e.SendTime > now {
+						continue
 					}
-					if _, mine := resident[band][e.ID]; !mine {
-						t.Fatalf("band %d drain leaked id %d", band, e.ID)
+					if !found || s.e.Rank < want.e.Rank || (s.e.Rank == want.e.Rank && s.seq < want.seq) {
+						want = s
+						found = true
 					}
+				}
+				limit := rng.next() % 300
+				before := sb.Stats()
+				e, gotSeq, eligible, taken := sb.DequeueRangeBelowSeq(now, lo, hi, limit)
+				if eligible != found {
+					t.Fatalf("op %d: band %d eligible=%v, model says %v", op, band, eligible, found)
+				}
+				if !eligible {
+					continue
+				}
+				if e != want.e || gotSeq != want.seq {
+					t.Fatalf("op %d: band %d returned (%+v, seq %d), model's winner (%+v, seq %d)",
+						op, band, e, gotSeq, want.e, want.seq)
+				}
+				if wantTake := want.e.Rank < limit; taken != wantTake {
+					t.Fatalf("op %d: rank %d limit %d: taken=%v, want %v", op, band, limit, taken, wantTake)
+				}
+				if taken {
 					delete(resident[band], e.ID)
+				} else if sb.Stats() != before {
+					t.Fatalf("op %d: pure peek charged stats: %+v -> %+v", op, before, sb.Stats())
 				}
+			case 3: // seq-restamping re-rank
+				if len(resident[band]) == 0 {
+					continue
+				}
+				var id uint32
+				for k := range resident[band] {
+					id = k
+					break
+				}
+				seq++
+				s := resident[band][id]
+				s.e.Rank = rng.next() % 200
+				s.e.SendTime = clock.Time(rng.next() % 16)
+				s.seq = seq
+				if !sb.UpdateRankSeq(id, s.e.Rank, s.e.SendTime, seq) {
+					t.Fatalf("op %d: UpdateRankSeq missed resident id %d", op, id)
+				}
+				resident[band][id] = s
 			}
-			if sb.Len() != 0 {
-				t.Fatalf("shard backend holds %d after all bands drained", sb.Len())
+		}
+		if err := sb.CheckInvariants(); err != nil {
+			t.Fatalf("post-storm invariants: %v", err)
+		}
+		// Per-band conservation: drain each band with take-everything
+		// limits; each must yield exactly its model.
+		totalModel := 0
+		for band := 0; band < bands; band++ {
+			lo := uint32(band * bandWidth)
+			totalModel += len(resident[band])
+			for len(resident[band]) > 0 {
+				e, _, eligible, taken := sb.DequeueRangeBelowSeq(clock.Time(1<<60), lo, lo+bandWidth-1, ^uint64(0))
+				if !eligible || !taken {
+					t.Fatalf("band %d drain stalled with %d resident", band, len(resident[band]))
+				}
+				if _, mine := resident[band][e.ID]; !mine {
+					t.Fatalf("band %d drain leaked id %d", band, e.ID)
+				}
+				delete(resident[band], e.ID)
 			}
-		})
-	}
+		}
+		if sb.Len() != 0 {
+			t.Fatalf("list holds %d after all bands drained", sb.Len())
+		}
+	})
 }
 
 // TestCheckInvariantsPostFault repeats the sweep with the fault-injection

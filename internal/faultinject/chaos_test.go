@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"pieo/internal/backend"
 	"pieo/internal/clock"
 	"pieo/internal/core"
 	"pieo/internal/faultinject"
@@ -250,14 +249,10 @@ func TestEngineChaosConcurrent(t *testing.T) {
 // leak another band's element, and each band's accepted set must be
 // fully accounted as delivered + still queued + declared lost.
 func TestEngineChaosRangedConcurrent(t *testing.T) {
-	for _, backendName := range backend.ShardNames() {
-		t.Run(backendName, func(t *testing.T) {
-			runEngineChaosRanged(t, backendName)
-		})
-	}
+	t.Run("core", runEngineChaosRanged)
 }
 
-func runEngineChaosRanged(t *testing.T, backendName string) {
+func runEngineChaosRanged(t *testing.T) {
 	const (
 		bands      = 4
 		perBand    = 4000
@@ -266,10 +261,7 @@ func runEngineChaosRanged(t *testing.T, backendName string) {
 		shardCount = 8
 	)
 	inj := faultinject.NewInjector(faultinject.Plan{Seed: 123, PanicEvery: 173, LatencyEvery: 41, LatencyNs: 200})
-	e, err := shard.NewNamed(capacityN, shardCount, backendName)
-	if err != nil {
-		t.Fatalf("construct %q engine: %v", backendName, err)
-	}
+	e := shard.New(capacityN, shardCount)
 	e.SetFaultHook(inj.ShardHook())
 
 	bandLo := func(b int) uint32 { return uint32(b * bandWidth) }
@@ -367,8 +359,8 @@ func runEngineChaosRanged(t *testing.T, backendName string) {
 	if lostSum != lostTotal {
 		t.Fatalf("per-band losses sum to %d, engine declared %d", lostSum, lostTotal)
 	}
-	t.Logf("ranged storm %s: %d accepted, %d delivered mid-storm, lost %d, faults=%+v",
-		backendName, len(accepted), len(delivered), lostTotal, e.FaultStats())
+	t.Logf("ranged storm: %d accepted, %d delivered mid-storm, lost %d, faults=%+v",
+		len(accepted), len(delivered), lostTotal, e.FaultStats())
 }
 
 // TestWrapperDeclaredDrops verifies the backend wrapper's bookkeeping:

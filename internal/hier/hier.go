@@ -129,12 +129,12 @@ func (n *Node) AddFlow(id flowq.FlowID) *Child {
 type Hierarchy struct {
 	LinkRateGbps float64
 
-	root     *Node
-	wall     []bool // depth-d predicates live in the wall-clock domain
-	factory  func(capacity int) backend.Backend
-	interior int       // interior nodes below the root
-	nodesAt  [][]*Node // nodes per depth, BFS order
-	built    bool
+	root      *Node
+	factory   func(capacity int) backend.Backend
+	interior  int       // interior nodes below the root
+	nodesAt   [][]*Node // nodes per depth, BFS order
+	wallNodes []*Node   // nodes without DequeueTime, whose send times are wall-clock wakes
+	built     bool
 
 	// The physical PIEOs: one per depth, or one shared by every depth
 	// when partitioned (§4.2). Only Build reads partitioned.
@@ -241,13 +241,15 @@ func (h *Hierarchy) Build() {
 		h.pts = append(h.pts, shared)
 	}
 	for level := []*Node{h.root}; len(level) > 0; {
-		wall, width := true, 0 // width: children at this depth
+		width := 0 // children at this depth
 		for _, n := range level {
 			if len(n.children) == 0 {
 				panic(fmt.Sprintf("hier: node %q has no children", n.Name))
 			}
-			wall = wall && n.Policy.DequeueTime == nil
 			width += len(n.children)
+			if n.Policy.DequeueTime == nil {
+				h.wallNodes = append(h.wallNodes, n)
+			}
 		}
 		pt := shared
 		if pt == nil {
@@ -269,7 +271,6 @@ func (h *Hierarchy) Build() {
 				}
 			}
 		}
-		h.wall = append(h.wall, wall)
 		h.nodesAt = append(h.nodesAt, level)
 		level = next
 	}
@@ -298,7 +299,7 @@ func (h *Hierarchy) Leaf(id flowq.FlowID) *Child {
 }
 
 // Levels returns the number of scheduling levels.
-func (h *Hierarchy) Levels() int { return len(h.wall) }
+func (h *Hierarchy) Levels() int { return len(h.nodesAt) }
 
 // Level exposes the physical PIEO holding the children of depth-d nodes,
 // for tests and resource accounting. In the partitioned arrangement every
@@ -518,37 +519,17 @@ func (h *Hierarchy) pick(n *Node, now clock.Time) bool {
 }
 
 // NextWake implements netsim.WakeHinter: the earliest *future* send_time
-// across every level whose predicates live in the wall-clock domain.
-// Levels whose minimum is already eligible are skipped — if they could
-// transmit, NextPacket would have found them; the blocker is a shaped
-// ancestor whose send_time lies ahead.
+// among the children of every node whose predicates live in the
+// wall-clock domain (no DequeueTime). Children already eligible are
+// skipped — if they could transmit, NextPacket would have found them; the
+// blocker is a shaped child whose send_time lies ahead, at whatever node
+// and depth it sits, next to eligible siblings or not.
 func (h *Hierarchy) NextWake(now clock.Time) (clock.Time, bool) {
 	best := clock.Never
-	found := false
-	for d := range h.wall {
-		if !h.wall[d] {
-			continue
-		}
-		if t, ok := h.depthMinSendTime(d); ok && t > now && t < best {
-			best = t
-			found = true
-		}
+	for _, n := range h.wallNodes {
+		best = n.part.wakeAfter(0, now, best)
 	}
-	return best, found
-}
-
-// depthMinSendTime returns the smallest send_time queued in the logical
-// PIEO of any depth-d node: the fold of their bands' heap minima.
-func (h *Hierarchy) depthMinSendTime(d int) (clock.Time, bool) {
-	best := clock.Never
-	found := false
-	for _, n := range h.nodesAt[d] {
-		if t, ok := n.part.MinSendTime(); ok && t < best {
-			best = t
-			found = true
-		}
-	}
-	return best, found
+	return best, best != clock.Never
 }
 
 // Backlog returns the total packets queued across all leaf flows.

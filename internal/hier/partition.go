@@ -121,6 +121,20 @@ func (p *Partition) MinSendTime() (clock.Time, bool) {
 	return p.heap[0].t, true
 }
 
+// wakeAfter returns the smallest resident send_time after now in the heap
+// below position i, or best when none is smaller. A resident after now
+// bounds its whole subtree, so the walk descends only through residents
+// eligible at now and prunes every subtree that cannot beat best.
+func (p *Partition) wakeAfter(i int, now, best clock.Time) clock.Time {
+	if i >= len(p.heap) || p.heap[i].t >= best {
+		return best
+	}
+	if t := p.heap[i].t; t > now {
+		return t
+	}
+	return p.wakeAfter(2*i+2, now, p.wakeAfter(2*i+1, now, best))
+}
+
 // minStart is the policy.Node MinStart of the node that owns p: the top
 // of its send-time heap.
 func (p *Partition) minStart() clock.Time {

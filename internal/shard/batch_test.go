@@ -17,8 +17,8 @@ func TestBatchQuiescentDrain(t *testing.T) {
 	e := New(512, 8)
 	var es []core.Entry
 	for i := 0; i < 300; i++ {
-		// Few distinct ranks: most dequeues are FIFO tie-breaks, the case
-		// the drain's strictly-less-than-next-bound guard must not rush.
+		// Few distinct ranks: most dequeues are cross-shard FIFO
+		// tie-breaks, which only the stamped sequence can order.
 		es = append(es, core.Entry{ID: uint32(i), Rank: uint64(i % 3), SendTime: 0})
 	}
 	if n, err := e.EnqueueBatch(es); n != len(es) || err != nil {
@@ -41,9 +41,9 @@ func TestBatchQuiescentDrain(t *testing.T) {
 	}
 }
 
-// TestBatchCapacityEdge: a batch that cannot be reserved whole must fall
-// back to per-entry semantics — partial acceptance up to capacity, first
-// error ErrFull, every entry attempted.
+// TestBatchCapacityEdge: a batch that overshoots capacity keeps
+// per-entry semantics — partial acceptance up to capacity, first error
+// ErrFull, every entry attempted.
 func TestBatchCapacityEdge(t *testing.T) {
 	e := New(10, 4)
 	var es []core.Entry

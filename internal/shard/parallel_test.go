@@ -2,7 +2,6 @@ package shard
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"runtime"
 	"sync"
@@ -25,9 +24,8 @@ import (
 //
 // ID encoding: single-op producer p's i-th element is p*perSingle+i+1
 // (low range); batch producers use IDs at or above batchIDBase so the
-// FIFO audit can scope itself to streams where program order is
-// well-defined through a quarantine (a mid-batch reroute legitimately
-// re-draws sequence numbers out of batch order — see EnqueueBatch).
+// FIFO audit can scope itself to single-op streams, whose program order
+// is well-defined element by element.
 
 // pStormSingles single-op producers (FIFO-audited) and pStormBatchers
 // EnqueueBatch producers run against one consumer.
@@ -143,8 +141,8 @@ func parallelStorm(t *testing.T, e *Engine, onSingleOp func(p, i int)) (consumed
 
 // checkPerProducerFIFO audits program order across the concatenated
 // streams for single-op producers whose i-th element has ID
-// p*perProducer+i+1. Batch-range IDs are skipped (their order through a
-// quarantine reroute is intentionally re-sequenced).
+// p*perProducer+i+1. Batch-range IDs are skipped (the batch audit in
+// TestParallelStorm has batch granularity).
 func checkPerProducerFIFO(t *testing.T, producers, perProducer int, streams ...[]core.Entry) {
 	t.Helper()
 	lastIdx := make([]int, producers)
@@ -178,58 +176,53 @@ func TestSameRankFIFOStorm(t *testing.T) {
 		producers   = 8
 		perProducer = 2000
 	)
-	for _, backendName := range backend.ShardNames() {
-		t.Run("backend="+backendName, func(t *testing.T) {
-			e, err := NewNamed(producers*perProducer, 8, backendName)
-			if err != nil {
-				t.Fatalf("construct %q engine: %v", backendName, err)
+	t.Run("backend=core", func(t *testing.T) {
+		e := New(producers*perProducer, 8)
+		consumed := make([]core.Entry, 0, producers*perProducer)
+		stop := make(chan struct{})
+		consumerDone := make(chan struct{})
+		go func() {
+			defer close(consumerDone)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if ent, ok := e.Dequeue(clock.Always); ok {
+					consumed = append(consumed, ent)
+				}
 			}
-			consumed := make([]core.Entry, 0, producers*perProducer)
-			stop := make(chan struct{})
-			consumerDone := make(chan struct{})
-			go func() {
-				defer close(consumerDone)
-				for {
-					select {
-					case <-stop:
+		}()
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				for i := 0; i < perProducer; i++ {
+					id := uint32(p*perProducer + i + 1)
+					if err := e.Enqueue(core.Entry{ID: id, Rank: 42, SendTime: clock.Always}); err != nil {
+						t.Errorf("enqueue %d: %v", id, err)
 						return
-					default:
-					}
-					if ent, ok := e.Dequeue(clock.Always); ok {
-						consumed = append(consumed, ent)
 					}
 				}
-			}()
-			var wg sync.WaitGroup
-			for p := 0; p < producers; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					for i := 0; i < perProducer; i++ {
-						id := uint32(p*perProducer + i + 1)
-						if err := e.Enqueue(core.Entry{ID: id, Rank: 42, SendTime: clock.Always}); err != nil {
-							t.Errorf("enqueue %d: %v", id, err)
-							return
-						}
-					}
-				}(p)
-			}
-			wg.Wait()
-			close(stop)
-			<-consumerDone
-			if err := e.CheckInvariants(); err != nil {
-				t.Fatalf("post-storm invariants: %v", err)
-			}
-			rest := drainOrder(t, e)
-			if got := len(consumed) + len(rest); got != producers*perProducer {
-				t.Fatalf("extracted %d elements, want %d", got, producers*perProducer)
-			}
-			checkPerProducerFIFO(t, producers, perProducer, consumed, rest)
-			if err := e.CheckInvariants(); err != nil {
-				t.Fatalf("post-drain invariants: %v", err)
-			}
-		})
-	}
+			}(p)
+		}
+		wg.Wait()
+		close(stop)
+		<-consumerDone
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("post-storm invariants: %v", err)
+		}
+		rest := drainOrder(t, e)
+		if got := len(consumed) + len(rest); got != producers*perProducer {
+			t.Fatalf("extracted %d elements, want %d", got, producers*perProducer)
+		}
+		checkPerProducerFIFO(t, producers, perProducer, consumed, rest)
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("post-drain invariants: %v", err)
+		}
+	})
 }
 
 // TestCombiningAPIIsInert: the engine has no rings, so after a storm of
@@ -277,68 +270,63 @@ func TestCombiningAPIIsInert(t *testing.T) {
 }
 
 // TestParallelStorm is the fault-free real-parallel storm: exact
-// conservation and per-producer FIFO through both the single-op locked
-// path and EnqueueBatch's one-lock-per-shard path.
+// conservation and per-producer FIFO through both single Enqueue calls
+// and EnqueueBatch.
 func TestParallelStorm(t *testing.T) {
 	requireParallelHost(t)
-	for _, backendName := range backend.ShardNames() {
-		t.Run(fmt.Sprintf("backend=%s", backendName), func(t *testing.T) {
-			total := pStormSingles*pStormPerSingle + pStormBatchers*pStormBatches*pStormBatchLen
-			e, err := NewNamed(2*total, 8, backendName)
-			if err != nil {
-				t.Fatalf("construct %q engine: %v", backendName, err)
+	t.Run("backend=core", func(t *testing.T) {
+		total := pStormSingles*pStormPerSingle + pStormBatchers*pStormBatches*pStormBatchLen
+		e := New(2*total, 8)
+		consumed, accepted := parallelStorm(t, e, nil)
+		if accepted != int64(total) {
+			t.Fatalf("fault-free storm accepted %d of %d", accepted, total)
+		}
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("post-storm invariants: %v", err)
+		}
+		rest := drainOrder(t, e)
+		if got := len(consumed) + len(rest); got != total {
+			t.Fatalf("extracted %d elements, want %d", got, total)
+		}
+		// Batch-producer FIFO has batch granularity in the live stream:
+		// entries WITHIN one EnqueueBatch call are all in flight
+		// simultaneously (no program order among them until the call
+		// returns), but batch bi returns before bi+1 begins, so a later
+		// batch's element must never precede an earlier batch's. The
+		// quiescent drain additionally holds strict intra-batch order
+		// (entries draw their sequences in batch position order).
+		maxBatch := make(map[int]int, pStormBatchers)
+		for _, ent := range consumed {
+			if ent.ID < batchIDBase {
+				continue
 			}
-			consumed, accepted := parallelStorm(t, e, nil)
-			if accepted != int64(total) {
-				t.Fatalf("fault-free storm accepted %d of %d", accepted, total)
+			off := int(ent.ID) - batchIDBase - 1
+			b := off / (pStormBatches * pStormBatchLen)
+			bi := (off % (pStormBatches * pStormBatchLen)) / pStormBatchLen
+			if last, ok := maxBatch[b]; ok && bi < last {
+				t.Fatalf("batch producer %d: batch %d element extracted after batch %d — cross-batch FIFO violated", b, bi, last)
+			} else if !ok || bi > last {
+				maxBatch[b] = bi
 			}
-			if err := e.CheckInvariants(); err != nil {
-				t.Fatalf("post-storm invariants: %v", err)
+		}
+		lastIdx := make(map[int]int, pStormBatchers)
+		for _, ent := range rest {
+			if ent.ID < batchIDBase {
+				continue
 			}
-			rest := drainOrder(t, e)
-			if got := len(consumed) + len(rest); got != total {
-				t.Fatalf("extracted %d elements, want %d", got, total)
+			off := int(ent.ID) - batchIDBase - 1
+			b := off / (pStormBatches * pStormBatchLen)
+			idx := off % (pStormBatches * pStormBatchLen)
+			if last, ok := lastIdx[b]; ok && idx <= last {
+				t.Fatalf("batch producer %d: quiescent drain yielded element %d at or before element %d", b, idx, last)
 			}
-			// Batch-producer FIFO has batch granularity in the live stream:
-			// entries WITHIN one EnqueueBatch call are all in flight
-			// simultaneously (no program order among them until the call
-			// returns), but batch bi returns before bi+1 begins, so a later
-			// batch's element must never precede an earlier batch's. The
-			// quiescent drain additionally holds strict intra-batch order
-			// (block sequences are stamped in batch position order).
-			maxBatch := make(map[int]int, pStormBatchers)
-			for _, ent := range consumed {
-				if ent.ID < batchIDBase {
-					continue
-				}
-				off := int(ent.ID) - batchIDBase - 1
-				b := off / (pStormBatches * pStormBatchLen)
-				bi := (off % (pStormBatches * pStormBatchLen)) / pStormBatchLen
-				if last, ok := maxBatch[b]; ok && bi < last {
-					t.Fatalf("batch producer %d: batch %d element extracted after batch %d — cross-batch FIFO violated", b, bi, last)
-				} else if !ok || bi > last {
-					maxBatch[b] = bi
-				}
-			}
-			lastIdx := make(map[int]int, pStormBatchers)
-			for _, ent := range rest {
-				if ent.ID < batchIDBase {
-					continue
-				}
-				off := int(ent.ID) - batchIDBase - 1
-				b := off / (pStormBatches * pStormBatchLen)
-				idx := off % (pStormBatches * pStormBatchLen)
-				if last, ok := lastIdx[b]; ok && idx <= last {
-					t.Fatalf("batch producer %d: quiescent drain yielded element %d at or before element %d", b, idx, last)
-				}
-				lastIdx[b] = idx
-			}
-			checkPerProducerFIFO(t, pStormSingles, pStormPerSingle, consumed, rest)
-			if err := e.CheckInvariants(); err != nil {
-				t.Fatalf("post-drain invariants: %v", err)
-			}
-		})
-	}
+			lastIdx[b] = idx
+		}
+		checkPerProducerFIFO(t, pStormSingles, pStormPerSingle, consumed, rest)
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("post-drain invariants: %v", err)
+		}
+	})
 }
 
 // TestParallelStormQuarantine runs the same storm through a

@@ -278,7 +278,7 @@ func (e *Engine) Recover() int {
 // and the operation that exhausts the budget closes the breaker and
 // records the outage episode's MTTR. The healthy-path cost is one
 // uncontended atomic load of the breaker phase (DESIGN.md §12).
-func (e *Engine) protect(i int, sd *shard, op string, fn func(l backend.ShardBackend)) (err error) {
+func (e *Engine) protect(i int, sd *shard, op string, fn func(l shardList)) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.quarantineLocked(i, sd, op, r)
@@ -360,7 +360,7 @@ func (e *Engine) quarantineLocked(i int, sd *shard, op string, cause any) {
 
 	sd.down = true
 	sd.downFlag.Store(true)
-	sd.bindList(nil)
+	sd.list = nil
 	sd.salvaged = ents
 	sd.salvagedSeqs = seqs
 	sd.salvageIDs = ids
@@ -411,7 +411,7 @@ func (e *Engine) undoPhantomLoss(i int) {
 // salvageSnapshot reads the broken list's contents, tolerating a snapshot
 // that itself panics (the corruption may extend into the walk): whatever
 // cannot be read is simply not salvaged.
-func salvageSnapshot(l backend.ShardBackend) (ents []core.Entry, seqs []uint64) {
+func salvageSnapshot(l shardList) (ents []core.Entry, seqs []uint64) {
 	defer func() {
 		if recover() != nil {
 			ents, seqs = nil, nil
@@ -421,7 +421,7 @@ func salvageSnapshot(l backend.ShardBackend) (ents []core.Entry, seqs []uint64) 
 }
 
 // salvageStats reads the broken list's datapath counters, best-effort.
-func salvageStats(l backend.ShardBackend) (s core.Stats) {
+func salvageStats(l shardList) (s core.Stats) {
 	defer func() { _ = recover() }()
 	return l.Stats()
 }
@@ -477,7 +477,7 @@ func (e *Engine) tryRebuild(i int, sd *shard, force bool) bool {
 		e.recordEvent(FaultEvent{Shard: i, Op: OpRebuild, Salvaged: len(sd.salvaged), At: now})
 	}
 
-	sd.bindList(fresh)
+	sd.list = fresh
 	sd.salvaged, sd.salvagedSeqs, sd.salvageIDs = nil, nil, nil
 	sd.attempts = 0
 	sd.down = false
@@ -488,23 +488,11 @@ func (e *Engine) tryRebuild(i int, sd *shard, force bool) bool {
 	// probationary too — the shard was just as faulty.
 	sd.brk.EnterProbation(now)
 	e.probation.Add(1)
-	if r, ok := fresh.MinRank(); ok {
-		if r == emptyRank {
-			r--
-		}
-		sd.minRank.Store(r)
-	} else {
-		sd.minRank.Store(emptyRank)
-	}
-	if t, ok := fresh.MinSendTime(); ok {
-		sd.minSend.Store(uint64(t))
-		// The salvage was invisible to the next-eligible index while the
-		// shard was down (raiseNextElig skips down shards); now that its
-		// elements are dequeueable again the bound must cover them.
-		e.tightenNextElig(t)
-	} else {
-		sd.minSend.Store(uint64(clock.Never))
-	}
+	sd.publish()
+	// The salvage was invisible to the next-eligible index while the shard
+	// was down (raiseNextElig skips down shards); now that its elements are
+	// dequeueable again the bound must cover them.
+	e.tightenNextElig(clock.Time(sd.minSend.Load()))
 	e.downShards.Add(-1)
 	return true
 }
@@ -513,7 +501,7 @@ func (e *Engine) tryRebuild(i int, sd *shard, force bool) bool {
 // the original FIFO sequence numbers, under the same fault-injection hook
 // as live traffic (a rebuild can be faulted too) and a recover guard so a
 // replay panic is a failed attempt, not a crash. Called with sd.mu held.
-func (e *Engine) replaySalvage(i int, sd *shard) (l backend.ShardBackend, err error) {
+func (e *Engine) replaySalvage(i int, sd *shard) (l shardList, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			l, err = nil, fmt.Errorf("rebuild panic: %v", r)

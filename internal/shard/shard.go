@@ -51,6 +51,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -108,12 +109,36 @@ type summaryRank struct {
 	_ [56]byte
 }
 
-// shard is one partition: a private seq-aware ordered list behind the
-// backend.ShardBackend contract, its lock, and the lock-free summary the
-// tournament reads. Cross-shard FIFO sequencing lives inside the list
-// elements themselves (ShardBackend.EnqueueSeq), so the shard keeps no
-// per-element state of its own — profiling showed a sideband id→seq map
-// costing more than the sublist datapath it annotated.
+// shardList is the part of *core.List one shard drives. New installs a
+// *core.List in every shard; the interface exists only so the quarantine
+// tests can make an insert panic inside the list call (newEngine), which
+// the fault hook — it fires before the call — cannot.
+type shardList interface {
+	EnqueueSeq(e core.Entry, seq uint64) error
+	UpdateRankSeq(id uint32, rank uint64, sendTime clock.Time, seq uint64) bool
+	Dequeue(now clock.Time) (core.Entry, bool)
+	DequeueRange(now clock.Time, lo, hi uint32) (core.Entry, bool)
+	DequeueFlow(id uint32) (core.Entry, bool)
+	DequeueBelowSeq(now clock.Time, limit uint64) (e core.Entry, seq uint64, eligible, taken bool)
+	DequeueRangeBelowSeq(now clock.Time, lo, hi uint32, limit uint64) (e core.Entry, seq uint64, eligible, taken bool)
+	MinRank() (uint64, bool)
+	MinSendTime() (clock.Time, bool)
+	NextWakeAfter(now clock.Time) clock.Time
+	MaxRankEntrySeq() (core.Entry, uint64, bool)
+	Contains(id uint32) bool
+	Len() int
+	Snapshot() []core.Entry
+	SnapshotWithSeq() ([]core.Entry, []uint64)
+	Stats() core.Stats
+	CheckInvariants() error
+}
+
+// shard is one partition: a private core.List, its lock, and the
+// lock-free summary the tournament reads. Cross-shard FIFO sequencing
+// lives inside the list elements themselves (core.List.EnqueueSeq), so
+// the shard keeps no per-element state of its own — profiling showed a
+// sideband id→seq map costing more than the sublist datapath it
+// annotated.
 //
 // Field layout is deliberate (layout_test.go pins it): the lock-holder's
 // working set (mu, list, residency counters, quarantine bookkeeping)
@@ -124,22 +149,11 @@ type summaryRank struct {
 // remote tournament was reading its minSend bound from.
 type shard struct {
 	mu   sync.Mutex
-	list backend.ShardBackend
+	list shardList
 
 	// eng points back at the owning engine (for the next-eligible index;
 	// see Engine.nextElig).
 	eng *Engine
-
-	// idx is list's eligibility-index view when the backend provides one
-	// (backend.EligIndexed), nil otherwise; exact caches
-	// idx.EligIndexActive() so the summary helpers branch on a plain
-	// bool under mu. While exact, minSend is maintained EXACTLY after
-	// every mutation — the index makes MinSendTime cheap (core folds a
-	// few summary words) — instead of as a stale-low bound, so
-	// raiseNextElig republishes exact engine-wide next-eligible times.
-	// Both fields are rebound whenever a list is installed (bindList).
-	idx   backend.EligIndexed
-	exact bool
 
 	// Summaries published under mu after every mutation, read without the
 	// lock by the tournament's pruning pass. A reader may observe a
@@ -182,92 +196,48 @@ type shard struct {
 	// lock-free pre-checks (see supervise.Breaker).
 	brk *supervise.Breaker
 
-	// minSend is a LOWER BOUND on the true minimum send time: inserts
-	// tighten it in O(1), removals leave it stale-low (recomputing it
-	// exactly would cost an O(√n) sublist-metadata scan per mutation,
-	// which profiling showed dominating the mutation paths). A low bound
-	// is sound for pruning — a shard is skipped only when even its most
-	// optimistic element is ineligible — and a failed peek repairs the
-	// bound exactly when the staleness wasted work. On an indexed
-	// backend (see idx/exact) the recompute is a cheap exact read and
-	// minSend is kept exact after every mutation, removals included.
+	// minSend is the exact smallest send time in the list, refreshed
+	// under mu after every mutation: core folds it from a few eligibility
+	// summary words, so raiseNextElig can republish an exact engine-wide
+	// next-eligible time. Readers without the lock see it at most one
+	// mutation stale, which the tournament treats as a pruning bound.
 	//
 	// minSend and downFlag are read lock-free by REMOTE cores (tournament
 	// pruning, routing checks) while the lock-holder mutates the fields
 	// above; the pads keep those remote reads off the lock-holder's
 	// lines.
 	_        cacheLinePad
-	minSend  atomic.Uint64 // lower bound; clock.Never when empty
+	minSend  atomic.Uint64 // clock.Never when empty
 	_        cacheLinePad
 	downFlag atomic.Bool
 	_        cacheLinePad
 }
 
-// noteMutation refreshes the summary after inserting (or re-ranking) an
-// element with the given send time, in O(1). Callers must hold mu. On an
-// indexed list the minSend summary is refreshed exactly, so a re-rank
-// that RAISED a send time tightens it too; otherwise send only lowers
-// the stale-safe bound.
+// noteMutation refreshes the summaries after inserting (or re-ranking)
+// an element with the given send time. Callers must hold mu.
 func (s *shard) noteMutation(send clock.Time) {
-	if r, ok := s.list.MinRank(); ok {
-		if r == emptyRank {
-			r--
-		}
-		s.minRank.Store(r)
-	}
-	if s.exact {
-		s.refreshMinSend()
-	} else if uint64(send) < s.minSend.Load() {
-		s.minSend.Store(uint64(send))
-	}
+	s.publish()
 	// The engine-wide index tightens AFTER the shard summary: raiseNextElig
 	// recomputes from the summaries, so by the time its version guard can
 	// miss this insert, the summary it scans already reflects it.
 	s.eng.tightenNextElig(send)
 }
 
-// noteRemoval refreshes the summary after removing an element, in O(1);
-// minSend stays a stale lower bound unless the shard emptied — except on
-// an indexed list, where an exact read keeps it exact so raiseNextElig
-// recomputes an exact engine bound instead of a stale-low one. Callers
-// must hold mu.
-func (s *shard) noteRemoval() {
-	if r, ok := s.list.MinRank(); ok {
-		if r == emptyRank {
-			r--
-		}
-		s.minRank.Store(r)
-		if s.exact {
-			s.refreshMinSend()
-		}
-	} else {
+// publish stores the list's exact minimum rank and send time in the
+// lock-free summaries. Callers must hold mu.
+func (s *shard) publish() {
+	r, ok := s.list.MinRank()
+	if !ok {
 		s.minRank.Store(emptyRank)
 		s.minSend.Store(uint64(clock.Never))
+		return
 	}
-}
-
-// refreshMinSend recomputes the exact minimum send time, tightening the
-// lower bound after a failed peek showed it stale. Callers must hold mu.
-func (s *shard) refreshMinSend() {
-	if t, ok := s.list.MinSendTime(); ok {
-		s.minSend.Store(uint64(t))
-	} else {
-		s.minSend.Store(uint64(clock.Never))
+	if r == emptyRank {
+		r--
 	}
-}
-
-// bindList installs l as the shard's backend and rebinds the
-// eligibility-index capability views (idx, exact). Engine construction
-// and quarantine rebuilds are the only callers; both own the shard
-// exclusively (pre-publication, or under mu while down).
-func (s *shard) bindList(l backend.ShardBackend) {
-	s.list = l
-	s.idx = nil
-	s.exact = false
-	if ix, ok := l.(backend.EligIndexed); ok {
-		s.idx = ix
-		s.exact = ix.EligIndexActive()
-	}
+	s.minRank.Store(r)
+	t, _ := s.list.MinSendTime()
+	s.minSend.Store(uint64(t))
 }
 
 // Engine is the sharded concurrent PIEO. Create one with New; the zero
@@ -296,12 +266,10 @@ type Engine struct {
 
 	capacity int
 
-	// newList constructs one shard's list — the bound ShardFactory the
-	// engine was built on. Construction calls it K times; a quarantine
-	// rebuild calls it again for the fresh incarnation, so a rebuilt
-	// shard always comes back on the same backend with the same geometry.
-	newList     func() backend.ShardBackend
-	backendName string
+	// newList constructs one shard's list. Construction calls it K times;
+	// a quarantine rebuild calls it again for the fresh incarnation, so a
+	// rebuilt shard always comes back with the same geometry.
+	newList func() shardList
 
 	clk  clock.Source               // supervision clock; nil → op-derived (SetClock)
 	bcfg supervise.BreakerConfig    // effective breaker config (SetBreakerConfig)
@@ -366,38 +334,21 @@ type Engine struct {
 }
 
 // New creates a sharded engine with total capacity n spread over k
-// shards (k <= 0 selects DefaultShards; k above maxShards is clamped)
-// on the paper-exact core backend — the historical default, bit-for-bit.
+// shards (k <= 0 selects DefaultShards; k above maxShards is clamped).
+// Each shard is a core.List bounded by the full capacity n — hash
+// partitioning gives no worst-case balance guarantee, so any one shard
+// may accept everything — with the sublist geometry S = ⌈√⌈n/k⌉⌉ of its
+// expected occupancy, so sharding shortens the scans as well as
+// splitting the lock. The bound is not an allocation: a list's storage
+// follows its residents, so K shards of capacity n cost what their
+// residents cost, not K·n.
 func New(n, k int) *Engine {
-	e, err := NewNamed(n, k, "core")
-	if err != nil {
-		panic(fmt.Sprintf("shard: %v", err))
-	}
-	return e
+	return newEngine(n, k, func(l *core.List) shardList { return l })
 }
 
-// NewNamed is New over the shard backend registered under backendName
-// (backend.RegisterShard) — the backend selector engine construction
-// threads up through the facade and the tools.
-func NewNamed(n, k int, backendName string) (*Engine, error) {
-	factory, err := backend.ShardFactoryFor(backendName)
-	if err != nil {
-		return nil, err
-	}
-	e := NewOn(n, k, factory)
-	e.backendName = backendName
-	return e, nil
-}
-
-// NewOn creates a sharded engine whose shards are built by factory. Each
-// shard is bounded by the full capacity n — hash partitioning gives no
-// worst-case balance guarantee, so any one shard may accept everything —
-// while the expected per-shard occupancy ⌈n/k⌉ lets the backend shape
-// itself for steady state (core: the sublist geometry S = ⌈√(n/k)⌉).
-// The bound is not an allocation: a core shard's storage follows its
-// residents, so K shards of capacity n cost what their residents cost,
-// not K·n.
-func NewOn(n, k int, factory backend.ShardFactory) *Engine {
+// newEngine is New with every shard list passed through wrap, the seam
+// the quarantine tests inject mid-insert panics through.
+func newEngine(n, k int, wrap func(*core.List) shardList) *Engine {
 	if n <= 0 {
 		panic(fmt.Sprintf("shard: capacity must be positive, got %d", n))
 	}
@@ -407,22 +358,21 @@ func NewOn(n, k int, factory backend.ShardFactory) *Engine {
 	if k > maxShards {
 		k = maxShards
 	}
-	cfg := backend.ShardConfig{Capacity: n, ExpectedOccupancy: (n + k - 1) / k}
+	s := int(math.Ceil(math.Sqrt(float64((n + k - 1) / k))))
 	e := &Engine{
-		shards:      make([]*shard, k),
-		minRanks:    make([]summaryRank, k),
-		capacity:    n,
-		newList:     func() backend.ShardBackend { return factory(cfg) },
-		backendName: "custom",
+		shards:   make([]*shard, k),
+		minRanks: make([]summaryRank, k),
+		capacity: n,
+		newList:  func() shardList { return wrap(core.NewWithSublistSize(n, s)) },
 	}
 	e.bcfg = supervise.NewBreaker(0, supervise.BreakerConfig{}).Config()
 	for i := range e.shards {
 		e.shards[i] = &shard{
 			eng:     e,
+			list:    e.newList(),
 			minRank: &e.minRanks[i].v,
 			brk:     supervise.NewBreaker(i, supervise.BreakerConfig{}),
 		}
-		e.shards[i].bindList(e.newList())
 		e.shards[i].minRank.Store(emptyRank)
 		e.shards[i].minSend.Store(uint64(clock.Never))
 	}
@@ -432,10 +382,6 @@ func NewOn(n, k int, factory backend.ShardFactory) *Engine {
 
 // NumShards returns K.
 func (e *Engine) NumShards() int { return len(e.shards) }
-
-// BackendName reports which registered shard backend the engine runs on
-// ("custom" for an unregistered factory passed to NewOn).
-func (e *Engine) BackendName() string { return e.backendName }
 
 // Capacity returns the shared capacity.
 func (e *Engine) Capacity() int { return e.capacity }
@@ -561,7 +507,7 @@ func (e *Engine) Enqueue(ent core.Entry) error {
 			started bool
 			lerr    error
 		)
-		perr := e.protect(i, sd, OpEnqueue, func(l backend.ShardBackend) {
+		perr := e.protect(i, sd, OpEnqueue, func(l shardList) {
 			// Pre-count the residency so a mid-insert panic charges the
 			// ambiguous element to this shard; quarantine reconciles the
 			// count against the salvage.
@@ -640,24 +586,18 @@ type candidate struct {
 // the tie). When ranged is true the peek is the logical-PIEO [lo, hi]
 // filter (§4.3).
 //
-// When budget > 0 and the first successful peek is already unbeatable —
+// When take is set and the first successful peek is already unbeatable —
 // its rank strictly below every remaining shard's bound, so no tie-break
-// can arise — elements are extracted under the peek's own lock and taken
-// reports how many: the first extraction spares the caller a second
-// lock/scan visit to the same shard (the common case: one shard holds the
-// clear minimum), and the drain continues up to budget elements for as
-// long as the shard's next eligible head still beats every remaining
-// bound outright (strictly below — an equal bound could FIFO-tie, which
-// only a fresh tournament can adjudicate). Extracted elements are
-// appended to *sink when sink is non-nil; the first is also returned in
-// c.entry, so single-element callers pass sink=nil and stay
-// allocation-free. budget == 0 is a pure peek.
-func (e *Engine) tournament(now clock.Time, lo, hi uint32, ranged bool, budget int, sink *[]core.Entry) (c candidate, found bool, taken int) {
+// can arise — the element is extracted under the peek's own lock and
+// taken reports it: that spares the caller a second lock/scan visit to
+// the same shard, the common case when one shard holds the clear
+// minimum. take unset is a pure peek.
+func (e *Engine) tournament(now clock.Time, lo, hi uint32, ranged, take bool) (c candidate, found, taken bool) {
 	// Selection, not sort: the K summary bounds are snapshotted ONCE with
 	// a single linear pass of atomic loads (fixed 64-byte stride over the
 	// padded summaryRank array — a pattern the hardware prefetcher
 	// streams), and each round then scans the LOCAL copy for the smallest
-	// unvisited bound (tracking the runner-up as the drain limit),
+	// unvisited bound (tracking the runner-up as the extraction limit),
 	// overwriting a visited slot with emptyRank so it drops out of later
 	// rounds. The tournament almost always ends after one probe (the next
 	// bound can't beat it), so a full ordering would be wasted work — and
@@ -686,7 +626,7 @@ func (e *Engine) tournament(now clock.Time, lo, hi uint32, ranged bool, budget i
 	for {
 		mi := -1          // shard index of the smallest remaining bound
 		var mr uint64     // its bound
-		next := emptyRank // second-smallest remaining bound: the drain limit
+		next := emptyRank // second-smallest remaining bound: the extraction limit
 		for i := 0; i < k; i++ {
 			r := bounds[i]
 			if r == emptyRank {
@@ -711,9 +651,9 @@ func (e *Engine) tournament(now clock.Time, lo, hi uint32, ranged bool, budget i
 			break
 		}
 		sd := e.shards[mi]
-		// The lazily-read eligibility bound: a shard whose most optimistic
-		// send time is still in the future cannot hold an eligible element
-		// (minSend is a lower bound), so it is dropped without locking.
+		// The lazily-read eligibility bound: a shard whose smallest send
+		// time is still in the future holds no eligible element, so it is
+		// dropped without locking.
 		if clock.Time(sd.minSend.Load()) > now {
 			continue
 		}
@@ -729,71 +669,35 @@ func (e *Engine) tournament(now clock.Time, lo, hi uint32, ranged bool, budget i
 			continue
 		}
 		op := OpPeek
-		if budget > 0 {
+		if take {
 			op = OpDequeue
 		}
-		perr := e.protect(mi, sd, op, func(l backend.ShardBackend) {
-			// The drain limit: extraction is fused into the probe when the
-			// head is unbeatable — rank strictly below every remaining
-			// shard's bound, so no FIFO tie can arise — and the probe
-			// degrades to a pure peek (limit 0: no rank is below 0) when a
-			// prior shard already produced a candidate.
+		perr := e.protect(mi, sd, op, func(l shardList) {
+			// Extraction is fused into the probe when the head is
+			// unbeatable — rank strictly below every remaining shard's
+			// bound, so no FIFO tie can arise — and the probe degrades to a
+			// pure peek (limit 0: no rank is below 0) when a prior shard
+			// already produced a candidate.
 			limit := uint64(0)
-			if budget > 0 && !found {
+			if take && !found {
 				limit = next
 			}
-			var took bool
 			if ranged {
-				ent, sq, elig, took = l.DequeueRangeBelowSeq(now, lo, hi, limit)
+				ent, sq, elig, taken = l.DequeueRangeBelowSeq(now, lo, hi, limit)
 			} else {
-				ent, sq, elig, took = l.DequeueBelowSeq(now, limit)
+				ent, sq, elig, taken = l.DequeueBelowSeq(now, limit)
 			}
-			if !elig {
-				// The summary's lower bound let an ineligible shard
-				// through; tighten it so the next tournament prunes it.
-				sd.refreshMinSend()
-				return
+			if taken {
+				e.noteExtracted(mi, sd, ent)
+				sd.publish()
 			}
-			if !took {
-				return
-			}
-			taken = 1
-			c = candidate{sd: sd, idx: mi, entry: ent, seq: sq}
-			e.noteExtracted(mi, sd, ent)
-			if sink != nil {
-				*sink = append(*sink, ent)
-			}
-			// Keep draining only while the shard's next eligible head
-			// would win a rerun tournament outright (strictly below every
-			// remaining bound — an equal bound could FIFO-tie, which only
-			// a fresh tournament can adjudicate).
-			for taken != budget {
-				var (
-					nent core.Entry
-					ntk  bool
-				)
-				if ranged {
-					nent, _, _, ntk = l.DequeueRangeBelowSeq(now, lo, hi, next)
-				} else {
-					nent, _, _, ntk = l.DequeueBelowSeq(now, next)
-				}
-				if !ntk {
-					break
-				}
-				taken++
-				e.noteExtracted(mi, sd, nent)
-				if sink != nil {
-					*sink = append(*sink, nent)
-				}
-			}
-			sd.noteRemoval()
 		})
 		sd.mu.Unlock()
-		if taken > 0 {
-			// Entries already extracted stay extracted even if the shard
-			// quarantined mid-drain: the salvage no longer holds them.
-			e.size.Add(int64(-taken))
-			return c, true, taken
+		if taken {
+			// The entry stays extracted even if the shard quarantined after
+			// the list call: the salvage no longer holds it.
+			e.size.Add(-1)
+			return candidate{sd: sd, idx: mi, entry: ent, seq: sq}, true, true
 		}
 		if perr != nil || !elig {
 			continue
@@ -804,7 +708,7 @@ func (e *Engine) tournament(now clock.Time, lo, hi uint32, ranged bool, budget i
 			found = true
 		}
 	}
-	return best, found, 0
+	return best, found, false
 }
 
 // noteExtracted updates residency and off-home bookkeeping for an
@@ -835,28 +739,21 @@ func (e *Engine) extract(idx int, sd *shard, now clock.Time, lo, hi uint32, rang
 		ent core.Entry
 		ok  bool
 	)
-	perr := e.protect(idx, sd, OpDequeue, func(l backend.ShardBackend) {
+	// ok=true means the list call itself completed: the element is out even
+	// if a later step in the closure quarantined the shard (the salvage no
+	// longer holds it), so it is delivered rather than dropped.
+	e.protect(idx, sd, OpDequeue, func(l shardList) {
 		if ranged {
 			ent, ok = l.DequeueRange(now, lo, hi)
 		} else {
 			ent, ok = l.Dequeue(now)
 		}
-		if !ok {
-			sd.refreshMinSend()
-			return
+		if ok {
+			e.noteExtracted(idx, sd, ent)
+			sd.publish()
 		}
-		sd.resident--
-		if e.homeIdx(ent.ID) != idx {
-			sd.offHomeResident--
-			e.offHome.Add(-1)
-		}
-		sd.noteRemoval()
 	})
 	sd.mu.Unlock()
-	// ok=true means the list call itself completed: the element is out even
-	// if a later step in the closure quarantined the shard (the salvage no
-	// longer holds it), so it is delivered rather than dropped.
-	_ = perr
 	if !ok {
 		return core.Entry{}, false
 	}
@@ -876,7 +773,7 @@ func (e *Engine) Dequeue(now clock.Time) (core.Entry, bool) {
 		return core.Entry{}, false
 	}
 	for attempt := 0; attempt < dequeueRetries; attempt++ {
-		c, found, taken := e.tournament(now, 0, 0, false, 1, nil)
+		c, found, taken := e.tournament(now, 0, 0, false, true)
 		if !found {
 			// An exhaustive miss: no healthy shard holds an eligible
 			// element, so the next-eligible bound can rise to what the
@@ -887,7 +784,7 @@ func (e *Engine) Dequeue(now clock.Time) (core.Entry, bool) {
 			e.emptyDequeues.Add(1)
 			return core.Entry{}, false
 		}
-		if taken > 0 {
+		if taken {
 			return c.entry, true
 		}
 		if ent, ok := e.extract(c.idx, c.sd, now, 0, 0, false); ok {
@@ -908,7 +805,7 @@ func (e *Engine) DequeueRange(now clock.Time, lo, hi uint32) (core.Entry, bool) 
 		return core.Entry{}, false
 	}
 	for attempt := 0; attempt < dequeueRetries; attempt++ {
-		c, found, taken := e.tournament(now, lo, hi, true, 1, nil)
+		c, found, taken := e.tournament(now, lo, hi, true, true)
 		if !found {
 			// A ranged miss says nothing about elements outside [lo, hi],
 			// but raiseNextElig recomputes from the send-time summaries
@@ -919,7 +816,7 @@ func (e *Engine) DequeueRange(now clock.Time, lo, hi uint32) (core.Entry, bool) 
 			e.emptyDequeues.Add(1)
 			return core.Entry{}, false
 		}
-		if taken > 0 {
+		if taken {
 			return c.entry, true
 		}
 		if ent, ok := e.extract(c.idx, c.sd, now, lo, hi, true); ok {
@@ -928,6 +825,37 @@ func (e *Engine) DequeueRange(now clock.Time, lo, hi uint32) (core.Entry, bool) 
 	}
 	e.emptyDequeues.Add(1)
 	return core.Entry{}, false
+}
+
+// EnqueueBatch implements backend.Batcher as the sequential loop the
+// contract defines: every entry is attempted in order through Enqueue,
+// and the result is the accepted count plus the first error.
+func (e *Engine) EnqueueBatch(es []core.Entry) (int, error) {
+	accepted := 0
+	var firstErr error
+	for i := range es {
+		if err := e.Enqueue(es[i]); err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		accepted++
+	}
+	return accepted, firstErr
+}
+
+// DequeueUpTo implements backend.Batcher as up to k sequential Dequeue
+// calls, appending each element to out and stopping at the first miss.
+func (e *Engine) DequeueUpTo(now clock.Time, k int, out []core.Entry) []core.Entry {
+	for ; k > 0; k-- {
+		ent, ok := e.Dequeue(now)
+		if !ok {
+			break
+		}
+		out = append(out, ent)
+	}
+	return out
 }
 
 // DequeueFlow implements backend.Backend: a point extraction that touches
@@ -961,17 +889,12 @@ func (e *Engine) DequeueFlow(id uint32) (core.Entry, bool) {
 			ent core.Entry
 			ok  bool
 		)
-		e.protect(i, sd, OpDequeueFlow, func(l backend.ShardBackend) {
+		e.protect(i, sd, OpDequeueFlow, func(l shardList) {
 			ent, ok = l.DequeueFlow(id)
-			if !ok {
-				return
+			if ok {
+				e.noteExtracted(i, sd, ent)
+				sd.publish()
 			}
-			sd.resident--
-			if i != home {
-				sd.offHomeResident--
-				e.offHome.Add(-1)
-			}
-			sd.noteRemoval()
 		})
 		sd.mu.Unlock()
 		if ok {
@@ -1038,7 +961,7 @@ func (e *Engine) Peek(now clock.Time) (core.Entry, bool) {
 	if clock.Time(e.nextElig.Load()) > now {
 		return core.Entry{}, false
 	}
-	c, found, _ := e.tournament(now, 0, 0, false, 0, nil)
+	c, found, _ := e.tournament(now, 0, 0, false, false)
 	return c.entry, found
 }
 
@@ -1047,7 +970,7 @@ func (e *Engine) PeekRange(now clock.Time, lo, hi uint32) (core.Entry, bool) {
 	if clock.Time(e.nextElig.Load()) > now {
 		return core.Entry{}, false
 	}
-	c, found, _ := e.tournament(now, lo, hi, true, 0, nil)
+	c, found, _ := e.tournament(now, lo, hi, true, false)
 	return c.entry, found
 }
 
@@ -1075,7 +998,7 @@ func (e *Engine) UpdateRank(id uint32, rank uint64, sendTime clock.Time) bool {
 			continue
 		}
 		var ok bool
-		perr := e.protect(i, sd, OpUpdateRank, func(l backend.ShardBackend) {
+		perr := e.protect(i, sd, OpUpdateRank, func(l shardList) {
 			ok = l.UpdateRankSeq(id, rank, sendTime, seq)
 			if ok {
 				sd.noteMutation(sendTime)
@@ -1136,11 +1059,10 @@ func (e *Engine) Contains(id uint32) bool {
 }
 
 // MinSendTime implements backend.Backend exactly, computing each shard's
-// minimum under its lock (the atomic minSend is only a pruning bound: a
-// shard whose bound already loses to the best exact value found so far
-// cannot improve it and is skipped without locking). Consumers use this
-// for wake hints on the idle path, so it trades per-call cost for keeping
-// the mutation paths O(1).
+// minimum under its lock (the lock-free minSend may be one mutation
+// stale, so it only prunes: a shard whose summary already loses to the
+// best value found so far is skipped without locking). Consumers use
+// this for wake hints on the idle path.
 func (e *Engine) MinSendTime() (clock.Time, bool) {
 	minT := clock.Never
 	found := false
@@ -1168,10 +1090,6 @@ func (e *Engine) MinSendTime() (clock.Time, bool) {
 			continue
 		}
 		t, ok := sd.list.MinSendTime()
-		if ok {
-			// Tighten the pruning bound while the exact value is in hand.
-			sd.minSend.Store(uint64(t))
-		}
 		sd.mu.Unlock()
 		if ok && (!found || t < minT) {
 			minT = t
@@ -1187,10 +1105,10 @@ func (e *Engine) MinSendTime() (clock.Time, bool) {
 // are skipped — their salvaged entries are not dequeueable until
 // rebuild, so waking for them would find nothing; the rebuild
 // re-tightens nextElig when it installs the fresh list. Like MinSendTime
-// this is an idle-path query: each shard answers under its lock (from its
-// index when it has one, a snapshot scan otherwise), with the lock-free
-// minSend bound pruning shards that cannot beat the best value in hand
-// (every resident send_time is >= the bound, so the wake is too).
+// this is an idle-path query: each shard answers from its list's index
+// under its lock, with the lock-free minSend summary pruning shards that
+// cannot beat the best value in hand (every resident send_time is >= it,
+// so the wake is too).
 func (e *Engine) NextWakeAfter(now clock.Time) clock.Time {
 	best := clock.Never
 	for _, sd := range e.shards {
@@ -1207,17 +1125,7 @@ func (e *Engine) NextWakeAfter(now clock.Time) clock.Time {
 			sd.mu.Unlock()
 			continue
 		}
-		var t clock.Time
-		if sd.idx != nil {
-			t = sd.idx.NextWakeAfter(now)
-		} else {
-			t = clock.Never
-			for _, ent := range sd.list.Snapshot() {
-				if ent.SendTime > now && ent.SendTime < t {
-					t = ent.SendTime
-				}
-			}
-		}
+		t := sd.list.NextWakeAfter(now)
 		sd.mu.Unlock()
 		if t < best {
 			best = t
@@ -1226,22 +1134,9 @@ func (e *Engine) NextWakeAfter(now clock.Time) clock.Time {
 	return best
 }
 
-// EligIndexActive implements backend.EligIndexed: true when every
-// healthy shard's list carries a live eligibility index, which every
-// registered shard backend does. NextWakeAfter answers exactly either
-// way (the unindexed path scans); the flag tells consumers which regime
-// produced the answer.
-func (e *Engine) EligIndexActive() bool {
-	for _, sd := range e.shards {
-		sd.mu.Lock()
-		ok := sd.down || sd.exact
-		sd.mu.Unlock()
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
+// EligIndexActive implements backend.EligIndexed: always true, since
+// every shard is a core.List whose index is its structure.
+func (e *Engine) EligIndexActive() bool { return true }
 
 // DisableEligIndex implements backend.EligIndexed as a no-op: a core
 // shard's index is its structure, so there is nothing to drop.
@@ -1454,19 +1349,16 @@ func (e *Engine) CheckInvariants() error {
 				return fmt.Errorf("shard %d: empty but summary minRank %d", i, sd.minRank.Load())
 			}
 			if t, ok := sd.list.MinSendTime(); ok {
-				if bound := clock.Time(sd.minSend.Load()); bound > t {
-					return fmt.Errorf("shard %d: minSend bound %v above true min %v", i, bound, t)
-				} else if sd.exact && bound != t {
-					// Indexed shards refresh exactly on every
-					// mutation; a stale-low bound here means a mutation
-					// path skipped noteMutation/noteRemoval.
-					return fmt.Errorf("shard %d: indexed minSend %v, true min %v", i, bound, t)
+				if bound := clock.Time(sd.minSend.Load()); bound != t {
+					// Every mutation path publishes the exact minimum; a
+					// mismatch means one skipped publish.
+					return fmt.Errorf("shard %d: summary minSend %v, true min %v", i, bound, t)
 				}
 				if t < healthyMinSend {
 					healthyMinSend = t
 				}
 			} else if clock.Time(sd.minSend.Load()) != clock.Never {
-				return fmt.Errorf("shard %d: empty but minSend bound %v", i, clock.Time(sd.minSend.Load()))
+				return fmt.Errorf("shard %d: empty but summary minSend %v", i, clock.Time(sd.minSend.Load()))
 			}
 			total += sd.list.Len()
 			return nil

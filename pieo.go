@@ -217,18 +217,6 @@ func WrapList(l *List) Backend { return backend.WrapCore(l) }
 // default shard count) over the paper-exact core list in each shard.
 func NewShardedList(n, k int) *ShardedList { return shard.New(n, k) }
 
-// NewShardedListOn creates a sharded engine whose shards run the named
-// registered shard backend (ShardBackendNames) — the engine's
-// tournament and quarantine machinery are backend-generic, so any shard
-// backend inherits them unchanged.
-func NewShardedListOn(n, k int, backendName string) (*ShardedList, error) {
-	return shard.NewNamed(n, k, backendName)
-}
-
-// ShardBackendNames lists the registered per-shard backend names
-// accepted by NewShardedListOn.
-func ShardBackendNames() []string { return backend.ShardNames() }
-
 // NewBackend constructs a registered backend by name ("core", "sharded",
 // "ref") with the given capacity.
 func NewBackend(name string, capacity int) (Backend, error) {
@@ -239,9 +227,9 @@ func NewBackend(name string, capacity int) (Backend, error) {
 func BackendNames() []string { return backend.Names() }
 
 // EnqueueBatch inserts es in order through b's native batch path when it
-// has one (SyncList under one lock hold, the sharded engine as a
-// per-shard fan-out), else through sequential Enqueue calls. It returns
-// the number accepted and the first error encountered.
+// has one (SyncList under one lock hold), else through sequential
+// Enqueue calls. It returns the number accepted and the first error
+// encountered.
 func EnqueueBatch(b Backend, es []Entry) (int, error) { return backend.EnqueueBatch(b, es) }
 
 // DequeueUpTo extracts up to k eligible elements at now, appending them
