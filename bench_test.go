@@ -262,10 +262,6 @@ func BenchmarkSparseEligibility(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ix, ok := be.(EligIndexed)
-			if !ok {
-				b.Fatalf("backend %q lacks the EligIndexed capability", name)
-			}
 			// Open-loop pacing: each flow re-arms one horizon ahead, so
 			// releases stay spread and the eligible fraction at any
 			// instant is bounded by (elements released per round)/n < 1%.
@@ -302,7 +298,7 @@ func BenchmarkSparseEligibility(b *testing.B) {
 					b.Fatal("wake hint delivered no eligible element")
 				}
 				// The next-release query.
-				wake := ix.NextWakeAfter(now)
+				wake := be.NextWakeAfter(now)
 				if wake == Never {
 					b.Fatal("backlogged backend reported no next release")
 				}

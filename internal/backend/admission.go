@@ -25,8 +25,6 @@ const (
 	// outranks (has a strictly smaller rank than) the largest-ranked
 	// resident element, that element is evicted to make room; otherwise
 	// the arrival is refused with core.ErrFull, as under AdmitReject.
-	// Requires the Evictor capability; backends without it refuse every
-	// arrival that meets a full list.
 	AdmitPushOut
 )
 
@@ -42,7 +40,7 @@ func (p AdmissionPolicy) String() string {
 	}
 }
 
-// Evictor is implemented by backends that can identify and remove their
+// Evictor is the push-out part of Backend: it identifies and removes the
 // largest-ranked resident element — the victim a rank-aware push-out
 // admission policy sheds. Among equal maximal ranks the newest arrival
 // is the victim, so eviction undoes the most recent low-priority
@@ -76,17 +74,13 @@ func Admit(b Backend, pol AdmissionPolicy, e core.Entry) (AdmitOutcome, error) {
 	if pol != AdmitPushOut || !errors.Is(err, core.ErrFull) {
 		return AdmitOutcome{}, err
 	}
-	// The arrival is refused, as under AdmitReject, when b cannot evict,
-	// when it does not outrank the resident maximum, or when the full
-	// signal raced an empty list.
-	ev, ok := b.(Evictor)
-	if !ok {
+	// The arrival is refused, as under AdmitReject, when it does not
+	// outrank the resident maximum or when the full signal raced an
+	// empty list.
+	if victim, ok := b.PeekMax(); !ok || e.Rank >= victim.Rank {
 		return AdmitOutcome{}, err
 	}
-	if victim, ok := ev.PeekMax(); !ok || e.Rank >= victim.Rank {
-		return AdmitOutcome{}, err
-	}
-	victim, ok := ev.EvictMax()
+	victim, ok := b.EvictMax()
 	if !ok {
 		return AdmitOutcome{}, err
 	}

@@ -57,12 +57,18 @@ func TestAdmit(t *testing.T) {
 			wantIDs: []uint32{1, 3, 4, 2},
 		},
 		{
-			// ref has no Evictor: push-out refuses even an arrival that
-			// outranks every resident.
-			name: "push-out without Evictor rejects", backend: "ref", pol: backend.AdmitPushOut,
+			// Every backend implements the push-out victim: the spec
+			// sheds exactly what core sheds.
+			name: "push-out on ref evicts the same victim as core", backend: "ref", pol: backend.AdmitPushOut,
 			ranks: []uint64{10, 40, 20, 30}, arrival: 5,
-			wantErr: core.ErrFull,
-			wantIDs: []uint32{1, 3, 4, 2},
+			want:    backend.AdmitOutcome{DidEvict: true, Evicted: core.Entry{ID: 2, Rank: 40, SendTime: clock.Always}},
+			wantIDs: []uint32{9, 1, 3, 4},
+		},
+		{
+			name: "push-out on ref evicts the newest of equal max ranks", backend: "ref", pol: backend.AdmitPushOut,
+			ranks: []uint64{10, 30, 30, 20}, arrival: 5,
+			want:    backend.AdmitOutcome{DidEvict: true, Evicted: core.Entry{ID: 3, Rank: 30, SendTime: clock.Always}},
+			wantIDs: []uint32{9, 1, 4, 2},
 		},
 	}
 	for _, tc := range cases {
@@ -70,9 +76,6 @@ func TestAdmit(t *testing.T) {
 			b, err := backend.New(tc.backend, len(tc.ranks))
 			if err != nil {
 				t.Fatal(err)
-			}
-			if _, ok := b.(backend.Evictor); ok != (tc.backend == "core") {
-				t.Fatalf("%s: Evictor = %v", tc.backend, ok)
 			}
 			for i, r := range tc.ranks {
 				if err := b.Enqueue(core.Entry{ID: uint32(i + 1), Rank: r, SendTime: clock.Always}); err != nil {

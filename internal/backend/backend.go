@@ -19,14 +19,20 @@
 //     eligibility — the asynchronous alarm path of §4.4.
 //   - DequeueRange: Extract-Out restricted to IDs in [lo, hi] — the
 //     logical-PIEO extraction hierarchical scheduling builds on (§4.3).
+//   - UpdateRank: dequeue(f) followed by enqueue(f) with a new rank and
+//     send_time, the §3.1 re-rank pattern.
 //
-// Every registered backend (core.List, the sharded engine when quiescent,
-// the reference model) implements the contract bit-for-bit and is
-// differentially tested against internal/refmodel; the inexact baselines
-// (internal/pifo, internal/approx) stay outside it and are driven directly
-// by the experiments that measure them. Optional capabilities — peeking,
-// atomic re-ranking, invariant checking, hardware cost counters — are
-// expressed as extension interfaces so consumers degrade gracefully.
+// plus the queries and the push-out victim every consumer needs. Backend
+// is the whole contract: every registered backend (core.List, the
+// sharded engine when quiescent, the reference model) implements all of
+// it bit-for-bit and is differentially tested against internal/refmodel,
+// so adding a backend means implementing this one interface. Only two
+// capabilities stay optional, because one backend cannot answer them
+// honestly: HardwareModeled (the reference model has no datapath) and
+// Batcher (a native batch path; the EnqueueBatch/DequeueUpTo helpers
+// loop otherwise). The inexact baselines (internal/pifo,
+// internal/approx) stay outside the contract and are driven directly by
+// the experiments that measure them.
 package backend
 
 import (
@@ -66,9 +72,14 @@ func (s *Stats) Add(other Stats) {
 
 // Backend is the ordered-list contract of §3.1 plus the queries the
 // scheduler framework needs (Contains for idempotent re-enqueue,
-// MinSendTime for WF²Q+ virtual-time updates and wake hints, Snapshot for
-// tests and reporting).
+// MinSendTime for WF²Q+ virtual-time updates, NextWakeAfter for wake
+// hints, Snapshot for tests and reporting), the push-out victim of the
+// admission policy (Evictor) and a structural self-check.
 type Backend interface {
+	RankUpdater
+	Evictor
+	InvariantChecker
+
 	// Enqueue inserts e at its rank position (FIFO among equal ranks).
 	// It returns core.ErrFull at capacity and core.ErrDuplicate when
 	// e.ID is already queued.
@@ -88,6 +99,11 @@ type Backend interface {
 	// MinSendTime returns the smallest send_time across queued elements;
 	// ok is false when the backend is empty.
 	MinSendTime() (clock.Time, bool)
+	// NextWakeAfter returns the exact smallest send_time strictly
+	// greater than now among queued elements, or clock.Never when no
+	// such element exists. Elements already eligible at now do not
+	// contribute: the caller polls Dequeue for those.
+	NextWakeAfter(now clock.Time) clock.Time
 	// Snapshot returns every queued entry in increasing (rank, FIFO)
 	// order.
 	Snapshot() []core.Entry
@@ -96,46 +112,40 @@ type Backend interface {
 }
 
 // Peeker is implemented by backends that can report what Dequeue or
-// DequeueRange would extract without removing it.
+// DequeueRange would extract without removing it. No production code
+// asks for it; it stays declared because the benchmark's tracing wrapper
+// forwards it.
 type Peeker interface {
 	Peek(now clock.Time) (core.Entry, bool)
 	PeekRange(now clock.Time, lo, hi uint32) (core.Entry, bool)
 }
 
-// RankUpdater is implemented by backends that can atomically re-rank a
-// queued element — the dequeue(f)+enqueue(f) pattern of §3.1 fused into
-// one operation so concurrent readers never observe the element missing.
+// RankUpdater is the re-rank part of Backend: the dequeue(f)+enqueue(f)
+// pattern of §3.1 as one operation, so concurrent readers of a locked or
+// sharded backend never observe the element missing. The re-enqueued
+// element takes a fresh FIFO position among its new equal ranks. ok is
+// false when id is not queued.
 type RankUpdater interface {
 	UpdateRank(id uint32, rank uint64, sendTime clock.Time) bool
 }
 
 // RankRanger is implemented by backends that additionally support the §8
 // dictionary queries — successor lookup by rank and destructive
-// extraction within a rank interval. core.List provides both.
+// extraction within a rank interval. core.List provides both; the
+// dictionary builds on *core.List directly, so only the benchmark's
+// tracing wrapper names this interface.
 type RankRanger interface {
 	Backend
 	MinRankAtLeast(lo uint64) (core.Entry, bool)
 	DequeueRankRange(lo, hi uint64) (core.Entry, bool)
 }
 
-// EligIndexed is implemented by backends that keep an exact index over
-// send_time and so can answer "when does the next currently-ineligible
-// element become eligible" without scanning their elements. core.List
-// reads the Ordered-Sublist-Array's own eligibility summaries. The
-// sharded engine uses the capability to keep per-shard minSend summaries
-// exact after every mutation (including removals) and to publish exact
-// nextElig bounds; netsim's wake hinting uses it to sleep to the precise
-// next release.
-//
-// EligIndexActive and DisableEligIndex are inert on every backend: the
-// index is the list's own structure, so it is always active and there is
-// nothing to drop. They remain only because the benchmark's tracing
-// wrapper forwards them.
+// EligIndexed adds EligIndexActive and DisableEligIndex to Backend's
+// NextWakeAfter. Both are inert on core.List and the sharded engine,
+// whose eligibility index is the Ordered-Sublist-Array's own summaries
+// and so always live. No production code asks for it; it stays declared
+// because the benchmark names it.
 type EligIndexed interface {
-	// NextWakeAfter returns the exact smallest send_time strictly
-	// greater than now among queued elements, or clock.Never when no
-	// such element exists. Elements already eligible at now do not
-	// contribute: the caller polls Dequeue for those.
 	NextWakeAfter(now clock.Time) clock.Time
 	// EligIndexActive reports whether the index is live, which also
 	// promises a cheap exact MinSendTime. Every registered backend that
@@ -145,24 +155,17 @@ type EligIndexed interface {
 	DisableEligIndex()
 }
 
-// NextWakeAfter consults b's eligibility index, reporting ok=false when
-// b does not implement the capability.
-func NextWakeAfter(b Backend, now clock.Time) (clock.Time, bool) {
-	if ix, ok := b.(EligIndexed); ok {
-		return ix.NextWakeAfter(now), true
-	}
-	return 0, false
-}
-
-// InvariantChecker is implemented by backends with internal structure
-// worth validating after mutations (the sublist geometry of core.List,
-// the shard partitioning of internal/shard).
+// InvariantChecker is the self-check part of Backend: it validates the
+// internal structure after mutations (the sublist geometry of core.List,
+// the shard partitioning of internal/shard) and reports nil on a
+// structure with nothing to check (the flat reference model).
 type InvariantChecker interface {
 	CheckInvariants() error
 }
 
 // HardwareModeled is implemented by backends that model a hardware
-// datapath and count its work in core.Stats terms.
+// datapath and count its work in core.Stats terms. It is optional
+// because the reference model has no datapath to count.
 type HardwareModeled interface {
 	HardwareStats() core.Stats
 }
@@ -183,44 +186,6 @@ type Combining interface {
 	SetCombining(on bool)
 	CombiningEnabled() bool
 	CombiningStats() CombiningStats
-}
-
-// CheckInvariants validates b's internal structure when it supports
-// checking, and reports nil otherwise.
-func CheckInvariants(b Backend) error {
-	if c, ok := b.(InvariantChecker); ok {
-		return c.CheckInvariants()
-	}
-	return nil
-}
-
-// UpdateRank atomically re-ranks id on backends that support it; on other
-// backends it falls back to DequeueFlow + Enqueue (not atomic with respect
-// to concurrent readers, which is fine for single-threaded consumers).
-// When the re-enqueue half fails (an injected fault, or a concurrent
-// producer stealing the freed slot on a racy backend), the dequeued
-// element is restored with its original attributes and the failure is
-// returned as an error instead of panicking; the element is lost only if
-// the restore fails too, and the error says so explicitly.
-func UpdateRank(b Backend, id uint32, rank uint64, sendTime clock.Time) (bool, error) {
-	if u, ok := b.(RankUpdater); ok {
-		return u.UpdateRank(id, rank, sendTime), nil
-	}
-	orig, ok := b.DequeueFlow(id)
-	if !ok {
-		return false, nil
-	}
-	e := orig
-	e.Rank = rank
-	e.SendTime = sendTime
-	if err := b.Enqueue(e); err != nil {
-		if rerr := b.Enqueue(orig); rerr != nil {
-			return false, fmt.Errorf(
-				"backend: UpdateRank re-enqueue failed (%w) and restore of %d failed (%v): element lost", err, id, rerr)
-		}
-		return false, fmt.Errorf("backend: UpdateRank re-enqueue failed: %w", err)
-	}
-	return true, nil
 }
 
 // --- Registry ---

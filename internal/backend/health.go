@@ -92,19 +92,10 @@ func (r HealthReport) OccupancyFraction() float64 {
 	return float64(r.Occupancy) / float64(r.Capacity)
 }
 
-// Health is implemented by backends that expose the supervision layer's
-// health surface: per-partition breaker phase and occupancy.
-// The sharded engine implements it natively; single-partition backends
-// report one always-closed shard.
+// Health is the sharded engine's health surface: per-partition breaker
+// phase and occupancy. Callers use ShardedList.Health directly; the
+// interface stays declared because the benchmark's tracing wrapper
+// names it.
 type Health interface {
 	Health() HealthReport
-}
-
-// HealthOf returns b's health report when the backend (or a wrapper it
-// exposes) implements the Health capability.
-func HealthOf(b Backend) (HealthReport, bool) {
-	if h, ok := b.(Health); ok {
-		return h.Health(), true
-	}
-	return HealthReport{}, false
 }

@@ -23,7 +23,7 @@ func (r *invLCG) next() uint64 {
 }
 
 // stormBackend drives a deterministic mixed workload against b, calling
-// backend.CheckInvariants periodically and returning the set of IDs
+// CheckInvariants periodically and returning the set of IDs
 // still resident according to acceptance/delivery bookkeeping.
 func stormBackend(t *testing.T, b backend.Backend, seed uint64, ops int) map[uint32]bool {
 	t.Helper()
@@ -56,12 +56,12 @@ func stormBackend(t *testing.T, b backend.Backend, seed uint64, ops int) map[uin
 			}
 		case 4:
 			id := uint32(rng.next()%uint64(nextID)) + 1
-			if _, err := backend.UpdateRank(b, id, rng.next()%500, clock.Time(rng.next()%32)); err != nil {
-				t.Fatalf("op %d: UpdateRank(%d): %v", op, id, err)
+			if ok := b.UpdateRank(id, rng.next()%500, clock.Time(rng.next()%32)); ok != resident[id] {
+				t.Fatalf("op %d: UpdateRank(%d) = %v, resident %v", op, id, ok, resident[id])
 			}
 		}
 		if op%512 == 0 {
-			if err := backend.CheckInvariants(b); err != nil {
+			if err := b.CheckInvariants(); err != nil {
 				t.Fatalf("invariants after op %d: %v", op, err)
 			}
 		}
@@ -92,7 +92,7 @@ func TestCheckInvariantsAllBackends(t *testing.T) {
 				t.Fatalf("construct: %v", err)
 			}
 			resident := stormBackend(t, b, 9, 6000)
-			if err := backend.CheckInvariants(b); err != nil {
+			if err := b.CheckInvariants(); err != nil {
 				t.Fatalf("post-storm invariants: %v", err)
 			}
 			if b.Len() != len(resident) {
@@ -103,7 +103,7 @@ func TestCheckInvariantsAllBackends(t *testing.T) {
 					t.Fatalf("drain stalled with %d resident", b.Len())
 				}
 			}
-			if err := backend.CheckInvariants(b); err != nil {
+			if err := b.CheckInvariants(); err != nil {
 				t.Fatalf("post-drain invariants: %v", err)
 			}
 		})
@@ -171,15 +171,13 @@ func TestRangedStormAllBackends(t *testing.T) {
 					ent := resident[band][id]
 					ent.Rank = rng.next() % 500
 					ent.SendTime = clock.Time(rng.next() % 32)
-					if ok, err := backend.UpdateRank(b, id, ent.Rank, ent.SendTime); err != nil {
-						t.Fatalf("op %d: UpdateRank(%d): %v", op, id, err)
-					} else if !ok {
+					if !b.UpdateRank(id, ent.Rank, ent.SendTime) {
 						t.Fatalf("op %d: UpdateRank missed resident id %d", op, id)
 					}
 					resident[band][id] = ent
 				}
 				if op%1024 == 0 {
-					if err := backend.CheckInvariants(b); err != nil {
+					if err := b.CheckInvariants(); err != nil {
 						t.Fatalf("invariants after op %d: %v", op, err)
 					}
 				}
@@ -210,7 +208,7 @@ func TestRangedStormAllBackends(t *testing.T) {
 			if b.Len() != 0 {
 				t.Fatalf("backend holds %d after every band drained", b.Len())
 			}
-			if err := backend.CheckInvariants(b); err != nil {
+			if err := b.CheckInvariants(); err != nil {
 				t.Fatalf("post-drain invariants: %v", err)
 			}
 		})
@@ -351,7 +349,7 @@ func TestCheckInvariantsPostFault(t *testing.T) {
 			b := faultinject.Wrap(inner, inj)
 			stormBackend(t, b, 13, 6000)
 			inj.Disarm()
-			if err := backend.CheckInvariants(inner); err != nil {
+			if err := inner.CheckInvariants(); err != nil {
 				t.Fatalf("post-fault invariants: %v", err)
 			}
 			if inj.Stats().Injected == 0 || inj.Stats().Squeezes == 0 {

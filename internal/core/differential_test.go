@@ -25,6 +25,8 @@ const (
 	opPeek
 	opEnqueueBatch
 	opDequeueUpTo
+	opUpdateRank
+	opEvictMax
 	numOpKinds
 )
 
@@ -55,9 +57,8 @@ func runDifferential(t *testing.T, seed int64, capacity, steps int, rankSpace ui
 func runDifferentialOn(t *testing.T, impl backend.Backend, seed int64, capacity, steps int, rankSpace uint64, timeSpace int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	wakeRng := rand.New(rand.NewSource(^seed)) // its own stream: the op sequence is the same with or without an index
+	wakeRng := rand.New(rand.NewSource(^seed)) // its own stream, so wake probes do not shift the op sequence
 	ref := refmodel.New(capacity)
-	ix, indexed := impl.(backend.EligIndexed)
 	nextID := uint32(0)
 
 	for step := 0; step < steps; step++ {
@@ -110,17 +111,9 @@ func runDifferentialOn(t *testing.T, impl backend.Backend, seed int64, capacity,
 			if gotOK != wantOK || (gotOK && got != want) {
 				t.Fatalf("seed %d step %d: MinSendTime = %v,%v, ref %v,%v", seed, step, got, gotOK, want, wantOK)
 			}
-			if indexed {
-				now := clock.Time(wakeRng.Intn(timeSpace))
-				wake := clock.Never
-				for _, e := range ref.Snapshot() {
-					if e.SendTime > now && e.SendTime < wake {
-						wake = e.SendTime
-					}
-				}
-				if got := ix.NextWakeAfter(now); got != wake {
-					t.Fatalf("seed %d step %d: NextWakeAfter(%v) = %v, ref %v", seed, step, now, got, wake)
-				}
+			now := clock.Time(wakeRng.Intn(timeSpace))
+			if got, want := impl.NextWakeAfter(now), ref.NextWakeAfter(now); got != want {
+				t.Fatalf("seed %d step %d: NextWakeAfter(%v) = %v, ref %v", seed, step, now, got, want)
 			}
 		case opPeek:
 			now := clock.Time(rng.Intn(timeSpace))
@@ -193,11 +186,36 @@ func runDifferentialOn(t *testing.T, impl backend.Backend, seed int64, capacity,
 						seed, step, now, k, i, got[i], want[i])
 				}
 			}
+		case opUpdateRank:
+			var id uint32
+			if nextID > 0 {
+				id = uint32(rng.Intn(int(nextID)))
+			}
+			rank := uint64(rng.Int63n(int64(rankSpace)))
+			send := clock.Time(rng.Intn(timeSpace))
+			got, want := impl.UpdateRank(id, rank, send), ref.UpdateRank(id, rank, send)
+			if got != want {
+				t.Fatalf("seed %d step %d: UpdateRank(%d,%d,%v) = %v, ref %v", seed, step, id, rank, send, got, want)
+			}
+		case opEvictMax:
+			got, gotOK := impl.PeekMax()
+			want, wantOK := ref.PeekMax()
+			if gotOK != wantOK || got != want {
+				t.Fatalf("seed %d step %d: PeekMax = %v,%v, ref %v,%v", seed, step, got, gotOK, want, wantOK)
+			}
+			if rng.Intn(2) == 0 {
+				break
+			}
+			got, gotOK = impl.EvictMax()
+			want, wantOK = ref.EvictMax()
+			if gotOK != wantOK || got != want {
+				t.Fatalf("seed %d step %d: EvictMax = %v,%v, ref %v,%v", seed, step, got, gotOK, want, wantOK)
+			}
 		}
 		if impl.Len() != ref.Len() {
 			t.Fatalf("seed %d step %d: Len = %d, ref %d", seed, step, impl.Len(), ref.Len())
 		}
-		if err := backend.CheckInvariants(impl); err != nil {
+		if err := impl.CheckInvariants(); err != nil {
 			t.Fatalf("seed %d step %d: %v", seed, step, err)
 		}
 	}

@@ -903,7 +903,7 @@ func (l *List) MinSendTime() (clock.Time, bool) {
 
 // NextWakeAfter returns the exact smallest send_time strictly greater
 // than now among queued elements, or clock.Never when none exists — the
-// backend.EligIndexed capability, answered from the Ordered-Sublist-Array
+// backend.Backend wake query, answered from the Ordered-Sublist-Array
 // by a pruned walk: a block whose summary word is past now contributes
 // that word and is skipped whole, a sublist whose cached smallest
 // send_time is past now contributes it, a sublist whose latest send_time

@@ -124,25 +124,21 @@ func runTimeIndexProgram(t *testing.T, capacity, sublistSize int, program []byte
 			id := someID()
 			rank, send := uint64(arg()%32), timeIndexSend(arg())
 			got := impl.UpdateRank(id, rank, send)
-			e, want := ref.DequeueFlow(id)
-			if want {
-				e.Rank, e.SendTime = rank, send
-				if err := ref.Enqueue(e); err != nil {
-					t.Fatalf("reference re-enqueue of %d: %v", id, err)
-				}
-			}
+			want := ref.UpdateRank(id, rank, send)
 			if got != want {
 				t.Fatalf("UpdateRank(%d) = %v, ref %v", id, got, want)
 			}
 		case 5: // evict the push-out victim
 			got, gok := impl.MaxRankEntry()
-			snap := ref.Snapshot()
-			if gok != (len(snap) > 0) || (gok && got != snap[len(snap)-1]) {
-				t.Fatalf("MaxRankEntry = %v,%v, ref snapshot tail of %d", got, gok, len(snap))
+			want, wok := ref.PeekMax()
+			if gok != wok || got != want {
+				t.Fatalf("MaxRankEntry = %v,%v, ref PeekMax %v,%v", got, gok, want, wok)
 			}
 			if gok {
-				impl.DequeueFlow(got.ID)
-				ref.DequeueFlow(got.ID)
+				got, _ = impl.DequeueFlow(got.ID)
+				if want, _ = ref.EvictMax(); got != want {
+					t.Fatalf("evicted %v, ref EvictMax %v", got, want)
+				}
 			}
 		}
 
@@ -156,14 +152,8 @@ func runTimeIndexProgram(t *testing.T, capacity, sublistSize int, program []byte
 		}
 		snap := ref.Snapshot()
 		for _, now := range [...]clock.Time{0, timeIndexNow(arg()), clock.Never - 1, clock.Never} {
-			wake := clock.Never
-			for _, e := range snap {
-				if e.SendTime > now && e.SendTime < wake {
-					wake = e.SendTime
-				}
-			}
-			if got := impl.NextWakeAfter(now); got != wake {
-				t.Fatalf("NextWakeAfter(%v) = %v, brute force %v (len %d)", now, got, wake, len(snap))
+			if got, want := impl.NextWakeAfter(now), ref.NextWakeAfter(now); got != want {
+				t.Fatalf("NextWakeAfter(%v) = %v, ref %v (len %d)", now, got, want, len(snap))
 			}
 			got, gok := impl.Peek(now)
 			want, wok := ref.Peek(now)

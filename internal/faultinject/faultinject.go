@@ -110,9 +110,6 @@ func NewInjector(plan Plan) *Injector {
 // it between the storm phase and the recovery/audit phase.
 func (inj *Injector) Disarm() { inj.armed.Store(false) }
 
-// Arm re-enables fault production.
-func (inj *Injector) Arm() { inj.armed.Store(true) }
-
 // Stats reports how many faults of each class have fired.
 type Stats struct {
 	Injected uint64 // ErrInjected errors
@@ -194,24 +191,14 @@ func (inj *Injector) ShardHook() func(shard int, op string) {
 	}
 }
 
-// faultSource is the schedule evaluation surface the Backend wrapper
-// drives: a plain Injector (always-on schedule) or a Storm (scheduled
-// time windows) both satisfy it.
-type faultSource interface {
-	step(op string) uint64
-	errNow(n uint64) bool
-	squeezeNow() bool
-}
-
-// Backend wraps a backend.Backend with a fault schedule (an Injector, or
-// a Storm's scheduled windows via WrapStorm). Mutations pass through
-// step (latency + panics); enqueues additionally face the error and
-// squeeze schedules BEFORE reaching the inner backend, so every injected
-// enqueue failure corresponds to an arrival that never entered the list
-// — recorded as a declared drop.
+// Backend wraps a backend.Backend with an Injector's fault schedule.
+// Mutations pass through step (latency + panics); enqueues additionally
+// face the error and squeeze schedules BEFORE reaching the inner
+// backend, so every injected enqueue failure corresponds to an arrival
+// that never entered the list — recorded as a declared drop.
 type Backend struct {
 	inner backend.Backend
-	inj   faultSource
+	inj   *Injector
 
 	mu      sync.Mutex
 	dropped []uint32 // IDs of arrivals shed by injected enqueue faults
@@ -285,41 +272,25 @@ func (b *Backend) Snapshot() []core.Entry { return b.inner.Snapshot() }
 // Stats implements backend.Backend.
 func (b *Backend) Stats() backend.Stats { return b.inner.Stats() }
 
+// NextWakeAfter implements backend.Backend (never faulted).
+func (b *Backend) NextWakeAfter(now clock.Time) clock.Time { return b.inner.NextWakeAfter(now) }
+
 // CheckInvariants validates the inner backend, bypassing fault schedules
 // — the auditor must see the truth.
-func (b *Backend) CheckInvariants() error { return backend.CheckInvariants(b.inner) }
+func (b *Backend) CheckInvariants() error { return b.inner.CheckInvariants() }
 
-// UpdateRank implements backend.RankUpdater when the inner backend does;
-// the schedule can panic or stall it but a rank update is never turned
-// into an error (there is no arrival to shed).
+// UpdateRank implements backend.Backend; the schedule can panic or stall
+// it but a rank update is never turned into an error (there is no
+// arrival to shed).
 func (b *Backend) UpdateRank(id uint32, rank uint64, sendTime clock.Time) bool {
 	b.inj.step("update_rank")
-	if u, ok := b.inner.(backend.RankUpdater); ok {
-		return u.UpdateRank(id, rank, sendTime)
-	}
-	ok, _ := backend.UpdateRank(b.inner, id, rank, sendTime)
-	return ok
+	return b.inner.UpdateRank(id, rank, sendTime)
 }
 
-// PeekMax implements backend.Evictor when the inner backend does.
-func (b *Backend) PeekMax() (core.Entry, bool) {
-	if ev, ok := b.inner.(backend.Evictor); ok {
-		return ev.PeekMax()
-	}
-	return core.Entry{}, false
-}
+// PeekMax implements backend.Backend (never faulted).
+func (b *Backend) PeekMax() (core.Entry, bool) { return b.inner.PeekMax() }
 
-// EvictMax implements backend.Evictor when the inner backend does.
-func (b *Backend) EvictMax() (core.Entry, bool) {
-	if ev, ok := b.inner.(backend.Evictor); ok {
-		return ev.EvictMax()
-	}
-	return core.Entry{}, false
-}
+// EvictMax implements backend.Backend (never faulted).
+func (b *Backend) EvictMax() (core.Entry, bool) { return b.inner.EvictMax() }
 
-var (
-	_ backend.Backend          = (*Backend)(nil)
-	_ backend.RankUpdater      = (*Backend)(nil)
-	_ backend.Evictor          = (*Backend)(nil)
-	_ backend.InvariantChecker = (*Backend)(nil)
-)
+var _ backend.Backend = (*Backend)(nil)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"pieo/internal/backend"
 	"pieo/internal/clock"
 )
 
@@ -110,35 +109,4 @@ func (s *Storm) ShardHook() func(shard int, op string) {
 			inj.step(fmt.Sprintf("shard%d/%s", shard, op))
 		}
 	}
-}
-
-// step/errNow/squeezeNow implement faultSource by delegating to the live
-// window, so a Storm can drive the Backend wrapper exactly like a single
-// Injector (WrapStorm). A window boundary crossed between step and its
-// paired errNow costs at most one fault decision on the old schedule.
-func (s *Storm) step(op string) uint64 {
-	if inj := s.active(); inj != nil {
-		return inj.step(op)
-	}
-	return 0
-}
-
-func (s *Storm) errNow(n uint64) bool {
-	if inj := s.active(); inj != nil {
-		return inj.errNow(n)
-	}
-	return false
-}
-
-func (s *Storm) squeezeNow() bool {
-	if inj := s.active(); inj != nil {
-		return inj.squeezeNow()
-	}
-	return false
-}
-
-// WrapStorm builds a fault-injecting view of inner driven by the storm's
-// scheduled windows instead of a single always-on Injector.
-func WrapStorm(inner backend.Backend, s *Storm) *Backend {
-	return &Backend{inner: inner, inj: s}
 }

@@ -69,7 +69,7 @@ func checkPartitioned(t *testing.T, ctx string, part *Hierarchy) {
 	if err := part.Partitioner().CheckInvariants(); err != nil {
 		t.Fatalf("%s: partitioner invariants: %v", ctx, err)
 	}
-	if err := backend.CheckInvariants(part.Partitioner().Backend()); err != nil {
+	if err := part.Partitioner().Backend().CheckInvariants(); err != nil {
 		t.Fatalf("%s: shared backend invariants: %v", ctx, err)
 	}
 }

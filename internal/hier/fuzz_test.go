@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"pieo/internal/backend"
 	"pieo/internal/clock"
 	"pieo/internal/flowq"
 	"pieo/internal/policy"
@@ -105,7 +104,7 @@ func TestRandomTopologyConservation(t *testing.T) {
 			transmitted++
 			now++
 			for d := 0; d < h.Levels(); d++ {
-				if err := backend.CheckInvariants(h.Level(d)); err != nil {
+				if err := h.Level(d).CheckInvariants(); err != nil {
 					t.Fatalf("seed %d: level %d after %d: %v", seed, d, transmitted, err)
 				}
 			}
@@ -153,7 +152,7 @@ func TestRandomTopologyInterleavedArrivals(t *testing.T) {
 				seed, transmitted, injected, h.Backlog())
 		}
 		for d := 0; d < h.Levels(); d++ {
-			if err := backend.CheckInvariants(h.Level(d)); err != nil {
+			if err := h.Level(d).CheckInvariants(); err != nil {
 				t.Fatalf("seed %d: level %d: %v", seed, d, err)
 			}
 		}

@@ -125,7 +125,7 @@ func (n *Node) AddFlow(id flowq.FlowID) *Child {
 }
 
 // Hierarchy is an n-level PIEO scheduler tree. It implements
-// netsim.Scheduler and netsim.WakeHinter.
+// netsim.Scheduler.
 type Hierarchy struct {
 	LinkRateGbps float64
 

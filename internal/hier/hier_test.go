@@ -351,7 +351,7 @@ func TestHierarchyThirtyThousandFlows(t *testing.T) {
 		served[p.Flow] = true
 	}
 	for d := 0; d < h.Levels(); d++ {
-		if err := backend.CheckInvariants(h.Level(d)); err != nil {
+		if err := h.Level(d).CheckInvariants(); err != nil {
 			t.Fatalf("level %d: %v", d, err)
 		}
 	}
@@ -379,7 +379,7 @@ func checkDepths(t *testing.T, ctx string, h *Hierarchy) {
 		if err := h.nodesAt[d][0].pt.CheckInvariants(); err != nil {
 			t.Fatalf("%s: depth %d partitioner: %v", ctx, d, err)
 		}
-		if err := backend.CheckInvariants(h.Level(d)); err != nil {
+		if err := h.Level(d).CheckInvariants(); err != nil {
 			t.Fatalf("%s: depth %d list: %v", ctx, d, err)
 		}
 	}

@@ -7,10 +7,9 @@
 // The simulation loop is the paper's scheduling model (Fig 1): packets
 // arrive into per-flow queues owned by the scheduler; whenever the link
 // goes idle, the scheduler is asked for the next packet (the
-// output-triggered dequeue path); non-work-conserving schedulers that
-// currently have no eligible packet may publish a wake-up hint (their
-// smallest send_time) so the simulator re-polls exactly when eligibility
-// can next change.
+// output-triggered dequeue path); a scheduler that currently has no
+// eligible packet publishes a wake-up hint (its next future send_time)
+// so the simulator re-polls exactly when eligibility can next change.
 package netsim
 
 import (
@@ -42,8 +41,11 @@ func (l Link) TransmitTime(size uint32) clock.Time {
 	return clock.Time(ns)
 }
 
-// Scheduler is the contract a packet scheduler offers the simulator.
+// Scheduler is the contract a packet scheduler offers the simulator:
+// sched.Scheduler and hier.Hierarchy implement all of it.
 type Scheduler interface {
+	WakeHinter
+	FaultReporter
 	// OnArrival delivers a packet to its flow queue at time now.
 	OnArrival(now clock.Time, p flowq.Packet)
 	// NextPacket picks the packet to transmit when the link goes idle
@@ -51,9 +53,9 @@ type Scheduler interface {
 	NextPacket(now clock.Time) (flowq.Packet, bool)
 }
 
-// WakeHinter is implemented by non-work-conserving schedulers that know
-// when the next element becomes eligible; the simulator polls again at
-// that instant instead of spinning.
+// WakeHinter is the wake part of Scheduler: when NextPacket finds
+// nothing eligible, the simulator polls again at the hinted instant
+// instead of spinning.
 type WakeHinter interface {
 	// NextWake returns the earliest future time at which NextPacket
 	// could succeed, or ok=false if no such time is known.
@@ -61,14 +63,15 @@ type WakeHinter interface {
 }
 
 // BackendReporter is implemented by schedulers built over a pluggable
-// ordered-list backend that can summarize its operation counters.
+// ordered-list backend that can summarize its operation counters. The
+// simulator does not ask for it; it stays declared because the
+// benchmark's tracing wrapper names it.
 type BackendReporter interface {
 	BackendStats() backend.Stats
 }
 
-// FaultReporter is implemented by schedulers that count faults and
-// admission decisions instead of panicking (sched.Scheduler,
-// hier.Hierarchy).
+// FaultReporter is the fault part of Scheduler: the faults and
+// admission decisions the scheduler counted instead of panicking.
 type FaultReporter interface {
 	FaultStats() backend.FaultStats
 }
@@ -106,23 +109,8 @@ func (s *Sim) Now() clock.Time { return s.wall.Now() }
 // Sent returns the number of packets fully transmitted.
 func (s *Sim) Sent() uint64 { return s.sent }
 
-// BackendStats returns the scheduler's ordered-list operation counters,
-// or zeroes when the scheduler does not report a backend.
-func (s *Sim) BackendStats() backend.Stats {
-	if r, ok := s.sched.(BackendReporter); ok {
-		return r.BackendStats()
-	}
-	return backend.Stats{}
-}
-
-// FaultStats returns the scheduler's fault and admission counters, or
-// zeroes when the scheduler does not report them.
-func (s *Sim) FaultStats() backend.FaultStats {
-	if r, ok := s.sched.(FaultReporter); ok {
-		return r.FaultStats()
-	}
-	return backend.FaultStats{}
-}
+// FaultStats returns the scheduler's fault and admission counters.
+func (s *Sim) FaultStats() backend.FaultStats { return s.sched.FaultStats() }
 
 // Utilization returns the fraction of elapsed time the link was busy. A
 // transmission still on the wire counts only up to the current instant,
@@ -201,11 +189,7 @@ func (s *Sim) tryTransmit(now clock.Time) {
 // armWake schedules a poll at the scheduler's next-wake hint, keeping at
 // most one outstanding wake and always the earliest known.
 func (s *Sim) armWake(now clock.Time) {
-	h, ok := s.sched.(WakeHinter)
-	if !ok {
-		return
-	}
-	at, ok := h.NextWake(now)
+	at, ok := s.sched.NextWake(now)
 	if !ok || at <= now {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pieo/internal/backend"
 	"pieo/internal/clock"
 	"pieo/internal/flowq"
 	"pieo/internal/pktgen"
@@ -18,6 +19,10 @@ func (f *fifoSched) OnArrival(_ clock.Time, p flowq.Packet) { f.q.Push(p) }
 func (f *fifoSched) NextPacket(clock.Time) (flowq.Packet, bool) {
 	return f.q.Pop()
 }
+
+// A work-conserving FIFO has nothing to wake for and absorbs no faults.
+func (f *fifoSched) NextWake(clock.Time) (clock.Time, bool) { return 0, false }
+func (f *fifoSched) FaultStats() backend.FaultStats         { return backend.FaultStats{} }
 
 // pacedSched releases its FIFO head only after the packet's SendAt time —
 // a minimal non-work-conserving scheduler with a wake hint.
@@ -40,6 +45,7 @@ func (f *pacedSched) NextWake(now clock.Time) (clock.Time, bool) {
 	}
 	return head.SendAt, true
 }
+func (f *pacedSched) FaultStats() backend.FaultStats { return backend.FaultStats{} }
 
 func TestTransmitTime(t *testing.T) {
 	l := Link{RateGbps: 100}

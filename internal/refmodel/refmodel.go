@@ -1,9 +1,11 @@
 // Package refmodel is the executable specification of the PIEO primitive
-// (§3.1): a single flat list ordered by (rank, FIFO arrival), with
-// dequeue returning the first eligible element. It makes no attempt to be
-// fast or hardware-shaped — its only job is to be obviously correct so
-// the sublist-based implementation in internal/core can be tested
-// differentially against it.
+// (§3.1) and of the whole backend.Backend contract: a single flat list
+// ordered by (rank, FIFO arrival), with dequeue returning the first
+// eligible element, re-rank defined as dequeue(f) then enqueue(f), and
+// the push-out victim the last element. It makes no attempt to be fast
+// or hardware-shaped — its only job is to be obviously correct so the
+// sublist-based implementation in internal/core and the sharded engine
+// can be tested differentially against it.
 package refmodel
 
 import (
@@ -132,6 +134,55 @@ func (l *List) MinSendTime() (clock.Time, bool) {
 	}
 	return minT, true
 }
+
+// NextWakeAfter returns the smallest send_time strictly greater than now,
+// or clock.Never when no queued element has one.
+func (l *List) NextWakeAfter(now clock.Time) clock.Time {
+	best := clock.Never
+	for _, x := range l.entries {
+		if x.SendTime > now && x.SendTime < best {
+			best = x.SendTime
+		}
+	}
+	return best
+}
+
+// UpdateRank re-ranks id by the §3.1 definition: DequeueFlow, then
+// Enqueue with the new rank and send_time, so the element takes a fresh
+// FIFO position among its new equal ranks.
+func (l *List) UpdateRank(id uint32, rank uint64, sendTime clock.Time) bool {
+	e, ok := l.DequeueFlow(id)
+	if !ok {
+		return false
+	}
+	e.Rank = rank
+	e.SendTime = sendTime
+	// The freed slot and the removed id rule out both Enqueue errors.
+	_ = l.Enqueue(e)
+	return true
+}
+
+// PeekMax returns the push-out victim without removing it: the last
+// element, which among equal maximal ranks is the newest arrival.
+func (l *List) PeekMax() (core.Entry, bool) {
+	if len(l.entries) == 0 {
+		return core.Entry{}, false
+	}
+	return l.entries[len(l.entries)-1].Entry, true
+}
+
+// EvictMax removes and returns the PeekMax victim through DequeueFlow.
+func (l *List) EvictMax() (core.Entry, bool) {
+	e, ok := l.PeekMax()
+	if !ok {
+		return core.Entry{}, false
+	}
+	return l.DequeueFlow(e.ID)
+}
+
+// CheckInvariants reports nil: a flat sorted slice has no structure
+// beyond its order, which every method keeps by construction.
+func (l *List) CheckInvariants() error { return nil }
 
 // Snapshot returns the entries in (rank, FIFO) order.
 func (l *List) Snapshot() []core.Entry {

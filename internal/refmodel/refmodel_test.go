@@ -14,15 +14,19 @@ import (
 // ordered by rank with FIFO among equals, dequeue extracts the first
 // element whose send_time has passed, dequeue(f) ignores eligibility, and
 // a ranged dequeue adds lo <= id <= hi (both inclusive) to the predicate.
+// The rest of the backend contract follows from those: a re-rank is
+// dequeue(f) then enqueue(f), the push-out victim is the last element,
+// and the next wake is the smallest send_time still in the future.
 
 type op struct {
-	kind   string // enq, deq, deqf, deqr, peek
+	kind   string // enq, deq, deqf, deqr, peek, rerank, peekmax, evictmax, wake
 	e      core.Entry
 	now    clock.Time
 	lo, hi uint32
 	want   uint32 // id expected back; ignored when miss
 	miss   bool
-	err    error // enq only
+	err    error      // enq only
+	at     clock.Time // wake only
 }
 
 func enq(id uint32, rank uint64, send clock.Time) op {
@@ -42,6 +46,14 @@ func deqr(now clock.Time, lo, hi, want uint32) op {
 func deqrMiss(now clock.Time, lo, hi uint32) op {
 	return op{kind: "deqr", now: now, lo: lo, hi: hi, miss: true}
 }
+func rerank(id uint32, rank uint64, send clock.Time) op {
+	return op{kind: "rerank", e: core.Entry{ID: id, Rank: rank, SendTime: send}, want: id}
+}
+func rerankMiss(id uint32) op    { return op{kind: "rerank", e: core.Entry{ID: id}, miss: true} }
+func peekMax(want uint32) op     { return op{kind: "peekmax", want: want} }
+func evictMax(want uint32) op    { return op{kind: "evictmax", want: want} }
+func evictMaxMiss() op           { return op{kind: "evictmax", miss: true} }
+func wake(now, at clock.Time) op { return op{kind: "wake", now: now, at: at} }
 
 func TestSpecByHand(t *testing.T) {
 	cases := []struct {
@@ -126,6 +138,36 @@ func TestSpecByHand(t *testing.T) {
 			},
 			left: []uint32{7, 2}, // equal rank 9, arrival order
 		},
+		{
+			name: "re-rank is dequeue(f) then enqueue(f): a fresh FIFO position and a new send_time", capacity: 4,
+			ops: []op{
+				enq(1, 5, 0), enq(2, 5, 0), enq(3, 7, 0),
+				rerank(1, 5, 0),  // same rank: 1 moves behind 2
+				rerank(3, 1, 50), // now first by rank, but not yet eligible
+				rerankMiss(9),
+				deq(0, 2),
+			},
+			left: []uint32{3, 1},
+		},
+		{
+			name: "push-out victim is the last element: the newest of equal maximal ranks, eligible or not", capacity: 4,
+			ops: []op{
+				enq(1, 30, 0), enq(2, 30, clock.Never), enq(3, 10, 0),
+				peekMax(2), evictMax(2),
+				rerank(3, 30, 0), // a re-rank is a new arrival at its rank
+				peekMax(3), evictMax(3), evictMax(1), evictMaxMiss(),
+			},
+		},
+		{
+			name: "next wake: the smallest send_time strictly after now; Never is no wake", capacity: 4,
+			ops: []op{
+				wake(0, clock.Never),
+				enq(1, 1, 50), enq(2, 2, 20), enq(3, 3, clock.Never), enq(4, 4, 0),
+				wake(0, 20), wake(19, 20), wake(20, 50), wake(50, clock.Never),
+				deq(20, 2), wake(0, 50),
+			},
+			left: []uint32{1, 3, 4},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -153,13 +195,32 @@ func TestSpecByHand(t *testing.T) {
 					got, ok = l.DequeueFlow(o.want)
 				case "deqr":
 					got, ok = l.DequeueRange(o.now, o.lo, o.hi)
+				case "rerank":
+					ok = l.UpdateRank(o.e.ID, o.e.Rank, o.e.SendTime)
+					got.ID = o.e.ID
+				case "peekmax":
+					got, ok = l.PeekMax()
+					if !slices.Equal(before, l.Snapshot()) {
+						t.Fatalf("op %d: PeekMax changed the list", i)
+					}
+				case "evictmax":
+					got, ok = l.EvictMax()
+				case "wake":
+					if at := l.NextWakeAfter(o.now); at != o.at {
+						t.Fatalf("op %d: NextWakeAfter(%v) = %v, want %v", i, o.now, at, o.at)
+					}
+					continue
 				}
 				if ok == o.miss || (ok && got.ID != o.want) {
 					t.Fatalf("op %d: %s(now=%v, [%d,%d]) = %v,%v; want id %d, miss=%v",
 						i, o.kind, o.now, o.lo, o.hi, got, ok, o.want, o.miss)
 				}
-				if ok && l.Contains(got.ID) != (o.kind == "peek") {
+				stays := o.kind == "peek" || o.kind == "peekmax" || o.kind == "rerank"
+				if ok && l.Contains(got.ID) != stays {
 					t.Fatalf("op %d: Contains(%d) wrong after %s", i, got.ID, o.kind)
+				}
+				if err := l.CheckInvariants(); err != nil {
+					t.Fatalf("op %d: CheckInvariants = %v", i, err)
 				}
 			}
 			snap := l.Snapshot()

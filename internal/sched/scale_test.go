@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pieo/internal/algos"
-	"pieo/internal/backend"
 	"pieo/internal/clock"
 	"pieo/internal/flowq"
 	"pieo/internal/sched"
@@ -32,7 +31,7 @@ func TestThirtyThousandFlowsFairShare(t *testing.T) {
 	if s.List.Len() != nFlows {
 		t.Fatalf("list holds %d flows, want %d", s.List.Len(), nFlows)
 	}
-	if err := backend.CheckInvariants(s.List); err != nil {
+	if err := s.List.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -51,7 +50,7 @@ func TestThirtyThousandFlowsFairShare(t *testing.T) {
 			t.Fatalf("flow %d served %d times in one round", f, served[flowq.FlowID(f)])
 		}
 	}
-	if err := backend.CheckInvariants(s.List); err != nil {
+	if err := s.List.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -126,7 +125,7 @@ func TestManyFlowsChurn(t *testing.T) {
 		if j := stats.JainIndex(shares); j < 0.9999 {
 			t.Fatalf("wave %d Jain = %v", wave, j)
 		}
-		if err := backend.CheckInvariants(s.List); err != nil {
+		if err := s.List.CheckInvariants(); err != nil {
 			t.Fatalf("wave %d: %v", wave, err)
 		}
 	}

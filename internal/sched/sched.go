@@ -111,8 +111,7 @@ func (s *Scheduler) policyPostDequeue(now clock.Time, f *Flow) []flowq.Packet {
 }
 
 // Scheduler is a flat (single-level) PIEO scheduler: one ordered list, a
-// set of flows, and a program. It implements netsim.Scheduler and
-// netsim.WakeHinter.
+// set of flows, and a program. It implements netsim.Scheduler.
 type Scheduler struct {
 	Prog *Program
 	pol  *policy.Policy // Prog.Policy, or round-robin when that is nil
@@ -421,20 +420,13 @@ func (s *Scheduler) NextWake(now clock.Time) (clock.Time, bool) {
 		// Non-wall predicate domain: no wall-clock mapping is known.
 		return 0, false
 	}
-	if t, ok := backend.NextWakeAfter(s.List, now); ok {
-		// The eligibility index answers the WakeHinter contract directly:
-		// the exact earliest FUTURE eligibility instant, with elements
-		// eligible already excluded (the simulator polls those without a
-		// hint) and all-Never backlogs reported as "no wake known"
-		// instead of an arm-at-infinity hint.
-		return t, t != clock.Never
-	}
-	// Backends without the index (ref) answer from the minimum alone,
-	// under the same contract: an all-Never backlog (a flow parked until
-	// an Alarm) or an already-eligible minimum is no wake, never an alarm
-	// armed at the end of time.
-	t, ok := s.List.MinSendTime()
-	return t, ok && t != clock.Never && t > now
+	// The list answers the WakeHinter contract directly: the exact
+	// earliest FUTURE eligibility instant, with elements eligible already
+	// excluded (the simulator polls those without a hint) and all-Never
+	// backlogs (a flow parked until an Alarm) reported as "no wake known"
+	// instead of an alarm armed at the end of time.
+	t := s.List.NextWakeAfter(now)
+	return t, t != clock.Never
 }
 
 // Backlog returns the total packets queued across all flows.

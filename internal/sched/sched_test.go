@@ -9,6 +9,7 @@ import (
 	"pieo/internal/netsim"
 	"pieo/internal/policy"
 	_ "pieo/internal/refmodel" // registers the "ref" backend
+	_ "pieo/internal/shard"    // registers the "sharded" backend
 )
 
 func defaultProg() *Program { return &Program{Name: "default"} }
@@ -217,6 +218,31 @@ func TestNextWakeWallDomain(t *testing.T) {
 	}
 	if p, ok := s.NextPacket(500); !ok || p.Flow != 1 {
 		t.Fatalf("NextPacket(500) = %+v ok=%v", p, ok)
+	}
+}
+
+// NextWake gives one answer on every backend: the exact next future
+// release. With one flow eligible since 0 and one shaped to 500, both at
+// rank 1, the hint at 10 is 500 — the already-eligible minimum does not
+// hide the future release.
+func TestNextWakeSameOnEveryBackend(t *testing.T) {
+	for _, name := range []string{"core", "ref", "sharded"} {
+		t.Run(name, func(t *testing.T) {
+			prog := rankingProg("paced", func(a *policy.Attrs, head flowq.Packet) {
+				a.Rank = 1
+				a.SendTime = head.SendAt
+			})
+			b, err := backend.New(name, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewOn(prog, b, 40)
+			s.OnArrival(0, flowq.Packet{Flow: 1, Size: 100, SendAt: 0})
+			s.OnArrival(0, flowq.Packet{Flow: 2, Size: 100, SendAt: 500})
+			if at, ok := s.NextWake(10); !ok || at != 500 {
+				t.Fatalf("NextWake(10) = %v,%v, want 500,true", at, ok)
+			}
+		})
 	}
 }
 

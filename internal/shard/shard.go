@@ -1099,7 +1099,7 @@ func (e *Engine) MinSendTime() (clock.Time, bool) {
 	return minT, found
 }
 
-// NextWakeAfter implements backend.EligIndexed across the shard set: the
+// NextWakeAfter implements backend.Backend across the shard set: the
 // exact smallest send_time strictly greater than now among elements
 // queued in healthy shards, clock.Never when there is none. Down shards
 // are skipped — their salvaged entries are not dequeueable until

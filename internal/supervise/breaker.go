@@ -116,10 +116,6 @@ func (b *Breaker) ReopenAt() clock.Time {
 // lock required.
 func (b *Breaker) Streak() int { return b.streak }
 
-// OpenedAt returns when the current outage episode began. Owner's lock
-// required; meaningful while the breaker is not Closed.
-func (b *Breaker) OpenedAt() clock.Time { return b.openedAt }
-
 // Trip opens the breaker at time now: the partition failed. From Closed
 // this starts a new outage episode; from HalfOpen it extends the current
 // one (a probation failure), preserving the streak so the backoff keeps

@@ -20,6 +20,13 @@
 //	l.Enqueue(pieo.Entry{ID: 7, Rank: 42, SendTime: 1000})
 //	e, ok := l.Dequeue(now) // smallest-ranked eligible element
 //
+// Every ordered list — List through NewBackend, ShardedList, SyncList —
+// implements the one Backend contract in full, so code written against
+// Backend runs unchanged on any of them; only HardwareModeled and
+// Batcher are optional. The facade exports what the tools, examples and
+// README use; the sharded engine's supervision surface (Health,
+// FaultEvents) is reached through ShardedList's own methods.
+//
 // Higher layers:
 //
 //   - NewScheduler + a Program (DRR, WFQ, WF2Q, TokenBucket, …) runs the
@@ -46,7 +53,6 @@ import (
 	"pieo/internal/policy"
 	"pieo/internal/sched"
 	"pieo/internal/shard"
-	"pieo/internal/supervise"
 	"pieo/internal/wire"
 
 	// Linked for its backend registration only: keeps the flat executable
@@ -104,29 +110,25 @@ func NewListWithSublistSize(n, s int) *List { return core.NewWithSublistSize(n, 
 
 // Pluggable ordered-list backends.
 type (
-	// Backend is the ordered-list contract every consumer (scheduler,
-	// hierarchy, SyncList, tools) programs against; core.List, the
-	// sharded engine and the reference model all satisfy it.
+	// Backend is the whole ordered-list contract every consumer
+	// (scheduler, hierarchy, SyncList, tools) programs against: the §3.1
+	// operations plus re-rank, push-out victim, next wake and a
+	// structural self-check. core.List, the sharded engine, SyncList and
+	// the reference model all implement every method of it.
 	Backend = backend.Backend
 	// BackendStats counts backend operations (enqueues, dequeues, …).
 	BackendStats = backend.Stats
-	// Optional backend capabilities, discovered by type assertion: a
-	// backend implements what it honestly can, callers degrade
-	// gracefully. Aliased here because internal/backend is unimportable
-	// from outside the module.
-	Peeker           = backend.Peeker
-	RankUpdater      = backend.RankUpdater
-	RankRanger       = backend.RankRanger
+	// InvariantChecker is the self-check part of Backend.
 	InvariantChecker = backend.InvariantChecker
-	HardwareModeled  = backend.HardwareModeled
-	// EligIndexed is the eligibility-index capability: an exact "when
-	// does the next ineligible element become eligible" answer from the
-	// backend's own index over send_time. Its EligIndexActive and
-	// DisableEligIndex methods are inert.
+	// HardwareModeled is the optional hardware-counter capability: every
+	// backend but the reference model has it.
+	HardwareModeled = backend.HardwareModeled
+	// EligIndexed adds the inert EligIndexActive and DisableEligIndex
+	// methods to Backend's NextWakeAfter.
 	EligIndexed = backend.EligIndexed
-	// Batcher is the batch-operation capability: EnqueueBatch/DequeueUpTo
-	// with exact sequential semantics, amortizing per-op overhead where a
-	// backend has a native batch path.
+	// Batcher is the optional batch-operation capability:
+	// EnqueueBatch/DequeueUpTo with exact sequential semantics,
+	// amortizing per-op overhead where a backend has a native batch path.
 	Batcher = backend.Batcher
 	// CombiningStats is what ShardedList.CombiningStats reports: always
 	// zero. Inert: the engine has no rings; removed with the benchmark's
@@ -142,58 +144,10 @@ type (
 	// AdmitOutcome reports the resident, if any, that an admission
 	// decision evicted to take the arrival.
 	AdmitOutcome = backend.AdmitOutcome
-	// Evictor is the push-out capability: backends that can identify and
-	// shed their largest-ranked resident element.
-	Evictor = backend.Evictor
 	// FaultStats counts the faults and admission decisions a scheduler
 	// layer absorbed instead of panicking.
 	FaultStats = backend.FaultStats
-	// ShardFaultStats counts quarantine/rebuild/loss activity inside the
-	// sharded engine.
-	ShardFaultStats = shard.FaultStats
-	// ShardFaultEvent is one entry of the sharded engine's fault log,
-	// stamped with its supervision-clock instant; recovery events carry
-	// the episode's downtime, so MTTR is computable from the log alone
-	// (MTTRFromEvents).
-	ShardFaultEvent = shard.FaultEvent
 )
-
-// Self-healing supervision surface (DESIGN.md §12).
-type (
-	// Health is the capability health-aware backends implement: a
-	// point-in-time report of occupancy plus per-partition circuit-breaker
-	// state. The sharded engine and SyncList both implement it.
-	Health = backend.Health
-	// HealthReport is the point-in-time backend health snapshot.
-	HealthReport = backend.HealthReport
-	// ShardHealth is one partition's health entry in a HealthReport.
-	ShardHealth = backend.ShardHealth
-	// BreakerPhase is a partition's circuit-breaker state
-	// (closed / open / half-open).
-	BreakerPhase = backend.BreakerPhase
-	// BreakerConfig tunes the sharded engine's per-shard circuit breakers
-	// (backoff schedule, probation budget, jitter); see
-	// ShardedList.SetBreakerConfig.
-	BreakerConfig = supervise.BreakerConfig
-)
-
-// Circuit-breaker phases (DESIGN.md §12).
-const (
-	BreakerClosed   = backend.BreakerClosed
-	BreakerOpen     = backend.BreakerOpen
-	BreakerHalfOpen = backend.BreakerHalfOpen
-)
-
-// HealthOf returns b's health report when the backend implements the
-// Health capability.
-func HealthOf(b Backend) (HealthReport, bool) { return backend.HealthOf(b) }
-
-// MTTRFromEvents computes recovery statistics from a sharded engine's
-// fault log alone: the number of completed outage episodes and their
-// total and maximum downtime on the supervision clock.
-func MTTRFromEvents(events []ShardFaultEvent) (recoveries int, total, max Time) {
-	return shard.MTTR(events)
-}
 
 // Admission policies for full lists (DESIGN.md §8).
 const (
@@ -208,9 +162,6 @@ const (
 func Admit(b Backend, pol AdmissionPolicy, e Entry) (AdmitOutcome, error) {
 	return backend.Admit(b, pol, e)
 }
-
-// WrapList adapts a core List to the Backend interface.
-func WrapList(l *List) Backend { return backend.WrapCore(l) }
 
 // NewShardedList creates a sharded concurrent PIEO engine with capacity
 // n split across k independently-locked shards (k <= 0 selects the
@@ -308,8 +259,6 @@ type (
 	Hierarchy = hier.Hierarchy
 	// Node is a non-leaf vertex whose Policy schedules its children.
 	Node = hier.Node
-	// ChildState is the per-child control-plane and scheduling state.
-	ChildState = hier.Child
 	// Policy is a per-node scheduling algorithm.
 	Policy = hier.Policy
 )
@@ -320,20 +269,13 @@ func NewHierarchy(linkRateGbps float64, rootPolicy *Policy) *Hierarchy {
 	return hier.New(linkRateGbps, rootPolicy)
 }
 
-// NewHierarchyOn creates a hierarchy whose per-level physical PIEOs are
-// built by factory (one call per level, sized to that level's child
-// count).
-func NewHierarchyOn(linkRateGbps float64, rootPolicy *Policy, factory func(capacity int) Backend) *Hierarchy {
-	return hier.NewOn(linkRateGbps, rootPolicy, factory)
-}
-
 // NewHierOn creates a hierarchy in logical-partitioned mode (§4.2): ALL
 // tree nodes multiplex onto ONE shared physical PIEO of the named
 // registered backend ("core", "sharded", ...),
 // each node owning a contiguous ID band extracted with ranged dequeues.
 // This is the arrangement that scales to tens of thousands of logical
-// schedulers; the per-level constructors above keep the paper's original
-// one-list-per-level layout, with the same bands on a list per depth. In
+// schedulers; NewHierarchy keeps the paper's original one-list-per-level
+// layout, with the same bands on a list per depth. In
 // either, the top 16 bits of the stored rank hold the node's rank region,
 // so policy ranks must fit in 48 bits (ErrRankOverflow otherwise).
 func NewHierOn(linkRateGbps float64, rootPolicy *Policy, backendName string) (*Hierarchy, error) {

@@ -93,44 +93,28 @@ func TestPublicHardwareModel(t *testing.T) {
 	}
 }
 
-// TestPublicHealthAPI pins the self-healing supervision surface on the
-// facade: HealthOf on the sharded engine and SyncList, and MTTR from
-// the fault log.
+// TestPublicHealthAPI pins the self-healing supervision surface reached
+// through the facade: ShardedList.Health on a healthy engine, and an
+// empty fault log.
 func TestPublicHealthAPI(t *testing.T) {
 	sl := NewShardedList(1024, 4)
 	if err := sl.Enqueue(Entry{ID: 1, Rank: 10, SendTime: Always}); err != nil {
 		t.Fatal(err)
 	}
-	hr, ok := HealthOf(sl)
-	if !ok {
-		t.Fatal("sharded engine does not report health")
-	}
+	hr := sl.Health()
 	if hr.Occupancy != 1 || hr.Capacity != 1024 || hr.DownShards != 0 || len(hr.Shards) != 4 {
 		t.Fatalf("sharded health = %+v", hr)
 	}
 	for _, sh := range hr.Shards {
-		if !sh.Up || sh.Phase != BreakerClosed {
+		if !sh.Up || sh.Phase.String() != "closed" {
 			t.Fatalf("healthy shard reports %+v", sh)
 		}
-	}
-
-	sync := NewSyncList(64)
-	if err := sync.Enqueue(Entry{ID: 9, Rank: 1, SendTime: Always}); err != nil {
-		t.Fatal(err)
-	}
-	hr, ok = HealthOf(sync)
-	if !ok {
-		t.Fatal("SyncList does not report health")
-	}
-	if hr.Occupancy != 1 || hr.Capacity != 64 || len(hr.Shards) != 1 || hr.Shards[0].Phase != BreakerClosed {
-		t.Fatalf("synclist health = %+v", hr)
 	}
 	if f := hr.OccupancyFraction(); f <= 0 || f > 1 {
 		t.Fatalf("occupancy fraction = %v", f)
 	}
-
-	if rec, total, max := MTTRFromEvents(nil); rec != 0 || total != 0 || max != 0 {
-		t.Fatalf("MTTR of empty log = %d/%v/%v", rec, total, max)
+	if ev := sl.FaultEvents(); len(ev) != 0 {
+		t.Fatalf("healthy engine logged faults: %v", ev)
 	}
 }
 

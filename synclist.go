@@ -16,10 +16,13 @@ import (
 // (NewShardedList), which partitions flows across independently-locked
 // lists.
 //
+// Each Backend method forwards the wrapped backend's under the lock; the
+// batch methods hold it for the whole batch.
 // Locking invariant: every mutating operation (Enqueue, Dequeue,
-// DequeueFlow, DequeueRange, UpdateRank) takes the write lock; the
-// read-only queries (Len, Contains, MinSendTime, Snapshot, Stats) take
-// the read lock and may run concurrently with each other. This is sound
+// DequeueFlow, DequeueRange, UpdateRank, EvictMax) and CheckInvariants
+// take the write lock; the read-only queries (Len, Contains,
+// MinSendTime, NextWakeAfter, PeekMax, Snapshot, Stats) take the read
+// lock and may run concurrently with each other. This is sound
 // only because the wrapped backend's query methods are side-effect free
 // — core.List queries touch no counters and do no lazy restructuring.
 // A backend whose reads mutate (e.g. one that rebalances on Snapshot)
@@ -27,27 +30,12 @@ import (
 type SyncList struct {
 	mu sync.RWMutex
 	b  backend.Backend
-
-	faults  uint64 // operations that failed with a non-contract error
-	lastErr error  // most recent such error, for diagnosis
 }
 
 // NewSyncList creates a concurrency-safe PIEO list with capacity n over
 // the paper-exact list backend.
 func NewSyncList(n int) *SyncList {
 	return NewSyncListOn(backend.NewCoreList(n))
-}
-
-// NewSyncListNamed creates a concurrency-safe PIEO list with capacity n
-// over the named registered backend — the same registry NewBackend
-// consults, so "ref" wraps the flat reference model and "core" is
-// identical to NewSyncList.
-func NewSyncListNamed(name string, n int) (*SyncList, error) {
-	b, err := backend.New(name, n)
-	if err != nil {
-		return nil, err
-	}
-	return NewSyncListOn(b), nil
 }
 
 // NewSyncListOn wraps any Backend in a single reader-writer lock.
@@ -127,106 +115,33 @@ func (s *SyncList) MinSendTime() (Time, bool) {
 
 // UpdateRank atomically re-ranks the element with the given id — the
 // dequeue(f)+enqueue(f) pattern under one critical section, so
-// concurrent readers never observe the element missing. A re-enqueue
-// failure on the fallback path (possible only with an injected fault —
-// the freed slot cannot be stolen under the lock) restores the element,
-// reports false, and is retained for Faults/LastErr.
+// concurrent readers never observe the element missing.
 func (s *SyncList) UpdateRank(id uint32, rank uint64, sendTime clock.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ok, err := backend.UpdateRank(s.b, id, rank, sendTime)
-	if err != nil {
-		s.faults++
-		s.lastErr = err
-	}
-	return ok
+	return s.b.UpdateRank(id, rank, sendTime)
 }
 
-// Faults returns how many operations failed with a non-contract error
-// (injected faults, lost restores), and the most recent such error.
-func (s *SyncList) Faults() (uint64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.faults, s.lastErr
-}
-
-// NextWakeAfter implements backend.EligIndexed: delegated to the wrapped
-// backend's index when it has one, answered exactly by a snapshot scan
-// otherwise (the capability's contract is exactness, not speed).
+// NextWakeAfter returns the smallest send_time strictly after now, or
+// Never.
 func (s *SyncList) NextWakeAfter(now Time) Time {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if ix, ok := s.b.(backend.EligIndexed); ok {
-		return ix.NextWakeAfter(now)
-	}
-	best := clock.Never
-	for _, ent := range s.b.Snapshot() {
-		if ent.SendTime > now && ent.SendTime < best {
-			best = ent.SendTime
-		}
-	}
-	return best
+	return s.b.NextWakeAfter(now)
 }
 
-// EligIndexActive implements backend.EligIndexed, reporting false when
-// the wrapped backend carries no eligibility index.
-func (s *SyncList) EligIndexActive() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if ix, ok := s.b.(backend.EligIndexed); ok {
-		return ix.EligIndexActive()
-	}
-	return false
-}
-
-// DisableEligIndex implements backend.EligIndexed as a no-op, as it is
-// on every backend underneath.
-func (s *SyncList) DisableEligIndex() {}
-
-// PeekMax implements backend.Evictor when the wrapped backend does,
-// reporting ok=false otherwise so push-out degrades to tail-drop.
+// PeekMax reports the push-out victim without removing it.
 func (s *SyncList) PeekMax() (Entry, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if ev, ok := s.b.(backend.Evictor); ok {
-		return ev.PeekMax()
-	}
-	return Entry{}, false
+	return s.b.PeekMax()
 }
 
-// EvictMax implements backend.Evictor when the wrapped backend does.
+// EvictMax removes and returns the push-out victim.
 func (s *SyncList) EvictMax() (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ev, ok := s.b.(backend.Evictor); ok {
-		return ev.EvictMax()
-	}
-	return Entry{}, false
-}
-
-// Health implements backend.Health: delegated to the wrapped backend's
-// report when it has one (a sharded engine under the lock), synthesized
-// as a single always-closed partition otherwise — a lock-guarded list
-// has no quarantine machinery, so its health surface is occupancy plus
-// the Faults counter.
-func (s *SyncList) Health() backend.HealthReport {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if h, ok := s.b.(backend.Health); ok {
-		return h.Health()
-	}
-	occ := s.b.Len()
-	capacity := 0
-	if c, ok := s.b.(interface{ Capacity() int }); ok {
-		capacity = c.Capacity()
-	}
-	return backend.HealthReport{
-		Occupancy: occ,
-		Capacity:  capacity,
-		Shards: []backend.ShardHealth{
-			{Index: 0, Up: true, Phase: backend.BreakerClosed, Occupancy: occ},
-		},
-	}
+	return s.b.EvictMax()
 }
 
 // Snapshot returns the rank-ordered contents.
@@ -247,12 +162,10 @@ func (s *SyncList) Stats() backend.Stats {
 func (s *SyncList) CheckInvariants() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return backend.CheckInvariants(s.b)
+	return s.b.CheckInvariants()
 }
 
 var (
-	_ backend.Backend     = (*SyncList)(nil)
-	_ backend.Batcher     = (*SyncList)(nil)
-	_ backend.EligIndexed = (*SyncList)(nil)
-	_ backend.Health      = (*SyncList)(nil)
+	_ backend.Backend = (*SyncList)(nil)
+	_ backend.Batcher = (*SyncList)(nil)
 )
