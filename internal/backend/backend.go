@@ -23,16 +23,19 @@
 //     send_time, the §3.1 re-rank pattern.
 //
 // plus the queries and the push-out victim every consumer needs. Backend
-// is the whole contract: every registered backend (core.List, the
-// sharded engine when quiescent, the reference model) implements all of
-// it bit-for-bit and is differentially tested against internal/refmodel,
-// so adding a backend means implementing this one interface. Only two
-// capabilities stay optional, because one backend cannot answer them
-// honestly: HardwareModeled (the reference model has no datapath) and
-// Batcher (a native batch path; the EnqueueBatch/DequeueUpTo helpers
-// loop otherwise). The inexact baselines (internal/pifo,
-// internal/approx) stay outside the contract and are driven directly by
-// the experiments that measure them.
+// is the whole contract: every list implements all of it bit-for-bit,
+// so adding a backend means implementing this one interface. One
+// conformance suite, internal/refmodel/conform, holds each to the
+// reference model (internal/refmodel): core.List at sublist sizes 2, 3,
+// 6 and ⌈√N⌉, the reference model itself, the sharded engine at K=1 and
+// K=8 (quiescent), SyncList with its batch path (also two programs at
+// once on disjoint ID ranges), and the fault-injection wrapper with an
+// empty plan. Only two capabilities stay optional, because one backend
+// cannot answer them honestly: HardwareModeled (the reference model has
+// no datapath) and Batcher (a native batch path; the
+// EnqueueBatch/DequeueUpTo helpers loop otherwise). The inexact
+// baselines (internal/pifo, internal/approx) stay outside the contract
+// and are driven directly by the experiments that measure them.
 package backend
 
 import (
@@ -51,7 +54,7 @@ import (
 type Stats struct {
 	Enqueues      uint64
 	Dequeues      uint64 // successful Dequeue
-	EmptyDequeues uint64 // Dequeue that found no eligible element
+	EmptyDequeues uint64 // Dequeue or DequeueRange that found no eligible element
 	FlowDequeues  uint64 // successful DequeueFlow
 	RangeDequeues uint64 // successful DequeueRange
 

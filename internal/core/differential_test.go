@@ -10,284 +10,129 @@ import (
 	"pieo/internal/clock"
 	"pieo/internal/core"
 	"pieo/internal/refmodel"
+	"pieo/internal/refmodel/conform"
 	"pieo/internal/shard"
 )
 
-// opKind enumerates the randomized operations of the differential fuzzer.
-type opKind int
+// peeking is core.List as a conformance backend whose extractions peek
+// first: Dequeue and DequeueRange must take exactly the element Peek or
+// PeekRange reports, and a below-limit select at that element's rank
+// must find it and leave it, all without charging a counter. So the
+// list's own selects outside the contract ride on every program.
+type peeking struct{ *backend.CoreList }
 
-const (
-	opEnqueue opKind = iota
-	opDequeue
-	opDequeueFlow
-	opDequeueRange
-	opMinSendTime
-	opPeek
-	opEnqueueBatch
-	opDequeueUpTo
-	opUpdateRank
-	opEvictMax
-	numOpKinds
-)
+// coreAt builds peeking lists with sublists of s, or of the paper's
+// ⌈√N⌉ when s is 0.
+func coreAt(s int) func(int) backend.Backend {
+	return func(n int) backend.Backend {
+		if s == 0 {
+			return peeking{backend.NewCoreList(n)}
+		}
+		return peeking{backend.WrapCore(core.NewWithSublistSize(n, s))}
+	}
+}
+
+func (p peeking) Dequeue(now clock.Time) (core.Entry, bool) {
+	return p.agree(func() (core.Entry, bool) { return p.List.Peek(now) },
+		func(limit uint64) (core.Entry, uint64, bool, bool) { return p.List.DequeueBelowSeq(now, limit) },
+		func() (core.Entry, bool) { return p.List.Dequeue(now) })
+}
+
+func (p peeking) DequeueRange(now clock.Time, lo, hi uint32) (core.Entry, bool) {
+	return p.agree(func() (core.Entry, bool) { return p.List.PeekRange(now, lo, hi) },
+		func(limit uint64) (core.Entry, uint64, bool, bool) {
+			return p.List.DequeueRangeBelowSeq(now, lo, hi, limit)
+		},
+		func() (core.Entry, bool) { return p.List.DequeueRange(now, lo, hi) })
+}
+
+// agree runs peek, then below at the peeked rank, then take, and panics
+// unless all three found the same element and only take charged stats.
+func (p peeking) agree(peek func() (core.Entry, bool), below func(limit uint64) (core.Entry, uint64, bool, bool),
+	take func() (core.Entry, bool)) (core.Entry, bool) {
+	before := p.List.Stats()
+	want, wok := peek()
+	e, _, eligible, taken := below(want.Rank)
+	peeked := p.List.Stats()
+	got, ok := take()
+	if eligible != wok || e != want || taken || ok != wok || got != want || peeked != before {
+		panic(fmt.Sprintf("peek %v,%v; below its rank %v,%v (taken %v); take %v,%v; peeks moved stats %+v -> %+v",
+			want, wok, e, eligible, taken, got, ok, before, peeked))
+	}
+	return got, ok
+}
 
 // exactBackends enumerates the backends that promise bit-for-bit §3.1
-// semantics under single-threaded use, so one harness can differentially
-// test all of them against the flat reference model: the paper-exact
-// sublist list, the sharded engine at K=1 (single shard, pure
-// pass-through) and K=8 (hash partitioning + tournament dequeue, which
-// must still be quiescent-exact).
-func exactBackends(capacity int) map[string]backend.Backend {
-	return map[string]backend.Backend{
-		"core":    backend.NewCoreList(capacity),
-		"shard-1": shard.New(capacity, 1),
-		"shard-8": shard.New(capacity, 8),
+// semantics under single-threaded use: the paper-exact sublist list, the
+// sharded engine at K=1 (single shard, pure pass-through) and K=8 (hash
+// partitioning + tournament dequeue, which must still be
+// quiescent-exact).
+func exactBackends() map[string]func(int) backend.Backend {
+	return map[string]func(int) backend.Backend{
+		"core":    coreAt(0),
+		"shard-1": func(n int) backend.Backend { return shard.New(n, 1) },
+		"shard-8": func(n int) backend.Backend { return shard.New(n, 8) },
 	}
 }
 
-// runDifferential drives the sublist implementation and the flat
-// reference model with an identical random operation stream and fails on
-// the first divergence or invariant violation.
-func runDifferential(t *testing.T, seed int64, capacity, steps int, rankSpace uint64, timeSpace int) {
+// runDifferential replays conformance programs of about steps operations
+// each, seeded from [lo, hi), on the paper-geometry list. A sixteenth
+// of the arrivals carry an always-false predicate.
+func runDifferential(t *testing.T, lo, hi int64, steps int, sh conform.Shape) {
 	t.Helper()
-	runDifferentialOn(t, backend.NewCoreList(capacity), seed, capacity, steps, rankSpace, timeSpace)
-}
-
-// runDifferentialOn is runDifferential over any exact Backend. A
-// sixteenth of the enqueues carry an always-false predicate.
-func runDifferentialOn(t *testing.T, impl backend.Backend, seed int64, capacity, steps int, rankSpace uint64, timeSpace int) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	wakeRng := rand.New(rand.NewSource(^seed)) // its own stream, so wake probes do not shift the op sequence
-	ref := refmodel.New(capacity)
-	nextID := uint32(0)
-
-	for step := 0; step < steps; step++ {
-		switch opKind(rng.Intn(int(numOpKinds))) {
-		case opEnqueue:
-			e := core.Entry{
-				ID:       nextID,
-				Rank:     uint64(rng.Int63n(int64(rankSpace))),
-				SendTime: clock.Time(rng.Intn(timeSpace)),
-			}
-			if rng.Intn(16) == 0 {
-				e.SendTime = clock.Never
-			}
-			nextID++
-			gotErr := impl.Enqueue(e)
-			wantErr := ref.Enqueue(e)
-			if gotErr != wantErr {
-				t.Fatalf("seed %d step %d: Enqueue(%v) err = %v, ref %v", seed, step, e, gotErr, wantErr)
-			}
-		case opDequeue:
-			now := clock.Time(rng.Intn(timeSpace))
-			got, gotOK := impl.Dequeue(now)
-			want, wantOK := ref.Dequeue(now)
-			if gotOK != wantOK || got != want {
-				t.Fatalf("seed %d step %d: Dequeue(%v) = %v,%v, ref %v,%v", seed, step, now, got, gotOK, want, wantOK)
-			}
-		case opDequeueFlow:
-			var id uint32
-			if nextID > 0 {
-				id = uint32(rng.Intn(int(nextID)))
-			}
-			got, gotOK := impl.DequeueFlow(id)
-			want, wantOK := ref.DequeueFlow(id)
-			if gotOK != wantOK || got != want {
-				t.Fatalf("seed %d step %d: DequeueFlow(%d) = %v,%v, ref %v,%v", seed, step, id, got, gotOK, want, wantOK)
-			}
-		case opDequeueRange:
-			now := clock.Time(rng.Intn(timeSpace))
-			lo := uint32(rng.Intn(int(nextID) + 1))
-			hi := lo + uint32(rng.Intn(int(nextID)+1))
-			got, gotOK := impl.DequeueRange(now, lo, hi)
-			want, wantOK := ref.DequeueRange(now, lo, hi)
-			if gotOK != wantOK || got != want {
-				t.Fatalf("seed %d step %d: DequeueRange(%v,%d,%d) = %v,%v, ref %v,%v",
-					seed, step, now, lo, hi, got, gotOK, want, wantOK)
-			}
-		case opMinSendTime:
-			got, gotOK := impl.MinSendTime()
-			want, wantOK := ref.MinSendTime()
-			if gotOK != wantOK || (gotOK && got != want) {
-				t.Fatalf("seed %d step %d: MinSendTime = %v,%v, ref %v,%v", seed, step, got, gotOK, want, wantOK)
-			}
-			now := clock.Time(wakeRng.Intn(timeSpace))
-			if got, want := impl.NextWakeAfter(now), ref.NextWakeAfter(now); got != want {
-				t.Fatalf("seed %d step %d: NextWakeAfter(%v) = %v, ref %v", seed, step, now, got, want)
-			}
-		case opPeek:
-			now := clock.Time(rng.Intn(timeSpace))
-			p, canPeek := impl.(backend.Peeker)
-			if !canPeek {
-				break
-			}
-			got, gotOK := p.Peek(now)
-			want, wantOK := ref.Peek(now)
-			if gotOK != wantOK || got != want {
-				t.Fatalf("seed %d step %d: Peek(%v) = %v,%v, ref %v,%v", seed, step, now, got, gotOK, want, wantOK)
-			}
-		case opEnqueueBatch:
-			// Batch insert through the backend's native batch path (or the
-			// fallback loop), against per-entry inserts on the reference.
-			// A quarter of the entries reuse a live-or-dead ID so batches
-			// regularly carry mid-batch duplicates.
-			es := make([]core.Entry, rng.Intn(6)+1)
-			for i := range es {
-				id := nextID
-				if nextID > 0 && rng.Intn(4) == 0 {
-					id = uint32(rng.Intn(int(nextID)))
-				} else {
-					nextID++
-				}
-				es[i] = core.Entry{
-					ID:       id,
-					Rank:     uint64(rng.Int63n(int64(rankSpace))),
-					SendTime: clock.Time(rng.Intn(timeSpace)),
-				}
-				if rng.Intn(16) == 0 {
-					es[i].SendTime = clock.Never
-				}
-			}
-			gotN, gotErr := backend.EnqueueBatch(impl, es)
-			wantN := 0
-			var wantErr error
-			for _, e := range es {
-				if err := ref.Enqueue(e); err != nil {
-					if wantErr == nil {
-						wantErr = err
-					}
-					continue
-				}
-				wantN++
-			}
-			if gotN != wantN || gotErr != wantErr {
-				t.Fatalf("seed %d step %d: EnqueueBatch(%v) = %d,%v, ref %d,%v",
-					seed, step, es, gotN, gotErr, wantN, wantErr)
-			}
-		case opDequeueUpTo:
-			now := clock.Time(rng.Intn(timeSpace))
-			k := rng.Intn(6) + 1
-			got := backend.DequeueUpTo(impl, now, k, nil)
-			want := make([]core.Entry, 0, k)
-			for len(want) < k {
-				e, ok := ref.Dequeue(now)
-				if !ok {
-					break
-				}
-				want = append(want, e)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("seed %d step %d: DequeueUpTo(%v,%d) returned %d entries, ref %d",
-					seed, step, now, k, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d step %d: DequeueUpTo(%v,%d)[%d] = %v, ref %v",
-						seed, step, now, k, i, got[i], want[i])
-				}
-			}
-		case opUpdateRank:
-			var id uint32
-			if nextID > 0 {
-				id = uint32(rng.Intn(int(nextID)))
-			}
-			rank := uint64(rng.Int63n(int64(rankSpace)))
-			send := clock.Time(rng.Intn(timeSpace))
-			got, want := impl.UpdateRank(id, rank, send), ref.UpdateRank(id, rank, send)
-			if got != want {
-				t.Fatalf("seed %d step %d: UpdateRank(%d,%d,%v) = %v, ref %v", seed, step, id, rank, send, got, want)
-			}
-		case opEvictMax:
-			got, gotOK := impl.PeekMax()
-			want, wantOK := ref.PeekMax()
-			if gotOK != wantOK || got != want {
-				t.Fatalf("seed %d step %d: PeekMax = %v,%v, ref %v,%v", seed, step, got, gotOK, want, wantOK)
-			}
-			if rng.Intn(2) == 0 {
-				break
-			}
-			got, gotOK = impl.EvictMax()
-			want, wantOK = ref.EvictMax()
-			if gotOK != wantOK || got != want {
-				t.Fatalf("seed %d step %d: EvictMax = %v,%v, ref %v,%v", seed, step, got, gotOK, want, wantOK)
-			}
-		}
-		if impl.Len() != ref.Len() {
-			t.Fatalf("seed %d step %d: Len = %d, ref %d", seed, step, impl.Len(), ref.Len())
-		}
-		if err := impl.CheckInvariants(); err != nil {
-			t.Fatalf("seed %d step %d: %v", seed, step, err)
-		}
-	}
-	// Final state must match entry for entry.
-	gotSnap, wantSnap := impl.Snapshot(), ref.Snapshot()
-	if len(gotSnap) != len(wantSnap) {
-		t.Fatalf("seed %d: snapshot len %d, ref %d", seed, len(gotSnap), len(wantSnap))
-	}
-	for i := range gotSnap {
-		if gotSnap[i] != wantSnap[i] {
-			t.Fatalf("seed %d: snapshot[%d] = %v, ref %v", seed, i, gotSnap[i], wantSnap[i])
-		}
+	sh.NeverOdds = 16
+	for seed := lo; seed < hi; seed++ {
+		conform.Run(t, coreAt(0), sh.Seeded(seed, 7*steps))
 	}
 }
 
 func TestDifferentialSmallList(t *testing.T) {
 	// Tiny capacity stresses the full/empty sublist edge cases.
-	for seed := int64(0); seed < 20; seed++ {
-		runDifferential(t, seed, 9, 3000, 8, 8)
-	}
+	runDifferential(t, 0, 20, 3000, conform.Shape{Capacity: 9, RankBits: 3, TimeBits: 3})
 }
 
 func TestDifferentialNarrowRanks(t *testing.T) {
 	// Few distinct ranks: constant FIFO tie-breaking pressure.
-	for seed := int64(100); seed < 110; seed++ {
-		runDifferential(t, seed, 64, 4000, 2, 4)
-	}
+	runDifferential(t, 100, 110, 4000, conform.Shape{Capacity: 64, RankBits: 1, TimeBits: 2})
 }
 
 func TestDifferentialMediumList(t *testing.T) {
-	for seed := int64(200); seed < 206; seed++ {
-		runDifferential(t, seed, 256, 6000, 1<<16, 64)
-	}
+	runDifferential(t, 200, 206, 6000, conform.Shape{Capacity: 256, RankBits: 16, TimeBits: 6})
 }
 
 func TestDifferentialLargeList(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large differential run")
 	}
-	runDifferential(t, 7, 4096, 30000, 1<<16, 256)
+	runDifferential(t, 7, 8, 30000, conform.Shape{Capacity: 4096, RankBits: 16, TimeBits: 8})
 }
 
 func TestDifferentialAlwaysEligible(t *testing.T) {
-	// timeSpace 1 forces every send_time to 0: pure priority-queue
-	// behavior (the §4.5 PIFO-emulation mode).
-	for seed := int64(300); seed < 306; seed++ {
-		runDifferential(t, seed, 128, 4000, 1<<12, 1)
-	}
+	// A time space of one instant makes every finite send_time 0: pure
+	// priority-queue behavior (the §4.5 PIFO-emulation mode).
+	runDifferential(t, 300, 306, 4000, conform.Shape{Capacity: 128, RankBits: 12})
 }
 
-// TestDifferentialBackends replays the randomized operation stream over
-// every exact backend — the paper list plus the sharded engine at K=1
-// and K=8. The sharded runs are the quiescent-exactness contract of
+// TestDifferentialBackends replays the conformance programs over every
+// exact backend — the paper list plus the sharded engine at K=1 and
+// K=8. The sharded runs are the quiescent-exactness contract of
 // internal/shard made executable: under single-threaded use the
 // tournament dequeue, cross-shard FIFO sequencing, and capacity
 // accounting must be indistinguishable from one flat list.
 func TestDifferentialBackends(t *testing.T) {
 	configs := []struct {
-		capacity, steps int
-		rankSpace       uint64
-		timeSpace       int
+		steps int
+		sh    conform.Shape
 	}{
-		{9, 2000, 8, 8},  // tiny: constant full/empty pressure
-		{64, 3000, 2, 4}, // narrow ranks: FIFO tie-breaks cross shards
-		{256, 4000, 1 << 16, 64},
+		{2000, conform.Shape{Capacity: 9, RankBits: 3, TimeBits: 3, NeverOdds: 16}},  // tiny: constant full/empty pressure
+		{3000, conform.Shape{Capacity: 64, RankBits: 1, TimeBits: 2, NeverOdds: 16}}, // narrow ranks: FIFO tie-breaks cross shards
+		{4000, conform.Shape{Capacity: 256, RankBits: 16, TimeBits: 6, NeverOdds: 16}},
 	}
 	for _, cfg := range configs {
 		for seed := int64(0); seed < 4; seed++ {
-			for name, impl := range exactBackends(cfg.capacity) {
-				impl, seed, cfg := impl, seed, cfg
-				t.Run(fmt.Sprintf("%s/cap%d/seed%d", name, cfg.capacity, seed), func(t *testing.T) {
-					runDifferentialOn(t, impl, seed, cfg.capacity, cfg.steps, cfg.rankSpace, cfg.timeSpace)
+			for name, newBackend := range exactBackends() {
+				t.Run(fmt.Sprintf("%s/cap%d/seed%d", name, cfg.sh.Capacity, seed), func(t *testing.T) {
+					conform.Run(t, newBackend, cfg.sh.Seeded(seed, 7*cfg.steps))
 				})
 			}
 		}

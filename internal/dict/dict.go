@@ -10,6 +10,14 @@
 // Keys are unique uint64s; values are opaque. Internally each pair is
 // one PIEO element with rank = key; the send_time channel is unused
 // (clock.Never) since dictionary lookups are not time-filtered.
+//
+// The dictionary builds on *core.List directly: the §8 queries
+// (MinRankAtLeast, DequeueRankRange) are the list's own, outside the
+// backend contract. Its two Go maps (values, and ids from key to
+// element) are off the packet path: the dictionary is driven by library
+// callers through the facade's Dict (control-plane state, not
+// per-packet state), never by internal/sched or internal/hier, so a
+// map's hashing and growth cost no scheduling decision.
 package dict
 
 import (
@@ -22,7 +30,7 @@ import (
 
 // Dict is a PIEO-backed ordered dictionary.
 type Dict[V any] struct {
-	list   backend.RankRanger
+	list   *core.List
 	values map[uint32]V      // element id -> value
 	ids    map[uint64]uint32 // key -> element id
 	nextID uint32
@@ -31,12 +39,12 @@ type Dict[V any] struct {
 // New creates a dictionary holding up to capacity pairs over the
 // paper-exact list backend.
 func New[V any](capacity int) *Dict[V] {
-	return NewOn[V](backend.NewCoreList(capacity))
+	return NewOn[V](core.New(capacity))
 }
 
-// NewOn creates a dictionary over any backend that supports rank-range
-// queries. Capacity is the backend's.
-func NewOn[V any](list backend.RankRanger) *Dict[V] {
+// NewOn creates a dictionary over an empty list (e.g. one built with an
+// explicit sublist geometry). Capacity is the list's.
+func NewOn[V any](list *core.List) *Dict[V] {
 	return &Dict[V]{
 		list:   list,
 		values: make(map[uint32]V),
@@ -162,13 +170,7 @@ func (d *Dict[V]) Keys() []uint64 {
 }
 
 // Stats exposes the underlying list's operation counters.
-func (d *Dict[V]) Stats() backend.Stats { return d.list.Stats() }
+func (d *Dict[V]) Stats() backend.Stats { return backend.WrapCore(d.list).Stats() }
 
-// HardwareStats exposes the §5 datapath counters when the backend models
-// a hardware datapath, and zeroes otherwise.
-func (d *Dict[V]) HardwareStats() core.Stats {
-	if hw, ok := d.list.(backend.HardwareModeled); ok {
-		return hw.HardwareStats()
-	}
-	return core.Stats{}
-}
+// HardwareStats exposes the list's §5 datapath counters.
+func (d *Dict[V]) HardwareStats() core.Stats { return d.list.Stats() }

@@ -3,9 +3,10 @@
 // ordered by (rank, FIFO arrival), with dequeue returning the first
 // eligible element, re-rank defined as dequeue(f) then enqueue(f), and
 // the push-out victim the last element. It makes no attempt to be fast
-// or hardware-shaped — its only job is to be obviously correct so the
-// sublist-based implementation in internal/core and the sharded engine
-// can be tested differentially against it.
+// or hardware-shaped — its only job is to be obviously correct so every
+// list can be tested differentially against it, by the conformance suite
+// in internal/refmodel/conform. A dequeue of either kind that finds
+// nothing counts as an empty dequeue, as it does in every list.
 package refmodel
 
 import (
@@ -118,6 +119,7 @@ func (l *List) DequeueRange(now clock.Time, lo, hi uint32) (core.Entry, bool) {
 			return l.removeAt(i), true
 		}
 	}
+	l.stats.EmptyDequeues++
 	return core.Entry{}, false
 }
 

@@ -251,13 +251,14 @@ func TestMinSendTimeAndStats(t *testing.T) {
 	}
 	l.Dequeue(10)            // miss
 	l.Dequeue(40)            // id 2
+	l.DequeueRange(70, 1, 2) // ranged miss: id 1 is never eligible
 	l.DequeueRange(70, 3, 3) // id 3
 	l.DequeueFlow(1)
 	if got, ok := l.MinSendTime(); ok {
 		t.Fatalf("MinSendTime = %v,true after draining", got)
 	}
 	s := l.Stats()
-	if s.Enqueues != 3 || s.Dequeues != 1 || s.EmptyDequeues != 1 || s.RangeDequeues != 1 || s.FlowDequeues != 1 {
-		t.Fatalf("stats %+v, want 3 enqueues, 1 dequeue, 1 empty, 1 range, 1 flow", s)
+	if s.Enqueues != 3 || s.Dequeues != 1 || s.EmptyDequeues != 2 || s.RangeDequeues != 1 || s.FlowDequeues != 1 {
+		t.Fatalf("stats %+v, want 3 enqueues, 1 dequeue, 2 empty, 1 range, 1 flow", s)
 	}
 }

@@ -3,120 +3,33 @@ package shard_test
 import (
 	"testing"
 
-	"pieo/internal/clock"
-	"pieo/internal/core"
-	"pieo/internal/refmodel"
+	"pieo/internal/backend"
+	"pieo/internal/refmodel/conform"
 	"pieo/internal/shard"
 )
 
-// FuzzShardEngine interprets the fuzzer's byte stream as a program of
-// engine operations and checks the sharded engine against the flat
-// reference model, holding it to the quiescent-exactness contract: under
+// FuzzShardEngine runs fuzzer-chosen conformance programs on the sharded
+// engine, holding it to the quiescent-exactness contract: under
 // single-threaded use the tournament, the cross-shard FIFO sequencing,
 // and the shared capacity must be indistinguishable from one list. The
 // first byte picks the shard count so the fuzzer explores K=1 (pure
-// pass-through) through K=8 (real partitioning). Run with
-// `go test -fuzz=FuzzShardEngine ./internal/shard` for open-ended
-// fuzzing; under plain `go test` the seed corpus runs as a regression
-// test.
+// pass-through) through K=8 (real partitioning); the rest is the
+// program. Run with `go test -fuzz=FuzzShardEngine ./internal/shard` for
+// open-ended fuzzing; under plain `go test` the seed corpus runs as a
+// regression test.
 func FuzzShardEngine(f *testing.F) {
-	f.Add([]byte{1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Add([]byte{8, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{3, 1, 1, 1, 1})
-	f.Add([]byte{8, 0, 10, 1, 0, 0, 20, 1, 0, 2, 10, 3, 5})
-	f.Add([]byte{5, 255, 254, 253, 252, 251, 250, 0, 1, 2, 3})
+	sh := conform.Shape{Capacity: 24, RankBits: 4, TimeBits: 3}
+	f.Add(append([]byte{1}, sh.Program(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)...))
+	f.Add(append([]byte{8}, sh.Program(0, 0, 0, 0, 0, 0, 0, 0)...))
+	f.Add(append([]byte{3}, sh.Program(1, 1, 1, 1)...))
+	f.Add(append([]byte{8}, sh.Program(0, 10, 1, 0, 0, 20, 1, 0, 2, 10, 3, 5)...))
+	f.Add(append([]byte{5}, sh.Program(255, 254, 253, 252, 251, 250, 0, 1, 2, 3)...))
 
 	f.Fuzz(func(t *testing.T, program []byte) {
 		if len(program) == 0 {
 			return
 		}
 		k := int(program[0]%8) + 1
-		program = program[1:]
-
-		const capacity = 24
-		impl := shard.New(capacity, k)
-		ref := refmodel.New(capacity)
-		nextID := uint32(0)
-
-		for i := 0; i < len(program); {
-			op := program[i]
-			i++
-			arg := func() byte {
-				if i < len(program) {
-					b := program[i]
-					i++
-					return b
-				}
-				return 0
-			}
-			switch op % 5 {
-			case 0: // enqueue(rank, send)
-				e := core.Entry{ID: nextID, Rank: uint64(arg() % 16), SendTime: clock.Time(arg() % 8)}
-				nextID++
-				if got, want := impl.Enqueue(e), ref.Enqueue(e); got != want {
-					t.Fatalf("K=%d: Enqueue(%v) = %v, ref %v", k, e, got, want)
-				}
-			case 1: // dequeue(now)
-				now := clock.Time(arg() % 8)
-				got, gok := impl.Dequeue(now)
-				want, wok := ref.Dequeue(now)
-				if gok != wok || got != want {
-					t.Fatalf("K=%d: Dequeue(%v) = %v,%v, ref %v,%v", k, now, got, gok, want, wok)
-				}
-			case 2: // dequeue(flow)
-				var id uint32
-				if nextID > 0 {
-					id = uint32(arg()) % nextID
-				}
-				got, gok := impl.DequeueFlow(id)
-				want, wok := ref.DequeueFlow(id)
-				if gok != wok || got != want {
-					t.Fatalf("K=%d: DequeueFlow(%d) = %v,%v, ref %v,%v", k, id, got, gok, want, wok)
-				}
-			case 3: // dequeue range
-				now := clock.Time(arg() % 8)
-				lo := uint32(arg() % 16)
-				got, gok := impl.DequeueRange(now, lo, lo+8)
-				want, wok := ref.DequeueRange(now, lo, lo+8)
-				if gok != wok || got != want {
-					t.Fatalf("K=%d: DequeueRange(%v,%d) = %v,%v, ref %v,%v", k, now, lo, got, gok, want, wok)
-				}
-			case 4: // update rank, mirrored on the reference as remove+insert
-				var id uint32
-				if nextID > 0 {
-					id = uint32(arg()) % nextID
-				}
-				rank := uint64(arg() % 16)
-				gok := impl.UpdateRank(id, rank, clock.Always)
-				want, wok := ref.DequeueFlow(id)
-				if wok {
-					want.Rank = rank
-					want.SendTime = clock.Always
-					if err := ref.Enqueue(want); err != nil {
-						t.Fatalf("K=%d: reference re-enqueue of %d failed: %v", k, id, err)
-					}
-				}
-				if gok != wok {
-					t.Fatalf("K=%d: UpdateRank(%d) = %v, ref %v", k, id, gok, wok)
-				}
-			}
-			if impl.Len() != ref.Len() {
-				t.Fatalf("K=%d: Len = %d, ref %d", k, impl.Len(), ref.Len())
-			}
-			if err := impl.CheckInvariants(); err != nil {
-				t.Fatalf("K=%d: %v", k, err)
-			}
-		}
-		// Final contents must match entry for entry in global (rank, FIFO)
-		// order.
-		gotSnap, wantSnap := impl.Snapshot(), ref.Snapshot()
-		if len(gotSnap) != len(wantSnap) {
-			t.Fatalf("K=%d: snapshot len %d, ref %d", k, len(gotSnap), len(wantSnap))
-		}
-		for j := range gotSnap {
-			if gotSnap[j] != wantSnap[j] {
-				t.Fatalf("K=%d: snapshot[%d] = %v, ref %v", k, j, gotSnap[j], wantSnap[j])
-			}
-		}
+		conform.Run(t, func(n int) backend.Backend { return shard.New(n, k) }, program[1:min(len(program), 4097)])
 	})
 }

@@ -313,10 +313,9 @@ type Engine struct {
 	_        cacheLinePad
 
 	// Write-warm counters: bumped on specific outcomes (empty misses,
-	// re-ranks, degraded ops), never read on the hot path. They share
+	// degraded ops), never read on the hot path. They share
 	// lines with each other, not with anything read-hot.
 	emptyDequeues atomic.Uint64 // tournaments that found nothing eligible
-	updateRanks   atomic.Uint64 // successful UpdateRanks (see Stats)
 
 	// Resilience state (see quarantine.go). ops counts degraded-mode
 	// operations and doubles as the default supervision clock when no
@@ -1011,7 +1010,6 @@ func (e *Engine) UpdateRank(id uint32, rank uint64, sendTime clock.Time) bool {
 			return false
 		}
 		if ok {
-			e.updateRanks.Add(1)
 			return true
 		}
 		if !wide {
@@ -1183,19 +1181,18 @@ func (e *Engine) Snapshot() []core.Entry {
 }
 
 // Stats implements backend.Backend by summing the per-shard list
-// counters (every engine operation maps 1:1 onto exactly one successful
-// list operation), so the hot paths carry no engine-level stat atomics.
-// UpdateRank runs as a list-level flow-dequeue + re-enqueue pair, so its
-// count is subtracted back out of both; EmptyDequeues is engine-level
-// (a tournament that finds nothing touches no list datapath).
+// counters, so the hot paths carry no engine-level stat atomics: each
+// successful engine operation is the same list operation on one shard,
+// and UpdateRank a list-level flow dequeue plus re-enqueue, counted as
+// both as on every backend. EmptyDequeues is engine-level (a tournament
+// that finds nothing touches no list datapath).
 func (e *Engine) Stats() backend.Stats {
 	hw := e.HardwareStats()
-	ur := e.updateRanks.Load()
 	return backend.Stats{
-		Enqueues:      hw.Enqueues - ur,
+		Enqueues:      hw.Enqueues,
 		Dequeues:      hw.Dequeues,
 		EmptyDequeues: e.emptyDequeues.Load(),
-		FlowDequeues:  hw.FlowDequeues - ur,
+		FlowDequeues:  hw.FlowDequeues,
 		RangeDequeues: hw.RangeDequeues,
 	}
 }

@@ -1,9 +1,13 @@
 package pieo
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"pieo/internal/backend"
+	"pieo/internal/refmodel/conform"
 )
 
 func TestSyncListBasics(t *testing.T) {
@@ -99,5 +103,75 @@ func TestSyncListConcurrentRangeAndSnapshot(t *testing.T) {
 	wg.Wait()
 	if l.Len() != 1024 {
 		t.Fatalf("Len = %d, want 1024 (conservation under churn)", l.Len())
+	}
+}
+
+// syncOnCore builds the SyncList the facade hands out: one lock around
+// the paper-exact list.
+func syncOnCore(n int) backend.Backend { return NewSyncList(n) }
+
+// TestSyncListConformance replays seeded conformance programs on
+// SyncList, its one-lock batch path included, under each ID↔rank layout.
+func TestSyncListConformance(t *testing.T) {
+	for ly := conform.Sequential; ly <= conform.Random; ly++ {
+		sh := conform.Shape{Capacity: 64, RankBits: 6, TimeBits: 4, NeverOdds: 16, Layout: ly}
+		for seed := int64(0); seed < 4; seed++ {
+			conform.Run(t, syncOnCore, sh.Seeded(seed, 20000))
+		}
+	}
+}
+
+// FuzzSyncListConformance runs fuzzer-chosen conformance programs on
+// SyncList. Run with `go test -fuzz=FuzzSyncListConformance .`.
+func FuzzSyncListConformance(f *testing.F) {
+	for ly := conform.Sequential; ly <= conform.Random; ly++ {
+		f.Add(conform.Shape{Capacity: 24, RankBits: 4, TimeBits: 3, NeverOdds: 8, Layout: ly}.Seeded(int64(ly), 600))
+	}
+	conform.Fuzz(f, syncOnCore)
+}
+
+// TestSyncListConcurrentConformance runs two conformance programs on one
+// SyncList at once, each confined to its own ID range and checked
+// against its own spec. Operations on disjoint ranges commute and each
+// range's FIFO order is its program's, so every answer must equal the
+// spec's whatever the interleaving, and afterwards each range of the
+// snapshot must equal its spec's contents. Under -race this checks the
+// lock discipline against an exact oracle, not only conservation.
+func TestSyncListConcurrentConformance(t *testing.T) {
+	programs := []struct {
+		base    uint32
+		program []byte
+	}{
+		{0, conform.Shape{Capacity: 96, RankBits: 3, TimeBits: 3, NeverOdds: 16}.Seeded(1, 20000)},
+		{1 << 24, conform.Shape{Capacity: 96, RankBits: 8, TimeBits: 3, Layout: conform.Banded}.Seeded(2, 20000)},
+	}
+	l := NewSyncList(2 * 96)
+	specs := make([][]Entry, len(programs))
+	errs := make([]error, len(programs))
+	var wg sync.WaitGroup
+	for i, p := range programs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			specs[i], errs[i] = conform.Band(l, p.base, p.program)
+		}()
+	}
+	wg.Wait()
+	for i, p := range programs {
+		if errs[i] != nil {
+			t.Fatalf("program at %d: %v", p.base, errs[i])
+		}
+		var got []Entry
+		for _, e := range l.Snapshot() {
+			if e.ID >= p.base && e.ID-p.base < 1<<24 {
+				got = append(got, e)
+			}
+		}
+		if !slices.Equal(got, specs[i]) {
+			t.Fatalf("range at %d holds %v, spec %v", p.base, got, specs[i])
+		}
+	}
+	if err := l.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
