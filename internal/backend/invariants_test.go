@@ -1,7 +1,6 @@
 package backend_test
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
@@ -77,71 +76,6 @@ func TestRangedStormAllBackends(t *testing.T) {
 	}
 }
 
-// seqShard drives a core.List the way the sharded engine drives one of
-// its shards: every arrival and re-rank is stamped from an external
-// sequence, and every extraction is the fused below-limit select — a
-// pure peek (limit 0), then a select at the found element's own rank,
-// both of which must leave it in place and charge nothing, then one just
-// above it, which must take the same element under the stamp it was
-// given. The embedded Backend hides the list's own batch path, so
-// batches loop through the stamped Enqueue.
-type seqShard struct {
-	backend.Backend
-	l     *core.List
-	seq   uint64
-	stamp map[uint32]uint64
-}
-
-func (s *seqShard) Enqueue(e core.Entry) error {
-	s.seq++
-	err := s.l.EnqueueSeq(e, s.seq)
-	if err == nil {
-		s.stamp[e.ID] = s.seq
-	}
-	return err
-}
-
-func (s *seqShard) UpdateRank(id uint32, rank uint64, sendTime clock.Time) bool {
-	s.seq++
-	ok := s.l.UpdateRankSeq(id, rank, sendTime, s.seq)
-	if ok {
-		s.stamp[id] = s.seq
-	}
-	return ok
-}
-
-func (s *seqShard) Dequeue(now clock.Time) (core.Entry, bool) {
-	return s.take(func(limit uint64) (core.Entry, uint64, bool, bool) { return s.l.DequeueBelowSeq(now, limit) },
-		func() { s.l.Dequeue(now) })
-}
-
-func (s *seqShard) DequeueRange(now clock.Time, lo, hi uint32) (core.Entry, bool) {
-	return s.take(func(limit uint64) (core.Entry, uint64, bool, bool) {
-		return s.l.DequeueRangeBelowSeq(now, lo, hi, limit)
-	},
-		func() { s.l.DequeueRange(now, lo, hi) })
-}
-
-// take runs sel at the three limits; miss charges a select that found
-// nothing the way the engine charges its empty tournament.
-func (s *seqShard) take(sel func(limit uint64) (core.Entry, uint64, bool, bool), miss func()) (core.Entry, bool) {
-	before := s.l.Stats()
-	head, seq, eligible, _ := sel(0)
-	if !eligible {
-		miss()
-		return core.Entry{}, false
-	}
-	for _, limit := range []uint64{0, head.Rank, head.Rank + 1} {
-		e, got, eligible, taken := sel(limit)
-		if want := limit > head.Rank; !eligible || taken != want || e != head || got != seq || got != s.stamp[e.ID] ||
-			(!taken && s.l.Stats() != before) {
-			panic(fmt.Sprintf("limit %d: %v seq %d eligible %v taken %v; head %v seq %d stamp %d", limit, e, got, eligible, taken, head, seq, s.stamp[e.ID]))
-		}
-	}
-	delete(s.stamp, head.ID)
-	return head, true
-}
-
 // TestShardBackendDequeueRangeBelowSeq exercises the seq-aware selects
 // the sharded engine's tournament drives, directly on a core.List shaped
 // like one of its shards, against the reference model: exact (rank, seq)
@@ -151,8 +85,7 @@ func TestShardBackendDequeueRangeBelowSeq(t *testing.T) {
 	t.Run("core", func(t *testing.T) {
 		newShard := func(n int) backend.Backend {
 			// Capacity 8192 spread over 8 shards: S = ⌈√1024⌉, as one shard's.
-			l := core.NewWithSublistSize(n, 32)
-			return &seqShard{Backend: backend.WrapCore(l), l: l, stamp: map[uint32]uint64{}}
+			return conform.Core(core.NewWithSublistSize(n, 32), true)
 		}
 		for _, ly := range []conform.Layout{conform.Random, conform.Banded} {
 			conform.Run(t, newShard, conform.Shape{Capacity: 1024, RankBits: 8, TimeBits: 4, Layout: ly}.Seeded(33, 40000))

@@ -35,7 +35,7 @@ func rangedShape(ly conform.Layout) conform.Shape {
 // TestRangedDifferentialLayouts runs seeded conformance programs —
 // inserts, point removals, gutted bands, and ranged selects over band
 // runs and arbitrary ranges, each preceded by PeekRange and a
-// below-limit select (see peeking) — under the three ID↔rank layouts.
+// below-limit select (see conform.Core) — under the three ID↔rank layouts.
 func TestRangedDifferentialLayouts(t *testing.T) {
 	for _, ly := range []conform.Layout{conform.Banded, conform.Anti, conform.Random} {
 		for seed := int64(0); seed < 4; seed++ {
@@ -150,6 +150,8 @@ func FuzzRangedLayouts(f *testing.F) {
 		}
 		f.Add(rangedShape(ly).Program(ops...))
 	}
-	f.Add(rangedShape(conform.Random).Program(2, 0, 1, 2, 3, 0, 200, 4, 5, 2, 3, 0, 7, 4, 7, 6, 2, 1, 33, 3, 7, 1, 0))
+	// A regression input of the ranged interpreter, as the same
+	// operation sequence.
+	f.Add(rangedShape(conform.Random).Program(1, 0, 1, 2, 1, 0, 3, 0, 0, 1, 0, 200, 4, 200, 0, 5, 0, 0, 47, 0, 3, 0, 7, 0, 0, 31, 0, 6, 0, 0, 31, 0, 0, 0, 0))
 	conform.Fuzz(f, coreAt(6))
 }

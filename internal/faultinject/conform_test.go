@@ -15,7 +15,7 @@ func TestConformanceEmptyPlan(t *testing.T) {
 		return faultinject.Wrap(backend.NewCoreList(n), faultinject.NewInjector(faultinject.Plan{}))
 	}
 	for ly := conform.Sequential; ly <= conform.Random; ly++ {
-		sh := conform.Shape{Capacity: 64, RankBits: 6, TimeBits: 4, NeverOdds: 16, Layout: ly}
+		sh := conform.Shape{Capacity: 64, RankBits: 6, TimeBits: 4, NeverOdds: 17, Layout: ly}
 		for seed := int64(0); seed < 2; seed++ {
 			conform.Run(t, wrapped, sh.Seeded(seed, 20000))
 		}

@@ -21,7 +21,9 @@
 // with the spec and runs CheckInvariants; after the last it compares
 // Snapshot and Stats. Batches go through backend.EnqueueBatch and
 // backend.DequeueUpTo, so a backend with a native batch path is checked
-// on it.
+// on it. Core wraps a core.List so that the list's own selects outside
+// the contract ride on every program, checked against the answers of
+// the contract operations.
 package conform
 
 import (
@@ -62,10 +64,13 @@ func (ly Layout) String() string {
 
 // Shape is what a program's header encodes.
 type Shape struct {
-	Capacity  int    // list capacity, 1..4096
-	RankBits  uint8  // ranks are drawn from [0, 2^RankBits), at most 2^56
-	TimeBits  uint8  // finite send_times are drawn from [0, 2^TimeBits), at most 2^15
-	NeverOdds uint8  // one arrival in NeverOdds is never eligible; 0 for none
+	Capacity int   // list capacity, 1..4096
+	RankBits uint8 // ranks are drawn from [0, 2^RankBits), at most 2^56
+	TimeBits uint8 // finite send_times are drawn from [0, 2^TimeBits), at most 2^15
+	// NeverOdds makes one arrival in NeverOdds never eligible; 0 for
+	// none. The draw shares its low bits with the send_time, so an odd
+	// value keeps every finite send_time reachable.
+	NeverOdds uint8
 	Layout    Layout // the ID↔rank relation
 }
 

@@ -19,11 +19,12 @@ import (
 // regression test.
 func FuzzShardEngine(f *testing.F) {
 	sh := conform.Shape{Capacity: 24, RankBits: 4, TimeBits: 3}
-	f.Add(append([]byte{1}, sh.Program(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)...))
-	f.Add(append([]byte{8}, sh.Program(0, 0, 0, 0, 0, 0, 0, 0)...))
-	f.Add(append([]byte{3}, sh.Program(1, 1, 1, 1)...))
-	f.Add(append([]byte{8}, sh.Program(0, 10, 1, 0, 0, 20, 1, 0, 2, 10, 3, 5)...))
-	f.Add(append([]byte{5}, sh.Program(255, 254, 253, 252, 251, 250, 0, 1, 2, 3)...))
+	// The engine interpreter's seeds, as the same operation sequences.
+	f.Add(append([]byte{1}, sh.Program(1, 0, 1, 0, 2, 0, 0, 63, 0, 4, 0, 1, 8, 0, 0, 15, 0, 7, 0, 0, 63, 0, 1, 0, 0, 8, 0, 0)...))
+	f.Add(append([]byte{8}, sh.Program(1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)...))
+	f.Add(append([]byte{3}, sh.Program(15, 0, 1, 0, 0, 15, 0, 1, 0, 0)...))
+	f.Add(append([]byte{8}, sh.Program(1, 0, 10, 0, 1, 0, 0, 1, 0, 0, 0, 4, 0, 0, 15, 0, 0, 0, 0, 31, 0, 0, 0, 0, 63, 0, 5, 0, 0, 8, 0, 0)...))
+	f.Add(append([]byte{5}, sh.Program(1, 0, 14, 0, 5, 0, 0, 31, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 31, 0, 1, 0, 0)...))
 
 	f.Fuzz(func(t *testing.T, program []byte) {
 		if len(program) == 0 {

@@ -114,7 +114,7 @@ func syncOnCore(n int) backend.Backend { return NewSyncList(n) }
 // SyncList, its one-lock batch path included, under each ID↔rank layout.
 func TestSyncListConformance(t *testing.T) {
 	for ly := conform.Sequential; ly <= conform.Random; ly++ {
-		sh := conform.Shape{Capacity: 64, RankBits: 6, TimeBits: 4, NeverOdds: 16, Layout: ly}
+		sh := conform.Shape{Capacity: 64, RankBits: 6, TimeBits: 4, NeverOdds: 17, Layout: ly}
 		for seed := int64(0); seed < 4; seed++ {
 			conform.Run(t, syncOnCore, sh.Seeded(seed, 20000))
 		}
@@ -125,7 +125,7 @@ func TestSyncListConformance(t *testing.T) {
 // SyncList. Run with `go test -fuzz=FuzzSyncListConformance .`.
 func FuzzSyncListConformance(f *testing.F) {
 	for ly := conform.Sequential; ly <= conform.Random; ly++ {
-		f.Add(conform.Shape{Capacity: 24, RankBits: 4, TimeBits: 3, NeverOdds: 8, Layout: ly}.Seeded(int64(ly), 600))
+		f.Add(conform.Shape{Capacity: 24, RankBits: 4, TimeBits: 3, NeverOdds: 9, Layout: ly}.Seeded(int64(ly), 600))
 	}
 	conform.Fuzz(f, syncOnCore)
 }
