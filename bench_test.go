@@ -361,14 +361,13 @@ func benchContended(b *testing.B, be Backend) {
 	<-done
 }
 
-// Capacity 1<<19 puts the backends deep in the regime the sharded engine
-// exists for (√n sublist scans and shifts dominating the mutex hold
-// time). K=8 is the engine's default and makes shard locks contend;
-// K=32 keeps per-shard geometry at √(n/K) ≈ 128. Steady state holds the
+// Capacity 1<<19 makes √n sublist scans and shifts dominate the mutex
+// hold time. The sharded engine is one mutex around one list, so its K
+// is inert; both K rows stay to show that. Steady state holds the
 // list at capacity, so run with a benchtime well above the fill
 // transient (b.N >= ~4x capacity, e.g. -benchtime 10s) when comparing
-// backends. The CHANGES.md entry "one locked path per shard operation"
-// records the 2-vCPU engine-vs-SyncList trial.
+// backends. DESIGN.md ("Why there is no concurrent engine") records the
+// 2-vCPU trials.
 func BenchmarkSyncListContended(b *testing.B) {
 	benchContended(b, NewSyncList(1<<19))
 }
@@ -384,8 +383,8 @@ func BenchmarkShardedContended(b *testing.B) {
 // --- Footprint pins: what a capacity costs before it is used ---
 
 // BenchmarkConstruct is ns/op and B/op to build an empty backend: capacity
-// is a bound, so neither may scale with it (or with K times it)
-// (CHANGES.md, "capacity is a bound, not an allocation").
+// is a bound, so neither may scale with it (CHANGES.md, "capacity is a
+// bound, not an allocation").
 func BenchmarkConstruct(b *testing.B) {
 	for _, c := range []struct {
 		name string

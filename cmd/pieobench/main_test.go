@@ -34,10 +34,10 @@ func TestRunFig8Smoke(t *testing.T) {
 	}
 }
 
-// paperExperiments is the registry: the 21 reproduction and behaviour
+// paperExperiments is the registry: the 20 reproduction and behaviour
 // experiments, sorted as -list prints them.
 const paperExperiments = "ablation approx deviation devices fig10 fig11 fig12 fig2 fig8 fig9 " +
-	"hier3 hierscale overload pacing-precision pipeline qdev rate recovery scale trigger wfi"
+	"hier3 hierscale overload pacing-precision pipeline qdev rate scale trigger wfi"
 
 func TestRunList(t *testing.T) {
 	var out bytes.Buffer

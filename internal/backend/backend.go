@@ -27,10 +27,10 @@
 // so adding a backend means implementing this one interface. One
 // conformance suite, internal/refmodel/conform, holds each to the
 // reference model (internal/refmodel): core.List at sublist sizes 2, 3,
-// 6 and ⌈√N⌉, the reference model itself, the sharded engine at K=1 and
-// K=8 (quiescent), SyncList with its batch path (also two programs at
-// once on disjoint ID ranges), and the fault-injection wrapper with an
-// empty plan. Only two capabilities stay optional, because one backend
+// 6 and ⌈√N⌉, the reference model itself, the sharded engine (one lock
+// around core.List) and SyncList with their batch paths (each also two
+// programs at once on disjoint ID ranges), and the fault-injection
+// wrapper with an empty plan. Only two capabilities stay optional, because one backend
 // cannot answer them honestly: HardwareModeled (the reference model has
 // no datapath) and Batcher (a native batch path; the
 // EnqueueBatch/DequeueUpTo helpers loop otherwise). The inexact
@@ -64,7 +64,7 @@ type Stats struct {
 	CombinedOps uint64
 }
 
-// Add accumulates other into s, for aggregating per-shard counters.
+// Add accumulates other into s, for aggregating per-level counters.
 func (s *Stats) Add(other Stats) {
 	s.Enqueues += other.Enqueues
 	s.Dequeues += other.Dequeues
@@ -159,8 +159,8 @@ type EligIndexed interface {
 }
 
 // InvariantChecker is the self-check part of Backend: it validates the
-// internal structure after mutations (the sublist geometry of core.List,
-// the shard partitioning of internal/shard) and reports nil on a
+// internal structure after mutations (the sublist geometry of core.List)
+// and reports nil on a
 // structure with nothing to check (the flat reference model).
 type InvariantChecker interface {
 	CheckInvariants() error

@@ -6,7 +6,6 @@ import (
 
 	"pieo/internal/backend"
 	"pieo/internal/clock"
-	"pieo/internal/core"
 	"pieo/internal/faultinject"
 	"pieo/internal/refmodel"
 	"pieo/internal/refmodel/conform"
@@ -74,23 +73,6 @@ func TestRangedStormAllBackends(t *testing.T) {
 			conform.Run(t, registered(t, name), sh.Seeded(21, 40000))
 		})
 	}
-}
-
-// TestShardBackendDequeueRangeBelowSeq exercises the seq-aware selects
-// the sharded engine's tournament drives, directly on a core.List shaped
-// like one of its shards, against the reference model: exact (rank, seq)
-// winners within a band, the peek/take split on the rank limit, and
-// stat-free peeks.
-func TestShardBackendDequeueRangeBelowSeq(t *testing.T) {
-	t.Run("core", func(t *testing.T) {
-		newShard := func(n int) backend.Backend {
-			// Capacity 8192 spread over 8 shards: S = ⌈√1024⌉, as one shard's.
-			return conform.Core(core.NewWithSublistSize(n, 32), true)
-		}
-		for _, ly := range []conform.Layout{conform.Random, conform.Banded} {
-			conform.Run(t, newShard, conform.Shape{Capacity: 1024, RankBits: 8, TimeBits: 4, Layout: ly}.Seeded(33, 40000))
-		}
-	})
 }
 
 // TestCheckInvariantsPostFault repeats the sweep with the fault-injection

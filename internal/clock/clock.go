@@ -17,7 +17,6 @@ package clock
 
 import (
 	"fmt"
-	"sync/atomic"
 )
 
 // Time is an opaque monotonic tick. Algorithms choose its unit: the wall
@@ -135,34 +134,3 @@ type Fixed Time
 
 // Now returns the fixed tick.
 func (f Fixed) Now() Time { return Time(f) }
-
-// Atomic is a Wall clock safe for concurrent advance and read — the
-// supervision time source for circuit-breaker recovery under the -race
-// chaos suites, where a driver goroutine moves time forward while
-// worker goroutines read it inside engine operations. Like Wall it only
-// moves when explicitly advanced, so storm schedules stay reproducible.
-// The zero value is a clock at t=0, ready to use.
-type Atomic struct {
-	now atomic.Uint64
-}
-
-// Now returns the current tick.
-func (a *Atomic) Now() Time { return Time(a.now.Load()) }
-
-// Advance moves the clock forward by d ticks.
-func (a *Atomic) Advance(d Time) { a.now.Add(uint64(d)) }
-
-// AdvanceTo moves the clock to t, clamping monotonically like
-// Wall.AdvanceTo: a CAS loop ignores targets at or behind the current
-// tick, so racing re-arms can never rewind time.
-func (a *Atomic) AdvanceTo(t Time) {
-	for {
-		cur := a.now.Load()
-		if uint64(t) <= cur {
-			return
-		}
-		if a.now.CompareAndSwap(cur, uint64(t)) {
-			return
-		}
-	}
-}

@@ -20,17 +20,16 @@ import (
 func coreAt(s int) func(int) backend.Backend {
 	return func(n int) backend.Backend {
 		if s == 0 {
-			return conform.Core(core.New(n), false)
+			return conform.Core(core.New(n))
 		}
-		return conform.Core(core.NewWithSublistSize(n, s), false)
+		return conform.Core(core.NewWithSublistSize(n, s))
 	}
 }
 
 // exactBackends enumerates the backends that promise bit-for-bit §3.1
-// semantics under single-threaded use: the paper-exact sublist list, the
-// sharded engine at K=1 (single shard, pure pass-through) and K=8 (hash
-// partitioning + tournament dequeue, which must still be
-// quiescent-exact).
+// semantics under single-threaded use: the paper-exact sublist list and
+// the sharded engine at K=1 and K=8 (one lock around one core list, so
+// K is inert and both must answer as core does).
 func exactBackends() map[string]func(int) backend.Backend {
 	return map[string]func(int) backend.Backend{
 		"core":    coreAt(0),
@@ -79,10 +78,7 @@ func TestDifferentialAlwaysEligible(t *testing.T) {
 
 // TestDifferentialBackends replays the conformance programs over every
 // exact backend — the paper list plus the sharded engine at K=1 and
-// K=8. The sharded runs are the quiescent-exactness contract of
-// internal/shard made executable: under single-threaded use the
-// tournament dequeue, cross-shard FIFO sequencing, and capacity
-// accounting must be indistinguishable from one flat list.
+// K=8, which must be indistinguishable from one flat list whatever K.
 func TestDifferentialBackends(t *testing.T) {
 	configs := []struct {
 		steps int
@@ -178,11 +174,9 @@ func TestEligibilityProperty(t *testing.T) {
 // Invariant-1 moves hand to the sublist instead of searching for them
 // (spill: head of S'; refill from the left: head; from the right: tail).
 // Tiny sublists make almost every operation a spill or a refill, equal
-// ranks and out-of-order EnqueueSeq stamps make the tie-break carry the
-// order, and ranged and flow dequeues extract from sublist interiors so
-// refills run in both directions. The reference orders by (rank, arrival),
-// so it is given rank<<32|seq: unique keys in the same order as the
-// list's (rank, seq).
+// ranks make the FIFO tie-break carry the order, and ranged and flow
+// dequeues extract from sublist interiors so refills run in both
+// directions.
 func TestInvariantMovesLandWhereSearchWould(t *testing.T) {
 	const (
 		ranks     = 4
@@ -195,11 +189,7 @@ func TestInvariantMovesLandWhereSearchWould(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(s)))
 			impl := core.NewWithSublistSize(capacity, s)
 			ref := refmodel.New(capacity)
-			var stamps []uint64 // the next few sequence numbers, shuffled
-			nextSeq, nextID := uint64(1), uint32(0)
-			same := func(got, want core.Entry) bool {
-				return got.ID == want.ID && got.SendTime == want.SendTime && got.Rank == want.Rank>>32
-			}
+			nextID := uint32(0)
 			for step := 0; step < steps; step++ {
 				// Fill and drain by turns so the list crosses every size.
 				enqBias := 7
@@ -211,20 +201,11 @@ func TestInvariantMovesLandWhereSearchWould(t *testing.T) {
 				what := "Enqueue"
 				switch op := rng.Intn(10); {
 				case op < enqBias:
-					if len(stamps) == 0 {
-						for i := 0; i < 6; i++ {
-							stamps = append(stamps, nextSeq)
-							nextSeq++
-						}
-						rng.Shuffle(len(stamps), func(i, j int) { stamps[i], stamps[j] = stamps[j], stamps[i] })
-					}
 					e := core.Entry{ID: nextID, Rank: uint64(rng.Intn(ranks)), SendTime: clock.Time(rng.Intn(timeSpace))}
-					gotErr := impl.EnqueueSeq(e, stamps[0])
-					e.Rank = e.Rank<<32 | stamps[0]
+					gotErr := impl.Enqueue(e)
 					if wantErr := ref.Enqueue(e); gotErr != wantErr {
-						t.Fatalf("step %d: EnqueueSeq(%v) = %v, ref %v", step, e, gotErr, wantErr)
+						t.Fatalf("step %d: Enqueue(%v) = %v, ref %v", step, e, gotErr, wantErr)
 					} else if gotErr == nil {
-						stamps = stamps[1:]
 						nextID++
 					}
 				case op == 7:
@@ -248,7 +229,7 @@ func TestInvariantMovesLandWhereSearchWould(t *testing.T) {
 					got, gotOK = impl.DequeueFlow(id)
 					want, wantOK = ref.DequeueFlow(id)
 				}
-				if gotOK != wantOK || (gotOK && !same(got, want)) {
+				if gotOK != wantOK || (gotOK && got != want) {
 					t.Fatalf("step %d: %s = %v,%v, ref %v,%v", step, what, got, gotOK, want, wantOK)
 				}
 				if err := impl.CheckInvariants(); err != nil {
@@ -259,7 +240,7 @@ func TestInvariantMovesLandWhereSearchWould(t *testing.T) {
 					t.Fatalf("step %d: %d residents, ref %d", step, len(gotSnap), len(wantSnap))
 				}
 				for i := range gotSnap {
-					if !same(gotSnap[i], wantSnap[i]) {
+					if gotSnap[i] != wantSnap[i] {
 						t.Fatalf("step %d after %s: order diverges at %d: %v, ref %v", step, what, i, gotSnap[i], wantSnap[i])
 					}
 				}

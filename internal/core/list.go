@@ -32,8 +32,7 @@
 //     parallel-compare + priority-encode step has an O(log) equivalent.
 //   - The dequeue-side eligibility select keeps a packed summary word
 //     per 32 pointer-array positions (the minimum cached send_time of
-//     the block — the same summary-tournament technique internal/shard
-//     uses across engines), so finding the first eligible sublist skips
+//     the block), so finding the first eligible sublist skips
 //     32 positions per probe instead of scanning all ~2√N.
 //   - A sublist's elements sit in an unordered row and its rank order
 //     is a window of 16-bit slot numbers over that row, so an insert or
@@ -92,10 +91,6 @@ var (
 	// ErrDuplicate is returned by Enqueue when the ID is already queued;
 	// a flow appears at most once in the scheduler's ordered list (§3.2).
 	ErrDuplicate = errors.New("pieo: id already enqueued")
-	// ErrShardDown is returned by sharded backends when an operation
-	// cannot be served because the responsible partition is quarantined
-	// (and, for writes, no healthy partition could absorb the traffic).
-	ErrShardDown = errors.New("pieo: shard down")
 	// ErrUnknownFlow is recorded by scheduler layers when an ordered list
 	// yields an ID with no registered flow state — a wiring fault between
 	// the list and the flow table.
@@ -343,15 +338,9 @@ func (s *sublist) removeElig(t clock.Time) {
 }
 
 // ptr is one Ordered-Sublist-Array entry (§5.2). smallestSeq caches the
-// FIFO sequence of the sublist's head element alongside its rank: the
-// enqueue-side sublist selection must compare full (rank, seq) keys, not
-// ranks alone, because EnqueueSeq callers (the sharded engine, which
-// draws a sequence before taking the shard lock, and its quarantine
-// replay) may insert equal-rank elements out of sequence order — an
-// arriving element can carry a SMALLER seq than a cached head, and a
-// rank-only "not greater means older" tie-break would then pick a sublist
-// to the right of the element's true position, breaking the global
-// (rank, seq) order across sublists.
+// FIFO sequence of the sublist's head element alongside its rank, so the
+// enqueue-side sublist selection compares the same (rank, seq) key that
+// orders elements inside a sublist.
 type ptr struct {
 	sublistID        int
 	smallestRank     uint64
@@ -550,22 +539,8 @@ func (l *List) Enqueue(e Entry) error {
 	return err
 }
 
-// EnqueueSeq inserts e with a caller-supplied FIFO tie-break sequence
-// instead of the list's internal counter. Sharded engines use it to stamp
-// a single global arrival order across many lists, so equal-rank elements
-// on different shards still dequeue in true FIFO order without any
-// per-element bookkeeping outside the lists themselves. A given list must
-// be driven either through Enqueue or through EnqueueSeq, not a mix: the
-// internal counter and an external one would interleave arbitrarily.
-func (l *List) EnqueueSeq(e Entry, seq uint64) error {
-	if l.size == l.capacity {
-		return ErrFull
-	}
-	return l.enqueue(newElement(e, seq))
-}
-
-// enqueue is the §5.2 insert datapath shared by Enqueue and EnqueueSeq;
-// the capacity check has already passed. It selects the target sublist
+// enqueue is Enqueue's §5.2 insert datapath; the capacity check has
+// already passed. It selects the target sublist
 // first — a read-only search — so that the flow index's duplicate check
 // is also the insert of the new key: one probe, and a duplicate returns
 // before anything is charged or changed.
@@ -574,11 +549,7 @@ func (l *List) enqueue(elem element) error {
 	// over the whole pointer array in parallel and priority-encodes the
 	// first strictly-greater sublist j, selecting j-1 (clamped to the
 	// head; an empty list claims its first empty sublist as the head).
-	// The key is the full (rank, seq) pair: under Enqueue's internal
-	// counter a cached head is always older than a new element, so
-	// rank-only comparison would suffice, but EnqueueSeq callers may
-	// stamp sequences out of arrival order (see ptr.smallestSeq) and
-	// equal-rank placement must then honor the stamped order. Stats charge
+	// The key is the full (rank, seq) pair, as inside a sublist. Stats charge
 	// all l.active comparators; the software resolves j by binary search,
 	// valid because smallest keys are nondecreasing across the active
 	// partition.
@@ -727,51 +698,6 @@ func (l *List) PeekRange(now clock.Time, lo, hi uint32) (Entry, bool) {
 	return l.sublists[l.order[pos].sublistID].at(idx).entry(), true
 }
 
-// DequeueBelowSeq is the fused peek-or-extract a sharded tournament
-// wants: it locates the smallest-ranked eligible element at now in ONE
-// select, extracts it only when its rank is strictly below limit, and
-// otherwise leaves it in place as a peek result. eligible reports whether
-// an eligible element exists (e and seq, its FIFO sequence number, are
-// valid); taken reports whether it was extracted. A limit of 0 is a pure
-// peek.
-//
-// Stats follow the operations the fusion replaces exactly: an extraction
-// charges the full §5 dequeue datapath, a peek-only outcome (not
-// eligible, or at/above limit) charges nothing — peeks are free, and the
-// engine-level caller accounts its own empty tournaments.
-func (l *List) DequeueBelowSeq(now clock.Time, limit uint64) (e Entry, seq uint64, eligible, taken bool) {
-	return l.belowSeq(now, 0, math.MaxUint32, limit, &l.stats.Dequeues)
-}
-
-// DequeueRangeBelowSeq is DequeueBelowSeq restricted to IDs in [lo, hi]
-// (the logical-PIEO filter, §4.3). Extraction charges exactly what
-// DequeueRange would, including the extra cycle and read per sublist
-// that was read and held no in-range eligible element; a peek outcome
-// charges nothing (but keeps the bounds the select tightened).
-func (l *List) DequeueRangeBelowSeq(now clock.Time, lo, hi uint32, limit uint64) (e Entry, seq uint64, eligible, taken bool) {
-	return l.belowSeq(now, lo, hi, limit, &l.stats.RangeDequeues)
-}
-
-// belowSeq is the body of both …BelowSeq forms; an extraction counts in
-// *ops, the Dequeues or RangeDequeues counter of the plain form.
-func (l *List) belowSeq(now clock.Time, lo, hi uint32, limit uint64, ops *uint64) (e Entry, seq uint64, eligible, taken bool) {
-	pos, idx, missReads, missCompares := l.findInRange(now, lo, hi, true)
-	if pos == -1 {
-		return Entry{}, 0, false, false
-	}
-	cand := *l.sublists[l.order[pos].sublistID].at(idx)
-	if cand.rank >= limit {
-		return cand.entry(), cand.seq, true, false
-	}
-	l.stats.PtrCompares += uint64(l.active)
-	*ops++
-	l.stats.Cycles += missReads
-	l.stats.SublistReads += missReads
-	l.stats.ElemCompares += missCompares
-	l.extract(pos, idx)
-	return cand.entry(), cand.seq, true, true
-}
-
 // DequeueFlow extracts the element with the given id regardless of
 // eligibility (§3.1 dequeue(f)), used by alarm handlers to update an
 // element's attributes. It returns ok=false when id is not queued.
@@ -873,18 +799,6 @@ func (l *List) findInRange(now clock.Time, lo, hi uint32, tighten bool) (pos, id
 	return -1, -1, missReads, missCompares
 }
 
-// MinRank returns the smallest rank across all queued elements, in O(1)
-// from the Ordered-Sublist-Array: the first active sublist holds the head
-// of the global rank order, and its smallest rank is cached in its
-// pointer-array entry. Sharded engines use it as the per-shard summary
-// the dequeue tournament compares. ok is false when the list is empty.
-func (l *List) MinRank() (uint64, bool) {
-	if l.active == 0 {
-		return 0, false
-	}
-	return l.order[0].smallestRank, true
-}
-
 // MinSendTime returns the smallest send_time across all queued elements —
 // the fold of the active packed summary words, O(√N/32) sequential
 // loads. Fair-queueing algorithms use it as the "minimum start time among
@@ -967,19 +881,11 @@ func (l *List) DisableEligIndex() {}
 // the element fair queueing would have served last. ok is false when the
 // list is empty.
 func (l *List) MaxRankEntry() (Entry, bool) {
-	e, _, ok := l.MaxRankEntrySeq()
-	return e, ok
-}
-
-// MaxRankEntrySeq is MaxRankEntry plus the element's FIFO sequence, for
-// sharded engines that compare victims across partitions.
-func (l *List) MaxRankEntrySeq() (Entry, uint64, bool) {
 	if l.active == 0 {
-		return Entry{}, 0, false
+		return Entry{}, false
 	}
 	sl := &l.sublists[l.order[l.active-1].sublistID]
-	elem := sl.at(sl.len() - 1)
-	return elem.entry(), elem.seq, true
+	return sl.at(sl.len() - 1).entry(), true
 }
 
 // extractAt removes entry idx from the sublist at order position pos and
@@ -1206,24 +1112,6 @@ func (l *List) Snapshot() []Entry {
 		}
 	}
 	return out
-}
-
-// SnapshotWithSeq is Snapshot plus each entry's FIFO sequence number, so
-// a sharded engine can merge per-shard snapshots into the global
-// (rank, FIFO) order. Both outputs are allocated exactly once at l.size.
-func (l *List) SnapshotWithSeq() ([]Entry, []uint64) {
-	out := make([]Entry, l.size)
-	seqs := make([]uint64, l.size)
-	k := 0
-	for i := 0; i < l.active; i++ {
-		sl := &l.sublists[l.order[i].sublistID]
-		for j := range sl.slots {
-			e := sl.at(j)
-			out[k], seqs[k] = e.entry(), e.seq
-			k++
-		}
-	}
-	return out, seqs
 }
 
 // CheckInvariants validates the complete §5 data-structure contract:

@@ -127,19 +127,3 @@ func (l *List) UpdateRank(id uint32, rank uint64, sendTime clock.Time) bool {
 	}
 	return true
 }
-
-// UpdateRankSeq is UpdateRank with a caller-supplied FIFO sequence for
-// the re-enqueued element (see EnqueueSeq): lists driven by an external
-// sequence must reset the element's FIFO position from the same counter.
-func (l *List) UpdateRankSeq(id uint32, rank uint64, sendTime clock.Time, seq uint64) bool {
-	e, ok := l.DequeueFlow(id)
-	if !ok {
-		return false
-	}
-	e.Rank = rank
-	e.SendTime = sendTime
-	if err := l.EnqueueSeq(e, seq); err != nil {
-		panic("pieo: UpdateRankSeq re-enqueue failed: " + err.Error())
-	}
-	return true
-}

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§2.3 Fig 2, §6.1 Fig 8–9, §6.2 Fig 10 and the headline
 // numbers, §6.3 Fig 11–12), plus the O(N) PIFO-deviation claim, the
-// design ablations and the behaviour studies (overload, recovery,
+// design ablations and the behaviour studies (overload,
 // hierscale) indexed in DESIGN.md §4. Each experiment returns a Table
 // whose rows are the series the paper plots; cmd/pieobench prints them
 // and bench_test.go reports their headline values as benchmark metrics.
@@ -101,7 +101,6 @@ var registry = map[string]Runner{
 	"hierscale":        HierScale,
 	"overload":         Overload,
 	"qdev":             QuantDeviation,
-	"recovery":         Recovery,
 }
 
 // IDs returns the registered experiment ids, sorted.

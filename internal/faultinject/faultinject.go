@@ -1,35 +1,26 @@
 // Package faultinject is a deterministic fault-injection harness for
-// PIEO backends and the sharded engine. It exists to make the failure
-// model of DESIGN.md §8 testable: every fault it produces — injected
-// errors, capacity squeezes, induced panics, artificial latency — fires
-// on a programmable operation-count schedule derived from a seed, so a
-// chaos run that finds a bug replays bit-for-bit from its Plan.
+// PIEO backends. It exists to make the failure model of DESIGN.md §8
+// testable: every fault it produces — injected errors and capacity
+// squeezes — fires on a programmable operation-count schedule derived
+// from a seed, so a chaos run that finds a bug replays bit-for-bit from
+// its Plan.
 //
-// Two integration points:
-//
-//   - Wrap adapts any backend.Backend, intercepting operations before
-//     they reach the real implementation. Injected enqueue failures are
-//     recorded as DECLARED DROPS (the arrival never entered the list),
-//     which is what lets a conservation auditor reconcile exactly:
-//     accepted = dequeued + still-queued, with every shortfall accounted
-//     to either DeclaredDrops here or declared losses in the layer under
-//     test.
-//   - Injector.ShardHook plugs into shard.Engine.SetFaultHook and panics
-//     on schedule inside shard-list critical sections, driving the
-//     quarantine/salvage/rebuild machinery of internal/shard.
+// Wrap adapts any backend.Backend, intercepting operations before they
+// reach the real implementation. Injected enqueue failures are recorded
+// as DECLARED DROPS (the arrival never entered the list), which is what
+// lets a conservation auditor reconcile exactly: accepted = dequeued +
+// still-queued, with every refused arrival in DeclaredDrops.
 //
 // Determinism: the schedule is a function of (Seed, operation ordinal)
 // only. Under a single-threaded driver that makes whole runs replayable;
-// under a concurrent storm the ordinal interleaving varies but the fault
-// DENSITY is preserved, which is what the -race chaos suite needs.
+// under concurrent callers the ordinal interleaving varies but the fault
+// DENSITY is preserved.
 package faultinject
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pieo/internal/backend"
 	"pieo/internal/clock"
@@ -38,20 +29,9 @@ import (
 
 // ErrInjected is the typed error injected operations fail with. It is
 // deliberately distinct from every contract error (core.ErrFull,
-// core.ErrDuplicate, core.ErrShardDown) so layers under test can prove
+// core.ErrDuplicate) so layers under test can prove
 // they pass unknown errors through rather than misclassifying them.
 var ErrInjected = errors.New("faultinject: injected fault")
-
-// InducedPanic is the panic payload induced faults throw; the quarantine
-// fault log stringifies it, so tests can assert provenance.
-type InducedPanic struct {
-	Op string
-	N  uint64 // operation ordinal that fired
-}
-
-func (p InducedPanic) String() string {
-	return fmt.Sprintf("faultinject: induced panic at op %d (%s)", p.N, p.Op)
-}
 
 // Plan is a deterministic fault schedule. Zero values disable each fault
 // class; "every N" means operation ordinals where (ordinal+offset)%N == 0,
@@ -62,20 +42,12 @@ type Plan struct {
 	Seed uint64
 	// ErrorEvery injects ErrInjected on every Nth intercepted mutation.
 	ErrorEvery uint64
-	// PanicEvery induces a panic on every Nth intercepted operation
-	// (both wrapper operations and shard-hook invocations).
-	PanicEvery uint64
 	// SqueezeEvery starts a capacity squeeze on every Nth enqueue: for
 	// the next SqueezeLen enqueues the wrapper reports core.ErrFull
 	// regardless of actual occupancy, emulating transient overload.
 	SqueezeEvery uint64
 	// SqueezeLen is the squeeze duration in enqueues (default 1).
 	SqueezeLen uint64
-	// LatencyEvery stalls every Nth operation by LatencyNs to widen race
-	// windows under the concurrent chaos suite.
-	LatencyEvery uint64
-	// LatencyNs is the stall length in nanoseconds (default 1000).
-	LatencyNs int64
 }
 
 // Injector evaluates a Plan against monotonically increasing operation
@@ -86,9 +58,7 @@ type Injector struct {
 	sqN  atomic.Uint64 // enqueue ordinal, drives squeeze windows
 
 	injected atomic.Uint64 // errors injected
-	panics   atomic.Uint64 // panics induced
 	squeezes atomic.Uint64 // enqueues squeezed
-	stalls   atomic.Uint64 // latency stalls
 
 	armed atomic.Bool
 }
@@ -98,24 +68,19 @@ func NewInjector(plan Plan) *Injector {
 	if plan.SqueezeLen == 0 {
 		plan.SqueezeLen = 1
 	}
-	if plan.LatencyNs == 0 {
-		plan.LatencyNs = 1000
-	}
 	inj := &Injector{plan: plan}
 	inj.armed.Store(true)
 	return inj
 }
 
 // Disarm stops all fault production (counters survive). Chaos tests call
-// it between the storm phase and the recovery/audit phase.
+// it between the fault phase and the audit.
 func (inj *Injector) Disarm() { inj.armed.Store(false) }
 
 // Stats reports how many faults of each class have fired.
 type Stats struct {
 	Injected uint64 // ErrInjected errors
-	Panics   uint64 // induced panics
 	Squeezes uint64 // squeezed enqueues
-	Stalls   uint64 // latency stalls
 	Ops      uint64 // operations observed
 }
 
@@ -123,9 +88,7 @@ type Stats struct {
 func (inj *Injector) Stats() Stats {
 	return Stats{
 		Injected: inj.injected.Load(),
-		Panics:   inj.panics.Load(),
 		Squeezes: inj.squeezes.Load(),
-		Stalls:   inj.stalls.Load(),
 		Ops:      inj.n.Load(),
 	}
 }
@@ -139,23 +102,9 @@ func (inj *Injector) fires(n, every uint64) bool {
 	return (n+inj.plan.Seed)%every == 0
 }
 
-// step advances the operation ordinal and applies the latency and panic
-// schedules. op labels the operation for the panic payload.
-func (inj *Injector) step(op string) uint64 {
-	n := inj.n.Add(1)
-	if !inj.armed.Load() {
-		return n
-	}
-	if inj.fires(n, inj.plan.LatencyEvery) {
-		inj.stalls.Add(1)
-		time.Sleep(time.Duration(inj.plan.LatencyNs) * time.Nanosecond)
-	}
-	if inj.fires(n, inj.plan.PanicEvery) {
-		inj.panics.Add(1)
-		panic(InducedPanic{Op: op, N: n})
-	}
-	return n
-}
+// step advances the operation ordinal: every intercepted mutation is one
+// schedulable operation.
+func (inj *Injector) step() uint64 { return inj.n.Add(1) }
 
 // errNow reports whether the error schedule fires at ordinal n.
 func (inj *Injector) errNow(n uint64) bool {
@@ -181,20 +130,9 @@ func (inj *Injector) squeezeNow() bool {
 	return false
 }
 
-// ShardHook adapts the injector to shard.Engine.SetFaultHook: every hook
-// invocation is one schedulable operation, and the panic schedule fires
-// inside the shard's protected section, which is exactly where the
-// quarantine machinery must catch it.
-func (inj *Injector) ShardHook() func(shard int, op string) {
-	return func(shard int, op string) {
-		inj.step(fmt.Sprintf("shard%d/%s", shard, op))
-	}
-}
-
 // Backend wraps a backend.Backend with an Injector's fault schedule.
-// Mutations pass through step (latency + panics); enqueues additionally
-// face the error and squeeze schedules BEFORE reaching the inner
-// backend, so every injected enqueue failure corresponds to an arrival
+// Mutations advance the operation ordinal; enqueues also face the error
+// and squeeze schedules BEFORE reaching the inner backend, so every injected enqueue failure corresponds to an arrival
 // that never entered the list — recorded as a declared drop.
 type Backend struct {
 	inner backend.Backend
@@ -227,7 +165,7 @@ func (b *Backend) recordDrop(id uint32) {
 
 // Enqueue implements backend.Backend with the full fault gauntlet.
 func (b *Backend) Enqueue(e core.Entry) error {
-	n := b.inj.step("enqueue")
+	n := b.inj.step()
 	if b.inj.errNow(n) {
 		b.recordDrop(e.ID)
 		return ErrInjected
@@ -241,19 +179,19 @@ func (b *Backend) Enqueue(e core.Entry) error {
 
 // Dequeue implements backend.Backend.
 func (b *Backend) Dequeue(now clock.Time) (core.Entry, bool) {
-	b.inj.step("dequeue")
+	b.inj.step()
 	return b.inner.Dequeue(now)
 }
 
 // DequeueFlow implements backend.Backend.
 func (b *Backend) DequeueFlow(id uint32) (core.Entry, bool) {
-	b.inj.step("dequeue_flow")
+	b.inj.step()
 	return b.inner.DequeueFlow(id)
 }
 
 // DequeueRange implements backend.Backend.
 func (b *Backend) DequeueRange(now clock.Time, lo, hi uint32) (core.Entry, bool) {
-	b.inj.step("dequeue_range")
+	b.inj.step()
 	return b.inner.DequeueRange(now, lo, hi)
 }
 
@@ -279,11 +217,10 @@ func (b *Backend) NextWakeAfter(now clock.Time) clock.Time { return b.inner.Next
 // — the auditor must see the truth.
 func (b *Backend) CheckInvariants() error { return b.inner.CheckInvariants() }
 
-// UpdateRank implements backend.Backend; the schedule can panic or stall
-// it but a rank update is never turned into an error (there is no
-// arrival to shed).
+// UpdateRank implements backend.Backend; a rank update is never turned
+// into an error (there is no arrival to shed).
 func (b *Backend) UpdateRank(id uint32, rank uint64, sendTime clock.Time) bool {
-	b.inj.step("update_rank")
+	b.inj.step()
 	return b.inner.UpdateRank(id, rank, sendTime)
 }
 

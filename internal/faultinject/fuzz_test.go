@@ -3,38 +3,35 @@ package faultinject_test
 import (
 	"testing"
 
+	"pieo/internal/backend"
 	"pieo/internal/clock"
 	"pieo/internal/core"
 	"pieo/internal/faultinject"
-	"pieo/internal/shard"
 )
 
 // FuzzChaosPlan fuzzes the fault schedule itself: whatever periods the
-// fuzzer picks for panics, injected errors, and capacity squeezes, a
-// bounded mixed workload over the sharded engine must end with every
-// shard recovered, invariants intact, and exact conservation — accepted
-// equals delivered plus queued plus declared lost. The corpus seeds cover
-// the fault-free plan, a dense all-fault plan, and a sparse one.
+// fuzzer picks for injected errors and capacity squeezes, a bounded mixed
+// workload through the wrapper over a core list must end with invariants
+// intact and exact conservation — accepted equals delivered plus queued,
+// and every refused arrival is a declared drop. The corpus seeds cover
+// the fault-free plan, a dense plan, and a sparse one.
 func FuzzChaosPlan(f *testing.F) {
-	f.Add(uint64(1), uint16(13), uint16(7), uint16(11), uint16(900))
-	f.Add(uint64(42), uint16(0), uint16(0), uint16(0), uint16(500))
-	f.Add(uint64(7), uint16(97), uint16(3), uint16(5), uint16(1500))
-	f.Fuzz(func(t *testing.T, seed uint64, panicEvery, errEvery, squeezeEvery, opsRaw uint16) {
+	f.Add(uint64(1), uint16(7), uint16(11), uint16(900))
+	f.Add(uint64(42), uint16(0), uint16(0), uint16(500))
+	f.Add(uint64(7), uint16(3), uint16(5), uint16(1500))
+	f.Fuzz(func(t *testing.T, seed uint64, errEvery, squeezeEvery, opsRaw uint16) {
 		ops := int(opsRaw)%2000 + 200
-		// Panics go through the shard hook only: a wrapper-level panic
-		// would unwind the driver, which is the strict contract, not a
-		// fault the engine is supposed to absorb.
-		hookInj := faultinject.NewInjector(faultinject.Plan{Seed: seed, PanicEvery: uint64(panicEvery)})
-		wrapInj := faultinject.NewInjector(faultinject.Plan{
+		inj := faultinject.NewInjector(faultinject.Plan{
 			Seed: seed ^ 0x9e3779b97f4a7c15, ErrorEvery: uint64(errEvery), SqueezeEvery: uint64(squeezeEvery),
 		})
-		inner := shard.New(256, 4)
-		inner.SetFaultHook(hookInj.ShardHook())
-		b := faultinject.Wrap(inner, wrapInj)
+		b := faultinject.Wrap(backend.NewCoreList(256), inj)
 
 		rng := lcg(seed | 1)
 		accepted := make(map[uint32]bool)
 		var delivered []core.Entry
+		// A refused arrival must be a declared drop; one refused at the
+		// list's real capacity may be one too (a squeeze can land there).
+		mustDrop, mayDrop := make(map[uint32]bool), make(map[uint32]bool)
 		nextID := uint32(1)
 		for op := 0; op < ops; op++ {
 			switch rng.next() % 4 {
@@ -42,8 +39,19 @@ func FuzzChaosPlan(f *testing.F) {
 				id := nextID
 				nextID++
 				ent := core.Entry{ID: id, Rank: rng.next() % 100, SendTime: clock.Time(rng.next() % 8)}
-				if err := b.Enqueue(ent); err == nil {
+				switch err := b.Enqueue(ent); err {
+				case nil:
 					accepted[id] = true
+				case faultinject.ErrInjected:
+					mustDrop[id] = true
+				case core.ErrFull:
+					if b.Len() < 256 {
+						mustDrop[id] = true
+					} else {
+						mayDrop[id] = true
+					}
+				default:
+					t.Fatalf("enqueue %v: %v", ent, err)
 				}
 			case 2:
 				if ent, ok := b.Dequeue(clock.Time(rng.next() % 16)); ok {
@@ -56,14 +64,20 @@ func FuzzChaosPlan(f *testing.F) {
 			}
 		}
 
-		hookInj.Disarm()
-		wrapInj.Disarm()
-		recoverAll(t, inner)
-		if err := b.CheckInvariants(); err != nil {
-			t.Fatalf("post-recovery invariants: %v", err)
+		inj.Disarm()
+		must := 0
+		for _, id := range b.DeclaredDrops() {
+			if mustDrop[id] {
+				must++
+			} else if !mayDrop[id] {
+				t.Fatalf("id %d declared dropped but never refused", id)
+			}
 		}
-		auditConservation(t, inner, accepted, delivered)
-		drainAll(t, inner)
+		if must != len(mustDrop) {
+			t.Fatalf("%d of %d refused arrivals declared dropped", must, len(mustDrop))
+		}
+		auditConservation(t, b, accepted, delivered)
+		drainAll(t, b)
 		if err := b.CheckInvariants(); err != nil {
 			t.Fatalf("post-drain invariants: %v", err)
 		}

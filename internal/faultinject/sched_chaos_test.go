@@ -8,26 +8,18 @@ import (
 	"pieo/internal/faultinject"
 	"pieo/internal/flowq"
 	"pieo/internal/sched"
-	"pieo/internal/shard"
 )
 
 // TestSchedulerUnderChaos drives a scheduler over a fault-injecting
-// view of the sharded engine: injected enqueue errors and
-// capacity squeezes hit the wrapper while induced panics hit the shard
-// critical sections underneath. The scheduler must never panic, must
-// count every fault it absorbs, and must conserve packets exactly —
-// every arrival is eventually transmitted or appears in DroppedPackets.
+// view of a core list: injected enqueue errors and capacity squeezes hit
+// the wrapper. The scheduler must never panic, must count every fault it
+// absorbs, and must conserve packets exactly — every arrival is
+// eventually transmitted or appears in DroppedPackets. The plan carries
+// no panic schedule: a panic unwinds the scheduler itself, a bug to
+// surface, not a fault to absorb.
 func TestSchedulerUnderChaos(t *testing.T) {
-	// Two injectors: the wrapper one must not carry a panic schedule
-	// (wrapper panics would unwind the scheduler itself: a panic is a bug
-	// to surface, not a fault to absorb); the hook one panics
-	// inside shard-protected sections where quarantine catches them.
 	wrapInj := faultinject.NewInjector(faultinject.Plan{Seed: 3, ErrorEvery: 41, SqueezeEvery: 59, SqueezeLen: 2})
-	hookInj := faultinject.NewInjector(faultinject.Plan{Seed: 17, PanicEvery: 149})
-
-	inner := shard.New(1024, 4)
-	inner.SetFaultHook(hookInj.ShardHook())
-	b := faultinject.Wrap(inner, wrapInj)
+	b := faultinject.Wrap(backend.NewCoreList(1024), wrapInj)
 
 	prog := &sched.Program{Name: "chaos-fifo"}
 	s := sched.NewOn(prog, b, 10)
@@ -51,18 +43,10 @@ func TestSchedulerUnderChaos(t *testing.T) {
 		}
 	}
 
-	// Storm over: disarm, force shard recovery, then run the
-	// control-plane repair sweep — a flow whose list entry was declared
-	// lost by an abandoned rebuild is stalled until something reinserts
-	// it, and EnqueueFlow is idempotent for flows already present.
+	// Storm over: disarm, then drain.
 	wrapInj.Disarm()
-	hookInj.Disarm()
-	recoverAll(t, inner)
 	if err := b.CheckInvariants(); err != nil {
 		t.Fatalf("post-storm invariants: %v", err)
-	}
-	for id := flowq.FlowID(1); id <= flows; id++ {
-		s.EnqueueFlow(now, s.Flow(id))
 	}
 	for {
 		now++
@@ -86,9 +70,5 @@ func TestSchedulerUnderChaos(t *testing.T) {
 	if fs.AdmissionRejects+fs.AdmissionEvictions == 0 {
 		t.Fatalf("capacity squeezes never exercised admission: %+v (injector %+v)", fs, wrapInj.Stats())
 	}
-	if inner.FaultStats().Quarantines == 0 {
-		t.Fatalf("shard panic schedule never fired: %+v", hookInj.Stats())
-	}
-	t.Logf("chaos sched: arrived=%d transmitted=%d faults=%+v shard=%+v",
-		arrived, transmitted, fs, inner.FaultStats())
+	t.Logf("chaos sched: arrived=%d transmitted=%d faults=%+v", arrived, transmitted, fs)
 }

@@ -17,9 +17,8 @@ import (
 
 // diffBackends is the backend sweep for the partitioned-vs-oracle
 // differential: every registered exact backend the partitioned mode can
-// run on. "core" is the welded single list, and "sharded" routes every
-// node dequeue through the engine's ranged tournament over
-// DequeueRangeBelowSeq.
+// run on. "core" is the welded single list, and "sharded" is the same
+// list behind the engine's lock.
 var diffBackends = []string{"core", "sharded"}
 
 // newPartitionedNamed builds a partitioned-mode hierarchy over the named

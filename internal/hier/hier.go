@@ -198,10 +198,8 @@ func NewPartitioned(linkRateGbps float64, rootPolicy *Policy) *Hierarchy {
 
 // NewPartitionedOn creates a partitioned hierarchy whose single
 // shared physical PIEO is built by factory at Build time, sized to the
-// total child count across every level. On the sharded engine, node
-// dequeues compile to the per-shard DequeueRangeBelowSeq ranged
-// tournament; any backend.Backend satisfying the DequeueRange contract
-// works.
+// total child count across every level. Any backend.Backend satisfying
+// the DequeueRange contract works.
 func NewPartitionedOn(linkRateGbps float64, rootPolicy *Policy, factory func(capacity int) backend.Backend) *Hierarchy {
 	h := NewOn(linkRateGbps, rootPolicy, factory)
 	h.partitioned = true

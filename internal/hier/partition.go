@@ -2,10 +2,8 @@
 // onto ONE physical PIEO. Each logical scheduler owns a contiguous band
 // of the 32-bit element-ID space, and extracting from it is a ranged
 // dequeue whose predicate is the paper's
-// (eligible) && (band.lo <= f.index <= band.hi) — on the sharded engine
-// that compiles down to per-shard DequeueRangeBelowSeq calls under the
-// ranged tournament, on core.List to a select over the pointer array's
-// cached send_times and resident-ID bounds. Every hierarchy node reaches
+// (eligible) && (band.lo <= f.index <= band.hi) — on core.List a select
+// over the pointer array's cached send_times and resident-ID bounds. Every hierarchy node reaches
 // its list this way: the per-level arrangement gives each depth its own
 // Partitioner, the partitioned arrangement shares one across all depths.
 //
@@ -28,8 +26,8 @@
 // Concurrency/memory-ordering contract: the Partitioner's bookkeeping
 // (bands, slots, heaps) is NOT synchronized — it assumes a single caller
 // thread, exactly like the hierarchy that owns it. The shared backend may
-// be internally concurrent (the sharded engine takes its own per-shard
-// locks), but the Partitioner never relies on that: all happens-before
+// be internally locked (the sharded engine and SyncList take their own
+// lock), but the Partitioner never relies on that: all happens-before
 // edges between partition bookkeeping and backend state come from the
 // single caller's program order. See DESIGN.md §13.
 package hier

@@ -13,12 +13,8 @@ import (
 // Core is l as a conformance backend that also holds the list's own
 // operations outside the contract to the answers of the ones inside it:
 //
-//   - Dequeue and DequeueRange first peek (Peek, PeekRange). Every other
-//     call then runs the below-limit select (DequeueBelowSeq,
-//     DequeueRangeBelowSeq) at limit 0 and at the peeked rank, where it
-//     must find the peeked element and leave it, and one above that
-//     rank, where it must take it in place of the extraction; the other
-//     calls extract after the peek alone.
+//   - Dequeue and DequeueRange first peek (Peek, PeekRange); the
+//     extraction must then take the peeked element.
 //   - Every other DequeueFlow of a resident checks MinRankAtLeast and a
 //     rank range that must miss against a brute force over Snapshot, and
 //     extracts by DequeueRankRange when the resident is the first entry
@@ -27,94 +23,33 @@ import (
 //     exactly when MinSendTime ≤ now, and that PeekRange over the found
 //     ID alone, and over the IDs up to it, finds the same element.
 //
-// Peeks and selects that take nothing must charge no counter, and a
-// rank-range miss no operation. With stamped set, l is driven the way
-// the sharded engine drives a shard: every arrival and re-rank is
-// stamped from an external sequence, batches loop through the stamped
-// Enqueue, and every select must report the found element's stamp. A
-// failed check panics, and the suite reports the panic with its step.
-func Core(l *core.List, stamped bool) backend.Backend {
-	c := &coreList{CoreList: backend.WrapCore(l)}
-	if !stamped {
-		return c
-	}
-	c.stamp = map[uint32]uint64{}
-	return struct{ backend.Backend }{c} // hides the list's batch path
+// Peeks that take nothing must charge no counter, and a rank-range miss
+// no operation. A failed check panics, and the suite reports the panic
+// with its step.
+func Core(l *core.List) backend.Backend {
+	return &coreList{CoreList: backend.WrapCore(l)}
 }
 
 type coreList struct {
 	*backend.CoreList
-	calls uint64            // alternates the checked paths
-	seq   uint64            // the last stamp issued
-	stamp map[uint32]uint64 // each ID's latest stamp; nil when unstamped
-}
-
-func (c *coreList) Enqueue(e core.Entry) error {
-	if c.stamp == nil {
-		return c.List.Enqueue(e)
-	}
-	c.seq++
-	err := c.List.EnqueueSeq(e, c.seq)
-	if err == nil {
-		c.stamp[e.ID] = c.seq
-	}
-	return err
-}
-
-func (c *coreList) UpdateRank(id uint32, rank uint64, sendTime clock.Time) bool {
-	if c.stamp == nil {
-		return c.List.UpdateRank(id, rank, sendTime)
-	}
-	c.seq++
-	ok := c.List.UpdateRankSeq(id, rank, sendTime, c.seq)
-	if ok {
-		c.stamp[id] = c.seq
-	}
-	return ok
+	calls uint64 // alternates the checked paths
 }
 
 func (c *coreList) Dequeue(now clock.Time) (core.Entry, bool) {
 	return c.extract(func() (core.Entry, bool) { return c.List.Peek(now) },
-		func(limit uint64) (core.Entry, uint64, bool, bool) { return c.List.DequeueBelowSeq(now, limit) },
 		func() (core.Entry, bool) { return c.List.Dequeue(now) })
 }
 
 func (c *coreList) DequeueRange(now clock.Time, lo, hi uint32) (core.Entry, bool) {
 	return c.extract(func() (core.Entry, bool) { return c.List.PeekRange(now, lo, hi) },
-		func(limit uint64) (core.Entry, uint64, bool, bool) {
-			return c.List.DequeueRangeBelowSeq(now, lo, hi, limit)
-		},
 		func() (core.Entry, bool) { return c.List.DequeueRange(now, lo, hi) })
 }
 
-// extract peeks the head, then takes it: on every other call by below
-// at limits 0, the head's rank and one above it, else by take. It panics
-// unless each found the head and only the extraction charged stats.
-func (c *coreList) extract(peek func() (core.Entry, bool), below func(limit uint64) (core.Entry, uint64, bool, bool),
-	take func() (core.Entry, bool)) (core.Entry, bool) {
+// extract peeks the head, then takes it. It panics unless the
+// extraction took the head and the peek charged no stats.
+func (c *coreList) extract(peek, take func() (core.Entry, bool)) (core.Entry, bool) {
 	before := c.List.Stats()
 	head, ok := peek()
-	limits := []uint64{0, head.Rank, head.Rank + 1}
-	if c.calls++; c.calls%2 == 1 {
-		limits = nil
-	} else if !ok || head.Rank == math.MaxUint64 {
-		limits = limits[:1]
-	}
-	var first uint64
-	for i, limit := range limits {
-		e, seq, eligible, taken := below(limit)
-		if i == 0 {
-			first = seq
-		}
-		if eligible != ok || e != head || seq != first || taken != (i == 2) ||
-			(ok && c.stamp != nil && seq != c.stamp[e.ID]) || (!taken && c.List.Stats() != before) {
-			panic(fmt.Sprintf("peek %v,%v; below %d: %v seq %d (first %d, stamp %d), eligible %v, taken %v; stats %+v -> %+v",
-				head, ok, limit, e, seq, first, c.stamp[e.ID], eligible, taken, before, c.List.Stats()))
-		}
-		if taken {
-			return e, true
-		}
-	}
 	peeked := c.List.Stats()
 	if got, gotOK := take(); got != head || gotOK != ok || peeked != before {
 		panic(fmt.Sprintf("peek %v,%v (stats %+v -> %+v); extraction %v,%v", head, ok, before, peeked, got, gotOK))

@@ -9,16 +9,14 @@ import (
 )
 
 // TestBatchQuiescentDrain: on a quiescent engine, DequeueUpTo must
-// return the exact global (rank, FIFO) order, including cross-shard
-// equal-rank ties, and leave the engine coherent. (The differential
-// tests in internal/core additionally hold the batch paths bit-for-bit
-// against the flat reference model at K=1 and K=8.)
+// return the exact (rank, FIFO) order, equal-rank ties included, and
+// leave the engine coherent. (The conformance programs additionally
+// hold the batch paths bit-for-bit against the reference model.)
 func TestBatchQuiescentDrain(t *testing.T) {
 	e := New(512, 8)
 	var es []core.Entry
 	for i := 0; i < 300; i++ {
-		// Few distinct ranks: most dequeues are cross-shard FIFO
-		// tie-breaks, which only the stamped sequence can order.
+		// Few distinct ranks: most dequeues are FIFO tie-breaks.
 		es = append(es, core.Entry{ID: uint32(i), Rank: uint64(i % 3), SendTime: 0})
 	}
 	if n, err := e.EnqueueBatch(es); n != len(es) || err != nil {

@@ -10,13 +10,11 @@ import (
 	"pieo/internal/shard"
 )
 
-// TestEngineFootprintIndependentOfShardCount: every shard is bounded by
-// the full shared capacity, but a bound is not an allocation — the same
-// 4 096 residents must cost about the same heap whether the 2^19-capacity
-// engine splits them over 1, 8 or 64 shards. What is left to differ is
-// per-shard fixed cost (one partly filled sublist and one growth step
-// per shard), hence a stated factor of 4 and a ceiling of
-// 4 MB — 88.6 / 94.3 / 211.8 MB when each shard allocated for its bound.
+// TestEngineFootprintIndependentOfShardCount: a capacity is a bound, not
+// an allocation, and the shard count is inert — the same 4 096 residents
+// of a 2^19-capacity engine must cost the same heap whether it was asked
+// for 1, 8 or 64 shards, within a factor of 4 for measurement noise and
+// under a ceiling of 4 MB.
 func TestEngineFootprintIndependentOfShardCount(t *testing.T) {
 	const (
 		n         = 1 << 19

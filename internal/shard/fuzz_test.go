@@ -9,12 +9,8 @@ import (
 )
 
 // FuzzShardEngine runs fuzzer-chosen conformance programs on the sharded
-// engine, holding it to the quiescent-exactness contract: under
-// single-threaded use the tournament, the cross-shard FIFO sequencing,
-// and the shared capacity must be indistinguishable from one list. The
-// first byte picks the shard count so the fuzzer explores K=1 (pure
-// pass-through) through K=8 (real partitioning); the rest is the
-// program. Run with `go test -fuzz=FuzzShardEngine ./internal/shard` for
+// engine. The first byte picks a shard count from 1 to 8, which the
+// engine must ignore; the rest is the program. Run with `go test -fuzz=FuzzShardEngine ./internal/shard` for
 // open-ended fuzzing; under plain `go test` the seed corpus runs as a
 // regression test.
 func FuzzShardEngine(f *testing.F) {

@@ -1,6 +1,8 @@
 package shard_test
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -8,6 +10,7 @@ import (
 	"pieo/internal/backend"
 	"pieo/internal/clock"
 	"pieo/internal/core"
+	"pieo/internal/refmodel/conform"
 	"pieo/internal/shard"
 )
 
@@ -20,12 +23,42 @@ var (
 	_ backend.HardwareModeled = (*shard.Engine)(nil)
 )
 
-func TestDefaultShardCount(t *testing.T) {
-	if got := shard.New(64, 0).NumShards(); got != shard.DefaultShards {
-		t.Fatalf("New(64, 0) = %d shards, want %d", got, shard.DefaultShards)
+// TestShardCountIsInert drives one program through engines of every
+// accepted shard count and through a bare core list of the same
+// capacity: every answer, the Snapshot, Stats and HardwareStats must be
+// identical, because the geometry is core's whatever k is. A shard count
+// outside [0, 64] is refused.
+func TestShardCountIsInert(t *testing.T) {
+	const n = 512
+	program := conform.Shape{Capacity: n, RankBits: 7, TimeBits: 4, NeverOdds: 13}.Seeded(5, 30000)
+	for _, k := range []int{0, 1, 8, 64} {
+		e, l := shard.New(n, k), backend.NewCoreList(n)
+		if err := conform.Check(e, l, program); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		for _, now := range []clock.Time{0, 7, clock.Never} {
+			got, gotOK := e.Peek(now)
+			want, wantOK := l.Peek(now)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("k=%d: Peek(%d) = %v,%v, core %v,%v", k, now, got, gotOK, want, wantOK)
+			}
+		}
+		if got, want := e.HardwareStats(), l.HardwareStats(); got != want {
+			t.Fatalf("k=%d: HardwareStats %+v, core %+v", k, got, want)
+		}
+		if got, want := e.Snapshot(), l.Snapshot(); !slices.Equal(got, want) {
+			t.Fatalf("k=%d: Snapshot differs from core's", k)
+		}
 	}
-	if got := shard.New(64, 3).NumShards(); got != 3 {
-		t.Fatalf("New(64, 3) = %d shards, want 3", got)
+	for _, k := range []int{-1, 65} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d, %d) accepted the shard count", n, k)
+				}
+			}()
+			shard.New(n, k)
+		}()
 	}
 }
 
@@ -64,9 +97,9 @@ func TestCrossShardRankOrder(t *testing.T) {
 }
 
 func TestEligibilityAcrossShards(t *testing.T) {
-	// The lowest-ranked element is ineligible; the tournament must skip
-	// its shard and serve the best eligible one, then pick up the blocked
-	// element once time passes.
+	// The lowest-ranked element is ineligible; the engine must serve the
+	// best eligible one, then pick up the blocked element once time
+	// passes.
 	e := shard.New(16, 4)
 	must(t, e.Enqueue(core.Entry{ID: 1, Rank: 1, SendTime: 100}))
 	must(t, e.Enqueue(core.Entry{ID: 2, Rank: 5, SendTime: clock.Always}))
@@ -216,9 +249,9 @@ func TestNextEligibleUpdateRankWakeup(t *testing.T) {
 	}
 }
 
-// TestConcurrentProducersOneConsumer is the engine's reason to exist run
-// under the race detector: parallel producers, one consumer, every
-// element delivered exactly once and the structure intact afterwards.
+// TestConcurrentProducersOneConsumer runs parallel producers and one
+// consumer under the race detector: every element delivered exactly once
+// and the structure intact afterwards.
 func TestConcurrentProducersOneConsumer(t *testing.T) {
 	const (
 		producers   = 8
@@ -398,9 +431,192 @@ func TestConcurrentCapacityNeverExceeded(t *testing.T) {
 	}
 }
 
+// TestCombiningAPIIsInert: the engine has no rings, so after concurrent
+// traffic asking for combining changes nothing — it still reports
+// disabled and every ring counter reads zero.
+func TestCombiningAPIIsInert(t *testing.T) {
+	e := shard.New(1<<12, 8)
+	const perWorker = 2000
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				id := uint32(w*perWorker + i + 1)
+				if err := e.Enqueue(core.Entry{ID: id, Rank: uint64(i), SendTime: clock.Always}); err != nil {
+					t.Errorf("enqueue %d: %v", id, err)
+					return
+				}
+				switch i % 4 {
+				case 1:
+					e.UpdateRank(id, uint64(i+7), clock.Always)
+				case 2:
+					e.DequeueFlow(id)
+				case 3:
+					e.Dequeue(clock.Always)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	e.SetCombining(true)
+	if e.CombiningEnabled() {
+		t.Fatal("CombiningEnabled() = true after SetCombining(true); the engine has no rings")
+	}
+	if cs := e.CombiningStats(); cs != (backend.CombiningStats{}) {
+		t.Fatalf("CombiningStats() = %+v, want zero", cs)
+	}
+	if s := e.Stats(); s.RingOps != 0 || s.CombinedOps != 0 {
+		t.Fatalf("Stats ring counters %d/%d, want zero", s.RingOps, s.CombinedOps)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+}
+
 func must(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentConformance runs two conformance programs on one engine
+// at once, each confined to its own ID range and checked against its own
+// spec. Operations on disjoint ranges commute, so every answer must equal
+// the spec's whatever the interleaving, and afterwards each range of the
+// snapshot must equal its spec's contents.
+func TestConcurrentConformance(t *testing.T) {
+	programs := []struct {
+		base    uint32
+		program []byte
+	}{
+		{0, conform.Shape{Capacity: 96, RankBits: 3, TimeBits: 3, NeverOdds: 16}.Seeded(3, 20000)},
+		{1 << 24, conform.Shape{Capacity: 96, RankBits: 8, TimeBits: 3, Layout: conform.Random}.Seeded(4, 20000)},
+	}
+	e := shard.New(2*96, shard.DefaultShards)
+	specs := make([][]core.Entry, len(programs))
+	errs := make([]error, len(programs))
+	var wg sync.WaitGroup
+	for i, p := range programs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			specs[i], errs[i] = conform.Band(e, p.base, p.program)
+		}()
+	}
+	wg.Wait()
+	for i, p := range programs {
+		if errs[i] != nil {
+			t.Fatalf("program at %d: %v", p.base, errs[i])
+		}
+		var got []core.Entry
+		for _, ent := range e.Snapshot() {
+			if ent.ID >= p.base && ent.ID-p.base < 1<<24 {
+				got = append(got, ent)
+			}
+		}
+		if !slices.Equal(got, specs[i]) {
+			t.Fatalf("range at %d holds %v, spec %v", p.base, got, specs[i])
+		}
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentHoldOrder is the benchmark's contended hold loop, checked
+// for order: two workers share one engine, each dequeuing the minimum
+// and enqueuing a fresh element of its own, its ranks never decreasing
+// and often tied. Within one origin — the prefill, all enqueued before
+// the first dequeue, or one worker — IDs follow enqueue order, so of two
+// elements the one smaller in (rank, ID) is also smaller in the list's
+// (rank, FIFO) order and was resident when the other was taken. A
+// linearizable list hands out its minimum, so no worker may see an
+// origin's (rank, ID) decrease. A list that let a dequeue race past a
+// resident minimum, or broke FIFO among equal ranks, fails here.
+func TestConcurrentHoldOrder(t *testing.T) {
+	const (
+		prefill = 1024
+		pairs   = 20000
+		span    = 1 << 10
+		workers = 2
+	)
+	e := shard.New(2*prefill, shard.DefaultShards)
+	rng := rand.New(rand.NewSource(1))
+	in := map[uint32]bool{}
+	for id := uint32(0); id < prefill; id++ {
+		must(t, e.Enqueue(core.Entry{ID: id, Rank: uint64(rng.Intn(span)), SendTime: clock.Always}))
+		in[id] = true
+	}
+	origin := func(id uint32) int { // -1 for the prefill, else the enqueuing worker
+		if id < prefill {
+			return -1
+		}
+		return int(id-prefill) % workers
+	}
+	outs := make([][]uint32, workers)
+	ins := make([][]uint32, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(w) + 2))
+			last := map[int]core.Entry{}
+			var clk uint64
+			for i := 0; i < pairs; i++ {
+				ent, ok := e.Dequeue(0)
+				if !ok {
+					t.Errorf("worker %d: empty dequeue at pair %d", w, i)
+					return
+				}
+				o := origin(ent.ID)
+				if prev, seen := last[o]; seen && (ent.Rank < prev.Rank || ent.Rank == prev.Rank && ent.ID < prev.ID) {
+					t.Errorf("worker %d: origin %d yielded %v after %v", w, o, ent, prev)
+					return
+				}
+				last[o] = ent
+				outs[w] = append(outs[w], ent.ID)
+				clk = max(clk, ent.Rank+uint64(r.Intn(span)))
+				id := prefill + uint32(w+workers*i)
+				if err := e.Enqueue(core.Entry{ID: id, Rank: clk, SendTime: clock.Always}); err != nil {
+					t.Errorf("worker %d: enqueue: %v", w, err)
+					return
+				}
+				ins[w] = append(ins[w], id)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	// Conservation: what went in is what came out plus what is resident.
+	for w := range ins {
+		for _, id := range ins[w] {
+			in[id] = true
+		}
+	}
+	for w := range outs {
+		for _, id := range outs[w] {
+			if !in[id] {
+				t.Fatalf("id %d dequeued twice or never enqueued", id)
+			}
+			delete(in, id)
+		}
+	}
+	snap := e.Snapshot()
+	for _, ent := range snap {
+		if !in[ent.ID] {
+			t.Fatalf("resident id %d dequeued or never enqueued", ent.ID)
+		}
+	}
+	if len(snap) != len(in) || len(snap) != prefill {
+		t.Fatalf("%d resident, %d unaccounted, want %d", len(snap), len(in), prefill)
+	}
+	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

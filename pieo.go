@@ -24,8 +24,7 @@
 // implements the one Backend contract in full, so code written against
 // Backend runs unchanged on any of them; only HardwareModeled and
 // Batcher are optional. The facade exports what the tools, examples and
-// README use; the sharded engine's supervision surface (Health,
-// FaultEvents) is reached through ShardedList's own methods.
+// README use.
 //
 // Higher layers:
 //
@@ -88,9 +87,6 @@ const (
 var (
 	ErrFull      = core.ErrFull
 	ErrDuplicate = core.ErrDuplicate
-	// ErrShardDown reports an operation the sharded engine refused
-	// because every shard that could serve it is quarantined.
-	ErrShardDown = core.ErrShardDown
 	// ErrUnknownFlow reports an ordered-list extraction whose ID has no
 	// registered flow state.
 	ErrUnknownFlow = core.ErrUnknownFlow
@@ -134,9 +130,8 @@ type (
 	// zero. Inert: the engine has no rings; removed with the benchmark's
 	// three ring rows (ROADMAP item 1).
 	CombiningStats = backend.CombiningStats
-	// ShardedList is the concurrent PIEO engine: flows hash-partitioned
-	// across independently-locked lists, dequeue as a tournament over
-	// per-shard summaries.
+	// ShardedList is the paper-exact list behind one mutex, under the
+	// name the benchmark uses. Its shard count is inert.
 	ShardedList = shard.Engine
 	// AdmissionPolicy selects what a full list does with an arrival:
 	// reject, or rank-aware push-out (DESIGN.md §8).
@@ -163,9 +158,9 @@ func Admit(b Backend, pol AdmissionPolicy, e Entry) (AdmitOutcome, error) {
 	return backend.Admit(b, pol, e)
 }
 
-// NewShardedList creates a sharded concurrent PIEO engine with capacity
-// n split across k independently-locked shards (k <= 0 selects the
-// default shard count) over the paper-exact core list in each shard.
+// NewShardedList creates a concurrency-safe PIEO list with capacity n:
+// one mutex around one paper-exact list. The shard count k must lie in
+// [0, 64] and is otherwise ignored.
 func NewShardedList(n, k int) *ShardedList { return shard.New(n, k) }
 
 // NewBackend constructs a registered backend by name ("core", "sharded",

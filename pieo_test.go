@@ -93,28 +93,23 @@ func TestPublicHardwareModel(t *testing.T) {
 	}
 }
 
-// TestPublicHealthAPI pins the self-healing supervision surface reached
-// through the facade: ShardedList.Health on a healthy engine, and an
-// empty fault log.
+// TestPublicHealthAPI pins the health surface reached through the
+// facade: ShardedList.Health reports occupancy against capacity, and
+// FaultStats reads zero.
 func TestPublicHealthAPI(t *testing.T) {
 	sl := NewShardedList(1024, 4)
 	if err := sl.Enqueue(Entry{ID: 1, Rank: 10, SendTime: Always}); err != nil {
 		t.Fatal(err)
 	}
 	hr := sl.Health()
-	if hr.Occupancy != 1 || hr.Capacity != 1024 || hr.DownShards != 0 || len(hr.Shards) != 4 {
+	if hr.Occupancy != 1 || hr.Capacity != 1024 {
 		t.Fatalf("sharded health = %+v", hr)
 	}
-	for _, sh := range hr.Shards {
-		if !sh.Up || sh.Phase.String() != "closed" {
-			t.Fatalf("healthy shard reports %+v", sh)
-		}
-	}
-	if f := hr.OccupancyFraction(); f <= 0 || f > 1 {
+	if f := hr.OccupancyFraction(); f != 1.0/1024 {
 		t.Fatalf("occupancy fraction = %v", f)
 	}
-	if ev := sl.FaultEvents(); len(ev) != 0 {
-		t.Fatalf("healthy engine logged faults: %v", ev)
+	if fs := sl.FaultStats(); fs.Quarantines != 0 || fs.LostEntries != 0 {
+		t.Fatalf("fault stats = %+v, want zero", fs)
 	}
 }
 

@@ -11,10 +11,11 @@ import (
 // multiple goroutines (e.g. per-connection producers feeding one
 // transmit scheduler). The hardware design — and the single-threaded
 // List — processes one operation per four cycles anyway, so a single
-// lock mirrors the real serialization point rather than hiding it; when
-// the lock itself becomes the bottleneck, switch to the sharded engine
-// (NewShardedList), which partitions flows across independently-locked
-// lists.
+// lock mirrors the real serialization point rather than hiding it. When
+// the lock itself becomes the bottleneck, run one list per core with
+// flows pinned to a list by the classifier's hash; partitioning one
+// list over several locks was measured slower (DESIGN.md, "Why there
+// is no concurrent engine").
 //
 // Each Backend method forwards the wrapped backend's under the lock; the
 // batch methods hold it for the whole batch.
