@@ -132,8 +132,9 @@ func (inj *Injector) squeezeNow() bool {
 
 // Backend wraps a backend.Backend with an Injector's fault schedule.
 // Mutations advance the operation ordinal; enqueues also face the error
-// and squeeze schedules BEFORE reaching the inner backend, so every injected enqueue failure corresponds to an arrival
-// that never entered the list — recorded as a declared drop.
+// and squeeze schedules BEFORE reaching the inner backend, so every
+// injected enqueue failure corresponds to an arrival that never entered
+// the list — recorded as a declared drop.
 type Backend struct {
 	inner backend.Backend
 	inj   *Injector

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"sync"
@@ -59,6 +60,80 @@ func TestShardCountIsInert(t *testing.T) {
 			}()
 			shard.New(n, k)
 		}()
+	}
+}
+
+// TestDefaultShardCount: the registry builds "sharded" as an engine
+// with the default shard count, that count and the zero count are
+// accepted, and every accepted count does the same hardware work as a
+// bare core list of the same capacity.
+func TestDefaultShardCount(t *testing.T) {
+	const n = 64
+	b, err := backend.New("sharded", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, ok := b.(*shard.Engine)
+	if !ok {
+		t.Fatalf("registry built %T for \"sharded\", want *shard.Engine", b)
+	}
+	run := func(b backend.Backend) {
+		for id := uint32(0); id < n; id++ {
+			must(t, b.Enqueue(core.Entry{ID: id, Rank: uint64(id*7) % 13, SendTime: clock.Time(id % 5)}))
+		}
+		for i := 0; i < n/2; i++ {
+			b.Dequeue(clock.Time(i % 6))
+		}
+	}
+	l := backend.NewCoreList(n)
+	run(l)
+	engines := map[string]*shard.Engine{
+		"registry": reg,
+		"k=0":      shard.New(n, 0),
+		"k=3":      shard.New(n, 3),
+		"default":  shard.New(n, shard.DefaultShards),
+	}
+	for name, e := range engines {
+		run(e)
+		if got, want := e.HardwareStats(), l.HardwareStats(); got != want {
+			t.Fatalf("%s: HardwareStats %+v, core %+v", name, got, want)
+		}
+	}
+}
+
+// TestEnqueuePhantomLossCounter: a refused arrival is not a loss. Single
+// enqueues refused as full or duplicate, and the refused tail of a batch
+// at capacity, leave Len exact and FaultStats at zero, and the drain
+// returns exactly what was accepted.
+func TestEnqueuePhantomLossCounter(t *testing.T) {
+	e := shard.New(4, 1)
+	must(t, e.Enqueue(core.Entry{ID: 1, Rank: 10}))
+	if err := e.Enqueue(core.Entry{ID: 1, Rank: 20}); !errors.Is(err, core.ErrDuplicate) {
+		t.Fatalf("duplicate Enqueue = %v, want ErrDuplicate", err)
+	}
+	n, err := e.EnqueueBatch([]core.Entry{{ID: 2, Rank: 20}, {ID: 3, Rank: 30}, {ID: 4, Rank: 40}, {ID: 5, Rank: 50}})
+	if n != 3 || !errors.Is(err, core.ErrFull) {
+		t.Fatalf("EnqueueBatch at capacity = %d,%v, want 3,ErrFull", n, err)
+	}
+	if err := e.Enqueue(core.Entry{ID: 6, Rank: 60}); !errors.Is(err, core.ErrFull) {
+		t.Fatalf("Enqueue when full = %v, want ErrFull", err)
+	}
+	if fs := e.FaultStats(); fs != (shard.FaultStats{}) {
+		t.Fatalf("FaultStats = %+v, want zero: the refused arrivals were rejected, not lost", fs)
+	}
+	if e.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", e.Len())
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []uint32{1, 2, 3, 4} {
+		if got, ok := e.Dequeue(clock.Never - 1); !ok || got.ID != want {
+			t.Fatalf("drain = %+v/%v, want id %d", got, ok, want)
+		}
+	}
+	if e.Len() != 0 || e.FaultStats() != (shard.FaultStats{}) {
+		t.Fatalf("after the drain: Len %d, FaultStats %+v", e.Len(), e.FaultStats())
 	}
 }
 
