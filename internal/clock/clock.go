@@ -66,13 +66,6 @@ func (t Time) String() string {
 	}
 }
 
-// Source is a monotonic time function read at dequeue. Implementations
-// must never move backwards.
-type Source interface {
-	// Now returns the current tick.
-	Now() Time
-}
-
 // Wall is a simulated wall clock in nanoseconds. The zero value is a clock
 // at t=0, ready to use. It is advanced explicitly by the simulator.
 type Wall struct {
@@ -89,8 +82,8 @@ func (w *Wall) Advance(d Time) { w.now += d }
 // past is ignored rather than rewinding the clock. The simulator event
 // loop delivers events in order, so a backwards call only arises when
 // independent wake sources (pacing hints, alarms) race to re-arm the
-// same instant — a no-op is the Source-contract-preserving answer, where
-// the old panic turned a benign stale hint into a crash.
+// same instant — a no-op keeps the clock monotonic, where the old panic
+// turned a benign stale hint into a crash.
 func (w *Wall) AdvanceTo(t Time) {
 	if t < w.now {
 		return
@@ -128,9 +121,3 @@ func (v *Virtual) Set(t Time) {
 		v.now = t
 	}
 }
-
-// Fixed is a Source frozen at a constant tick, handy in tests.
-type Fixed Time
-
-// Now returns the fixed tick.
-func (f Fixed) Now() Time { return Time(f) }

@@ -37,7 +37,7 @@ func TestWallAdvanceTo(t *testing.T) {
 
 func TestWallAdvanceToBackwardsNoOp(t *testing.T) {
 	// A stale wake hint re-arming a past instant must clamp, not rewind
-	// (and not crash): the Source contract is monotonicity.
+	// (and not crash): the clock is monotonic.
 	var w Wall
 	w.AdvanceTo(50)
 	w.AdvanceTo(49)
@@ -126,13 +126,6 @@ func TestVirtualSetOnlyForward(t *testing.T) {
 	v.Set(10)
 	if got := v.Now(); got != 100 {
 		t.Fatalf("Now() = %v, want 100 (Set must not move backwards)", got)
-	}
-}
-
-func TestFixedSource(t *testing.T) {
-	var s Source = Fixed(77)
-	if got := s.Now(); got != 77 {
-		t.Fatalf("Fixed.Now() = %v, want 77", got)
 	}
 }
 

@@ -3,11 +3,11 @@ package core
 import "pieo/internal/clock"
 
 // EnqueueBatch inserts es in order, exactly as the equivalent sequence of
-// Enqueue calls would: every entry is attempted even after a failure, the
-// FIFO tie-break sequence advances per attempted-and-accepted entry, and
-// Stats charges each insert as an individual 4-cycle hardware operation
-// (the hardware has no batch datapath; batching is a software-side
-// amortization of call overhead only). It returns the number of entries
+// Enqueue calls would: every entry is attempted even after a failure,
+// accepted entries take their FIFO places among equal ranks in slice
+// order, and Stats charges each insert as an individual 4-cycle hardware
+// operation (the hardware has no batch datapath; batching is a
+// software-side amortization of call overhead only). It returns the number of entries
 // accepted and the first error encountered, nil when all were accepted.
 func (l *List) EnqueueBatch(es []Entry) (int, error) {
 	accepted := 0

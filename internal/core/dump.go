@@ -34,7 +34,7 @@ func (l *List) DumpSublists() []SublistView {
 			SublistID:        p.sublistID,
 			SmallestRank:     p.smallestRank,
 			SmallestSendTime: p.smallestSendTime,
-			Num:              p.num,
+			Num:              sl.len(),
 			Full:             sl.full(l.sublistSize),
 			Entries:          make([]Entry, sl.len()),
 			EligTimes:        append([]clock.Time(nil), sl.elig...),

@@ -22,12 +22,12 @@ func liveHeap() uint64 {
 // allocation": constructing a 2^19-capacity list costs one sublist, and
 // the live heap at r residents is proportional to r, not to the capacity.
 //
-// A resident is 40 bytes of payload (a 32-byte element plus its 8-byte
-// Eligibility-Sublist time) in a row slot of slotBytes = 54 (the two-ended
+// A resident is 32 bytes of payload (a 24-byte element plus its 8-byte
+// Eligibility-Sublist time) in a row slot of slotBytes = 46 (the two-ended
 // window slack doubles the slot number and the time, not the element, and
 // the free stack adds a number). The bound per resident is two row slots
 // for Invariant 1 (sublists may be half full) plus four 8-byte flow-index
-// slots (just after a doubling) — 140 bytes, where the all-elements-twice
+// slots (just after a doubling) — 124 bytes, where the all-elements-twice
 // layout needed 200; the per-sublist metadata fits in the slack between
 // those worst cases. Storage arrives in steps, so at most two steps'
 // worth — the one being filled and, during the doubling phase, as much

@@ -1,4 +1,4 @@
-package core_test
+package core
 
 import (
 	"math"
@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pieo/internal/clock"
-	"pieo/internal/core"
 )
 
 // BenchmarkHoldResident is the classic hold model on the raw list —
@@ -15,7 +14,10 @@ import (
 // sizes, with capacity twice the resident count as in the bench suite's
 // list_hold workload (which is the 256k row). ns/op is one
 // dequeue+enqueue pair; the rows show how the per-pair cost grows as the
-// flow index and the sublist stores outgrow the caches.
+// flow index and the sublist stores outgrow the caches. B/resident is
+// the list's footprint beside it: the live heap after a collection,
+// taken once after the warm-up and net of the heap before the list was
+// built, divided by the resident count.
 func BenchmarkHoldResident(b *testing.B) {
 	for _, c := range []struct {
 		name     string
@@ -23,7 +25,8 @@ func BenchmarkHoldResident(b *testing.B) {
 	}{{"4k", 1 << 12}, {"32k", 1 << 15}, {"256k", 1 << 18}} {
 		b.Run(c.name, func(b *testing.B) {
 			const span = 1 << 20
-			l := core.New(2 * c.resident)
+			base := liveHeap()
+			l := New(2 * c.resident)
 			rng := rand.New(rand.NewSource(1))
 			id := uint32(0)
 			// Prefill from the model's stationary distribution (density
@@ -31,7 +34,7 @@ func BenchmarkHoldResident(b *testing.B) {
 			// while the list settles.
 			for i := 0; i < c.resident; i++ {
 				rank := uint64(span * (1 - math.Sqrt(1-rng.Float64())))
-				if err := l.Enqueue(core.Entry{ID: id, Rank: rank, SendTime: clock.Always}); err != nil {
+				if err := l.Enqueue(Entry{ID: id, Rank: rank, SendTime: clock.Always}); err != nil {
 					b.Fatal(err)
 				}
 				id++
@@ -41,7 +44,7 @@ func BenchmarkHoldResident(b *testing.B) {
 				if !ok {
 					b.Fatal("hold model ran dry")
 				}
-				if err := l.Enqueue(core.Entry{ID: id, Rank: e.Rank + uint64(rng.Intn(span)), SendTime: clock.Always}); err != nil {
+				if err := l.Enqueue(Entry{ID: id, Rank: e.Rank + uint64(rng.Intn(span)), SendTime: clock.Always}); err != nil {
 					b.Fatal(err)
 				}
 				id++
@@ -52,10 +55,12 @@ func BenchmarkHoldResident(b *testing.B) {
 			for i := 0; i < 4*c.resident; i++ {
 				pair()
 			}
+			footprint := float64(int64(liveHeap())-int64(base)) / float64(c.resident)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pair()
 			}
+			b.ReportMetric(footprint, "B/resident") // after ResetTimer, which drops reported metrics
 		})
 	}
 }

@@ -128,47 +128,42 @@ type Stats struct {
 	ElemCompares  uint64 // sublist comparator activations
 }
 
-// element is an Entry plus its enqueue sequence number, which breaks rank
-// ties in FIFO order exactly as the hardware's insert-after-equals
-// placement does.
+// element is an Entry as a sublist stores it. It carries no sequence
+// number: as in the hardware, equal ranks leave in FIFO order because an
+// arrival is placed after every element of its rank and Invariant-1
+// moves never reorder what they carry (see insertElem).
 //
 // The fields are Entry's, laid out for the cache rather than for the API:
-// the 4-byte id goes last, so an element is 32 bytes — two to a cache
-// line. An element is copied only when it enters a sublist (an enqueue
-// or an Invariant-1 move); ordering it shifts slot numbers (see sublist).
+// the 4-byte id goes last, so an element is 24 bytes. An element is
+// copied only when it enters a sublist (an enqueue or an Invariant-1
+// move); ordering it shifts slot numbers (see sublist).
 type element struct {
 	rank     uint64
 	sendTime clock.Time
-	seq      uint64
 	id       uint32
 }
 
-func newElement(e Entry, seq uint64) element {
-	return element{rank: e.Rank, sendTime: e.SendTime, seq: seq, id: e.ID}
+func newElement(e Entry) element {
+	return element{rank: e.Rank, sendTime: e.SendTime, id: e.ID}
 }
 
 func (a *element) entry() Entry {
 	return Entry{ID: a.id, Rank: a.rank, SendTime: a.sendTime}
 }
 
-// key comparison: rank first, then FIFO sequence.
-func (a *element) less(b *element) bool {
-	if a.rank != b.rank {
-		return a.rank < b.rank
-	}
-	return a.seq < b.seq
-}
+// less compares ranks only; FIFO among equals is positional.
+func (a *element) less(b *element) bool { return a.rank < b.rank }
 
 // sublist is one SRAM-resident sublist: a row of S+1 element slots, the
 // rank order over it, and a parallel multiset of send_times ordered
 // ascending (the Eligibility-Sublist).
 //
 // The row is unordered: an element is written once, into any free slot,
-// and stays there until it leaves the sublist. Its (rank, seq) order is
-// the window slots of 16-bit slot numbers, so an interior insert or
-// removal shifts 2-byte numbers where the hardware re-orders the row in
-// one cycle. free[len(slots):] is the stack of unused slot numbers, top
-// first; the numbers below the top are stale.
+// and stays there until it leaves the sublist. Its rank order — FIFO
+// among equal ranks — is the window slots of 16-bit slot numbers, so an
+// interior insert or removal shifts 2-byte numbers where the hardware
+// re-orders the row in one cycle. free[len(slots):] is the stack of
+// unused slot numbers, top first; the numbers below the top are stale.
 //
 // The two orders live in two-ended backing stores of capacity 2·(S+1)
 // with the live window floating between slack at either end (slots =
@@ -337,16 +332,14 @@ func (s *sublist) removeElig(t clock.Time) {
 	s.elig = s.tbuf[s.tstart : s.tstart+n-1]
 }
 
-// ptr is one Ordered-Sublist-Array entry (§5.2). smallestSeq caches the
-// FIFO sequence of the sublist's head element alongside its rank, so the
-// enqueue-side sublist selection compares the same (rank, seq) key that
-// orders elements inside a sublist.
+// ptr is one Ordered-Sublist-Array entry (§5.2): the sublist's id and
+// its cached smallest rank and smallest send_time. The hardware entry
+// also caches the occupancy; the software reads it from the sublist
+// itself (sublist.len), which every use has at hand.
 type ptr struct {
 	sublistID        int
 	smallestRank     uint64
-	smallestSeq      uint64
 	smallestSendTime clock.Time
-	num              int
 }
 
 // idBounds bounds the IDs resident in one sublist — the pointer-array
@@ -415,7 +408,6 @@ type List struct {
 	eligBlk []clock.Time
 
 	size  int
-	seq   uint64
 	flows idtab.Table[idtab.ID, uint32] // flow id -> sublist id + 1 (per-flow state, §5.2 Dequeue(f))
 
 	stats Stats
@@ -467,7 +459,7 @@ const (
 	// One row slot's share of a sublist: the element, a free-stack entry,
 	// and a slot number and a send_time in each half of the two-ended
 	// stores.
-	slotBytes    = 32 + 2 + 2*(2+8)
+	slotBytes    = 24 + 2 + 2*(2+8)
 	maxStepBytes = 256 << 10
 )
 
@@ -532,11 +524,7 @@ func (l *List) Enqueue(e Entry) error {
 	if l.size == l.capacity {
 		return ErrFull
 	}
-	err := l.enqueue(newElement(e, l.seq+1))
-	if err == nil {
-		l.seq++
-	}
-	return err
+	return l.enqueue(newElement(e))
 }
 
 // enqueue is Enqueue's §5.2 insert datapath; the capacity check has
@@ -545,20 +533,19 @@ func (l *List) Enqueue(e Entry) error {
 // is also the insert of the new key: one probe, and a duplicate returns
 // before anything is charged or changed.
 func (l *List) enqueue(elem element) error {
-	// Cycle 1: the hardware compares (order[i].smallest key > elem key)
+	// Cycle 1: the hardware compares (order[i].smallest_rank > rank)
 	// over the whole pointer array in parallel and priority-encodes the
 	// first strictly-greater sublist j, selecting j-1 (clamped to the
 	// head; an empty list claims its first empty sublist as the head).
-	// The key is the full (rank, seq) pair, as inside a sublist. Stats charge
-	// all l.active comparators; the software resolves j by binary search,
-	// valid because smallest keys are nondecreasing across the active
-	// partition.
+	// Every later sublist then ranks strictly above the arrival, so
+	// placing it after its equals in j-1 places it after all of them.
+	// Stats charge all l.active comparators; the software resolves j by
+	// binary search, valid because smallest ranks are nondecreasing
+	// across the active partition.
 	lo, hi := 0, l.active
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		p := &l.order[mid]
-		if p.smallestRank > elem.rank ||
-			(p.smallestRank == elem.rank && p.smallestSeq > elem.seq) {
+		if l.order[mid].smallestRank > elem.rank {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -612,7 +599,7 @@ func (l *List) enqueue(elem element) error {
 		sp := &l.sublists[l.order[spPos].sublistID]
 		l.stats.SublistReads++
 		l.stats.ElemCompares += uint64(sp.len())
-		l.insertElemAt(spPos, 0, tail) // sp's head: tail.key < all of sp
+		l.insertElemAt(spPos, 0, tail) // sp's head: tail came before all of sp
 		l.flows.Set(idtab.ID(tail.id), uint32(l.order[spPos].sublistID)+1)
 		l.refreshMeta(spPos)
 		l.stats.SublistWrites++
@@ -865,15 +852,14 @@ func (l *List) NextWakeAfter(now clock.Time) clock.Time {
 
 // EligIndexActive implements backend.EligIndexed: always true. The index
 // is the list's own exact metadata (sublist.elig, ptr.smallestSendTime,
-// eligBlk), so MinSendTime is exact and cheap after every mutation —
-// what the sharded engine's exact-summary regime relies on.
+// eligBlk), so MinSendTime is exact and cheap after every mutation.
 func (l *List) EligIndexActive() bool { return true }
 
 // DisableEligIndex implements backend.EligIndexed as a no-op: the list
 // has one time index and no second path to fall back to.
 func (l *List) DisableEligIndex() {}
 
-// MaxRankEntry returns the largest-(rank, FIFO) element — the push-out
+// MaxRankEntry returns the last element in (rank, FIFO) order — the push-out
 // victim a rank-aware admission policy evicts when a higher-priority
 // arrival meets a full list. O(1): the last active sublist tails the
 // global rank order, and its last entry tails the sublist order. Among
@@ -953,9 +939,11 @@ func (l *List) extractAt(pos int, sl *sublist, idx int) {
 	l.refreshMeta(pos)
 }
 
-// insertElem places elem at its (rank, seq) position in the rank order
-// of the sublist at order position pos, locating it by binary search
-// (the hardware's parallel compare; callers charge the comparator stats).
+// insertElem places elem after every element of rank <= elem.rank in
+// the sublist at order position pos — an upper-bound binary search (the
+// hardware's parallel compare; callers charge the comparator stats).
+// Inserting after equals is what makes equal ranks leave in FIFO order:
+// the list stores no arrival stamp, as the hardware stores none.
 func (l *List) insertElem(pos int, elem element) {
 	sl := &l.sublists[l.order[pos].sublistID]
 	lo, hi := 0, sl.len()
@@ -971,7 +959,7 @@ func (l *List) insertElem(pos int, elem element) {
 }
 
 // insertElemAt places elem at rank-order index idx of the sublist at
-// order position pos — its (rank, seq) position, which an Invariant-1
+// order position pos — its position in rank order, which an Invariant-1
 // move knows without searching — and its send_time in the eligibility
 // multiset. It widens the sublist's resident-ID bounds; the pointer-array
 // metadata is the caller's refreshMeta.
@@ -1003,18 +991,13 @@ func (l *List) refreshMeta(pos int) {
 	var t clock.Time
 	if sl.len() == 0 {
 		l.order[pos].smallestRank = 0
-		l.order[pos].smallestSeq = 0
 		l.order[pos].smallestSendTime = clock.Never
-		l.order[pos].num = 0
 		l.ids[l.order[pos].sublistID] = noIDs
 		t = clock.Never
 	} else {
 		t = sl.elig[0]
-		head := sl.at(0)
-		l.order[pos].smallestRank = head.rank
-		l.order[pos].smallestSeq = head.seq
+		l.order[pos].smallestRank = sl.at(0).rank
 		l.order[pos].smallestSendTime = t
-		l.order[pos].num = sl.len()
 	}
 	b := pos >> eligBlockShift
 	switch {
@@ -1087,9 +1070,7 @@ func (l *List) retire(pos int) {
 	l.active--
 	l.order[l.active] = emptied
 	l.order[l.active].smallestRank = 0
-	l.order[l.active].smallestSeq = 0
 	l.order[l.active].smallestSendTime = clock.Never
-	l.order[l.active].num = 0
 	l.ids[emptied.sublistID] = noIDs
 	for i := pos; i <= l.active; i++ {
 		l.posOf[l.order[i].sublistID] = i
@@ -1198,11 +1179,8 @@ func (l *List) CheckInvariants() error {
 			}
 		}
 		// Metadata coherence.
-		if p.num != sl.len() {
-			return fmt.Errorf("position %d num=%d, want %d", i, p.num, sl.len())
-		}
-		if head := sl.at(0); p.smallestRank != head.rank || p.smallestSeq != head.seq {
-			return fmt.Errorf("position %d smallest key=(%d,%d), want (%d,%d)", i, p.smallestRank, p.smallestSeq, head.rank, head.seq)
+		if head := sl.at(0); p.smallestRank != head.rank {
+			return fmt.Errorf("position %d smallestRank=%d, want %d", i, p.smallestRank, head.rank)
 		}
 		if len(sl.elig) != sl.len() {
 			return fmt.Errorf("position %d eligibility size %d, want %d", i, len(sl.elig), sl.len())
@@ -1224,8 +1202,9 @@ func (l *List) CheckInvariants() error {
 				return fmt.Errorf("position %d eligibility sublist has extra %v", i, t)
 			}
 		}
-		// Global (rank, seq) order across the sublist concatenation, and
-		// rank order within the sublist.
+		// Global rank order across the sublist concatenation. FIFO among
+		// equal ranks is positional and leaves no trace to check here;
+		// the conformance suite checks it against refmodel.
 		for j := range sl.slots {
 			e := sl.at(j)
 			if prev != nil && e.less(prev) {

@@ -10,11 +10,17 @@ import (
 
 // The software datapath's unit costs, pinned so that a reordered or
 // added field cannot silently put back the bytes the layout saves: an
-// element is half a cache line (a row is S+1 of them, and every enqueue
-// and Invariant-1 move writes one), a flow-index slot an eighth of one.
+// element is 24 bytes (a row is S+1 of them, and every enqueue and
+// Invariant-1 move writes one), a pointer-array entry 24, a flow-index
+// slot an eighth of a cache line. Neither element nor ptr carries an
+// arrival stamp: as in internal/hwsim, FIFO among equal ranks is
+// positional.
 func TestElementLayout(t *testing.T) {
-	if got := unsafe.Sizeof(element{}); got != 32 {
-		t.Fatalf("element must be 32 bytes (two per cache line): got %d", got)
+	if got := unsafe.Sizeof(element{}); got != 24 {
+		t.Fatalf("element must be 24 bytes (rank, send_time, id; no FIFO stamp): got %d", got)
+	}
+	if got := unsafe.Sizeof(ptr{}); got != 24 {
+		t.Fatalf("ptr must be 24 bytes (sublist id, smallest rank, smallest send_time): got %d", got)
 	}
 	// A flow-index slot is a 4-byte id and a 4-byte sublist id + 1;
 	// idtab's TestSlotIsKeyAndValue pins that a slot adds no flag.
@@ -105,7 +111,7 @@ func TestSublistWindowDrift(t *testing.T) {
 			// the same pattern.
 			lo, hi := uint64(1<<20), uint64(1<<20)
 			add := func(key uint64, idx int) {
-				sl.insertEntryAt(idx, element{rank: key, sendTime: clock.Time(key), seq: key, id: uint32(key)})
+				sl.insertEntryAt(idx, element{rank: key, sendTime: clock.Time(key), id: uint32(key)})
 				sl.insertElig(clock.Time(key))
 			}
 			for i := 0; i < resident; i++ {

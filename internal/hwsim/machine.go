@@ -10,11 +10,11 @@ import (
 
 // Machine is the elaborated PIEO scheduler datapath: register file +
 // comparator banks + priority encoders + dual-port SRAM, executing each
-// primitive operation as the §5.2 four-phase micro-program. Notably it
-// stores NO insertion sequence numbers: the paper's FIFO tie-break among
-// equal ranks emerges purely from insert-after-equals placement and
-// stable sublist positions, which the differential tests verify against
-// internal/core's explicit (rank, seq) ordering.
+// primitive operation as the §5.2 four-phase micro-program. Like
+// internal/core it stores NO insertion sequence numbers: the paper's FIFO
+// tie-break among equal ranks emerges purely from insert-after-equals
+// placement and stable sublist positions — structural in both models,
+// which the differential tests drive side by side.
 type Machine struct {
 	capacity    int
 	sublistSize int
