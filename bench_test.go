@@ -116,7 +116,7 @@ func coreBenchSizes() []int { return []int{1 << 10, 30000, 1 << 19} }
 // coreBenchBackends enumerates the exact backends worth measuring
 // uncontended. The flat reference model is excluded: its O(n) scans at
 // 2^19 would take minutes per benchmark.
-func coreBenchBackends() []string { return []string{"core", "sharded"} }
+func coreBenchBackends() []string { return []string{"core"} }
 
 // warmBackend builds a half-full backend of capacity n with uniformly
 // random ranks, all eligible.
@@ -362,8 +362,9 @@ func benchContended(b *testing.B, be Backend) {
 }
 
 // Capacity 1<<19 makes √n sublist scans and shifts dominate the mutex
-// hold time. The sharded engine is one mutex around one list, so its K
-// is inert; both K rows stay to show that. Steady state holds the
+// hold time. SyncList and ShardedList are one type, one mutex around one
+// list, so every row runs the same code and K is inert; the K rows stay
+// to show that. Steady state holds the
 // list at capacity, so run with a benchtime well above the fill
 // transient (b.N >= ~4x capacity, e.g. -benchtime 10s) when comparing
 // backends. DESIGN.md ("Why there is no concurrent engine") records the

@@ -29,7 +29,6 @@ import (
 	"pieo/internal/pktgen"
 	_ "pieo/internal/refmodel" // register the "ref" backend
 	"pieo/internal/sched"
-	_ "pieo/internal/shard" // register the "sharded" backend
 	"pieo/internal/stats"
 )
 

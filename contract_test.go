@@ -21,8 +21,8 @@ var contractPkgs = map[string]string{
 }
 
 // optionalCaps are the capabilities one backend cannot answer honestly
-// and so stay optional: the reference model has no hardware datapath,
-// and only SyncList has a native batch path.
+// and so stay optional: the reference model has neither a hardware
+// datapath nor a native batch path (core and SyncList have both).
 var optionalCaps = map[string]bool{"HardwareModeled": true, "Batcher": true}
 
 // TestNoCapabilityProbes parses every non-test Go file outside bench/

@@ -5,8 +5,8 @@
 // or approximate list organizations (Eiffel's FFS-based queues, RIFO).
 // Pinning every layer of this repo to *core.List would make each such
 // organization a cross-cutting rewrite, so the scheduler framework
-// (internal/sched), the hierarchy (internal/hier), the concurrency wrappers
-// (SyncList, internal/shard), and the tools all speak this interface
+// (internal/sched), the hierarchy (internal/hier), the locked list
+// (SyncList, in internal/shard), and the tools all speak this interface
 // instead and any backend can drive the full §3.2 programming framework.
 //
 // The contract is the PIEO operation set of §3.1:
@@ -22,20 +22,19 @@
 //   - UpdateRank: dequeue(f) followed by enqueue(f) with a new rank and
 //     send_time, the §3.1 re-rank pattern.
 //
-// plus the queries and the push-out victim every consumer needs. Backend
-// is the whole contract: every list implements all of it bit-for-bit,
-// so adding a backend means implementing this one interface. One
-// conformance suite, internal/refmodel/conform, holds each to the
-// reference model (internal/refmodel): core.List at sublist sizes 2, 3,
-// 6 and ⌈√N⌉, the reference model itself, the sharded engine (one lock
-// around core.List) and SyncList with their batch paths (each also two
-// programs at once on disjoint ID ranges), and the fault-injection
-// wrapper with an empty plan. Only two capabilities stay optional, because one backend
-// cannot answer them honestly: HardwareModeled (the reference model has
-// no datapath) and Batcher (a native batch path; the
-// EnqueueBatch/DequeueUpTo helpers loop otherwise). The inexact
-// baselines (internal/pifo, internal/approx) stay outside the contract
-// and are driven directly by the experiments that measure them.
+// plus the queries and the push-out victim every consumer needs. Backend is
+// the whole contract: every list implements all of it bit-for-bit, so
+// adding a backend means implementing this one interface. One conformance
+// suite, internal/refmodel/conform, holds each to the reference model
+// (internal/refmodel): core.List at sublist sizes 2, 3, 6 and ⌈√N⌉, the
+// reference model itself, SyncList (one lock around core.List) with its
+// batch path (also two programs at once on disjoint ID ranges), and the
+// fault-injection wrapper with an empty plan. Only two capabilities stay
+// optional, because one backend cannot answer them honestly:
+// HardwareModeled (the reference model has no datapath) and Batcher (a
+// native batch path; the EnqueueBatch/DequeueUpTo helpers loop otherwise).
+// The inexact baselines (internal/pifo, internal/approx) stay outside the
+// contract and are driven directly by the experiments that measure them.
 package backend
 
 import (
@@ -124,8 +123,8 @@ type Peeker interface {
 }
 
 // RankUpdater is the re-rank part of Backend: the dequeue(f)+enqueue(f)
-// pattern of §3.1 as one operation, so concurrent readers of a locked or
-// sharded backend never observe the element missing. The re-enqueued
+// pattern of §3.1 as one operation, so concurrent readers of a locked
+// list never observe the element missing. The re-enqueued
 // element takes a fresh FIFO position among its new equal ranks. ok is
 // false when id is not queued.
 type RankUpdater interface {
@@ -144,7 +143,7 @@ type RankRanger interface {
 }
 
 // EligIndexed adds EligIndexActive and DisableEligIndex to Backend's
-// NextWakeAfter. Both are inert on core.List and the sharded engine,
+// NextWakeAfter. Both are inert on core.List and SyncList,
 // whose eligibility index is the Ordered-Sublist-Array's own summaries
 // and so always live. No production code asks for it; it stays declared
 // because the benchmark names it.
@@ -182,7 +181,7 @@ type CombiningStats struct {
 	CombinerDrains uint64
 }
 
-// Combining is the sharded engine's former flat-combining knob: a no-op
+// Combining is the K-lock engine's former flat-combining knob: a no-op
 // setter, a false getter and zero counters. Inert: the engine has no
 // rings; removed with the benchmark's three ring rows (ROADMAP item 1).
 type Combining interface {
@@ -196,8 +195,10 @@ type Combining interface {
 // Backends register a constructor under a short name so tools (pieosim
 // -backend, the differential harness) can be parameterized without linking
 // package identities into every consumer. Registration happens in init
-// functions; internal/shard registers itself, so a caller that wants the
-// sharded engine available must import it (the facade does).
+// functions: this package registers "core" and internal/refmodel
+// registers "ref", so a caller that wants "ref" available must import
+// it (the facade does). The locked list is not registered: callers
+// build it with pieo.NewSyncList.
 
 var (
 	regMu    sync.RWMutex

@@ -18,7 +18,7 @@ func (r HealthReport) OccupancyFraction() float64 {
 	return float64(r.Occupancy) / float64(r.Capacity)
 }
 
-// Health is the sharded engine's health surface. Callers use
+// Health is SyncList's health surface. Callers use
 // ShardedList.Health directly; the interface stays declared because the
 // benchmark's tracing wrapper names it.
 type Health interface {

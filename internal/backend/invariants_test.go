@@ -9,7 +9,6 @@ import (
 	"pieo/internal/faultinject"
 	"pieo/internal/refmodel"
 	"pieo/internal/refmodel/conform"
-	_ "pieo/internal/shard" // registers "sharded"
 )
 
 // stormShape is the mixed workload every registered backend runs: 256
@@ -27,12 +26,12 @@ func registered(t *testing.T, name string) func(int) backend.Backend {
 	}
 }
 
-// TestRegistryNames pins the registry: one exact list (core), its
-// concurrent engine and the reference oracle — exact backends only. A
+// TestRegistryNames pins the registry: one exact list (core) and the
+// reference oracle — exact backends only. A
 // name added or lost is a decision, not a side effect of linking a
 // package.
 func TestRegistryNames(t *testing.T) {
-	want := []string{"core", "ref", "sharded"}
+	want := []string{"core", "ref"}
 	if got := backend.Names(); !slices.Equal(got, want) {
 		t.Fatalf("backend.Names() = %v, want %v", got, want)
 	}

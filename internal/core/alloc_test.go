@@ -70,9 +70,9 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		}
 	}
 	t.Run("fresh ids", fresh(core.New(n), n/2))
-	// The sharded engine's configuration: full shared capacity, geometry
-	// for an eighth of it, occupancy right at that share (what used to be
-	// the constructor's occupancy hint).
+	// The former K-lock engine's configuration: full shared capacity,
+	// geometry for an eighth of it, occupancy right at that share (what
+	// used to be the constructor's occupancy hint).
 	t.Run("fresh ids at the occupancy hint",
 		fresh(core.NewWithSublistSize(n, int(math.Ceil(math.Sqrt(n/8)))), n/8))
 }

@@ -26,10 +26,11 @@ func coreAt(s int) func(int) backend.Backend {
 	}
 }
 
-// exactBackends enumerates the backends that promise bit-for-bit §3.1
+// exactBackends enumerates the lists that promise bit-for-bit §3.1
 // semantics under single-threaded use: the paper-exact sublist list and
-// the sharded engine at K=1 and K=8 (one lock around one core list, so
-// K is inert and both must answer as core does).
+// the engine behind pieo.SyncList and pieo.ShardedList at K=1 and K=8
+// (one lock around one core list, so K is inert and both must answer as
+// core does).
 func exactBackends() map[string]func(int) backend.Backend {
 	return map[string]func(int) backend.Backend{
 		"core":    coreAt(0),
@@ -77,15 +78,15 @@ func TestDifferentialAlwaysEligible(t *testing.T) {
 }
 
 // TestDifferentialBackends replays the conformance programs over every
-// exact backend — the paper list plus the sharded engine at K=1 and
-// K=8, which must be indistinguishable from one flat list whatever K.
+// exact list — the paper list plus the one-lock engine at K=1 and K=8,
+// which must be indistinguishable from one flat list whatever K.
 func TestDifferentialBackends(t *testing.T) {
 	configs := []struct {
 		steps int
 		sh    conform.Shape
 	}{
 		{2000, conform.Shape{Capacity: 9, RankBits: 3, TimeBits: 3, NeverOdds: 17}},  // tiny: constant full/empty pressure
-		{3000, conform.Shape{Capacity: 64, RankBits: 1, TimeBits: 2, NeverOdds: 17}}, // narrow ranks: FIFO tie-breaks cross shards
+		{3000, conform.Shape{Capacity: 64, RankBits: 1, TimeBits: 2, NeverOdds: 17}}, // narrow ranks: constant FIFO tie-breaks
 		{4000, conform.Shape{Capacity: 256, RankBits: 16, TimeBits: 6, NeverOdds: 17}},
 	}
 	for _, cfg := range configs {

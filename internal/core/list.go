@@ -427,12 +427,12 @@ func New(n int) *List {
 }
 
 // NewWithSublistSize creates a PIEO list with an explicit sublist size,
-// used by the sublist-geometry ablation and by sharded engines (whose
-// shards are bounded by the shared capacity but shaped for their share of
-// it). The number of sublists is 2·⌈n/s⌉ + 2: the paper's 2× Invariant-1
-// overhead plus two slack sublists so the worst-case full/partial
-// alternation can never exhaust the empty partition at the capacity
-// boundary. Storage starts at one sublist and grows with the residents.
+// used by the facade's geometry ablations (pieo.NewListWithSublistSize) and
+// the tests' small-sublist lists. The number of sublists is 2·⌈n/s⌉ + 2:
+// the paper's 2× Invariant-1 overhead plus two slack sublists so the
+// worst-case full/partial alternation can never exhaust the empty partition
+// at the capacity boundary. Storage starts at one sublist and grows with
+// the residents.
 func NewWithSublistSize(n, s int) *List {
 	if n <= 0 || s <= 0 || s > maxSublistSize {
 		panic(fmt.Sprintf("pieo: invalid geometry n=%d s=%d", n, s))

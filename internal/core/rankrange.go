@@ -43,25 +43,6 @@ func (l *List) DequeueRankRange(lo, hi uint64) (Entry, bool) {
 	return out, true
 }
 
-// CountRankRange returns how many entries have lo <= rank <= hi. It is
-// O(number of matching sublists) in the model and O(n) worst case in
-// software; intended for dictionary-style queries and tests.
-func (l *List) CountRankRange(lo, hi uint64) int {
-	count := 0
-	for i := 0; i < l.active; i++ {
-		sl := &l.sublists[l.order[i].sublistID]
-		if sl.at(0).rank > hi {
-			break // sublists are rank-partitioned: nothing further matches
-		}
-		for j := range sl.slots {
-			if r := sl.at(j).rank; r >= lo && r <= hi {
-				count++
-			}
-		}
-	}
-	return count
-}
-
 // findMinRankAtLeast locates the first entry (in global rank order) with
 // rank >= lo. Because consecutive sublists partition the rank order, the
 // answer is either in the sublist where lo "would insert" or at the head

@@ -60,22 +60,6 @@ func TestDequeueRankRange(t *testing.T) {
 	}
 }
 
-func TestCountRankRange(t *testing.T) {
-	l := New(256)
-	for i := uint64(0); i < 100; i++ {
-		mustEnqueue(t, l, uint32(i), i%10, clock.Always)
-	}
-	if got := l.CountRankRange(0, 9); got != 100 {
-		t.Fatalf("CountRankRange(all) = %d, want 100", got)
-	}
-	if got := l.CountRankRange(3, 5); got != 30 {
-		t.Fatalf("CountRankRange(3,5) = %d, want 30", got)
-	}
-	if got := l.CountRankRange(10, 99); got != 0 {
-		t.Fatalf("CountRankRange(10,99) = %d, want 0", got)
-	}
-}
-
 func TestUpdateRank(t *testing.T) {
 	l := New(64)
 	mustEnqueue(t, l, 1, 50, clock.Never)

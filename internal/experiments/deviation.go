@@ -105,20 +105,19 @@ func QuantDeviation() *Table {
 }
 
 // quantDrainOrders feeds one deterministic workload to the exact core
-// list and to a second core list fed ⌊rank/width⌋ (RankQuantizer.Bucket),
-// and returns both full drains. The quantized drain's entries carry their
+// list and to a second core list fed ⌊rank/width⌋, and returns both
+// full drains. The quantized drain's entries carry their
 // bucket as their rank.
 func quantDrainOrders(n int, width uint64) (ideal, got []core.Entry) {
 	oracle := backend.NewCoreList(n)
 	quant := backend.NewCoreList(n)
-	q := backend.RankQuantizer{Width: width}
 	rng := rand.New(rand.NewSource(4242))
 	for i := 0; i < n; i++ {
 		ent := core.Entry{ID: uint32(i + 1), Rank: uint64(rng.Intn(1 << 16)), SendTime: clock.Always}
 		if err := oracle.Enqueue(ent); err != nil {
 			panic(fmt.Sprintf("experiments: qdev oracle enqueue: %v", err))
 		}
-		ent.Rank = q.Bucket(ent.Rank)
+		ent.Rank /= width
 		if err := quant.Enqueue(ent); err != nil {
 			panic(fmt.Sprintf("experiments: qdev quantized enqueue: %v", err))
 		}

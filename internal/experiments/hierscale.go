@@ -6,7 +6,6 @@ import (
 	"pieo/internal/backend"
 	"pieo/internal/clock"
 	"pieo/internal/hier"
-	_ "pieo/internal/shard" // registers the "sharded" backend
 	"pieo/internal/stats"
 )
 
@@ -30,25 +29,15 @@ type hierScaleVariant struct {
 	mk   func(rootPolicy *hier.Policy) *hier.Hierarchy
 }
 
-// hierScaleVariants enumerates the layouts: the per-level reference first,
-// then the partitioned single-engine layout over the exact
-// single-threaded list and the concurrent engine.
+// hierScaleVariants enumerates the layouts: the per-level reference
+// first, then the partitioned single-list layout over the exact list.
 func hierScaleVariants() []hierScaleVariant {
-	variants := []hierScaleVariant{
+	return []hierScaleVariant{
 		{"per-level/core", perLevel},
+		{"partitioned/core", func(p *hier.Policy) *hier.Hierarchy {
+			return hier.NewPartitionedOn(linkGbps, p, func(n int) backend.Backend { return backend.NewCoreList(n) })
+		}},
 	}
-	for _, be := range []string{"core", "sharded"} {
-		variants = append(variants, hierScaleVariant{"partitioned/" + be, func(p *hier.Policy) *hier.Hierarchy {
-			return hier.NewPartitionedOn(linkGbps, p, func(n int) backend.Backend {
-				b, err := backend.New(be, n)
-				if err != nil {
-					panic(fmt.Sprintf("hierscale: backend %q: %v", be, err))
-				}
-				return b
-			})
-		}})
-	}
-	return variants
 }
 
 // HierScale reproduces the Fig 11/12 enforcement study at 100x scale:

@@ -15,10 +15,10 @@ import (
 	"pieo/internal/shard"
 )
 
-// The engine under faults: the fault wrapper's error and squeeze
-// schedules over a sharded engine, with a panicking layer between the
-// two. The engine is one lock around one core list, so it has nothing to
-// quarantine and declares no losses: every accepted arrival must be
+// The engine under faults: the fault wrapper's error and squeeze schedules
+// over the one-lock engine behind SyncList, with a panicking layer between
+// the two. The engine is one lock around one core list, so it has nothing
+// to quarantine and declares no losses: every accepted arrival must be
 // delivered or still queued, exactly.
 
 // inducedPanic is the payload of the panicking layer.

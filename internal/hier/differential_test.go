@@ -11,15 +11,12 @@ import (
 	"pieo/internal/flowq"
 	"pieo/internal/netsim"
 	"pieo/internal/policy"
-
-	_ "pieo/internal/shard" // registers "sharded"
 )
 
 // diffBackends is the backend sweep for the partitioned-vs-oracle
-// differential: every registered exact backend the partitioned mode can
-// run on. "core" is the welded single list, and "sharded" is the same
-// list behind the engine's lock.
-var diffBackends = []string{"core", "sharded"}
+// differential: every registered backend the partitioned mode runs on,
+// which is the welded single list.
+var diffBackends = []string{"core"}
 
 // newPartitionedNamed builds a partitioned-mode hierarchy over the named
 // registered backend.
@@ -243,7 +240,7 @@ func TestPartitionedWakeParityShaped(t *testing.T) {
 		return h
 	}
 	oracle := build(func(p *Policy) *Hierarchy { return New(40, p) })
-	part := build(func(p *Policy) *Hierarchy { return newPartitionedNamed(t, "sharded", p) })
+	part := build(func(p *Policy) *Hierarchy { return newPartitionedNamed(t, "core", p) })
 
 	for f := flowq.FlowID(0); f < 12; f++ {
 		p := flowq.Packet{Flow: f, Size: 1500, Seq: uint64(f)}

@@ -26,10 +26,10 @@
 // Concurrency/memory-ordering contract: the Partitioner's bookkeeping
 // (bands, slots, heaps) is NOT synchronized — it assumes a single caller
 // thread, exactly like the hierarchy that owns it. The shared backend may
-// be internally locked (the sharded engine and SyncList take their own
-// lock), but the Partitioner never relies on that: all happens-before
-// edges between partition bookkeeping and backend state come from the
-// single caller's program order. See DESIGN.md §13.
+// be internally locked (SyncList takes its own lock), but the Partitioner
+// never relies on that: all happens-before edges between partition
+// bookkeeping and backend state come from the single caller's program
+// order. See DESIGN.md §13.
 package hier
 
 import (

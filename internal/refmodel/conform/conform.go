@@ -1,10 +1,10 @@
 // Package conform is the one conformance suite of the backend.Backend
 // contract: it replays a byte-coded program of §3.1 operations on an
-// implementation and on its executable spec (internal/refmodel) and
-// fails on the first answer, query or structural check that differs.
-// Every list the repo keeps — core.List at any sublist size, the sharded
-// engine, SyncList and the fault-injection wrapper — is held to the same
-// programs, so a defect in any of them shows up in one place.
+// implementation and on its executable spec (internal/refmodel) and fails
+// on the first answer, query or structural check that differs. Every list
+// the repo keeps — core.List at any sublist size, SyncList and the
+// fault-injection wrapper — is held to the same programs, so a defect in
+// any of them shows up in one place.
 //
 // A program is a 6-byte header followed by operations. The header picks
 // the shape (see Shape): capacity, rank space, time space, the share of

@@ -117,8 +117,8 @@ type Scheduler struct {
 	pol  *policy.Policy // Prog.Policy, or round-robin when that is nil
 	// List is the ordered-list backend the scheduler extracts from. It
 	// defaults to the paper-exact sublist implementation (core.List via
-	// backend.CoreList); NewOn swaps in any other backend — the sharded
-	// engine, the reference model — without touching the programming
+	// backend.CoreList); NewOn swaps in any other backend — the locked
+	// list, the reference model — without touching the programming
 	// framework.
 	List backend.Backend
 

@@ -9,7 +9,6 @@ import (
 	"pieo/internal/netsim"
 	"pieo/internal/policy"
 	_ "pieo/internal/refmodel" // registers the "ref" backend
-	_ "pieo/internal/shard"    // registers the "sharded" backend
 )
 
 func defaultProg() *Program { return &Program{Name: "default"} }
@@ -226,7 +225,7 @@ func TestNextWakeWallDomain(t *testing.T) {
 // rank 1, the hint at 10 is 500 — the already-eligible minimum does not
 // hide the future release.
 func TestNextWakeSameOnEveryBackend(t *testing.T) {
-	for _, name := range []string{"core", "ref", "sharded"} {
+	for _, name := range []string{"core", "ref"} {
 		t.Run(name, func(t *testing.T) {
 			prog := rankingProg("paced", func(a *policy.Attrs, head flowq.Packet) {
 				a.Rank = 1

@@ -1,5 +1,6 @@
-// Package shard keeps the name of the concurrent PIEO engine: one mutex
-// around one paper-exact core.List.
+// Package shard holds the type behind pieo.SyncList and
+// pieo.ShardedList: one mutex around one paper-exact core.List. It keeps
+// its package and ShardedList name because the benchmark names them.
 //
 // The paper serializes one PIEO operation every four cycles, and its
 // "multiple physical PIEOs" (§4.3) are the per-level hierarchy, not a
@@ -10,7 +11,7 @@
 // out of order. DESIGN.md ("Why there is no concurrent engine") holds
 // the measurements. Callers that want parallelism run one list per core
 // with flows pinned by the classifier's hash; callers that must share
-// one list take this one or SyncList.
+// one list take this one.
 //
 // Every operation takes the lock, so the engine is linearizable and
 // answers exactly as one core.List of the same capacity: same Snapshot,
@@ -25,10 +26,6 @@ import (
 	"pieo/internal/clock"
 	"pieo/internal/core"
 )
-
-// DefaultShards is the shard count the backend registry passes. The
-// engine ignores it.
-const DefaultShards = 8
 
 // maxShards bounds the accepted shard count.
 const maxShards = 64
@@ -191,7 +188,3 @@ var (
 	_ backend.Health          = (*Engine)(nil)
 	_ backend.HardwareModeled = (*Engine)(nil)
 )
-
-func init() {
-	backend.Register("sharded", func(n int) backend.Backend { return New(n, DefaultShards) })
-}

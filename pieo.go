@@ -20,10 +20,10 @@
 //	l.Enqueue(pieo.Entry{ID: 7, Rank: 42, SendTime: 1000})
 //	e, ok := l.Dequeue(now) // smallest-ranked eligible element
 //
-// Every ordered list — List through NewBackend, ShardedList, SyncList —
-// implements the one Backend contract in full, so code written against
-// Backend runs unchanged on any of them; only HardwareModeled and
-// Batcher are optional. The facade exports what the tools, examples and
+// Every ordered list — List through NewBackend, and SyncList (also
+// named ShardedList) — implements the one Backend contract in full, so
+// code written against Backend runs unchanged on any of them; only
+// HardwareModeled and Batcher are optional. The facade exports what the tools, examples and
 // README use.
 //
 // Higher layers:
@@ -109,8 +109,8 @@ type (
 	// Backend is the whole ordered-list contract every consumer
 	// (scheduler, hierarchy, SyncList, tools) programs against: the §3.1
 	// operations plus re-rank, push-out victim, next wake and a
-	// structural self-check. core.List, the sharded engine, SyncList and
-	// the reference model all implement every method of it.
+	// structural self-check. core.List, SyncList and the reference model
+	// all implement every method of it.
 	Backend = backend.Backend
 	// BackendStats counts backend operations (enqueues, dequeues, …).
 	BackendStats = backend.Stats
@@ -130,8 +130,8 @@ type (
 	// zero. Inert: the engine has no rings; removed with the benchmark's
 	// three ring rows (ROADMAP item 1).
 	CombiningStats = backend.CombiningStats
-	// ShardedList is the paper-exact list behind one mutex, under the
-	// name the benchmark uses. Its shard count is inert.
+	// ShardedList is SyncList under the name the benchmark uses: the
+	// paper-exact list behind one mutex.
 	ShardedList = shard.Engine
 	// AdmissionPolicy selects what a full list does with an arrival:
 	// reject, or rank-aware push-out (DESIGN.md §8).
@@ -158,13 +158,12 @@ func Admit(b Backend, pol AdmissionPolicy, e Entry) (AdmitOutcome, error) {
 	return backend.Admit(b, pol, e)
 }
 
-// NewShardedList creates a concurrency-safe PIEO list with capacity n:
-// one mutex around one paper-exact list. The shard count k must lie in
-// [0, 64] and is otherwise ignored.
+// NewShardedList creates a SyncList with capacity n. The shard count k
+// must lie in [0, 64] and is otherwise ignored.
 func NewShardedList(n, k int) *ShardedList { return shard.New(n, k) }
 
-// NewBackend constructs a registered backend by name ("core", "sharded",
-// "ref") with the given capacity.
+// NewBackend constructs a registered backend by name ("core" or "ref")
+// with the given capacity.
 func NewBackend(name string, capacity int) (Backend, error) {
 	return backend.New(name, capacity)
 }
@@ -173,7 +172,7 @@ func NewBackend(name string, capacity int) (Backend, error) {
 func BackendNames() []string { return backend.Names() }
 
 // EnqueueBatch inserts es in order through b's native batch path when it
-// has one (SyncList under one lock hold), else through sequential
+// has one (core and SyncList do), else through sequential
 // Enqueue calls. It returns the number accepted and the first error
 // encountered.
 func EnqueueBatch(b Backend, es []Entry) (int, error) { return backend.EnqueueBatch(b, es) }
@@ -266,7 +265,7 @@ func NewHierarchy(linkRateGbps float64, rootPolicy *Policy) *Hierarchy {
 
 // NewHierOn creates a hierarchy in logical-partitioned mode (§4.2): ALL
 // tree nodes multiplex onto ONE shared physical PIEO of the named
-// registered backend ("core", "sharded", ...),
+// registered backend ("core" or "ref"),
 // each node owning a contiguous ID band extracted with ranged dequeues.
 // This is the arrangement that scales to tens of thousands of logical
 // schedulers; NewHierarchy keeps the paper's original one-list-per-level
