@@ -95,7 +95,8 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, ">>> enqueue(%v)\n", e)
 	fmt.Fprintln(w, "cycle 1: parallel compare (smallest_rank > 12) over the pointer array;")
 	fmt.Fprintln(w, "         priority encoder selects the target sublist")
-	fmt.Fprintln(w, "cycle 2: read the sublist from SRAM (and a neighbor/fresh sublist if full)")
+	fmt.Fprintln(w, "cycle 2: read the sublist from SRAM (and, if full, a partly full neighbor;")
+	fmt.Fprintln(w, "         a fresh sublist is empty and needs no read)")
 	fmt.Fprintln(w, "cycle 3: parallel compare inside the sublist finds the insert position;")
 	fmt.Fprintln(w, "         a full sublist pushes its tail out (Invariant 1)")
 	fmt.Fprintln(w, "cycle 4: write back and update the pointer-array metadata")

@@ -182,7 +182,3 @@ func (w *TimingWheel) Dequeue(now clock.Time) (core.Entry, bool) {
 
 // Len returns parked + ready elements.
 func (w *TimingWheel) Len() int { return w.size }
-
-// ReleaseError returns the worst-case release-time error of the wheel:
-// one slot of granularity.
-func (w *TimingWheel) ReleaseError() clock.Time { return w.slotNs }

@@ -117,9 +117,6 @@ func TestTimingWheelGranularityError(t *testing.T) {
 	if !ok || e.ID != 1 {
 		t.Fatalf("Dequeue(200) = %v,%v; slot-granular release expected", e, ok)
 	}
-	if w.ReleaseError() != 100 {
-		t.Fatalf("ReleaseError = %v", w.ReleaseError())
-	}
 }
 
 func TestTimingWheelAlreadyEligible(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"pieo/internal/core"
 	"pieo/internal/refmodel"
 	"pieo/internal/refmodel/conform"
-	"pieo/internal/shard"
 )
 
 // coreAt builds core lists with sublists of s, or of the paper's ⌈√N⌉
@@ -23,19 +22,6 @@ func coreAt(s int) func(int) backend.Backend {
 			return conform.Core(core.New(n))
 		}
 		return conform.Core(core.NewWithSublistSize(n, s))
-	}
-}
-
-// exactBackends enumerates the lists that promise bit-for-bit §3.1
-// semantics under single-threaded use: the paper-exact sublist list and
-// the engine behind pieo.SyncList and pieo.ShardedList at K=1 and K=8
-// (one lock around one core list, so K is inert and both must answer as
-// core does).
-func exactBackends() map[string]func(int) backend.Backend {
-	return map[string]func(int) backend.Backend{
-		"core":    coreAt(0),
-		"shard-1": func(n int) backend.Backend { return shard.New(n, 1) },
-		"shard-8": func(n int) backend.Backend { return shard.New(n, 8) },
 	}
 }
 
@@ -77,9 +63,10 @@ func TestDifferentialAlwaysEligible(t *testing.T) {
 	runDifferential(t, 300, 306, 4000, conform.Shape{Capacity: 128, RankBits: 12})
 }
 
-// TestDifferentialBackends replays the conformance programs over every
-// exact list — the paper list plus the one-lock engine at K=1 and K=8,
-// which must be indistinguishable from one flat list whatever K.
+// TestDifferentialBackends replays the conformance programs over the
+// paper-geometry list through conform.Core, so the list's own selects
+// outside the contract ride on every program. The one-lock engine behind
+// pieo.SyncList is held to the same programs in the root package.
 func TestDifferentialBackends(t *testing.T) {
 	configs := []struct {
 		steps int
@@ -91,11 +78,9 @@ func TestDifferentialBackends(t *testing.T) {
 	}
 	for _, cfg := range configs {
 		for seed := int64(0); seed < 4; seed++ {
-			for name, newBackend := range exactBackends() {
-				t.Run(fmt.Sprintf("%s/cap%d/seed%d", name, cfg.sh.Capacity, seed), func(t *testing.T) {
-					conform.Run(t, newBackend, cfg.sh.Seeded(seed, 7*cfg.steps))
-				})
-			}
+			t.Run(fmt.Sprintf("core/cap%d/seed%d", cfg.sh.Capacity, seed), func(t *testing.T) {
+				conform.Run(t, coreAt(0), cfg.sh.Seeded(seed, 7*cfg.steps))
+			})
 		}
 	}
 }

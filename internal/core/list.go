@@ -591,13 +591,14 @@ func (l *List) enqueue(elem element) error {
 		spPos := -1
 		if pos+1 < l.active && !l.sublists[l.order[pos+1].sublistID].full(l.sublistSize) {
 			spPos = pos + 1
+			l.stats.SublistReads++ // S' is a partly full neighbour
 		} else {
 			// Take a fresh empty sublist and rotate it to pos+1
-			// (paper: "shifting S' to the right of S").
+			// (paper: "shifting S' to the right of S"); it is empty, so
+			// no SRAM read is needed.
 			spPos = l.claimEmptyAt(pos + 1)
 		}
 		sp := &l.sublists[l.order[spPos].sublistID]
-		l.stats.SublistReads++
 		l.stats.ElemCompares += uint64(sp.len())
 		l.insertElemAt(spPos, 0, tail) // sp's head: tail came before all of sp
 		l.flows.Set(idtab.ID(tail.id), uint32(l.order[spPos].sublistID)+1)

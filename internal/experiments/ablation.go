@@ -69,7 +69,7 @@ func Ablation() *Table {
 	t.Notes = []string{
 		"logic is minimized near S = sqrt(N); far smaller S inflates the pointer array, far larger S inflates staging/comparators",
 		"output-triggered runs Policy.Rank at every re-enqueue on the dequeue path; input-triggered runs PrePacket once per arrival (§3.2.1)",
-		"software ns/op per sublist size is BenchmarkAblationSublistSize; per packet, `go run ./bench`",
+		"the ALM and pipelining rows are the hardware model; the software's ns/op per sublist size is BenchmarkAblationSublistSize, per packet `go run ./bench`",
 	}
 	return t
 }

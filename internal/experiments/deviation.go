@@ -48,17 +48,6 @@ func Deviation() *Table {
 	}
 }
 
-// DeviationFraction returns the two-PIFO emulation's maximum order
-// deviation divided by N on the adversarial instance. Exported for the
-// benchmark harness.
-func DeviationFraction(n int) float64 {
-	items := adversarialInstance(n)
-	ideal := idealWF2QOrder(items)
-	got := emulatedOrder(items, pifo.NewTwoPIFO(items))
-	maxDev, _ := stats.OrderDeviation(ideal, got)
-	return float64(maxDev) / float64(n)
-}
-
 // qdevWidths is the bucket-width sweep for the quantization-deviation
 // experiment: width 1 (exact), then three lossy widths spanning the
 // realistic operating range against ranks drawn from [0, 2^16).

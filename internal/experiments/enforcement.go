@@ -119,13 +119,6 @@ func runEnforcement(sampledGbps float64) (vmGbps float64, flowGbps []float64) {
 	return vmGbps, flowGbps
 }
 
-// RunEnforcementPoint runs a single Fig 11/12 trial at the given rate
-// limit and returns the sampled VM's measured rate and its per-flow
-// rates. Exported for the benchmark harness.
-func RunEnforcementPoint(gbps float64) (float64, []float64) {
-	return runEnforcement(gbps)
-}
-
 // Fig11 reproduces the rate-limit enforcement study: configured vs
 // measured throughput of the sampled VM across the rate sweep.
 func Fig11() *Table {

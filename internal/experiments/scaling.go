@@ -126,7 +126,7 @@ func SchedulingRate() *Table {
 		Columns: []string{"size", "FPGA clock", "FPGA ns/op", "ASIC ns/op"},
 		Rows:    rows,
 		Notes: []string{
-			"hardware numbers follow the 4-cycle datapath; software ns/op is BenchmarkPIEOEnqueueDequeue and `go run ./bench`",
+			"hardware numbers follow the 4-cycle datapath; software ns/op is BenchmarkCoreMixed and `go run ./bench`",
 			"MTU at 100 Gbps requires one decision every 120 ns",
 		},
 	}

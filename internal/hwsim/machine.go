@@ -66,15 +66,14 @@ func (m *Machine) Cycle() uint64 { return m.cycle }
 
 // Stats summarizes component activity.
 type Stats struct {
-	Cycles            uint64
-	SRAMReads         uint64
-	SRAMWrites        uint64
-	PtrComparators    uint64
-	SubComparators    uint64
-	PtrEncodes        uint64
-	SubEncodes        uint64
-	PointerShifts     uint64
-	PeakActiveSublist int
+	Cycles         uint64
+	SRAMReads      uint64
+	SRAMWrites     uint64
+	PtrComparators uint64
+	SubComparators uint64
+	PtrEncodes     uint64
+	SubEncodes     uint64
+	PointerShifts  uint64
 }
 
 // Stats returns the accumulated component counters.

@@ -1,6 +1,7 @@
 package hwsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -171,7 +172,8 @@ func TestStructuralFIFOTieBreak(t *testing.T) {
 
 // runDifferentialVsCore drives the structural machine and the functional
 // model with the same operations and demands identical outputs,
-// including tie-breaks.
+// including tie-breaks, and the same §5.2 cost op by op: cycles, SRAM
+// reads and SRAM writes.
 func runDifferentialVsCore(t *testing.T, seed int64, capacity, steps, rankSpace, timeSpace int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -180,10 +182,13 @@ func runDifferentialVsCore(t *testing.T, seed int64, capacity, steps, rankSpace,
 	nextID := uint32(0)
 
 	for step := 0; step < steps; step++ {
+		hwBefore, fnBefore := hw.Stats(), fn.Stats()
+		var op string
 		switch rng.Intn(3) {
 		case 0:
 			w := Word{FlowID: nextID, Rank: uint64(rng.Intn(rankSpace)), SendTime: uint64(rng.Intn(timeSpace))}
 			nextID++
+			op = fmt.Sprintf("Enqueue(%v)", w)
 			hwErr := hw.Enqueue(w)
 			fnErr := fn.Enqueue(core.Entry{ID: w.FlowID, Rank: w.Rank, SendTime: clock.Time(w.SendTime)})
 			if (hwErr == nil) != (fnErr == nil) {
@@ -191,6 +196,7 @@ func runDifferentialVsCore(t *testing.T, seed int64, capacity, steps, rankSpace,
 			}
 		case 1:
 			now := uint64(rng.Intn(timeSpace))
+			op = fmt.Sprintf("Dequeue(%d)", now)
 			hwW, hwOK := hw.Dequeue(now)
 			fnE, fnOK := fn.Dequeue(clock.Time(now))
 			if hwOK != fnOK || (hwOK && (hwW.FlowID != fnE.ID || hwW.Rank != fnE.Rank)) {
@@ -201,11 +207,18 @@ func runDifferentialVsCore(t *testing.T, seed int64, capacity, steps, rankSpace,
 			if nextID > 0 {
 				id = uint32(rng.Intn(int(nextID)))
 			}
+			op = fmt.Sprintf("DequeueFlow(%d)", id)
 			hwW, hwOK := hw.DequeueFlow(id)
 			fnE, fnOK := fn.DequeueFlow(id)
 			if hwOK != fnOK || (hwOK && hwW.FlowID != fnE.ID) {
 				t.Fatalf("seed %d step %d: DequeueFlow(%d) = %v,%v vs %v,%v", seed, step, id, hwW, hwOK, fnE, fnOK)
 			}
+		}
+		hs, fs := hw.Stats(), fn.Stats()
+		hwCost := [3]uint64{hs.Cycles - hwBefore.Cycles, hs.SRAMReads - hwBefore.SRAMReads, hs.SRAMWrites - hwBefore.SRAMWrites}
+		fnCost := [3]uint64{fs.Cycles - fnBefore.Cycles, fs.SublistReads - fnBefore.SublistReads, fs.SublistWrites - fnBefore.SublistWrites}
+		if hwCost != fnCost {
+			t.Fatalf("seed %d step %d: %s costs cycles/reads/writes %v on the machine, %v in core", seed, step, op, hwCost, fnCost)
 		}
 		if hw.Len() != fn.Len() {
 			t.Fatalf("seed %d step %d: Len %d vs %d", seed, step, hw.Len(), fn.Len())
@@ -226,6 +239,10 @@ func runDifferentialVsCore(t *testing.T, seed int64, capacity, steps, rankSpace,
 func TestDifferentialVsCoreSmall(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		runDifferentialVsCore(t, seed, 9, 2500, 8, 8)
+	}
+	// Many short programs on a 12-entry machine with four send times.
+	for seed := int64(20); seed < 170; seed++ {
+		runDifferentialVsCore(t, seed, 12, 1+int(seed)%100, 8, 4)
 	}
 }
 

@@ -3,64 +3,7 @@ package hwsim
 import (
 	"testing"
 	"testing/quick"
-
-	"pieo/internal/clock"
-	"pieo/internal/core"
 )
-
-// Property: for any short random op program, the structural machine and
-// the functional model produce identical results and the machine's
-// invariants hold throughout. This complements the seeded differential
-// tests with quick-check generated programs.
-func TestMachineMatchesCoreProperty(t *testing.T) {
-	type step struct {
-		Op   uint8
-		Rank uint8
-		Time uint8
-	}
-	f := func(steps []step) bool {
-		const capacity = 12
-		hw := New(capacity)
-		fn := core.New(capacity)
-		nextID := uint32(0)
-		for _, s := range steps {
-			switch s.Op % 3 {
-			case 0:
-				w := Word{FlowID: nextID, Rank: uint64(s.Rank % 8), SendTime: uint64(s.Time % 4)}
-				nextID++
-				hwErr := hw.Enqueue(w)
-				fnErr := fn.Enqueue(core.Entry{ID: w.FlowID, Rank: w.Rank, SendTime: clock.Time(w.SendTime)})
-				if (hwErr == nil) != (fnErr == nil) {
-					return false
-				}
-			case 1:
-				now := uint64(s.Time % 4)
-				hwW, hwOK := hw.Dequeue(now)
-				fnE, fnOK := fn.Dequeue(clock.Time(now))
-				if hwOK != fnOK || (hwOK && hwW.FlowID != fnE.ID) {
-					return false
-				}
-			case 2:
-				var id uint32
-				if nextID > 0 {
-					id = uint32(s.Rank) % nextID
-				}
-				_, hwOK := hw.DequeueFlow(id)
-				_, fnOK := fn.DequeueFlow(id)
-				if hwOK != fnOK {
-					return false
-				}
-			}
-			if hw.Len() != fn.Len() || hw.CheckInvariants() != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // Property: every operation costs exactly 4 cycles (successful or not,
 // minus the 1-cycle failed-select path) and at most 4 SRAM accesses.

@@ -67,39 +67,6 @@ func (m *RateMeter) Gbps() float64 {
 	return float64(m.bytes) * 8 / dur // bits per ns == Gbps
 }
 
-// IntervalSeries buckets transmitted bytes into fixed-width time intervals
-// and reports a rate per interval — the time series behind Fig 11.
-type IntervalSeries struct {
-	Width   clock.Time
-	buckets []uint64
-}
-
-// NewIntervalSeries creates a series with the given bucket width in ticks.
-func NewIntervalSeries(width clock.Time) *IntervalSeries {
-	if width == 0 {
-		panic("stats: IntervalSeries width must be positive")
-	}
-	return &IntervalSeries{Width: width}
-}
-
-// Record adds size bytes at instant t.
-func (s *IntervalSeries) Record(t clock.Time, size uint32) {
-	idx := int(t / s.Width)
-	for len(s.buckets) <= idx {
-		s.buckets = append(s.buckets, 0)
-	}
-	s.buckets[idx] += uint64(size)
-}
-
-// Rates returns the per-interval rates in Gbps (ns ticks assumed).
-func (s *IntervalSeries) Rates() []float64 {
-	rates := make([]float64, len(s.buckets))
-	for i, b := range s.buckets {
-		rates[i] = float64(b) * 8 / float64(s.Width)
-	}
-	return rates
-}
-
 // JainIndex computes Jain's fairness index over the given allocations:
 // (Σx)² / (n·Σx²). It is 1.0 for perfectly equal shares and approaches
 // 1/n as one allocation dominates. Returns 0 for empty or all-zero input.

@@ -39,33 +39,6 @@ func TestRateMeterCloseAt(t *testing.T) {
 	}
 }
 
-func TestIntervalSeries(t *testing.T) {
-	s := NewIntervalSeries(100)
-	s.Record(10, 125)  // bucket 0: 1000 bits / 100 ns = 10 Gbps
-	s.Record(99, 125)  // bucket 0 again -> 20 Gbps
-	s.Record(100, 250) // bucket 1: 2000 bits -> 20 Gbps
-	s.Record(350, 125) // bucket 3; bucket 2 stays empty
-	rates := s.Rates()
-	want := []float64{20, 20, 0, 10}
-	if len(rates) != len(want) {
-		t.Fatalf("len(rates) = %d, want %d", len(rates), len(want))
-	}
-	for i := range want {
-		if math.Abs(rates[i]-want[i]) > 1e-9 {
-			t.Fatalf("rates[%d] = %v, want %v", i, rates[i], want[i])
-		}
-	}
-}
-
-func TestIntervalSeriesZeroWidthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewIntervalSeries(0) did not panic")
-		}
-	}()
-	NewIntervalSeries(0)
-}
-
 func TestJainIndexEqualShares(t *testing.T) {
 	if got := JainIndex([]float64{4, 4, 4, 4}); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("JainIndex(equal) = %v, want 1", got)
