@@ -190,11 +190,6 @@ func run(args []string, w io.Writer) error {
 	ls := s.List.Stats()
 	fmt.Fprintf(w, "backend %q: %d enq, %d deq (%d empty), %d flow-deq, %d range-deq\n",
 		*backName, ls.Enqueues, ls.Dequeues, ls.EmptyDequeues, ls.FlowDequeues, ls.RangeDequeues)
-	if hw, ok := s.List.(backend.HardwareModeled); ok {
-		hs := hw.HardwareStats()
-		fmt.Fprintf(w, "hardware model: %d cycles, %d sublist reads, %d writes\n",
-			hs.Cycles, hs.SublistReads, hs.SublistWrites)
-	}
 	if fs := sim.FaultStats(); fs != (backend.FaultStats{}) {
 		return fmt.Errorf("scheduler faults: %+v", fs)
 	}

@@ -73,11 +73,6 @@ func run(w io.Writer) error {
 		fmt.Fprintln(w, "flow 7 boosted to rank 1 via dequeue(f) + enqueue(f)")
 	}
 	dequeue(0)
-
-	// The list also reports its hardware-model cost.
-	s := l.Stats()
-	fmt.Fprintf(w, "hardware model: %d ops in %d cycles (4 cycles/op), %d sublist reads, %d writes\n",
-		s.Enqueues+s.Dequeues+s.FlowDequeues, s.Cycles, s.SublistReads, s.SublistWrites)
 	if want := []uint32{2, 3, 0, 1, 7}; !slices.Equal(got, want) {
 		return fmt.Errorf("dequeued flows %v, want %v", got, want)
 	}

@@ -43,11 +43,15 @@ func TestDifferentialSmallList(t *testing.T) {
 
 func TestDifferentialNarrowRanks(t *testing.T) {
 	// Few distinct ranks: constant FIFO tie-breaking pressure.
-	runDifferential(t, 100, 110, 4000, conform.Shape{Capacity: 64, RankBits: 1, TimeBits: 2})
+	sh := conform.Shape{Capacity: 64, RankBits: 1, TimeBits: 2}
+	runDifferential(t, 0, 4, 3000, sh)
+	runDifferential(t, 100, 110, 4000, sh)
 }
 
 func TestDifferentialMediumList(t *testing.T) {
-	runDifferential(t, 200, 206, 6000, conform.Shape{Capacity: 256, RankBits: 16, TimeBits: 6})
+	sh := conform.Shape{Capacity: 256, RankBits: 16, TimeBits: 6}
+	runDifferential(t, 0, 4, 4000, sh)
+	runDifferential(t, 200, 206, 6000, sh)
 }
 
 func TestDifferentialLargeList(t *testing.T) {
@@ -61,28 +65,6 @@ func TestDifferentialAlwaysEligible(t *testing.T) {
 	// A time space of one instant makes every finite send_time 0: pure
 	// priority-queue behavior (the §4.5 PIFO-emulation mode).
 	runDifferential(t, 300, 306, 4000, conform.Shape{Capacity: 128, RankBits: 12})
-}
-
-// TestDifferentialBackends replays the conformance programs over the
-// paper-geometry list through conform.Core, so the list's own selects
-// outside the contract ride on every program. The one-lock engine behind
-// pieo.SyncList is held to the same programs in the root package.
-func TestDifferentialBackends(t *testing.T) {
-	configs := []struct {
-		steps int
-		sh    conform.Shape
-	}{
-		{2000, conform.Shape{Capacity: 9, RankBits: 3, TimeBits: 3, NeverOdds: 17}},  // tiny: constant full/empty pressure
-		{3000, conform.Shape{Capacity: 64, RankBits: 1, TimeBits: 2, NeverOdds: 17}}, // narrow ranks: constant FIFO tie-breaks
-		{4000, conform.Shape{Capacity: 256, RankBits: 16, TimeBits: 6, NeverOdds: 17}},
-	}
-	for _, cfg := range configs {
-		for seed := int64(0); seed < 4; seed++ {
-			t.Run(fmt.Sprintf("core/cap%d/seed%d", cfg.sh.Capacity, seed), func(t *testing.T) {
-				conform.Run(t, coreAt(0), cfg.sh.Seeded(seed, 7*cfg.steps))
-			})
-		}
-	}
 }
 
 // Property: for any batch of entries, draining the list at a permissive

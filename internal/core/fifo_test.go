@@ -111,11 +111,11 @@ func TestEqualRankRunSpansSublists(t *testing.T) {
 			}
 			spans := func() {
 				t.Helper()
-				views := l.DumpSublists()
+				sublists := core.SublistEntries(l)
 				for _, r := range runRanks {
 					k := 0
-					for _, v := range views {
-						if slices.ContainsFunc(v.Entries, func(e core.Entry) bool { return e.Rank == r }) {
+					for _, es := range sublists {
+						if slices.ContainsFunc(es, func(e core.Entry) bool { return e.Rank == r }) {
 							k++
 						}
 					}

@@ -16,9 +16,9 @@
 // All three primitive operations — Enqueue (Push-In), Dequeue
 // (Extract-Out of the smallest-ranked eligible element), and DequeueFlow
 // (extract a specific element) — complete in a constant four hardware
-// clock cycles; the model counts cycles, sublist reads/writes (SRAM port
-// usage), and comparator activations in Stats so the evaluation harness
-// can reason about hardware cost without re-deriving it.
+// clock cycles. Stats counts cycles, sublist reads/writes (SRAM port
+// usage) and sublist comparator activations; internal/hwsim, the
+// structural datapath the tools walk, is held to the first three op by op.
 //
 // The hardware evaluates its O(√N) comparators in parallel, so a
 // software model that emulates them with sequential scans pays O(√N)
@@ -44,10 +44,9 @@
 //     drifted to an edge of its store is moved back to the middle once
 //     per ~S/2 operations (see sublist).
 //
-// Stats still counts the work the HARDWARE would do — all comparators
-// charged per parallel compare, four cycles per op — not the software's
-// shortcut, so hardware-cost experiments are unaffected by software
-// optimization (see Stats).
+// Stats still counts the work the HARDWARE would do — every lane of a
+// sublist compare, four cycles per op — not the software's shortcut, so
+// the counts are unaffected by software optimization (see Stats).
 //
 // Eligibility predicates follow §5.2: each element carries a send_time
 // and is eligible when curr_time >= send_time, where curr_time is any
@@ -99,21 +98,15 @@ var (
 
 // Stats counts the work performed by the list, in hardware terms.
 // Cycles follows the §5.2 datapath: four cycles per primitive operation.
-// Range dequeues (the hierarchical logical-PIEO path, §4.3) select on both
-// conjuncts of the predicate in the pointer array: a sublist is read only
-// when its cached smallest send_time passes the time filter and its
-// cached resident-ID bounds intersect the requested index range, and
-// only sublists that are read are charged. The bounds are conservative,
-// so a sublist can still be read in vain — its in-range residents are all
-// ineligible, or removals left its bounds wider than its contents; each
-// such sublist costs one additional cycle and one additional read, which
-// the model charges explicitly.
+// A range dequeue (§4.3) reads only sublists whose cached smallest
+// send_time and resident-ID bounds both pass; the bounds are conservative,
+// so a read can still find nothing in range and eligible, and each such
+// read costs one more cycle and one more SRAM read.
 //
-// The counters describe the HARDWARE datapath, not the software model:
-// a parallel compare over the pointer array charges all l.active
-// comparators even though the software resolves it with an O(log √N)
-// binary search, and batch operations (EnqueueBatch, DequeueUpTo) charge
-// exactly what the same operations issued one at a time would.
+// The counters describe the HARDWARE datapath, not the software model: a
+// sublist compare charges every lane even where the software
+// binary-searches, and batch operations (EnqueueBatch, DequeueUpTo)
+// charge exactly what the same operations issued one at a time would.
 type Stats struct {
 	Enqueues      uint64
 	Dequeues      uint64 // successful Dequeue()
@@ -124,7 +117,6 @@ type Stats struct {
 	Cycles        uint64
 	SublistReads  uint64 // sublists fetched from SRAM
 	SublistWrites uint64 // sublists written back to SRAM
-	PtrCompares   uint64 // pointer-array comparator activations
 	ElemCompares  uint64 // sublist comparator activations
 }
 
@@ -539,9 +531,8 @@ func (l *List) enqueue(elem element) error {
 	// head; an empty list claims its first empty sublist as the head).
 	// Every later sublist then ranks strictly above the arrival, so
 	// placing it after its equals in j-1 places it after all of them.
-	// Stats charge all l.active comparators; the software resolves j by
-	// binary search, valid because smallest ranks are nondecreasing
-	// across the active partition.
+	// The software resolves j by binary search, valid because smallest
+	// ranks are nondecreasing across the active partition.
 	lo, hi := 0, l.active
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -569,7 +560,6 @@ func (l *List) enqueue(elem element) error {
 		l.stats.SublistWrites++
 		return nil
 	}
-	l.stats.PtrCompares += uint64(l.active)
 
 	// Cycle 2: read S (and S' if S is full) from SRAM.
 	sl := &l.sublists[sid]
@@ -618,7 +608,6 @@ func (l *List) enqueue(elem element) error {
 func (l *List) Dequeue(now clock.Time) (Entry, bool) {
 	// Cycle 1: priority-encode the first sublist whose smallest
 	// send_time passes (now >= smallest_send_time).
-	l.stats.PtrCompares += uint64(l.active)
 	pos, idx, _, _ := l.findInRange(now, 0, math.MaxUint32, false)
 	if pos == -1 {
 		l.stats.EmptyDequeues++
@@ -640,7 +629,6 @@ func (l *List) Dequeue(now clock.Time) (Entry, bool) {
 // records; sublists the select skipped cost nothing, exactly as in the
 // hardware's parallel select.
 func (l *List) DequeueRange(now clock.Time, lo, hi uint32) (Entry, bool) {
-	l.stats.PtrCompares += uint64(l.active)
 	pos, idx, missReads, missCompares := l.findInRange(now, lo, hi, true)
 	l.stats.SublistReads += missReads
 	l.stats.ElemCompares += missCompares

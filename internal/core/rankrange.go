@@ -52,12 +52,10 @@ func (l *List) findMinRankAtLeast(lo uint64) (pos, idx int) {
 	if l.active == 0 {
 		return -1, -1
 	}
-	l.stats.PtrCompares += uint64(l.active)
 	// First sublist whose smallest rank is >= lo: its head is a
 	// candidate. The preceding sublist may also hold entries >= lo in
-	// its tail. Both searches are binary — the pointer array's smallest
-	// ranks are nondecreasing and each sublist is rank-ordered — while
-	// Stats charges the hardware's parallel comparators as usual.
+	// its tail. Both searches are binary: the pointer array's smallest
+	// ranks are nondecreasing and each sublist is rank-ordered.
 	flo, fhi := 0, l.active
 	for flo < fhi {
 		mid := int(uint(flo+fhi) >> 1)

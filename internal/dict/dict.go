@@ -171,6 +171,3 @@ func (d *Dict[V]) Keys() []uint64 {
 
 // Stats exposes the underlying list's operation counters.
 func (d *Dict[V]) Stats() backend.Stats { return backend.WrapCore(d.list).Stats() }
-
-// HardwareStats exposes the list's §5 datapath counters.
-func (d *Dict[V]) HardwareStats() core.Stats { return d.list.Stats() }

@@ -134,8 +134,8 @@ func Devices() *Table {
 	var rows [][]string
 	g30 := hwmodel.PIEOGeometry(30000)
 	for _, d := range []hwmodel.Device{hwmodel.StratixV, hwmodel.Stratix10, hwmodel.ASIC} {
-		pifoMax := hwmodel.MaxPIFOFitOn(d)
-		pieoMax := hwmodel.MaxPIEOFitOn(d)
+		pifoMax := hwmodel.MaxPIFOFit(d)
+		pieoMax := hwmodel.MaxPIEOFit(d)
 		f := hwmodel.PIEOClockMHzOn(d, g30)
 		rows = append(rows, []string{
 			d.Name,

@@ -43,12 +43,6 @@ type Child struct {
 	Queue *flowq.Queue // non-nil for leaf children
 
 	policy.Attrs
-
-	// resident is true while the child sits in its parent's logical PIEO:
-	// set by insertChild, cleared when descend extracts it. It answers
-	// "is this child backlogged here" without a probe of the physical
-	// structure — WF²Q+ asks once per child per transmitted packet.
-	resident bool
 }
 
 // IsLeaf reports whether the child is a flow.
@@ -78,7 +72,6 @@ type Node struct {
 	children []*Child
 	pt       *Partitioner // the physical PIEO holding this node's children
 	part     *Partition   // this node's band of it; children[i].ID == part.lo+i
-	active   int          // children currently enqueued in this node's logical PIEO
 	stats    NodeStats
 	faults   backend.FaultStats // faults charged to THIS node
 }
@@ -357,10 +350,10 @@ func (h *Hierarchy) OnArrival(now clock.Time, p flowq.Packet) {
 // exactly the inserts that failed earlier.
 func (h *Hierarchy) enqueueChild(now clock.Time, n *Node, c *Child) {
 	for ; n != nil; n, c = n.parent, n.self {
-		if c.resident {
+		if n.part.tracks(c.ID) {
 			continue
 		}
-		if c.IsLeaf() && c.Queue.Empty() || !c.IsLeaf() && c.Node.active == 0 {
+		if c.IsLeaf() && c.Queue.Empty() || !c.IsLeaf() && len(c.Node.part.heap) == 0 {
 			c.Busy = false // idle: its next enqueue is an activation
 			return
 		}
@@ -387,8 +380,6 @@ func (h *Hierarchy) insertChild(n *Node, c *Child) bool {
 		return false
 	}
 	n.stats.Enqueues++
-	n.active++
-	c.resident = true
 	return true
 }
 
@@ -485,7 +476,7 @@ func (h *Hierarchy) pick(n *Node, now clock.Time) bool {
 	for {
 		e, ok := h.extractEntry(n, t)
 		if !ok {
-			if !retriedIdle && n.active > 0 && n.Policy.OnIdle != nil && n.Policy.OnIdle(&n.Node, now) {
+			if !retriedIdle && len(n.part.heap) > 0 && n.Policy.OnIdle != nil && n.Policy.OnIdle(&n.Node, now) {
 				retriedIdle = true
 				if n.Policy.DequeueTime != nil {
 					t = n.Policy.DequeueTime(&n.Node, now)
@@ -494,20 +485,18 @@ func (h *Hierarchy) pick(n *Node, now clock.Time) bool {
 			}
 			return false
 		}
-		// Children sit at their ID's offset in the node's band; an ID
-		// below lo wraps past any length. Anything but a resident child
-		// is a phantom, a core.ErrUnknownFlow condition: discard it before
+		// Children sit at their ID's offset in the node's band, and the
+		// band tracks exactly its resident children. Anything else is a
+		// phantom, a core.ErrUnknownFlow condition: discard it before
 		// touching the band's books and keep descending.
-		i := e.ID - n.part.lo
-		if uint64(i) >= uint64(len(n.children)) || !n.children[i].resident {
+		if !n.part.tracks(e.ID) {
 			h.fault(n, backend.FaultStats{UnknownFlows: 1},
 				fmt.Errorf("%w: depth %d returned id %d, not a resident child", core.ErrUnknownFlow, n.depth, e.ID))
 			continue
 		}
+		i := e.ID - n.part.lo
 		n.part.untrack(i)
 		c := n.children[i]
-		c.resident = false
-		n.active--
 		if c.IsLeaf() || h.descend(c.Node, now) {
 			h.path = append(h.path, pathStep{n, c})
 			return true

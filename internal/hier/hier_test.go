@@ -530,8 +530,8 @@ func TestNestedDeferralPutsBranchesBack(t *testing.T) {
 			t.Fatalf("%s: a blocked leaf was served before its send_time", layout.name)
 		}
 		for _, n := range []*Node{a, a1, a2} {
-			if !n.Self().resident || n.active == 0 {
-				t.Fatalf("%s: node %s left out after deferral: resident=%v active=%d", layout.name, n.Name, n.Self().resident, n.active)
+			if !n.parent.part.tracks(n.Self().ID) || len(n.part.heap) == 0 {
+				t.Fatalf("%s: node %s left out after deferral: resident=%v, children resident %d", layout.name, n.Name, n.parent.part.tracks(n.Self().ID), n.part.residents())
 			}
 		}
 		if len(h.deferred) != 0 {
@@ -606,8 +606,8 @@ func TestUnknownChildFault(t *testing.T) {
 			if h.FaultStats().UnknownFlows != 1 || vms[1].FaultStats().UnknownFlows != 1 || !errors.Is(h.LastFault(), core.ErrUnknownFlow) {
 				t.Fatalf("%s: faults %+v, node %+v, last %v", ctx, h.FaultStats(), vms[1].FaultStats(), h.LastFault())
 			}
-			if vms[1].active != 0 || h.Backlog() != 0 {
-				t.Fatalf("%s: vm active %d, backlog %d after the only packet left", ctx, vms[1].active, h.Backlog())
+			if len(vms[1].part.heap) != 0 || h.Backlog() != 0 {
+				t.Fatalf("%s: vm children resident %d, backlog %d after the only packet left", ctx, vms[1].part.residents(), h.Backlog())
 			}
 			if _, ok := h.NextPacket(0); ok {
 				t.Fatalf("%s: a packet after the backlog drained", ctx)

@@ -49,13 +49,3 @@ func PIEOClockMHzOn(d Device, g Geometry) float64 {
 	f := PIEOClockMHz(g) * clockScale(d)
 	return math.Min(f, ASICClockMHz)
 }
-
-// MaxPIEOFitOn and MaxPIFOFitOn generalize the fit search to any device.
-func MaxPIEOFitOn(d Device) int {
-	return maxFit(d, func(n int) Resources { return PIEOResources(PIEOGeometry(n)) })
-}
-
-// MaxPIFOFitOn returns the largest PIFO capacity fitting device d.
-func MaxPIFOFitOn(d Device) int {
-	return maxFit(d, PIFOResources)
-}

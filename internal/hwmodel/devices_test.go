@@ -6,8 +6,8 @@ import (
 )
 
 func TestStratix10FitsMore(t *testing.T) {
-	v := MaxPIEOFitOn(StratixV)
-	s10 := MaxPIEOFitOn(Stratix10)
+	v := MaxPIEOFit(StratixV)
+	s10 := MaxPIEOFit(Stratix10)
 	if s10 <= v {
 		t.Fatalf("Stratix 10 max %d <= Stratix V max %d", s10, v)
 	}
@@ -21,11 +21,11 @@ func TestPIFOStillLogicBoundOnStratix10(t *testing.T) {
 	// PIFO's linear logic keeps it tiny even on the bigger part: ~4x the
 	// ALMs admit ~4x the elements — still thousands, not tens of
 	// thousands.
-	got := MaxPIFOFitOn(Stratix10)
+	got := MaxPIFOFit(Stratix10)
 	if got < 4000 || got > 10000 {
 		t.Fatalf("PIFO max on Stratix 10 = %d, want a few thousand", got)
 	}
-	pieo := MaxPIEOFitOn(Stratix10)
+	pieo := MaxPIEOFit(Stratix10)
 	if pieo < 30*got {
 		t.Fatalf("PIEO advantage on Stratix 10 = %dx, want >= 30x", pieo/got)
 	}

@@ -267,15 +267,15 @@ func NsPerOp(clockMHz float64, cycles int) float64 {
 	return float64(cycles) * 1000 / clockMHz
 }
 
-// SchedulingRateMops returns scheduling decisions per microsecond·1e-... ;
-// it is simply 1e3/NsPerOp, i.e. million operations per second.
+// SchedulingRateMops returns the scheduling rate in million operations
+// per second: clockMHz/cycles, which is 1e3/NsPerOp.
 func SchedulingRateMops(clockMHz float64, cycles int) float64 {
 	return clockMHz / float64(cycles)
 }
 
 // MaxPIEOFit returns the largest capacity (in elements) whose PIEO
 // instance fits device d, searching powers-of-two-friendly steps. Used
-// for the ">30× more scalable" headline.
+// for the ">30× more scalable" headline and the devices sweep.
 func MaxPIEOFit(d Device) int {
 	return maxFit(d, func(n int) Resources { return PIEOResources(PIEOGeometry(n)) })
 }

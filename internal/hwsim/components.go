@@ -1,24 +1,26 @@
 // Package hwsim is a structural, component-level elaboration of the §5
-// hardware design — the closest Go gets to the paper's System Verilog.
-// Where internal/core models the ordered list functionally (and merely
-// counts hardware work), hwsim builds the datapath out of explicit
-// components:
+// hardware design — the closest Go gets to the paper's System Verilog —
+// and the repo's one model of the datapath's cost. It builds the datapath
+// out of explicit components:
 //
 //   - a register file of Ordered-Sublist-Array pointer entries,
 //   - parallel comparator banks and priority encoders,
 //   - a dual-port SRAM whose per-cycle port usage is ASSERTED, not
 //     counted: a third access in the same cycle panics.
 //
-// Each primitive operation executes as an explicit four-phase
-// micro-program (compare/encode → read → compare/encode → write), with
-// the machine's cycle counter advanced phase by phase. The result is a
-// third, independent implementation of the PIEO semantics that the test
-// suite checks word-for-word against internal/core and the flat
-// reference model — and a machine-checked witness that the §5 datapath
-// really fits its two-reads/two-writes, four-cycle budget.
+// Each primitive operation — enqueue, dequeue, ranged dequeue, dequeue(f),
+// and the re-rank and eviction built on them — runs as an explicit
+// micro-program (compare/encode → read → compare/encode → write), the
+// cycle counter advancing phase by phase. Its tests hold it to
+// internal/core on the conformance programs of internal/refmodel/conform,
+// answer and cost (cycles, SRAM reads, SRAM writes) operation by
+// operation, and cmd/pieotrace walks it to print Fig 6/7.
 package hwsim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // PriorityEncoder returns the smallest index whose input bit is set
 // (Fig 5's "priority encoder takes as input a bit vector and returns the
@@ -147,16 +149,32 @@ func (m *DualPortSRAM) Write(id int, img SublistImage) {
 	m.images[id] = img.clone()
 }
 
-// Peek inspects a sublist without consuming a port (testing only).
+// Peek inspects a sublist without consuming a port (checks, tracing, PeekMax).
 func (m *DualPortSRAM) Peek(id int) SublistImage { return m.images[id].clone() }
 
-// PointerEntry is one Ordered-Sublist-Array register (§5.2).
+// PointerEntry is one Ordered-Sublist-Array register (§5.2). IDLo and
+// IDHi bound the flow IDs resident in the sublist, for the ranged
+// select's second conjunct (§4.2): every resident lies inside them, an
+// insert or Invariant-1 move widens them, a removal leaves them as they
+// are, an emptied sublist clears them to the inverted interval
+// [MaxUint32, 0], and a ranged read that misses sets them exact.
 type PointerEntry struct {
 	SublistID        int
 	SmallestRank     uint64
 	SmallestSendTime uint64
 	Num              int
+	IDLo, IDHi       uint32
 }
+
+// admit widens the resident-ID bounds to cover id.
+func (e *PointerEntry) admit(id uint32) {
+	e.IDLo = min(e.IDLo, id)
+	e.IDHi = max(e.IDHi, id)
+}
+
+// clearIDs sets the bounds of an empty sublist, which no ranged select
+// passes.
+func (e *PointerEntry) clearIDs() { e.IDLo, e.IDHi = math.MaxUint32, 0 }
 
 // RegisterFile holds the pointer array in "flip-flops": plain registers
 // with whole-array shift support, as the compare-and-shift architecture
@@ -172,6 +190,7 @@ func NewRegisterFile(numSublists int) *RegisterFile {
 	rf := &RegisterFile{Entries: make([]PointerEntry, numSublists)}
 	for i := range rf.Entries {
 		rf.Entries[i] = PointerEntry{SublistID: i, SmallestSendTime: NeverTime}
+		rf.Entries[i].clearIDs()
 	}
 	return rf
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"pieo/internal/idtab"
 )
@@ -61,9 +62,6 @@ func New(n int) *Machine {
 // Len returns the number of stored elements.
 func (m *Machine) Len() int { return m.size }
 
-// Cycle returns the machine's clock-cycle counter.
-func (m *Machine) Cycle() uint64 { return m.cycle }
-
 // Stats summarizes component activity.
 type Stats struct {
 	Cycles         uint64
@@ -71,9 +69,7 @@ type Stats struct {
 	SRAMWrites     uint64
 	PtrComparators uint64
 	SubComparators uint64
-	PtrEncodes     uint64
 	SubEncodes     uint64
-	PointerShifts  uint64
 }
 
 // Stats returns the accumulated component counters.
@@ -84,13 +80,11 @@ func (m *Machine) Stats() Stats {
 		SRAMWrites:     m.mem.Writes,
 		PtrComparators: m.ptrCmp.Activations,
 		SubComparators: m.subCmp.Activations,
-		PtrEncodes:     m.ptrEnc.Activations,
 		SubEncodes:     m.subEnc.Activations,
-		PointerShifts:  m.rf.Shifts,
 	}
 }
 
-// full reports whether the image holds a complete sublist.
+// fullImg reports whether the image holds a complete sublist.
 func (m *Machine) fullImg(img SublistImage) bool { return len(img.Rank) == m.sublistSize }
 
 // Enqueue runs the §5.2 enqueue micro-program.
@@ -114,14 +108,10 @@ func (m *Machine) Enqueue(w Word) error {
 			return m.rf.Entries[i].SmallestRank > w.Rank
 		})
 		j := m.ptrEnc.Encode(bits)
-		switch {
-		case j == -1:
-			pos = m.active - 1
-		case j == 0:
-			pos = 0
-		default:
-			pos = j - 1
+		if j == -1 {
+			j = m.active
 		}
+		pos = max(j-1, 0)
 	}
 
 	// Cycle 2: read S (and S' when S is full).
@@ -148,16 +138,14 @@ func (m *Machine) Enqueue(w Word) error {
 	// Cycle 3: find positions with comparators + encoders and mutate the
 	// staged images.
 	m.cycle++
-	m.insertWord(&img, w)
+	m.put(&m.rf.Entries[pos], &img, -1, w)
 	m.where.Insert(idtab.ID(w.FlowID), uint32(sID)+1)
 	if wasFull {
-		tail := img.Rank[len(img.Rank)-1]
-		img.Rank = img.Rank[:len(img.Rank)-1]
-		m.removeElig(&img, tail.SendTime)
 		// §5.2: "the tail element in S.Rank-Sublist will be moved to the
 		// head of S'.Rank-Sublist" — deterministic head placement keeps
 		// equal-rank words in their original (FIFO) order.
-		m.insertHead(&spImg, tail)
+		tail := m.take(&img, len(img.Rank)-1)
+		m.put(&m.rf.Entries[spPos], &spImg, 0, tail)
 		m.where.Set(idtab.ID(tail.FlowID), uint32(m.rf.Entries[spPos].SublistID)+1)
 	}
 
@@ -174,26 +162,39 @@ func (m *Machine) Enqueue(w Word) error {
 	return nil
 }
 
-// Dequeue runs the §5.2 dequeue micro-program at the given time.
+// Dequeue runs the §5.2 dequeue micro-program at the given time: the
+// ranged dequeue over the whole ID space, where every resident is in
+// range and so no sublist read can miss.
 func (m *Machine) Dequeue(now uint64) (Word, bool) {
-	// Cycle 1: first sublist whose smallest send time has passed.
+	return m.DequeueRange(now, 0, math.MaxUint32)
+}
+
+// DequeueRange runs the §4.2 ranged dequeue: the smallest-ranked word
+// eligible at now whose flow ID lies in [lo, hi]. Cycle 1's select adds
+// the second conjunct to the time filter on the pointer array's
+// resident-ID bounds. The bounds are conservative — removals never narrow
+// them — so a selected sublist can hold no eligible in-range word. Such a
+// read is a miss: it costs one more cycle and one more read, sets the
+// sublist's bounds exact (the read saw every resident), and the select
+// goes on to the next candidate.
+func (m *Machine) DequeueRange(now uint64, lo, hi uint32) (Word, bool) {
+	// Cycle 1: first sublist passing both conjuncts.
 	m.cycle++
-	if m.active == 0 {
-		return Word{}, false
-	}
-	bits := m.ptrCmp.Compare(m.active, func(i int) bool {
-		return now >= m.rf.Entries[i].SmallestSendTime
-	})
-	pos := m.ptrEnc.Encode(bits)
-	if pos == -1 {
-		return Word{}, false
-	}
-	return m.extract(pos, func(img SublistImage) int {
-		b := m.subCmp.Compare(len(img.Rank), func(i int) bool {
-			return img.Rank[i].SendTime <= now
+	for from := 0; ; {
+		bits := m.ptrCmp.Compare(m.active, func(i int) bool {
+			e := &m.rf.Entries[i]
+			return i >= from && now >= e.SmallestSendTime && e.IDLo <= hi && e.IDHi >= lo
 		})
-		return m.subEnc.Encode(b)
-	})
+		pos := m.ptrEnc.Encode(bits)
+		if pos == -1 {
+			return Word{}, false
+		}
+		w, ok := m.extract(pos, func(w Word) bool { return w.SendTime <= now && w.FlowID >= lo && w.FlowID <= hi })
+		if ok {
+			return w, true
+		}
+		from = pos + 1
+	}
 }
 
 // DequeueFlow runs the dequeue(f) micro-program.
@@ -213,24 +214,72 @@ func (m *Machine) DequeueFlow(id uint32) (Word, bool) {
 	if pos == -1 {
 		panic(fmt.Sprintf("hwsim: flow state points at inactive sublist %d", sID))
 	}
-	return m.extract(pos, func(img SublistImage) int {
-		b := m.subCmp.Compare(len(img.Rank), func(i int) bool {
-			return img.Rank[i].FlowID == id
-		})
-		return m.subEnc.Encode(b)
-	})
+	w, ok := m.extract(pos, func(w Word) bool { return w.FlowID == id })
+	if !ok {
+		panic(fmt.Sprintf("hwsim: flow state points flow %d at sublist %d but it is not there", id, sID))
+	}
+	return w, true
+}
+
+// UpdateRank re-ranks the queued flow id: dequeue(f) followed by an
+// enqueue of the same flow with the new rank and send time (§3.1), eight
+// cycles in all. ok is false when id is not queued.
+func (m *Machine) UpdateRank(id uint32, rank, sendTime uint64) bool {
+	w, ok := m.DequeueFlow(id)
+	if !ok {
+		return false
+	}
+	w.Rank, w.SendTime = rank, sendTime
+	if err := m.Enqueue(w); err != nil {
+		panic("hwsim: UpdateRank re-enqueue failed: " + err.Error())
+	}
+	return true
+}
+
+// PeekMax returns the push-out victim: the tail word of the last active
+// sublist, which holds the largest rank and, among equal ranks, the
+// newest arrival. The read takes no SRAM port and no cycle — core's
+// MaxRankEntry charges nothing either; a design would keep the word in a
+// register beside the pointer array.
+func (m *Machine) PeekMax() (Word, bool) {
+	if m.active == 0 {
+		return Word{}, false
+	}
+	img := m.mem.Peek(m.rf.Entries[m.active-1].SublistID)
+	return img.Rank[len(img.Rank)-1], true
+}
+
+// EvictMax extracts PeekMax's word through dequeue(f).
+func (m *Machine) EvictMax() (Word, bool) {
+	w, ok := m.PeekMax()
+	if !ok {
+		return Word{}, false
+	}
+	return m.DequeueFlow(w.FlowID)
 }
 
 // extract performs cycles 2–4 of any dequeue variant: read S (plus a
-// non-full donor neighbor when S is full), remove the element selected
-// by pick, refill to preserve Invariant 1, write back, and retire
-// emptied sublists.
-func (m *Machine) extract(pos int, pick func(SublistImage) int) (Word, bool) {
+// non-full donor neighbor when S is full), remove the first word that
+// matches, refill to preserve Invariant 1, write back, and retire
+// emptied sublists. The sublist compare runs on S as it leaves the SRAM,
+// so a miss — no word matches — is known in the read cycle: extract then
+// sets S's resident-ID bounds exact, changes nothing else and returns
+// false after that one cycle and one read (a ranged dequeue's miss).
+func (m *Machine) extract(pos int, match func(Word) bool) (Word, bool) {
 	// Cycle 2: reads.
 	m.cycle++
 	m.mem.BeginCycle(m.cycle)
 	sID := m.rf.Entries[pos].SublistID
 	img := m.mem.Read(sID)
+	idx := m.firstSet(len(img.Rank), func(i int) bool { return match(img.Rank[i]) })
+	if idx == len(img.Rank) {
+		e := &m.rf.Entries[pos]
+		e.clearIDs()
+		for _, w := range img.Rank {
+			e.admit(w.FlowID)
+		}
+		return Word{}, false
+	}
 	wasFull := m.fullImg(img)
 
 	donorPos := -1
@@ -247,16 +296,9 @@ func (m *Machine) extract(pos int, pick func(SublistImage) int) (Word, bool) {
 		}
 	}
 
-	// Cycle 3: selection and mutation of the staged images.
+	// Cycle 3: mutation of the staged images.
 	m.cycle++
-	idx := pick(img)
-	if idx == -1 {
-		panic(fmt.Sprintf("hwsim: metadata promised an element in sublist %d but none matched", sID))
-	}
-	out := img.Rank[idx]
-	copy(img.Rank[idx:], img.Rank[idx+1:])
-	img.Rank = img.Rank[:len(img.Rank)-1]
-	m.removeElig(&img, out.SendTime)
+	out := m.take(&img, idx)
 	m.where.Delete(idtab.ID(out.FlowID))
 
 	if donorPos != -1 && len(donorImg.Rank) > 0 {
@@ -264,19 +306,12 @@ func (m *Machine) extract(pos int, pick func(SublistImage) int) (Word, bool) {
 		// the head (if S' is to the left of S) or to the tail (if S' is
 		// to the right of S) of S.Rank-Sublist" — the fixed placement is
 		// what preserves FIFO order among equal ranks.
-		var moved Word
+		from, to := 0, len(img.Rank)
 		if donorLeft {
-			moved = donorImg.Rank[len(donorImg.Rank)-1]
-			donorImg.Rank = donorImg.Rank[:len(donorImg.Rank)-1]
-			m.removeElig(&donorImg, moved.SendTime)
-			m.insertHead(&img, moved)
-		} else {
-			moved = donorImg.Rank[0]
-			copy(donorImg.Rank, donorImg.Rank[1:])
-			donorImg.Rank = donorImg.Rank[:len(donorImg.Rank)-1]
-			m.removeElig(&donorImg, moved.SendTime)
-			m.insertTail(&img, moved)
+			from, to = len(donorImg.Rank)-1, 0
 		}
+		moved := m.take(&donorImg, from)
+		m.put(&m.rf.Entries[pos], &img, to, moved)
 		m.where.Set(idtab.ID(moved.FlowID), uint32(sID)+1)
 	}
 
@@ -304,76 +339,41 @@ func (m *Machine) extract(pos int, pick func(SublistImage) int) (Word, bool) {
 	return out, true
 }
 
-// insertWord places w at its rank position (after equal ranks — the
-// structural FIFO tie-break) and its send time into the eligibility
-// order, using the sublist comparator bank and encoder.
-func (m *Machine) insertWord(img *SublistImage, w Word) {
-	bits := m.subCmp.Compare(len(img.Rank), func(i int) bool {
-		return img.Rank[i].Rank > w.Rank
-	})
-	idx := m.subEnc.Encode(bits)
+// put places w at rank-order index idx of img — at its rank position,
+// after every equal rank (the structural FIFO tie-break), when idx is -1;
+// an Invariant-1 move knows its index — and its send time into the
+// eligibility order, searching with the sublist comparator bank and
+// encoder. It widens e's resident-ID bounds to cover w.
+func (m *Machine) put(e *PointerEntry, img *SublistImage, idx int, w Word) {
 	if idx == -1 {
-		idx = len(img.Rank)
+		idx = m.firstSet(len(img.Rank), func(i int) bool { return img.Rank[i].Rank > w.Rank })
 	}
-	img.Rank = append(img.Rank, Word{})
-	copy(img.Rank[idx+1:], img.Rank[idx:])
-	img.Rank[idx] = w
-
-	ebits := m.subCmp.Compare(len(img.Elig), func(i int) bool {
-		return img.Elig[i] > w.SendTime
-	})
-	eidx := m.subEnc.Encode(ebits)
-	if eidx == -1 {
-		eidx = len(img.Elig)
-	}
-	img.Elig = append(img.Elig, 0)
-	copy(img.Elig[eidx+1:], img.Elig[eidx:])
-	img.Elig[eidx] = w.SendTime
+	img.Rank = slices.Insert(img.Rank, idx, w)
+	eidx := m.firstSet(len(img.Elig), func(i int) bool { return img.Elig[i] > w.SendTime })
+	img.Elig = slices.Insert(img.Elig, eidx, w.SendTime)
+	e.admit(w.FlowID)
 }
 
-// insertHead places w at the head of the rank order (used for words
-// migrating in from the left) and its send time into the eligibility
-// order via compare + encode.
-func (m *Machine) insertHead(img *SublistImage, w Word) {
-	img.Rank = append(img.Rank, Word{})
-	copy(img.Rank[1:], img.Rank)
-	img.Rank[0] = w
-	m.insertElig(img, w.SendTime)
-}
-
-// insertTail appends w to the rank order (words migrating in from the
-// right) and its send time into the eligibility order.
-func (m *Machine) insertTail(img *SublistImage, w Word) {
-	img.Rank = append(img.Rank, w)
-	m.insertElig(img, w.SendTime)
-}
-
-// insertElig places t into the eligibility order via compare + encode.
-func (m *Machine) insertElig(img *SublistImage, t uint64) {
-	ebits := m.subCmp.Compare(len(img.Elig), func(i int) bool {
-		return img.Elig[i] > t
-	})
-	eidx := m.subEnc.Encode(ebits)
-	if eidx == -1 {
-		eidx = len(img.Elig)
+// firstSet fires n sublist comparators with pred and returns the first
+// lane set, or n when none is.
+func (m *Machine) firstSet(n int, pred func(lane int) bool) int {
+	if i := m.subEnc.Encode(m.subCmp.Compare(n, pred)); i != -1 {
+		return i
 	}
-	img.Elig = append(img.Elig, 0)
-	copy(img.Elig[eidx+1:], img.Elig[eidx:])
-	img.Elig[eidx] = t
+	return n
 }
 
-// removeElig deletes one occurrence of t from the eligibility order via
-// an equality compare + encode.
-func (m *Machine) removeElig(img *SublistImage, t uint64) {
-	bits := m.subCmp.Compare(len(img.Elig), func(i int) bool {
-		return img.Elig[i] == t
-	})
-	idx := m.subEnc.Encode(bits)
-	if idx == -1 {
-		panic(fmt.Sprintf("hwsim: eligibility sublist lost send time %d", t))
+// take removes the word at rank-order index idx of img, and one copy of
+// its send time from the eligibility order (an equality compare + encode).
+func (m *Machine) take(img *SublistImage, idx int) Word {
+	w := img.Rank[idx]
+	img.Rank = slices.Delete(img.Rank, idx, idx+1)
+	eidx := m.firstSet(len(img.Elig), func(i int) bool { return img.Elig[i] == w.SendTime })
+	if eidx == len(img.Elig) {
+		panic(fmt.Sprintf("hwsim: eligibility sublist lost send time %d", w.SendTime))
 	}
-	copy(img.Elig[idx:], img.Elig[idx+1:])
-	img.Elig = img.Elig[:len(img.Elig)-1]
+	img.Elig = slices.Delete(img.Elig, eidx, eidx+1)
+	return w
 }
 
 // refresh updates the pointer entry at pos from a staged image.
@@ -383,6 +383,7 @@ func (m *Machine) refresh(pos int, img SublistImage) {
 	if len(img.Rank) == 0 {
 		e.SmallestRank = 0
 		e.SmallestSendTime = NeverTime
+		e.clearIDs()
 		return
 	}
 	e.SmallestRank = img.Rank[0].Rank
@@ -395,21 +396,30 @@ func (m *Machine) retire(pos int) {
 	m.active--
 }
 
-// Snapshot returns the Global-Ordered-List by stitching the active
-// sublists in pointer order (testing/diagnostics; reads via Peek so no
+// SublistView is one active sublist as the datapath holds it: its
+// pointer-array register, whether it is full, and its Rank-Sublist image.
+type SublistView struct {
+	PointerEntry
+	Full  bool
+	Words []Word // rank order
+}
+
+// Sublists returns the active partition of the pointer array in order,
+// each register with its sublist's words (tracing; reads via Peek so no
 // ports are consumed).
-func (m *Machine) Snapshot() []Word {
-	out := make([]Word, 0, m.size)
-	for i := 0; i < m.active; i++ {
-		img := m.mem.Peek(m.rf.Entries[i].SublistID)
-		out = append(out, img.Rank...)
+func (m *Machine) Sublists() []SublistView {
+	out := make([]SublistView, m.active)
+	for i, e := range m.rf.Entries[:m.active] {
+		img := m.mem.Peek(e.SublistID)
+		out[i] = SublistView{PointerEntry: e, Full: m.fullImg(img), Words: img.Rank}
 	}
 	return out
 }
 
 // CheckInvariants validates the machine's structure: partitioning,
-// Invariant 1, global rank order, metadata and eligibility coherence,
-// and flow-state consistency.
+// Invariant 1, global rank order, metadata and eligibility coherence
+// (resident-ID bounds covering every resident, cleared on every empty
+// sublist), and flow-state consistency.
 func (m *Machine) CheckInvariants() error {
 	total := 0
 	var prevRank uint64
@@ -421,6 +431,8 @@ func (m *Machine) CheckInvariants() error {
 			}
 		} else if len(img.Rank) != 0 {
 			return fmt.Errorf("empty-partition position %d holds %d words", i, len(img.Rank))
+		} else if e.IDLo != math.MaxUint32 || e.IDHi != 0 {
+			return fmt.Errorf("empty-partition position %d keeps id bounds [%d,%d]", i, e.IDLo, e.IDHi)
 		}
 		if e.Num != len(img.Rank) {
 			return fmt.Errorf("position %d num=%d want %d", i, e.Num, len(img.Rank))
@@ -447,6 +459,9 @@ func (m *Machine) CheckInvariants() error {
 			prevRank = w.Rank
 			if v, ok := m.where.Get(idtab.ID(w.FlowID)); !ok || int(v)-1 != e.SublistID {
 				return fmt.Errorf("flow state wrong for %d", w.FlowID)
+			}
+			if w.FlowID < e.IDLo || w.FlowID > e.IDHi {
+				return fmt.Errorf("position %d id bounds [%d,%d] miss resident %d", i, e.IDLo, e.IDHi, w.FlowID)
 			}
 			total++
 		}

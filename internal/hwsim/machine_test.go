@@ -1,12 +1,8 @@
 package hwsim
 
 import (
-	"fmt"
-	"math/rand"
+	"reflect"
 	"testing"
-
-	"pieo/internal/clock"
-	"pieo/internal/core"
 )
 
 func TestEmptyMachine(t *testing.T) {
@@ -60,14 +56,14 @@ func TestEligibilityFilter(t *testing.T) {
 
 func TestFourCyclesPerOp(t *testing.T) {
 	m := New(64)
-	c0 := m.Cycle()
+	c0 := m.Stats().Cycles
 	m.Enqueue(Word{1, 5, 0})
-	if got := m.Cycle() - c0; got != 4 {
+	if got := m.Stats().Cycles - c0; got != 4 {
 		t.Fatalf("enqueue took %d cycles, want 4", got)
 	}
-	c0 = m.Cycle()
+	c0 = m.Stats().Cycles
 	m.Dequeue(0)
-	if got := m.Cycle() - c0; got != 4 {
+	if got := m.Stats().Cycles - c0; got != 4 {
 		t.Fatalf("dequeue took %d cycles, want 4", got)
 	}
 }
@@ -170,91 +166,6 @@ func TestStructuralFIFOTieBreak(t *testing.T) {
 	}
 }
 
-// runDifferentialVsCore drives the structural machine and the functional
-// model with the same operations and demands identical outputs,
-// including tie-breaks, and the same §5.2 cost op by op: cycles, SRAM
-// reads and SRAM writes.
-func runDifferentialVsCore(t *testing.T, seed int64, capacity, steps, rankSpace, timeSpace int) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	hw := New(capacity)
-	fn := core.New(capacity)
-	nextID := uint32(0)
-
-	for step := 0; step < steps; step++ {
-		hwBefore, fnBefore := hw.Stats(), fn.Stats()
-		var op string
-		switch rng.Intn(3) {
-		case 0:
-			w := Word{FlowID: nextID, Rank: uint64(rng.Intn(rankSpace)), SendTime: uint64(rng.Intn(timeSpace))}
-			nextID++
-			op = fmt.Sprintf("Enqueue(%v)", w)
-			hwErr := hw.Enqueue(w)
-			fnErr := fn.Enqueue(core.Entry{ID: w.FlowID, Rank: w.Rank, SendTime: clock.Time(w.SendTime)})
-			if (hwErr == nil) != (fnErr == nil) {
-				t.Fatalf("seed %d step %d: enqueue err %v vs %v", seed, step, hwErr, fnErr)
-			}
-		case 1:
-			now := uint64(rng.Intn(timeSpace))
-			op = fmt.Sprintf("Dequeue(%d)", now)
-			hwW, hwOK := hw.Dequeue(now)
-			fnE, fnOK := fn.Dequeue(clock.Time(now))
-			if hwOK != fnOK || (hwOK && (hwW.FlowID != fnE.ID || hwW.Rank != fnE.Rank)) {
-				t.Fatalf("seed %d step %d: Dequeue(%d) = %v,%v vs %v,%v", seed, step, now, hwW, hwOK, fnE, fnOK)
-			}
-		case 2:
-			var id uint32
-			if nextID > 0 {
-				id = uint32(rng.Intn(int(nextID)))
-			}
-			op = fmt.Sprintf("DequeueFlow(%d)", id)
-			hwW, hwOK := hw.DequeueFlow(id)
-			fnE, fnOK := fn.DequeueFlow(id)
-			if hwOK != fnOK || (hwOK && hwW.FlowID != fnE.ID) {
-				t.Fatalf("seed %d step %d: DequeueFlow(%d) = %v,%v vs %v,%v", seed, step, id, hwW, hwOK, fnE, fnOK)
-			}
-		}
-		hs, fs := hw.Stats(), fn.Stats()
-		hwCost := [3]uint64{hs.Cycles - hwBefore.Cycles, hs.SRAMReads - hwBefore.SRAMReads, hs.SRAMWrites - hwBefore.SRAMWrites}
-		fnCost := [3]uint64{fs.Cycles - fnBefore.Cycles, fs.SublistReads - fnBefore.SublistReads, fs.SublistWrites - fnBefore.SublistWrites}
-		if hwCost != fnCost {
-			t.Fatalf("seed %d step %d: %s costs cycles/reads/writes %v on the machine, %v in core", seed, step, op, hwCost, fnCost)
-		}
-		if hw.Len() != fn.Len() {
-			t.Fatalf("seed %d step %d: Len %d vs %d", seed, step, hw.Len(), fn.Len())
-		}
-		if err := hw.CheckInvariants(); err != nil {
-			t.Fatalf("seed %d step %d: %v", seed, step, err)
-		}
-	}
-	hwSnap := hw.Snapshot()
-	fnSnap := fn.Snapshot()
-	for i := range hwSnap {
-		if hwSnap[i].FlowID != fnSnap[i].ID || hwSnap[i].Rank != fnSnap[i].Rank {
-			t.Fatalf("seed %d: snapshot[%d] %v vs %v", seed, i, hwSnap[i], fnSnap[i])
-		}
-	}
-}
-
-func TestDifferentialVsCoreSmall(t *testing.T) {
-	for seed := int64(0); seed < 15; seed++ {
-		runDifferentialVsCore(t, seed, 9, 2500, 8, 8)
-	}
-}
-
-func TestDifferentialVsCoreTies(t *testing.T) {
-	// Two distinct ranks: heavy structural-FIFO pressure.
-	for seed := int64(50); seed < 60; seed++ {
-		runDifferentialVsCore(t, seed, 32, 3000, 2, 4)
-	}
-}
-
-func TestDifferentialVsCoreMedium(t *testing.T) {
-	for seed := int64(100); seed < 105; seed++ {
-		runDifferentialVsCore(t, seed, 256, 5000, 1<<16, 64)
-	}
-}
-
 func TestStatsAccumulate(t *testing.T) {
 	m := New(256)
 	for i := uint32(0); i < 200; i++ {
@@ -275,5 +186,34 @@ func TestStatsAccumulate(t *testing.T) {
 	ops := uint64(300)
 	if s.SRAMReads+s.SRAMWrites > 4*ops {
 		t.Fatalf("SRAM accesses %d exceed 4/op", s.SRAMReads+s.SRAMWrites)
+	}
+}
+
+func TestSublistView(t *testing.T) {
+	m := New(16)
+	m.Enqueue(Word{1, 10, 5})
+	m.Enqueue(Word{2, 20, NeverTime})
+	want := SublistView{PointerEntry: PointerEntry{SmallestRank: 10, SmallestSendTime: 5, Num: 2, IDLo: 1, IDHi: 2}, Words: []Word{{1, 10, 5}, {2, 20, NeverTime}}}
+	if v := m.Sublists(); len(v) != 1 || !reflect.DeepEqual(v[0], want) {
+		t.Fatalf("Sublists = %+v, want [%+v]", v, want)
+	}
+	if s := m.Stats(); s.SRAMReads != 2 || s.Cycles != 8 {
+		t.Fatalf("viewing cost something: %+v", s)
+	}
+}
+
+func TestSublistViewCoversAllWords(t *testing.T) {
+	m := New(64)
+	for i := uint32(0); i < 50; i++ {
+		m.Enqueue(Word{i, uint64(i * 7 % 32), 0})
+	}
+	total := 0
+	for _, v := range m.Sublists() {
+		if total += len(v.Words); v.Num != len(v.Words) || v.Full != (v.Num == 8) {
+			t.Fatalf("view num/full mismatch: %+v", v)
+		}
+	}
+	if total != 50 {
+		t.Fatalf("view covers %d words, want 50", total)
 	}
 }

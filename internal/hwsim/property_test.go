@@ -4,16 +4,19 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"pieo/internal/refmodel/conform"
 )
 
-// Property: for any short random op program on a 12-entry machine with
-// four send times, the structural machine and the functional model agree
-// op by op in outputs, tie-breaks and §5.2 cost, and the machine's
-// invariants hold throughout. quick-check draws each program's seed and
-// length; runDifferentialVsCore runs it.
+// Property: for any short conformance program on a 12-entry list with
+// eight ranks and four send times, the structural machine and the
+// functional model agree op by op in outputs, tie-breaks and §5.2 cost,
+// and the machine's invariants hold throughout. quick-check draws each
+// program's seed and length; the lockstep checker runs it.
 func TestMachineMatchesCoreProperty(t *testing.T) {
+	sh := conform.Shape{Capacity: 12, RankBits: 3, TimeBits: 2}
 	f := func(seed int64, steps uint8) bool {
-		runDifferentialVsCore(t, seed, 12, 1+int(steps)%100, 8, 4)
+		runLockstep(t, seeded(sh, seed, seed+1, 1+int(steps)%100)...)
 		return !t.Failed()
 	}
 	cfg := &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(20))}
@@ -31,12 +34,12 @@ func TestMachineCycleBudgetProperty(t *testing.T) {
 			if i >= 16 {
 				break
 			}
-			before := m.Cycle()
+			before := m.Stats().Cycles
 			memBefore := m.Stats().SRAMReads + m.Stats().SRAMWrites
 			if err := m.Enqueue(Word{FlowID: uint32(i), Rank: uint64(r)}); err != nil {
 				return false
 			}
-			if m.Cycle()-before != 4 {
+			if m.Stats().Cycles-before != 4 {
 				return false
 			}
 			if m.Stats().SRAMReads+m.Stats().SRAMWrites-memBefore > 4 {

@@ -16,14 +16,18 @@
 // (e.g. quad-port SRAM) reaches 1.0.
 package pipeline
 
-import "fmt"
+import (
+	"fmt"
+
+	"pieo/internal/hwmodel"
+)
 
 // Mode selects the issue policy.
 type Mode int
 
 const (
-	// NonPipelined issues one operation every CyclesPerOp cycles — the
-	// paper's prototype.
+	// NonPipelined issues one operation every hwmodel.CyclesPerOp cycles
+	// — the paper's prototype.
 	NonPipelined Mode = iota
 	// PortAware issues in order at the earliest cycle whose memory
 	// stages (issue+1, issue+3) do not collide with any earlier
@@ -47,9 +51,6 @@ func (m Mode) String() string {
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
 }
-
-// CyclesPerOp is the depth of the §5.2 datapath.
-const CyclesPerOp = 4
 
 // memStages are the stage offsets (from issue) that occupy both SRAM
 // ports.
@@ -89,10 +90,10 @@ func Simulate(ops []Op, mode Mode) Result {
 	}
 	switch mode {
 	case NonPipelined:
-		total := (len(ops)-1)*CyclesPerOp + CyclesPerOp
+		total := (len(ops)-1)*hwmodel.CyclesPerOp + hwmodel.CyclesPerOp
 		return result(len(ops), total)
 	case FullyPipelined:
-		total := (len(ops) - 1) + CyclesPerOp
+		total := (len(ops) - 1) + hwmodel.CyclesPerOp
 		return result(len(ops), total)
 	case PortAware:
 		return simulatePortAware(ops)
@@ -111,7 +112,7 @@ func simulatePortAware(ops []Op) Result {
 		if i > 0 && op.Conflicts(lastOp) {
 			// True hazard: the later op must observe the earlier op's
 			// write-back; wait for the full datapath to drain.
-			t = lastIssue + CyclesPerOp
+			t = lastIssue + hwmodel.CyclesPerOp
 		}
 		for !memFree(usedMem, t) {
 			t++
@@ -123,7 +124,7 @@ func simulatePortAware(ops []Op) Result {
 		lastOp = op
 		issue = t
 	}
-	return result(len(ops), issue+CyclesPerOp)
+	return result(len(ops), issue+hwmodel.CyclesPerOp)
 }
 
 func memFree(used map[int]bool, t int) bool {

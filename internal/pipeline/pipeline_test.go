@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"pieo/internal/hwmodel"
 )
 
 func TestEmptyStream(t *testing.T) {
@@ -94,7 +96,8 @@ func TestIndependentStreamValidation(t *testing.T) {
 }
 
 // Property: no schedule ever beats one op per cycle or loses to one op
-// per CyclesPerOp cycles, and the three modes are consistently ordered.
+// per hwmodel.CyclesPerOp cycles, and the three modes are consistently
+// ordered.
 func TestRateBoundsProperty(t *testing.T) {
 	f := func(seed int64, n16 uint16) bool {
 		n := int(n16)%500 + 2
@@ -132,7 +135,7 @@ func TestNoPortDoubleBookingProperty(t *testing.T) {
 		for i, op := range ops {
 			t0 := lastIssue + 1
 			if i > 0 && op.Conflicts(last) {
-				t0 = lastIssue + CyclesPerOp
+				t0 = lastIssue + hwmodel.CyclesPerOp
 			}
 			for !memFree(used, t0) {
 				t0++

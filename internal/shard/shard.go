@@ -140,7 +140,7 @@ func (e *Engine) Stats() backend.Stats {
 }
 
 func (e *Engine) HardwareStats() core.Stats {
-	return locked(e, func(l *backend.CoreList) core.Stats { return l.HardwareStats() })
+	return locked(e, func(l *backend.CoreList) core.Stats { return l.List.Stats() })
 }
 
 func (e *Engine) CheckInvariants() error {
