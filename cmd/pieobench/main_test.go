@@ -34,10 +34,10 @@ func TestRunFig8Smoke(t *testing.T) {
 	}
 }
 
-// paperExperiments is the registry: the 20 reproduction and behaviour
+// paperExperiments is the registry: the 17 reproduction and behaviour
 // experiments, sorted as -list prints them.
 const paperExperiments = "ablation approx deviation devices fig10 fig11 fig12 fig2 fig8 fig9 " +
-	"hier3 hierscale overload pacing-precision pipeline qdev rate scale trigger wfi"
+	"hier3 hierscale overload pacing-precision pipeline trigger wfi"
 
 func TestRunList(t *testing.T) {
 	var out bytes.Buffer
@@ -65,10 +65,11 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestDocsNameRegisteredExperiments pins the two experiment indexes to
-// the registry: every registered id appears as `-experiment <id>` in
-// DESIGN.md §4 and in README's id list, and neither file tells a reader
-// to run an experiment that does not exist.
+// TestDocsNameRegisteredExperiments pins the experiment docs to the
+// registry: every registered id appears as `-experiment <id>` in
+// DESIGN.md §4, in README's id list and as a `## <id>` heading of
+// EXPERIMENTS.md, and neither DESIGN.md nor README.md tells a reader to
+// run an experiment that does not exist.
 func TestDocsNameRegisteredExperiments(t *testing.T) {
 	read := func(name string) string {
 		b, err := os.ReadFile("../../" + name)
@@ -88,7 +89,7 @@ func TestDocsNameRegisteredExperiments(t *testing.T) {
 		}
 		return s
 	}
-	design, readme := read("DESIGN.md"), read("README.md")
+	design, readme, results := read("DESIGN.md"), read("README.md"), read("EXPERIMENTS.md")
 	registered := map[string]bool{"all": true}
 	for _, id := range experiments.IDs() {
 		registered[id] = true
@@ -103,7 +104,14 @@ func TestDocsNameRegisteredExperiments(t *testing.T) {
 	}
 	index := between(design, "## 4. Per-experiment index", "\n## 5.")
 	list := between(readme, "Experiment ids:", "\n\n")
+	headings := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^## ([a-z0-9-]+)`).FindAllStringSubmatch(results, -1) {
+		headings[m[1]] = true
+	}
 	for _, id := range experiments.IDs() {
+		if !headings[id] {
+			t.Errorf("EXPERIMENTS.md has no `## %s` section", id)
+		}
 		if !strings.Contains(index, "`pieobench -experiment "+id+"`") {
 			t.Errorf("DESIGN.md §4 has no row regenerated with `pieobench -experiment %s`", id)
 		}

@@ -93,6 +93,27 @@ func requireZeroAllocs(t *testing.T, l *core.List, warm int, pair func()) {
 	}
 }
 
+// TestCheckInvariantsAllocs: the conformance suite audits the list after
+// every operation, so the audit itself allocates a fixed few scratch
+// slices per call, not a structure per sublist.
+func TestCheckInvariantsAllocs(t *testing.T) {
+	const n = 1 << 12
+	l := core.New(n)
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < n; i++ {
+		if err := l.Enqueue(core.Entry{ID: uint32(i), Rank: uint64(rng.Intn(1 << 20)), SendTime: clock.Time(rng.Intn(1 << 10))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var err error
+	if allocs := testing.AllocsPerRun(20, func() { err = l.CheckInvariants() }); allocs > 3 {
+		t.Fatalf("CheckInvariants on a full %d-entry list allocated %v times, want at most 3", n, allocs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestBatchZeroAllocs: the batch APIs with caller-provided buffers stay
 // allocation-free too.
 func TestBatchZeroAllocs(t *testing.T) {

@@ -59,6 +59,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"pieo/internal/clock"
 	"pieo/internal/idtab"
@@ -1107,8 +1108,9 @@ func (l *List) CheckInvariants() error {
 		return fmt.Errorf("bound %d sublists of %d: %d stores, %d posOf, %d id bounds, %d summary words",
 			n, l.numSublists, len(l.sublists), len(l.posOf), len(l.ids), len(l.eligBlk))
 	}
-	seen := make(map[int]bool, len(l.order))
-	used := make([]bool, l.sublistSize+1) // slot numbers met in the sublist at hand
+	seen := make([]bool, len(l.sublists))
+	used := make([]bool, l.sublistSize+1)           // slot numbers met in the sublist at hand
+	times := make([]clock.Time, 0, l.sublistSize+1) // the sublist's send_times, sorted
 	total := 0
 	minSend := clock.Never
 	var prev *element
@@ -1177,19 +1179,14 @@ func (l *List) CheckInvariants() error {
 		if p.smallestSendTime != sl.elig[0] {
 			return fmt.Errorf("position %d smallestSendTime=%v, want %v", i, p.smallestSendTime, sl.elig[0])
 		}
-		// Eligibility multiset matches entry send_times.
-		times := make(map[clock.Time]int)
+		// The eligibility sublist is exactly the entries' send_times, sorted.
+		times = times[:0]
 		for j := range sl.slots {
-			times[sl.at(j).sendTime]++
+			times = append(times, sl.at(j).sendTime)
 		}
-		for j, t := range sl.elig {
-			if j > 0 && sl.elig[j-1] > t {
-				return fmt.Errorf("position %d eligibility sublist unsorted at %d", i, j)
-			}
-			times[t]--
-			if times[t] < 0 {
-				return fmt.Errorf("position %d eligibility sublist has extra %v", i, t)
-			}
+		slices.Sort(times)
+		if !slices.Equal(sl.elig, times) {
+			return fmt.Errorf("position %d eligibility sublist %v, want the entries' send_times sorted: %v", i, sl.elig, times)
 		}
 		// Global rank order across the sublist concatenation. FIFO among
 		// equal ranks is positional and leaves no trace to check here;

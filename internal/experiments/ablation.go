@@ -12,19 +12,17 @@ import (
 	"pieo/internal/sched"
 )
 
-// Ablation studies the design choices DESIGN.md calls out:
+// Ablation studies the design choices DESIGN.md calls out (pipelining
+// is the pipeline table's):
 //
 //  1. sublist geometry — the √N sublist size minimizes logic (the §5
 //     trade-off between pointer-array width and sublist width),
-//  2. pipelining — §6.2's discussion of why dual-port SRAM caps the
-//     design at one operation per 4 cycles, and what a pipelined ASIC
-//     could do,
-//  3. trigger model — §3.2.1's trade-off: output-triggered enqueue puts
+//  2. trigger model — §3.2.1's trade-off: output-triggered enqueue puts
 //     the rank computation on the critical dequeue path.
 func Ablation() *Table {
 	t := &Table{
 		ID:      "ablation",
-		Title:   "Design ablations (sublist geometry / pipelining / trigger model)",
+		Title:   "Design ablations (sublist geometry / trigger model)",
 		Columns: []string{"study", "configuration", "metric", "value"},
 	}
 
@@ -43,18 +41,7 @@ func Ablation() *Table {
 		})
 	}
 
-	// 2. Pipelining: decisions per second at the modeled clock.
-	for _, size := range []int{1 << 10, 30000} {
-		f := hwmodel.PIEOClockMHz(hwmodel.PIEOGeometry(size))
-		t.Rows = append(t.Rows,
-			[]string{"pipelining", fmt.Sprintf("%s non-pipelined (prototype)", sizeLabel(size)), "Mops/s",
-				fmt.Sprintf("%.1f", hwmodel.SchedulingRateMops(f, hwmodel.CyclesPerOp))},
-			[]string{"pipelining", fmt.Sprintf("%s fully pipelined (SRAM-port bound lifted)", sizeLabel(size)), "Mops/s",
-				fmt.Sprintf("%.1f", hwmodel.SchedulingRateMops(f, 1))},
-		)
-	}
-
-	// 3. Trigger model: where each model runs the rank computation of
+	// 2. Trigger model: where each model runs the rank computation of
 	// one pacing program.
 	for _, m := range []struct {
 		model string
@@ -69,7 +56,7 @@ func Ablation() *Table {
 	t.Notes = []string{
 		"logic is minimized near S = sqrt(N); far smaller S inflates the pointer array, far larger S inflates staging/comparators",
 		"output-triggered runs Policy.Rank at every re-enqueue on the dequeue path; input-triggered runs PrePacket once per arrival (§3.2.1)",
-		"the ALM and pipelining rows are the hardware model; the software's ns/op per sublist size is BenchmarkAblationSublistSize, per packet `go run ./bench`",
+		"the ALM rows are the hardware model; the software's ns/op per sublist size is BenchmarkAblationSublistSize, per packet `go run ./bench`",
 	}
 	return t
 }

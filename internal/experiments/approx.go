@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"pieo/internal/approx"
 	"pieo/internal/clock"
@@ -22,35 +24,21 @@ import (
 //     varies (including the year-collision cliff),
 //  3. pacing-release error of a timing wheel as the slot size varies.
 func Approx() *Table {
-	const n = 2048
-	rng := rand.New(rand.NewSource(17))
-	entries := make([]core.Entry, n)
-	for i := range entries {
-		entries[i] = core.Entry{ID: uint32(i), Rank: uint64(rng.Intn(1 << 16)), SendTime: clock.Always}
-	}
-	ideal := exactDrainOrder(entries)
+	entries, rng := approxWorkload()
+	n := len(entries)
+	ideal := entryIDs(rankOrder(entries))
+	pieoDev, pieoMean := stats.OrderDeviation(ideal, entryIDs(pieoDrain(entries)))
 
 	t := &Table{
 		ID:      "approx",
 		Title:   "Approximate datastructures vs exact PIEO (§2.3)",
 		Columns: []string{"structure", "configuration", "max order dev", "mean order dev", "note"},
 	}
-	t.Rows = append(t.Rows, []string{"PIEO ordered list", "N=2048 (exact)", "0", "0.00", "reference"})
+	t.Rows = append(t.Rows, []string{"PIEO ordered list", fmt.Sprintf("N=%d (exact)", n),
+		fmt.Sprintf("%d", pieoDev), fmt.Sprintf("%.2f", pieoMean), "reference"})
 
 	for _, k := range []int{4, 16, 64, 256, 1024} {
-		m := approx.NewMultiPriorityFIFO(k, 1<<16)
-		for _, e := range entries {
-			m.Enqueue(e)
-		}
-		var order []string
-		for {
-			e, ok := m.Dequeue()
-			if !ok {
-				break
-			}
-			order = append(order, fmt.Sprintf("%d", e.ID))
-		}
-		maxDev, meanDev := stats.OrderDeviation(ideal, order)
+		maxDev, meanDev := stats.OrderDeviation(ideal, entryIDs(bandDrain(entries, k)))
 		t.Rows = append(t.Rows, []string{
 			"multi-priority FIFO", fmt.Sprintf("%d bands", k),
 			fmt.Sprintf("%d", maxDev), fmt.Sprintf("%.1f", meanDev),
@@ -64,15 +52,7 @@ func Approx() *Table {
 		for _, e := range entries {
 			c.Enqueue(e)
 		}
-		var order []string
-		for {
-			e, ok := c.Dequeue()
-			if !ok {
-				break
-			}
-			order = append(order, fmt.Sprintf("%d", e.ID))
-		}
-		maxDev, meanDev := stats.OrderDeviation(ideal, order)
+		maxDev, meanDev := stats.OrderDeviation(ideal, entryIDs(drain(c.Dequeue)))
 		note := ""
 		if uint64(buckets)*width < 1<<16 {
 			note = "year < rank space: collisions"
@@ -124,21 +104,62 @@ func Approx() *Table {
 	return t
 }
 
-// exactDrainOrder drains a PIEO list of the entries and returns the id
-// sequence — the exact reference order.
-func exactDrainOrder(entries []core.Entry) []string {
+// approxWorkload draws the table's 2048 entries, ranks uniform in
+// [0, 2^16) and all eligible, and returns the generator positioned after
+// them, where the timing wheel's send times come from.
+func approxWorkload() ([]core.Entry, *rand.Rand) {
+	rng := rand.New(rand.NewSource(17))
+	entries := make([]core.Entry, 2048)
+	for i := range entries {
+		entries[i] = core.Entry{ID: uint32(i), Rank: uint64(rng.Intn(1 << 16)), SendTime: clock.Always}
+	}
+	return entries, rng
+}
+
+// rankOrder is the exact order by definition, with no PIEO list: the
+// entries stably sorted by rank, equal ranks in enqueue order.
+func rankOrder(entries []core.Entry) []core.Entry {
+	out := slices.Clone(entries)
+	slices.SortStableFunc(out, func(a, b core.Entry) int { return cmp.Compare(a.Rank, b.Rank) })
+	return out
+}
+
+// pieoDrain enqueues the entries into a PIEO list and drains it at
+// clock.Always, when every entry is eligible.
+func pieoDrain(entries []core.Entry) []core.Entry {
 	l := core.New(len(entries))
 	for _, e := range entries {
 		if err := l.Enqueue(e); err != nil {
 			panic(err)
 		}
 	}
-	var order []string
-	for {
-		e, ok := l.Dequeue(clock.Never - 1)
-		if !ok {
-			return order
-		}
-		order = append(order, fmt.Sprintf("%d", e.ID))
+	return drain(func() (core.Entry, bool) { return l.Dequeue(clock.Always) })
+}
+
+// bandDrain enqueues the entries into a multi-priority FIFO of k bands,
+// rank buckets of width 2^16/k, and drains it.
+func bandDrain(entries []core.Entry, k int) []core.Entry {
+	m := approx.NewMultiPriorityFIFO(k, 1<<16)
+	for _, e := range entries {
+		m.Enqueue(e)
 	}
+	return drain(m.Dequeue)
+}
+
+// drain calls dequeue until it reports empty and returns what it gave.
+func drain(dequeue func() (core.Entry, bool)) []core.Entry {
+	var out []core.Entry
+	for e, ok := dequeue(); ok; e, ok = dequeue() {
+		out = append(out, e)
+	}
+	return out
+}
+
+// entryIDs renders a drain as ID strings for stats.OrderDeviation.
+func entryIDs(es []core.Entry) []string {
+	out := make([]string, len(es))
+	for i, e := range es {
+		out[i] = fmt.Sprintf("%d", e.ID)
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pieo/internal/clock"
@@ -32,96 +33,88 @@ func fig2Instance() []pifo.Item {
 	}
 }
 
-// advanceV applies the Fig 2(a) virtual-time rule after transmitting a
-// packet of the given size: V = max(V + size, min start among pending).
-func advanceV(v, size uint64, pending map[uint32]pifo.Item) uint64 {
-	v += size
-	minStart := uint64(0)
-	have := false
-	for _, it := range pending {
-		if !have || it.Start < minStart {
-			minStart = it.Start
-			have = true
-		}
+// minStart returns the smallest start among the pending items, of which
+// there is at least one.
+func minStart(pending []pifo.Item) uint64 {
+	m := pending[0].Start
+	for _, it := range pending[1:] {
+		m = min(m, it.Start)
 	}
-	if have && minStart > v {
-		v = minStart
-	}
-	return v
+	return m
 }
 
-// idealWF2QOrder computes the exact WF²Q+ schedule of the instance using
-// a PIEO list: rank = finish, send_time = start, dequeue at the current
-// virtual time.
+// wf2qOrder drives one WF²Q+ scheduler through the instance under the
+// Fig 2(a) virtual-time rule and returns its transmission order. pick
+// names the item the scheduler transmits at virtual time v, or reports
+// false when it holds none it will transmit; the link then idles to the
+// next pending start, or one tick on when the scheduler is stuck below a
+// start already passed.
+func wf2qOrder(items []pifo.Item, pick func(v uint64, pending []pifo.Item) (uint32, bool)) []string {
+	pending := slices.Clone(items)
+	var order []string
+	v := uint64(0)
+	for guard := 0; len(pending) > 0; guard++ {
+		if guard > 10*len(items) {
+			panic("experiments: scheduler made no progress")
+		}
+		id, ok := pick(v, pending)
+		if !ok {
+			v = max(minStart(pending), v+1)
+			continue
+		}
+		i := slices.IndexFunc(pending, func(it pifo.Item) bool { return it.ID == id })
+		it := pending[i]
+		pending = slices.Delete(pending, i, i+1)
+		order = append(order, it.Name)
+		// Fig 2(a): V = max(V + size, min start among pending).
+		v += it.Size
+		if len(pending) > 0 {
+			v = max(v, minStart(pending))
+		}
+	}
+	return order
+}
+
+// idealWF2QOrder computes the exact WF²Q+ schedule of the instance from
+// its definition, with no PIEO list: at virtual time V, transmit the
+// pending item with the smallest finish among those whose start is at
+// most V, equal finishes in enqueue order.
 func idealWF2QOrder(items []pifo.Item) []string {
+	return wf2qOrder(items, func(v uint64, pending []pifo.Item) (uint32, bool) {
+		best := -1
+		for i, it := range pending {
+			if it.Start <= v && (best < 0 || it.Finish < pending[best].Finish) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return 0, false
+		}
+		return pending[best].ID, true
+	})
+}
+
+// pieoWF2QOrder schedules the instance through a PIEO list: rank =
+// finish, send_time = start, dequeue at the current virtual time.
+func pieoWF2QOrder(items []pifo.Item) []string {
 	list := core.New(len(items))
-	pending := make(map[uint32]pifo.Item, len(items))
 	for _, it := range items {
 		if err := list.Enqueue(core.Entry{ID: it.ID, Rank: it.Finish, SendTime: clock.Time(it.Start)}); err != nil {
 			panic(err)
 		}
-		pending[it.ID] = it
 	}
-	var order []string
-	v := uint64(0)
-	for len(pending) > 0 {
+	return wf2qOrder(items, func(v uint64, _ []pifo.Item) (uint32, bool) {
 		e, ok := list.Dequeue(clock.Time(v))
-		if !ok {
-			// Link idle with no eligible packet: jump to the next start.
-			t, _ := list.MinSendTime()
-			v = uint64(t)
-			continue
-		}
-		it := pending[e.ID]
-		delete(pending, e.ID)
-		order = append(order, it.Name)
-		v = advanceV(v, it.Size, pending)
-	}
-	return order
+		return e.ID, ok
+	})
 }
 
-// emulatedOrder drives a PIFO-based emulator through the same
-// virtual-time trajectory rules and returns its scheduling order.
+// emulatedOrder schedules the instance through a PIFO-based emulator.
 func emulatedOrder(items []pifo.Item, em pifo.Emulator) []string {
-	pending := make(map[uint32]pifo.Item, len(items))
-	byName := make(map[string]pifo.Item, len(items))
-	for _, it := range items {
-		pending[it.ID] = it
-		byName[it.Name] = it
-	}
-	var order []string
-	v := uint64(0)
-	for guard := 0; em.Pending() > 0; guard++ {
-		if guard > 10*len(items) {
-			panic("experiments: emulator made no progress")
-		}
+	return wf2qOrder(items, func(v uint64, _ []pifo.Item) (uint32, bool) {
 		it, ok := em.Schedule(v)
-		if !ok {
-			// Nothing the emulator is willing to schedule: advance to
-			// the next pending start time.
-			minStart := uint64(0)
-			have := false
-			for _, p := range pending {
-				if !have || p.Start < minStart {
-					minStart = p.Start
-					have = true
-				}
-			}
-			if !have {
-				break
-			}
-			if minStart <= v {
-				v++ // emulator is stuck below an already-passed start
-			} else {
-				v = minStart
-			}
-			continue
-		}
-		delete(pending, it.ID)
-		order = append(order, it.Name)
-		v = advanceV(v, it.Size, pending)
-	}
-	return order
+		return it.ID, ok
+	})
 }
 
 // Fig2 reproduces Fig 2(c)-(e): the ideal WF²Q+ scheduling order (which
@@ -130,9 +123,11 @@ func emulatedOrder(items []pifo.Item, em pifo.Emulator) []string {
 func Fig2() *Table {
 	items := fig2Instance()
 	ideal := idealWF2QOrder(items)
+	pieo := pieoWF2QOrder(items)
+	maxDev, meanDev := stats.OrderDeviation(ideal, pieo)
 
 	rows := [][]string{
-		{"PIEO (ideal WF2Q+)", strings.Join(ideal, " "), "0", "0.00"},
+		{"PIEO (ideal WF2Q+)", strings.Join(pieo, " "), fmt.Sprintf("%d", maxDev), fmt.Sprintf("%.2f", meanDev)},
 	}
 	for _, run := range []struct {
 		name string

@@ -105,51 +105,3 @@ func Fig10() *Table {
 		},
 	}
 }
-
-// SchedulingRate reproduces the §6.2 scheduling-rate discussion: modeled
-// hardware ns/op at each size, plus the 1 GHz ASIC point.
-func SchedulingRate() *Table {
-	var rows [][]string
-	for _, n := range []int{1 << 10, 1 << 13, 30000} {
-		g := hwmodel.PIEOGeometry(n)
-		f := hwmodel.PIEOClockMHz(g)
-		rows = append(rows, []string{
-			sizeLabel(n),
-			fmt.Sprintf("%.0f MHz", f),
-			fmt.Sprintf("%.1f ns", hwmodel.NsPerOp(f, hwmodel.CyclesPerOp)),
-			fmt.Sprintf("%.1f ns", hwmodel.NsPerOp(hwmodel.ASICClockMHz, hwmodel.CyclesPerOp)),
-		})
-	}
-	return &Table{
-		ID:      "rate",
-		Title:   "Scheduling decision rate (§6.2)",
-		Columns: []string{"size", "FPGA clock", "FPGA ns/op", "ASIC ns/op"},
-		Rows:    rows,
-		Notes: []string{
-			"hardware numbers follow the 4-cycle datapath; software ns/op is BenchmarkCoreMixed and `go run ./bench`",
-			"MTU at 100 Gbps requires one decision every 120 ns",
-		},
-	}
-}
-
-// Scalability reproduces the headline claim: the largest scheduler each
-// design fits on the paper's device, and the resulting ratio ("over 30x
-// more scalable").
-func Scalability() *Table {
-	dev := hwmodel.StratixV
-	pifoMax := hwmodel.MaxPIFOFit(dev)
-	pieoMax := hwmodel.MaxPIEOFit(dev)
-	return &Table{
-		ID:      "scale",
-		Title:   "Maximum scheduler size fitting the Stratix V (headline)",
-		Columns: []string{"design", "max elements", "binding constraint"},
-		Rows: [][]string{
-			{"PIFO", fmt.Sprintf("%d", pifoMax), "ALMs (linear logic growth)"},
-			{"PIEO", fmt.Sprintf("%d", pieoMax), "SRAM (list storage, 2x overhead)"},
-			{"ratio", fmt.Sprintf("%.0fx", float64(pieoMax)/float64(pifoMax)), "paper claims >30x; demonstrated 30K vs 1K"},
-		},
-		Notes: []string{
-			"the paper demonstrates 30K vs 1K on its FPGA (30x); the model extrapolates to the SRAM limit",
-		},
-	}
-}

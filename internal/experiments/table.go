@@ -3,8 +3,7 @@
 // numbers, §6.3 Fig 11–12), plus the O(N) PIFO-deviation claim, the
 // design ablations and the behaviour studies (overload,
 // hierscale) indexed in DESIGN.md §4. Each experiment returns a Table
-// whose rows are the series the paper plots; cmd/pieobench prints them
-// and bench_test.go reports their headline values as benchmark metrics.
+// whose rows are the series the paper plots; cmd/pieobench prints them.
 // Software throughput is not measured here — that is bench/.
 package experiments
 
@@ -85,8 +84,6 @@ var registry = map[string]Runner{
 	"fig8":             Fig8,
 	"fig9":             Fig9,
 	"fig10":            Fig10,
-	"rate":             SchedulingRate,
-	"scale":            Scalability,
 	"fig11":            Fig11,
 	"fig12":            Fig12,
 	"deviation":        Deviation,
@@ -100,7 +97,6 @@ var registry = map[string]Runner{
 	"hier3":            Hier3,
 	"hierscale":        HierScale,
 	"overload":         Overload,
-	"qdev":             QuantDeviation,
 }
 
 // IDs returns the registered experiment ids, sorted.

@@ -184,13 +184,6 @@ func TestSRAMBlocksStriping(t *testing.T) {
 	}
 }
 
-func TestSchedulingRateMops(t *testing.T) {
-	// 80 MHz / 4 cycles = 20 M decisions/s.
-	if got := SchedulingRateMops(80, 4); math.Abs(got-20) > 1e-9 {
-		t.Fatalf("SchedulingRateMops = %v, want 20", got)
-	}
-}
-
 func TestPointerEntryBits(t *testing.T) {
 	g := PIEOGeometry(16) // 8 sublists of 4
 	// id: log2(8)=3, rank 16, time 16, num: log2(4)+1=3.

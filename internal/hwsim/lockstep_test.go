@@ -2,7 +2,6 @@ package hwsim
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"pieo/internal/backend"
@@ -114,14 +113,20 @@ func (s *lockstep) CheckInvariants() error {
 	if err := s.m.CheckInvariants(); err != nil {
 		return fmt.Errorf("machine: %w", err)
 	}
-	var got []core.Entry
-	for _, v := range s.m.Sublists() {
-		for _, w := range v.Words {
-			got = append(got, entry(w))
+	// Walk the machine's images in place: a copy of every sublist after
+	// every operation would cost the large programs most of their time.
+	want := s.l.Snapshot()
+	k := 0
+	for _, e := range s.m.rf.Entries[:s.m.active] {
+		for _, w := range s.m.mem.images[e.SublistID].Rank {
+			if k == len(want) || entry(w) != want[k] {
+				return fmt.Errorf("machine word %d is %v, core holds %v", k, entry(w), want)
+			}
+			k++
 		}
 	}
-	if want := s.l.Snapshot(); !slices.Equal(got, want) {
-		return fmt.Errorf("machine holds %v, core %v", got, want)
+	if k != len(want) {
+		return fmt.Errorf("machine holds %d words, core %v", k, want)
 	}
 	return nil
 }
@@ -167,6 +172,13 @@ func TestDifferentialVsCoreMedium(t *testing.T) {
 	runLockstep(t, seeded(conform.Shape{Capacity: 256, RankBits: 16, TimeBits: 6}, 200, 201, 6000)...)
 	// One instant: every finite send_time is 0.
 	runLockstep(t, seeded(conform.Shape{Capacity: 128, RankBits: 12}, 300, 301, 4000)...)
+}
+
+func TestDifferentialVsCoreLarge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large lockstep run")
+	}
+	runLockstep(t, seeded(conform.Shape{Capacity: 4096, RankBits: 16, TimeBits: 8}, 7, 8, 30000)...)
 }
 
 // TestDifferentialVsCoreRanged runs the ranged layouts of internal/core's

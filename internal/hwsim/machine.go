@@ -424,7 +424,7 @@ func (m *Machine) CheckInvariants() error {
 	total := 0
 	var prevRank uint64
 	for i, e := range m.rf.Entries {
-		img := m.mem.Peek(e.SublistID)
+		img := m.mem.images[e.SublistID] // read in place: Peek's copy is for callers outside
 		if i < m.active {
 			if len(img.Rank) == 0 {
 				return fmt.Errorf("active position %d empty", i)
@@ -438,7 +438,7 @@ func (m *Machine) CheckInvariants() error {
 			return fmt.Errorf("position %d num=%d want %d", i, e.Num, len(img.Rank))
 		}
 		if i+1 < m.active {
-			next := m.mem.Peek(m.rf.Entries[i+1].SublistID)
+			next := m.mem.images[m.rf.Entries[i+1].SublistID]
 			if len(img.Rank) < m.sublistSize && len(next.Rank) < m.sublistSize {
 				return fmt.Errorf("Invariant 1 violated at %d,%d", i, i+1)
 			}

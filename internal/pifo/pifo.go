@@ -16,6 +16,7 @@ package pifo
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Entry is one PIFO element: an identifier and its programmable rank.
@@ -28,27 +29,10 @@ type Entry struct {
 // hardware design has a hard capacity: one flip-flop slot per element.
 var ErrFull = errors.New("pifo: list full")
 
-// Stats counts hardware work: every enqueue activates one comparator per
-// stored element (parallel compare) and shifts the tail of the list by
-// one slot (parallel shift).
-type Stats struct {
-	Enqueues uint64
-	Dequeues uint64
-	Compares uint64 // comparator activations (one per element per enqueue)
-	Shifts   uint64 // element slots shifted
-}
-
-type element struct {
-	Entry
-	seq uint64
-}
-
 // List is a PIFO: a rank-ordered list that dequeues only from the head.
 type List struct {
 	capacity int
-	entries  []element
-	seq      uint64
-	stats    Stats
+	entries  []Entry
 }
 
 // New creates a PIFO with the given capacity.
@@ -56,30 +40,17 @@ func New(capacity int) *List {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("pifo: capacity must be positive, got %d", capacity))
 	}
-	return &List{capacity: capacity, entries: make([]element, 0, capacity)}
+	return &List{capacity: capacity, entries: make([]Entry, 0, capacity)}
 }
 
 // Len returns the number of queued elements.
-func (l *List) Len() int { return l.size() }
-
-func (l *List) size() int { return len(l.entries) }
-
-// Capacity returns the maximum number of elements.
-func (l *List) Capacity() int { return l.capacity }
-
-// Stats returns a copy of the accumulated counters.
-func (l *List) Stats() Stats { return l.stats }
+func (l *List) Len() int { return len(l.entries) }
 
 // Enqueue inserts e at its rank position; equal ranks keep FIFO order.
 func (l *List) Enqueue(e Entry) error {
 	if len(l.entries) == l.capacity {
 		return ErrFull
 	}
-	l.seq++
-	elem := element{Entry: e, seq: l.seq}
-	l.stats.Enqueues++
-	l.stats.Compares += uint64(len(l.entries))
-
 	idx := len(l.entries)
 	for i, x := range l.entries {
 		if e.Rank < x.Rank { // strict: equal ranks stay FIFO
@@ -87,10 +58,7 @@ func (l *List) Enqueue(e Entry) error {
 			break
 		}
 	}
-	l.stats.Shifts += uint64(len(l.entries) - idx)
-	l.entries = append(l.entries, element{})
-	copy(l.entries[idx+1:], l.entries[idx:])
-	l.entries[idx] = elem
+	l.entries = slices.Insert(l.entries, idx, e)
 	return nil
 }
 
@@ -100,11 +68,8 @@ func (l *List) Dequeue() (Entry, bool) {
 	if len(l.entries) == 0 {
 		return Entry{}, false
 	}
-	l.stats.Dequeues++
-	e := l.entries[0].Entry
-	copy(l.entries, l.entries[1:])
-	l.entries = l.entries[:len(l.entries)-1]
-	l.stats.Shifts += uint64(len(l.entries))
+	e := l.entries[0]
+	l.entries = slices.Delete(l.entries, 0, 1)
 	return e, true
 }
 
@@ -113,5 +78,5 @@ func (l *List) Peek() (Entry, bool) {
 	if len(l.entries) == 0 {
 		return Entry{}, false
 	}
-	return l.entries[0].Entry, true
+	return l.entries[0], true
 }
