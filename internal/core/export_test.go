@@ -5,8 +5,8 @@ package core
 func SublistEntries(l *List) [][]Entry {
 	out := make([][]Entry, l.active)
 	for i := range out {
-		for j, sl := 0, &l.sublists[l.order[i].sublistID]; j < sl.len(); j++ {
-			out[i] = append(out[i], sl.at(j).entry())
+		for _, h := range l.sublists[l.order[i].sublistID].hs {
+			out[i] = append(out[i], l.arena[h].entry())
 		}
 	}
 	return out

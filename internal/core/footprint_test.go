@@ -22,16 +22,16 @@ func liveHeap() uint64 {
 // allocation": constructing a 2^19-capacity list costs one sublist, and
 // the live heap at r residents is proportional to r, not to the capacity.
 //
-// A resident is 32 bytes of payload (a 24-byte element plus its 8-byte
-// Eligibility-Sublist time) in a row slot of slotBytes = 46 (the two-ended
-// window slack doubles the slot number and the time, not the element, and
-// the free stack adds a number). The bound per resident is two row slots
-// for Invariant 1 (sublists may be half full) plus four 8-byte flow-index
-// slots (just after a doubling) — 124 bytes, where the all-elements-twice
-// layout needed 200; the per-sublist metadata fits in the slack between
-// those worst cases. Storage arrives in steps, so at most two steps'
-// worth — the one being filled and, during the doubling phase, as much
-// again — is added on top.
+// A resident is a 24-byte element in the arena, plus a handle and a
+// send_time in a sublist place of slotBytes = 24 (the two-ended window
+// slack doubles both). The bound per resident is two sublist places for
+// Invariant 1 (sublists may be half full), its element and the quarter
+// more an arena step can leave unused, and four 8-byte flow-index slots
+// (just after a doubling) — 110 bytes; the per-sublist metadata fits in
+// the slack between those worst cases.
+// Sublist storage arrives in steps, so at most two steps' worth — the one
+// being filled and, during the doubling phase, as much again — is added
+// on top, and the arena's first step of 64 slots.
 func TestFootprintFollowsResidents(t *testing.T) {
 	const n = 1 << 19
 
@@ -58,12 +58,12 @@ func TestFootprintFollowsResidents(t *testing.T) {
 			}
 		}
 		live := int64(liveHeap()) - int64(base)
-		bound := int64(r*(2*slotBytes+4*8) + 2*maxStepBytes)
+		bound := int64(r*(2*slotBytes+elemBytes*5/4+4*8) + 2*maxStepBytes + 64*elemBytes)
 		t.Logf("r=%d: %d bytes live, %.1f B per resident (bound %d), %d of %d sublists bound",
 			r, live, float64(live)/float64(r), bound, len(l.sublists), l.NumSublists())
 		if live > bound {
-			t.Errorf("r=%d residents of capacity %d hold %d bytes live, want <= r x (2 x %d + 32) B + two steps = %d",
-				r, n, live, slotBytes, bound)
+			t.Errorf("r=%d residents of capacity %d hold %d bytes live, want <= r x (2 x %d + %d x 5/4 + 32) B + two steps = %d",
+				r, n, live, slotBytes, elemBytes, bound)
 		}
 		if err := l.CheckInvariants(); err != nil {
 			t.Fatal(err)
@@ -76,19 +76,20 @@ func TestFootprintFollowsResidents(t *testing.T) {
 // 2^19-capacity list to list_hold's 2^18 residents (fresh ids, the hold
 // model's stationary rank distribution) and reports the single most
 // expensive enqueue of each kind of growth — a storage step (capped at
-// maxStepBytes of sublist stores) and a flow-index doubling (the rehash
-// touches every resident, so the last one is the worst step overall) —
-// as wall time and bytes bound.
+// maxStepBytes of sublist stores), an arena step (it copies every
+// element into an arena a quarter larger, at most maxStepBytes) and a flow-index
+// doubling (the rehash touches every resident) — as wall time and bytes
+// bound. An enqueue that grows two kinds at once counts as the first.
 func BenchmarkGrowthStep(b *testing.B) {
 	const residents, span = 1 << 18, 1 << 20
-	var store, index struct{ ns, bytes float64 }
+	var store, arena, index struct{ ns, bytes float64 }
 	steps := 0
 	for i := 0; i < b.N; i++ {
 		l := New(2 * residents)
 		rng := rand.New(rand.NewSource(1))
 		for id := 0; id < residents; id++ {
 			e := Entry{ID: uint32(id), Rank: uint64(span * (1 - math.Sqrt(1-rng.Float64()))), SendTime: clock.Always}
-			bound, slots := len(l.sublists), l.flows.Slots()
+			bound, slots, elems := len(l.sublists), l.flows.Slots(), cap(l.arena)
 			start := time.Now()
 			if err := l.Enqueue(e); err != nil {
 				b.Fatal(err)
@@ -104,12 +105,19 @@ func BenchmarkGrowthStep(b *testing.B) {
 				if ns > store.ns {
 					store.ns, store.bytes = ns, float64(n*(l.sublistSize+1)*slotBytes)
 				}
+			} else if n := cap(l.arena); n != elems {
+				steps++
+				if ns > arena.ns {
+					arena.ns, arena.bytes = ns, float64(n*elemBytes)
+				}
 			}
 		}
 	}
 	b.ReportMetric(float64(steps)/float64(b.N), "steps/fill")
 	b.ReportMetric(store.ns, "store-step-ns")
 	b.ReportMetric(store.bytes, "store-step-B")
+	b.ReportMetric(arena.ns, "arena-step-ns")
+	b.ReportMetric(arena.bytes, "arena-step-B")
 	b.ReportMetric(index.ns, "index-step-ns")
 	b.ReportMetric(index.bytes, "index-step-B")
 }

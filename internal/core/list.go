@@ -34,9 +34,13 @@
 //     per 32 pointer-array positions (the minimum cached send_time of
 //     the block), so finding the first eligible sublist skips
 //     32 positions per probe instead of scanning all ~2√N.
-//   - A sublist's elements sit in an unordered row and its rank order
-//     is a window of 16-bit slot numbers over that row, so an insert or
-//     removal writes one element and shifts 2-byte numbers. The windows
+//   - Elements sit in one list-wide arena and never move while queued; a
+//     sublist's rank order is a window of 32-bit arena handles, so an
+//     insert or removal shifts 4-byte handles and an Invariant-1 move
+//     carries one handle from window to window, copying no element and
+//     leaving the flow index (id -> handle) untouched. An enqueue's
+//     in-sublist search starts from a guess interpolated between the
+//     sublist's cached smallest rank and the next one's. The windows
 //     live in two-ended stores with slack on both sides: head/tail
 //     insertions and removals — the common case on both the enqueue
 //     split path and the dequeue refill path — shift nothing, interior
@@ -121,19 +125,21 @@ type Stats struct {
 	ElemCompares  uint64 // sublist comparator activations
 }
 
-// element is an Entry as a sublist stores it. It carries no sequence
+// element is an Entry as the arena stores it. It carries no sequence
 // number: as in the hardware, equal ranks leave in FIFO order because an
 // arrival is placed after every element of its rank and Invariant-1
-// moves never reorder what they carry (see insertElem).
+// moves never reorder what they carry (see upperBound).
 //
-// The fields are Entry's, laid out for the cache rather than for the API:
-// the 4-byte id goes last, so an element is 24 bytes. An element is
-// copied only when it enters a sublist (an enqueue or an Invariant-1
-// move); ordering it shifts slot numbers (see sublist).
+// The fields are Entry's, laid out for the cache rather than for the API,
+// and the 4-byte id leaves 4 bytes of padding that name the sublist whose
+// window holds the element (for a free arena slot, the next free handle),
+// so an element is 24 bytes. An element is written once, when it is
+// enqueued, and stays in its arena slot until it leaves the list.
 type element struct {
 	rank     uint64
 	sendTime clock.Time
 	id       uint32
+	sub      uint32 // sublist id holding the handle; next free handle while free
 }
 
 func newElement(e Entry) element {
@@ -147,20 +153,20 @@ func (a *element) entry() Entry {
 // less compares ranks only; FIFO among equals is positional.
 func (a *element) less(b *element) bool { return a.rank < b.rank }
 
-// sublist is one SRAM-resident sublist: a row of S+1 element slots, the
-// rank order over it, and a parallel multiset of send_times ordered
-// ascending (the Eligibility-Sublist).
-//
-// The row is unordered: an element is written once, into any free slot,
-// and stays there until it leaves the sublist. Its rank order — FIFO
-// among equal ranks — is the window slots of 16-bit slot numbers, so an
-// interior insert or removal shifts 2-byte numbers where the hardware
-// re-orders the row in one cycle. free[len(slots):] is the stack of
-// unused slot numbers, top first; the numbers below the top are stale.
+// noHandle ends the arena's free chain.
+const noHandle = math.MaxUint32
+
+// sublist is one SRAM-resident sublist: the rank order of its elements
+// as a window of arena handles, and a parallel multiset of send_times
+// ordered ascending (the Eligibility-Sublist). The elements themselves
+// live in the list's arena, so an interior insert or removal shifts
+// 4-byte handles where the hardware re-orders the row in one cycle, and
+// an Invariant-1 move takes a handle out of one window and puts it into
+// its neighbour's.
 //
 // The two orders live in two-ended backing stores of capacity 2·(S+1)
-// with the live window floating between slack at either end (slots =
-// sbuf[sstart : sstart+n]). Removing the head or tail — what every
+// with the live window floating between slack at either end (hs =
+// hbuf[hstart : hstart+n]). Removing the head or tail — what every
 // dequeue and every Invariant-1 refill does — just moves the window
 // edge; interior insertions and removals shift whichever side is
 // shorter.
@@ -176,35 +182,24 @@ func (a *element) less(b *element) bool { return a.rank < b.rank }
 // sublist pass before it can touch an edge again — two to three moves
 // per operation, amortised, whatever the traffic.
 type sublist struct {
-	row   []element    // S+1 slots, unordered
-	slots []uint16     // rank-ordered window into sbuf: slot numbers of row
-	elig  []clock.Time // ascending send_time window into tbuf
-	free  []uint16     // free[len(slots):] are the unused slot numbers
+	hs   []uint32     // rank-ordered window into hbuf: arena handles
+	elig []clock.Time // ascending send_time window into tbuf
 
-	sbuf   []uint16
+	hbuf   []uint32
 	tbuf   []clock.Time
-	sstart int // slots window offset within sbuf
+	hstart int // hs window offset within hbuf
 	tstart int // elig window offset within tbuf
 }
 
-func (s *sublist) len() int           { return len(s.slots) }
-func (s *sublist) full(cap_ int) bool { return len(s.slots) == cap_ }
+func (s *sublist) len() int           { return len(s.hs) }
+func (s *sublist) full(cap_ int) bool { return len(s.hs) == cap_ }
 
-// at returns the element at rank-order index i.
-func (s *sublist) at(i int) *element { return &s.row[s.slots[i]] }
-
-// bind attaches backing stores — nums holds the free stack, then the
-// slot-number store — centers the (empty) windows and stacks the free
-// slot numbers so that the row fills from its start.
-func (s *sublist) bind(row []element, nums []uint16, tbuf []clock.Time) {
-	n := len(row)
-	s.row, s.free, s.sbuf, s.tbuf = row, nums[:n:n], nums[n:], tbuf
-	for i := range s.free {
-		s.free[i] = uint16(i)
-	}
-	s.sstart = len(s.sbuf) / 2
+// bind attaches backing stores and centers the (empty) windows.
+func (s *sublist) bind(hbuf []uint32, tbuf []clock.Time) {
+	s.hbuf, s.tbuf = hbuf, tbuf
+	s.hstart = len(hbuf) / 2
 	s.tstart = len(tbuf) / 2
-	s.slots = s.sbuf[s.sstart:s.sstart]
+	s.hs = hbuf[s.hstart:s.hstart]
 	s.elig = tbuf[s.tstart:s.tstart]
 }
 
@@ -244,23 +239,19 @@ func closeSlot[T any](buf []T, start, n, idx int) int {
 	return start
 }
 
-// insertEntryAt writes e into a free slot of the row and places the
-// slot's number at rank-order index idx.
-func (s *sublist) insertEntryAt(idx int, e element) {
-	n := len(s.slots)
-	slot := s.free[n]
-	s.row[slot] = e
-	s.sstart = openSlot(s.sbuf, s.sstart, n, idx)
-	s.sbuf[s.sstart+idx] = slot
-	s.slots = s.sbuf[s.sstart : s.sstart+n+1]
+// insertHandleAt places handle h at rank-order index idx.
+func (s *sublist) insertHandleAt(idx int, h uint32) {
+	n := len(s.hs)
+	s.hstart = openSlot(s.hbuf, s.hstart, n, idx)
+	s.hbuf[s.hstart+idx] = h
+	s.hs = s.hbuf[s.hstart : s.hstart+n+1]
 }
 
-// removeEntryAt deletes rank-order index idx and frees its slot.
-func (s *sublist) removeEntryAt(idx int) {
-	n := len(s.slots)
-	s.free[n-1] = s.slots[idx]
-	s.sstart = closeSlot(s.sbuf, s.sstart, n, idx)
-	s.slots = s.sbuf[s.sstart : s.sstart+n-1]
+// removeHandleAt deletes rank-order index idx.
+func (s *sublist) removeHandleAt(idx int) {
+	n := len(s.hs)
+	s.hstart = closeSlot(s.hbuf, s.hstart, n, idx)
+	s.hs = s.hbuf[s.hstart : s.hstart+n-1]
 }
 
 // insertElig adds t to the Eligibility-Sublist, after any equal values.
@@ -400,13 +391,20 @@ type List struct {
 	// and NextWakeAfter are all answered from them (DESIGN.md §11).
 	eligBlk []clock.Time
 
+	// arena holds every element, by handle; the free slots are chained
+	// through element.sub from free. It grows with the residents' high-water
+	// mark and never shrinks.
+	arena []element
+	free  uint32 // first free handle, noHandle when the chain is empty
+
 	size  int
-	flows idtab.Table[idtab.ID, uint32] // flow id -> sublist id + 1 (per-flow state, §5.2 Dequeue(f))
+	flows idtab.Table[idtab.ID, uint32] // flow id -> handle + 1 (per-flow state, §5.2 Dequeue(f))
 
 	stats Stats
 }
 
-// maxSublistSize is the largest S: slot numbers 0…S are 16 bits wide.
+// maxSublistSize is the largest S: ⌈√N⌉ for the 2^32 residents 32-bit
+// IDs allow.
 const maxSublistSize = math.MaxUint16
 
 // New creates a PIEO list with capacity n using the paper's geometry:
@@ -434,6 +432,7 @@ func NewWithSublistSize(n, s int) *List {
 		capacity:    n,
 		sublistSize: s,
 		numSublists: 2*((n+s-1)/s) + 2,
+		free:        noHandle,
 		flows:       idtab.New[idtab.ID, uint32](0),
 	}
 	l.extend()
@@ -449,19 +448,19 @@ func NewWithSublistSize(n, s int) *List {
 // least one sublist): an almost-empty list costs one sublist, and growth
 // never leaves more than one step unused.
 const (
-	// One row slot's share of a sublist: the element, a free-stack entry,
-	// and a slot number and a send_time in each half of the two-ended
-	// stores.
-	slotBytes    = 24 + 2 + 2*(2+8)
+	// One of a sublist's S+1 places: a handle and a send_time in each
+	// half of the two-ended stores. The element itself is in the arena.
+	slotBytes    = 2 * (4 + 8)
+	elemBytes    = 24 // an arena slot; TestElementLayout pins it
 	maxStepBytes = 256 << 10
 )
 
-// extend binds the next step of sublists: their rows and stores and
-// their entries in every per-sublist array, the new ids joining the tail
-// of the empty partition. Appending moves those arrays, so no *sublist or
-// *ptr may be held across a call (only claimEmptyAt calls it after
-// construction). Once the high-water mark is reached the operation path
-// allocates nothing.
+// extend binds the next step of sublists: their stores and their entries
+// in every per-sublist array, the new ids joining the tail of the empty
+// partition. Appending moves those arrays, so no *sublist or *ptr may be
+// held across a call (only claimEmptyAt calls it after construction).
+// Once the high-water mark is reached the operation path allocates
+// nothing.
 func (l *List) extend() {
 	slots := l.sublistSize + 1
 	first := len(l.order)
@@ -469,13 +468,12 @@ func (l *List) extend() {
 	if k <= 0 {
 		panic("pieo: empty-sublist partition exhausted; Invariant 1 slack miscomputed")
 	}
-	rows := make([]element, k*slots)
-	nums := make([]uint16, k*3*slots)
+	hbuf := make([]uint32, k*2*slots)
 	tbuf := make([]clock.Time, k*2*slots)
 	for i := 0; i < k; i++ {
-		lo, hi := i*slots, (i+1)*slots
+		lo, hi := 2*i*slots, 2*(i+1)*slots
 		var sl sublist
-		sl.bind(rows[lo:hi:hi], nums[3*lo:3*hi:3*hi], tbuf[2*lo:2*hi:2*hi])
+		sl.bind(hbuf[lo:hi:hi], tbuf[lo:hi:hi])
 		l.sublists = append(l.sublists, sl)
 		l.order = append(l.order, ptr{sublistID: first + i, smallestSendTime: clock.Never})
 		l.posOf = append(l.posOf, first+i)
@@ -484,6 +482,24 @@ func (l *List) extend() {
 	for len(l.eligBlk)<<eligBlockShift < len(l.order) {
 		l.eligBlk = append(l.eligBlk, clock.Never)
 	}
+}
+
+// growArena chains a step of new slots onto the (empty) free chain, as
+// extend binds sublists: a step adds a quarter of the arena (64 slots at
+// least, maxStepBytes at most, never past the capacity), so the unused
+// tail is never more than a quarter of the residents' high-water mark.
+// The elements are copied across; a handle is an index and survives, but
+// no *element may be held across a call (only enqueue calls it, before
+// it takes any).
+func (l *List) growArena() {
+	n := len(l.arena)
+	grown := make([]element, n+min(max(n/4, 64), maxStepBytes/elemBytes, l.capacity-n))
+	copy(grown, l.arena)
+	for h := n; h < len(grown); h++ {
+		grown[h].sub = uint32(h + 1)
+	}
+	grown[len(grown)-1].sub = noHandle
+	l.arena, l.free = grown, uint32(n)
 }
 
 // Len returns the number of queued elements.
@@ -521,10 +537,10 @@ func (l *List) Enqueue(e Entry) error {
 }
 
 // enqueue is Enqueue's §5.2 insert datapath; the capacity check has
-// already passed. It selects the target sublist
-// first — a read-only search — so that the flow index's duplicate check
-// is also the insert of the new key: one probe, and a duplicate returns
-// before anything is charged or changed.
+// already passed. It selects the target sublist and the arena slot
+// first — both read-only, bar a step of arena growth — so that the flow
+// index's duplicate check is also the insert of the new key: one probe,
+// and a duplicate returns before anything is charged or changed.
 func (l *List) enqueue(elem element) error {
 	// Cycle 1: the hardware compares (order[i].smallest_rank > rank)
 	// over the whole pointer array in parallel and priority-encodes the
@@ -544,17 +560,22 @@ func (l *List) enqueue(elem element) error {
 		}
 	}
 	pos := max(lo-1, 0)
-	sid := l.order[pos].sublistID
-	if !l.flows.Insert(idtab.ID(elem.id), uint32(sid)+1) {
+	if l.free == noHandle {
+		l.growArena()
+	}
+	h := l.free
+	if !l.flows.Insert(idtab.ID(elem.id), h+1) {
 		return ErrDuplicate
 	}
+	l.free = l.arena[h].sub
+	l.arena[h] = elem
 
 	l.stats.Enqueues++
 	l.stats.Cycles += 4
 	l.size++
 
 	if l.active == 0 {
-		l.insertElem(0, elem)
+		l.insertElemAt(0, 0, h)
 		l.active = 1
 		l.refreshMeta(0)
 		l.stats.SublistReads++
@@ -563,21 +584,20 @@ func (l *List) enqueue(elem element) error {
 	}
 
 	// Cycle 2: read S (and S' if S is full) from SRAM.
-	sl := &l.sublists[sid]
+	sl := &l.sublists[l.order[pos].sublistID]
 	l.stats.SublistReads++
 	wasFull := sl.full(l.sublistSize)
 
 	// Cycle 3: position via parallel compare + priority encode; cycle 4:
 	// write back.
 	l.stats.ElemCompares += uint64(sl.len())
-	l.insertElem(pos, elem)
+	l.insertElemAt(pos, l.upperBound(pos, elem.rank), h)
 
 	if wasFull {
 		// The insert pushed the sublist to S+1; move its tail into S'.
 		// sl is not used past this point: a claim may extend the storage
 		// and move l.sublists.
-		tail := *sl.at(sl.len() - 1)
-		l.removeAt(sl, sl.len()-1)
+		tail := l.removeAt(sl, sl.len()-1)
 
 		spPos := -1
 		if pos+1 < l.active && !l.sublists[l.order[pos+1].sublistID].full(l.sublistSize) {
@@ -592,7 +612,6 @@ func (l *List) enqueue(elem element) error {
 		sp := &l.sublists[l.order[spPos].sublistID]
 		l.stats.ElemCompares += uint64(sp.len())
 		l.insertElemAt(spPos, 0, tail) // sp's head: tail came before all of sp
-		l.flows.Set(idtab.ID(tail.id), uint32(l.order[spPos].sublistID)+1)
 		l.refreshMeta(spPos)
 		l.stats.SublistWrites++
 	}
@@ -653,7 +672,7 @@ func (l *List) extract(pos, idx int) Entry {
 	l.stats.Cycles += 4
 	l.stats.SublistReads++
 	l.stats.ElemCompares += uint64(sl.len())
-	out := sl.at(idx).entry()
+	out := l.at(sl, idx).entry()
 	l.extractAt(pos, sl, idx)
 	return out
 }
@@ -672,7 +691,7 @@ func (l *List) PeekRange(now clock.Time, lo, hi uint32) (Entry, bool) {
 	if pos == -1 {
 		return Entry{}, false
 	}
-	return l.sublists[l.order[pos].sublistID].at(idx).entry(), true
+	return l.at(&l.sublists[l.order[pos].sublistID], idx).entry(), true
 }
 
 // DequeueFlow extracts the element with the given id regardless of
@@ -683,7 +702,9 @@ func (l *List) DequeueFlow(id uint32) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	sid := int(v) - 1
+	h := v - 1
+	out := l.arena[h].entry()
+	sid := int(l.arena[h].sub)
 	l.stats.FlowDequeues++
 	l.stats.Cycles += 4
 
@@ -691,17 +712,10 @@ func (l *List) DequeueFlow(id uint32) (Entry, bool) {
 	sl := &l.sublists[sid]
 	l.stats.SublistReads++
 	l.stats.ElemCompares += uint64(sl.len())
-	idx := -1
-	for i := range sl.slots {
-		if sl.at(i).id == id {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(sl.hs, h)
 	if idx == -1 {
-		panic(fmt.Sprintf("pieo: flow index points id %d at sublist %d but it is not there", id, sid))
+		panic(fmt.Sprintf("pieo: id %d names sublist %d but its handle is not there", id, sid))
 	}
-	out := sl.at(idx).entry()
 	l.extractAt(pos, sl, idx)
 	return out, true
 }
@@ -731,6 +745,7 @@ func (l *List) findInRange(now clock.Time, lo, hi uint32, tighten bool) (pos, id
 	blk := l.eligBlk
 	ord := l.order
 	ids := l.ids
+	arena := l.arena
 	for pos < active {
 		if pos&eligBlockMask == 0 && now < blk[pos>>eligBlockShift] {
 			pos += eligBlockLen // no sublist of the block passes the time filter
@@ -747,17 +762,16 @@ func (l *List) findInRange(now clock.Time, lo, hi uint32, tighten bool) (pos, id
 			continue
 		}
 		sl := &l.sublists[sid]
-		row := sl.row
 		if lo <= b.lo && b.hi <= hi {
-			for i, slot := range sl.slots {
-				if row[slot].sendTime <= now {
+			for i, h := range sl.hs {
+				if arena[h].sendTime <= now {
 					return pos, i, missReads, missCompares
 				}
 			}
 			panic(fmt.Sprintf("pieo: sublist metadata/content mismatch at t=%v", now))
 		}
-		for i, slot := range sl.slots {
-			e := &row[slot]
+		for i, h := range sl.hs {
+			e := &arena[h]
 			if e.sendTime <= now && e.id >= lo && e.id <= hi {
 				return pos, i, missReads, missCompares
 			}
@@ -766,8 +780,8 @@ func (l *List) findInRange(now clock.Time, lo, hi uint32, tighten bool) (pos, id
 		missCompares += uint64(sl.len())
 		if tighten {
 			b := noIDs
-			for _, slot := range sl.slots {
-				b.admit(row[slot].id)
+			for _, h := range sl.hs {
+				b.admit(arena[h].id)
 			}
 			ids[sid] = b
 		}
@@ -861,7 +875,7 @@ func (l *List) MaxRankEntry() (Entry, bool) {
 		return Entry{}, false
 	}
 	sl := &l.sublists[l.order[l.active-1].sublistID]
-	return sl.at(sl.len() - 1).entry(), true
+	return l.at(sl, sl.len()-1).entry(), true
 }
 
 // extractAt removes entry idx from the sublist at order position pos and
@@ -870,9 +884,9 @@ func (l *List) MaxRankEntry() (Entry, bool) {
 // sublists move to the empty partition.
 func (l *List) extractAt(pos int, sl *sublist, idx int) {
 	wasFull := sl.full(l.sublistSize)
-	id := sl.at(idx).id
-	l.removeAt(sl, idx)
-	l.flows.Delete(idtab.ID(id))
+	h := l.removeAt(sl, idx)
+	l.flows.Delete(idtab.ID(l.arena[h].id))
+	l.arena[h].sub, l.free = l.free, h
 	l.size--
 	l.stats.SublistWrites++
 
@@ -886,10 +900,7 @@ func (l *List) extractAt(pos int, sl *sublist, idx int) {
 			if !left.full(l.sublistSize) {
 				l.stats.SublistReads++
 				l.stats.ElemCompares += uint64(left.len())
-				moved := *left.at(left.len() - 1)
-				l.removeAt(left, left.len()-1)
-				l.insertElemAt(pos, 0, moved)
-				l.flows.Set(idtab.ID(moved.id), uint32(l.order[pos].sublistID)+1)
+				l.insertElemAt(pos, 0, l.removeAt(left, left.len()-1))
 				l.stats.SublistWrites++
 				if left.len() == 0 {
 					l.retire(pos - 1)
@@ -906,10 +917,7 @@ func (l *List) extractAt(pos int, sl *sublist, idx int) {
 			if !right.full(l.sublistSize) {
 				l.stats.SublistReads++
 				l.stats.ElemCompares += uint64(right.len())
-				moved := *right.at(0)
-				l.removeAt(right, 0)
-				l.insertElemAt(pos, sl.len(), moved)
-				l.flows.Set(idtab.ID(moved.id), uint32(l.order[pos].sublistID)+1)
+				l.insertElemAt(pos, sl.len(), l.removeAt(right, 0))
 				l.stats.SublistWrites++
 				if right.len() == 0 {
 					l.retire(pos + 1)
@@ -929,45 +937,84 @@ func (l *List) extractAt(pos int, sl *sublist, idx int) {
 	l.refreshMeta(pos)
 }
 
-// insertElem places elem after every element of rank <= elem.rank in
-// the sublist at order position pos — an upper-bound binary search (the
-// hardware's parallel compare; callers charge the comparator stats).
-// Inserting after equals is what makes equal ranks leave in FIFO order:
-// the list stores no arrival stamp, as the hardware stores none.
-func (l *List) insertElem(pos int, elem element) {
-	sl := &l.sublists[l.order[pos].sublistID]
-	lo, hi := 0, sl.len()
+// upperBound returns the first rank-order index of the sublist at order
+// position pos whose rank exceeds r — where the hardware's parallel
+// compare + priority encode places an arrival (callers charge the
+// comparator stats). Placing it after its equals is what makes equal
+// ranks leave in FIFO order: the list stores no arrival stamp, as the
+// hardware stores none. The sublist's ranks lie between its cached
+// smallest rank and the next sublist's (the tail's own for the last
+// sublist), so a rank outside them costs no probe; inside, the search
+// guesses by interpolating between the two and gallops from the guess to
+// the exact bound, about 2·log2(d) probes of the arena for a guess d
+// places off.
+func (l *List) upperBound(pos int, r uint64) int {
+	hs, arena := l.sublists[l.order[pos].sublistID].hs, l.arena
+	n := len(hs)
+	first := l.order[pos].smallestRank
+	if n == 0 || r < first {
+		return 0
+	}
+	last := arena[hs[n-1]].rank
+	if pos+1 < l.active {
+		last = l.order[pos+1].smallestRank
+	}
+	if r >= last {
+		return n
+	}
+	// first <= r < last. Gallop from the guess g, keeping every index
+	// below lo ranked <= r and every index from hi on ranked above it.
+	g := min(int(float64(r-first)/float64(last-first)*float64(n)), n-1)
+	lo, hi, step := 0, n, 1
+	if arena[hs[g]].rank <= r {
+		for lo = g + 1; lo+step <= n && arena[hs[lo+step-1]].rank <= r; step <<= 1 {
+			lo += step
+		}
+		hi = min(lo+step-1, n)
+	} else {
+		for hi = g; hi >= step && arena[hs[hi-step]].rank > r; step <<= 1 {
+			hi -= step
+		}
+		lo = max(hi-step+1, 0)
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if elem.less(sl.at(mid)) {
+		if r < arena[hs[mid]].rank {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	l.insertElemAt(pos, lo, elem)
+	return lo
 }
 
-// insertElemAt places elem at rank-order index idx of the sublist at
-// order position pos — its position in rank order, which an Invariant-1
-// move knows without searching — and its send_time in the eligibility
-// multiset. It widens the sublist's resident-ID bounds; the pointer-array
-// metadata is the caller's refreshMeta.
-func (l *List) insertElemAt(pos, idx int, elem element) {
+// insertElemAt places the element at handle h at rank-order index idx of
+// the sublist at order position pos — its position in rank order, which
+// an Invariant-1 move knows without searching — records the sublist in
+// the element, and adds its send_time to the eligibility multiset. It
+// widens the sublist's resident-ID bounds; the pointer-array metadata is
+// the caller's refreshMeta.
+func (l *List) insertElemAt(pos, idx int, h uint32) {
 	sid := l.order[pos].sublistID
 	sl := &l.sublists[sid]
-	l.ids[sid].admit(elem.id)
-	sl.insertEntryAt(idx, elem)
-	sl.insertElig(elem.sendTime)
+	e := &l.arena[h]
+	e.sub = uint32(sid)
+	l.ids[sid].admit(e.id)
+	sl.insertHandleAt(idx, h)
+	sl.insertElig(e.sendTime)
 }
 
 // removeAt deletes entry idx from the rank order and its send_time from
-// the eligibility multiset.
-func (l *List) removeAt(sl *sublist, idx int) {
-	st := sl.at(idx).sendTime
-	sl.removeEntryAt(idx)
-	sl.removeElig(st)
+// the eligibility multiset, and returns its handle.
+func (l *List) removeAt(sl *sublist, idx int) uint32 {
+	h := sl.hs[idx]
+	sl.removeHandleAt(idx)
+	sl.removeElig(l.arena[h].sendTime)
+	return h
 }
+
+// at returns the element at rank-order index i of sl.
+func (l *List) at(sl *sublist, i int) *element { return &l.arena[sl.hs[i]] }
 
 // refreshMeta recomputes the cached pointer-array attributes of the
 // sublist at order position pos, and the packed summary word covering it.
@@ -986,7 +1033,7 @@ func (l *List) refreshMeta(pos int) {
 		t = clock.Never
 	} else {
 		t = sl.elig[0]
-		l.order[pos].smallestRank = sl.at(0).rank
+		l.order[pos].smallestRank = l.at(sl, 0).rank
 		l.order[pos].smallestSendTime = t
 	}
 	b := pos >> eligBlockShift
@@ -1076,9 +1123,8 @@ func (l *List) Snapshot() []Entry {
 	out := make([]Entry, l.size)
 	k := 0
 	for i := 0; i < l.active; i++ {
-		sl := &l.sublists[l.order[i].sublistID]
-		for j := range sl.slots {
-			out[k] = sl.at(j).entry()
+		for _, h := range l.sublists[l.order[i].sublistID].hs {
+			out[k] = l.arena[h].entry()
 			k++
 		}
 	}
@@ -1091,9 +1137,10 @@ func (l *List) Snapshot() []Entry {
 // active sublist and cleared for every empty one), eligibility-sublist
 // coherence, flow-index consistency, plus the software-only structures
 // layered on top (packed summary words and the MinSendTime they fold to,
-// two-ended window bounds, each row's slot numbers split exactly between
-// its window and its free stack, the flow index's own probe structure). Tests
-// call it after every mutation; it returns the first violation found.
+// two-ended window bounds, every arena handle in exactly one window or on
+// the free chain and naming the sublist whose window holds it, the flow
+// index's own probe structure). Tests call it after every mutation; it
+// returns the first violation found.
 func (l *List) CheckInvariants() error {
 	if l.active < 0 || l.active > len(l.order) {
 		return fmt.Errorf("active=%d out of range", l.active)
@@ -1109,7 +1156,7 @@ func (l *List) CheckInvariants() error {
 			n, l.numSublists, len(l.sublists), len(l.posOf), len(l.ids), len(l.eligBlk))
 	}
 	seen := make([]bool, len(l.sublists))
-	used := make([]bool, l.sublistSize+1)           // slot numbers met in the sublist at hand
+	held := make([]bool, len(l.arena))              // handles met in a window or on the free chain
 	times := make([]clock.Time, 0, l.sublistSize+1) // the sublist's send_times, sorted
 	total := 0
 	minSend := clock.Never
@@ -1126,22 +1173,21 @@ func (l *List) CheckInvariants() error {
 			return fmt.Errorf("posOf[%d]=%d, want %d", p.sublistID, l.posOf[p.sublistID], i)
 		}
 		sl := &l.sublists[p.sublistID]
-		if want := l.sublistSize + 1; len(sl.row) != want || len(sl.free) != want || len(sl.sbuf) != 2*want || len(sl.tbuf) != 2*want {
-			return fmt.Errorf("sublist %d bound to a row of %d slots, %d free, stores of %d/%d, want %d, %d, %d/%d",
-				p.sublistID, len(sl.row), len(sl.free), len(sl.sbuf), len(sl.tbuf), want, want, 2*want, 2*want)
+		if want := 2 * (l.sublistSize + 1); len(sl.hbuf) != want || len(sl.tbuf) != want {
+			return fmt.Errorf("sublist %d bound to stores of %d/%d, want %d",
+				p.sublistID, len(sl.hbuf), len(sl.tbuf), want)
 		}
-		if sl.sstart < 0 || sl.sstart+len(sl.slots) > len(sl.sbuf) {
-			return fmt.Errorf("sublist %d slot window [%d,%d) outside store of %d",
-				p.sublistID, sl.sstart, sl.sstart+len(sl.slots), len(sl.sbuf))
+		if sl.hstart < 0 || sl.hstart+len(sl.hs) > len(sl.hbuf) {
+			return fmt.Errorf("sublist %d handle window [%d,%d) outside store of %d",
+				p.sublistID, sl.hstart, sl.hstart+len(sl.hs), len(sl.hbuf))
 		}
-		// The window and the free stack partition the row's slot numbers.
-		clear(used)
-		for _, nums := range [2][]uint16{sl.slots, sl.free[len(sl.slots):]} {
-			for _, slot := range nums {
-				if int(slot) >= len(used) || used[slot] {
-					return fmt.Errorf("sublist %d slot number %d out of range or held twice", p.sublistID, slot)
-				}
-				used[slot] = true
+		for _, h := range sl.hs {
+			if int(h) >= len(held) || held[h] {
+				return fmt.Errorf("sublist %d handle %d out of range or held twice", p.sublistID, h)
+			}
+			held[h] = true
+			if sub := l.arena[h].sub; int(sub) != p.sublistID {
+				return fmt.Errorf("handle %d in the window of sublist %d names sublist %d", h, p.sublistID, sub)
 			}
 		}
 		if sl.tstart < 0 || sl.tstart+len(sl.elig) > len(sl.tbuf) {
@@ -1170,7 +1216,7 @@ func (l *List) CheckInvariants() error {
 			}
 		}
 		// Metadata coherence.
-		if head := sl.at(0); p.smallestRank != head.rank {
+		if head := l.at(sl, 0); p.smallestRank != head.rank {
 			return fmt.Errorf("position %d smallestRank=%d, want %d", i, p.smallestRank, head.rank)
 		}
 		if len(sl.elig) != sl.len() {
@@ -1181,8 +1227,8 @@ func (l *List) CheckInvariants() error {
 		}
 		// The eligibility sublist is exactly the entries' send_times, sorted.
 		times = times[:0]
-		for j := range sl.slots {
-			times = append(times, sl.at(j).sendTime)
+		for _, h := range sl.hs {
+			times = append(times, l.arena[h].sendTime)
 		}
 		slices.Sort(times)
 		if !slices.Equal(sl.elig, times) {
@@ -1191,15 +1237,15 @@ func (l *List) CheckInvariants() error {
 		// Global rank order across the sublist concatenation. FIFO among
 		// equal ranks is positional and leaves no trace to check here;
 		// the conformance suite checks it against refmodel.
-		for j := range sl.slots {
-			e := sl.at(j)
+		for _, h := range sl.hs {
+			e := &l.arena[h]
 			if prev != nil && e.less(prev) {
 				return fmt.Errorf("global order violated: %v before %v", prev.entry(), e.entry())
 			}
 			prev = e
 			minSend = min(minSend, e.sendTime)
-			if v, ok := l.flows.Get(idtab.ID(e.id)); !ok || int(v)-1 != p.sublistID {
-				return fmt.Errorf("flow index for id %d = (%d,%v), want sublist %d", e.id, int(v)-1, ok, p.sublistID)
+			if v, ok := l.flows.Get(idtab.ID(e.id)); !ok || v-1 != h {
+				return fmt.Errorf("flow index for id %d = (%d,%v), want handle %d", e.id, int64(v)-1, ok, h)
 			}
 			if b := l.ids[p.sublistID]; e.id < b.lo || e.id > b.hi {
 				return fmt.Errorf("position %d id bounds [%d,%d] miss resident id %d", i, b.lo, b.hi, e.id)
@@ -1209,6 +1255,18 @@ func (l *List) CheckInvariants() error {
 	}
 	if total != l.size {
 		return fmt.Errorf("size=%d but %d elements stored", l.size, total)
+	}
+	// The free chain holds exactly the handles no window holds.
+	free := 0
+	for h := l.free; h != noHandle; h = l.arena[h].sub {
+		if int(h) >= len(held) || held[h] {
+			return fmt.Errorf("free handle %d out of range or also held", h)
+		}
+		held[h] = true
+		free++
+	}
+	if total+free != len(l.arena) {
+		return fmt.Errorf("arena of %d slots: %d held by windows, %d free", len(l.arena), total, free)
 	}
 	// Every resident resolved above, so an index of exactly size keys
 	// holds nothing else; check covers the probe structure itself.

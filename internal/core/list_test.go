@@ -442,7 +442,7 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 	for _, n := range []int{0, -1} {
 		mustPanic(fmt.Sprintf("New(%d)", n), func() { New(n) })
 	}
-	// Slot numbers 0…S are 16 bits wide.
+	// S is capped at ⌈√N⌉ for the 2^32 residents 32-bit IDs allow.
 	mustPanic("NewWithSublistSize(1<<20, 65536)", func() { NewWithSublistSize(1<<20, maxSublistSize+1) })
 	if huge := int64(maxSublistSize*maxSublistSize + 1); int64(int(huge)) == huge {
 		if l := New(int(huge)); l.SublistSize() != maxSublistSize {
@@ -450,9 +450,9 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 		}
 	}
 
-	// The largest row, filled past one sublist: the spill passes through
-	// S+1 residents, so the top slot number is used, and the refill and a
-	// flow dequeue reuse freed ones.
+	// The largest sublist, filled past one: the spill passes through S+1
+	// residents, and the refill and a flow dequeue reuse freed arena
+	// slots.
 	l := NewWithSublistSize(1<<20, maxSublistSize)
 	const n = maxSublistSize + 8
 	for id := uint32(0); id < n; id++ {

@@ -19,7 +19,7 @@ func (l *List) MinRankAtLeast(lo uint64) (Entry, bool) {
 	if pos == -1 {
 		return Entry{}, false
 	}
-	return l.sublists[l.order[pos].sublistID].at(idx).entry(), true
+	return l.at(&l.sublists[l.order[pos].sublistID], idx).entry(), true
 }
 
 // DequeueRankRange extracts the smallest-ranked entry with
@@ -31,14 +31,14 @@ func (l *List) DequeueRankRange(lo, hi uint64) (Entry, bool) {
 		return Entry{}, false
 	}
 	sl := &l.sublists[l.order[pos].sublistID]
-	if sl.at(idx).rank > hi {
+	if l.at(sl, idx).rank > hi {
 		return Entry{}, false
 	}
 	l.stats.FlowDequeues++ // datapath-wise identical to dequeue(f)
 	l.stats.Cycles += 4
 	l.stats.SublistReads++
 	l.stats.ElemCompares += uint64(sl.len())
-	out := sl.at(idx).entry()
+	out := l.at(sl, idx).entry()
 	l.extractAt(pos, sl, idx)
 	return out, true
 }
@@ -72,7 +72,7 @@ func (l *List) findMinRankAtLeast(lo uint64) (pos, idx int) {
 		jlo, jhi := 0, prev.len()
 		for jlo < jhi {
 			mid := int(uint(jlo+jhi) >> 1)
-			if prev.at(mid).rank >= lo {
+			if l.at(prev, mid).rank >= lo {
 				jhi = mid
 			} else {
 				jlo = mid + 1

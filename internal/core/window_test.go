@@ -10,19 +10,22 @@ import (
 
 // The software datapath's unit costs, pinned so that a reordered or
 // added field cannot silently put back the bytes the layout saves: an
-// element is 24 bytes (a row is S+1 of them, and every enqueue and
-// Invariant-1 move writes one), a pointer-array entry 24, a flow-index
-// slot an eighth of a cache line. Neither element nor ptr carries an
-// arrival stamp: as in internal/hwsim, FIFO among equal ranks is
-// positional.
+// element is 24 bytes with its sublist id in the id's padding (the arena
+// holds one per resident, and every enqueue writes one), a pointer-array
+// entry 24, a flow-index slot an eighth of a cache line. Neither element
+// nor ptr carries an arrival stamp: as in internal/hwsim, FIFO among
+// equal ranks is positional.
 func TestElementLayout(t *testing.T) {
 	if got := unsafe.Sizeof(element{}); got != 24 {
-		t.Fatalf("element must be 24 bytes (rank, send_time, id; no FIFO stamp): got %d", got)
+		t.Fatalf("element must be 24 bytes (rank, send_time, id, sublist; no FIFO stamp): got %d", got)
+	}
+	if got := unsafe.Offsetof(element{}.sub); got != 20 {
+		t.Fatalf("element's sublist id must sit in the id's padding at offset 20: got %d", got)
 	}
 	if got := unsafe.Sizeof(ptr{}); got != 24 {
 		t.Fatalf("ptr must be 24 bytes (sublist id, smallest rank, smallest send_time): got %d", got)
 	}
-	// A flow-index slot is a 4-byte id and a 4-byte sublist id + 1;
+	// A flow-index slot is a 4-byte id and a 4-byte handle + 1;
 	// idtab's TestSlotIsKeyAndValue pins that a slot adds no flag.
 	if got := unsafe.Sizeof(idtab.ID(0)); got != 4 {
 		t.Fatalf("flow-index key must be 4 bytes: got %d", got)
@@ -32,26 +35,26 @@ func TestElementLayout(t *testing.T) {
 	}
 }
 
-// slots records where every resident of the given sublists sits: its
-// element by id in the row, its slot number by id in the rank-order
-// store, its send_time by value in the eligibility store (the drift
-// tests use distinct send_times). A place is named by sublist and
+// places records where every resident of the given sublists sits: its
+// element by id in the arena, its handle by id in a window's store, its
+// send_time by value in the eligibility store (the drift tests use
+// distinct send_times). A place in a store is named by sublist and
 // absolute index, so it changes exactly when the thing is copied
 // somewhere else.
-type slots struct {
-	elem map[uint32][2]int
-	num  map[uint32][2]int
-	elig map[clock.Time][2]int
+type places struct {
+	elem   map[uint32]uint32
+	handle map[uint32][2]int
+	elig   map[clock.Time][2]int
 }
 
-func slotsOf(sls []sublist) slots {
-	s := slots{elem: map[uint32][2]int{}, num: map[uint32][2]int{}, elig: map[clock.Time][2]int{}}
+func placesOf(arena []element, sls []sublist) places {
+	s := places{elem: map[uint32]uint32{}, handle: map[uint32][2]int{}, elig: map[clock.Time][2]int{}}
 	for sid := range sls {
 		sl := &sls[sid]
-		for j, slot := range sl.slots {
-			id := sl.row[slot].id
-			s.elem[id] = [2]int{sid, int(slot)}
-			s.num[id] = [2]int{sid, sl.sstart + j}
+		for j, h := range sl.hs {
+			id := arena[h].id
+			s.elem[id] = h
+			s.handle[id] = [2]int{sid, sl.hstart + j}
 		}
 		for j, t := range sl.elig {
 			s.elig[t] = [2]int{sid, sl.tstart + j}
@@ -61,18 +64,22 @@ func slotsOf(sls []sublist) slots {
 }
 
 // movedSince counts the residents of both snapshots that are no longer
-// where before saw them — the elements an operation copied, and the slot
-// numbers and send_times it shifted, not counting the one it inserted or
-// removed.
-func (after slots) movedSince(before slots) (elems, shifted int) {
+// where before saw them — the elements an operation copied, the handles
+// it moved from one sublist's window to another's, and the handles and
+// send_times it shifted (those crossings included), not counting the one
+// it inserted or removed.
+func (after places) movedSince(before places) (copied, crossed, shifted int) {
 	for id, at := range after.elem {
 		if was, ok := before.elem[id]; ok && was != at {
-			elems++
+			copied++
 		}
 	}
-	for id, at := range after.num {
-		if was, ok := before.num[id]; ok && was != at {
+	for id, at := range after.handle {
+		if was, ok := before.handle[id]; ok && was != at {
 			shifted++
+			if was[0] != at[0] {
+				crossed++
+			}
 		}
 	}
 	for t, at := range after.elig {
@@ -80,18 +87,19 @@ func (after slots) movedSince(before slots) (elems, shifted int) {
 			shifted++
 		}
 	}
-	return elems, shifted
+	return copied, crossed, shifted
 }
 
-// driftBound is the constant c of the window-drift contract: slot
-// numbers and send_times moved per insert or removal, amortised, when
-// every operation works a window's ends. The recentring rule gives at
-// most S+1 moves per (S+1)/2 operations on a window, and an operation
-// touches two windows (rank order and eligibility order); without
-// recentring the cost is the window length, ~S, on every insert once a
-// window has reached the edge of its store. Elements have a bound of
-// their own, and it is exact: an insert or removal inside a row copies
-// no resident element, an Invariant-1 move copies the one it moves.
+// driftBound is the constant c of the window-drift contract: handles
+// and send_times moved per insert or removal, amortised, when every
+// operation works a window's ends. The recentring rule gives at most S+1
+// moves per (S+1)/2 operations on a window, and an operation touches two
+// windows (rank order and eligibility order); without recentring the
+// cost is the window length, ~S, on every insert once a window has
+// reached the edge of its store. Elements have a bound of their own, and
+// it is exact: a queued element never leaves its arena slot, and an
+// Invariant-1 move carries exactly one handle into the neighbouring
+// window.
 const driftBound = 4
 
 // TestSublistWindowDrift drives one sublist through the two patterns
@@ -105,48 +113,50 @@ func TestSublistWindowDrift(t *testing.T) {
 	for _, resident := range []int{s / 2, s} {
 		for _, dir := range []string{"head-remove/tail-insert", "tail-remove/head-insert"} {
 			var sl sublist
-			sl.bind(make([]element, s+1), make([]uint16, 3*(s+1)), make([]clock.Time, 2*(s+1)))
+			sl.bind(make([]uint32, 2*(s+1)), make([]clock.Time, 2*(s+1)))
+			// The arena is append-only here: a handle is never reused, so
+			// a resident's handle names it for the whole run.
+			var arena []element
 			// Keys start in the middle of their range so either pattern
 			// can extend them; send_time tracks rank, so both windows see
 			// the same pattern.
 			lo, hi := uint64(1<<20), uint64(1<<20)
 			add := func(key uint64, idx int) {
-				sl.insertEntryAt(idx, element{rank: key, sendTime: clock.Time(key), id: uint32(key)})
+				arena = append(arena, element{rank: key, sendTime: clock.Time(key), id: uint32(key)})
+				sl.insertHandleAt(idx, uint32(len(arena)-1))
 				sl.insertElig(clock.Time(key))
+			}
+			remove := func(idx int) {
+				st := arena[sl.hs[idx]].sendTime
+				sl.removeHandleAt(idx)
+				sl.removeElig(st)
 			}
 			for i := 0; i < resident; i++ {
 				add(hi, sl.len())
 				hi++
 			}
-			copied, moved := 0, 0
+			moved := 0
 			for i := 0; i < cycles; i++ {
-				before := slotsOf([]sublist{sl})
+				before := placesOf(arena, []sublist{sl})
 				if dir == "head-remove/tail-insert" {
-					st := sl.at(0).sendTime
-					sl.removeEntryAt(0)
-					sl.removeElig(st)
+					remove(0)
 					add(hi, sl.len())
 					hi++
 				} else {
-					st := sl.at(sl.len() - 1).sendTime
-					sl.removeEntryAt(sl.len() - 1)
-					sl.removeElig(st)
+					remove(sl.len() - 1)
 					lo--
 					add(lo, 0)
 				}
-				e, n := slotsOf([]sublist{sl}).movedSince(before)
-				copied, moved = copied+e, moved+n
+				_, _, n := placesOf(arena, []sublist{sl}).movedSince(before)
+				moved += n
 				if sl.len() != resident || len(sl.elig) != resident {
 					t.Fatalf("%s: window lengths %d/%d, want %d", dir, sl.len(), len(sl.elig), resident)
 				}
 			}
 			for j := 1; j < sl.len(); j++ {
-				if !sl.at(j-1).less(sl.at(j)) || sl.elig[j-1] >= sl.elig[j] {
+				if !arena[sl.hs[j-1]].less(&arena[sl.hs[j]]) || sl.elig[j-1] >= sl.elig[j] {
 					t.Fatalf("%s: windows out of order at %d", dir, j)
 				}
-			}
-			if copied != 0 {
-				t.Errorf("%s at %d/%d resident: %d resident elements copied inside their row, want 0", dir, resident, s, copied)
 			}
 			if ops := 2 * cycles; moved > driftBound*ops {
 				t.Errorf("%s at %d/%d resident: %d window entries moved over %d ops (%.1f per op), want <= %d per op",
@@ -162,7 +172,7 @@ func TestSublistWindowDrift(t *testing.T) {
 // takes the head of the full sublist, Invariant 1 refills it from the
 // partial neighbour, and the enqueue lands at the far end — both
 // sublists' windows take one step across their stores per cycle, and the
-// refill is the cycle's one element copy.
+// refill is the cycle's one handle crossing between windows.
 func TestListWindowDrift(t *testing.T) {
 	const s = 32
 	const cycles = 20 * s
@@ -180,17 +190,16 @@ func TestListWindowDrift(t *testing.T) {
 		for i := 0; i < s+s/2; i++ {
 			enq()
 		}
-		copied, moved := 0, 0
+		var d drift
 		for i := 0; i < cycles; i++ {
-			before := slotsOf(l.sublists)
+			before := placesOf(l.arena, l.sublists)
 			if _, ok := l.Dequeue(now); !ok {
 				t.Fatal("dequeue missed")
 			}
 			enq()
-			e, n := slotsOf(l.sublists).movedSince(before)
-			copied, moved = copied+e, moved+n
+			d.add(placesOf(l.arena, l.sublists).movedSince(before))
 		}
-		checkDrift(t, l, copied, moved, cycles)
+		d.check(t, l, cycles)
 	})
 
 	t.Run("tail-remove/head-insert", func(t *testing.T) {
@@ -207,9 +216,9 @@ func TestListWindowDrift(t *testing.T) {
 			l.Dequeue(now)
 		}
 		next := uint64(base - 1)
-		copied, moved := 0, 0
+		var d drift
 		for i := 0; i < cycles; i++ {
-			before := slotsOf(l.sublists)
+			before := placesOf(l.arena, l.sublists)
 			if err := l.Enqueue(Entry{ID: uint32(next), Rank: next, SendTime: clock.Time(next)}); err != nil {
 				t.Fatal(err)
 			}
@@ -218,16 +227,22 @@ func TestListWindowDrift(t *testing.T) {
 			if _, ok := l.DequeueFlow(max.ID); !ok {
 				t.Fatal("dequeue(f) of the largest rank missed")
 			}
-			e, n := slotsOf(l.sublists).movedSince(before)
-			copied, moved = copied+e, moved+n
+			d.add(placesOf(l.arena, l.sublists).movedSince(before))
 		}
-		checkDrift(t, l, copied, moved, cycles)
+		d.check(t, l, cycles)
 	})
 }
 
-// checkDrift judges cycles dequeue+enqueue pairs, each with one
-// Invariant-1 refill.
-func checkDrift(t *testing.T, l *List, copied, moved, cycles int) {
+// drift accumulates movedSince over a run of dequeue+enqueue pairs.
+type drift struct{ copied, crossed, shifted int }
+
+func (d *drift) add(copied, crossed, shifted int) {
+	d.copied, d.crossed, d.shifted = d.copied+copied, d.crossed+crossed, d.shifted+shifted
+}
+
+// check judges cycles dequeue+enqueue pairs, each with one Invariant-1
+// refill.
+func (d drift) check(t *testing.T, l *List, cycles int) {
 	t.Helper()
 	ops := 2 * cycles
 	if err := l.CheckInvariants(); err != nil {
@@ -236,11 +251,61 @@ func checkDrift(t *testing.T, l *List, copied, moved, cycles int) {
 	if l.active != 2 {
 		t.Fatalf("pattern left %d active sublists, want the full/partial pair", l.active)
 	}
-	if copied != cycles {
-		t.Errorf("%d resident elements copied over %d refills, want exactly one each", copied, cycles)
+	if d.copied != 0 {
+		t.Errorf("%d queued elements left their arena slot over %d refills, want none", d.copied, cycles)
 	}
-	if moved > driftBound*ops {
+	if d.crossed != cycles {
+		t.Errorf("%d handles crossed between windows over %d refills, want exactly one each", d.crossed, cycles)
+	}
+	if d.shifted > driftBound*ops {
 		t.Errorf("%d window entries moved over %d ops (%.1f per op), want <= %d per op",
-			moved, ops, float64(moved)/float64(ops), driftBound)
+			d.shifted, ops, float64(d.shifted)/float64(ops), driftBound)
+	}
+}
+
+// TestCheckInvariantsHoldsHandles corrupts the arena bookkeeping three
+// ways and expects CheckInvariants to name each: an element naming the
+// wrong sublist, a held handle also on the free chain, and a free slot
+// dropped from the chain.
+func TestCheckInvariantsHoldsHandles(t *testing.T) {
+	l := NewWithSublistSize(64, 4)
+	for id := uint32(0); id < 20; id++ {
+		if err := l.Enqueue(Entry{ID: id, Rank: uint64(id % 7)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.DequeueFlow(3) // one free slot on the chain
+	if err := l.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	held := l.sublists[l.order[0].sublistID].hs[0]
+	for name, corrupt := range map[string]func() func(){
+		"wrong sublist": func() func() {
+			e := &l.arena[held]
+			was := e.sub
+			e.sub = uint32(l.order[1].sublistID)
+			return func() { e.sub = was }
+		},
+		"held and free": func() func() {
+			was := l.free
+			l.free = held
+			return func() { l.free = was }
+		},
+		"free slot lost": func() func() {
+			was := l.free
+			l.free = l.arena[was].sub
+			return func() { l.free = was }
+		},
+	} {
+		restore := corrupt()
+		if err := l.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants passed", name)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
+		restore()
+	}
+	if err := l.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -95,17 +95,16 @@ type SublistImage struct {
 	Elig []uint64 // Eligibility-Sublist
 }
 
-func (s SublistImage) clone() SublistImage {
-	return SublistImage{
-		Rank: append([]Word(nil), s.Rank...),
-		Elig: append([]uint64(nil), s.Elig...),
-	}
-}
-
 // DualPortSRAM stores the sublist array and enforces the §5.1 port
 // discipline: at most two sublist accesses (reads+writes combined) per
 // cycle. The cycle is supplied by the machine; an access on a stale
 // cycle or a third access in one cycle is a datapath bug and panics.
+//
+// Images are handed out and taken over, not copied: Read and Peek return
+// the stored image itself, and Write stores the one it is given. The
+// machine mutates a Read image only to Write it back in the same
+// operation, so the ports are what an access costs, not a copy of the
+// sublist; a caller that keeps an image past the next Write must copy it.
 type DualPortSRAM struct {
 	Reads, Writes uint64
 
@@ -139,18 +138,18 @@ func (m *DualPortSRAM) usePort(kind string, id int) {
 func (m *DualPortSRAM) Read(id int) SublistImage {
 	m.usePort("read", id)
 	m.Reads++
-	return m.images[id].clone()
+	return m.images[id]
 }
 
 // Write stores a sublist image through one SRAM port.
 func (m *DualPortSRAM) Write(id int, img SublistImage) {
 	m.usePort("write", id)
 	m.Writes++
-	m.images[id] = img.clone()
+	m.images[id] = img
 }
 
 // Peek inspects a sublist without consuming a port (checks, tracing, PeekMax).
-func (m *DualPortSRAM) Peek(id int) SublistImage { return m.images[id].clone() }
+func (m *DualPortSRAM) Peek(id int) SublistImage { return m.images[id] }
 
 // PointerEntry is one Ordered-Sublist-Array register (§5.2). IDLo and
 // IDHi bound the flow IDs resident in the sublist, for the ranged

@@ -405,13 +405,13 @@ type SublistView struct {
 }
 
 // Sublists returns the active partition of the pointer array in order,
-// each register with its sublist's words (tracing; reads via Peek so no
-// ports are consumed).
+// each register with a copy of its sublist's words (tracing; reads via
+// Peek so no ports are consumed).
 func (m *Machine) Sublists() []SublistView {
 	out := make([]SublistView, m.active)
 	for i, e := range m.rf.Entries[:m.active] {
 		img := m.mem.Peek(e.SublistID)
-		out[i] = SublistView{PointerEntry: e, Full: m.fullImg(img), Words: img.Rank}
+		out[i] = SublistView{PointerEntry: e, Full: m.fullImg(img), Words: slices.Clone(img.Rank)}
 	}
 	return out
 }
@@ -424,7 +424,7 @@ func (m *Machine) CheckInvariants() error {
 	total := 0
 	var prevRank uint64
 	for i, e := range m.rf.Entries {
-		img := m.mem.images[e.SublistID] // read in place: Peek's copy is for callers outside
+		img := m.mem.Peek(e.SublistID)
 		if i < m.active {
 			if len(img.Rank) == 0 {
 				return fmt.Errorf("active position %d empty", i)
@@ -438,7 +438,7 @@ func (m *Machine) CheckInvariants() error {
 			return fmt.Errorf("position %d num=%d want %d", i, e.Num, len(img.Rank))
 		}
 		if i+1 < m.active {
-			next := m.mem.images[m.rf.Entries[i+1].SublistID]
+			next := m.mem.Peek(m.rf.Entries[i+1].SublistID)
 			if len(img.Rank) < m.sublistSize && len(next.Rank) < m.sublistSize {
 				return fmt.Errorf("Invariant 1 violated at %d,%d", i, i+1)
 			}

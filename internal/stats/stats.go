@@ -141,10 +141,16 @@ func (s Summary) String() string {
 
 // OrderDeviation quantifies how far a measured scheduling order strays
 // from an ideal order. For each element it computes |position in got −
-// position in want| and returns the maximum and mean displacement.
-// Elements present in only one sequence are ignored. This is the metric
-// behind the §2.3 claim that two-PIFO WF²Q+ emulation can deviate O(N).
+// position in want| and returns the maximum and mean displacement. The
+// two orders must hold the same elements: a duplicate ideal ID, a length
+// mismatch or an element present in only one order panics, so a drain
+// that loses, invents or repeats an element cannot read as exact. This
+// is the metric behind the §2.3 claim that two-PIFO WF²Q+ emulation can
+// deviate O(N).
 func OrderDeviation(want, got []string) (maxDev int, meanDev float64) {
+	if len(want) != len(got) {
+		panic(fmt.Sprintf("stats: ideal order has %d elements, measured %d", len(want), len(got)))
+	}
 	wantPos := make(map[string]int, len(want))
 	for i, id := range want {
 		if _, dup := wantPos[id]; dup {
@@ -152,12 +158,17 @@ func OrderDeviation(want, got []string) (maxDev int, meanDev float64) {
 		}
 		wantPos[id] = i
 	}
-	n := 0
 	total := 0
 	for i, id := range got {
 		w, ok := wantPos[id]
 		if !ok {
-			continue
+			panic(fmt.Sprintf("stats: measured order holds %q, which the ideal order lacks", id))
+		}
+		// With equal lengths, got misses an ideal ID only by repeating
+		// another, so marking each one met catches both.
+		wantPos[id] = -1
+		if w < 0 {
+			panic(fmt.Sprintf("stats: measured order repeats %q", id))
 		}
 		d := i - w
 		if d < 0 {
@@ -167,10 +178,9 @@ func OrderDeviation(want, got []string) (maxDev int, meanDev float64) {
 			maxDev = d
 		}
 		total += d
-		n++
 	}
-	if n > 0 {
-		meanDev = float64(total) / float64(n)
+	if len(got) > 0 {
+		meanDev = float64(total) / float64(len(got))
 	}
 	return maxDev, meanDev
 }

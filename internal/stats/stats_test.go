@@ -136,10 +136,25 @@ func TestOrderDeviationWorstCase(t *testing.T) {
 	}
 }
 
-func TestOrderDeviationIgnoresUnknown(t *testing.T) {
-	maxDev, meanDev := OrderDeviation([]string{"a"}, []string{"x", "a"})
-	if maxDev != 1 || meanDev != 1 {
-		t.Fatalf("deviation = %d/%v, want 1/1", maxDev, meanDev)
+// TestOrderDeviationMismatchPanics holds the two orders to one set: a
+// drain that loses its last elements, gains one, or repeats one in place
+// of another would otherwise be scored on the elements the orders share
+// and could read as exact.
+func TestOrderDeviationMismatchPanics(t *testing.T) {
+	for name, got := range map[string][]string{
+		"lost tail": {"a", "b"},
+		"extra":     {"x", "a", "b", "c"},
+		"foreign":   {"a", "b", "x"},
+		"repeat":    {"a", "a", "c"},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: OrderDeviation(a b c, %v) did not panic", name, got)
+				}
+			}()
+			OrderDeviation([]string{"a", "b", "c"}, got)
+		}()
 	}
 }
 
