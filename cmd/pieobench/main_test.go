@@ -20,7 +20,7 @@ func TestRunFig8Smoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if lines[0] != "size,PIEO ALMs,PIFO ALMs,PIEO comparators,PIFO comparators" {
+	if lines[0] != "size,PIEO ALMs,PIFO ALMs,PIEO comparators,PIFO comparators,PIEO ALMs in ID bounds" {
 		t.Fatalf("header = %q", lines[0])
 	}
 	if len(lines) != 1+7 {

@@ -88,21 +88,12 @@ func TestFacadeDictionary(t *testing.T) {
 	}
 }
 
+// TestFacadeHardwareModelSweep: a list built with an explicit sublist
+// size, the sublist-size ablation's knob, keeps it.
 func TestFacadeHardwareModelSweep(t *testing.T) {
-	// Exercise the remaining exported hardware-model surface.
-	g := PIEOGeometry(2048)
-	if g.SublistSize == 0 || g.NumSublists == 0 {
-		t.Fatalf("geometry = %+v", g)
-	}
 	l := NewListWithSublistSize(64, 4)
 	if l.SublistSize() != 4 {
 		t.Fatalf("SublistSize = %d", l.SublistSize())
-	}
-	if !PIEOResources(g).FitsOn(StratixV) {
-		t.Fatal("PIEO@2K does not fit")
-	}
-	if PIEOClockMHz(g) <= 0 {
-		t.Fatal("clock model broken")
 	}
 }
 

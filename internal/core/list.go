@@ -72,8 +72,8 @@ import (
 // Entry is one element of the ordered list: a flow (or packet) identifier
 // with its programmable rank and eligibility time. The paper's prototype
 // uses 16-bit rank and send_time fields; this model widens them to 64
-// bits so virtual-time algorithms never wrap, and leaves bit-width
-// costing to internal/hwmodel.
+// bits so virtual-time algorithms never wrap, and leaves bit widths to
+// internal/hwsim's Shape.
 type Entry struct {
 	ID       uint32
 	Rank     uint64

@@ -266,7 +266,9 @@ func (d drift) check(t *testing.T, l *List, cycles int) {
 // TestCheckInvariantsHoldsHandles corrupts the arena bookkeeping three
 // ways and expects CheckInvariants to name each: an element naming the
 // wrong sublist, a held handle also on the free chain, and a free slot
-// dropped from the chain.
+// dropped from the chain. A fourth corruption keeps an eligibility window
+// sorted but moves its last send_time one tick late, so the window no
+// longer holds the residents' send_times.
 func TestCheckInvariantsHoldsHandles(t *testing.T) {
 	l := NewWithSublistSize(64, 4)
 	for id := uint32(0); id < 20; id++ {
@@ -295,6 +297,11 @@ func TestCheckInvariantsHoldsHandles(t *testing.T) {
 			was := l.free
 			l.free = l.arena[was].sub
 			return func() { l.free = was }
+		},
+		"send time off by one": func() func() {
+			elig := l.sublists[l.order[0].sublistID].elig
+			elig[len(elig)-1]++
+			return func() { elig[len(elig)-1]-- }
 		},
 	} {
 		restore := corrupt()

@@ -8,6 +8,7 @@ import (
 	"pieo/internal/clock"
 	"pieo/internal/flowq"
 	"pieo/internal/hwmodel"
+	"pieo/internal/hwsim"
 	"pieo/internal/policy"
 	"pieo/internal/sched"
 )
@@ -29,8 +30,7 @@ func Ablation() *Table {
 	// 1. Sublist geometry at N=4096 (sqrt = 64).
 	const n = 4096
 	for _, s := range []int{8, 16, 32, 64, 128, 256, 512} {
-		g := hwmodel.GeometryWithSublistSize(n, s)
-		r := hwmodel.PIEOResources(g)
+		r := hwmodel.PIEOResources(hwsim.Shape(n, s))
 		label := fmt.Sprintf("N=4096 S=%d", s)
 		if s == 64 {
 			label += " (sqrt)"

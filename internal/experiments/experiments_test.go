@@ -16,26 +16,28 @@ import (
 // tableDigests pins every table: the first 16 hex digits of the SHA-256
 // of its FprintCSV output. Every table is deterministic, so a digest
 // moves only when a table's content does — a change that means to move
-// one re-records it here and says why. The ablation digest was recorded
-// when its pipelining rows (the pipeline and fig10 tables' numbers) left
-// it, the hierscale digest when its partitioned/sharded rows left with
-// the "sharded" registry name; the other fifteen at commit ef99068.
+// one re-records it here and says why. The hierscale digest was recorded
+// when its partitioned/sharded rows left with the "sharded" registry
+// name; the ablation, devices, fig8, fig9, fig10 and pipeline digests when
+// the hardware model began pricing hwsim.Shape, the datapath hwsim builds
+// (two slack sublists, S+1 lanes, §4.2's ID bounds); the other ten at
+// commit ef99068.
 var tableDigests = map[string]string{
-	"ablation":         "b2498dece86e2236",
+	"ablation":         "848ebb0a5f31cd60",
 	"approx":           "65462b238d67fc88",
 	"deviation":        "4e8a66df12766401",
-	"devices":          "7a74b7267b83d2d4",
-	"fig10":            "2c3e6918234e7d77",
+	"devices":          "8b0851e453a69cbe",
+	"fig10":            "f0f5fb401802bc03",
 	"fig11":            "ba720b09b3df90cb",
 	"fig12":            "3540f9aae4c2aa45",
 	"fig2":             "5c947c605a8b6cfd",
-	"fig8":             "f46bfccdb84b9acd",
-	"fig9":             "16b3a7d6af2e0b02",
+	"fig8":             "ed13bcd36f56bc76",
+	"fig9":             "04d9e743848f1e9c",
 	"hier3":            "a52c48eb238260ea",
 	"hierscale":        "373b23d22b2b4445",
 	"overload":         "466310daa1dc5a29",
 	"pacing-precision": "5206e7875a900846",
-	"pipeline":         "73da05831d7f5d1c",
+	"pipeline":         "a5a35855fffbcd0f",
 	"trigger":          "7f9e66de498b5083",
 	"wfi":              "d585c13797b31080",
 }

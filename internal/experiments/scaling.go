@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pieo/internal/hwmodel"
+	"pieo/internal/hwsim"
 )
 
 // sweepSizes are the scheduler sizes of the Fig 8-10 x-axis: 1K up to the
@@ -17,13 +18,27 @@ func sizeLabel(n int) string {
 	return fmt.Sprintf("%d", n)
 }
 
+// sqrtShape is the PIEO datapath the figures count: capacity n at the
+// paper's √n sublist size, as hwsim builds it.
+func sqrtShape(n int) hwsim.Counts { return hwsim.Shape(n, hwsim.SublistSize(n)) }
+
+// idBoundsShare is the share of the PIEO datapath's ALMs that §4.2's ID
+// bounds take: the machine as built against the same shape with
+// ID-bound fields of width 0, the paper's §5-only prototype.
+func idBoundsShare(c hwsim.Counts) float64 {
+	s5 := c
+	s5.Entry.IDBounds = 0
+	return 1 - float64(hwmodel.PIEOResources(s5).ALMs)/float64(hwmodel.PIEOResources(c).ALMs)
+}
+
 // Fig8 reproduces the logic-consumption scaling study: percent of the
 // Stratix V's 234K ALMs consumed by PIEO vs PIFO as the scheduler grows.
 func Fig8() *Table {
 	dev := hwmodel.StratixV
 	var rows [][]string
 	for _, n := range sweepSizes {
-		pieo := hwmodel.PIEOResources(hwmodel.PIEOGeometry(n))
+		c := sqrtShape(n)
+		pieo := hwmodel.PIEOResources(c)
 		pifo := hwmodel.PIFOResources(n)
 		pifoCell := fmt.Sprintf("%.1f%%", pifo.ALMPercent(dev))
 		if !pifo.FitsOn(dev) {
@@ -35,16 +50,18 @@ func Fig8() *Table {
 			pifoCell,
 			fmt.Sprintf("%d", pieo.Comparators16),
 			fmt.Sprintf("%d", pifo.Comparators16),
+			fmt.Sprintf("%.1f%%", 100*idBoundsShare(c)),
 		})
 	}
 	return &Table{
 		ID:      "fig8",
 		Title:   "Percent of logic modules (ALMs) consumed, out of 234K (Fig 8)",
-		Columns: []string{"size", "PIEO ALMs", "PIFO ALMs", "PIEO comparators", "PIFO comparators"},
+		Columns: []string{"size", "PIEO ALMs", "PIFO ALMs", "PIEO comparators", "PIFO comparators", "PIEO ALMs in ID bounds"},
 		Rows:    rows,
 		Notes: []string{
 			"PIFO calibrated to the paper's measured 64% at 1K; it cannot fit 2K or more",
 			"PIEO grows as sqrt(N) and fits 30K+ elements easily",
+			"PIEO counts the datapath hwsim builds: 2*ceil(N/S)+2 sublists, S+1 lanes, and §4.2's ID bounds in every pointer entry; the paper's §5-only prototype is the PIEO ALMs less the last column's share",
 		},
 	}
 }
@@ -55,23 +72,25 @@ func Fig9() *Table {
 	dev := hwmodel.StratixV
 	var rows [][]string
 	for _, n := range sweepSizes {
-		g := hwmodel.PIEOGeometry(n)
-		r := hwmodel.PIEOResources(g)
+		c := sqrtShape(n)
+		r := hwmodel.PIEOResources(c)
 		rows = append(rows, []string{
 			sizeLabel(n),
 			fmt.Sprintf("%.2f%%", r.SRAMPercent(dev)),
 			fmt.Sprintf("%.2f Mbit", float64(r.SRAMBits)/1e6),
 			fmt.Sprintf("%d", r.SRAMBlocks),
-			fmt.Sprintf("%dx%d", g.NumSublists, g.SublistSize),
+			fmt.Sprintf("%dx%d", c.Sublists, c.SublistSize),
+			fmt.Sprintf("%d bits (%.0f%% ID bounds)", c.Sublists*c.Entry.Total(), 100*float64(c.Entry.IDBounds)/float64(c.Entry.Total())),
 		})
 	}
 	return &Table{
 		ID:      "fig9",
 		Title:   "Percent of SRAM consumed, out of 6.5 MB (Fig 9)",
-		Columns: []string{"size", "SRAM used", "SRAM bits", "M20K blocks", "geometry"},
+		Columns: []string{"size", "SRAM used", "SRAM bits", "M20K blocks", "geometry", "pointer array"},
 		Rows:    rows,
 		Notes: []string{
-			"the 2x overhead of Invariant 1 is included; total stays modest even at 30K",
+			"the 2x overhead of Invariant 1 is included, and so are the two slack sublists; total stays modest even at 30K",
+			"§4.2's ID bounds live in the pointer array's registers, not in SRAM: the paper's §5-only prototype has the same SRAM and a pointer array the last column's share smaller",
 		},
 	}
 }
@@ -81,8 +100,7 @@ func Fig9() *Table {
 func Fig10() *Table {
 	var rows [][]string
 	for _, n := range sweepSizes {
-		g := hwmodel.PIEOGeometry(n)
-		pieoF := hwmodel.PIEOClockMHz(g)
+		pieoF := hwmodel.PIEOClockMHz(sqrtShape(n))
 		pifoCell := fmt.Sprintf("%.0f MHz", hwmodel.PIFOClockMHz(n))
 		if !hwmodel.PIFOResources(n).FitsOn(hwmodel.StratixV) {
 			pifoCell += " (does not fit)"

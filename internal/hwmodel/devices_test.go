@@ -32,10 +32,10 @@ func TestPIFOStillLogicBoundOnStratix10(t *testing.T) {
 }
 
 func TestClockScalesUpAcrossDevices(t *testing.T) {
-	g := PIEOGeometry(30000)
-	v := PIEOClockMHzOn(StratixV, g)
-	s10 := PIEOClockMHzOn(Stratix10, g)
-	asic := PIEOClockMHzOn(ASIC, g)
+	c := sqrtShape(30000)
+	v := PIEOClockMHzOn(StratixV, c)
+	s10 := PIEOClockMHzOn(Stratix10, c)
+	asic := PIEOClockMHzOn(ASIC, c)
 	if !(v < s10 && s10 < asic) {
 		t.Fatalf("clock ordering violated: %v %v %v", v, s10, asic)
 	}
@@ -47,8 +47,8 @@ func TestClockScalesUpAcrossDevices(t *testing.T) {
 func TestASICNsPerOpHeadline(t *testing.T) {
 	// §6.2: "At 1 GHz clock rate, each primitive operation in PIEO would
 	// only take 4 ns." Small instances reach the cap.
-	g := PIEOGeometry(1024)
-	f := PIEOClockMHzOn(ASIC, g)
+	c := sqrtShape(1024)
+	f := PIEOClockMHzOn(ASIC, c)
 	if math.Abs(f-ASICClockMHz) > 0.1 {
 		t.Fatalf("ASIC clock at 1K = %v, want ~1000 (capped)", f)
 	}

@@ -4,20 +4,28 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"pieo/internal/hwsim"
 )
 
+// sqrtShape is the datapath the figures price: capacity n at the paper's
+// √n sublist size.
+func sqrtShape(n int) hwsim.Counts { return hwsim.Shape(n, hwsim.SublistSize(n)) }
+
+// TestPIEOGeometrySqrtN: the model prices hwsim's √N shape, two slack
+// sublists included.
 func TestPIEOGeometrySqrtN(t *testing.T) {
-	g := PIEOGeometry(16)
-	if g.SublistSize != 4 || g.NumSublists != 8 {
-		t.Fatalf("geometry(16) = %+v, want sublists 8x4", g)
+	c := sqrtShape(16)
+	if c.SublistSize != 4 || c.Sublists != 10 {
+		t.Fatalf("shape(16) = %+v, want 10 sublists of 4", c)
 	}
-	g = PIEOGeometry(30000)
-	if g.SublistSize != 174 {
-		t.Fatalf("SublistSize(30000) = %d, want 174", g.SublistSize)
+	c = sqrtShape(30000)
+	if c.SublistSize != 174 {
+		t.Fatalf("SublistSize(30000) = %d, want 174", c.SublistSize)
 	}
-	// 2*ceil(30000/174) = 2*173 = 346
-	if g.NumSublists != 346 {
-		t.Fatalf("NumSublists(30000) = %d, want 346", g.NumSublists)
+	// 2*ceil(30000/174) + 2 = 2*173 + 2 = 348
+	if c.Sublists != 348 {
+		t.Fatalf("Sublists(30000) = %d, want 348", c.Sublists)
 	}
 }
 
@@ -26,21 +34,22 @@ func TestGeometryCapacityInvariant(t *testing.T) {
 	// tolerates fragmentation up to half-empty alternation).
 	f := func(n16 uint16) bool {
 		n := int(n16)%100000 + 1
-		g := PIEOGeometry(n)
-		return g.NumSublists*g.SublistSize >= 2*n-2*g.SublistSize
+		c := sqrtShape(n)
+		return c.Sublists*c.SublistSize >= 2*n
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestGeometryPanicsOnZero: no PIEO of capacity 0 can be priced.
 func TestGeometryPanicsOnZero(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("PIEOGeometry(0) did not panic")
+			t.Fatal("PIEOResources(sqrtShape(0)) did not panic")
 		}
 	}()
-	PIEOGeometry(0)
+	PIEOResources(sqrtShape(0))
 }
 
 func TestPIFOCalibrationPoint(t *testing.T) {
@@ -65,7 +74,7 @@ func TestPIFODoesNotFit2K(t *testing.T) {
 
 func TestPIEOFits30K(t *testing.T) {
 	// Paper: "we can easily fit a PIEO scheduler with 30K elements."
-	r := PIEOResources(PIEOGeometry(30000))
+	r := PIEOResources(sqrtShape(30000))
 	if !r.FitsOn(StratixV) {
 		t.Fatalf("PIEO@30K does not fit: %d ALMs, %d SRAM bits", r.ALMs, r.SRAMBits)
 	}
@@ -77,8 +86,8 @@ func TestPIEOFits30K(t *testing.T) {
 func TestPIEOLogicSublinear(t *testing.T) {
 	// Quadrupling capacity should roughly double PIEO logic (sqrt
 	// scaling), while PIFO logic quadruples (linear).
-	p1 := PIEOResources(PIEOGeometry(4096)).ALMs
-	p4 := PIEOResources(PIEOGeometry(16384)).ALMs
+	p1 := PIEOResources(sqrtShape(4096)).ALMs
+	p4 := PIEOResources(sqrtShape(16384)).ALMs
 	ratio := float64(p4) / float64(p1)
 	if ratio > 2.6 {
 		t.Fatalf("PIEO ALM growth x4 capacity = %.2fx, want ~2x (sqrt)", ratio)
@@ -91,13 +100,12 @@ func TestPIEOLogicSublinear(t *testing.T) {
 }
 
 func TestPIEOSRAMTwiceCapacity(t *testing.T) {
-	// Invariant 1 costs exactly 2x SRAM: slots = NumSublists*SublistSize
-	// ≈ 2N element slots.
-	g := PIEOGeometry(1 << 14)
-	r := PIEOResources(g)
-	wantBits := uint64(2*g.Capacity) * uint64(g.ElementBits())
-	// NumSublists*SublistSize may exceed 2N slightly due to ceil.
-	if r.SRAMBits < wantBits || r.SRAMBits > wantBits+uint64(2*g.SublistSize*g.ElementBits()) {
+	// Invariant 1 costs 2x SRAM: words = Sublists*SublistSize ≈ 2N, plus
+	// the ceiling and the two slack sublists.
+	c := sqrtShape(1 << 14)
+	r := PIEOResources(c)
+	wantBits := uint64(2*c.Capacity) * uint64(c.WordBits)
+	if r.SRAMBits < wantBits || r.SRAMBits > wantBits+uint64(4*c.SublistSize*c.WordBits) {
 		t.Fatalf("SRAMBits = %d, want ~%d (2x capacity)", r.SRAMBits, wantBits)
 	}
 }
@@ -105,7 +113,7 @@ func TestPIEOSRAMTwiceCapacity(t *testing.T) {
 func TestPIEOSRAMModestAt30K(t *testing.T) {
 	// Paper Fig 9: total SRAM consumption is "fairly modest" even with
 	// the 2x overhead.
-	r := PIEOResources(PIEOGeometry(30000))
+	r := PIEOResources(sqrtShape(30000))
 	if pct := r.SRAMPercent(StratixV); pct > 25 {
 		t.Fatalf("PIEO@30K SRAM = %.1f%%, want modest (<25%%)", pct)
 	}
@@ -124,7 +132,7 @@ func TestClockCalibrationPoints(t *testing.T) {
 	if got := PIFOClockMHz(1024); math.Abs(got-57) > 2 {
 		t.Fatalf("PIFOClockMHz(1K) = %.1f, want ~57", got)
 	}
-	if got := PIEOClockMHz(PIEOGeometry(30000)); math.Abs(got-80) > 3 {
+	if got := PIEOClockMHz(sqrtShape(30000)); math.Abs(got-80) > 3 {
 		t.Fatalf("PIEOClockMHz(30K) = %.1f, want ~80", got)
 	}
 }
@@ -133,7 +141,7 @@ func TestClockMonotonicallyDecreasing(t *testing.T) {
 	sizes := []int{1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18}
 	prev := math.Inf(1)
 	for _, n := range sizes {
-		f := PIEOClockMHz(PIEOGeometry(n))
+		f := PIEOClockMHz(sqrtShape(n))
 		if f >= prev {
 			t.Fatalf("PIEO clock not decreasing at n=%d: %.1f >= %.1f", n, f, prev)
 		}
@@ -173,29 +181,14 @@ func TestScalabilityHeadline(t *testing.T) {
 func TestSRAMBlocksStriping(t *testing.T) {
 	// Each sublist must be readable in one cycle, so blocks >= one column
 	// per sublist slot (SublistSize columns).
-	g := PIEOGeometry(30000)
-	r := PIEOResources(g)
-	if r.SRAMBlocks < g.SublistSize {
-		t.Fatalf("SRAMBlocks = %d < SublistSize %d; sublist not fully striped", r.SRAMBlocks, g.SublistSize)
+	c := sqrtShape(30000)
+	r := PIEOResources(c)
+	if r.SRAMBlocks < c.SublistSize {
+		t.Fatalf("SRAMBlocks = %d < SublistSize %d; sublist not fully striped", r.SRAMBlocks, c.SublistSize)
 	}
 	// And the paper's device has ~2500 blocks; 30K must fit.
 	if r.SRAMBlocks > 2500 {
 		t.Fatalf("SRAMBlocks = %d exceeds the device's ~2500", r.SRAMBlocks)
-	}
-}
-
-func TestPointerEntryBits(t *testing.T) {
-	g := PIEOGeometry(16) // 8 sublists of 4
-	// id: log2(8)=3, rank 16, time 16, num: log2(4)+1=3.
-	if got := g.PointerEntryBits(); got != 38 {
-		t.Fatalf("PointerEntryBits = %d, want 38", got)
-	}
-}
-
-func TestElementBits(t *testing.T) {
-	g := PIEOGeometry(16)
-	if got := g.ElementBits(); got != 64 {
-		t.Fatalf("ElementBits = %d, want 64", got)
 	}
 }
 
@@ -204,7 +197,7 @@ func TestElementBits(t *testing.T) {
 func TestPIEOBeatsPIFOProperty(t *testing.T) {
 	f := func(n16 uint16) bool {
 		n := int(n16)%65536 + 64
-		return PIEOResources(PIEOGeometry(n)).ALMs < PIFOResources(n).ALMs
+		return PIEOResources(sqrtShape(n)).ALMs < PIFOResources(n).ALMs
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -39,22 +39,19 @@ var (
 	ErrDuplicate = errors.New("hwsim: flow already enqueued")
 )
 
-// New builds a machine with capacity n and the paper's √n sublists.
+// New builds a machine with capacity n and the paper's √n sublists, each
+// component sized by Shape.
 func New(n int) *Machine {
-	if n <= 0 {
-		panic(fmt.Sprintf("hwsim: capacity %d", n))
-	}
-	s := int(math.Ceil(math.Sqrt(float64(n))))
-	num := 2*((n+s-1)/s) + 2
+	c := Shape(n, SublistSize(n))
 	return &Machine{
 		capacity:    n,
-		sublistSize: s,
-		mem:         NewDualPortSRAM(num),
-		rf:          NewRegisterFile(num),
-		ptrCmp:      NewComparatorBank(num),
-		ptrEnc:      NewPriorityEncoder(num),
-		subCmp:      NewComparatorBank(s + 1),
-		subEnc:      NewPriorityEncoder(s + 1),
+		sublistSize: c.SublistSize,
+		mem:         NewDualPortSRAM(c.Sublists),
+		rf:          NewRegisterFile(c.Sublists),
+		ptrCmp:      NewComparatorBank(c.Sublists),
+		ptrEnc:      NewPriorityEncoder(c.Sublists),
+		subCmp:      NewComparatorBank(c.Lanes),
+		subEnc:      NewPriorityEncoder(c.Lanes),
 		where:       idtab.New[idtab.ID, uint32](n),
 	}
 }

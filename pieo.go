@@ -47,7 +47,6 @@ import (
 	"pieo/internal/core"
 	"pieo/internal/flowq"
 	"pieo/internal/hier"
-	"pieo/internal/hwmodel"
 	"pieo/internal/netsim"
 	"pieo/internal/policy"
 	"pieo/internal/sched"
@@ -313,31 +312,6 @@ type (
 
 // NewSim creates a simulation over the given link and scheduler.
 func NewSim(link Link, s SimScheduler) *Sim { return netsim.New(link, s) }
-
-// Hardware cost model (§5, §6.1-6.2).
-type (
-	// Device is a hardware resource budget (e.g. StratixV).
-	Device = hwmodel.Device
-	// Geometry is a PIEO sublist shape.
-	Geometry = hwmodel.Geometry
-	// Resources is an estimated hardware footprint.
-	Resources = hwmodel.Resources
-)
-
-// StratixV is the paper's prototype FPGA.
-var StratixV = hwmodel.StratixV
-
-// Hardware model entry points.
-var (
-	// PIEOGeometry returns the √n geometry for capacity n.
-	PIEOGeometry = hwmodel.PIEOGeometry
-	// PIEOResources estimates a PIEO instance's hardware footprint.
-	PIEOResources = hwmodel.PIEOResources
-	// PIFOResources estimates the PIFO baseline's footprint.
-	PIFOResources = hwmodel.PIFOResources
-	// PIEOClockMHz estimates the synthesized clock rate.
-	PIEOClockMHz = hwmodel.PIEOClockMHz
-)
 
 // Wire-facing edge (Fig 1's ingress): frame decoding and flow
 // classification.

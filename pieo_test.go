@@ -80,19 +80,6 @@ func TestPublicSimAPI(t *testing.T) {
 	}
 }
 
-func TestPublicHardwareModel(t *testing.T) {
-	r := PIEOResources(PIEOGeometry(30000))
-	if !r.FitsOn(StratixV) {
-		t.Fatal("PIEO@30K does not fit the paper's device")
-	}
-	if PIFOResources(2048).FitsOn(StratixV) {
-		t.Fatal("PIFO@2K fits; it must not")
-	}
-	if mhz := PIEOClockMHz(PIEOGeometry(30000)); mhz < 70 || mhz > 90 {
-		t.Fatalf("clock = %v, want ~80", mhz)
-	}
-}
-
 // TestPublicHealthAPI pins the health surface reached through the
 // facade: ShardedList.Health reports occupancy against capacity, and
 // FaultStats reads zero.
