@@ -192,6 +192,32 @@ func TestSRAMBlocksStriping(t *testing.T) {
 	}
 }
 
+// TestPointerEntryBits: the register file is priced at one pointer entry
+// per sublist. At capacity 16 an entry is a 4-bit sublist id, 16-bit
+// rank and send_time, a 3-bit count and two 16-bit ID bounds: 71 bits,
+// times 10 sublists, plus the two staged sublists of 5 lanes of 64 bits.
+func TestPointerEntryBits(t *testing.T) {
+	c := sqrtShape(16)
+	if got := c.Entry.Total(); got != 71 {
+		t.Fatalf("pointer entry = %d bits, want 71", got)
+	}
+	if got := PIEOResources(c).FlipFlopBits; got != 10*71+2*5*64 {
+		t.Fatalf("FlipFlopBits = %d, want %d", got, 10*71+2*5*64)
+	}
+}
+
+// TestElementBits: an SRAM word is flow id, rank, send_time and its
+// eligibility copy, 64 bits, and the SRAM is priced at 10 sublists of 4.
+func TestElementBits(t *testing.T) {
+	c := sqrtShape(16)
+	if c.WordBits != 64 {
+		t.Fatalf("WordBits = %d, want 64", c.WordBits)
+	}
+	if got := PIEOResources(c).SRAMBits; got != 10*4*64 {
+		t.Fatalf("SRAMBits = %d, want %d", got, 10*4*64)
+	}
+}
+
 // Property: PIEO always uses fewer ALMs than PIFO at equal capacity >= 64
 // (the whole point of the design).
 func TestPIEOBeatsPIFOProperty(t *testing.T) {
