@@ -6,7 +6,7 @@ func SublistEntries(l *List) [][]Entry {
 	out := make([][]Entry, l.active)
 	for i := range out {
 		for _, h := range l.sublists[l.order[i].sublistID].hs {
-			out[i] = append(out[i], l.arena[h].entry())
+			out[i] = append(out[i], l.arena.at(h).entry())
 		}
 	}
 	return out

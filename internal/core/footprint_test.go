@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -25,13 +26,12 @@ func liveHeap() uint64 {
 // A resident is a 24-byte element in the arena, plus a handle and a
 // send_time in a sublist place of slotBytes = 24 (the two-ended window
 // slack doubles both). The bound per resident is two sublist places for
-// Invariant 1 (sublists may be half full), its element and the quarter
-// more an arena step can leave unused, and four 8-byte flow-index slots
-// (just after a doubling) — 110 bytes; the per-sublist metadata fits in
-// the slack between those worst cases.
+// Invariant 1 (sublists may be half full), its element, and four 8-byte
+// flow-index slots (just after a doubling) — 104 bytes; the per-sublist
+// metadata fits in the slack between those worst cases.
 // Sublist storage arrives in steps, so at most two steps' worth — the one
 // being filled and, during the doubling phase, as much again — is added
-// on top, and the arena's first step of 64 slots.
+// on top, and the arena's one chunk that is not yet full.
 func TestFootprintFollowsResidents(t *testing.T) {
 	const n = 1 << 19
 
@@ -58,11 +58,11 @@ func TestFootprintFollowsResidents(t *testing.T) {
 			}
 		}
 		live := int64(liveHeap()) - int64(base)
-		bound := int64(r*(2*slotBytes+elemBytes*5/4+4*8) + 2*maxStepBytes + 64*elemBytes)
+		bound := int64(r*(2*slotBytes+elemBytes+4*8) + 2*maxStepBytes + chunkLen*elemBytes)
 		t.Logf("r=%d: %d bytes live, %.1f B per resident (bound %d), %d of %d sublists bound",
 			r, live, float64(live)/float64(r), bound, len(l.sublists), l.NumSublists())
 		if live > bound {
-			t.Errorf("r=%d residents of capacity %d hold %d bytes live, want <= r x (2 x %d + %d x 5/4 + 32) B + two steps = %d",
+			t.Errorf("r=%d residents of capacity %d hold %d bytes live, want <= r x (2 x %d + %d + 32) B + two steps + a chunk = %d",
 				r, n, live, slotBytes, elemBytes, bound)
 		}
 		if err := l.CheckInvariants(); err != nil {
@@ -74,50 +74,68 @@ func TestFootprintFollowsResidents(t *testing.T) {
 
 // BenchmarkGrowthStep makes the amortisation a number: it fills a
 // 2^19-capacity list to list_hold's 2^18 residents (fresh ids, the hold
-// model's stationary rank distribution) and reports the single most
-// expensive enqueue of each kind of growth — a storage step (capped at
-// maxStepBytes of sublist stores), an arena step (it copies every
-// element into an arena a quarter larger, at most maxStepBytes) and a flow-index
-// doubling (the rehash touches every resident) — as wall time and bytes
-// bound. An enqueue that grows two kinds at once counts as the first.
+// model's stationary rank distribution), timing every enqueue. It
+// reports the single most expensive enqueue of each kind of growth — a
+// storage step (capped at maxStepBytes of sublist stores), a chunk step
+// (the arena appends a chunk of chunkLen elements and copies none, or
+// its first chunk doubles) and a flow-index doubling (the rehash touches
+// every resident) — as wall time and bytes allocated; an enqueue that
+// grows two kinds at once counts as the first. Over every enqueue of
+// every fill it reports the worst single one, whatever its kind, which
+// the log names, and the worst fill's p99.99.
 func BenchmarkGrowthStep(b *testing.B) {
 	const residents, span = 1 << 18, 1 << 20
-	var store, arena, index struct{ ns, bytes float64 }
+	var store, chunk, index struct{ ns, bytes float64 }
+	var worst, p9999 float64
+	worstKind := "no growth"
 	steps := 0
+	ns := make([]float64, residents)
 	for i := 0; i < b.N; i++ {
 		l := New(2 * residents)
 		rng := rand.New(rand.NewSource(1))
 		for id := 0; id < residents; id++ {
 			e := Entry{ID: uint32(id), Rank: uint64(span * (1 - math.Sqrt(1-rng.Float64()))), SendTime: clock.Always}
-			bound, slots, elems := len(l.sublists), l.flows.Slots(), cap(l.arena)
+			bound, slots, grows := len(l.sublists), l.flows.Slots(), l.free == noHandle
 			start := time.Now()
 			if err := l.Enqueue(e); err != nil {
 				b.Fatal(err)
 			}
-			ns := float64(time.Since(start))
+			ns[id] = float64(time.Since(start))
+			kind := "no growth"
 			if n := l.flows.Slots(); n != slots {
 				steps++
-				if ns > index.ns {
-					index.ns, index.bytes = ns, float64(8*n) // a doubling allocates the whole new table
+				kind = "flow-index doubling"
+				if ns[id] > index.ns {
+					index.ns, index.bytes = ns[id], float64(8*n) // a doubling allocates the whole new table
 				}
 			} else if n := len(l.sublists) - bound; n > 0 {
 				steps++
-				if ns > store.ns {
-					store.ns, store.bytes = ns, float64(n*(l.sublistSize+1)*slotBytes)
+				kind = "storage step"
+				if ns[id] > store.ns {
+					store.ns, store.bytes = ns[id], float64(n*(l.sublistSize+1)*slotBytes)
 				}
-			} else if n := cap(l.arena); n != elems {
+			} else if grows {
 				steps++
-				if ns > arena.ns {
-					arena.ns, arena.bytes = ns, float64(n*elemBytes)
+				kind = "chunk step"
+				if ns[id] > chunk.ns {
+					chunk.ns, chunk.bytes = ns[id], float64(len(l.arena[len(l.arena)-1])*elemBytes)
 				}
 			}
+			if ns[id] > worst {
+				worst, worstKind = ns[id], kind
+			}
 		}
+		slices.Sort(ns)
+		p9999 = max(p9999, ns[residents-1-residents/10000]) // nearest rank
 	}
+	b.Logf("the worst enqueue (%.0f ns) was a %s", worst, worstKind)
 	b.ReportMetric(float64(steps)/float64(b.N), "steps/fill")
 	b.ReportMetric(store.ns, "store-step-ns")
 	b.ReportMetric(store.bytes, "store-step-B")
-	b.ReportMetric(arena.ns, "arena-step-ns")
-	b.ReportMetric(arena.bytes, "arena-step-B")
+	b.ReportMetric(chunk.ns, "chunk-step-ns")
+	b.ReportMetric(chunk.bytes, "chunk-step-B")
 	b.ReportMetric(index.ns, "index-step-ns")
 	b.ReportMetric(index.bytes, "index-step-B")
+	b.ReportMetric(worst, "worst-enqueue-ns")
+	b.ReportMetric(p9999, "p99.99-enqueue-ns")
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"pieo/internal/clock"
 )
@@ -17,7 +18,9 @@ import (
 // flow index and the sublist stores outgrow the caches. B/resident is
 // the list's footprint beside it: the live heap after a collection,
 // taken once after the warm-up and net of the heap before the list was
-// built, divided by the resident count.
+// built, divided by the resident count. worst-pair-ns is the slowest
+// single pair of the warm-up, whose pairs are timed one by one; the
+// measured loop reads no clock, so ns/op carries none of that cost.
 func BenchmarkHoldResident(b *testing.B) {
 	for _, c := range []struct {
 		name     string
@@ -52,8 +55,11 @@ func BenchmarkHoldResident(b *testing.B) {
 			// Warm past the fill transient: long enough for every
 			// sublist window to have drifted from where the prefill
 			// left it.
+			worst := time.Duration(0)
 			for i := 0; i < 4*c.resident; i++ {
+				start := time.Now()
 				pair()
+				worst = max(worst, time.Since(start))
 			}
 			footprint := float64(int64(liveHeap())-int64(base)) / float64(c.resident)
 			b.ResetTimer()
@@ -61,6 +67,7 @@ func BenchmarkHoldResident(b *testing.B) {
 				pair()
 			}
 			b.ReportMetric(footprint, "B/resident") // after ResetTimer, which drops reported metrics
+			b.ReportMetric(float64(worst), "worst-pair-ns")
 		})
 	}
 }

@@ -156,6 +156,36 @@ func (a *element) less(b *element) bool { return a.rank < b.rank }
 // noHandle ends the arena's free chain.
 const noHandle = math.MaxUint32
 
+// arena holds every element, by handle, in chunks of chunkLen slots, so
+// that growth appends a chunk and copies no element: a handle is its
+// chunk (the high bits) and its slot in the chunk (the low chunkShift).
+// Every chunk but the last is full, so the handles in use are [0, n) for
+// n slots; at list_hold's 2^18 residents the chunk table is 64 entries.
+type arena [][]element
+
+const (
+	chunkShift = 12
+	chunkLen   = 1 << chunkShift
+	chunkMask  = chunkLen - 1
+)
+
+// at returns the element at handle h.
+func (a arena) at(h uint32) *element { return &a[h>>chunkShift][h&chunkMask] }
+
+// first returns the first index of hs whose element is eligible at now
+// with an ID in [lo, hi], or -1: findInRange's sublist scan, kept out of
+// line because inlined into findInRange it spills to the stack per element.
+//
+//go:noinline
+func (a arena) first(hs []uint32, now clock.Time, lo, hi uint32) int {
+	for i, h := range hs {
+		if e := a.at(h); e.sendTime <= now && e.id >= lo && e.id <= hi {
+			return i
+		}
+	}
+	return -1
+}
+
 // sublist is one SRAM-resident sublist: the rank order of its elements
 // as a window of arena handles, and a parallel multiset of send_times
 // ordered ascending (the Eligibility-Sublist). The elements themselves
@@ -393,8 +423,8 @@ type List struct {
 
 	// arena holds every element, by handle; the free slots are chained
 	// through element.sub from free. It grows with the residents' high-water
-	// mark and never shrinks.
-	arena []element
+	// mark, a chunk at a time, and never shrinks.
+	arena arena
 	free  uint32 // first free handle, noHandle when the chain is empty
 
 	size  int
@@ -484,22 +514,27 @@ func (l *List) extend() {
 	}
 }
 
-// growArena chains a step of new slots onto the (empty) free chain, as
-// extend binds sublists: a step adds a quarter of the arena (64 slots at
-// least, maxStepBytes at most, never past the capacity), so the unused
-// tail is never more than a quarter of the residents' high-water mark.
-// The elements are copied across; a handle is an index and survives, but
-// no *element may be held across a call (only enqueue calls it, before
-// it takes any).
+// growArena chains new slots onto the (empty) free chain. The first
+// chunk starts at 64 slots and doubles up to chunkLen, so a small list
+// stays small; after it, growth appends a chunk of chunkLen slots, or of
+// what is left of the capacity, and copies no element. The unused tail is
+// therefore less than one chunk, or half the first. The first chunk's
+// doubling copies it, so no *element may be held across a call (only
+// enqueue calls it, before it takes any).
 func (l *List) growArena() {
-	n := len(l.arena)
-	grown := make([]element, n+min(max(n/4, 64), maxStepBytes/elemBytes, l.capacity-n))
-	copy(grown, l.arena)
-	for h := n; h < len(grown); h++ {
-		grown[h].sub = uint32(h + 1)
+	n := l.size          // the free chain is empty: every slot is held
+	k := n >> chunkShift // the first chunk, or the next
+	if k == len(l.arena) {
+		l.arena = append(l.arena, nil)
+	}
+	c := l.arena[k]
+	grown := make([]element, min(max(2*n, 64), chunkLen, len(c)+l.capacity-n))
+	copy(grown, c)
+	for i := len(c); i < len(grown); i++ {
+		grown[i].sub = uint32(k<<chunkShift + i + 1)
 	}
 	grown[len(grown)-1].sub = noHandle
-	l.arena, l.free = grown, uint32(n)
+	l.arena[k], l.free = grown, uint32(n)
 }
 
 // Len returns the number of queued elements.
@@ -567,8 +602,8 @@ func (l *List) enqueue(elem element) error {
 	if !l.flows.Insert(idtab.ID(elem.id), h+1) {
 		return ErrDuplicate
 	}
-	l.free = l.arena[h].sub
-	l.arena[h] = elem
+	e := l.arena.at(h)
+	l.free, *e = e.sub, elem
 
 	l.stats.Enqueues++
 	l.stats.Cycles += 4
@@ -703,8 +738,8 @@ func (l *List) DequeueFlow(id uint32) (Entry, bool) {
 		return Entry{}, false
 	}
 	h := v - 1
-	out := l.arena[h].entry()
-	sid := int(l.arena[h].sub)
+	e := l.arena.at(h)
+	out, sid := e.entry(), int(e.sub)
 	l.stats.FlowDequeues++
 	l.stats.Cycles += 4
 
@@ -728,11 +763,11 @@ func (l *List) DequeueFlow(id uint32) (Entry, bool) {
 // order is the global answer. The packed summary words skip 32
 // ineligible positions per probe, and only sublists that pass the time
 // filter and whose resident-ID bounds intersect [lo, hi] are read. A
-// sublist whose bounds lie inside [lo, hi] is scanned on time alone and
-// cannot miss — its cached smallest send_time passed — so over the whole
-// ID space nothing is read in vain. missReads and missCompares count the
-// sublists that were (and their comparators), for the caller to charge
-// or not.
+// sublist whose bounds lie inside [lo, hi] passes the ID test on every
+// element and cannot miss — its cached smallest send_time passed — so
+// over the whole ID space nothing is read in vain. missReads and
+// missCompares count the sublists that were (and their comparators), for
+// the caller to charge or not.
 //
 // With tighten set, every sublist read in vain has its bounds recomputed
 // exactly — the scan has just seen every resident — so bounds left wide
@@ -762,26 +797,18 @@ func (l *List) findInRange(now clock.Time, lo, hi uint32, tighten bool) (pos, id
 			continue
 		}
 		sl := &l.sublists[sid]
-		if lo <= b.lo && b.hi <= hi {
-			for i, h := range sl.hs {
-				if arena[h].sendTime <= now {
-					return pos, i, missReads, missCompares
-				}
-			}
-			panic(fmt.Sprintf("pieo: sublist metadata/content mismatch at t=%v", now))
+		if i := arena.first(sl.hs, now, lo, hi); i >= 0 {
+			return pos, i, missReads, missCompares
 		}
-		for i, h := range sl.hs {
-			e := &arena[h]
-			if e.sendTime <= now && e.id >= lo && e.id <= hi {
-				return pos, i, missReads, missCompares
-			}
+		if lo <= b.lo && b.hi <= hi {
+			panic(fmt.Sprintf("pieo: sublist metadata/content mismatch at t=%v", now))
 		}
 		missReads++
 		missCompares += uint64(sl.len())
 		if tighten {
 			b := noIDs
 			for _, h := range sl.hs {
-				b.admit(arena[h].id)
+				b.admit(arena.at(h).id)
 			}
 			ids[sid] = b
 		}
@@ -885,8 +912,9 @@ func (l *List) MaxRankEntry() (Entry, bool) {
 func (l *List) extractAt(pos int, sl *sublist, idx int) {
 	wasFull := sl.full(l.sublistSize)
 	h := l.removeAt(sl, idx)
-	l.flows.Delete(idtab.ID(l.arena[h].id))
-	l.arena[h].sub, l.free = l.free, h
+	e := l.arena.at(h)
+	l.flows.Delete(idtab.ID(e.id))
+	e.sub, l.free = l.free, h
 	l.size--
 	l.stats.SublistWrites++
 
@@ -955,7 +983,7 @@ func (l *List) upperBound(pos int, r uint64) int {
 	if n == 0 || r < first {
 		return 0
 	}
-	last := arena[hs[n-1]].rank
+	last := arena.at(hs[n-1]).rank
 	if pos+1 < l.active {
 		last = l.order[pos+1].smallestRank
 	}
@@ -966,20 +994,20 @@ func (l *List) upperBound(pos int, r uint64) int {
 	// below lo ranked <= r and every index from hi on ranked above it.
 	g := min(int(float64(r-first)/float64(last-first)*float64(n)), n-1)
 	lo, hi, step := 0, n, 1
-	if arena[hs[g]].rank <= r {
-		for lo = g + 1; lo+step <= n && arena[hs[lo+step-1]].rank <= r; step <<= 1 {
+	if arena.at(hs[g]).rank <= r {
+		for lo = g + 1; lo+step <= n && arena.at(hs[lo+step-1]).rank <= r; step <<= 1 {
 			lo += step
 		}
 		hi = min(lo+step-1, n)
 	} else {
-		for hi = g; hi >= step && arena[hs[hi-step]].rank > r; step <<= 1 {
+		for hi = g; hi >= step && arena.at(hs[hi-step]).rank > r; step <<= 1 {
 			hi -= step
 		}
 		lo = max(hi-step+1, 0)
 	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if r < arena[hs[mid]].rank {
+		if r < arena.at(hs[mid]).rank {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -997,7 +1025,7 @@ func (l *List) upperBound(pos int, r uint64) int {
 func (l *List) insertElemAt(pos, idx int, h uint32) {
 	sid := l.order[pos].sublistID
 	sl := &l.sublists[sid]
-	e := &l.arena[h]
+	e := l.arena.at(h)
 	e.sub = uint32(sid)
 	l.ids[sid].admit(e.id)
 	sl.insertHandleAt(idx, h)
@@ -1009,12 +1037,12 @@ func (l *List) insertElemAt(pos, idx int, h uint32) {
 func (l *List) removeAt(sl *sublist, idx int) uint32 {
 	h := sl.hs[idx]
 	sl.removeHandleAt(idx)
-	sl.removeElig(l.arena[h].sendTime)
+	sl.removeElig(l.arena.at(h).sendTime)
 	return h
 }
 
 // at returns the element at rank-order index i of sl.
-func (l *List) at(sl *sublist, i int) *element { return &l.arena[sl.hs[i]] }
+func (l *List) at(sl *sublist, i int) *element { return l.arena.at(sl.hs[i]) }
 
 // refreshMeta recomputes the cached pointer-array attributes of the
 // sublist at order position pos, and the packed summary word covering it.
@@ -1124,7 +1152,7 @@ func (l *List) Snapshot() []Entry {
 	k := 0
 	for i := 0; i < l.active; i++ {
 		for _, h := range l.sublists[l.order[i].sublistID].hs {
-			out[k] = l.arena[h].entry()
+			out[k] = l.arena.at(h).entry()
 			k++
 		}
 	}
@@ -1156,7 +1184,11 @@ func (l *List) CheckInvariants() error {
 			n, l.numSublists, len(l.sublists), len(l.posOf), len(l.ids), len(l.eligBlk))
 	}
 	seen := make([]bool, len(l.sublists))
-	held := make([]bool, len(l.arena))              // handles met in a window or on the free chain
+	slots := 0
+	for _, c := range l.arena {
+		slots += len(c)
+	}
+	held := make([]bool, slots)                     // handles met in a window or on the free chain
 	times := make([]clock.Time, 0, l.sublistSize+1) // the sublist's send_times, sorted
 	total := 0
 	minSend := clock.Never
@@ -1186,7 +1218,7 @@ func (l *List) CheckInvariants() error {
 				return fmt.Errorf("sublist %d handle %d out of range or held twice", p.sublistID, h)
 			}
 			held[h] = true
-			if sub := l.arena[h].sub; int(sub) != p.sublistID {
+			if sub := l.arena.at(h).sub; int(sub) != p.sublistID {
 				return fmt.Errorf("handle %d in the window of sublist %d names sublist %d", h, p.sublistID, sub)
 			}
 		}
@@ -1228,7 +1260,7 @@ func (l *List) CheckInvariants() error {
 		// The eligibility sublist is exactly the entries' send_times, sorted.
 		times = times[:0]
 		for _, h := range sl.hs {
-			times = append(times, l.arena[h].sendTime)
+			times = append(times, l.arena.at(h).sendTime)
 		}
 		slices.Sort(times)
 		if !slices.Equal(sl.elig, times) {
@@ -1238,7 +1270,7 @@ func (l *List) CheckInvariants() error {
 		// equal ranks is positional and leaves no trace to check here;
 		// the conformance suite checks it against refmodel.
 		for _, h := range sl.hs {
-			e := &l.arena[h]
+			e := l.arena.at(h)
 			if prev != nil && e.less(prev) {
 				return fmt.Errorf("global order violated: %v before %v", prev.entry(), e.entry())
 			}
@@ -1258,15 +1290,15 @@ func (l *List) CheckInvariants() error {
 	}
 	// The free chain holds exactly the handles no window holds.
 	free := 0
-	for h := l.free; h != noHandle; h = l.arena[h].sub {
+	for h := l.free; h != noHandle; h = l.arena.at(h).sub {
 		if int(h) >= len(held) || held[h] {
 			return fmt.Errorf("free handle %d out of range or also held", h)
 		}
 		held[h] = true
 		free++
 	}
-	if total+free != len(l.arena) {
-		return fmt.Errorf("arena of %d slots: %d held by windows, %d free", len(l.arena), total, free)
+	if total+free != len(held) {
+		return fmt.Errorf("arena of %d slots: %d held by windows, %d free", len(held), total, free)
 	}
 	// Every resident resolved above, so an index of exactly size keys
 	// holds nothing else; check covers the probe structure itself.

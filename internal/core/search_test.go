@@ -32,7 +32,7 @@ func checkGuidedSearch(t *testing.T, l *List, layout string) {
 			probes = append(probes, l.order[pos+1].smallestRank)
 		}
 		for _, h := range l.sublists[l.order[pos].sublistID].hs {
-			probes = append(probes, l.arena[h].rank)
+			probes = append(probes, l.arena.at(h).rank)
 		}
 		for _, p := range probes {
 			for _, r := range []uint64{p - 1, p, p + 1} {

@@ -36,25 +36,25 @@ func TestElementLayout(t *testing.T) {
 }
 
 // places records where every resident of the given sublists sits: its
-// element by id in the arena, its handle by id in a window's store, its
-// send_time by value in the eligibility store (the drift tests use
-// distinct send_times). A place in a store is named by sublist and
-// absolute index, so it changes exactly when the thing is copied
-// somewhere else.
+// element's slot by id in the arena, its handle by id in a window's
+// store, its send_time by value in the eligibility store (the drift
+// tests use distinct send_times). A slot is named by its address and a
+// place in a store by sublist and absolute index, so each changes
+// exactly when the thing is copied somewhere else.
 type places struct {
-	elem   map[uint32]uint32
+	elem   map[uint32]*element
 	handle map[uint32][2]int
 	elig   map[clock.Time][2]int
 }
 
-func placesOf(arena []element, sls []sublist) places {
-	s := places{elem: map[uint32]uint32{}, handle: map[uint32][2]int{}, elig: map[clock.Time][2]int{}}
+func placesOf(a arena, sls []sublist) places {
+	s := places{elem: map[uint32]*element{}, handle: map[uint32][2]int{}, elig: map[clock.Time][2]int{}}
 	for sid := range sls {
 		sl := &sls[sid]
 		for j, h := range sl.hs {
-			id := arena[h].id
-			s.elem[id] = h
-			s.handle[id] = [2]int{sid, sl.hstart + j}
+			e := a.at(h)
+			s.elem[e.id] = e
+			s.handle[e.id] = [2]int{sid, sl.hstart + j}
 		}
 		for j, t := range sl.elig {
 			s.elig[t] = [2]int{sid, sl.tstart + j}
@@ -114,20 +114,21 @@ func TestSublistWindowDrift(t *testing.T) {
 		for _, dir := range []string{"head-remove/tail-insert", "tail-remove/head-insert"} {
 			var sl sublist
 			sl.bind(make([]uint32, 2*(s+1)), make([]clock.Time, 2*(s+1)))
-			// The arena is append-only here: a handle is never reused, so
-			// a resident's handle names it for the whole run.
-			var arena []element
+			// The arena is one append-only chunk here, long enough for the
+			// run: a handle is never reused, so a resident's handle names
+			// it for the whole run.
+			arena := arena{make([]element, 0, chunkLen)}
 			// Keys start in the middle of their range so either pattern
 			// can extend them; send_time tracks rank, so both windows see
 			// the same pattern.
 			lo, hi := uint64(1<<20), uint64(1<<20)
 			add := func(key uint64, idx int) {
-				arena = append(arena, element{rank: key, sendTime: clock.Time(key), id: uint32(key)})
-				sl.insertHandleAt(idx, uint32(len(arena)-1))
+				arena[0] = append(arena[0], element{rank: key, sendTime: clock.Time(key), id: uint32(key)})
+				sl.insertHandleAt(idx, uint32(len(arena[0])-1))
 				sl.insertElig(clock.Time(key))
 			}
 			remove := func(idx int) {
-				st := arena[sl.hs[idx]].sendTime
+				st := arena.at(sl.hs[idx]).sendTime
 				sl.removeHandleAt(idx)
 				sl.removeElig(st)
 			}
@@ -154,7 +155,7 @@ func TestSublistWindowDrift(t *testing.T) {
 				}
 			}
 			for j := 1; j < sl.len(); j++ {
-				if !arena[sl.hs[j-1]].less(&arena[sl.hs[j]]) || sl.elig[j-1] >= sl.elig[j] {
+				if !arena.at(sl.hs[j-1]).less(arena.at(sl.hs[j])) || sl.elig[j-1] >= sl.elig[j] {
 					t.Fatalf("%s: windows out of order at %d", dir, j)
 				}
 			}
@@ -283,7 +284,7 @@ func TestCheckInvariantsHoldsHandles(t *testing.T) {
 	held := l.sublists[l.order[0].sublistID].hs[0]
 	for name, corrupt := range map[string]func() func(){
 		"wrong sublist": func() func() {
-			e := &l.arena[held]
+			e := l.arena.at(held)
 			was := e.sub
 			e.sub = uint32(l.order[1].sublistID)
 			return func() { e.sub = was }
@@ -295,7 +296,7 @@ func TestCheckInvariantsHoldsHandles(t *testing.T) {
 		},
 		"free slot lost": func() func() {
 			was := l.free
-			l.free = l.arena[was].sub
+			l.free = l.arena.at(was).sub
 			return func() { l.free = was }
 		},
 		"send time off by one": func() func() {

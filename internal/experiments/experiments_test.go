@@ -20,13 +20,14 @@ import (
 // when its partitioned/sharded rows left with the "sharded" registry
 // name; the ablation, devices, fig8, fig9, fig10 and pipeline digests when
 // the hardware model began pricing hwsim.Shape, the datapath hwsim builds
-// (two slack sublists, S+1 lanes, §4.2's ID bounds); the other ten at
+// (two slack sublists, S+1 lanes, §4.2's ID bounds), and devices again
+// when FitsOn began counting the device's SRAM blocks; the other ten at
 // commit ef99068.
 var tableDigests = map[string]string{
 	"ablation":         "848ebb0a5f31cd60",
 	"approx":           "65462b238d67fc88",
 	"deviation":        "4e8a66df12766401",
-	"devices":          "8b0851e453a69cbe",
+	"devices":          "92d7e81ac7a9e8d9",
 	"fig10":            "f0f5fb401802bc03",
 	"fig11":            "ba720b09b3df90cb",
 	"fig12":            "3540f9aae4c2aa45",

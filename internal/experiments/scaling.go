@@ -78,7 +78,7 @@ func Fig9() *Table {
 			sizeLabel(n),
 			fmt.Sprintf("%.2f%%", r.SRAMPercent(dev)),
 			fmt.Sprintf("%.2f Mbit", float64(r.SRAMBits)/1e6),
-			fmt.Sprintf("%d", r.SRAMBlocks),
+			fmt.Sprintf("%d", r.SRAMBlocks(dev)),
 			fmt.Sprintf("%dx%d", c.Sublists, c.SublistSize),
 			fmt.Sprintf("%d bits (%.0f%% ID bounds)", c.Sublists*c.Entry.Total(), 100*float64(c.Entry.IDBounds)/float64(c.Entry.Total())),
 		})

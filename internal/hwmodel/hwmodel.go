@@ -52,14 +52,19 @@ var StratixV = Device{
 }
 
 // Resources aggregates the structural counts and the derived ALM estimate
-// for one scheduler instance.
+// for one scheduler instance. The SRAM blocks it takes depend on the
+// device's block size, so they are a method, like the percentages.
 type Resources struct {
 	FlipFlopBits  int    // state that must live in registers
 	Comparators16 int    // number of 16-bit parallel comparators
 	EncoderInputs int    // total priority-encoder input width
 	SRAMBits      uint64 // ordered-list storage in SRAM (0 for PIFO)
-	SRAMBlocks    int    // dual-port blocks consumed (striping-aware)
 	ALMs          int    // calibrated logic estimate
+
+	// The SRAM's block columns (see SRAMBlocks): how many, and the bits
+	// each holds. PIFO has none.
+	columns    int
+	columnBits uint64
 }
 
 // Calibrated ALM cost constants. A Stratix V ALM packs two flip-flops and
@@ -107,19 +112,19 @@ func PIEOResources(c hwsim.Counts) Resources {
 		Comparators16: cmp,
 		EncoderInputs: enc,
 		SRAMBits:      uint64(c.Sublists) * uint64(c.SublistSize) * uint64(c.WordBits),
-		SRAMBlocks:    pieoSRAMBlocks(c),
 		ALMs:          alms,
+		columns:       c.SublistSize,
+		columnBits:    uint64(c.Sublists) * uint64(c.WordBits),
 	}
 }
 
-// pieoSRAMBlocks counts dual-port blocks under the §5.1 striping: the
-// words of each sublist are striped across SublistSize block columns so a
-// whole sublist is readable in one cycle; each column holds one word of
-// every sublist and must be deep/wide enough for them.
-func pieoSRAMBlocks(c hwsim.Counts) int {
-	columnBits := uint64(c.Sublists) * uint64(c.WordBits)
-	blocksPerColumn := int((columnBits + StratixV.SRAMBlockBits - 1) / StratixV.SRAMBlockBits)
-	return c.SublistSize * max(blocksPerColumn, 1)
+// SRAMBlocks counts the dual-port blocks of d that r's SRAM takes under
+// the §5.1 striping: the words of each sublist are striped across
+// SublistSize block columns so a whole sublist is readable in one cycle;
+// each column holds one word of every sublist, in as many of d's blocks
+// as those words fill.
+func (r Resources) SRAMBlocks(d Device) int {
+	return r.columns * max(int((r.columnBits+d.SRAMBlockBits-1)/d.SRAMBlockBits), 1)
 }
 
 // PIFOResources computes the resource usage of the baseline PIFO
@@ -135,14 +140,16 @@ func PIFOResources(n int) Resources {
 		Comparators16: n,
 		EncoderInputs: n,
 		SRAMBits:      0,
-		SRAMBlocks:    0,
 		ALMs:          int(math.Round(pifoALMPerElement * float64(n))),
 	}
 }
 
-// FitsOn reports whether r fits the device's logic and SRAM budgets.
+// FitsOn reports whether r fits the device's logic and SRAM budgets: its
+// ALMs, its SRAM bits, and its SRAM blocks out of the SRAMBits /
+// SRAMBlockBits that d has.
 func (r Resources) FitsOn(d Device) bool {
-	return r.ALMs <= d.ALMs && r.SRAMBits <= d.SRAMBits
+	return r.ALMs <= d.ALMs && r.SRAMBits <= d.SRAMBits &&
+		uint64(r.SRAMBlocks(d)) <= d.SRAMBits/d.SRAMBlockBits
 }
 
 // ALMPercent returns the fraction of d's ALMs consumed, in percent.

@@ -121,8 +121,8 @@ func TestPIEOSRAMModestAt30K(t *testing.T) {
 
 func TestPIFOUsesNoSRAM(t *testing.T) {
 	r := PIFOResources(1024)
-	if r.SRAMBits != 0 || r.SRAMBlocks != 0 {
-		t.Fatalf("PIFO reports SRAM usage %d bits / %d blocks; design is all flip-flops", r.SRAMBits, r.SRAMBlocks)
+	if r.SRAMBits != 0 || r.SRAMBlocks(StratixV) != 0 {
+		t.Fatalf("PIFO reports SRAM usage %d bits / %d blocks; design is all flip-flops", r.SRAMBits, r.SRAMBlocks(StratixV))
 	}
 }
 
@@ -183,12 +183,41 @@ func TestSRAMBlocksStriping(t *testing.T) {
 	// per sublist slot (SublistSize columns).
 	c := sqrtShape(30000)
 	r := PIEOResources(c)
-	if r.SRAMBlocks < c.SublistSize {
-		t.Fatalf("SRAMBlocks = %d < SublistSize %d; sublist not fully striped", r.SRAMBlocks, c.SublistSize)
+	if b := r.SRAMBlocks(StratixV); b < c.SublistSize {
+		t.Fatalf("SRAMBlocks = %d < SublistSize %d; sublist not fully striped", b, c.SublistSize)
 	}
 	// And the paper's device has ~2500 blocks; 30K must fit.
-	if r.SRAMBlocks > 2500 {
-		t.Fatalf("SRAMBlocks = %d exceeds the device's ~2500", r.SRAMBlocks)
+	if b := r.SRAMBlocks(StratixV); b > 2500 {
+		t.Fatalf("SRAMBlocks = %d exceeds the device's ~2500", b)
+	}
+}
+
+// TestSRAMBlocksFollowDevice prices the 30K datapath on a device whose
+// blocks are 10 Kbit, half the M20K: a column of 348 64-bit words (22 272
+// bits) takes 3 such blocks where it takes 2 M20Ks, so 174 columns take
+// 522 blocks. FitsOn counts them: with 522 blocks the datapath fits, and
+// with 521 it does not, although 521 blocks hold more bits than it uses.
+func TestSRAMBlocksFollowDevice(t *testing.T) {
+	c := sqrtShape(30000)
+	r := PIEOResources(c)
+	if b := r.SRAMBlocks(StratixV); b != 174*2 {
+		t.Fatalf("SRAMBlocks(StratixV) = %d, want %d x 2", b, c.SublistSize)
+	}
+	small := StratixV
+	small.Name, small.SRAMBlockBits = "10 Kbit blocks", 10_000
+	if b := r.SRAMBlocks(small); b != 174*3 {
+		t.Fatalf("SRAMBlocks on 10 Kbit blocks = %d, want %d x 3", b, c.SublistSize)
+	}
+	small.SRAMBits = 522 * small.SRAMBlockBits
+	if !r.FitsOn(small) {
+		t.Fatalf("PIEO@30K does not fit 522 blocks of 10 Kbit")
+	}
+	small.SRAMBits -= small.SRAMBlockBits
+	if r.SRAMBits > small.SRAMBits {
+		t.Fatalf("%d bits of SRAM do not hold the %d the datapath uses", small.SRAMBits, r.SRAMBits)
+	}
+	if r.FitsOn(small) {
+		t.Fatalf("PIEO@30K fits 521 blocks, want it to need 522")
 	}
 }
 

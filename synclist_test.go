@@ -364,6 +364,60 @@ func TestSyncListProducerStorm(t *testing.T) {
 	}
 }
 
+// TestSyncListGrowsPastChunks grows one SyncList from four concurrent
+// producers to 10 400 residents, past two of the element arena's
+// 4 096-slot chunks, while each producer also takes back every fifth of
+// its own arrivals by dequeue(f), so freed slots are reused while chunks
+// are appended. Under -race it checks that the chunk table grows only
+// under the lock; after it, the list holds exactly the survivors and
+// drains them in rank order.
+func TestSyncListGrowsPastChunks(t *testing.T) {
+	const producers, per = 4, 3250
+	l := NewSyncList(producers * per)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(p)))
+			for i := 0; i < per; i++ {
+				id := uint32(p*per + i + 1)
+				if err := l.Enqueue(Entry{ID: id, Rank: uint64(rng.Intn(1 << 16)), SendTime: Always}); err != nil {
+					t.Errorf("producer %d: enqueue %d: %v", p, id, err)
+					return
+				}
+				if i%5 == 4 {
+					if _, ok := l.DequeueFlow(id - 2); !ok {
+						t.Errorf("producer %d: dequeue(f) of its own id %d missed", p, id-2)
+						return
+					}
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	if want := producers * per * 4 / 5; l.Len() != want {
+		t.Fatalf("%d residents, want %d", l.Len(), want)
+	}
+	if err := l.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	out := drainOrder(t, l)
+	seen := map[uint32]bool{}
+	for i, e := range out {
+		if i > 0 && e.Rank < out[i-1].Rank {
+			t.Fatalf("drain %d: rank %d after %d", i, e.Rank, out[i-1].Rank)
+		}
+		if seen[e.ID] || (e.ID-1)%per%5 == 2 {
+			t.Fatalf("drain %d: id %d extracted twice or after its dequeue(f)", i, e.ID)
+		}
+		seen[e.ID] = true
+	}
+	if err := l.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSyncListBatchStorm runs EnqueueBatch producers against DequeueUpTo
 // consumers: every element batch-enqueued is batch-dequeued exactly
 // once.
